@@ -1,64 +1,15 @@
 // Command teabench regenerates the paper's evaluation artifacts (Table 4 and
-// Figures 2, 9–14 plus the §5.2 parameter sensitivity study) on the scaled
-// synthetic dataset profiles.
+// Figures 2, 9–14 plus the §5.2 parameter sensitivity study, two ablations and
+// the distributed-style extension) on the scaled synthetic dataset profiles.
 //
 // Usage:
 //
 //	teabench [flags] <experiment>...
 //	teabench all                     # every experiment, in paper order
 //
-// Experiments: fig2 table4 fig9 fig10 sens fig11 fig12 fig13a fig13b fig13c
-// fig13d fig13e fig14.
-//
-// The extra "bench" experiment (not part of "all") records the repo's walk
-// throughput baseline: it runs the standard walk workload -bench-runs times
-// on the first selected profile and writes machine-readable numbers (walks/s,
-// steps/s, edges/step, p50/p95/p99 run latency) to -bench-out, BENCH_walks.json
-// by default. CI uploads the file per PR so the perf trajectory is diffable:
-//
-//	teabench -quick -dataset growth bench
-//
-// The bench experiment's -kernel flag selects the walk kernel (auto, scalar,
-// batch) or A/Bs both in one invocation (-kernel=both): scalar and batch each
-// get a warmup plus -bench-runs measured runs against the same engine, and
-// the per-kernel numbers land in the kernels[] section of -bench-out so CI
-// can gate on the batch kernel not regressing below the scalar baseline:
-//
-//	teabench -quick -dataset growth -kernel=both bench
-//
-// With -trace-out the bench experiment additionally executes one fully
-// traced run (after the measured ones, so tracing never skews the recorded
-// numbers) and writes it as a Chrome trace_event JSON document loadable in
-// chrome://tracing or https://ui.perfetto.dev:
-//
-//	teabench -quick -dataset growth -trace-out trace.json bench
-//
-// The "cache" experiment (also not part of "all") sweeps the out-of-core
-// block cache (both eviction policies, several capacities) against a
-// Zipfian-seeded walk workload and writes hit rates, device vs cache-served
-// bytes, and simulated read time saved to -cache-out, BENCH_cache.json by
-// default:
-//
-//	teabench -quick -dataset growth cache
-//
-// The "shard" experiment (also not part of "all") sweeps the horizontally
-// sharded walk engine over partition counts (-shard-parts, default 1,2,3) on
-// loopback TCP — every shard a full node with its own binary-RPC listener —
-// and writes cluster throughput (walks/s, steps/s), migration traffic
-// (frames/s, bytes/hop, migration share), and per-shard memory to
-// -shard-out, BENCH_shard.json by default. The partitions=1 row is the
-// single-shard baseline the speedup column is relative to:
-//
-//	teabench -quick -dataset growth shard
-//
-// The "obs" experiment (also not part of "all") A/Bs the per-request cost
-// accounting of the observability plane: the identical walk workload with
-// accounting off (plain context) and on (a request collector attached the
-// way the HTTP server does it), writing both throughputs and the relative
-// overhead to -obs-out, BENCH_obs.json by default. CI gates on the overhead
-// staying ≤3% of steps/s:
-//
-//	teabench -quick -dataset growth obs
+// The experiments are the rows of table below. Steps/s, latency and index bytes
+// are not teabench's job: `bash bench/run.sh` is the one performance record
+// (PERF.md).
 package main
 
 import (
@@ -69,410 +20,184 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/experiments"
 	"github.com/tea-graph/tea/internal/gen"
 )
 
-func main() {
-	var (
-		quick    = flag.Bool("quick", false, "use 10x-smaller dataset profiles")
-		threads  = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		walks    = flag.Int("walks", 0, "walks per vertex R (0 = calibrated default)")
-		length   = flag.Int("length", 80, "walk length L")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		contrast = flag.Float64("contrast", 50, "exponential weight contrast (lambda*timespan)")
-		dataset  = flag.String("dataset", "", "restrict to one dataset (growth|edit|delicious|twitter)")
-		asJSON   = flag.Bool("json", false, "emit rows as JSON instead of tables")
-		benchOut = flag.String("bench-out", "BENCH_walks.json", "output path for the bench experiment")
-		benchN   = flag.Int("bench-runs", 5, "measured runs for the bench experiment")
-		kernel   = flag.String("kernel", "auto", "walk kernel for the bench experiment (auto|scalar|batch|both)")
-		traceOut = flag.String("trace-out", "", "write one traced bench run as Chrome trace_event JSON (bench experiment only)")
-		cacheOut = flag.String("cache-out", "BENCH_cache.json", "output path for the cache experiment")
-		shardOut = flag.String("shard-out", "BENCH_shard.json", "output path for the shard experiment")
-		shardN   = flag.Int("shard-runs", 1, "measured runs per partition count for the shard experiment")
-		shardPts = flag.String("shard-parts", "1,2,3", "comma-separated partition counts for the shard experiment")
-		obsOut   = flag.String("obs-out", "BENCH_obs.json", "output path for the obs experiment")
-		obsN     = flag.Int("obs-runs", 5, "measured runs per accounting mode for the obs experiment")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: teabench [flags] <experiment>...\n\nexperiments: all %s bench cache shard\n\nflags:\n",
-			strings.Join(names(), " "))
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
+// experiment is one row of the table every part of the command reads: the
+// usage text, "all", argument validation, and both output formats.
+type experiment struct {
+	name, title string
+	// run returns the typed rows (for -json) and their rendered table.
+	run func(experiments.Config) (rows any, text string, err error)
+}
 
+// row pairs an experiment function with the renderer of its row type.
+func row[R any](name, title string, run func(experiments.Config) ([]R, error), render func([]R) string) experiment {
+	return experiment{name, title, func(cfg experiments.Config) (any, string, error) {
+		rows, err := run(cfg)
+		return rows, render(rows), err
+	}}
+}
+
+// table lists the experiments in paper order.
+var table = []experiment{
+	row("fig2", "Figure 2: average sampling cost (edges/step)", experiments.Fig2, experiments.RenderFig2),
+	row("table4", "Table 4: runtime and speedups", experiments.Table4, experiments.RenderTable4),
+	row("fig9", "Figure 9: memory usage", experiments.Fig9, experiments.RenderFig9),
+	row("fig10", "Figure 10: TEA vs other engines", experiments.Fig10, experiments.RenderFig10),
+	row("sens", "Section 5.2: parameter sensitivity", experiments.Sensitivity, experiments.RenderSens),
+	row("fig11", "Figure 11: piecewise breakdown (HPAT, auxiliary index)", experiments.Fig11, experiments.RenderFig11),
+	row("fig12", "Figure 12: sampling methods (runtime, memory)", experiments.Fig12, experiments.RenderFig12),
+	row("fig13a", "Figure 13a: candidate edge set search", experiments.Fig13aCandidateSearch, experiments.RenderFig13Scaling),
+	row("fig13b", "Figure 13b: HPAT generation", experiments.Fig13bHPATBuild, experiments.RenderFig13Scaling),
+	row("fig13c", "Figure 13c: auxiliary index generation", experiments.Fig13cAuxIndex, experiments.RenderFig13Scaling),
+	row("fig13d", "Figure 13d: incremental HPAT updating", func(cfg experiments.Config) ([]experiments.Fig13dRow, error) {
+		return experiments.Fig13dIncremental(cfg, nil, nil)
+	}, experiments.RenderFig13d),
+	row("fig13e", "Figure 13e: preprocessing thread scaling", func(cfg experiments.Config) ([]experiments.Fig13eRow, error) {
+		return experiments.Fig13ePreprocess(cfg, nil)
+	}, experiments.RenderFig13e),
+	row("fig14", "Figure 14: out-of-core execution", experiments.Fig14OutOfCore, experiments.RenderFig14),
+	row("ablation-degree", "Ablation: per-sample cost vs vertex degree (complexity table of §4.3)", func(cfg experiments.Config) ([]experiments.AblationDegreeRow, error) {
+		return experiments.AblationDegreeScaling(cfg, nil)
+	}, experiments.RenderAblationDegree),
+	row("ablation-trunk", "Ablation: PAT trunk-size policy (§3.2)", func(cfg experiments.Config) ([]experiments.AblationTrunkRow, error) {
+		return experiments.AblationTrunkSize(cfg, 0, nil)
+	}, experiments.RenderAblationTrunk),
+	row("dist", "Extension: distributed-style execution (§4.4 future work)", func(cfg experiments.Config) ([]experiments.DistRow, error) {
+		return experiments.DistScaling(cfg, nil)
+	}, experiments.RenderDist),
+}
+
+func names(table []experiment) []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
+}
+
+// resolve maps every argument to its table row ("all" expands to the whole
+// table), so a misspelt name fails before any experiment has run.
+func resolve(table []experiment, args []string) ([]experiment, error) {
+	var selected []experiment
+next:
+	for _, arg := range args {
+		if arg == "all" {
+			selected = append(selected, table...)
+			continue
+		}
+		for _, e := range table {
+			if e.name == arg {
+				selected = append(selected, e)
+				continue next
+			}
+		}
+		return nil, fmt.Errorf("unknown experiment %q (want one of: all %s)", arg, strings.Join(names(table), " "))
+	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("no experiment named")
+	}
+	return selected, nil
+}
+
+// options are teabench's flags; config turns them into an experiment Config.
+type options struct {
+	quick, asJSON          bool
+	threads, walks, length int
+	seed                   uint64
+	contrast               float64
+	dataset                string
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.BoolVar(&o.quick, "quick", false, "use 10x-smaller dataset profiles")
+	fs.IntVar(&o.threads, "threads", 0, "worker threads (0 = GOMAXPROCS)")
+	fs.IntVar(&o.walks, "walks", 0, "walks per vertex R (0 = calibrated default)")
+	fs.IntVar(&o.length, "length", 80, "walk length L")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.Float64Var(&o.contrast, "contrast", 50, "exponential weight contrast (lambda*timespan)")
+	fs.StringVar(&o.dataset, "dataset", "", "restrict to one dataset (growth|edit|delicious|twitter)")
+	fs.BoolVar(&o.asJSON, "json", false, "emit rows as JSON instead of tables")
+	return o
+}
+
+func (o *options) config() (experiments.Config, error) {
 	cfg := experiments.Default()
-	if *quick {
+	if o.quick {
 		cfg = experiments.Quick()
 	}
-	if *threads > 0 {
-		cfg.Threads = *threads
+	if o.threads > 0 {
+		cfg.Threads = o.threads
 	}
-	if *walks > 0 {
-		cfg.WalksPerVertex = *walks
+	if o.walks > 0 {
+		cfg.WalksPerVertex = o.walks
 	}
-	cfg.Length = *length
-	cfg.Seed = *seed
-	cfg.Contrast = *contrast
-	if *dataset != "" {
+	cfg.Length = o.length
+	cfg.Seed = o.seed
+	cfg.Contrast = o.contrast
+	if o.dataset != "" {
 		var keep []gen.Profile
 		for _, p := range cfg.Profiles {
-			if strings.HasPrefix(p.Name, *dataset) {
+			if strings.HasPrefix(p.Name, o.dataset) {
 				keep = append(keep, p)
 			}
 		}
 		if len(keep) == 0 {
-			fatal(fmt.Errorf("unknown dataset %q", *dataset))
+			return cfg, fmt.Errorf("unknown dataset %q", o.dataset)
 		}
 		cfg.Profiles = keep
 	}
+	return cfg, nil
+}
 
-	args := flag.Args()
-	if len(args) == 1 && args[0] == "all" {
-		args = names()
-	}
-	for _, name := range args {
-		if name == "bench" {
-			kernels, err := parseKernels(*kernel)
-			if err != nil {
-				fatal(err)
+// runAll runs the selected experiments in order, printing each as a table or,
+// with asJSON, as one {"experiment", "rows"} document.
+func runAll(selected []experiment, cfg experiments.Config, asJSON bool) error {
+	for _, e := range selected {
+		if !asJSON {
+			fmt.Printf("== %s ==\n", e.title)
+		}
+		start := time.Now()
+		rows, text, err := e.run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		if asJSON {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(map[string]any{"experiment": e.name, "rows": rows}); err != nil {
+				return err
 			}
-			runBench(cfg, *benchN, *benchOut, *traceOut, *asJSON, kernels)
 			continue
 		}
-		if name == "cache" {
-			runCache(cfg, *cacheOut, *asJSON)
-			continue
-		}
-		if name == "shard" {
-			parts, err := parseParts(*shardPts)
-			if err != nil {
-				fatal(err)
-			}
-			runShardBench(cfg, parts, *shardN, *shardOut, *asJSON)
-			continue
-		}
-		if name == "obs" {
-			runObsBench(cfg, *obsN, *obsOut, *asJSON)
-			continue
-		}
-		runOne(name, cfg, *asJSON)
+		fmt.Printf("%s(%s elapsed)\n\n", text, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
-// runCache records the block-cache sweep to cacheOut.
-func runCache(cfg experiments.Config, cacheOut string, asJSON bool) {
-	if !asJSON {
-		fmt.Printf("== %s ==\n", title("cache"))
+func main() {
+	opts := registerFlags(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: teabench [flags] <experiment>...\n\nexperiments: all %s\n\nflags:\n",
+			strings.Join(names(table), " "))
+		flag.PrintDefaults()
 	}
-	start := time.Now()
-	res, err := experiments.CacheBench(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteCacheBench(res, cacheOut); err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "cache", "result": res}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(experiments.RenderCacheBench(res))
-	fmt.Printf("wrote %s\n(%s elapsed)\n\n", cacheOut, time.Since(start).Round(time.Millisecond))
-}
-
-// parseParts resolves the -shard-parts flag into partition counts.
-func parseParts(s string) ([]int, error) {
-	var parts []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		var v int
-		if _, err := fmt.Sscanf(f, "%d", &v); err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -shard-parts entry %q", f)
-		}
-		parts = append(parts, v)
-	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("-shard-parts selected no partition counts")
-	}
-	return parts, nil
-}
-
-// runShardBench records the loopback-TCP shard sweep to shardOut.
-func runShardBench(cfg experiments.Config, parts []int, runs int, shardOut string, asJSON bool) {
-	if !asJSON {
-		fmt.Printf("== %s ==\n", title("shard"))
-	}
-	start := time.Now()
-	res, err := experiments.ShardBench(cfg, parts, runs)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteShardBench(res, shardOut); err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "shard", "result": res}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(experiments.RenderShardBench(res))
-	fmt.Printf("wrote %s\n(%s elapsed)\n\n", shardOut, time.Since(start).Round(time.Millisecond))
-}
-
-// runObsBench records the cost-accounting overhead A/B to obsOut.
-func runObsBench(cfg experiments.Config, runs int, obsOut string, asJSON bool) {
-	if !asJSON {
-		fmt.Printf("== %s ==\n", title("obs"))
-	}
-	start := time.Now()
-	res, err := experiments.ObsBench(cfg, runs)
-	if err != nil {
-		fatal(err)
-	}
-	if err := experiments.WriteObsBench(res, obsOut); err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "obs", "result": res}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(experiments.RenderObsBench(res))
-	fmt.Printf("wrote %s\n(%s elapsed)\n\n", obsOut, time.Since(start).Round(time.Millisecond))
-}
-
-// parseKernels resolves the -kernel flag: a single kernel name, or "both"
-// for the scalar-vs-batch A/B (scalar measured first).
-func parseKernels(s string) ([]core.Kernel, error) {
-	if s == "both" {
-		return []core.Kernel{core.KernelScalar, core.KernelBatch}, nil
-	}
-	k, err := core.ParseKernel(s)
-	if err != nil {
-		return nil, err
-	}
-	return []core.Kernel{k}, nil
-}
-
-// runBench records the walk-throughput baseline to benchOut; with a
-// non-empty traceOut it also captures one traced run as a Chrome trace.
-func runBench(cfg experiments.Config, runs int, benchOut, traceOut string, asJSON bool, kernels []core.Kernel) {
-	if !asJSON {
-		fmt.Printf("== %s ==\n", title("bench"))
-	}
-	start := time.Now()
-	var (
-		res *experiments.BenchResult
-		err error
-	)
-	if traceOut != "" {
-		res, err = experiments.WalkBenchTrace(cfg, runs, traceOut, kernels)
-	} else {
-		res, err = experiments.WalkBenchKernels(cfg, runs, kernels)
+	flag.Parse()
+	selected, err := resolve(table, flag.Args())
+	var cfg experiments.Config
+	if err == nil {
+		cfg, err = opts.config()
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "teabench:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	if err := experiments.WriteBench(res, benchOut); err != nil {
-		fatal(err)
+	if err := runAll(selected, cfg, opts.asJSON); err != nil {
+		fmt.Fprintln(os.Stderr, "teabench:", err)
+		os.Exit(1)
 	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "bench", "result": res}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(experiments.RenderBench(res))
-	if traceOut != "" {
-		fmt.Printf("wrote %s (open in chrome://tracing or ui.perfetto.dev)\n", traceOut)
-	}
-	fmt.Printf("wrote %s\n(%s elapsed)\n\n", benchOut, time.Since(start).Round(time.Millisecond))
-}
-
-func names() []string {
-	return []string{"fig2", "table4", "fig9", "fig10", "sens", "fig11", "fig12",
-		"fig13a", "fig13b", "fig13c", "fig13d", "fig13e", "fig14",
-		"ablation-degree", "ablation-trunk", "dist"}
-}
-
-func runOne(name string, cfg experiments.Config, asJSON bool) {
-	if !asJSON {
-		fmt.Printf("== %s ==\n", title(name))
-	}
-	start := time.Now()
-	var (
-		out     string
-		rowsAny any
-		err     error
-	)
-	switch name {
-	case "fig2":
-		var rows []experiments.Fig2Row
-		rows, err = experiments.Fig2(cfg)
-		out = experiments.RenderFig2(rows)
-		rowsAny = rows
-	case "table4":
-		var rows []experiments.Table4Row
-		rows, err = experiments.Table4(cfg)
-		out = experiments.RenderTable4(rows)
-		rowsAny = rows
-	case "fig9":
-		var rows []experiments.Fig9Row
-		rows, err = experiments.Fig9(cfg)
-		out = experiments.RenderFig9(rows)
-		rowsAny = rows
-	case "fig10":
-		var rows []experiments.Fig10Row
-		rows, err = experiments.Fig10(cfg)
-		out = experiments.RenderFig10(rows)
-		rowsAny = rows
-	case "sens":
-		var rows []experiments.SensRow
-		rows, err = experiments.Sensitivity(cfg)
-		out = experiments.RenderSens(rows)
-		rowsAny = rows
-	case "fig11":
-		var rows []experiments.Fig11Row
-		rows, err = experiments.Fig11(cfg)
-		out = experiments.RenderFig11(rows)
-		rowsAny = rows
-	case "fig12":
-		var rows []experiments.Fig12Row
-		rows, err = experiments.Fig12(cfg)
-		out = experiments.RenderFig12(rows)
-		rowsAny = rows
-	case "fig13a":
-		var rows []experiments.Fig13ScalingRow
-		rows, err = experiments.Fig13aCandidateSearch(cfg)
-		out = experiments.RenderFig13Scaling(rows)
-		rowsAny = rows
-	case "fig13b":
-		var rows []experiments.Fig13ScalingRow
-		rows, err = experiments.Fig13bHPATBuild(cfg)
-		out = experiments.RenderFig13Scaling(rows)
-		rowsAny = rows
-	case "fig13c":
-		var rows []experiments.Fig13ScalingRow
-		rows, err = experiments.Fig13cAuxIndex(cfg)
-		out = experiments.RenderFig13Scaling(rows)
-		rowsAny = rows
-	case "fig13d":
-		var rows []experiments.Fig13dRow
-		rows, err = experiments.Fig13dIncremental(cfg, nil, nil)
-		out = experiments.RenderFig13d(rows)
-		rowsAny = rows
-	case "fig13e":
-		var rows []experiments.Fig13eRow
-		rows, err = experiments.Fig13ePreprocess(cfg, nil)
-		out = experiments.RenderFig13e(rows)
-		rowsAny = rows
-	case "fig14":
-		var rows []experiments.Fig14Row
-		rows, err = experiments.Fig14OutOfCore(cfg)
-		out = experiments.RenderFig14(rows)
-		rowsAny = rows
-	case "ablation-degree":
-		var rows []experiments.AblationDegreeRow
-		rows, err = experiments.AblationDegreeScaling(cfg, nil)
-		out = experiments.RenderAblationDegree(rows)
-		rowsAny = rows
-	case "ablation-trunk":
-		var rows []experiments.AblationTrunkRow
-		rows, err = experiments.AblationTrunkSize(cfg, 0, nil)
-		out = experiments.RenderAblationTrunk(rows)
-		rowsAny = rows
-	case "dist":
-		var rows []experiments.DistRow
-		rows, err = experiments.DistScaling(cfg, nil)
-		out = experiments.RenderDist(rows)
-		rowsAny = rows
-	default:
-		fatal(fmt.Errorf("unknown experiment %q (want one of: all %s)", name, strings.Join(names(), " ")))
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": name, "rows": rowsAny}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Print(out)
-	fmt.Printf("(%s elapsed)\n\n", time.Since(start).Round(time.Millisecond))
-}
-
-func title(name string) string {
-	switch name {
-	case "fig2":
-		return "Figure 2: average sampling cost (edges/step)"
-	case "table4":
-		return "Table 4: runtime and speedups"
-	case "fig9":
-		return "Figure 9: memory usage"
-	case "fig10":
-		return "Figure 10: TEA vs other engines"
-	case "sens":
-		return "Section 5.2: parameter sensitivity"
-	case "fig11":
-		return "Figure 11: piecewise breakdown (HPAT, auxiliary index)"
-	case "fig12":
-		return "Figure 12: sampling methods (runtime, memory)"
-	case "fig13a":
-		return "Figure 13a: candidate edge set search"
-	case "fig13b":
-		return "Figure 13b: HPAT generation"
-	case "fig13c":
-		return "Figure 13c: auxiliary index generation"
-	case "fig13d":
-		return "Figure 13d: incremental HPAT updating"
-	case "fig13e":
-		return "Figure 13e: preprocessing thread scaling"
-	case "fig14":
-		return "Figure 14: out-of-core execution"
-	case "ablation-degree":
-		return "Ablation: per-sample cost vs vertex degree (complexity table of §4.3)"
-	case "ablation-trunk":
-		return "Ablation: PAT trunk-size policy (§3.2)"
-	case "dist":
-		return "Extension: distributed-style execution (§4.4 future work)"
-	case "bench":
-		return "Baseline: walk throughput and run latency (BENCH_walks.json)"
-	case "cache":
-		return "Out-of-core block cache: Zipfian workload sweep (BENCH_cache.json)"
-	case "shard":
-		return "Sharded serving: loopback-TCP partition sweep (BENCH_shard.json)"
-	case "obs":
-		return "Observability: cost-accounting overhead A/B (BENCH_obs.json)"
-	default:
-		return name
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "teabench:", err)
-	os.Exit(1)
 }
