@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/chksum"
@@ -72,9 +74,9 @@ func TestLoadBinaryFileCorruption(t *testing.T) {
 	}
 }
 
-// The serialized HPAT index gets the same treatment: corruption is detected
-// and classified, legacy (footer-less) indices still load and walk
-// identically.
+// The serialized HPAT index gets the same treatment, except that its format
+// (v2) has always carried the footer: a footer-less index is corrupt, and a
+// file of the previous format version is refused by name, never mis-parsed.
 func TestNewEngineWithIndexCorruption(t *testing.T) {
 	profile := DatasetProfile{Name: "t", Vertices: 200, Edges: 4000, Skew: 0.8, Seed: 17}
 	g, err := profile.Build()
@@ -104,33 +106,38 @@ func TestNewEngineWithIndexCorruption(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, hpat.ErrIndexFormat},
 		{"mid-header", func(b []byte) []byte { return b[:20] }, hpat.ErrIndexFormat},
 		{"truncated-half", func(b []byte) []byte { return b[:len(b)/2] }, hpat.ErrIndexFormat},
+		{"v1-magic", func(b []byte) []byte { b[7] = 1; return b }, hpat.ErrIndexFormat},
 		{"payload-bitflip", func(b []byte) []byte { b[100] ^= 0x40; return b }, hpat.ErrIndexCorrupt},
+		{"slots-bitflip", func(b []byte) []byte { b[len(b)-chksum.FooterSize-5] ^= 0x01; return b }, hpat.ErrIndexCorrupt},
+		{"no-footer", func(b []byte) []byte { return b[:len(b)-chksum.FooterSize] }, hpat.ErrIndexCorrupt},
 		{"partial-footer", func(b []byte) []byte { return b[:len(b)-3] }, hpat.ErrIndexCorrupt},
 		{"footer-bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, hpat.ErrIndexCorrupt},
 	} {
 		path := writeMutated(t, dir, tc.name+".teai", data, tc.mutate)
-		if _, err := NewEngineWithIndex(g, app, path, Options{}); !errors.Is(err, tc.want) {
+		_, err := NewEngineWithIndex(g, app, path, Options{})
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.name == "v1-magic" && !strings.Contains(err.Error(), "format version 1, rebuild with SaveIndex") {
+			t.Errorf("v1 index: err = %v, want the version named", err)
 		}
 	}
 
-	// A legacy index (no footer) loads and reproduces the same walks.
-	legacy := writeMutated(t, dir, "legacy.teai", data, func(b []byte) []byte {
-		return b[:len(b)-chksum.FooterSize]
-	})
-	loaded, err := NewEngineWithIndex(g, app, legacy, Options{})
-	if err != nil {
-		t.Fatalf("legacy index rejected: %v", err)
-	}
-	a, err := eng.Run(WalkConfig{Length: 10, Seed: 3})
+	// The intact file reproduces the builder's seeded walks byte for byte.
+	loaded, err := NewEngineWithIndex(g, app, good, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Run(WalkConfig{Length: 10, Seed: 3})
+	cfg := WalkConfig{Length: 10, Seed: 3, KeepPaths: true}
+	a, err := eng.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cost.Steps != b.Cost.Steps {
-		t.Fatalf("legacy index diverged: steps %d vs %d", a.Cost.Steps, b.Cost.Steps)
+	b, err := loaded.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Paths, b.Paths) {
+		t.Fatal("loaded index walks differ from the engine that saved it")
 	}
 }

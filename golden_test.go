@@ -40,7 +40,7 @@ func pathFingerprint(t *testing.T, m Method) string {
 
 func TestGoldenWalkFingerprints(t *testing.T) {
 	golden := map[Method]string{
-		MethodHPAT: "eb9fd7d577c95ac9",
+		MethodHPAT: "e448cb4ab7dce936",
 		MethodPAT:  "3c4e477ab35a54a7",
 		MethodITS:  "19f79792e422a59a",
 	}

@@ -106,17 +106,21 @@ func TestWalksAreTemporalPaths(t *testing.T) {
 // All four methods sample from the same distribution; their step-transition
 // frequencies out of a hub must agree with the exact weights.
 func TestMethodsAgreeOnDistribution(t *testing.T) {
-	g := temporal.CommuteGraph()
+	// A degree-70 hub, so HPAT draws from trunk tables as well as the tail.
+	g := testutil.SkewedGraph(t, 8, 70)
 	for _, m := range allMethods() {
-		eng, err := NewEngine(g, LinearRank(), Options{Method: m, SmallDegreeCutoff: -1})
+		eng, err := NewEngine(g, LinearRank(), Options{Method: m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r := xrand.New(5)
-		// Sample vertex 7's full candidate set through the engine's sampler.
-		want := []float64{7, 6, 5, 4, 3, 2, 1}
+		// Sample the hub's full candidate set through the engine's sampler.
+		want := make([]float64, 70)
+		for i := range want {
+			want[i] = float64(70 - i)
+		}
 		testutil.CheckDistribution(t, m.String(), want, 40000, func() (int, bool) {
-			e, _, ok := eng.Sampler().Sample(7, 7, r)
+			e, _, ok := eng.Sampler().Sample(0, 70, r)
 			return e, ok
 		})
 	}

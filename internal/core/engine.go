@@ -56,8 +56,6 @@ type Options struct {
 	Threads int
 	// PATTrunkSize overrides the ⌊√D⌋ trunk policy for MethodPAT.
 	PATTrunkSize int
-	// SmallDegreeCutoff forwards to the HPAT fast path; 0 keeps the default.
-	SmallDegreeCutoff int
 	// SkipCandidatePrecompute disables the O(1) candidate-count table (§4.2),
 	// forcing per-step binary searches. The baselines of Table 4 run this way
 	// ("both GraphWalker and KnightKing use binary search to search candidate
@@ -140,9 +138,8 @@ func NewEngine(g *temporal.Graph, app App, opts Options) (*Engine, error) {
 		e.sampler = opts.ExternalSampler
 	case opts.Method == MethodHPAT || opts.Method == MethodHPATNoIndex:
 		idx := hpat.Build(e.weights, hpat.Config{
-			Threads:           threads,
-			DisableAuxIndex:   opts.Method == MethodHPATNoIndex,
-			SmallDegreeCutoff: opts.SmallDegreeCutoff,
+			Threads:         threads,
+			DisableAuxIndex: opts.Method == MethodHPATNoIndex,
 		})
 		hpatNS, auxNS := idx.BuildTimings()
 		e.prep.IndexBuild = time.Duration(hpatNS)

@@ -122,25 +122,25 @@ func expNeg(x float64) float64 {
 
 // CustomWeightSpec with per-application spec must flow through the engine.
 func TestCustomWeightDistribution(t *testing.T) {
-	g := temporal.CommuteGraph()
+	g := testutil.SkewedGraph(t, 8, 70) // hub edges at times 1..70
 	app := App{
 		Name: "squared-time",
 		Weight: sampling.WeightSpec{Custom: func(t temporal.Time) float64 {
 			return float64(t*t) + 1
 		}},
 	}
-	eng, err := NewEngine(g, app, Options{SmallDegreeCutoff: -1})
+	eng, err := NewEngine(g, app, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, 7)
+	want := make([]float64, 70)
 	for i := range want {
-		tm := float64(7 - i)
+		tm := float64(70 - i)
 		want[i] = tm*tm + 1
 	}
 	r := xrand.New(9)
 	testutil.CheckDistribution(t, "custom", want, 40000, func() (int, bool) {
-		e, _, ok := eng.Sampler().Sample(7, 7, r)
+		e, _, ok := eng.Sampler().Sample(0, 70, r)
 		return e, ok
 	})
 }

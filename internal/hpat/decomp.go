@@ -7,7 +7,9 @@
 // m, and m binary-decomposes into at most ⌊log2 m⌋+1 aligned trunks; inverse
 // transform sampling over those trunk boundaries (using the vertex's per-edge
 // prefix-sum array C) picks a trunk in O(log log D), and the trunk's alias
-// table picks the edge in O(1).
+// table picks the edge in O(1). Tables are stored from level minTableLevel
+// up; the trunks below it are sampled together as one tail run by ITS on C
+// (layout.go).
 //
 // The auxiliary index exploits that the decomposition depends only on m, not
 // on the vertex: one global table for m = 1..maxDegree gives O(1) lookup.

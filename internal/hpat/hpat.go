@@ -9,11 +9,6 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// DefaultSmallDegreeCutoff is the degree below which the hierarchy is skipped
-// and candidates are sampled by a direct scan — the paper's second ad-hoc
-// optimization in §3.3 (low out-degree vertices get special-cased).
-const DefaultSmallDegreeCutoff = 8
-
 // Config controls HPAT index construction.
 type Config struct {
 	// Threads used for parallel construction; <1 means GOMAXPROCS.
@@ -22,40 +17,23 @@ type Config struct {
 	// decompositions are recomputed per sample. Used by the Figure 11
 	// ablation ("HPAT" vs "HPAT+Index").
 	DisableAuxIndex bool
-	// SmallDegreeCutoff overrides DefaultSmallDegreeCutoff; negative disables
-	// the small-degree fast path entirely.
-	SmallDegreeCutoff int
-}
-
-func (c Config) cutoff() int {
-	switch {
-	case c.SmallDegreeCutoff < 0:
-		return 0
-	case c.SmallDegreeCutoff == 0:
-		return DefaultSmallDegreeCutoff
-	default:
-		return c.SmallDegreeCutoff
-	}
 }
 
 // Index is the HPAT over a whole graph: per-edge prefix sums, packed alias
-// tables for every trunk of every level ≥ 1, per-vertex level offsets, and
-// (optionally) the global auxiliary index. All storage positions are computed
-// before construction so vertices build lock-free in parallel.
+// slots for every trunk of every level ≥ minTableLevel, one slot offset per
+// vertex, and (optionally) the global auxiliary index. All storage positions
+// are computed before construction so vertices build lock-free in parallel.
 type Index struct {
 	g       *temporal.Graph
 	weights *sampling.GraphWeights
 
-	cum     []float64 // per-vertex prefix sums, deg+1 entries each
-	cumOff  []int64
-	prob    []float64
-	alias   []int32
+	// cum holds per-vertex prefix sums, deg+1 entries each, so vertex u's run
+	// starts at its first edge's position plus u.
+	cum     []float64
+	slots   []uint64
 	slotOff []int64
-	lvl     []int32 // per-vertex level bases, topLevel+1 entries each
-	lvlOff  []int64
 
 	aux     *AuxIndex
-	cutoff  int
 	buildNS buildTiming
 }
 
@@ -74,31 +52,11 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	numV := g.NumVertices()
-	idx := &Index{
-		g:       g,
-		weights: w,
-		cumOff:  make([]int64, numV+1),
-		slotOff: make([]int64, numV+1),
-		lvlOff:  make([]int64, numV+1),
-		cutoff:  cfg.cutoff(),
-	}
 	// Phase 1: layout. Every vertex's storage range is fixed up front.
-	for u := 0; u < numV; u++ {
-		deg := g.Degree(temporal.Vertex(u))
-		idx.cumOff[u+1] = idx.cumOff[u] + int64(deg) + 1
-		idx.lvlOff[u+1] = idx.lvlOff[u] + int64(topLevel(deg)) + 1
-		if deg > idx.cutoff {
-			idx.slotOff[u+1] = idx.slotOff[u] + slotCount(deg)
-		} else {
-			idx.slotOff[u+1] = idx.slotOff[u]
-		}
-	}
-	idx.cum = make([]float64, idx.cumOff[numV])
-	idx.prob = make([]float64, idx.slotOff[numV])
-	idx.alias = make([]int32, idx.slotOff[numV])
-	if lv := idx.lvlOff[numV]; lv > 0 {
-		idx.lvl = make([]int32, lv)
-	}
+	idx := newLayout(g)
+	idx.weights = w
+	idx.cum = make([]float64, g.NumEdges()+numV)
+	idx.slots = make([]uint64, idx.slotOff[numV])
 
 	// Phase 2: lock-free parallel per-vertex construction.
 	start := nanotime()
@@ -115,9 +73,10 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var scratch []int32
+			var scratch blockScratch
 			for u := lo; u < hi; u++ {
-				scratch = idx.buildVertex(temporal.Vertex(u), scratch)
+				u := temporal.Vertex(u)
+				buildBlock(w.Vertex(u), idx.cumRun(u), idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], &scratch)
 			}
 		}(lo, hi)
 	}
@@ -133,34 +92,20 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	return idx
 }
 
-func (idx *Index) buildVertex(u temporal.Vertex, scratch []int32) []int32 {
-	deg := idx.g.Degree(u)
-	if deg == 0 {
-		return scratch
+// newLayout fixes every vertex's slot range from the degree sequence alone.
+func newLayout(g *temporal.Graph) *Index {
+	numV := g.NumVertices()
+	idx := &Index{g: g, slotOff: make([]int64, numV+1)}
+	for u := 0; u < numV; u++ {
+		idx.slotOff[u+1] = idx.slotOff[u] + slotCount(g.Degree(temporal.Vertex(u)))
 	}
-	w := idx.weights.Vertex(u)
-	cum := idx.cum[idx.cumOff[u]:idx.cumOff[u+1]]
-	base := idx.lvl[idx.lvlOff[u]:idx.lvlOff[u+1]]
-	if deg <= idx.cutoff {
-		// Small-degree fast path: only the prefix sums are needed.
-		sum := 0.0
-		cum[0] = 0
-		for i, x := range w {
-			sum += x
-			cum[i+1] = sum
-		}
-		levelBases(deg, base)
-		return scratch
-	}
-	need := 2 << uint(topLevel(deg))
-	if cap(scratch) < need {
-		scratch = make([]int32, need)
-	}
-	levelBases(deg, base)
-	prob := idx.prob[idx.slotOff[u]:idx.slotOff[u+1]]
-	alias := idx.alias[idx.slotOff[u]:idx.slotOff[u+1]]
-	buildBlock(w, cum, prob, alias, base, scratch[:need])
-	return scratch
+	return idx
+}
+
+// cumRun returns u's prefix sums, deg+1 entries.
+func (idx *Index) cumRun(u temporal.Vertex) []float64 {
+	lo, hi := idx.g.EdgeRange(u)
+	return idx.cum[lo+int(u) : hi+int(u)+1]
 }
 
 // Name identifies the sampler; it reflects whether the auxiliary index is
@@ -183,32 +128,21 @@ func (idx *Index) BuildTimings() (hpatNS, auxNS int64) {
 
 // Total returns the total weight of u's k newest out-edges.
 func (idx *Index) Total(u temporal.Vertex, k int) float64 {
-	return idx.cum[idx.cumOff[u]+int64(k)]
+	return idx.cumRun(u)[k]
 }
 
 // Sample draws one edge index from the k newest out-edges of u with
-// probability proportional to edge weight. evaluated counts array slots
+// probability proportional to edge weight. evaluated counts array entries
 // examined. ok is false when k <= 0 or the prefix carries no weight.
 func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, evaluated int64, ok bool) {
-	if k <= 0 {
-		return 0, 0, false
-	}
-	deg := idx.g.Degree(u)
-	if deg == 0 {
+	cum := idx.cumRun(u)
+	deg := len(cum) - 1
+	if k <= 0 || deg == 0 {
 		return 0, 0, false
 	}
 	if k > deg {
 		k = deg
 	}
-	w := idx.weights.Vertex(u)
-	cum := idx.cum[idx.cumOff[u]:idx.cumOff[u+1]]
-	if deg <= idx.cutoff {
-		i, sok := sampling.LinearITS(w[:k], cum[k], r)
-		return i, int64(k), sok
-	}
-	base := idx.lvl[idx.lvlOff[u]:idx.lvlOff[u+1]]
-	prob := idx.prob[idx.slotOff[u]:idx.slotOff[u+1]]
-	alias := idx.alias[idx.slotOff[u]:idx.slotOff[u+1]]
 	var dec []DecompEntry
 	if idx.aux != nil {
 		dec = idx.aux.Decomp(k)
@@ -216,7 +150,7 @@ func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, eva
 		var buf [maxLevels]DecompEntry
 		dec = Decompose(k, buf[:0])
 	}
-	return sampleBlock(cum, w, prob, alias, base, dec, r)
+	return sampleBlock(cum, idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], deg, k, dec, r)
 }
 
 // MemoryBytes reports the index footprint including the shared weight array
@@ -224,10 +158,8 @@ func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, eva
 // paper's observation that the HPAT index is 82–91% of total memory.
 func (idx *Index) MemoryBytes() int64 {
 	n := int64(len(idx.cum))*8 +
-		int64(len(idx.prob))*8 +
-		int64(len(idx.alias))*4 +
-		int64(len(idx.lvl))*4 +
-		int64(len(idx.cumOff)+len(idx.slotOff)+len(idx.lvlOff))*8 +
+		int64(len(idx.slots))*8 +
+		int64(len(idx.slotOff))*8 +
 		idx.weights.MemoryBytes()
 	if idx.aux != nil {
 		n += idx.aux.MemoryBytes()

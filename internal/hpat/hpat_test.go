@@ -1,6 +1,7 @@
 package hpat
 
 import (
+	"math"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -93,19 +94,27 @@ func TestAuxIndexPanicsOutOfRange(t *testing.T) {
 }
 
 func TestSlotCountAndLevelBases(t *testing.T) {
-	// n=7: levels 1 (3 trunks of 2 → 6 slots) and 2 (1 trunk of 4 → 4 slots).
-	if got := slotCount(7); got != 10 {
-		t.Fatalf("slotCount(7) = %d, want 10", got)
-	}
-	base := make([]int32, 3)
-	if k := levelBases(7, base); k != 2 {
-		t.Fatalf("topLevel = %d", k)
-	}
-	if base[1] != 0 || base[2] != 6 {
-		t.Fatalf("bases = %v, want [_,0,6]", base)
-	}
-	if slotCount(1) != 0 || slotCount(0) != 0 {
-		t.Fatal("degenerate slot counts")
+	for _, tc := range []struct {
+		n, level int
+		base     int // slot offset of level's tables
+		slots    int64
+	}{
+		{n: 0, level: minTableLevel, slots: 0},
+		{n: 31, level: minTableLevel, slots: 0},
+		{n: 32, level: 5, base: 0, slots: 32},
+		// n=100: level 5 has 3 trunks of 32 (96 slots), level 6 one of 64.
+		{n: 100, level: 6, base: 96, slots: 160},
+		// Levels 5..30 of 2^30 edges hold 2^30 slots each; the top level's
+		// base passes 2^31, which an int32 accumulator wrapped negative.
+		{n: 1 << 30, level: 30, base: 25 << 30, slots: 26 << 30},
+		{n: 1<<30 + 33, level: 30, base: 25<<30 + 32, slots: 26<<30 + 32},
+	} {
+		if got := slotCount(tc.n); got != tc.slots {
+			t.Errorf("slotCount(%d) = %d, want %d", tc.n, got, tc.slots)
+		}
+		if got := levelBase(tc.n, tc.level); got != tc.base {
+			t.Errorf("levelBase(%d, %d) = %d, want %d", tc.n, tc.level, got, tc.base)
+		}
 	}
 }
 
@@ -113,9 +122,6 @@ func buildCommuteIndex(t *testing.T, cfg Config) *Index {
 	t.Helper()
 	g := temporal.CommuteGraph()
 	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
-	if cfg.SmallDegreeCutoff == 0 {
-		cfg.SmallDegreeCutoff = -1 // exercise the full hierarchy on the toy graph
-	}
 	return Build(w, cfg)
 }
 
@@ -134,32 +140,32 @@ func TestFigure6Distribution(t *testing.T) {
 	})
 }
 
+// Every prefix of a degree-70 hub: lengths below 32 are all tail run, 32 and
+// 64 a single table trunk, the rest a mix of both.
 func TestEveryPrefixEveryConfig(t *testing.T) {
+	g := testutil.SkewedGraph(t, 8, 70)
+	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
 	for _, disableAux := range []bool{false, true} {
-		idx := buildCommuteIndex(t, Config{Threads: 1, DisableAuxIndex: disableAux})
+		idx := Build(w, Config{Threads: 1, DisableAuxIndex: disableAux})
 		r := xrand.New(2)
-		for k := 1; k <= 7; k++ {
-			want := make([]float64, k)
-			for i := range want {
-				want[i] = float64(7 - i)
-			}
-			testutil.CheckDistribution(t, "prefix", want, 20000, func() (int, bool) {
-				e, _, ok := idx.Sample(7, k, r)
+		for k := 1; k <= 70; k++ {
+			testutil.CheckDistribution(t, "prefix", w.Vertex(0)[:k], 20000, func() (int, bool) {
+				e, _, ok := idx.Sample(0, k, r)
 				return e, ok
 			})
 		}
 	}
 }
 
-func TestSmallDegreeCutoffPath(t *testing.T) {
-	g := temporal.CommuteGraph()
-	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
-	idx := Build(w, Config{SmallDegreeCutoff: 16}) // degree 7 < 16 → scan path
-	if len(idx.prob) != 0 {
-		t.Fatalf("cutoff did not suppress alias slots: %d", len(idx.prob))
+// A vertex with fewer than 2^minTableLevel edges owns no slots at all and is
+// sampled from its prefix sums alone.
+func TestBelowTableFloorPath(t *testing.T) {
+	idx := buildCommuteIndex(t, Config{})
+	if len(idx.slots) != 0 {
+		t.Fatalf("degree-7 graph has %d alias slots", len(idx.slots))
 	}
 	r := xrand.New(3)
-	testutil.CheckDistribution(t, "cutoff", []float64{7, 6, 5, 4}, 40000, func() (int, bool) {
+	testutil.CheckDistribution(t, "tail", []float64{7, 6, 5, 4}, 40000, func() (int, bool) {
 		e, _, ok := idx.Sample(7, 4, r)
 		return e, ok
 	})
@@ -195,8 +201,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	w := testutil.Weights(t, g, sampling.Exponential(0.01))
 	a := Build(w, Config{Threads: 1})
 	b := Build(w, Config{Threads: 8})
-	if !reflect.DeepEqual(a.cum, b.cum) || !reflect.DeepEqual(a.prob, b.prob) ||
-		!reflect.DeepEqual(a.alias, b.alias) || !reflect.DeepEqual(a.lvl, b.lvl) {
+	if !reflect.DeepEqual(a.cum, b.cum) || !reflect.DeepEqual(a.slots, b.slots) {
 		t.Fatal("parallel HPAT build differs from serial")
 	}
 }
@@ -272,8 +277,8 @@ func TestMemoryLargerThanPATScale(t *testing.T) {
 	g := testutil.SkewedGraph(t, 64, 4096)
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 	idx := Build(w, Config{})
-	// O(D log D) slots: for the hub alone ≥ 11*2048 slots.
-	if idx.MemoryBytes() < 11*2048*12 {
+	// O(D log D) slots: the hub alone has levels 5..12 of 4096 slots each.
+	if idx.MemoryBytes() < 8*4096*8 {
 		t.Fatalf("suspiciously small HPAT: %d bytes", idx.MemoryBytes())
 	}
 	hp, ax := idx.BuildTimings()
@@ -313,18 +318,6 @@ func TestTableMatchesIndexDistribution(t *testing.T) {
 			})
 		}
 	}
-}
-
-func TestTableSampleOffset(t *testing.T) {
-	w := []float64{5, 4, 3, 2, 1}
-	tab := NewTable(w)
-	r := xrand.New(13)
-	// Drawing x uniformly ourselves must reproduce the weighted distribution.
-	testutil.CheckDistribution(t, "table-offset", w, 40000, func() (int, bool) {
-		x := r.Range(tab.Total(5))
-		e, _, ok := tab.SampleOffset(5, x, r)
-		return e, ok
-	})
 }
 
 func TestTableDegenerate(t *testing.T) {
@@ -394,5 +387,56 @@ func BenchmarkHPATBuild(b *testing.B) {
 func BenchmarkAuxIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		BuildAuxIndexParallel(1<<20, 0)
+	}
+}
+
+// The byte budget of the layout is an exact count, so it is pinned here and
+// not only in the benchmark: over a Zipf(0.8) degree sequence of mean 19.5
+// (the shape of the benchmark's graph), MemoryBytes must equal the closed-form
+// sum of the arrays the layout is allowed to hold — 8-byte slots from level
+// minTableLevel up, one offset per vertex — and index plus graph must stay
+// under 50 B/edge (the v1 layout measured 92.0 here).
+func TestIndexBytesBudget(t *testing.T) {
+	const numV, meanDegree, zipf = 2000, 19.5, 0.8
+	h := 0.0
+	for r := 1; r <= numV; r++ {
+		h += math.Pow(float64(r), -zipf)
+	}
+	var edges []temporal.Edge
+	var slots, maxDeg int64
+	for u := 0; u < numV; u++ {
+		deg := max(1, int(meanDegree*numV/h*math.Pow(float64(u+1), -zipf)+0.5))
+		for i := 0; i < deg; i++ {
+			edges = append(edges, temporal.Edge{Src: temporal.Vertex(u), Dst: temporal.Vertex((u + 1 + i) % numV), Time: temporal.Time(i + 1)})
+		}
+		for j := 5; deg>>j > 0; j++ {
+			slots += int64(deg>>j) << j
+		}
+		maxDeg = max(maxDeg, int64(deg))
+	}
+	g, err := temporal.FromEdges(edges, temporal.WithNumVertices(numV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.PrecomputeCandidates(0) // as every engine does: the graph's 16.4 B/edge
+	idx := Build(testutil.Weights(t, g, sampling.Exponential(0.01)), Config{})
+
+	numE := int64(len(edges))
+	auxEntries := int64(0)
+	for m := int64(1); m <= maxDeg; m++ {
+		auxEntries += int64(bits.OnesCount64(uint64(m)))
+	}
+	want := 8*numE + // weights
+		8*(numE+numV) + // prefix sums, deg+1 per vertex
+		8*slots +
+		8*(numV+1) + // slot offsets
+		8*(maxDeg+2) + 8*auxEntries // auxiliary index
+	if got := idx.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes = %d, layout sum %d", got, want)
+	}
+	if perEdge := float64(idx.MemoryBytes()+g.MemoryBytes()) / float64(numE); perEdge > 50 {
+		t.Fatalf("index + graph = %.1f B/edge, budget 50", perEdge)
+	} else {
+		t.Logf("index + graph = %.2f B/edge over %d edges", perEdge, numE)
 	}
 }

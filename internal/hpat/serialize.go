@@ -2,6 +2,7 @@ package hpat
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,15 +14,16 @@ import (
 	"github.com/tea-graph/tea/internal/temporal"
 )
 
-// indexMagic identifies the serialized HPAT format ("TEAI" + version 1).
-var indexMagic = [8]byte{'T', 'E', 'A', 'I', 0, 0, 0, 1}
+// indexMagic identifies the serialized HPAT format ("TEAI" + version 2:
+// packed 8-byte slots from minTableLevel up, offsets derived on load).
+var indexMagic = [8]byte{'T', 'E', 'A', 'I', 0, 0, 0, 2}
 
-// ErrIndexFormat is returned for malformed serialized indices.
+// ErrIndexFormat is returned for malformed serialized indices, including
+// files of an older format version.
 var ErrIndexFormat = errors.New("hpat: malformed serialized index")
 
-// ErrIndexCorrupt is returned when a serialized index parses but fails its
-// CRC-32C integrity footer. Indices written before footers existed carry no
-// trailer and are still accepted.
+// ErrIndexCorrupt is returned when a serialized index parses but its
+// CRC-32C integrity footer is missing or does not match.
 var ErrIndexCorrupt = errors.New("hpat: corrupt serialized index")
 
 // ErrIndexMismatch is returned when a serialized index does not match the
@@ -36,42 +38,27 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hw := chksum.NewWriter(bw)
 	cw := &countingWriter{w: hw}
-	write := func(p []byte) error {
-		_, err := cw.Write(p)
-		return err
-	}
-	if err := write(indexMagic[:]); err != nil {
-		return cw.n, err
-	}
-	var hdr [40]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(idx.g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(idx.g.NumEdges()))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(idx.prob)))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(idx.lvl)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(idx.cutoff))
-	if err := write(hdr[:]); err != nil {
-		return cw.n, err
-	}
-	hasAux := byte(0)
+	var hdr [33]byte
+	copy(hdr[:], indexMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(idx.g.NumVertices()))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(idx.g.NumEdges()))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(idx.slots)))
 	if idx.aux != nil {
-		hasAux = 1
+		hdr[32] = 1
 	}
-	if err := write([]byte{hasAux}); err != nil {
+	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
-	for _, arr := range [][]float64{idx.weights.Flat, idx.cum, idx.prob} {
-		if err := writeF64s(cw, arr); err != nil {
+	for _, arr := range [][]float64{idx.weights.Flat, idx.cum} {
+		if err := writeWords(cw, arr, math.Float64bits); err != nil {
 			return cw.n, err
 		}
 	}
-	if err := writeI32s(cw, idx.alias); err != nil {
-		return cw.n, err
-	}
-	if err := writeI32s(cw, idx.lvl); err != nil {
+	if err := writeWords(cw, idx.slots, wordBits); err != nil {
 		return cw.n, err
 	}
 	footer := hw.Footer()
-	if err := write(footer[:]); err != nil {
+	if _, err := cw.Write(footer[:]); err != nil {
 		return cw.n, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -82,85 +69,55 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadIndex deserializes an index produced by WriteTo and attaches it to g,
 // which must be the same graph (vertex and edge counts are verified; the
-// layout is then recomputed and must match the stored array sizes).
+// layout is then recomputed and must match the stored slot count).
 func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hr := chksum.NewReader(br)
-	var magic [8]byte
-	if _, err := io.ReadFull(hr, magic[:]); err != nil {
+	var hdr [33]byte
+	if _, err := io.ReadFull(hr, hdr[:8]); err != nil {
 		return nil, fmt.Errorf("%w: magic: %v", ErrIndexFormat, err)
 	}
-	if magic != indexMagic {
-		return nil, fmt.Errorf("%w: bad magic %x", ErrIndexFormat, magic)
+	if !bytes.Equal(hdr[:7], indexMagic[:7]) {
+		return nil, fmt.Errorf("%w: bad magic %x", ErrIndexFormat, hdr[:8])
 	}
-	var hdr [40]byte
-	if _, err := io.ReadFull(hr, hdr[:]); err != nil {
+	if hdr[7] != indexMagic[7] {
+		return nil, fmt.Errorf("%w: format version %d, rebuild with SaveIndex", ErrIndexFormat, hdr[7])
+	}
+	if _, err := io.ReadFull(hr, hdr[8:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrIndexFormat, err)
 	}
-	numV := int(binary.LittleEndian.Uint64(hdr[0:]))
-	numE := int(binary.LittleEndian.Uint64(hdr[8:]))
-	slots := int(binary.LittleEndian.Uint64(hdr[16:]))
-	lvls := int(binary.LittleEndian.Uint64(hdr[24:]))
-	cutoff := int(binary.LittleEndian.Uint64(hdr[32:]))
+	numV := int(binary.LittleEndian.Uint64(hdr[8:]))
+	numE := int(binary.LittleEndian.Uint64(hdr[16:]))
+	slots := int64(binary.LittleEndian.Uint64(hdr[24:]))
 	if numV != g.NumVertices() || numE != g.NumEdges() {
 		return nil, fmt.Errorf("%w: stored V=%d E=%d, graph V=%d E=%d",
 			ErrIndexMismatch, numV, numE, g.NumVertices(), g.NumEdges())
 	}
-	var auxByte [1]byte
-	if _, err := io.ReadFull(hr, auxByte[:]); err != nil {
-		return nil, fmt.Errorf("%w: aux flag: %v", ErrIndexFormat, err)
-	}
-
-	// Recompute the layout from the graph; it must agree with the stored
-	// array lengths or the cutoff/graph changed.
-	idx := &Index{
-		g:       g,
-		cumOff:  make([]int64, numV+1),
-		slotOff: make([]int64, numV+1),
-		lvlOff:  make([]int64, numV+1),
-		cutoff:  cutoff,
-	}
-	for u := 0; u < numV; u++ {
-		deg := g.Degree(temporal.Vertex(u))
-		idx.cumOff[u+1] = idx.cumOff[u] + int64(deg) + 1
-		idx.lvlOff[u+1] = idx.lvlOff[u] + int64(topLevel(deg)) + 1
-		if deg > cutoff {
-			idx.slotOff[u+1] = idx.slotOff[u] + slotCount(deg)
-		} else {
-			idx.slotOff[u+1] = idx.slotOff[u]
-		}
-	}
-	if int(idx.slotOff[numV]) != slots || int(idx.lvlOff[numV]) != lvls {
-		return nil, fmt.Errorf("%w: layout mismatch (slots %d vs %d, levels %d vs %d)",
-			ErrIndexMismatch, idx.slotOff[numV], slots, idx.lvlOff[numV], lvls)
+	idx := newLayout(g)
+	if idx.slotOff[numV] != slots {
+		return nil, fmt.Errorf("%w: layout mismatch (slots %d vs %d)", ErrIndexMismatch, idx.slotOff[numV], slots)
 	}
 
 	flat := make([]float64, numE)
-	if err := readF64s(hr, flat); err != nil {
+	if err := readWords(hr, flat, math.Float64frombits); err != nil {
 		return nil, err
 	}
 	idx.weights = sampling.WrapGraphWeights(g, flat)
-	idx.cum = make([]float64, idx.cumOff[numV])
-	if err := readF64s(hr, idx.cum); err != nil {
+	idx.cum = make([]float64, numE+numV)
+	if err := readWords(hr, idx.cum, math.Float64frombits); err != nil {
 		return nil, err
 	}
-	idx.prob = make([]float64, slots)
-	if err := readF64s(hr, idx.prob); err != nil {
-		return nil, err
-	}
-	idx.alias = make([]int32, slots)
-	if err := readI32s(hr, idx.alias); err != nil {
-		return nil, err
-	}
-	idx.lvl = make([]int32, lvls)
-	if err := readI32s(hr, idx.lvl); err != nil {
+	idx.slots = make([]uint64, slots)
+	if err := readWords(hr, idx.slots, wordBits); err != nil {
 		return nil, err
 	}
 	// The footer is read from br directly so its bytes stay out of the sum.
-	if _, err := hr.Verify(br); err != nil {
+	if legacy, err := hr.Verify(br); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrIndexCorrupt, err)
+	} else if legacy {
+		return nil, fmt.Errorf("%w: no integrity footer", ErrIndexCorrupt)
 	}
-	if auxByte[0] != 0 {
+	if hdr[32] != 0 {
 		idx.aux = BuildAuxIndexParallel(g.MaxDegree(), 0)
 	}
 	return idx, nil
@@ -180,7 +137,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 const chunkElems = 8192
 
-func writeF64s(w io.Writer, arr []float64) error {
+// wordBits is the conversion writeWords and readWords take for []uint64.
+func wordBits(v uint64) uint64 { return v }
+
+// writeWords writes arr as a length header and little-endian 8-byte words.
+func writeWords[T any](w io.Writer, arr []T, bits func(T) uint64) error {
 	var lenHdr [8]byte
 	binary.LittleEndian.PutUint64(lenHdr[:], uint64(len(arr)))
 	if _, err := w.Write(lenHdr[:]); err != nil {
@@ -194,7 +155,7 @@ func writeF64s(w io.Writer, arr []float64) error {
 		}
 		n := 0
 		for _, v := range arr[off:end] {
-			binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(buf[n:], bits(v))
 			n += 8
 		}
 		if _, err := w.Write(buf[:n]); err != nil {
@@ -204,7 +165,9 @@ func writeF64s(w io.Writer, arr []float64) error {
 	return nil
 }
 
-func readF64s(r io.Reader, arr []float64) error {
+// readWords fills arr from the form writeWords produces; the stored length
+// must be len(arr).
+func readWords[T any](r io.Reader, arr []T, from func(uint64) T) error {
 	var lenHdr [8]byte
 	if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
 		return fmt.Errorf("%w: array header: %v", ErrIndexFormat, err)
@@ -223,56 +186,7 @@ func readF64s(r io.Reader, arr []float64) error {
 			return fmt.Errorf("%w: array body: %v", ErrIndexFormat, err)
 		}
 		for i := off; i < end; i++ {
-			arr[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[(i-off)*8:]))
-		}
-	}
-	return nil
-}
-
-func writeI32s(w io.Writer, arr []int32) error {
-	var lenHdr [8]byte
-	binary.LittleEndian.PutUint64(lenHdr[:], uint64(len(arr)))
-	if _, err := w.Write(lenHdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, chunkElems*4)
-	for off := 0; off < len(arr); off += chunkElems {
-		end := off + chunkElems
-		if end > len(arr) {
-			end = len(arr)
-		}
-		n := 0
-		for _, v := range arr[off:end] {
-			binary.LittleEndian.PutUint32(buf[n:], uint32(v))
-			n += 4
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readI32s(r io.Reader, arr []int32) error {
-	var lenHdr [8]byte
-	if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
-		return fmt.Errorf("%w: array header: %v", ErrIndexFormat, err)
-	}
-	if n := binary.LittleEndian.Uint64(lenHdr[:]); n != uint64(len(arr)) {
-		return fmt.Errorf("%w: array length %d, want %d", ErrIndexFormat, n, len(arr))
-	}
-	buf := make([]byte, chunkElems*4)
-	for off := 0; off < len(arr); off += chunkElems {
-		end := off + chunkElems
-		if end > len(arr) {
-			end = len(arr)
-		}
-		chunk := buf[:(end-off)*4]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return fmt.Errorf("%w: array body: %v", ErrIndexFormat, err)
-		}
-		for i := off; i < end; i++ {
-			arr[i] = int32(binary.LittleEndian.Uint32(chunk[(i-off)*4:]))
+			arr[i] = from(binary.LittleEndian.Uint64(chunk[(i-off)*8:]))
 		}
 	}
 	return nil

@@ -1,9 +1,6 @@
 package hpat
 
-import (
-	"github.com/tea-graph/tea/internal/sampling"
-	"github.com/tea-graph/tea/internal/xrand"
-)
+import "github.com/tea-graph/tea/internal/xrand"
 
 // Table is a self-contained HPAT over one contiguous, newest-first weight
 // run. The streaming engine (§3.5) keeps one Table per segment of a vertex's
@@ -12,9 +9,7 @@ import (
 type Table struct {
 	w     []float64
 	cum   []float64
-	prob  []float64
-	alias []int32
-	base  []int32
+	slots []uint64
 }
 
 // NewTable builds a standalone HPAT for the given weights (newest first).
@@ -22,19 +17,11 @@ type Table struct {
 func NewTable(w []float64) *Table {
 	n := len(w)
 	t := &Table{
-		w:   append([]float64(nil), w...),
-		cum: make([]float64, n+1),
+		w:     append([]float64(nil), w...),
+		cum:   make([]float64, n+1),
+		slots: make([]uint64, slotCount(n)),
 	}
-	if kTop := topLevel(n); kTop >= 0 {
-		t.base = make([]int32, kTop+1)
-		slots := slotCount(n)
-		t.prob = make([]float64, slots)
-		t.alias = make([]int32, slots)
-		levelBases(n, t.base)
-		buildBlock(t.w, t.cum, t.prob, t.alias, t.base, nil)
-	} else {
-		t.cum[0] = 0
-	}
+	buildBlock(t.w, t.cum, t.slots, new(blockScratch))
 	return t
 }
 
@@ -63,57 +50,10 @@ func (t *Table) Sample(k int, aux *AuxIndex, r *xrand.Rand) (idx int, evaluated 
 		var buf [maxLevels]DecompEntry
 		dec = Decompose(k, buf[:0])
 	}
-	return sampleBlock(t.cum, t.w, t.prob, t.alias, t.base, dec, r)
-}
-
-// SampleOffset draws like Sample but against a weight scale already chosen by
-// an outer ITS: x must be uniform in [0, Total(k)). Used by the segmented
-// sampler, which first ITS-samples across segment totals and then descends
-// into one segment.
-func (t *Table) SampleOffset(k int, x float64, r *xrand.Rand) (idx int, evaluated int64, ok bool) {
-	if k <= 0 || len(t.w) == 0 || !(t.cum[k] > 0) {
-		return 0, 0, false
-	}
-	if k > len(t.w) {
-		k = len(t.w)
-	}
-	var buf [maxLevels]DecompEntry
-	dec := Decompose(k, buf[:0])
-	// Binary search over trunk boundaries for the trunk containing x.
-	lo, hi := 0, len(dec)-1
-	var eval int64
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		end := int(dec[mid].Pos) + dec[mid].Size()
-		eval++
-		if t.cum[end] > x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	d := dec[lo]
-	if d.Level == 0 {
-		return int(d.Pos), eval + 1, true
-	}
-	s := int(t.base[d.Level]) + int(d.Pos)
-	size := d.Size()
-	slot, sok := sampling.SampleAliasSlots(t.prob[s:s+size], t.alias[s:s+size], r)
-	eval += 2
-	if !sok {
-		start := int(d.Pos)
-		i, lok := sampling.LinearITS(t.w[start:start+size], t.cum[start+size]-t.cum[start], r)
-		eval += int64(size)
-		if !lok {
-			return 0, eval, false
-		}
-		return start + i, eval, true
-	}
-	return int(d.Pos) + slot, eval, true
+	return sampleBlock(t.cum, t.slots, len(t.w), k, dec, r)
 }
 
 // MemoryBytes returns the table footprint.
 func (t *Table) MemoryBytes() int64 {
-	return int64(len(t.w))*8 + int64(len(t.cum))*8 +
-		int64(len(t.prob))*8 + int64(len(t.alias))*4 + int64(len(t.base))*4
+	return int64(len(t.w))*8 + int64(len(t.cum))*8 + int64(len(t.slots))*8
 }

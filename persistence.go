@@ -74,6 +74,11 @@ func SaveIndex(eng *Engine, path string) error {
 // written by SaveIndex instead of rebuilt; g must be the same graph the
 // index was built for. The app must use the same Dynamic_weight the index
 // was built with — the stored per-edge weights are reused verbatim.
+//
+// The file must be whole and of the current format: a missing or mismatched
+// CRC-32C footer is hpat.ErrIndexCorrupt, and a file written in an older
+// index format is hpat.ErrIndexFormat naming its version — rebuild the
+// engine and SaveIndex again.
 func NewEngineWithIndex(g *Graph, app App, path string, opts Options) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
