@@ -111,7 +111,7 @@ type batchScratch struct {
 // during wave init (zero-candidate sources) and cancellation drain happen on
 // the coordinator between barriers, so results[0] is only touched while
 // workers are parked.
-func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, bs BatchSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, result *Result, results []walkerState, fail func(error)) {
+func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, bs BatchSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, result *Result, results []walkerState, failed *runFailure) {
 	grouped := false
 	if fg, ok := bs.(FrontierGrouper); ok {
 		grouped = fg.WantsGroupedFrontier()
@@ -142,7 +142,7 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 			st := &results[worker]
 			var sc batchScratch
 			for range stepGate {
-				e.sweepStep(bctx, runCtx, bs, &cfg, &ws, &sc, st, &cursor, sources, result, fail)
+				e.sweepStep(bctx, runCtx, bs, &cfg, &ws, &sc, st, &cursor, sources, result, failed)
 				swg.Done()
 			}
 			if bsp != nil {
@@ -216,9 +216,7 @@ func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, wa
 		k := e.g.CandidateCount(src, cfg.StartTime)
 		ws.kcand[i] = int32(k)
 		if cfg.KeepPaths {
-			vs := make([]temporal.Vertex, 1, cfg.Length+1)
-			vs[0] = src
-			result.Paths[wi] = Path{Vertices: vs, Times: make([]temporal.Time, 0, cfg.Length)}
+			result.Paths[wi] = NewPath(src, cfg.Length)
 		}
 		if k == 0 {
 			// Dead on arrival: started and classified right here, exactly
@@ -260,7 +258,7 @@ func compactFrontier(ws *waveState) {
 // sweepStep advances the sweeping worker through the current step: claim a
 // chunk of the frontier off the shared cursor, process it, repeat until the
 // frontier is exhausted or the run is torn down.
-func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, cursor *atomic.Int64, sources []temporal.Vertex, result *Result, fail func(error)) {
+func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, cursor *atomic.Int64, sources []temporal.Vertex, result *Result, failed *runFailure) {
 	n := int64(len(ws.frontier))
 	for runCtx.Err() == nil {
 		lo := cursor.Add(batchChunk) - batchChunk
@@ -272,7 +270,7 @@ func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *W
 			hi = n
 		}
 		if err := e.sweepChunk(bctx, runCtx, bs, cfg, ws, sc, st, ws.frontier[lo:hi], sources, result); err != nil {
-			fail(err)
+			failed.fail(err)
 			return
 		}
 	}

@@ -453,3 +453,37 @@ func benchWalk(b *testing.B, m Method) {
 		}
 	}
 }
+
+// RunContext allocates nothing per walk beyond the kept paths themselves: a
+// walker's stream is derived into worker state, and a kept path of up to the
+// default length is two allocations that never regrow.
+func TestRunContextAllocsPerWalk(t *testing.T) {
+	g := testutil.RandomGraph(t, 200, 4000, 1000, 7)
+	eng, err := NewEngine(g, Unbiased(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := make([]temporal.Vertex, 128)
+	for i := range starts {
+		starts[i] = temporal.Vertex(i)
+	}
+	allocs := func(n int, kern Kernel, keep bool) float64 {
+		cfg := WalkConfig{StartVertices: starts[:n], Length: 80, Threads: 2, Seed: 3, KeepPaths: keep, Kernel: kern}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := eng.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, kern := range []Kernel{KernelScalar, KernelBatch} {
+		for _, keep := range []bool{false, true} {
+			want := 0.0
+			if keep {
+				want = 2
+			}
+			if perWalk := (allocs(128, kern, keep) - allocs(64, kern, keep)) / 64; perWalk != want {
+				t.Errorf("%v kernel, KeepPaths %v: %.3f allocs per walk, want %v", kern, keep, perWalk, want)
+			}
+		}
+	}
+}

@@ -148,6 +148,22 @@ type Path struct {
 	Times    []temporal.Time
 }
 
+// pathReserve caps the steps a kept path reserves room for up front: the
+// default walk length (the paper's L = 80), so walks of up to that length
+// never regrow. Most walks dead-end well before a large Length; reserving
+// Length+1 entries made count=10000, length=10000 on a two-edge graph
+// allocate over a gigabyte for a reply of a few hundred kilobytes. append
+// grows the rare longer walk.
+const pathReserve = 80
+
+// NewPath starts a kept path at src with room for min(length, 80) steps.
+func NewPath(src temporal.Vertex, length int) Path {
+	n := min(length, pathReserve)
+	vs := make([]temporal.Vertex, 1, n+1)
+	vs[0] = src
+	return Path{Vertices: vs, Times: make([]temporal.Time, 0, n)}
+}
+
 // Result aggregates a walk run.
 type Result struct {
 	Cost     stats.Cost
@@ -251,37 +267,30 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	// cancelling the caller's context.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		failMu sync.Mutex
-		runErr error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		failMu.Unlock()
-		cancel()
-	}
+	failed := &runFailure{cancel: cancel}
 
+	workers := threads
+	if kern == KernelScalar {
+		// A scalar worker claims scalarGrain walks at a time: more workers
+		// than claims would find the cursor exhausted.
+		workers = min(threads, (totalWalks+scalarGrain-1)/scalarGrain)
+	}
 	start := time.Now()
-	results := make([]walkerState, threads)
+	results := make([]walkerState, workers)
 	for i := range results {
 		results[i].lengths = stats.NewHistogram(cfg.Length + 1)
 	}
 	if kern == KernelBatch {
-		e.runBatch(runCtx, runSpan, cfg, bs, sources, totalWalks, threads, root, result, results, fail)
+		e.runBatch(runCtx, runSpan, cfg, bs, sources, totalWalks, threads, root, result, results, failed)
 	} else {
-		e.runScalar(runCtx, runSpan, cfg, ctxSampler, sources, totalWalks, threads, root, result, results, fail)
+		e.runScalar(runCtx, runSpan, cfg, ctxSampler, sources, totalWalks, root, result, results, failed)
 	}
 	for i := range results {
 		result.Cost.Add(results[i].cost)
 		result.Lengths.Merge(results[i].lengths)
 	}
 	result.Duration = time.Since(start)
-	failMu.Lock()
-	err := runErr
-	failMu.Unlock()
+	err := failed.first()
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -329,70 +338,96 @@ func (e *Engine) resolveKernel(k Kernel, totalWalks, threads int) (Kernel, Batch
 	return KernelScalar, nil
 }
 
-// runScalar is the scalar kernel: workers claim scalarGrain-sized runs of
-// walk ids off a shared cursor (dynamic distribution — a worker that drew
-// short, dead-ending walks immediately claims more instead of idling behind
-// a static chunk) and walk each one to completion.
-func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, ctxSampler ContextSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, result *Result, results []walkerState, fail func(error)) {
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-	)
-	workers := threads
-	if workers > totalWalks {
-		workers = totalWalks
+// runFailure keeps the first error that aborts a run and cancels the run's
+// context so sibling workers stop promptly.
+type runFailure struct {
+	mu     sync.Mutex
+	err    error
+	cancel context.CancelFunc
+}
+
+func (f *runFailure) fail(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
 	}
-	for w := 0; w < workers; w++ {
+	f.mu.Unlock()
+	f.cancel()
+}
+
+func (f *runFailure) first() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// runScalar is the scalar kernel: one worker per element of results claims
+// scalarGrain-sized runs of walk ids off a shared cursor (dynamic
+// distribution — a worker that drew short, dead-ending walks immediately
+// claims more instead of idling behind a static chunk) and walks each one to
+// completion. A single worker (every API-sized request) walks on the
+// caller's goroutine.
+func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, ctxSampler ContextSampler, sources []temporal.Vertex, totalWalks int, root *xrand.Rand, result *Result, results []walkerState, failed *runFailure) {
+	var cursor atomic.Int64
+	work := func(worker int) {
+		bctx := runCtx
+		var bsp *trace.Span
+		if runSpan != nil {
+			bctx, bsp = trace.Start(runCtx, "walk_batch")
+			bsp.SetInt("worker", int64(worker))
+		}
+		st := &results[worker]
+		walked := 0
+	claim:
+		for {
+			lo := int(cursor.Add(scalarGrain)) - scalarGrain
+			if lo >= totalWalks {
+				break
+			}
+			hi := lo + scalarGrain
+			if hi > totalWalks {
+				hi = totalWalks
+			}
+			for wi := lo; wi < hi; wi++ {
+				if runCtx.Err() != nil {
+					break claim
+				}
+				src := sources[wi/cfg.WalksPerVertex]
+				root.SplitTo(uint64(wi), &st.rng)
+				p, err := e.walkOneSafe(bctx, ctxSampler, wi, src, cfg, &st.rng, st)
+				walked++
+				if err != nil {
+					failed.fail(err)
+					break claim
+				}
+				if cfg.KeepPaths {
+					result.Paths[wi] = p
+				}
+			}
+		}
+		if bsp != nil {
+			// Per-batch hot-layer aggregates: sampled steps, slots the
+			// sampler examined (trunk/level traffic for HPAT/PAT), and
+			// the Dynamic_parameter rejection counters.
+			bsp.SetInt("walks", int64(walked))
+			bsp.SetInt("steps", st.cost.Steps)
+			bsp.SetInt("edges_evaluated", st.cost.EdgesEvaluated)
+			bsp.SetInt("trials", st.cost.Trials)
+			bsp.SetInt("rejected", st.cost.Rejected)
+			bsp.End()
+		}
+	}
+	if len(results) == 1 {
+		work(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range results {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			bctx := runCtx
-			var bsp *trace.Span
-			if runSpan != nil {
-				bctx, bsp = trace.Start(runCtx, "walk_batch")
-				bsp.SetInt("worker", int64(worker))
-			}
-			st := &results[worker]
-			walked := 0
-		claim:
-			for {
-				lo := int(cursor.Add(scalarGrain)) - scalarGrain
-				if lo >= totalWalks {
-					break
-				}
-				hi := lo + scalarGrain
-				if hi > totalWalks {
-					hi = totalWalks
-				}
-				for wi := lo; wi < hi; wi++ {
-					if runCtx.Err() != nil {
-						break claim
-					}
-					src := sources[wi/cfg.WalksPerVertex]
-					r := root.Split(uint64(wi))
-					p, err := e.walkOneSafe(bctx, ctxSampler, wi, src, cfg, r, st)
-					walked++
-					if err != nil {
-						fail(err)
-						break claim
-					}
-					if cfg.KeepPaths {
-						result.Paths[wi] = p
-					}
-				}
-			}
-			if bsp != nil {
-				// Per-batch hot-layer aggregates: sampled steps, slots the
-				// sampler examined (trunk/level traffic for HPAT/PAT), and
-				// the Dynamic_parameter rejection counters.
-				bsp.SetInt("walks", int64(walked))
-				bsp.SetInt("steps", st.cost.Steps)
-				bsp.SetInt("edges_evaluated", st.cost.EdgesEvaluated)
-				bsp.SetInt("trials", st.cost.Trials)
-				bsp.SetInt("rejected", st.cost.Rejected)
-				bsp.End()
-			}
-		}(w)
+			work(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -425,7 +460,9 @@ type walkerState struct {
 	_       [64]byte // guard before the hot counters
 	cost    stats.Cost
 	lengths *stats.Histogram
-	_       [64 - (unsafe.Sizeof(stats.Cost{})+8)%64]byte // round fields up to a line
+	// rng is the scalar kernel's walker stream, reseeded for every walk.
+	rng xrand.Rand
+	_   [64 - (unsafe.Sizeof(stats.Cost{})+8+unsafe.Sizeof(xrand.Rand{}))%64]byte // round fields up to a line
 }
 
 // finishWalk classifies one terminated walk: completion when it reached the
@@ -453,9 +490,7 @@ func (st *walkerState) finishWalk(ctx context.Context, steps, length int) {
 func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) Path {
 	var p Path
 	if cfg.KeepPaths {
-		p.Vertices = make([]temporal.Vertex, 1, cfg.Length+1)
-		p.Vertices[0] = src
-		p.Times = make([]temporal.Time, 0, cfg.Length)
+		p = NewPath(src, cfg.Length)
 	}
 	st.cost.WalksStarted++
 

@@ -157,8 +157,8 @@ func Federate(own *Snapshot, shards []ShardSnap) *Snapshot {
 		}
 		for _, h := range sh.Snap.Histograms {
 			out.Histograms = append(out.Histograms, HistogramSnap{
-				Name:    WithLabel(h.Name, FederationLabel, sh.Label),
-				Count:   h.Count, Sum: h.Sum,
+				Name:  WithLabel(h.Name, FederationLabel, sh.Label),
+				Count: h.Count, Sum: h.Sum,
 				P50: h.P50, P95: h.P95, P99: h.P99,
 				Buckets: h.Buckets,
 			})

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/stream"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/vfs"
@@ -275,60 +276,26 @@ func (s *Server) handleDurableWalk(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	from, err := vertexParam(r, "from", d.NumVertices())
+	q := r.URL.Query()
+	wq, err := s.parseWalk(q, d.NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	length, err := intParam(r, "length", 80)
+	start, err := int64Param(q, "start", int64(temporal.MinTime))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	count, err := intParam(r, "count", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	seed, err := intParam(r, "seed", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if length <= 0 || count <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length and count must be positive"))
-		return
-	}
-	if length > s.cfg.MaxWalkLength {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length %d exceeds per-request limit %d", length, s.cfg.MaxWalkLength))
-		return
-	}
-	if count > s.cfg.MaxWalkCount {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("count %d exceeds per-request limit %d", count, s.cfg.MaxWalkCount))
-		return
-	}
-	start, err := int64Param(r, "start", int64(temporal.MinTime))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	out := walkResponse{From: from, Cost: map[string]string{}}
+	paths := make([]core.Path, wq.count)
 	began := time.Now()
 	steps := 0
-	for i := 0; i < count; i++ {
-		verts, times := d.WalkSeeded(from, temporal.Time(start), length, uint64(seed)+uint64(i))
-		hops := make([]walkHop, len(verts))
-		for j, v := range verts {
-			hops[j] = walkHop{Vertex: v}
-			if j > 0 {
-				t := int64(times[j-1])
-				hops[j].Time = &t
-			}
-		}
+	for i := range paths {
+		verts, times := d.WalkSeeded(wq.from, temporal.Time(start), wq.length, wq.seed+uint64(i))
+		paths[i] = core.Path{Vertices: verts, Times: times}
 		steps += len(times)
-		out.Walks = append(out.Walks, hops)
 	}
-	out.Cost["steps"] = strconv.Itoa(steps)
-	out.Cost["duration"] = time.Since(began).String()
-	writeJSON(w, http.StatusOK, out)
+	writeWalkReply(w, &walkReply{from: wq.from, paths: paths},
+		costNum("steps", int64(steps)),
+		costText("duration", time.Since(began).String()))
 }

@@ -4,7 +4,7 @@
 // the request's X-Request-ID attached, collects each partition's partial
 // response (the walks whose source vertex that partition owns, keyed by
 // global walk id), and merges them by walk id into exactly the
-// single-process walkResponse shape: a client cannot tell a routed cluster
+// single-process reply: a client cannot tell a routed cluster
 // from one teaserve process.
 //
 // Each configured shard entry may name several "|"-separated replica URLs
@@ -31,9 +31,11 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/shard"
+	"github.com/tea-graph/tea/internal/shard/wire"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/trace"
 )
@@ -214,7 +216,7 @@ func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, pa
 		return shardReply{err: err}
 	}
 	if id := trace.RequestID(ctx); id != "" {
-		req.Header.Set("X-Request-ID", id)
+		req.Header.Set(requestIDHeader, id)
 	}
 	if trace.SpanFromContext(hopCtx).Sampled() {
 		// Tell the shard this request's trace is retained upstream,
@@ -283,23 +285,71 @@ func (rt *Router) writeShardDown(w http.ResponseWriter, shardID int, detail stri
 		fmt.Errorf("shard %d unavailable: %s", shardID, detail))
 }
 
+// shardWalkResponse is how the router decodes one shard's partial answer to a
+// /walk: the walks whose global walk ids this shard coordinated, parallel to
+// WalkIDs. The router merges these by walk id into the single-process reply.
+type shardWalkResponse struct {
+	From       temporal.Vertex   `json:"from"`
+	Shard      int               `json:"shard"`
+	Partitions int               `json:"partitions"`
+	WalkIDs    []int             `json:"walk_ids"`
+	Walks      [][]walkHop       `json:"walks"`
+	Cost       map[string]string `json:"cost"`
+	// CostDetail is this shard's share of the request's resource consumption,
+	// present when the request carried ?cost=1; the router merges the shares
+	// into the assembled response's cost_detail with a per-shard split.
+	CostDetail *reqcost.Cost `json:"cost_detail,omitempty"`
+	// Spans carries compact span summaries (this shard's run/hop timings plus
+	// whatever peers shipped on step responses) when the request was sampled
+	// upstream; the router injects them into its tracer so one X-Request-ID
+	// yields one cross-process trace.
+	Spans []wire.SpanSummary `json:"spans,omitempty"`
+}
+
+// walkHop is one hop of a walk as a shard's reply carries it; only the router
+// still decodes walks from JSON.
+type walkHop struct {
+	Vertex temporal.Vertex `json:"v"`
+	Time   *int64          `json:"t,omitempty"` // nil for the start vertex
+}
+
+// pathOf turns a decoded shard walk back into a path. Only the start hop
+// lacks a time; a shard body where that does not hold is malformed.
+func pathOf(hops []walkHop) (core.Path, bool) {
+	p := core.Path{Vertices: make([]temporal.Vertex, len(hops))}
+	if len(hops) > 1 {
+		p.Times = make([]temporal.Time, len(hops)-1)
+	}
+	for j, h := range hops {
+		if (h.Time == nil) != (j == 0) {
+			return core.Path{}, false
+		}
+		p.Vertices[j] = h.Vertex
+		if j > 0 {
+			p.Times[j-1] = temporal.Time(*h.Time)
+		}
+	}
+	return p, true
+}
+
 func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 	// The router is stateless: it validates only what merging needs (the
 	// walk count); vertex bounds and size caps are enforced shard-side and
 	// their 400s propagate unchanged.
-	rawFrom := r.URL.Query().Get("from")
+	q := r.URL.Query()
+	rawFrom := q.Get("from")
 	fromID, err := strconv.ParseUint(rawFrom, 10, 32)
 	if rawFrom == "" || err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing or malformed required parameter %q", "from"))
 		return
 	}
-	count, err := intParam(r, "count", 1)
+	count, err := intParam(q, "count", 1)
 	if err != nil || count <= 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("count must be a positive integer"))
 		return
 	}
 
-	replies := rt.fan(r.Context(), "/walk", r.URL.Query().Encode())
+	replies := rt.fan(r.Context(), "/walk", q.Encode())
 
 	// Any failed or shedding shard fails the whole query: merging a partial
 	// cluster would silently return fewer walks than asked.
@@ -328,7 +378,7 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 	// must be claimed exactly once across the cluster — anything else means
 	// the shards disagree about ownership (mismatched partition counts) and
 	// is a deployment error, not a client one.
-	walks := make([][]walkHop, count)
+	walks := make([]core.Path, count) // Vertices is nil until a shard claims the walk
 	var steps, edges, migrations, frames int64
 	clusterCost := reqcost.Cost{Shards: map[string]*reqcost.Cost{}}
 	var spanRecs []trace.SpanRecord
@@ -353,11 +403,16 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 				writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: walk id %d outside [0, %d)", i, id, count))
 				return
 			}
-			if walks[id] != nil {
+			if walks[id].Vertices != nil {
 				writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by more than one shard", id))
 				return
 			}
-			walks[id] = sr.Walks[j]
+			p, ok := pathOf(sr.Walks[j])
+			if !ok {
+				writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: malformed walk %d", i, id))
+				return
+			}
+			walks[id] = p
 		}
 		steps += costInt(sr.Cost, "steps")
 		edges += costInt(sr.Cost, "edges_evaluated")
@@ -388,8 +443,8 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	for id, hops := range walks {
-		if hops == nil {
+	for id, p := range walks {
+		if p.Vertices == nil {
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by no shard", id))
 			return
 		}
@@ -403,20 +458,21 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 		rt.base.tracer.Inject(trace.RequestID(r.Context()), spanRecs)
 	}
 
-	out := walkResponse{From: temporal.Vertex(fromID), Walks: walks, Cost: map[string]string{
-		"steps":           strconv.FormatInt(steps, 10),
-		"edges_evaluated": strconv.FormatInt(edges, 10),
-		"migrations":      strconv.FormatInt(migrations, 10),
-		"frames":          strconv.FormatInt(frames, 10),
-		"shards":          strconv.Itoa(len(rt.groups)),
-	}}
+	rep := walkReply{from: temporal.Vertex(fromID), paths: walks}
+	if q.Get("cost") == "1" && len(clusterCost.Shards) > 0 {
+		rep.detail = &clusterCost
+	}
+	cost := []costField{
+		costNum("steps", steps),
+		costNum("edges_evaluated", edges),
+		costNum("migrations", migrations),
+		costNum("frames", frames),
+		costNum("shards", int64(len(rt.groups))),
+	}
 	if steps > 0 {
-		out.Cost["edges_per_step"] = fmt.Sprintf("%.2f", float64(edges)/float64(steps))
+		cost = append(cost, costRatio("edges_per_step", float64(edges)/float64(steps)))
 	}
-	if r.URL.Query().Get("cost") == "1" && len(clusterCost.Shards) > 0 {
-		out.CostDetail = &clusterCost
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeWalkReply(w, &rep, cost...)
 }
 
 // costInt reads an int64 cost field, tolerating absence.

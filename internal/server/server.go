@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -57,6 +58,11 @@ const (
 	// defaultMaxTopK bounds topk on one /ppr request.
 	defaultMaxTopK = 10000
 )
+
+// requestIDHeader is X-Request-ID in the canonical form net/http stores
+// header keys in; a key already in that form skips the allocating
+// canonicalisation on every Get and Set.
+const requestIDHeader = "X-Request-Id"
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
 // away before the response was produced. The response is unlikely to be
@@ -260,17 +266,20 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// statusClass buckets a status code for the per-endpoint response counters.
-func statusClass(status int) string {
+// statusClasses label the per-endpoint response counters.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// statusClass buckets a status code: its index in statusClasses.
+func statusClass(status int) int {
 	switch {
 	case status >= 500:
-		return "5xx"
+		return 3
 	case status >= 400:
-		return "4xx"
+		return 2
 	case status >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
 }
 
@@ -287,16 +296,20 @@ func statusClass(status int) string {
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	requests := s.metrics.Counter(fmt.Sprintf("tea_server_requests_total{endpoint=%q}", endpoint))
 	latency := s.metrics.Histogram(fmt.Sprintf("tea_server_request_seconds{endpoint=%q}", endpoint))
+	var responses [len(statusClasses)]*metrics.Counter
+	for i, class := range statusClasses {
+		responses[i] = s.metrics.Counter(fmt.Sprintf("tea_server_responses_total{endpoint=%q,class=%q}", endpoint, class))
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		s.inflightGauge.Add(1)
 		defer s.inflightGauge.Add(-1)
 
-		reqID := r.Header.Get("X-Request-ID")
+		reqID := r.Header.Get(requestIDHeader)
 		if reqID == "" {
 			reqID = trace.GenID()
 		}
-		w.Header().Set("X-Request-ID", reqID)
+		w.Header().Set(requestIDHeader, reqID)
 		ctx := trace.WithRequestID(r.Context(), reqID)
 		var sp *trace.Span
 		if s.tracer.Enabled() {
@@ -324,8 +337,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			sp.SetInt("status", int64(sw.status))
 			sp.End()
 		}
-		s.metrics.Counter(fmt.Sprintf("tea_server_responses_total{endpoint=%q,class=%q}",
-			endpoint, statusClass(sw.status))).Inc()
+		responses[statusClass(sw.status)].Inc()
 		switch sw.status {
 		case http.StatusServiceUnavailable:
 			s.shedTotal.Inc()
@@ -376,7 +388,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // first stop when "something was slow a minute ago" and the trace was not
 // sampled.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r, "k", 20)
+	k, err := intParam(r.URL.Query(), "k", 20)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -485,19 +497,42 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type walkResponse struct {
-	From  temporal.Vertex   `json:"from"`
-	Walks [][]walkHop       `json:"walks"`
-	Cost  map[string]string `json:"cost"`
-	// CostDetail is the full per-request resource breakdown, present when
-	// the request opted in with ?cost=1. On router-assembled responses its
-	// Shards map splits the totals per shard.
-	CostDetail *reqcost.Cost `json:"cost_detail,omitempty"`
+// walkQuery is a validated /walk request.
+type walkQuery struct {
+	from          temporal.Vertex
+	length, count int
+	seed          uint64
 }
 
-type walkHop struct {
-	Vertex temporal.Vertex `json:"v"`
-	Time   *int64          `json:"t,omitempty"` // nil for the start vertex
+// parseWalk validates the /walk parameters every walk producer shares against
+// the graph's vertex count and the configured size caps.
+func (s *Server) parseWalk(q url.Values, numVertices int) (walkQuery, error) {
+	from, err := vertexParam(q, "from", numVertices)
+	if err != nil {
+		return walkQuery{}, err
+	}
+	length, err := intParam(q, "length", 80)
+	if err != nil {
+		return walkQuery{}, err
+	}
+	count, err := intParam(q, "count", 1)
+	if err != nil {
+		return walkQuery{}, err
+	}
+	seed, err := intParam(q, "seed", 1)
+	if err != nil {
+		return walkQuery{}, err
+	}
+	if length <= 0 || count <= 0 {
+		return walkQuery{}, fmt.Errorf("length and count must be positive")
+	}
+	if length > s.cfg.MaxWalkLength {
+		return walkQuery{}, fmt.Errorf("length %d exceeds per-request limit %d", length, s.cfg.MaxWalkLength)
+	}
+	if count > s.cfg.MaxWalkCount {
+		return walkQuery{}, fmt.Errorf("count %d exceeds per-request limit %d", count, s.cfg.MaxWalkCount)
+	}
+	return walkQuery{from: from, length: length, count: count, seed: uint64(seed)}, nil
 }
 
 func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
@@ -505,47 +540,23 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		s.handleDurableWalk(w, r)
 		return
 	}
-	from, err := vertexParam(r, "from", s.eng.Graph().NumVertices())
+	q := r.URL.Query()
+	wq, err := s.parseWalk(q, s.eng.Graph().NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	length, err := intParam(r, "length", 80)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	count, err := intParam(r, "count", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	seed, err := intParam(r, "seed", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if length <= 0 || count <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length and count must be positive"))
-		return
-	}
-	if length > s.cfg.MaxWalkLength {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length %d exceeds per-request limit %d", length, s.cfg.MaxWalkLength))
-		return
-	}
-	if count > s.cfg.MaxWalkCount {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("count %d exceeds per-request limit %d", count, s.cfg.MaxWalkCount))
 		return
 	}
 	cfg := core.WalkConfig{
-		WalksPerVertex: count,
-		Length:         length,
-		StartVertices:  []temporal.Vertex{from},
-		Seed:           uint64(seed),
+		WalksPerVertex: wq.count,
+		Length:         wq.length,
+		StartVertices:  []temporal.Vertex{wq.from},
+		Seed:           wq.seed,
 		KeepPaths:      true,
 	}
 	if s.prepWalk != nil {
-		s.prepWalk(&cfg)
+		c := cfg // a copy, so that cfg stays off the heap when there is no hook
+		s.prepWalk(&c)
+		cfg = c
 	}
 	res, err := s.eng.RunContext(r.Context(), cfg)
 	if err != nil {
@@ -554,28 +565,16 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := reqcost.From(r.Context())
 	rc.AddEngine(res.Cost)
-	out := walkResponse{From: from, Cost: map[string]string{
-		"steps":          strconv.FormatInt(res.Cost.Steps, 10),
-		"edges_per_step": fmt.Sprintf("%.2f", res.Cost.EdgesPerStep()),
-		"duration":       res.Duration.String(),
-	}}
-	if r.URL.Query().Get("cost") == "1" && rc != nil {
+	rep := walkReply{from: wq.from, paths: res.Paths}
+	if q.Get("cost") == "1" && rc != nil {
 		detail := rc.Snapshot()
 		detail.WallMicros = res.Duration.Microseconds()
-		out.CostDetail = &detail
+		rep.detail = &detail
 	}
-	for _, p := range res.Paths {
-		hops := make([]walkHop, len(p.Vertices))
-		for i, v := range p.Vertices {
-			hops[i] = walkHop{Vertex: v}
-			if i > 0 {
-				t := int64(p.Times[i-1])
-				hops[i].Time = &t
-			}
-		}
-		out.Walks = append(out.Walks, hops)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeWalkReply(w, &rep,
+		costNum("steps", res.Cost.Steps),
+		costRatio("edges_per_step", res.Cost.EdgesPerStep()),
+		costText("duration", res.Duration.String()))
 }
 
 type pprResponse struct {
@@ -589,12 +588,13 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotImplemented, errIngestOnly)
 		return
 	}
-	from, err := vertexParam(r, "from", s.eng.Graph().NumVertices())
+	q := r.URL.Query()
+	from, err := vertexParam(q, "from", s.eng.Graph().NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	walks, err := intParam(r, "walks", 10000)
+	walks, err := intParam(q, "walks", 10000)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -603,7 +603,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("walks must be in (0, %d]", s.cfg.MaxPPRWalks))
 		return
 	}
-	alpha, err := floatParam(r, "alpha", 0.15)
+	alpha, err := floatParam(q, "alpha", 0.15)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -612,7 +612,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("alpha must be in (0, 1)"))
 		return
 	}
-	topK, err := intParam(r, "topk", 20)
+	topK, err := intParam(q, "topk", 20)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -621,7 +621,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("topk must be in (0, %d]", s.cfg.MaxTopK))
 		return
 	}
-	seed, err := intParam(r, "seed", 1)
+	seed, err := intParam(q, "seed", 1)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -654,12 +654,13 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotImplemented, errIngestOnly)
 		return
 	}
-	from, err := vertexParam(r, "from", s.eng.Graph().NumVertices())
+	q := r.URL.Query()
+	from, err := vertexParam(q, "from", s.eng.Graph().NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	after, err := int64Param(r, "after", int64(temporal.MinTime))
+	after, err := int64Param(q, "after", int64(temporal.MinTime))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -692,8 +693,8 @@ func runStatus(err error) int {
 	}
 }
 
-func vertexParam(r *http.Request, name string, numVertices int) (temporal.Vertex, error) {
-	raw := r.URL.Query().Get(name)
+func vertexParam(q url.Values, name string, numVertices int) (temporal.Vertex, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
@@ -707,8 +708,8 @@ func vertexParam(r *http.Request, name string, numVertices int) (temporal.Vertex
 	return temporal.Vertex(id), nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -719,8 +720,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-func int64Param(r *http.Request, name string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(name)
+func int64Param(q url.Values, name string, def int64) (int64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -731,8 +732,8 @@ func int64Param(r *http.Request, name string, def int64) (int64, error) {
 	return v, nil
 }
 
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+func floatParam(q url.Values, name string, def float64) (float64, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}

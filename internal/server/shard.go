@@ -13,11 +13,11 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
+	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/shard"
 	"github.com/tea-graph/tea/internal/shard/wire"
@@ -92,65 +92,18 @@ func (ss *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shardWalkResponse is one shard's partial answer to a /walk: the walks whose
-// global walk ids this shard coordinated, parallel to WalkIDs. The router
-// merges these by walk id into the plain walkResponse shape.
-type shardWalkResponse struct {
-	From       temporal.Vertex   `json:"from"`
-	Shard      int               `json:"shard"`
-	Partitions int               `json:"partitions"`
-	WalkIDs    []int             `json:"walk_ids"`
-	Walks      [][]walkHop       `json:"walks"`
-	Cost       map[string]string `json:"cost"`
-	// CostDetail is this shard's share of the request's resource consumption,
-	// present when the request carried ?cost=1; the router merges the shares
-	// into the assembled response's cost_detail with a per-shard split.
-	CostDetail *reqcost.Cost `json:"cost_detail,omitempty"`
-	// Spans carries compact span summaries (this shard's run/hop timings plus
-	// whatever peers shipped on step responses) when the request was sampled
-	// upstream; the router injects them into its tracer so one X-Request-ID
-	// yields one cross-process trace.
-	Spans []wire.SpanSummary `json:"spans,omitempty"`
-}
-
 func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
-	from, err := vertexParam(r, "from", ss.node.NumVertices())
+	q := r.URL.Query()
+	wq, err := ss.base.parseWalk(q, ss.node.NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	length, err := intParam(r, "length", 80)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	count, err := intParam(r, "count", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	seed, err := intParam(r, "seed", 1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if length <= 0 || count <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length and count must be positive"))
-		return
-	}
-	if length > ss.base.cfg.MaxWalkLength {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("length %d exceeds per-request limit %d", length, ss.base.cfg.MaxWalkLength))
-		return
-	}
-	if count > ss.base.cfg.MaxWalkCount {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("count %d exceeds per-request limit %d", count, ss.base.cfg.MaxWalkCount))
 		return
 	}
 	res, err := ss.node.RunWalks(r.Context(), ss.caller, shard.WalkRequest{
-		Sources:        []temporal.Vertex{from},
-		WalksPerVertex: count,
-		Length:         length,
-		Seed:           uint64(seed),
+		Sources:        []temporal.Vertex{wq.from},
+		WalksPerVertex: wq.count,
+		Length:         wq.length,
+		Seed:           wq.seed,
 		KeepPaths:      true,
 		RequestID:      trace.RequestID(r.Context()),
 		CollectSpans:   r.Header.Get("X-Trace-Sampled") == "1",
@@ -161,44 +114,36 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := reqcost.From(r.Context())
 	rc.AddEngine(res.Cost)
-	out := shardWalkResponse{
-		From:       from,
-		Shard:      ss.node.ShardID(),
-		Partitions: ss.node.Partitions(),
-		WalkIDs:    res.WalkIDs,
-		Walks:      make([][]walkHop, 0, len(res.Paths)),
-		Cost: map[string]string{
-			"steps":           strconv.FormatInt(res.Cost.Steps, 10),
-			"edges_evaluated": strconv.FormatInt(res.Cost.EdgesEvaluated, 10),
-			"duration":        res.Duration.String(),
-			"rounds":          strconv.Itoa(res.Rounds),
-			"migrations":      strconv.FormatInt(res.Migrations, 10),
-			"frames":          strconv.FormatInt(res.Frames, 10),
-			"local_steps":     strconv.FormatInt(res.LocalSteps, 10),
-			"bytes_sent":      strconv.FormatInt(res.BytesSent, 10),
-		},
+	rep := walkReply{
+		from:       wq.from,
+		partial:    true,
+		shard:      ss.node.ShardID(),
+		partitions: ss.node.Partitions(),
+		walkIDs:    res.WalkIDs,
+		paths:      res.Paths,
+		spans:      res.Spans,
 	}
-	if out.WalkIDs == nil {
-		out.WalkIDs = []int{} // "no walks owned" renders as [], not null
+	// A shard that owns none of the walks says so with [], not null.
+	if rep.walkIDs == nil {
+		rep.walkIDs = []int{}
 	}
-	out.Spans = res.Spans
-	if r.URL.Query().Get("cost") == "1" && rc != nil {
+	if rep.paths == nil {
+		rep.paths = []core.Path{}
+	}
+	if q.Get("cost") == "1" && rc != nil {
 		detail := rc.Snapshot()
 		detail.WallMicros = res.Duration.Microseconds()
-		out.CostDetail = &detail
+		rep.detail = &detail
 	}
-	for _, p := range res.Paths {
-		hops := make([]walkHop, len(p.Vertices))
-		for i, v := range p.Vertices {
-			hops[i] = walkHop{Vertex: v}
-			if i > 0 {
-				t := int64(p.Times[i-1])
-				hops[i].Time = &t
-			}
-		}
-		out.Walks = append(out.Walks, hops)
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeWalkReply(w, &rep,
+		costNum("steps", res.Cost.Steps),
+		costNum("edges_evaluated", res.Cost.EdgesEvaluated),
+		costText("duration", res.Duration.String()),
+		costNum("rounds", int64(res.Rounds)),
+		costNum("migrations", res.Migrations),
+		costNum("frames", res.Frames),
+		costNum("local_steps", res.LocalSteps),
+		costNum("bytes_sent", res.BytesSent))
 }
 
 // writeRunErr maps a coordinator error onto HTTP: a transient peer failure is

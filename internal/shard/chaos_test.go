@@ -24,7 +24,7 @@ import (
 // walks are pure functions of the migrating frames, which is exactly why a
 // sibling can answer a re-sent frame byte-identically.
 type replicatedCluster struct {
-	nodes   [][]*Node      // [partition][replica]
+	nodes   [][]*Node // [partition][replica]
 	servers [][]*wire.Server
 	addrs   [][]string
 }

@@ -160,7 +160,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 	if req.KeepPaths {
 		res.Paths = make([]core.Path, len(res.WalkIDs))
 		for i, wi := range res.WalkIDs {
-			res.Paths[i].Vertices = append(make([]temporal.Vertex, 0, req.Length+1), req.Sources[wi/req.WalksPerVertex])
+			res.Paths[i] = core.NewPath(req.Sources[wi/req.WalksPerVertex], req.Length)
 		}
 	}
 	if runSpan != nil {
