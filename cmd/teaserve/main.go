@@ -92,7 +92,6 @@
 //	-shard-replica   which replica of its own partition this process is
 //	                 (index into the "|" list; default 0)
 //	-shard-rpc-addr  RPC listen address (default: own -shard-peers entry)
-//	-shard-kernel    local step kernel: scalar|batch
 //	-shard-hedge     hedged step-RPCs: off (default), auto (launch a
 //	                 duplicate on a sibling after the primary's observed
 //	                 p99), or a fixed duration; first answer wins
@@ -150,7 +149,6 @@ import (
 
 	tea "github.com/tea-graph/tea"
 	"github.com/tea-graph/tea/internal/blockcache"
-	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/netchaos"
 	"github.com/tea-graph/tea/internal/ooc"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -203,7 +201,6 @@ func main() {
 		shardPeers   = flag.String("shard-peers", "", "comma-separated RPC host:port of every shard in shard-id order; '|' separates a partition's replicas; the comma count is the partition count")
 		shardReplica = flag.Int("shard-replica", 0, "which replica of its partition this process is (index into the '|' list of its -shard-peers entry)")
 		shardRPC     = flag.String("shard-rpc-addr", "", "walker-migration RPC listen address (default: this shard's -shard-peers entry)")
-		shardKernel  = flag.String("shard-kernel", "batch", "local step kernel in shard mode: scalar|batch")
 		shardHedge   = flag.String("shard-hedge", "off", "hedged step-RPCs against sibling replicas: off|auto|<duration> (auto = primary's observed p99)")
 		chaosSpec    = flag.String("chaos", "", "inject network faults on peer RPC conns, e.g. 'drop:peer=h1:9000,after=3;delay:dur=50ms' (testing only)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for randomized -chaos faults (byte flips)")
@@ -263,7 +260,7 @@ func main() {
 		case *shardPeers == "":
 			fatal("flags", errors.New("-shard-id requires -shard-peers"))
 		case *algo == "node2vec":
-			fatal("flags", errors.New("node2vec needs second-order state migration frames do not carry; use a first-order algorithm in shard mode"))
+			fatal("flags", errors.New("node2vec in shard mode would answer β's neighbor test from a Bloom filter, not exactly as one process does; use a first-order algorithm in shard mode"))
 		}
 	}
 
@@ -443,7 +440,6 @@ func main() {
 			replica:   *shardReplica,
 			peers:     *shardPeers,
 			rpcAddr:   *shardRPC,
-			kernel:    *shardKernel,
 			hedge:     *shardHedge,
 			chaos:     *chaosSpec,
 			chaosSeed: *chaosSeed,
@@ -534,7 +530,6 @@ type shardOpts struct {
 	replica   int
 	peers     string
 	rpcAddr   string
-	kernel    string
 	hedge     string
 	chaos     string
 	chaosSeed int64
@@ -594,15 +589,6 @@ func runShard(g *tea.Graph, app tea.App, scfg server.Config, o shardOpts) {
 	if o.replica < 0 || o.replica >= len(parts[o.id]) {
 		o.fatal("flags", fmt.Errorf("-shard-replica %d outside this partition's %d-replica list", o.replica, len(parts[o.id])))
 	}
-	var kern core.Kernel
-	switch o.kernel {
-	case "scalar":
-		kern = core.KernelScalar
-	case "batch", "":
-		kern = core.KernelBatch
-	default:
-		o.fatal("flags", fmt.Errorf("unknown -shard-kernel %q (want scalar or batch)", o.kernel))
-	}
 	hedge, err := parseHedge(o.hedge)
 	if err != nil {
 		o.fatal("flags", err)
@@ -612,7 +598,6 @@ func runShard(g *tea.Graph, app tea.App, scfg server.Config, o shardOpts) {
 	node, err := shard.NewNode(g, app.Weight, shard.Config{
 		ShardID:    o.id,
 		Partitions: len(parts),
-		Kernel:     kern,
 		Tracer:     o.tracer,
 	})
 	if err != nil {

@@ -1,34 +1,34 @@
 package tea
 
 import (
-	"github.com/tea-graph/tea/internal/dist"
+	"github.com/tea-graph/tea/internal/shard"
 )
 
 // Distributed-style execution — the §4.4 future-work direction of the paper
 // (HPAT-based sampling inside a KnightKing-like partitioned walker engine),
-// realized as in-process workers exchanging walker batches in
-// bulk-synchronous rounds.
+// realized as the sharded deployment's nodes running in one process and
+// exchanging walker batches through method calls instead of sockets.
 
 type (
-	// Cluster is a partitioned walk engine: each worker owns a vertex
-	// partition's adjacency and HPAT; walkers migrate between workers.
-	Cluster = dist.Cluster
+	// Cluster is a partitioned walk engine: each node owns a vertex
+	// partition's adjacency and HPAT; walkers migrate between nodes.
+	Cluster = shard.Cluster
 	// ClusterConfig sizes the cluster.
-	ClusterConfig = dist.Config
+	ClusterConfig = shard.ClusterConfig
 	// ClusterRunConfig parameterizes a distributed run.
-	ClusterRunConfig = dist.RunConfig
+	ClusterRunConfig = shard.ClusterRunConfig
 	// ClusterResult reports a distributed run, including cross-partition
 	// message counts (the network traffic a real deployment would pay).
-	ClusterResult = dist.Result
+	ClusterResult = shard.ClusterResult
 )
 
 // ClusterNode2Vec configures distributed temporal node2vec: β is computed
-// locally on every worker via a replicated edge Bloom filter.
-type ClusterNode2Vec = dist.Node2VecParams
+// locally on every node via a replicated edge Bloom filter.
+type ClusterNode2Vec = shard.Node2Vec
 
-// NewCluster hash-partitions g across workers and builds per-partition HPAT
-// indices. Results are bit-identical for any partition count — walker
-// randomness depends only on walk id and step.
+// NewCluster hash-partitions g across nodes and builds per-partition HPAT
+// indices. Seeded walks equal NewEngine's for any partition count: each
+// walker carries its private random stream across partitions.
 func NewCluster(g *Graph, weight WeightSpec, cfg ClusterConfig) (*Cluster, error) {
-	return dist.New(g, weight, cfg)
+	return shard.NewCluster(g, weight, cfg)
 }

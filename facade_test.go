@@ -66,7 +66,7 @@ func TestFacadeAnalyticsPipeline(t *testing.T) {
 	}
 
 	// Distributed run over the same graph agrees on total work with itself
-	// across partitionings (full invariance is covered in internal/dist).
+	// across partitionings (full invariance is covered in internal/shard).
 	c2, err := NewCluster(g, Exponential(profile.Lambda(10)), ClusterConfig{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -312,7 +312,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 		pend = append(pend, int32(pos))
 	}
 	param := e.app.Parameter
-	for trial := 0; trial < betaTrialCap && len(pend) > 0; trial++ {
+	for trial := 0; trial < BetaTrialCap && len(pend) > 0; trial++ {
 		m := len(pend)
 		for j, pos := range pend {
 			i := chunk[pos]

@@ -387,14 +387,6 @@ func TestKernelResolution(t *testing.T) {
 	if k, _ := eng2.resolveKernel(KernelBatch, 10000, 4); k != KernelScalar {
 		t.Fatalf("forced batch without BatchSampler = %v", k)
 	}
-	for _, s := range []string{"auto", "scalar", "batch", ""} {
-		if _, err := ParseKernel(s); err != nil {
-			t.Fatalf("ParseKernel(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseKernel("vector"); err == nil {
-		t.Fatal("ParseKernel accepted garbage")
-	}
 }
 
 // scalarOnlySampler hides the batch path of an underlying sampler.

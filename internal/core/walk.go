@@ -16,11 +16,12 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// betaTrialCap bounds the Dynamic_parameter rejection loop so a pathological
+// BetaTrialCap bounds the Dynamic_parameter rejection loop so a pathological
 // parameter function cannot stall a walker; with the paper's p=0.5, q=2 the
 // acceptance probability per trial is ≥ 1/4 and the cap is unreachable in
-// practice. Hitting the cap force-accepts the last proposal.
-const betaTrialCap = 4096
+// practice. Hitting the cap force-accepts the last proposal. The shard step
+// loop shares it so sharded node2vec walks replay core's draws exactly.
+const BetaTrialCap = 4096
 
 // ctxCheckMask amortizes the in-walk cancellation poll: the scalar step loop
 // checks ctx.Err() whenever steps&ctxCheckMask == ctxCheckMask, so a single
@@ -64,20 +65,6 @@ func (k Kernel) String() string {
 		return "batch"
 	default:
 		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// ParseKernel converts a flag value into a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "scalar":
-		return KernelScalar, nil
-	case "batch":
-		return KernelBatch, nil
-	default:
-		return KernelAuto, fmt.Errorf("core: unknown kernel %q (want auto, scalar, or batch)", s)
 	}
 }
 
@@ -513,7 +500,7 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 			ok      bool
 		)
 		accepted := false
-		for trial := 0; trial < betaTrialCap; trial++ {
+		for trial := 0; trial < BetaTrialCap; trial++ {
 			var ev int64
 			if cs != nil {
 				edgeIdx, ev, ok = cs.SampleCtx(ctx, u, k, r)

@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
-	"github.com/tea-graph/tea/internal/dist"
 	"github.com/tea-graph/tea/internal/sampling"
+	"github.com/tea-graph/tea/internal/shard"
 )
 
 // DistRow is one partition-count measurement of the distributed-execution
@@ -36,11 +36,11 @@ func DistScaling(cfg Config, partitionCounts []int) ([]DistRow, error) {
 	spec := sampling.Exponential(p.Lambda(cfg.Contrast))
 	var rows []DistRow
 	for _, parts := range partitionCounts {
-		c, err := dist.New(g, spec, dist.Config{Partitions: parts, Threads: cfg.Threads})
+		c, err := shard.NewCluster(g, spec, shard.ClusterConfig{Partitions: parts, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.Run(dist.RunConfig{
+		res, err := c.Run(shard.ClusterRunConfig{
 			WalksPerVertex: cfg.WalksPerVertex,
 			Length:         cfg.Length,
 			Seed:           cfg.Seed,

@@ -28,7 +28,7 @@ func newObsCluster(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, pa
 	nodes := make([]*shard.Node, parts)
 	for i := 0; i < parts; i++ {
 		n, err := shard.NewNode(g, spec, shard.Config{
-			ShardID: i, Partitions: parts, Kernel: core.KernelBatch,
+			ShardID: i, Partitions: parts,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func newShardCluster(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, 
 			tr = tracers[i]
 		}
 		n, err := shard.NewNode(g, spec, shard.Config{
-			ShardID: i, Partitions: parts, Kernel: core.KernelBatch, Tracer: tr,
+			ShardID: i, Partitions: parts, Tracer: tr,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -40,7 +40,7 @@ func startReplicatedCluster(t *testing.T, g *testutilGraph, parts, replicas int)
 		for r := 0; r < replicas; r++ {
 			n, err := NewNode(g.g, g.spec, Config{
 				ShardID: p, Partitions: parts, Threads: 2,
-				Kernel: core.KernelBatch, Metrics: metrics.NewRegistry(),
+				Metrics: metrics.NewRegistry(),
 			})
 			if err != nil {
 				t.Fatal(err)

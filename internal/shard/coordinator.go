@@ -293,7 +293,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 				local[j] = frontier[fi].Walker
 			}
 			localRes := make([]wire.StepResult, len(idxs))
-			n.advance(ctx, local, localRes)
+			n.advance(local, localRes)
 			res.LocalSteps += int64(len(idxs))
 			mLocal.Add(int64(len(idxs)))
 			for j, fi := range idxs {
@@ -312,6 +312,8 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 			w := frontier[i]
 			r := results[i]
 			res.Cost.EdgesEvaluated += r.Evaluated
+			res.Cost.Trials += int64(r.Trials)
+			res.Cost.Rejected += int64(r.Rejected)
 			if r.Status == wire.StatusDeadEnd {
 				res.Lengths.Observe(int(w.Steps))
 				res.Cost.WalksDeadEnded++
@@ -319,7 +321,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 			}
 			res.Cost.Steps++
 			w.Steps++
-			w.Cur = r.Dst
+			w.Prev, w.Cur = w.Cur, r.Dst
 			w.Arrival = r.At
 			w.RNG = r.RNG
 			if req.KeepPaths {

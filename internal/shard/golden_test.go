@@ -42,7 +42,7 @@ func referencePaths(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, k
 	return res.Paths
 }
 
-func newTestNodes(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, parts int, kern core.Kernel) []*Node {
+func newTestNodes(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, parts int) []*Node {
 	t.Helper()
 	nodes := make([]*Node, parts)
 	for id := 0; id < parts; id++ {
@@ -50,7 +50,6 @@ func newTestNodes(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, par
 			ShardID:    id,
 			Partitions: parts,
 			Threads:    2,
-			Kernel:     kern,
 			Metrics:    metrics.NewRegistry(),
 		})
 		if err != nil {
@@ -87,7 +86,7 @@ func clusterPaths(t *testing.T, nodes []*Node, caller StepCaller, req WalkReques
 }
 
 // The tentpole's acceptance criterion: seeded walks are byte-identical across
-// partition counts {1, 2, 3, 8}, for both local step kernels, in-process.
+// partition counts {1, 2, 3, 8}, in-process.
 func TestGoldenPartitionInvariance(t *testing.T) {
 	g := testutil.RandomGraph(t, 120, 3500, 700, 51)
 	specs := []sampling.WeightSpec{
@@ -98,18 +97,16 @@ func TestGoldenPartitionInvariance(t *testing.T) {
 	const length, walksPer, seed = 15, 2, 9
 	total := g.NumVertices() * walksPer
 	for _, spec := range specs {
-		for _, kern := range []core.Kernel{core.KernelScalar, core.KernelBatch} {
-			ref := referencePaths(t, g, spec, kern, length, walksPer, seed)
-			for _, parts := range []int{1, 2, 3, 8} {
-				nodes := newTestNodes(t, g, spec, parts, kern)
-				got := clusterPaths(t, nodes, &InProcess{Nodes: nodes},
-					WalkRequest{Length: length, WalksPerVertex: walksPer, Seed: seed, KeepPaths: true}, total)
-				if !reflect.DeepEqual(got, ref) {
-					for wi := range ref {
-						if !reflect.DeepEqual(got[wi], ref[wi]) {
-							t.Fatalf("spec=%v kernel=%v parts=%d: walk %d diverges:\n got %v\n ref %v",
-								spec.Kind, kern, parts, wi, got[wi], ref[wi])
-						}
+		ref := referencePaths(t, g, spec, core.KernelAuto, length, walksPer, seed)
+		for _, parts := range []int{1, 2, 3, 8} {
+			nodes := newTestNodes(t, g, spec, parts)
+			got := clusterPaths(t, nodes, &InProcess{Nodes: nodes},
+				WalkRequest{Length: length, WalksPerVertex: walksPer, Seed: seed, KeepPaths: true}, total)
+			if !reflect.DeepEqual(got, ref) {
+				for wi := range ref {
+					if !reflect.DeepEqual(got[wi], ref[wi]) {
+						t.Fatalf("spec=%v parts=%d: walk %d diverges:\n got %v\n ref %v",
+							spec.Kind, parts, wi, got[wi], ref[wi])
 					}
 				}
 			}
@@ -153,30 +150,28 @@ func TestGoldenLoopbackTCPInvariance(t *testing.T) {
 	spec := sampling.Exponential(0.01)
 	const length, seed = 12, 4
 	total := g.NumVertices()
-	for _, kern := range []core.Kernel{core.KernelScalar, core.KernelBatch} {
-		ref := referencePaths(t, g, spec, kern, length, 1, seed)
-		for _, parts := range []int{2, 3, 8} {
-			nodes := newTestNodes(t, g, spec, parts, kern)
-			callers := startWireCluster(t, nodes)
-			merged := make([]core.Path, total)
-			seen := 0
-			for id, n := range nodes {
-				res, err := n.RunWalks(context.Background(), callers[id],
-					WalkRequest{Length: length, Seed: seed, KeepPaths: true, RequestID: "golden-tcp"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, wi := range res.WalkIDs {
-					merged[wi] = res.Paths[i]
-					seen++
-				}
+	ref := referencePaths(t, g, spec, core.KernelAuto, length, 1, seed)
+	for _, parts := range []int{2, 3, 8} {
+		nodes := newTestNodes(t, g, spec, parts)
+		callers := startWireCluster(t, nodes)
+		merged := make([]core.Path, total)
+		seen := 0
+		for id, n := range nodes {
+			res, err := n.RunWalks(context.Background(), callers[id],
+				WalkRequest{Length: length, Seed: seed, KeepPaths: true, RequestID: "golden-tcp"})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if seen != total {
-				t.Fatalf("kernel=%v parts=%d: %d of %d walks", kern, parts, seen, total)
+			for i, wi := range res.WalkIDs {
+				merged[wi] = res.Paths[i]
+				seen++
 			}
-			if !reflect.DeepEqual(merged, ref) {
-				t.Fatalf("kernel=%v parts=%d: TCP paths diverge from engine reference", kern, parts)
-			}
+		}
+		if seen != total {
+			t.Fatalf("parts=%d: %d of %d walks", parts, seen, total)
+		}
+		if !reflect.DeepEqual(merged, ref) {
+			t.Fatalf("parts=%d: TCP paths diverge from engine reference", parts)
 		}
 	}
 }
@@ -185,7 +180,7 @@ func TestGoldenLoopbackTCPInvariance(t *testing.T) {
 // anything; assert the migration counters see real traffic.
 func TestCrossShardMigrationHappens(t *testing.T) {
 	g := testutil.RandomGraph(t, 150, 4000, 800, 53)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 4, core.KernelBatch)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 4)
 	caller := &InProcess{Nodes: nodes}
 	var migrations, frames, local int64
 	for _, n := range nodes {
@@ -214,7 +209,7 @@ func TestCrossShardMigrationHappens(t *testing.T) {
 // stays exact, and the run returns promptly.
 func TestMidWalkCancellation(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 54)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelBatch)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 
 	// A caller that cancels the run's context after a few rounds.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -250,7 +245,7 @@ func (f stepFunc) Step(ctx context.Context, shardID int, req *wire.StepRequest) 
 // half of the "no hang, no partial silent results" requirement.
 func TestPeerDownFailsFast(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 55)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelBatch)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 
 	// Shard 1 is served over TCP and then killed; shards dial it cold.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -289,8 +284,8 @@ func TestPeerDownFailsFast(t *testing.T) {
 // A config-mismatched peer is refused without retry.
 func TestConfigMismatchRefused(t *testing.T) {
 	g := testutil.RandomGraph(t, 50, 1000, 300, 56)
-	right := newTestNodes(t, g, sampling.WeightSpec{}, 2, core.KernelScalar)
-	wrong := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelScalar)
+	right := newTestNodes(t, g, sampling.WeightSpec{}, 2)
+	wrong := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 	req := &wire.StepRequest{
 		Partitions:  2,
 		NumVertices: uint32(g.NumVertices()),
@@ -312,7 +307,7 @@ func TestTracePropagationAcrossHop(t *testing.T) {
 	tr := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 4096})
 	peer, err := NewNode(g, sampling.WeightSpec{}, Config{
 		ShardID: 1, Partitions: 2, Threads: 1,
-		Kernel: core.KernelScalar, Tracer: tr, Metrics: metrics.NewRegistry(),
+		Tracer: tr, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +350,7 @@ func TestCostParityWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := newTestNodes(t, g, spec, 3, core.KernelScalar)
+	nodes := newTestNodes(t, g, spec, 3)
 	caller := &InProcess{Nodes: nodes}
 	var steps, evaluated, completed, deadEnded, started int64
 	for _, n := range nodes {
@@ -384,7 +379,7 @@ func TestCostParityWithEngine(t *testing.T) {
 func TestExplicitSourcesPartitioned(t *testing.T) {
 	g := testutil.RandomGraph(t, 80, 2000, 400, 59)
 	sources := []temporal.Vertex{3, 3, 17, 42, 8}
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelScalar)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 	caller := &InProcess{Nodes: nodes}
 	var ids []int
 	for _, n := range nodes {

@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 	"time"
 
 	"github.com/tea-graph/tea/internal/core"
@@ -13,7 +13,6 @@ import (
 	"github.com/tea-graph/tea/internal/shard/wire"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/trace"
-	"github.com/tea-graph/tea/internal/xrand"
 )
 
 // Config parameterizes one shard node.
@@ -25,16 +24,27 @@ type Config struct {
 	// Threads bounds index-construction and local-step parallelism; <1 means
 	// GOMAXPROCS.
 	Threads int
-	// Kernel selects the local step executor: KernelScalar samples walkers
-	// one at a time, KernelBatch (and KernelAuto) hands the resident frontier
-	// to the index's SampleBatch. Both replay byte-identical walks — the
-	// BatchSampler contract is element-wise equality with Sample.
-	Kernel core.Kernel
+	// Node2Vec, if non-nil, runs temporal node2vec: every step applies the
+	// β ∈ {1/p, 1, 1/q} rejection test of core.TemporalNode2Vec, answering
+	// "is the candidate a neighbor of the previous vertex?" from a Bloom
+	// filter over the full graph's edges, because the previous vertex's
+	// adjacency may live on another shard.
+	Node2Vec *Node2Vec
 	// Tracer, if non-nil, records shard.step spans keyed by the propagated
 	// request id so cross-process hops land on one timeline.
 	Tracer *trace.Tracer
 	// Metrics receives tea_shard_* families; nil means metrics.Default.
 	Metrics *metrics.Registry
+}
+
+// Node2Vec configures sharded temporal node2vec.
+type Node2Vec struct {
+	// P and Q are node2vec's return and in-out parameters (must be > 0).
+	P, Q float64
+	// BloomBitsPerEdge sizes the neighbor filter; 0 selects 16
+	// (false-positive probability ≈ 4e-4, which can only upgrade a distant
+	// candidate's β from 1/q to 1).
+	BloomBitsPerEdge int
 }
 
 // Node is one shard: the subgraph of its owned vertices' out-edges, their
@@ -47,45 +57,17 @@ type Node struct {
 	g      *temporal.Graph // full vertex space, owned out-edges only
 	idx    *hpat.Index
 	numV   int
-	kernel core.Kernel
 	tracer *trace.Tracer
 	reg    *metrics.Registry
 
+	// n2v and bloom are set in node2vec mode; maxBeta is the rejection
+	// envelope max(1, 1/p, 1/q).
+	n2v     *Node2Vec
+	bloom   *edgeBloom
+	maxBeta float64
+
 	stepsServed *metrics.Counter
 	stepBatches *metrics.Counter
-
-	// scratch pools the batch kernel's per-call SoA buffers. HandleStep runs
-	// concurrently (one call per serving connection plus the local group), so
-	// the scratch is pooled rather than owned by the node.
-	scratch sync.Pool
-}
-
-// batchScratch is one advanceBatch call's working set.
-type batchScratch struct {
-	us    []temporal.Vertex
-	ks    []int32
-	rs    []*xrand.Rand
-	edges []int32
-	evals []int64
-	oks   []bool
-}
-
-func (s *batchScratch) grow(m int) {
-	if cap(s.us) < m {
-		s.us = make([]temporal.Vertex, m)
-		s.ks = make([]int32, m)
-		s.rs = make([]*xrand.Rand, m)
-		s.edges = make([]int32, m)
-		s.evals = make([]int64, m)
-		s.oks = make([]bool, m)
-		return
-	}
-	s.us = s.us[:m]
-	s.ks = s.ks[:m]
-	s.rs = s.rs[:m]
-	s.edges = s.edges[:m]
-	s.evals = s.evals[:m]
-	s.oks = s.oks[:m]
 }
 
 // NewNode partitions the full graph down to this shard's vertices and builds
@@ -111,11 +93,31 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 	if reg == nil {
 		reg = metrics.Default
 	}
+	n := &Node{
+		id:          cfg.ShardID,
+		part:        part,
+		numV:        g.NumVertices(),
+		tracer:      cfg.Tracer,
+		reg:         reg,
+		stepsServed: reg.Counter("tea_shard_steps_served_total"),
+		stepBatches: reg.Counter("tea_shard_step_batches_total"),
+	}
+	if cfg.Node2Vec != nil {
+		n2v := *cfg.Node2Vec
+		if !(n2v.P > 0 && n2v.Q > 0) {
+			return nil, fmt.Errorf("shard: node2vec parameters must be positive, got p=%v q=%v", n2v.P, n2v.Q)
+		}
+		if n2v.BloomBitsPerEdge == 0 {
+			n2v.BloomBitsPerEdge = 16
+		}
+		n.n2v = &n2v
+		n.bloom = newEdgeBloom(g.NumEdges(), n2v.BloomBitsPerEdge)
+		n.maxBeta = math.Max(1, math.Max(1/n2v.P, 1/n2v.Q))
+	}
 
 	// Linear-time weights reference the graph's minimum timestamp; anchor it
 	// on the full graph so every shard computes identical per-vertex
-	// distributions regardless of its local time range (same fix as
-	// internal/dist).
+	// distributions regardless of its local time range.
 	if spec.Kind == sampling.WeightLinearTime && spec.Custom == nil {
 		globalMin, _ := g.TimeRange()
 		spec = sampling.WeightSpec{Custom: func(t temporal.Time) float64 {
@@ -123,41 +125,30 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 		}}
 	}
 
-	numV := g.NumVertices()
 	var owned []temporal.Edge
 	for _, e := range g.Edges(nil) {
 		if part.Owner(e.Src) == cfg.ShardID {
 			owned = append(owned, e)
 		}
+		if n.bloom != nil {
+			n.bloom.add(e.Src, e.Dst)
+		}
 	}
-	sub, err := temporal.FromEdges(owned, temporal.WithNumVertices(numV))
+	sub, err := temporal.FromEdges(owned, temporal.WithNumVertices(n.numV))
 	if err != nil && len(owned) != 0 {
 		return nil, fmt.Errorf("shard: building partition %d subgraph: %w", cfg.ShardID, err)
 	}
 	if sub == nil {
-		sub, _ = temporal.FromEdges(nil, temporal.WithNumVertices(numV))
+		sub, _ = temporal.FromEdges(nil, temporal.WithNumVertices(n.numV))
 	}
 	sub.PrecomputeCandidates(threads)
 	w, err := sampling.BuildGraphWeights(sub, spec, threads)
 	if err != nil {
 		return nil, fmt.Errorf("shard: weights for partition %d: %w", cfg.ShardID, err)
 	}
-	kern := cfg.Kernel
-	if kern == core.KernelAuto {
-		kern = core.KernelBatch
-	}
-	return &Node{
-		id:          cfg.ShardID,
-		part:        part,
-		g:           sub,
-		idx:         hpat.Build(w, hpat.Config{Threads: threads}),
-		numV:        numV,
-		kernel:      kern,
-		tracer:      cfg.Tracer,
-		reg:         reg,
-		stepsServed: reg.Counter("tea_shard_steps_served_total"),
-		stepBatches: reg.Counter("tea_shard_step_batches_total"),
-	}, nil
+	n.g = sub
+	n.idx = hpat.Build(w, hpat.Config{Threads: threads})
+	return n, nil
 }
 
 // ShardID returns this node's partition id.
@@ -173,8 +164,15 @@ func (n *Node) Partitioner() *Partitioner { return n.part }
 // fingerprint carried on every step frame).
 func (n *Node) NumVertices() int { return n.numV }
 
-// MemoryBytes reports this shard's index footprint.
-func (n *Node) MemoryBytes() int64 { return n.idx.MemoryBytes() + n.g.MemoryBytes() }
+// MemoryBytes reports this shard's index footprint, its node2vec Bloom
+// filter included.
+func (n *Node) MemoryBytes() int64 {
+	b := n.idx.MemoryBytes() + n.g.MemoryBytes()
+	if n.bloom != nil {
+		b += n.bloom.memoryBytes()
+	}
+	return b
+}
 
 // OwnedEdges returns the number of edges in this shard's partition (edges
 // whose source vertex this shard owns).
@@ -188,6 +186,14 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 	if int(req.Partitions) != n.part.Partitions() || int(req.NumVertices) != n.numV {
 		return nil, fmt.Errorf("cluster config mismatch: peer has partitions=%d vertices=%d, this shard has partitions=%d vertices=%d",
 			req.Partitions, req.NumVertices, n.part.Partitions(), n.numV)
+	}
+	// A CRC-valid frame can still name a vertex outside the graph; indexing
+	// the CSR arrays with it would panic the process.
+	for i := range req.Walkers {
+		w := &req.Walkers[i]
+		if int(w.Cur) >= n.numV || (w.Steps > 0 && int(w.Prev) >= n.numV) {
+			return nil, fmt.Errorf("walker %d: vertex cur=%d prev=%d outside graph with %d vertices", w.ID, w.Cur, w.Prev, n.numV)
+		}
 	}
 	var span *trace.Span
 	if n.tracer != nil && req.RequestID != "" {
@@ -204,7 +210,7 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 		stepStart = time.Now()
 	}
 	resp := &wire.StepResponse{Results: make([]wire.StepResult, len(req.Walkers))}
-	n.advance(ctx, req.Walkers, resp.Results)
+	n.advance(req.Walkers, resp.Results)
 	n.stepBatches.Inc()
 	n.stepsServed.Add(int64(len(req.Walkers)))
 	if req.Flags&wire.FlagCollectSpans != 0 {
@@ -219,63 +225,53 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 	return resp, nil
 }
 
-// advance executes one step for each walker against the local partition.
-// The walker's candidate count is recomputed here from (Cur, Arrival): the
+// advance executes one step for each walker against the local partition,
+// mirroring core's walk loop draw for draw: Sample, then — in node2vec mode
+// once the walker has a previous vertex — the β rejection test, retried up
+// to core.BetaTrialCap times before force-accepting the last proposal. The
+// walker's candidate count is recomputed here from (Cur, Arrival): the
 // single-process engine carries k across steps via CandidateCountAfterEdge,
 // which is by construction CandidateCount(dst, at) on the destination's
 // adjacency — adjacency this shard owns in full, so the recomputed k is
 // identical and the walker's stream is consumed exactly as in-process.
-func (n *Node) advance(ctx context.Context, walkers []wire.Walker, results []wire.StepResult) {
-	if n.kernel == core.KernelBatch {
-		n.advanceBatch(ctx, walkers, results)
-		return
-	}
+func (n *Node) advance(walkers []wire.Walker, results []wire.StepResult) {
 	for i := range walkers {
 		w := &walkers[i]
-		k := n.g.CandidateCount(w.Cur, w.Arrival)
-		if k == 0 {
-			results[i] = wire.StepResult{Status: wire.StatusDeadEnd, RNG: w.RNG}
-			continue
+		r := wire.StepResult{Status: wire.StatusDeadEnd}
+		if k := n.g.CandidateCount(w.Cur, w.Arrival); k > 0 {
+			for trial := 0; trial < core.BetaTrialCap; trial++ {
+				edgeIdx, ev, ok := n.idx.Sample(w.Cur, k, &w.RNG)
+				r.Evaluated += ev
+				if !ok {
+					r.Status = wire.StatusDeadEnd
+					break
+				}
+				r.Status = wire.StatusStepped
+				r.Dst, r.At = n.g.EdgeAt(w.Cur, edgeIdx)
+				if n.n2v == nil || w.Steps == 0 {
+					break
+				}
+				r.Trials++
+				if w.RNG.Range(n.maxBeta) <= n.beta(w.Prev, r.Dst) {
+					break
+				}
+				r.Rejected++
+			}
 		}
-		edgeIdx, ev, ok := n.idx.Sample(w.Cur, k, &w.RNG)
-		if !ok {
-			results[i] = wire.StepResult{Status: wire.StatusDeadEnd, Evaluated: ev, RNG: w.RNG}
-			continue
-		}
-		dst, at := n.g.EdgeAt(w.Cur, edgeIdx)
-		results[i] = wire.StepResult{Status: wire.StatusStepped, Dst: dst, At: at, Evaluated: ev, RNG: w.RNG}
+		r.RNG = w.RNG
+		results[i] = r
 	}
 }
 
-// advanceBatch is advance through the index's BatchSampler: element-wise
-// identical to the scalar path by the SampleBatch contract (hpat's
-// implementation calls Sample per entry, and Sample with k<=0 consumes
-// nothing — matching the scalar path's skip).
-func (n *Node) advanceBatch(ctx context.Context, walkers []wire.Walker, results []wire.StepResult) {
-	m := len(walkers)
-	sc, _ := n.scratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
+// beta is core.TemporalNode2Vec's dynamic parameter with the neighbor test
+// answered by the Bloom filter.
+func (n *Node) beta(prev, cand temporal.Vertex) float64 {
+	switch {
+	case cand == prev:
+		return 1 / n.n2v.P
+	case n.bloom.has(prev, cand):
+		return 1
+	default:
+		return 1 / n.n2v.Q
 	}
-	sc.grow(m)
-	for i := range walkers {
-		w := &walkers[i]
-		sc.us[i] = w.Cur
-		sc.ks[i] = int32(n.g.CandidateCount(w.Cur, w.Arrival))
-		sc.rs[i] = &w.RNG
-	}
-	n.idx.SampleBatch(ctx, sc.us, sc.ks, sc.rs, sc.edges, sc.evals, sc.oks)
-	for i := range walkers {
-		w := &walkers[i]
-		if !sc.oks[i] {
-			results[i] = wire.StepResult{Status: wire.StatusDeadEnd, Evaluated: sc.evals[i], RNG: w.RNG}
-			continue
-		}
-		dst, at := n.g.EdgeAt(w.Cur, int(sc.edges[i]))
-		results[i] = wire.StepResult{Status: wire.StatusStepped, Dst: dst, At: at, Evaluated: sc.evals[i], RNG: w.RNG}
-	}
-	for i := range sc.rs {
-		sc.rs[i] = nil // drop walker pointers before pooling
-	}
-	n.scratch.Put(sc)
 }

@@ -10,9 +10,7 @@
 // The correctness oracle is the engine's determinism invariant: a walker's
 // randomness is its private stream root.Split(walkID), carried inside the
 // migration frame, so seeded walks replay byte-identically for any shard
-// count — including one — and for both the scalar and batched local step
-// kernels. internal/dist (the in-process simulator) shares this package's
-// Partitioner, so the simulated and the real deployment agree on ownership.
+// count — including one. Cluster runs the same nodes inside one process.
 package shard
 
 import (
@@ -41,8 +39,7 @@ const ringSalt = 0x5bf03635bd1b96a5
 // Partitioner maps vertex ids onto shard ids via a consistent-hash ring. It
 // is a pure function of the partition count: every process that constructs a
 // Partitioner with the same count computes identical ownership, which is what
-// lets the stateless router, every shard, and the in-process simulator agree
-// without any coordination.
+// lets the stateless router and every shard agree without any coordination.
 //
 // A plain id%partitions assignment degenerates under strided vertex ids
 // (e.g. ids minted as k·P+c by an upstream system put every vertex on one

@@ -24,7 +24,7 @@ func TestPartitionerValidation(t *testing.T) {
 
 // Ownership is a pure function of the partition count: two independently
 // constructed rings agree on every vertex, which is what lets separate
-// processes (shards, router, simulator) partition without coordination.
+// processes (shards, router) partition without coordination.
 func TestPartitionerDeterministic(t *testing.T) {
 	for _, parts := range []int{1, 2, 3, 8, 17} {
 		a := MustPartitioner(parts)

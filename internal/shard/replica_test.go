@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/netchaos"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -72,7 +71,7 @@ func testReplicaConfig(reg *metrics.Registry) ReplicaPeersConfig {
 
 func TestReplicaFailoverOnDeadPrimary(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1500, 300, 61)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2, core.KernelScalar)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	dead := deadAddr(t)
 	live := serveNode(t, nodes[1])
 
@@ -146,8 +145,8 @@ func (h *countingHandler) HandleStep(ctx context.Context, req *wire.StepRequest)
 // doubles the damage of a misconfigured cluster.
 func TestRemoteErrorNotFailedOver(t *testing.T) {
 	g := testutil.RandomGraph(t, 40, 800, 200, 63)
-	wrong := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelScalar) // wrong partition count
-	right := newTestNodes(t, g, sampling.WeightSpec{}, 2, core.KernelScalar)
+	wrong := newTestNodes(t, g, sampling.WeightSpec{}, 3) // wrong partition count
+	right := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	sibling := &countingHandler{inner: right[1]}
 	addrs := []string{serveNode(t, wrong[1]), serveNode(t, sibling)}
 
@@ -183,7 +182,7 @@ func (h *slowHandler) HandleStep(ctx context.Context, req *wire.StepRequest) (*w
 
 func TestHedgedStepWinsOverSlowPrimary(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1500, 300, 64)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2, core.KernelScalar)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	slow := serveNode(t, &slowHandler{inner: nodes[1], delay: 2 * time.Second})
 	fast := serveNode(t, nodes[1])
 
@@ -227,7 +226,7 @@ func TestHedgedStepWinsOverSlowPrimary(t *testing.T) {
 // cancellation poisons its deadline and wakes the stall).
 func TestHedgeRescuesNetchaosStall(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1500, 300, 65)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2, core.KernelScalar)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	primary := serveNode(t, nodes[1])
 	sibling := serveNode(t, nodes[1])
 
@@ -280,7 +279,7 @@ func waitForGoroutines(t *testing.T, base int) {
 // open — the moment the first peer error lands.
 func TestFailFastReleasesOutstandingHops(t *testing.T) {
 	g := testutil.RandomGraph(t, 150, 4000, 800, 66)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3, core.KernelBatch)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 
 	// Peer 1 is dead (fails in ~ms); peer 2 wedges until its ctx dies. Without
 	// round cancellation the wedged hop holds its goroutine and conn for the

@@ -70,7 +70,7 @@ func FuzzDecodeStepRequest(f *testing.F) {
 func FuzzDecodeStepResponse(f *testing.F) {
 	resp := &StepResponse{Results: make([]StepResult, 4)}
 	for i := range resp.Results {
-		resp.Results[i] = StepResult{Status: StatusStepped, Dst: 7, At: 9, Evaluated: int64(i)}
+		resp.Results[i] = StepResult{Status: StatusStepped, Dst: 7, At: 9, Evaluated: int64(i), Trials: uint32(i + 1), Rejected: uint32(i)}
 	}
 	f.Add(AppendStepResponse(nil, resp))
 	f.Add(AppendStepResponse(nil, &StepResponse{}))
@@ -80,6 +80,11 @@ func FuzzDecodeStepResponse(f *testing.F) {
 		got, err := DecodeStepResponse(data)
 		if err != nil {
 			return
+		}
+		for i, r := range got.Results {
+			if r.Status != StatusStepped && r.Status != StatusDeadEnd {
+				t.Fatalf("result %d accepted with status %d", i, r.Status)
+			}
 		}
 		if !bytes.Equal(AppendStepResponse(nil, got), data) {
 			t.Fatalf("accepted response does not round-trip")

@@ -12,8 +12,9 @@
 // means the stream position can no longer be trusted.
 //
 // Walker frames are fixed-width records: the migrating state of one walk is
-// its id, current vertex, arrival time, steps taken, and the four words of
-// its private xoshiro stream. Shipping the stream state (rather than
+// its id, current and previous vertex (node2vec's β tests the candidate
+// against the latter), arrival time, steps taken, and the four words of its
+// private xoshiro stream. Shipping the stream state (rather than
 // re-deriving it) is what keeps sharded walks byte-identical to the
 // single-process engine: the walk consumes its stream sequentially across
 // shard hops exactly as the scalar and batched kernels do in one process.
@@ -46,8 +47,8 @@ const (
 	TypeStep = byte(1)
 	// TypeStepResp carries the per-walker step outcomes, in request order.
 	TypeStepResp = byte(2)
-	// TypeError carries a shard-side failure (mismatched cluster config, a
-	// handler panic) as a string.
+	// TypeError carries a shard-side refusal (mismatched cluster config, a
+	// malformed payload, a walker vertex outside the graph) as a string.
 	TypeError = byte(3)
 	// TypePing and TypePong are the liveness probe pair.
 	TypePing = byte(4)
@@ -68,21 +69,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports a frame whose CRC or length prefix is invalid.
 var ErrCorrupt = errors.New("wire: corrupt frame")
 
-// Walker is one in-flight walk's migrating state.
+// Walker is one in-flight walk's migrating state. Prev is the vertex the
+// last step left; it is meaningful only when Steps > 0.
 type Walker struct {
 	ID      uint64
 	Cur     temporal.Vertex
+	Prev    temporal.Vertex
 	Arrival temporal.Time
 	Steps   uint32
 	RNG     xrand.Rand
 }
 
-// StepResult is one walker's outcome for one step.
+// StepResult is one walker's outcome for one step. Trials and Rejected
+// count node2vec's β proposals, as in stats.Cost.
 type StepResult struct {
 	Status    byte
 	Dst       temporal.Vertex
 	At        temporal.Time
 	Evaluated int64
+	Trials    uint32
+	Rejected  uint32
 	RNG       xrand.Rand
 }
 
@@ -128,8 +134,8 @@ type StepResponse struct {
 }
 
 const (
-	walkerSize = 8 + 4 + 8 + 4 + 32 // id cur arrival steps rng
-	resultSize = 1 + 4 + 8 + 8 + 32 // status dst at evaluated rng
+	walkerSize = 8 + 4 + 4 + 8 + 4 + 32     // id cur prev arrival steps rng
+	resultSize = 1 + 4 + 8 + 8 + 4 + 4 + 32 // status dst at evaluated trials rejected rng
 )
 
 // WalkerFrameSize is the encoded size of one Walker record, exported so the
@@ -168,6 +174,7 @@ func AppendStepRequest(buf []byte, req *StepRequest) []byte {
 		w := &req.Walkers[i]
 		buf = binary.LittleEndian.AppendUint64(buf, w.ID)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(w.Cur))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(w.Prev))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.Arrival))
 		buf = binary.LittleEndian.AppendUint32(buf, w.Steps)
 		var rng [32]byte
@@ -217,9 +224,10 @@ func DecodeStepRequestInto(payload []byte, req *StepRequest) error {
 		w := &req.Walkers[i]
 		w.ID = binary.LittleEndian.Uint64(b[0:])
 		w.Cur = temporal.Vertex(binary.LittleEndian.Uint32(b[8:]))
-		w.Arrival = temporal.Time(binary.LittleEndian.Uint64(b[12:]))
-		w.Steps = binary.LittleEndian.Uint32(b[20:])
-		getRNG(b[24:], &w.RNG)
+		w.Prev = temporal.Vertex(binary.LittleEndian.Uint32(b[12:]))
+		w.Arrival = temporal.Time(binary.LittleEndian.Uint64(b[16:]))
+		w.Steps = binary.LittleEndian.Uint32(b[24:])
+		getRNG(b[28:], &w.RNG)
 	}
 	return nil
 }
@@ -235,6 +243,8 @@ func AppendStepResponse(buf []byte, resp *StepResponse) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Dst))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.At))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Evaluated))
+		buf = binary.LittleEndian.AppendUint32(buf, r.Trials)
+		buf = binary.LittleEndian.AppendUint32(buf, r.Rejected)
 		var rng [32]byte
 		putRNG(rng[:], &r.RNG)
 		buf = append(buf, rng[:]...)
@@ -268,10 +278,15 @@ func DecodeStepResponse(payload []byte) (*StepResponse, error) {
 		b := payload[i*resultSize:]
 		r := &resp.Results[i]
 		r.Status = b[0]
+		if r.Status != StatusStepped && r.Status != StatusDeadEnd {
+			return nil, fmt.Errorf("%w: step result %d has status %d", ErrCorrupt, i, r.Status)
+		}
 		r.Dst = temporal.Vertex(binary.LittleEndian.Uint32(b[1:]))
 		r.At = temporal.Time(binary.LittleEndian.Uint64(b[5:]))
 		r.Evaluated = int64(binary.LittleEndian.Uint64(b[13:]))
-		getRNG(b[21:], &r.RNG)
+		r.Trials = binary.LittleEndian.Uint32(b[21:])
+		r.Rejected = binary.LittleEndian.Uint32(b[25:])
+		getRNG(b[29:], &r.RNG)
 	}
 	payload = payload[n*resultSize:]
 	if len(payload) == 0 {

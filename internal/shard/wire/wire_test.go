@@ -36,6 +36,7 @@ func sampleRequest(n int) *StepRequest {
 		w := &req.Walkers[i]
 		w.ID = uint64(i) * 7
 		w.Cur = temporal.Vertex(i % 997)
+		w.Prev = temporal.Vertex((i * 31) % 997)
 		w.Arrival = temporal.Time(1000 + i)
 		w.Steps = uint32(i % 80)
 		root.SplitTo(uint64(i), &w.RNG)
@@ -64,7 +65,7 @@ func TestStepRequestRoundTrip(t *testing.T) {
 		}
 		for i := range req.Walkers {
 			a, b := &req.Walkers[i], &got.Walkers[i]
-			if a.ID != b.ID || a.Cur != b.Cur || a.Arrival != b.Arrival || a.Steps != b.Steps {
+			if a.ID != b.ID || a.Cur != b.Cur || a.Prev != b.Prev || a.Arrival != b.Arrival || a.Steps != b.Steps {
 				t.Fatalf("n=%d walker %d: %+v vs %+v", n, i, a, b)
 			}
 			// The decoded stream must continue exactly where the original
@@ -88,6 +89,8 @@ func TestStepResponseRoundTrip(t *testing.T) {
 		r.Dst = temporal.Vertex(i * 3)
 		r.At = temporal.Time(-5 + i)
 		r.Evaluated = int64(i * 11)
+		r.Trials = uint32(i * 3)
+		r.Rejected = uint32(i)
 		root.SplitTo(uint64(i), &r.RNG)
 	}
 	got, err := DecodeStepResponse(AppendStepResponse(nil, resp))
@@ -96,7 +99,8 @@ func TestStepResponseRoundTrip(t *testing.T) {
 	}
 	for i := range resp.Results {
 		a, b := &resp.Results[i], &got.Results[i]
-		if a.Status != b.Status || a.Dst != b.Dst || a.At != b.At || a.Evaluated != b.Evaluated {
+		if a.Status != b.Status || a.Dst != b.Dst || a.At != b.At || a.Evaluated != b.Evaluated ||
+			a.Trials != b.Trials || a.Rejected != b.Rejected {
 			t.Fatalf("result %d: %+v vs %+v", i, a, b)
 		}
 		ar, br := a.RNG, b.RNG
@@ -222,6 +226,18 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 	if _, err := DecodeStepResponse([]byte{9}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short response: %v", err)
+	}
+	// A walker record of the old 56-byte layout (no Prev) is refused.
+	one := AppendStepRequest(nil, sampleRequest(1))
+	if _, err := DecodeStepRequest(one[:len(one)-4]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("56-byte walker record: %v", err)
+	}
+	// Only Stepped and DeadEnd are step outcomes; any other status byte is
+	// corruption, not a step.
+	resp := AppendStepResponse(nil, &StepResponse{Results: []StepResult{{Status: StatusDeadEnd}}})
+	resp[4] = 2
+	if _, err := DecodeStepResponse(resp); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("status 2: %v", err)
 	}
 }
 
