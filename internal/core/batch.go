@@ -62,6 +62,7 @@ type waveState struct {
 	rng      []xrand.Rand      // private random stream, seeded via SplitTo
 	hasPrev  []bool
 	started  []bool // first swept by a worker; WalksStarted counted then
+	paths    []Path // walks so far, kept only when the run has a sink
 	frontier []int32
 }
 
@@ -84,6 +85,16 @@ func (ws *waveState) resize(n int) {
 	ws.hasPrev = ws.hasPrev[:n]
 	ws.started = ws.started[:n]
 	ws.frontier = ws.frontier[:0]
+}
+
+// endWalk classifies walker i at its current step count and hands its path
+// to the run's sink.
+func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerState, i int32) error {
+	st.finishWalk(ctx, int(ws.steps[i]), cfg.Length)
+	if cfg.Sink == nil {
+		return nil
+	}
+	return cfg.Sink(ws.waveLo+int(i), ws.paths[i])
 }
 
 // batchScratch is one worker's reusable gather/scatter buffers, sized to the
@@ -111,7 +122,7 @@ type batchScratch struct {
 // during wave init (zero-candidate sources) and cancellation drain happen on
 // the coordinator between barriers, so results[0] is only touched while
 // workers are parked.
-func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, bs BatchSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, result *Result, results []walkerState, failed *runFailure) {
+func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, bs BatchSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, results []walkerState, failed *runFailure) {
 	grouped := false
 	if fg, ok := bs.(FrontierGrouper); ok {
 		grouped = fg.WantsGroupedFrontier()
@@ -142,7 +153,7 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 			st := &results[worker]
 			var sc batchScratch
 			for range stepGate {
-				e.sweepStep(bctx, runCtx, bs, &cfg, &ws, &sc, st, &cursor, sources, result, failed)
+				e.sweepStep(bctx, runCtx, bs, &cfg, &ws, &sc, st, &cursor, sources, failed)
 				swg.Done()
 			}
 			if bsp != nil {
@@ -164,8 +175,9 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 		if waveHi > totalWalks {
 			waveHi = totalWalks
 		}
-		e.initWave(&cfg, sources, waveLo, waveHi, &ws, root, st0, result)
-		ws.waveLo = waveLo
+		if err := e.initWave(&cfg, sources, waveLo, waveHi, &ws, root, st0); err != nil {
+			failed.fail(err)
+		}
 		for s := 0; s < cfg.Length && len(ws.frontier) > 0; s++ {
 			if runCtx.Err() != nil {
 				break
@@ -188,7 +200,9 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 		// walk ids, they are neither counted nor classified.
 		for _, i := range ws.frontier {
 			if i >= 0 && ws.started[i] {
-				st0.finishWalk(runCtx, int(ws.steps[i]), cfg.Length)
+				if err := ws.endWalk(runCtx, &cfg, st0, i); err != nil {
+					failed.fail(err)
+				}
 			}
 		}
 		ws.frontier = ws.frontier[:0]
@@ -201,10 +215,15 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 // candidate count under cfg.StartTime, and the walker's private random stream
 // (root.SplitTo keeps the per-walk stream identical to the scalar kernel's
 // root.Split). Sources whose candidate set is empty at the start time
-// dead-end immediately at length 0, exactly as in the scalar loop.
-func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, waveHi int, ws *waveState, root *xrand.Rand, st *walkerState, result *Result) {
+// dead-end immediately at length 0, exactly as in the scalar loop, and reach
+// the sink here.
+func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, waveHi int, ws *waveState, root *xrand.Rand, st *walkerState) error {
 	n := waveHi - waveLo
 	ws.resize(n)
+	ws.waveLo = waveLo
+	if cfg.Sink != nil && ws.paths == nil {
+		ws.paths = make([]Path, n) // the first wave is the largest
+	}
 	for i := 0; i < n; i++ {
 		wi := waveLo + i
 		src := sources[wi/cfg.WalksPerVertex]
@@ -215,8 +234,8 @@ func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, wa
 		ws.steps[i] = 0
 		k := e.g.CandidateCount(src, cfg.StartTime)
 		ws.kcand[i] = int32(k)
-		if cfg.KeepPaths {
-			result.Paths[wi] = NewPath(src, cfg.Length)
+		if cfg.Sink != nil {
+			ws.paths[i] = NewPath(src, cfg.Length)
 		}
 		if k == 0 {
 			// Dead on arrival: started and classified right here, exactly
@@ -224,10 +243,16 @@ func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, wa
 			st.cost.WalksStarted++
 			st.lengths.Observe(0)
 			st.cost.WalksDeadEnded++
+			if cfg.Sink != nil {
+				if err := cfg.Sink(wi, ws.paths[i]); err != nil {
+					return err
+				}
+			}
 			continue
 		}
 		ws.frontier = append(ws.frontier, int32(i))
 	}
+	return nil
 }
 
 // sortFrontier orders the frontier by current vertex (walker index as the
@@ -257,8 +282,9 @@ func compactFrontier(ws *waveState) {
 
 // sweepStep advances the sweeping worker through the current step: claim a
 // chunk of the frontier off the shared cursor, process it, repeat until the
-// frontier is exhausted or the run is torn down.
-func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, cursor *atomic.Int64, sources []temporal.Vertex, result *Result, failed *runFailure) {
+// frontier is exhausted or the run is torn down. The sampler's sticky error
+// is checked after every chunk.
+func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, cursor *atomic.Int64, sources []temporal.Vertex, failed *runFailure) {
 	n := int64(len(ws.frontier))
 	for runCtx.Err() == nil {
 		lo := cursor.Add(batchChunk) - batchChunk
@@ -269,8 +295,11 @@ func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *W
 		if hi > n {
 			hi = n
 		}
-		if err := e.sweepChunk(bctx, runCtx, bs, cfg, ws, sc, st, ws.frontier[lo:hi], sources, result); err != nil {
+		if err := e.sweepChunk(bctx, runCtx, bs, cfg, ws, sc, st, ws.frontier[lo:hi], sources); err != nil {
 			failed.fail(err)
+			return
+		}
+		if failed.samplerFailed() {
 			return
 		}
 	}
@@ -284,7 +313,7 @@ func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *W
 // rand-consumption order. A panic in user code (Visitor, App.Parameter) is
 // recovered here, accounted to the offending walk, and returned as an error
 // naming it, mirroring walkOneSafe.
-func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex, result *Result) (err error) {
+func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex) (err error) {
 	curWalk, curPos := -1, -1
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -332,8 +361,10 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 			if !sc.oks[j] {
 				// Zero-weight candidate prefix — or the sampler observed
 				// the cancelled context; finishWalk tells them apart.
-				st.finishWalk(runCtx, int(ws.steps[i]), cfg.Length)
 				chunk[pos] = -1
+				if err := ws.endWalk(runCtx, cfg, st, i); err != nil {
+					return err
+				}
 				continue
 			}
 			u := ws.cur[i]
@@ -353,7 +384,9 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				}
 			}
 			curWalk, curPos = ws.waveLo+int(i), int(pos)
-			e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.edges[j]), dst, at, result)
+			if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.edges[j]), dst, at); err != nil {
+				return err
+			}
 			curWalk, curPos = -1, -1
 		}
 		pend = keep
@@ -363,7 +396,9 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	for _, pos := range pend {
 		i := chunk[pos]
 		curWalk, curPos = ws.waveLo+int(i), int(pos)
-		e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.lastE[pos]), sc.lastD[pos], sc.lastT[pos], result)
+		if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.lastE[pos]), sc.lastD[pos], sc.lastT[pos]); err != nil {
+			return err
+		}
 		curWalk, curPos = -1, -1
 	}
 	return nil
@@ -373,14 +408,14 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 // append, visitor callback, clock advance (candidate count after the taken
 // edge), and terminal classification when the walker reaches the configured
 // length or the new vertex has no temporal candidates.
-func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, edgeIdx int, dst temporal.Vertex, at temporal.Time, result *Result) {
+func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, edgeIdx int, dst temporal.Vertex, at temporal.Time) error {
 	i := chunk[pos]
 	wi := ws.waveLo + int(i)
 	u := ws.cur[i]
 	stepNo := int(ws.steps[i])
 	st.cost.Steps++
-	if cfg.KeepPaths {
-		p := &result.Paths[wi]
+	if cfg.Sink != nil {
+		p := &ws.paths[i]
 		p.Vertices = append(p.Vertices, dst)
 		p.Times = append(p.Times, at)
 	}
@@ -393,7 +428,8 @@ func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveStat
 	ws.kcand[i] = int32(k)
 	ws.steps[i] = int32(stepNo + 1)
 	if stepNo+1 == cfg.Length || k == 0 {
-		st.finishWalk(runCtx, stepNo+1, cfg.Length)
 		chunk[pos] = -1
+		return ws.endWalk(runCtx, cfg, st, i)
 	}
+	return nil
 }

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/tea-graph/tea/internal/ooc"
-	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
@@ -141,59 +139,6 @@ func TestBatchKernelMatchesScalarSkewedStarts(t *testing.T) {
 			Threads:       threads,
 			StartVertices: starts,
 		})
-	}
-}
-
-func TestBatchKernelMatchesScalarOOC(t *testing.T) {
-	g := testutil.RandomGraph(t, 150, 5000, 20000, 37)
-	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearTime})
-
-	store, err := ooc.NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = store.Close() })
-	dpat, err := ooc.BuildDiskPAT(w, store, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store2, err := ooc.NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = store2.Close() })
-	dgw, err := ooc.BuildDiskGraphWalker(g, sampling.WeightSpec{Kind: sampling.WeightLinearTime}, store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	samplers := []struct {
-		name string
-		s    Sampler
-	}{
-		{"diskpat", dpat},
-		{"diskgw", dgw},
-	}
-	for _, sc := range samplers {
-		if _, ok := sc.s.(BatchSampler); !ok {
-			t.Fatalf("%s does not implement BatchSampler", sc.name)
-		}
-		if fg, ok := sc.s.(FrontierGrouper); !ok || !fg.WantsGroupedFrontier() {
-			t.Fatalf("%s should want a grouped frontier", sc.name)
-		}
-		eng, err := NewEngine(g, LinearTime(), Options{ExternalSampler: sc.s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, threads := range []int{1, 4} {
-			runBothKernels(t, fmt.Sprintf("%s/t%d", sc.name, threads), eng, WalkConfig{
-				WalksPerVertex: 3,
-				Length:         15,
-				Seed:           555,
-				Threads:        threads,
-			})
-		}
 	}
 }
 

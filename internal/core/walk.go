@@ -94,8 +94,15 @@ type WalkConfig struct {
 	// Seed makes runs reproducible; walker i uses stream Split(i).
 	Seed uint64
 	// KeepPaths stores the sampled paths in the result (memory-heavy on big
-	// runs; experiments leave it off, examples turn it on).
+	// runs; experiments leave it off, examples turn it on). It is the
+	// default Sink, ignored when Sink is set.
 	KeepPaths bool
+	// Sink, if non-nil, receives every walk that ends — completed, dead-ended
+	// or cancelled — with its path; paths are built only when a sink is set.
+	// A non-nil error stops the run with that error. Walkers run in
+	// parallel, so Sink must be safe for concurrent use; a one-thread scalar
+	// run calls it in walk-id order.
+	Sink func(walkID int, p Path) error
 	// Kernel selects the execution strategy; the zero value (KernelAuto)
 	// chooses automatically. Both kernels replay byte-identical seeded walks
 	// — walker randomness is derived from (walk id, step) regardless of how
@@ -246,8 +253,13 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 		runSpan.End()
 		return result, err
 	}
-	if cfg.KeepPaths {
-		result.Paths = make([]Path, totalWalks)
+	if cfg.KeepPaths && cfg.Sink == nil {
+		paths := make([]Path, totalWalks)
+		result.Paths = paths
+		cfg.Sink = func(wi int, p Path) error {
+			paths[wi] = p
+			return nil
+		}
 	}
 
 	// runCtx lets a panicking walk abort sibling workers promptly without
@@ -255,6 +267,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	failed := &runFailure{cancel: cancel}
+	failed.sampler, _ = e.sampler.(stickyErrSampler)
 
 	workers := threads
 	if kern == KernelScalar {
@@ -265,16 +278,22 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	start := time.Now()
 	results := make([]walkerState, workers)
 	for i := range results {
-		results[i].lengths = stats.NewHistogram(cfg.Length + 1)
+		// A lone worker observes straight into the result's histogram.
+		results[i].lengths = result.Lengths
+		if workers > 1 {
+			results[i].lengths = stats.NewHistogram(cfg.Length + 1)
+		}
 	}
 	if kern == KernelBatch {
-		e.runBatch(runCtx, runSpan, cfg, bs, sources, totalWalks, threads, root, result, results, failed)
+		e.runBatch(runCtx, runSpan, cfg, bs, sources, totalWalks, threads, root, results, failed)
 	} else {
-		e.runScalar(runCtx, runSpan, cfg, ctxSampler, sources, totalWalks, root, result, results, failed)
+		e.runScalar(runCtx, runSpan, cfg, ctxSampler, sources, totalWalks, root, results, failed)
 	}
 	for i := range results {
 		result.Cost.Add(results[i].cost)
-		result.Lengths.Merge(results[i].lengths)
+		if workers > 1 {
+			result.Lengths.Merge(results[i].lengths)
+		}
 	}
 	result.Duration = time.Since(start)
 	err := failed.first()
@@ -325,12 +344,37 @@ func (e *Engine) resolveKernel(k Kernel, totalWalks, threads int) (Kernel, Batch
 	return KernelScalar, nil
 }
 
+// stickyErrSampler is implemented by samplers that can fail for a reason
+// other than the walk (the disk-backed samplers: a dead device). Sample can
+// only answer "no candidate", so a failed read looks like a temporal dead
+// end; Err tells them apart, and once it is set it stays set.
+type stickyErrSampler interface {
+	Err() error
+}
+
 // runFailure keeps the first error that aborts a run and cancels the run's
-// context so sibling workers stop promptly.
+// context so sibling workers stop promptly. sampler is the run's sampler when
+// it reports sticky errors, nil otherwise.
 type runFailure struct {
-	mu     sync.Mutex
-	err    error
-	cancel context.CancelFunc
+	mu      sync.Mutex
+	err     error
+	cancel  context.CancelFunc
+	sampler stickyErrSampler
+}
+
+// samplerFailed stops the run with the sampler's sticky error once it is set:
+// a dead device is not a dead end, and every walk after it would be. Runs
+// whose sampler has no Err method pay one inlined nil check.
+func (f *runFailure) samplerFailed() bool {
+	return f.sampler != nil && f.failOnSamplerErr()
+}
+
+func (f *runFailure) failOnSamplerErr() bool {
+	err := f.sampler.Err()
+	if err != nil {
+		f.fail(err)
+	}
+	return err != nil
 }
 
 func (f *runFailure) fail(err error) {
@@ -353,8 +397,9 @@ func (f *runFailure) first() error {
 // distribution — a worker that drew short, dead-ending walks immediately
 // claims more instead of idling behind a static chunk) and walks each one to
 // completion. A single worker (every API-sized request) walks on the
-// caller's goroutine.
-func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, ctxSampler ContextSampler, sources []temporal.Vertex, totalWalks int, root *xrand.Rand, result *Result, results []walkerState, failed *runFailure) {
+// caller's goroutine. After each walk the sampler's sticky error is checked
+// before the walk reaches the sink.
+func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, ctxSampler ContextSampler, sources []temporal.Vertex, totalWalks int, root *xrand.Rand, results []walkerState, failed *runFailure) {
 	var cursor atomic.Int64
 	work := func(worker int) {
 		bctx := runCtx
@@ -383,12 +428,15 @@ func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg Walk
 				root.SplitTo(uint64(wi), &st.rng)
 				p, err := e.walkOneSafe(bctx, ctxSampler, wi, src, cfg, &st.rng, st)
 				walked++
+				if err == nil && failed.samplerFailed() {
+					break claim
+				}
+				if err == nil && cfg.Sink != nil {
+					err = cfg.Sink(wi, p)
+				}
 				if err != nil {
 					failed.fail(err)
 					break claim
-				}
-				if cfg.KeepPaths {
-					result.Paths[wi] = p
 				}
 			}
 		}
@@ -476,7 +524,7 @@ func (st *walkerState) finishWalk(ctx context.Context, steps, length int) {
 // the untraced path the sampler is called exactly as before.
 func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) Path {
 	var p Path
-	if cfg.KeepPaths {
+	if cfg.Sink != nil {
 		p = NewPath(src, cfg.Length)
 	}
 	st.cost.WalksStarted++
@@ -533,7 +581,7 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 			accepted = true
 		}
 		st.cost.Steps++
-		if cfg.KeepPaths {
+		if cfg.Sink != nil {
 			p.Vertices = append(p.Vertices, dst)
 			p.Times = append(p.Times, at)
 		}

@@ -1,16 +1,19 @@
 package ooc
 
-import "github.com/tea-graph/tea/internal/blockcache"
+import (
+	"github.com/tea-graph/tea/internal/blockcache"
+	"github.com/tea-graph/tea/internal/core"
+)
 
 // CacheConfig is the block-cache configuration accepted by the disk samplers
 // and EngineOptions (an alias of blockcache.Config so callers can stay in
 // this package).
 type CacheConfig = blockcache.Config
 
-// CacheableSampler is a Sampler whose backing store can be wrapped with a
+// CacheableSampler is a core.Sampler whose backing store can be wrapped with a
 // block cache after construction.
 type CacheableSampler interface {
-	Sampler
+	core.Sampler
 	// EnableCache layers a block cache (per cfg) over the sampler's original
 	// store, replacing any previously enabled cache. A non-positive capacity
 	// removes caching. Returns the active cache, or nil when disabled. Not

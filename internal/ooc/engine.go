@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"github.com/tea-graph/tea/internal/blockcache"
-	"github.com/tea-graph/tea/internal/reqcost"
+	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
-	"github.com/tea-graph/tea/internal/trace"
-	"github.com/tea-graph/tea/internal/xrand"
 )
 
 // ErrCustomWeight mirrors the baseline restriction for the on-disk engines.
@@ -24,35 +22,29 @@ var ErrCustomWeight = errors.New("ooc: custom weight functions are not supported
 // 1,024").
 const WalkFlushThreshold = 1024
 
-// Sampler is the sampling contract shared with the in-memory engine.
-type Sampler interface {
-	Name() string
-	Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool)
-	MemoryBytes() int64
-}
-
-// ctxSampler is the optional context-threaded sampling hook (the ooc twin of
-// core.ContextSampler). DiskPAT and DiskGraphWalker implement it so traced
-// runs get per-block-fetch spans; it is only resolved — and SampleCtx only
-// called — when the run's context actually carries an active trace span.
-type ctxSampler interface {
-	SampleCtx(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool)
-}
-
-// Engine drives temporal walks whose sampling structure lives on disk,
-// buffering completed walks and flushing them to the output store in groups
-// of WalkFlushThreshold.
+// Engine drives temporal walks whose sampling structure lives on disk. It is
+// core's walk loop over the disk-backed sampler — one thread, the scalar
+// kernel, walk ids in order, so device reads happen in walk order — plus a
+// sink that flushes completed walks to the output store in groups of
+// WalkFlushThreshold.
 type Engine struct {
-	g       *temporal.Graph
-	sampler Sampler
-	out     BlockStore
-	cache   *blockcache.CachedStore
+	eng   *core.Engine
+	out   BlockStore
+	cache *blockcache.CachedStore
 }
 
 // NewEngine wires a disk-backed sampler to a walk output store. out may be
-// nil, in which case completed walks are discarded (cost accounting only).
-func NewEngine(g *temporal.Graph, sampler Sampler, out BlockStore) *Engine {
-	return &Engine{g: g, sampler: sampler, out: out}
+// nil, in which case completed walks are discarded (cost accounting only) and
+// no paths are built.
+func NewEngine(g *temporal.Graph, sampler core.Sampler, out BlockStore) *Engine {
+	eng, err := core.NewEngine(g, core.App{Name: sampler.Name()}, core.Options{
+		ExternalSampler:         sampler,
+		SkipCandidatePrecompute: true,
+	})
+	if err != nil {
+		panic(err) // unreachable: an App without a dynamic parameter always validates
+	}
+	return &Engine{eng: eng, out: out}
 }
 
 // EngineOptions configures optional engine behavior; the zero value matches
@@ -66,7 +58,7 @@ type EngineOptions struct {
 // NewEngineWithOptions is NewEngine plus options: a positive cache capacity
 // is applied to samplers implementing CacheableSampler (DiskPAT,
 // DiskGraphWalker) and the resulting cache is reachable via Cache().
-func NewEngineWithOptions(g *temporal.Graph, sampler Sampler, out BlockStore, opts EngineOptions) *Engine {
+func NewEngineWithOptions(g *temporal.Graph, sampler core.Sampler, out BlockStore, opts EngineOptions) *Engine {
 	e := NewEngine(g, sampler, out)
 	if opts.Cache.CapacityBytes > 0 {
 		if cs, ok := sampler.(CacheableSampler); ok {
@@ -92,22 +84,15 @@ func (e *Engine) Run(walksPerVertex, length int, seed uint64) (*Result, error) {
 	return e.RunContext(context.Background(), walksPerVertex, length, seed)
 }
 
-// RunContext is Run with cooperative cancellation and fault surfacing: the
-// run aborts between walks when ctx is done (returning the partial Result
-// with ctx.Err()), and when the sampler reports an unrecoverable read failure
-// via an Err() method the run stops there with that error instead of silently
-// dead-ending every remaining walk. Walks are executed sequentially per the
-// out-of-core model where the device, not the CPU, is the bottleneck; the
-// sampler's store accumulates the I/O counters.
+// RunContext is Run with core's cancellation and fault surfacing: the run
+// stops between walks, or within 1,024 steps inside one, when ctx is done
+// (returning the partial Result with ctx.Err()), and when the sampler reports
+// an unrecoverable read failure via its Err method the run stops after that
+// walk with the error instead of dead-ending every remaining walk. Walks run
+// sequentially per the out-of-core model, where the device, not the CPU, is
+// the bottleneck; the sampler's store accumulates the I/O counters.
 func (e *Engine) RunContext(ctx context.Context, walksPerVertex, length int, seed uint64) (*Result, error) {
-	if walksPerVertex <= 0 {
-		walksPerVertex = 1
-	}
-	wpv := uint64(walksPerVertex)
-	total := uint64(e.g.NumVertices()) * wpv
-	return e.runWalks(ctx, total, func(id uint64) temporal.Vertex {
-		return temporal.Vertex(id / wpv)
-	}, length, seed)
+	return e.run(ctx, core.WalkConfig{WalksPerVertex: walksPerVertex, Length: length, Seed: seed})
 }
 
 // RunStarts is RunContext over an explicit workload: one walk per element of
@@ -115,85 +100,22 @@ func (e *Engine) RunContext(ctx context.Context, walksPerVertex, length int, see
 // against the disk samplers — the per-walk RNG split and flush policy match
 // RunContext exactly, so results are comparable.
 func (e *Engine) RunStarts(ctx context.Context, starts []temporal.Vertex, length int, seed uint64) (*Result, error) {
-	return e.runWalks(ctx, uint64(len(starts)), func(id uint64) temporal.Vertex {
-		return starts[id]
-	}, length, seed)
+	if starts == nil {
+		starts = []temporal.Vertex{} // nil would mean every vertex to core
+	}
+	return e.run(ctx, core.WalkConfig{StartVertices: starts, Length: length, Seed: seed})
 }
 
-// runWalks drives total walks whose start vertex is startOf(walkID), walkID
-// in [0, total).
-func (e *Engine) runWalks(ctx context.Context, total uint64, startOf func(uint64) temporal.Vertex, length int, seed uint64) (*Result, error) {
-	if length <= 0 {
-		length = 80
-	}
-	root := xrand.New(seed)
-	res := &Result{}
+// run executes cfg on the core engine with the flush sink attached and bills
+// the sampler's read retries during the run to its cost.
+func (e *Engine) run(ctx context.Context, cfg core.WalkConfig) (*Result, error) {
 	start := time.Now()
-	defer func() { res.Duration = time.Since(start) }()
-
-	// Samplers with sticky error reporting (DiskPAT, DiskGraphWalker) let the
-	// run distinguish a dead device from a temporal dead end.
-	samplerErr, _ := e.sampler.(interface{ Err() error })
-	retryCounter, _ := e.sampler.(interface{ Retries() int64 })
-	retriesBefore := int64(0)
-	if retryCounter != nil {
-		retriesBefore = retryCounter.Retries()
-	}
-	finishRetries := func() {
-		if retryCounter != nil {
-			res.Cost.ReadRetries = retryCounter.Retries() - retriesBefore
-		}
-	}
-
-	// Tracing: the run span and the per-flush-group batch spans exist only
-	// when the caller's context is being traced; cs stays nil otherwise so the
-	// untraced walk loop is the plain Sample call. Cost accounting also rides
-	// the context-threaded path, so it too resolves cs.
-	ctx, runSpan := trace.Start(ctx, "ooc.run")
-	var cs ctxSampler
-	if runSpan != nil {
-		runSpan.SetStr("sampler", e.sampler.Name())
-		runSpan.SetInt("walks", int64(total))
-		runSpan.SetInt("length", int64(length))
-	}
-	if runSpan != nil || reqcost.Active(ctx) {
-		cs, _ = e.sampler.(ctxSampler)
-	}
-	walkCtx := ctx
-	var batchSpan *trace.Span
-	batchIdx, batchStart := int64(0), uint64(0)
-	endBatch := func(walkID uint64) {
-		if batchSpan == nil {
-			return
-		}
-		batchSpan.SetInt("walks", int64(walkID-batchStart))
-		batchSpan.End()
-		batchSpan = nil
-		walkCtx = ctx
-	}
-	finish := func(walkID uint64, err error) {
-		finishRetries()
-		endBatch(walkID)
-		if runSpan != nil {
-			runSpan.SetInt("steps", res.Cost.Steps)
-			runSpan.SetInt("edges_evaluated", res.Cost.EdgesEvaluated)
-			runSpan.SetInt("flushes", int64(res.Flushes))
-			runSpan.SetInt("read_retries", res.Cost.ReadRetries)
-			runSpan.SetError(err)
-			runSpan.End()
-		}
-		if err != nil {
-			kind := trace.KindError
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				kind = trace.KindCancel
-			}
-			trace.EventCtx(ctx, kind, "ooc.run aborted", trace.Str("cause", err.Error()))
-		}
-	}
-
-	buffer := make([]Path, 0, WalkFlushThreshold)
+	res := &Result{}
+	cfg.Threads = 1
+	cfg.Kernel = core.KernelScalar
+	var buffer []core.Path
 	flush := func() error {
-		if len(buffer) == 0 || e.out == nil {
+		if len(buffer) == 0 {
 			return nil
 		}
 		if err := writeWalks(e.out, buffer); err != nil {
@@ -203,103 +125,38 @@ func (e *Engine) runWalks(ctx context.Context, total uint64, startOf func(uint64
 		buffer = buffer[:0]
 		return nil
 	}
-
-	for walkID := uint64(0); walkID < total; walkID++ {
-		if err := ctx.Err(); err != nil {
-			finish(walkID, err)
-			return res, err
-		}
-		if runSpan != nil && batchSpan == nil {
-			walkCtx, batchSpan = trace.Start(ctx, "walk_batch")
-			batchSpan.SetInt("batch", batchIdx)
-			batchIdx++
-			batchStart = walkID
-		}
-		r := root.Split(walkID)
-		p := e.walkOne(walkCtx, cs, startOf(walkID), length, r, &res.Cost)
-		if samplerErr != nil {
-			if err := samplerErr.Err(); err != nil {
-				finish(walkID+1, err)
-				return res, err
+	if e.out != nil {
+		buffer = make([]core.Path, 0, WalkFlushThreshold)
+		cfg.Sink = func(_ int, p core.Path) error {
+			buffer = append(buffer, p)
+			if len(buffer) < WalkFlushThreshold {
+				return nil
 			}
-		}
-		buffer = append(buffer, p)
-		if len(buffer) >= WalkFlushThreshold {
-			endBatch(walkID + 1)
-			if err := flush(); err != nil {
-				finish(walkID+1, err)
-				return res, err
-			}
+			return flush()
 		}
 	}
-	if err := flush(); err != nil {
-		finish(total, err)
-		return res, err
+	retries, _ := e.eng.Sampler().(interface{ Retries() int64 })
+	var retriesBefore int64
+	if retries != nil {
+		retriesBefore = retries.Retries()
 	}
-	finish(total, nil)
-	return res, nil
-}
-
-// Path is one completed walk.
-type Path struct {
-	Vertices []temporal.Vertex
-	Times    []temporal.Time
-}
-
-// walkOneCtxCheckMask amortizes the in-walk cancellation poll: the loop
-// checks ctx.Err() every 64 steps, so even a single very long walk honors
-// cancellation promptly while the default 80-step walk pays one check.
-const walkOneCtxCheckMask = 63
-
-func (e *Engine) walkOne(ctx context.Context, cs ctxSampler, src temporal.Vertex, length int, r *xrand.Rand, cost *stats.Cost) Path {
-	cost.WalksStarted++
-	p := Path{Vertices: []temporal.Vertex{src}}
-	u := src
-	k := e.g.CandidateCount(u, temporal.MinTime)
-	steps := 0
-	for steps < length && k > 0 {
-		if steps&walkOneCtxCheckMask == walkOneCtxCheckMask && ctx.Err() != nil {
-			break // cancelled mid-walk: keep the partial walk
-		}
-		var (
-			idx int
-			ev  int64
-			ok  bool
-		)
-		if cs != nil {
-			idx, ev, ok = cs.SampleCtx(ctx, u, k, r)
-		} else {
-			idx, ev, ok = e.sampler.Sample(u, k, r)
-		}
-		cost.EdgesEvaluated += ev
-		if !ok {
-			break
-		}
-		dst, at := e.g.EdgeAt(u, idx)
-		p.Vertices = append(p.Vertices, dst)
-		p.Times = append(p.Times, at)
-		cost.Steps++
-		k = e.g.CandidateCountAfterEdge(u, idx)
-		u = dst
-		steps++
+	cr, err := e.eng.RunContext(ctx, cfg)
+	if err == nil {
+		err = flush()
 	}
-	// A sampler that saw the cancelled context returns ok=false exactly like
-	// a temporal dead end; the context is the tiebreaker so cancelled runs
-	// don't inflate the dead-end counters.
-	switch {
-	case steps == length:
-		cost.WalksCompleted++
-	case ctx.Err() != nil:
-		cost.WalksCancelled++
-	default:
-		cost.WalksDeadEnded++
+	if cr != nil {
+		res.Cost = cr.Cost
 	}
-	return p
+	if retries != nil {
+		res.Cost.ReadRetries = retries.Retries() - retriesBefore
+	}
+	res.Duration = time.Since(start)
+	return res, err
 }
 
 // writeWalks serializes a flush batch: per walk, a length header followed by
 // (vertex, time) pairs.
-func writeWalks(out BlockStore, walks []Path) error {
+func writeWalks(out BlockStore, walks []core.Path) error {
 	size := 0
 	for _, w := range walks {
 		size += 4 + len(w.Vertices)*4 + len(w.Times)*8

@@ -185,9 +185,9 @@ func (c *cancellingStore) ReadAt(p []byte, off int64) error {
 
 // Cancellation arriving mid-walk must classify the interrupted walk as
 // cancelled — not as a temporal dead end — and stop the run at the next
-// between-walk check with context.Canceled. This exercises the amortized
-// in-walk ctx poll (walkOneCtxCheckMask) on a walk long enough that waiting
-// for its natural end would take thousands more device reads.
+// between-walk check with context.Canceled. This exercises core's amortized
+// in-walk ctx poll (every 1,024 steps) on a 3,999-step walk, long enough
+// that waiting for its natural end would take thousands more device reads.
 func TestEngineCancelMidWalkClassifiesCancelled(t *testing.T) {
 	const n = 4000
 	edges := make([]temporal.Edge, n-1)

@@ -1,9 +1,11 @@
 package ooc
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
@@ -408,4 +410,31 @@ func TestDiskPATRejectionFallbackDistribution(t *testing.T) {
 		e, _, ok := d.Sample(0, 3, r)
 		return e, ok
 	})
+}
+
+// A run without an output store keeps no walks: no path is built, so the
+// run's allocations do not grow with its walk count. The sampler is
+// in-memory ITS, which allocates nothing per draw, so only the engine's own
+// per-walk retention could move the count.
+func TestNilOutputRunRetainsNoWalks(t *testing.T) {
+	g := testutil.RandomGraph(t, 300, 9000, 1000, 5)
+	w := testutil.Weights(t, g, sampling.Exponential(0.01))
+	eng := NewEngine(g, core.NewITSSampler(w), nil)
+	allocs := func(walks int) float64 {
+		starts := make([]temporal.Vertex, walks)
+		for i := range starts {
+			starts[i] = temporal.Vertex(i % g.NumVertices())
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.RunStarts(context.Background(), starts, 10, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const ceiling = 20
+	small, large := allocs(100), allocs(3000)
+	t.Logf("allocs per run: %v at 100 walks, %v at 3000 walks", small, large)
+	if small > ceiling || large > ceiling {
+		t.Fatalf("allocs per run %v at 100 walks, %v at 3000 walks; want both <= %d", small, large, ceiling)
+	}
 }

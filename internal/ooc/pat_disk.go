@@ -191,6 +191,7 @@ func (d *DiskPAT) trunkRecord(ctx context.Context, u temporal.Vertex, t int, buf
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < d.retry.MaxRetries; attempt++ {
 		d.retries.Add(1)
 		mRetries.Inc()
+		rc.ReadRetry()
 		retries++
 		if sp != nil {
 			trace.EventCtx(ctx, trace.KindRetry, "ooc.trunk_retry",

@@ -125,6 +125,14 @@ func (c *Collector) DeviceRead(bytes int64) {
 	c.readOps.Add(1)
 }
 
+// ReadRetry accounts one device read reissued after a transient fault.
+func (c *Collector) ReadRetry() {
+	if c == nil {
+		return
+	}
+	c.readRetries.Add(1)
+}
+
 // AddCost merges an externally assembled Cost (e.g. a shard's cost_detail
 // merged at the router).
 func (c *Collector) AddCost(cost Cost) {

@@ -47,6 +47,16 @@ func attrOf(n *traceNode, key string) (any, bool) {
 // injecting transient read faults, with every request traced.
 func newOOCTraceServer(t *testing.T) (*httptest.Server, *ooc.FaultInjector, *trace.Tracer) {
 	t.Helper()
+	tr := trace.New(trace.Config{SampleFraction: 1, FlightSpans: 256})
+	ts, fi, _ := newOOCServer(t, ooc.FaultConfig{ReadErrorRate: 0.3, Class: ooc.FaultTransient, Seed: 7},
+		Config{Trace: tr, Metrics: metrics.NewRegistry()})
+	return ts, fi, tr
+}
+
+// newOOCServer serves an engine whose sampler is a DiskPAT with a block
+// cache, backed by a store injecting read faults per fc — the -ooc stack.
+func newOOCServer(t *testing.T, fc ooc.FaultConfig, cfg Config) (*httptest.Server, *ooc.FaultInjector, *ooc.DiskPAT) {
+	t.Helper()
 	g := temporal.CommuteGraph()
 	app := core.ExponentialWalk(1)
 	w, err := sampling.BuildGraphWeights(g, app.Weight, 0)
@@ -58,7 +68,7 @@ func newOOCTraceServer(t *testing.T) (*httptest.Server, *ooc.FaultInjector, *tra
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	fi := ooc.NewFaultInjector(store, ooc.FaultConfig{ReadErrorRate: 0.3, Class: ooc.FaultTransient, Seed: 7})
+	fi := ooc.NewFaultInjector(store, fc)
 	dp, err := ooc.BuildDiskPAT(w, fi, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +78,9 @@ func newOOCTraceServer(t *testing.T) (*httptest.Server, *ooc.FaultInjector, *tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New(trace.Config{SampleFraction: 1, FlightSpans: 256})
-	ts := httptest.NewServer(NewWithConfig(eng, Config{Trace: tr, Metrics: metrics.NewRegistry()}).Handler())
+	ts := httptest.NewServer(NewWithConfig(eng, cfg).Handler())
 	t.Cleanup(ts.Close)
-	return ts, fi, tr
+	return ts, fi, dp
 }
 
 // TestTraceEndToEndOOC is the acceptance-criteria walkthrough: a /walk
