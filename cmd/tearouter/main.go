@@ -70,6 +70,7 @@ import (
 	"time"
 
 	"github.com/tea-graph/tea/internal/server"
+	"github.com/tea-graph/tea/internal/shard"
 	"github.com/tea-graph/tea/internal/trace"
 )
 
@@ -100,25 +101,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var addrs []string
-	for _, entry := range strings.Split(*shards, ",") {
-		if strings.TrimSpace(entry) == "" {
-			continue
-		}
-		// An entry may name several "|"-separated replica URLs serving the
-		// same partition; normalize each and keep them joined.
-		var replicas []string
-		for _, a := range strings.Split(entry, "|") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
+	parts, err := shard.ParseReplicaList(strings.Split(*shards, ","))
+	if err != nil {
+		logger.Error("-shards", "error", err)
+		os.Exit(2)
+	}
+	// Normalize every replica URL and keep each partition's replicas joined.
+	addrs := make([]string, len(parts))
+	for i, replicas := range parts {
+		for j, a := range replicas {
 			if !strings.Contains(a, "://") {
 				a = "http://" + a
 			}
-			replicas = append(replicas, strings.TrimRight(a, "/"))
+			replicas[j] = strings.TrimRight(a, "/")
 		}
-		addrs = append(addrs, strings.Join(replicas, "|"))
+		addrs[i] = strings.Join(replicas, "|")
 	}
 
 	tracer := trace.New(trace.Config{

@@ -567,21 +567,9 @@ func parseHedge(s string) (shard.HedgeConfig, error) {
 // -shard-hedge duplicates slow step-RPCs against a sibling. Front the
 // cluster with cmd/tearouter to get the single-process response shape back.
 func runShard(g *tea.Graph, app tea.App, scfg server.Config, o shardOpts) {
-	var parts [][]string // [partition][replica]
-	for _, entry := range strings.Split(o.peers, ",") {
-		if entry = strings.TrimSpace(entry); entry == "" {
-			continue
-		}
-		var replicas []string
-		for _, a := range strings.Split(entry, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				replicas = append(replicas, a)
-			}
-		}
-		if len(replicas) == 0 {
-			o.fatal("flags", fmt.Errorf("-shard-peers entry %q names no replica", entry))
-		}
-		parts = append(parts, replicas)
+	parts, err := shard.ParseReplicaList(strings.Split(o.peers, ",")) // [partition][replica]
+	if err != nil {
+		o.fatal("flags", fmt.Errorf("-shard-peers: %w", err))
 	}
 	if o.id >= len(parts) {
 		o.fatal("flags", fmt.Errorf("-shard-id %d outside the %d-entry -shard-peers list", o.id, len(parts)))

@@ -75,21 +75,30 @@ func TemporalNode2Vec(p, q, lambda float64) App {
 	if p <= 0 || q <= 0 {
 		panic("core: node2vec parameters must be positive")
 	}
+	beta, maxBeta := Node2VecParameter(p, q, (*temporal.Graph).HasNeighbor)
+	return App{
+		Name:         fmt.Sprintf("node2vec(p=%g,q=%g)", p, q),
+		Weight:       sampling.Exponential(lambda),
+		Parameter:    beta,
+		MaxParameter: maxBeta,
+		NeedsPrev:    true,
+	}
+}
+
+// Node2VecParameter returns node2vec's β ∈ {1/p, 1, 1/q} dynamic parameter
+// and its rejection envelope max(1, 1/p, 1/q). neighbor answers "is cand
+// adjacent to prev?" (d(prev, cand) = 1); the single-process app asks the
+// graph's neighbor index, a shard asks a filter over the full graph.
+func Node2VecParameter(p, q float64, neighbor func(g *temporal.Graph, prev, cand temporal.Vertex) bool) (ParameterFunc, float64) {
 	beta := func(g *temporal.Graph, prev, cand temporal.Vertex) float64 {
 		switch {
 		case prev == cand:
 			return 1 / p // d(w, v) = 0: return to the previous vertex
-		case g.HasNeighbor(prev, cand):
+		case neighbor(g, prev, cand):
 			return 1 // d(w, v) = 1
 		default:
 			return 1 / q // d(w, v) = 2
 		}
 	}
-	return App{
-		Name:         fmt.Sprintf("node2vec(p=%g,q=%g)", p, q),
-		Weight:       sampling.Exponential(lambda),
-		Parameter:    beta,
-		MaxParameter: math.Max(1, math.Max(1/p, 1/q)),
-		NeedsPrev:    true,
-	}
+	return beta, math.Max(1, math.Max(1/p, 1/q))
 }

@@ -340,8 +340,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 		}
 		pend = append(pend, int32(pos))
 	}
-	param := e.app.Parameter
-	for trial := 0; trial < BetaTrialCap && len(pend) > 0; trial++ {
+	for trial := 0; trial < betaTrialCap && len(pend) > 0; trial++ {
 		m := len(pend)
 		for j, pos := range pend {
 			i := chunk[pos]
@@ -369,21 +368,15 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 			}
 			u := ws.cur[i]
 			dst, at := e.g.EdgeAt(u, int(sc.edges[j]))
-			if param != nil && ws.hasPrev[i] {
-				st.cost.Trials++
-				curWalk, curPos = ws.waveLo+int(i), int(pos)
-				draw := ws.rng[i].Range(e.app.MaxParameter)
-				if draw > param(e.g, ws.prev[i], dst) {
-					st.cost.Rejected++
-					sc.lastE[pos] = sc.edges[j]
-					sc.lastD[pos] = dst
-					sc.lastT[pos] = at
-					keep = append(keep, pos)
-					curWalk, curPos = -1, -1
-					continue
-				}
-			}
 			curWalk, curPos = ws.waveLo+int(i), int(pos)
+			if ws.hasPrev[i] && !e.accept(ws.prev[i], dst, &ws.rng[i], &st.cost) {
+				sc.lastE[pos] = sc.edges[j]
+				sc.lastD[pos] = dst
+				sc.lastT[pos] = at
+				keep = append(keep, pos)
+				curWalk, curPos = -1, -1
+				continue
+			}
 			if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.edges[j]), dst, at); err != nil {
 				return err
 			}

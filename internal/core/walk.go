@@ -16,12 +16,11 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// BetaTrialCap bounds the Dynamic_parameter rejection loop so a pathological
+// betaTrialCap bounds the Dynamic_parameter rejection loop so a pathological
 // parameter function cannot stall a walker; with the paper's p=0.5, q=2 the
 // acceptance probability per trial is ≥ 1/4 and the cap is unreachable in
-// practice. Hitting the cap force-accepts the last proposal. The shard step
-// loop shares it so sharded node2vec walks replay core's draws exactly.
-const BetaTrialCap = 4096
+// practice. Hitting the cap force-accepts the last proposal.
+const betaTrialCap = 4096
 
 // ctxCheckMask amortizes the in-walk cancellation poll: the scalar step loop
 // checks ctx.Err() whenever steps&ctxCheckMask == ctxCheckMask, so a single
@@ -517,11 +516,65 @@ func (st *walkerState) finishWalk(ctx context.Context, steps, length int) {
 	}
 }
 
+// Step takes one step of Algorithm 2 for a walker at u with k temporal
+// candidates: sample one of the k candidates, then — when the app has a
+// Dynamic_parameter and the walker has a previous vertex prev — apply the
+// rejection test (lines 18–22), resampling up to betaTrialCap times and
+// force-accepting the last proposal when the cap is hit (a documented
+// deviation, unreachable with the paper's parameters). It returns the taken
+// edge's index in u's adjacency, its destination and timestamp; ok is false
+// when the candidate prefix carries no weight (a dead end). The draws come
+// from r in a fixed order, so any executor that hands a walker's stream to
+// Step replays the engine's own walks. Sampler evaluations and β trials and
+// rejections are added to c.
+func (e *Engine) Step(u temporal.Vertex, k int, prev temporal.Vertex, hasPrev bool, r *xrand.Rand, c *stats.Cost) (edgeIdx int, dst temporal.Vertex, at temporal.Time, ok bool) {
+	return e.step(nil, nil, u, k, prev, hasPrev, r, c)
+}
+
+// step is Step with the run's context sampler: cs is non-nil only when the
+// run is traced or cost-accounted and the sampler supports context
+// threading; otherwise the sampler is called without a context.
+func (e *Engine) step(ctx context.Context, cs ContextSampler, u temporal.Vertex, k int, prev temporal.Vertex, hasPrev bool, r *xrand.Rand, c *stats.Cost) (edgeIdx int, dst temporal.Vertex, at temporal.Time, ok bool) {
+	for trial := 0; trial < betaTrialCap; trial++ {
+		var ev int64
+		if cs != nil {
+			edgeIdx, ev, ok = cs.SampleCtx(ctx, u, k, r)
+		} else {
+			edgeIdx, ev, ok = e.sampler.Sample(u, k, r)
+		}
+		c.EdgesEvaluated += ev
+		if !ok {
+			return
+		}
+		dst, at = e.g.EdgeAt(u, edgeIdx)
+		if !hasPrev || e.accept(prev, dst, r, c) {
+			return
+		}
+	}
+	return // trial cap reached: force-accept the last proposal
+}
+
+// accept is the Dynamic_parameter rejection test for a walker that came from
+// prev and is offered dst: one β draw from r against the app's envelope,
+// counted in c. Apps without a parameter accept every proposal and draw
+// nothing.
+func (e *Engine) accept(prev, dst temporal.Vertex, r *xrand.Rand, c *stats.Cost) bool {
+	if e.app.Parameter == nil {
+		return true
+	}
+	c.Trials++
+	if r.Range(e.app.MaxParameter) <= e.app.Parameter(e.g, prev, dst) {
+		return true
+	}
+	c.Rejected++
+	return false
+}
+
 // walkOne runs a single temporal walk from src, implementing the main loop of
-// Algorithm 2: sample an edge from the candidate set via the engine's
-// sampler, apply the Dynamic_parameter rejection test, advance. cs is non-nil
-// only when the run is traced and the sampler supports context threading; on
-// the untraced path the sampler is called exactly as before.
+// Algorithm 2: one step at a time until the walk reaches its length or a
+// dead end. cs is non-nil only when the run is traced and the sampler
+// supports context threading; on the untraced path the sampler is called
+// exactly as before.
 func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) Path {
 	var p Path
 	if cfg.Sink != nil {
@@ -541,44 +594,9 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 		if steps&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
 			break // long walk: honor cancellation mid-walk, keep the partial walk
 		}
-		var (
-			edgeIdx int
-			dst     temporal.Vertex
-			at      temporal.Time
-			ok      bool
-		)
-		accepted := false
-		for trial := 0; trial < BetaTrialCap; trial++ {
-			var ev int64
-			if cs != nil {
-				edgeIdx, ev, ok = cs.SampleCtx(ctx, u, k, r)
-			} else {
-				edgeIdx, ev, ok = e.sampler.Sample(u, k, r)
-			}
-			st.cost.EdgesEvaluated += ev
-			if !ok {
-				break
-			}
-			dst, at = e.g.EdgeAt(u, edgeIdx)
-			if e.app.Parameter == nil || !hasPrev {
-				accepted = true
-				break
-			}
-			st.cost.Trials++
-			if r.Range(e.app.MaxParameter) <= e.app.Parameter(e.g, prev, dst) {
-				accepted = true
-				break
-			}
-			st.cost.Rejected++
-		}
+		edgeIdx, dst, at, ok := e.step(ctx, cs, u, k, prev, hasPrev, r, &st.cost)
 		if !ok {
 			break // zero-weight candidate prefix: dead end
-		}
-		if !accepted {
-			// Trial cap reached; force-accept the last proposal to
-			// guarantee progress (documented deviation, unreachable with
-			// the paper's parameters).
-			accepted = true
 		}
 		st.cost.Steps++
 		if cfg.Sink != nil {

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/reqcost"
+	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/stream"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/vfs"
@@ -270,7 +272,9 @@ func (s *Server) handleDurableStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleDurableWalk serves GET /walk from the live graph: seeded temporal
-// walks under the read lock, concurrent with ingest.
+// walks under the read lock, concurrent with ingest. The request context is
+// checked between walks, so a deadline answers 504 and a disconnected client
+// stops the work; the steps are billed to the request's cost ledger.
 func (s *Server) handleDurableWalk(w http.ResponseWriter, r *http.Request) {
 	d := s.durableForRead(w)
 	if d == nil {
@@ -291,10 +295,15 @@ func (s *Server) handleDurableWalk(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	steps := 0
 	for i := range paths {
+		if err := r.Context().Err(); err != nil {
+			writeErr(w, runStatus(err), err)
+			return
+		}
 		verts, times := d.WalkSeeded(wq.from, temporal.Time(start), wq.length, wq.seed+uint64(i))
 		paths[i] = core.Path{Vertices: verts, Times: times}
 		steps += len(times)
 	}
+	reqcost.From(r.Context()).AddEngine(stats.Cost{Steps: int64(steps), WalksStarted: int64(len(paths))})
 	writeWalkReply(w, &walkReply{from: wq.from, paths: paths},
 		costNum("steps", int64(steps)),
 		costText("duration", time.Since(began).String()))

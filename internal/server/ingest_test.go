@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tea-graph/tea/internal/metrics"
+	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/stream"
 	"github.com/tea-graph/tea/internal/wal"
 )
@@ -131,6 +134,42 @@ func TestIngestLifecycle(t *testing.T) {
 	if d.Recovery().Records != 0 && d.NumEdges() != 1 {
 		t.Fatalf("durable state: %d edges", d.NumEdges())
 	}
+}
+
+// A durable /walk honors the request deadline: every walk loop checks the
+// context, so an expired one answers 504 instead of walking regardless.
+func TestDurableWalkHonorsRequestTimeout(t *testing.T) {
+	ts, _, _ := newIngestServer(t, Config{RequestTimeout: time.Nanosecond})
+	postJSON(t, ts.URL+"/edges", `{"edges":[{"src":0,"dst":1,"t":10},{"src":1,"dst":2,"t":11}]}`, http.StatusOK, nil)
+	getJSON(t, ts.URL+"/walk?from=0&length=4&count=3&seed=7", http.StatusGatewayTimeout, nil)
+}
+
+// A durable /walk bills its steps to the request's cost ledger, so
+// /debug/tea/top shows what the reply's cost block says.
+func TestDurableWalkRecordsCost(t *testing.T) {
+	ts, _, _ := newIngestServer(t, Config{})
+	postJSON(t, ts.URL+"/edges",
+		`{"edges":[{"src":0,"dst":1,"t":10},{"src":0,"dst":2,"t":11},{"src":1,"dst":2,"t":12},{"src":2,"dst":0,"t":13}]}`,
+		http.StatusOK, nil)
+	var walk walkResponse
+	getJSON(t, ts.URL+"/walk?from=0&length=4&count=5&seed=7", http.StatusOK, &walk)
+	steps, err := strconv.ParseInt(walk.Cost["steps"], 10, 64)
+	if err != nil || steps == 0 {
+		t.Fatalf("reply cost.steps %q: %v", walk.Cost["steps"], err)
+	}
+	var top struct {
+		Top []reqcost.Record `json:"top"`
+	}
+	getJSON(t, ts.URL+"/debug/tea/top", http.StatusOK, &top)
+	for _, rec := range top.Top {
+		if rec.Endpoint == "walk" {
+			if rec.Cost.Steps != steps || rec.Cost.Walks != 5 {
+				t.Fatalf("top record steps %d walks %d, reply steps %d walks 5", rec.Cost.Steps, rec.Cost.Walks, steps)
+			}
+			return
+		}
+	}
+	t.Fatalf("no walk record in the top ring: %+v", top.Top)
 }
 
 func TestIngestValidation(t *testing.T) {

@@ -87,9 +87,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("router: need at least one shard address")
 	}
-	replicaURLs, err := parseReplicaShards(cfg.Shards)
+	replicaURLs, err := shard.ParseReplicaList(cfg.Shards)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("router: %w", err)
 	}
 	base := NewWithConfig(nil, Config{
 		RequestTimeout:       cfg.RequestTimeout,

@@ -11,7 +11,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/tea-graph/tea/internal/metrics"
@@ -66,25 +65,6 @@ func (g *routerGroup) ordered() []*routerReplica {
 		out[i] = s[i].r
 	}
 	return out
-}
-
-// parseReplicaShards expands the configured shard list into per-partition
-// replica URL sets: entry i serves partition i, and "|" separates that
-// partition's interchangeable replicas.
-func parseReplicaShards(entries []string) ([][]string, error) {
-	out := make([][]string, 0, len(entries))
-	for i, entry := range entries {
-		var urls []string
-		for _, u := range strings.Split(entry, "|") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				return nil, fmt.Errorf("router: shard %d: empty replica URL in %q", i, entry)
-			}
-			urls = append(urls, u)
-		}
-		out = append(out, urls)
-	}
-	return out, nil
 }
 
 // newRouterGroups builds the health table for the parsed replica sets.

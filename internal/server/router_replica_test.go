@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/metrics"
@@ -12,22 +11,6 @@ import (
 	"github.com/tea-graph/tea/internal/testutil"
 	"github.com/tea-graph/tea/internal/trace"
 )
-
-func TestParseReplicaShards(t *testing.T) {
-	got, err := parseReplicaShards([]string{"http://a:1", "http://b:1|http://b:2", " http://c:1 | http://c:2 "})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"http://a:1"}, {"http://b:1", "http://b:2"}, {"http://c:1", "http://c:2"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parsed %v, want %v", got, want)
-	}
-	for _, bad := range []string{"http://a:1|", "|http://a:1", "http://a:1||http://a:2"} {
-		if _, err := parseReplicaShards([]string{bad}); err == nil {
-			t.Fatalf("entry %q parsed without error", bad)
-		}
-	}
-}
 
 // deadURL binds and closes a listener so the URL refuses connections.
 func deadURL(t *testing.T) string {

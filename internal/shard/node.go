@@ -3,14 +3,13 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/tea-graph/tea/internal/core"
-	"github.com/tea-graph/tea/internal/hpat"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/shard/wire"
+	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/trace"
 )
@@ -47,43 +46,33 @@ type Node2Vec struct {
 	BloomBitsPerEdge int
 }
 
-// Node is one shard: the subgraph of its owned vertices' out-edges, their
-// HPAT index, and the step executor remote peers call into. A Node both
+// Node is one shard: a core.Engine over the subgraph of its owned vertices'
+// out-edges, and the step executor remote peers call into. A Node both
 // serves steps for walkers arriving from peers (HandleStep) and coordinates
 // the walks whose source vertex it owns (RunWalks).
 type Node struct {
 	id     int
 	part   *Partitioner
-	g      *temporal.Graph // full vertex space, owned out-edges only
-	idx    *hpat.Index
+	eng    *core.Engine // full vertex space, owned out-edges only
 	numV   int
 	tracer *trace.Tracer
 	reg    *metrics.Registry
-
-	// n2v and bloom are set in node2vec mode; maxBeta is the rejection
-	// envelope max(1, 1/p, 1/q).
-	n2v     *Node2Vec
-	bloom   *edgeBloom
-	maxBeta float64
+	bloom  *edgeBloom // node2vec's neighbor test; nil otherwise
 
 	stepsServed *metrics.Counter
 	stepBatches *metrics.Counter
 }
 
 // NewNode partitions the full graph down to this shard's vertices and builds
-// their HPAT. Every process in the cluster loads the same graph file and
-// calls NewNode with its own ShardID; the consistent-hash Partitioner makes
-// them agree on ownership with no coordination.
+// an engine over them. Every process in the cluster loads the same graph file
+// and calls NewNode with its own ShardID; the consistent-hash Partitioner
+// makes them agree on ownership with no coordination.
 func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("shard: need at least one partition, got %d", cfg.Partitions)
 	}
 	if cfg.ShardID < 0 || cfg.ShardID >= cfg.Partitions {
 		return nil, fmt.Errorf("shard: shard id %d outside [0, %d)", cfg.ShardID, cfg.Partitions)
-	}
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 0 // BuildGraphWeights/hpat treat <1 as GOMAXPROCS
 	}
 	part, err := NewPartitioner(cfg.Partitions)
 	if err != nil {
@@ -102,19 +91,6 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 		stepsServed: reg.Counter("tea_shard_steps_served_total"),
 		stepBatches: reg.Counter("tea_shard_step_batches_total"),
 	}
-	if cfg.Node2Vec != nil {
-		n2v := *cfg.Node2Vec
-		if !(n2v.P > 0 && n2v.Q > 0) {
-			return nil, fmt.Errorf("shard: node2vec parameters must be positive, got p=%v q=%v", n2v.P, n2v.Q)
-		}
-		if n2v.BloomBitsPerEdge == 0 {
-			n2v.BloomBitsPerEdge = 16
-		}
-		n.n2v = &n2v
-		n.bloom = newEdgeBloom(g.NumEdges(), n2v.BloomBitsPerEdge)
-		n.maxBeta = math.Max(1, math.Max(1/n2v.P, 1/n2v.Q))
-	}
-
 	// Linear-time weights reference the graph's minimum timestamp; anchor it
 	// on the full graph so every shard computes identical per-vertex
 	// distributions regardless of its local time range.
@@ -123,6 +99,23 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 		spec = sampling.WeightSpec{Custom: func(t temporal.Time) float64 {
 			return float64(t-globalMin) + 1
 		}}
+	}
+	app := core.App{Name: "shard", Weight: spec}
+	if n2v := cfg.Node2Vec; n2v != nil {
+		if !(n2v.P > 0 && n2v.Q > 0) {
+			return nil, fmt.Errorf("shard: node2vec parameters must be positive, got p=%v q=%v", n2v.P, n2v.Q)
+		}
+		bits := n2v.BloomBitsPerEdge
+		if bits == 0 {
+			bits = 16
+		}
+		bloom := newEdgeBloom(g.NumEdges(), bits)
+		n.bloom = bloom
+		// The previous vertex's adjacency may live on another shard, so the
+		// neighbor test asks the filter, and NeedsPrev stays false: a
+		// neighbor index over this partition alone would answer wrongly.
+		app.Parameter, app.MaxParameter = core.Node2VecParameter(n2v.P, n2v.Q,
+			func(_ *temporal.Graph, prev, cand temporal.Vertex) bool { return bloom.has(prev, cand) })
 	}
 
 	var owned []temporal.Edge
@@ -141,13 +134,10 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 	if sub == nil {
 		sub, _ = temporal.FromEdges(nil, temporal.WithNumVertices(n.numV))
 	}
-	sub.PrecomputeCandidates(threads)
-	w, err := sampling.BuildGraphWeights(sub, spec, threads)
+	n.eng, err = core.NewEngine(sub, app, core.Options{Threads: cfg.Threads})
 	if err != nil {
-		return nil, fmt.Errorf("shard: weights for partition %d: %w", cfg.ShardID, err)
+		return nil, fmt.Errorf("shard: partition %d: %w", cfg.ShardID, err)
 	}
-	n.g = sub
-	n.idx = hpat.Build(w, hpat.Config{Threads: threads})
 	return n, nil
 }
 
@@ -167,7 +157,7 @@ func (n *Node) NumVertices() int { return n.numV }
 // MemoryBytes reports this shard's index footprint, its node2vec Bloom
 // filter included.
 func (n *Node) MemoryBytes() int64 {
-	b := n.idx.MemoryBytes() + n.g.MemoryBytes()
+	b := n.eng.MemoryBytes()
 	if n.bloom != nil {
 		b += n.bloom.memoryBytes()
 	}
@@ -176,7 +166,7 @@ func (n *Node) MemoryBytes() int64 {
 
 // OwnedEdges returns the number of edges in this shard's partition (edges
 // whose source vertex this shard owns).
-func (n *Node) OwnedEdges() int { return n.g.NumEdges() }
+func (n *Node) OwnedEdges() int { return n.eng.Graph().NumEdges() }
 
 // HandleStep implements wire.Handler: advance each walker in the request by
 // one step on this shard's partition. The request id opens a root trace span
@@ -225,53 +215,28 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 	return resp, nil
 }
 
-// advance executes one step for each walker against the local partition,
-// mirroring core's walk loop draw for draw: Sample, then — in node2vec mode
-// once the walker has a previous vertex — the β rejection test, retried up
-// to core.BetaTrialCap times before force-accepting the last proposal. The
-// walker's candidate count is recomputed here from (Cur, Arrival): the
-// single-process engine carries k across steps via CandidateCountAfterEdge,
-// which is by construction CandidateCount(dst, at) on the destination's
-// adjacency — adjacency this shard owns in full, so the recomputed k is
-// identical and the walker's stream is consumed exactly as in-process.
+// advance executes one core.Engine step for each walker against the local
+// partition. The walker's candidate count is recomputed here from (Cur,
+// Arrival): the single-process engine carries k across steps via
+// CandidateCountAfterEdge, which is by construction CandidateCount(dst, at)
+// on the destination's adjacency — adjacency this shard owns in full, so the
+// recomputed k is identical and the walker's stream is consumed exactly as
+// in-process.
 func (n *Node) advance(walkers []wire.Walker, results []wire.StepResult) {
+	g := n.eng.Graph()
 	for i := range walkers {
 		w := &walkers[i]
 		r := wire.StepResult{Status: wire.StatusDeadEnd}
-		if k := n.g.CandidateCount(w.Cur, w.Arrival); k > 0 {
-			for trial := 0; trial < core.BetaTrialCap; trial++ {
-				edgeIdx, ev, ok := n.idx.Sample(w.Cur, k, &w.RNG)
-				r.Evaluated += ev
-				if !ok {
-					r.Status = wire.StatusDeadEnd
-					break
-				}
+		if k := g.CandidateCount(w.Cur, w.Arrival); k > 0 {
+			var c stats.Cost
+			_, dst, at, ok := n.eng.Step(w.Cur, k, w.Prev, w.Steps > 0, &w.RNG, &c)
+			if ok {
 				r.Status = wire.StatusStepped
-				r.Dst, r.At = n.g.EdgeAt(w.Cur, edgeIdx)
-				if n.n2v == nil || w.Steps == 0 {
-					break
-				}
-				r.Trials++
-				if w.RNG.Range(n.maxBeta) <= n.beta(w.Prev, r.Dst) {
-					break
-				}
-				r.Rejected++
 			}
+			r.Dst, r.At = dst, at
+			r.Evaluated, r.Trials, r.Rejected = c.EdgesEvaluated, uint32(c.Trials), uint32(c.Rejected)
 		}
 		r.RNG = w.RNG
 		results[i] = r
-	}
-}
-
-// beta is core.TemporalNode2Vec's dynamic parameter with the neighbor test
-// answered by the Bloom filter.
-func (n *Node) beta(prev, cand temporal.Vertex) float64 {
-	switch {
-	case cand == prev:
-		return 1 / n.n2v.P
-	case n.bloom.has(prev, cand):
-		return 1
-	default:
-		return 1 / n.n2v.Q
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/tea-graph/tea/internal/metrics"
@@ -114,6 +115,25 @@ func (g *replicaGroup) ordered() []*replica {
 type ReplicaPeers struct {
 	cfg    ReplicaPeersConfig
 	groups map[int]*replicaGroup
+}
+
+// ParseReplicaList parses the replica-list syntax of teaserve's -shard-peers,
+// tearouter's -shards and RouterConfig.Shards: entries[i] names partition
+// i's interchangeable replicas, separated by "|" ("a|b,c|d" split on ","),
+// each trimmed of spaces. An empty replica, including an empty entry, is
+// refused: dropping it would silently change a partition's replica set or
+// the partition count, which every process must agree on.
+func ParseReplicaList(entries []string) ([][]string, error) {
+	out := make([][]string, len(entries))
+	for i, entry := range entries {
+		for _, a := range strings.Split(entry, "|") {
+			if a = strings.TrimSpace(a); a == "" {
+				return nil, fmt.Errorf("partition %d: empty replica in %q", i, entry)
+			}
+			out[i] = append(out[i], a)
+		}
+	}
+	return out, nil
 }
 
 // NewReplicaPeers builds pooled clients for every replica of every peer
