@@ -90,13 +90,14 @@ func (c *Collector) AddEngine(cost stats.Cost) {
 	c.readRetries.Add(cost.ReadRetries)
 }
 
-// AddMigration accounts one cross-shard step frame carrying walkers walkers
-// in bytes on-wire bytes.
-func (c *Collector) AddMigration(walkers, bytes int64) {
+// AddMigration accounts one cross-shard step frame of bytes on-wire bytes,
+// whose walkers the peer served steps walker-steps (every hop, plus the
+// attempt that found each dead end).
+func (c *Collector) AddMigration(steps, bytes int64) {
 	if c == nil {
 		return
 	}
-	c.migrations.Add(walkers)
+	c.migrations.Add(steps)
 	c.frames.Add(1)
 	c.migrationBytes.Add(bytes)
 }

@@ -385,3 +385,39 @@ func TestRouterTopCarriesClusterCost(t *testing.T) {
 	}
 	t.Fatalf("no walk record in router top ring: %+v", top.Top)
 }
+
+// The cost ledger and the reply's own counters are one count: a routed
+// cost_detail's migrations and frames equal the reply's cost, and on every
+// shard the ledger's migration bytes equal its bytes_sent — walker-steps a
+// peer served, not walkers sent, on walks that cross shards.
+func TestCostLedgerAgreesWithReply(t *testing.T) {
+	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
+	servers, _ := newObsCluster(t, g, sampling.Exponential(0.01), 3)
+	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+
+	const q = "/walk?from=7&length=40&count=32&seed=9&cost=1"
+	var routed walkResponse
+	getJSON(t, router.URL+q, http.StatusOK, &routed)
+	if routed.CostDetail == nil {
+		t.Fatal("cost=1 produced no cost_detail")
+	}
+	if m := costInt(routed.Cost, "migrations"); m == 0 || routed.CostDetail.Migrations != m {
+		t.Fatalf("routed cost_detail.migrations %d, cost.migrations %d: want equal and non-zero", routed.CostDetail.Migrations, m)
+	}
+	if f := costInt(routed.Cost, "frames"); routed.CostDetail.Frames != f {
+		t.Fatalf("routed cost_detail.frames %d != cost.frames %d", routed.CostDetail.Frames, f)
+	}
+	for i, ts := range servers {
+		var sr shardWalkResponse
+		getJSON(t, ts.URL+q, http.StatusOK, &sr)
+		d := sr.CostDetail
+		if d == nil {
+			t.Fatalf("shard %d: no cost_detail", i)
+		}
+		if d.Migrations != costInt(sr.Cost, "migrations") || d.Frames != costInt(sr.Cost, "frames") ||
+			d.MigrationBytes != costInt(sr.Cost, "bytes_sent") {
+			t.Fatalf("shard %d: cost_detail {migrations %d frames %d bytes %d} vs cost %v",
+				i, d.Migrations, d.Frames, d.MigrationBytes, sr.Cost)
+		}
+	}
+}

@@ -48,7 +48,7 @@ type ClusterRunConfig struct {
 type ClusterResult struct {
 	Cost     stats.Cost
 	Duration time.Duration
-	// Rounds is the largest step-synchronous round count of any node.
+	// Rounds is the largest scatter-gather round count of any node.
 	Rounds int
 	// Messages counts walker-steps served by a node other than the walk's
 	// coordinator — the network traffic a deployment pays.

@@ -74,16 +74,16 @@ func (r *WalkRequest) normalize(numV int) {
 type WalkResult struct {
 	Cost     stats.Cost
 	Duration time.Duration
-	// Rounds is the number of step-synchronous rounds executed.
+	// Rounds is the number of scatter-gather rounds executed.
 	Rounds int
-	// Migrations counts walker-steps served by a peer (walker crossed a
-	// shard boundary for that step); Frames counts the batched messages that
-	// carried them (one per peer per round) and BytesSent their on-wire
-	// request bytes.
+	// Migrations counts walker-steps (attempts: every hop, plus the attempt
+	// that found a dead end) served by a peer; Frames counts the batched
+	// messages that carried the walkers there (one per peer per round) and
+	// BytesSent their on-wire request bytes.
 	Migrations int64
 	Frames     int64
 	BytesSent  int64
-	// LocalSteps counts steps served by this shard's own partition.
+	// LocalSteps counts walker-steps served by this shard's own partition.
 	LocalSteps int64
 	// WalkIDs lists the global walk ids this shard coordinated, ascending.
 	// Paths is parallel to it when KeepPaths is set.
@@ -107,7 +107,9 @@ type coordWalker struct {
 // scatter-gather style: each round the resident frontier is grouped by the
 // owner of each walker's current vertex, remote groups cross to their owner
 // as one wire frame per peer, the local group advances on this node's
-// partition, and results are folded back in deterministic walk order.
+// partition, and results are folded back in deterministic walk order. Each
+// owner advances a walker through every consecutive step it owns, so a round
+// moves a walker up to its next change of owner.
 //
 // Determinism: walker wi's randomness is root.Split(wi) carried in the
 // migration frames and consumed sequentially wherever the walker happens to
@@ -174,7 +176,16 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 
 	parts := n.part.Partitions()
 	groups := make([][]int, parts) // frontier indices per owner, reused
-	results := make([]wire.StepResult, 0)
+	served := make([]int64, parts) // walker-steps each peer served this round
+	// Per frontier entry: its result and its hops (into a peer's response or
+	// the local hop buffer). The local group's buffers are reused too.
+	var (
+		results   []wire.StepResult
+		hopsOf    [][]wire.Hop
+		local     []wire.Walker
+		localRes  []wire.StepResult
+		localHops []wire.Hop
+	)
 	var runErr error
 	var spanMu sync.Mutex // guards res.Spans across hop goroutines
 
@@ -198,11 +209,12 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 			groups[owner] = append(groups[owner], i)
 		}
 
-		// One step result per frontier entry, filled by owner group.
+		// One result per frontier entry, filled by owner group.
 		if cap(results) < len(frontier) {
 			results = make([]wire.StepResult, len(frontier))
+			hopsOf = make([][]wire.Hop, len(frontier))
 		}
-		results = results[:len(frontier)]
+		results, hopsOf = results[:len(frontier)], hopsOf[:len(frontier)]
 
 		// Remote hops of one round share a cancellable context: the first peer
 		// failure aborts the round, so sibling step-RPCs unwind immediately
@@ -223,18 +235,16 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 				Partitions:  uint32(parts),
 				NumVertices: uint32(n.numV),
 				Flags:       flags,
+				MaxSteps:    uint32(req.Length),
 				Walkers:     make([]wire.Walker, len(idxs)),
 			}
 			for j, fi := range idxs {
 				sreq.Walkers[j] = frontier[fi].Walker
 			}
-			frameBytes := int64(wire.FrameSize(stepRequestPayloadLen(sreq)))
-			res.Migrations += int64(len(idxs))
+			frameBytes := int64(wire.FrameSize(wire.StepRequestSize(sreq)))
 			res.Frames++
 			res.BytesSent += frameBytes
-			mMigr.Add(int64(len(idxs)))
 			mFrames.Inc()
-			rc.AddMigration(int64(len(idxs)), frameBytes)
 			wg.Add(1)
 			go func(p int, idxs []int, sreq *wire.StepRequest) {
 				defer wg.Done()
@@ -258,16 +268,18 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 					cancelRound()
 					return
 				}
-				if len(sresp.Results) != len(idxs) {
+				if err := splitHops(sresp.Results, sresp.Hops, idxs, results, hopsOf); err != nil {
 					failMu.Lock()
 					if runErr == nil {
-						runErr = &wire.PeerError{Addr: fmt.Sprintf("shard-%d", p),
-							Err: fmt.Errorf("answered %d results for %d walkers", len(sresp.Results), len(idxs))}
+						runErr = &wire.PeerError{Addr: fmt.Sprintf("shard-%d", p), Err: err}
 					}
 					failMu.Unlock()
 					cancelRound()
 					return
 				}
+				served[p] = attempts(sresp.Results)
+				mMigr.Add(served[p])
+				rc.AddMigration(served[p], frameBytes)
 				if req.CollectSpans {
 					hopSum := wire.SpanSummary{
 						Name:        "shard.hop",
@@ -281,53 +293,58 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 					res.Spans = append(res.Spans, sresp.Spans...)
 					spanMu.Unlock()
 				}
-				for j, fi := range idxs {
-					results[fi] = sresp.Results[j]
-				}
 			}(p, idxs, sreq)
 		}
 		// Local group advances while the remote frames are in flight.
 		if idxs := groups[n.id]; len(idxs) > 0 {
-			local := make([]wire.Walker, len(idxs))
-			for j, fi := range idxs {
-				local[j] = frontier[fi].Walker
+			local = local[:0]
+			for _, fi := range idxs {
+				local = append(local, frontier[fi].Walker)
 			}
-			localRes := make([]wire.StepResult, len(idxs))
-			n.advance(local, localRes)
-			res.LocalSteps += int64(len(idxs))
-			mLocal.Add(int64(len(idxs)))
-			for j, fi := range idxs {
-				results[fi] = localRes[j]
+			if cap(localRes) < len(idxs) {
+				localRes = make([]wire.StepResult, len(idxs))
 			}
+			localRes = localRes[:len(idxs)]
+			localHops = n.advance(ctx, local, localRes, localHops[:0], uint32(req.Length))
+			_ = splitHops(localRes, localHops, idxs, results, hopsOf) // advance's counts match by construction
+			steps := attempts(localRes)
+			res.LocalSteps += steps
+			mLocal.Add(steps)
 		}
 		wg.Wait()
 		cancelRound()
+		for p := range served {
+			res.Migrations += served[p]
+			served[p] = 0
+		}
 		if runErr != nil {
 			break
 		}
 
-		// Fold the step outcomes back in frontier (ascending walk id) order.
+		// Fold the outcomes back in frontier (ascending walk id) order: each
+		// walker's hops, then its stream state and stop status.
 		next := frontier[:0]
 		for i := range frontier {
 			w := frontier[i]
-			r := results[i]
+			r := &results[i]
 			res.Cost.EdgesEvaluated += r.Evaluated
 			res.Cost.Trials += int64(r.Trials)
 			res.Cost.Rejected += int64(r.Rejected)
+			res.Cost.Steps += int64(r.Hops)
+			w.Steps += r.Hops
+			for _, h := range hopsOf[i] {
+				w.Prev, w.Cur, w.Arrival = w.Cur, h.Dst, h.At
+				if req.KeepPaths {
+					p := &res.Paths[w.slot]
+					p.Vertices = append(p.Vertices, h.Dst)
+					p.Times = append(p.Times, h.At)
+				}
+			}
+			w.RNG = r.RNG
 			if r.Status == wire.StatusDeadEnd {
 				res.Lengths.Observe(int(w.Steps))
 				res.Cost.WalksDeadEnded++
 				continue
-			}
-			res.Cost.Steps++
-			w.Steps++
-			w.Prev, w.Cur = w.Cur, r.Dst
-			w.Arrival = r.At
-			w.RNG = r.RNG
-			if req.KeepPaths {
-				p := &res.Paths[w.slot]
-				p.Vertices = append(p.Vertices, r.Dst)
-				p.Times = append(p.Times, r.At)
 			}
 			if int(w.Steps) >= req.Length {
 				res.Lengths.Observe(int(w.Steps))
@@ -382,10 +399,28 @@ func (n *Node) appendRunSummary(res *WalkResult, req *WalkRequest, start time.Ti
 	res.Spans = append([]wire.SpanSummary{run}, res.Spans...)
 }
 
-// stepRequestPayloadLen mirrors AppendStepRequest's layout so the
-// coordinator can account on-wire bytes without re-encoding.
-func stepRequestPayloadLen(req *wire.StepRequest) int {
-	return 4 + len(req.RequestID) + 20 + len(req.Walkers)*wire.WalkerFrameSize
+// splitHops files one group's outcomes to the walkers at frontier indices
+// idxs: each result into results and its slice of hops into hopsOf. It
+// refuses outcomes whose result or hop count does not match the group.
+func splitHops(res []wire.StepResult, hops []wire.Hop, idxs []int, results []wire.StepResult, hopsOf [][]wire.Hop) error {
+	if len(res) != len(idxs) {
+		return fmt.Errorf("answered %d results for %d walkers", len(res), len(idxs))
+	}
+	var total int
+	for i := range res {
+		total += int(res[i].Hops)
+	}
+	if total != len(hops) {
+		return fmt.Errorf("answered %d hop records for %d hops", len(hops), total)
+	}
+	off := 0
+	for j, fi := range idxs {
+		results[fi] = res[j]
+		h := int(res[j].Hops)
+		hopsOf[fi] = hops[off : off+h]
+		off += h
+	}
+	return nil
 }
 
 // InProcess is a StepCaller over co-resident Nodes: scatter-gather without

@@ -168,10 +168,10 @@ func (n *Node) MemoryBytes() int64 {
 // whose source vertex this shard owns).
 func (n *Node) OwnedEdges() int { return n.eng.Graph().NumEdges() }
 
-// HandleStep implements wire.Handler: advance each walker in the request by
-// one step on this shard's partition. The request id opens a root trace span
-// so /debug/tea/trace on the peer shows the hop under the same timeline as
-// the router's and coordinator's spans.
+// HandleStep implements wire.Handler: advance each walker in the request
+// through every consecutive step this shard's partition owns. The request id
+// opens a root trace span so /debug/tea/trace on the peer shows the hop under
+// the same timeline as the router's and coordinator's spans.
 func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.StepResponse, error) {
 	if int(req.Partitions) != n.part.Partitions() || int(req.NumVertices) != n.numV {
 		return nil, fmt.Errorf("cluster config mismatch: peer has partitions=%d vertices=%d, this shard has partitions=%d vertices=%d",
@@ -183,6 +183,9 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 		w := &req.Walkers[i]
 		if int(w.Cur) >= n.numV || (w.Steps > 0 && int(w.Prev) >= n.numV) {
 			return nil, fmt.Errorf("walker %d: vertex cur=%d prev=%d outside graph with %d vertices", w.ID, w.Cur, w.Prev, n.numV)
+		}
+		if req.MaxSteps > 0 && w.Steps >= req.MaxSteps {
+			return nil, fmt.Errorf("walker %d: has taken %d steps of at most %d", w.ID, w.Steps, req.MaxSteps)
 		}
 	}
 	var span *trace.Span
@@ -200,9 +203,9 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 		stepStart = time.Now()
 	}
 	resp := &wire.StepResponse{Results: make([]wire.StepResult, len(req.Walkers))}
-	n.advance(req.Walkers, resp.Results)
+	resp.Hops = n.advance(ctx, req.Walkers, resp.Results, make([]wire.Hop, 0, len(req.Walkers)), req.MaxSteps)
 	n.stepBatches.Inc()
-	n.stepsServed.Add(int64(len(req.Walkers)))
+	n.stepsServed.Add(attempts(resp.Results))
 	if req.Flags&wire.FlagCollectSpans != 0 {
 		resp.Spans = []wire.SpanSummary{{
 			Name:        "shard.step",
@@ -215,28 +218,78 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 	return resp, nil
 }
 
-// advance executes one core.Engine step for each walker against the local
-// partition. The walker's candidate count is recomputed here from (Cur,
-// Arrival): the single-process engine carries k across steps via
+// ctxCheckMask spaces advance's cancellation polls as core's walk loop does:
+// ctx.Err() is read once every ctxCheckMask+1 hops.
+const ctxCheckMask = 1023
+
+// hopBudget caps the hops one advance call records, so a reply's hop records
+// (12 bytes each) stay well inside wire.MaxFrameBytes however long the walks.
+const hopBudget = 1 << 20
+
+// advance runs each walker on the local partition until its new vertex is
+// owned by another shard, it dead-ends, or its Steps reaches maxSteps (0:
+// after one step). Every step is CandidateCount(Cur, Arrival) then
+// core.Engine.Step, with the walker's state updated in place. The
+// single-process engine carries the candidate count across steps via
 // CandidateCountAfterEdge, which is by construction CandidateCount(dst, at)
-// on the destination's adjacency — adjacency this shard owns in full, so the
-// recomputed k is identical and the walker's stream is consumed exactly as
-// in-process.
-func (n *Node) advance(walkers []wire.Walker, results []wire.StepResult) {
+// on the destination's adjacency — adjacency this shard owns in full — so
+// the walker's stream is consumed exactly as in-process.
+//
+// results[i] gets walker i's hop count, status and cost; its hops are
+// appended to hops in walker order and the extended slice is returned.
+// Cutting a walker short never changes its walk, only the round it finishes
+// in, so once ctx is cancelled (polled every ctxCheckMask+1 hops) or the
+// call has recorded hopBudget hops, every remaining walker takes one step and
+// stops.
+func (n *Node) advance(ctx context.Context, walkers []wire.Walker, results []wire.StepResult, hops []wire.Hop, maxSteps uint32) []wire.Hop {
 	g := n.eng.Graph()
+	start := len(hops)
+	runAhead := true
 	for i := range walkers {
 		w := &walkers[i]
-		r := wire.StepResult{Status: wire.StatusDeadEnd}
-		if k := g.CandidateCount(w.Cur, w.Arrival); k > 0 {
-			var c stats.Cost
-			_, dst, at, ok := n.eng.Step(w.Cur, k, w.Prev, w.Steps > 0, &w.RNG, &c)
-			if ok {
-				r.Status = wire.StatusStepped
-			}
-			r.Dst, r.At = dst, at
-			r.Evaluated, r.Trials, r.Rejected = c.EdgesEvaluated, uint32(c.Trials), uint32(c.Rejected)
+		limit := maxSteps
+		if limit == 0 {
+			limit = w.Steps + 1
 		}
+		r := wire.StepResult{Status: wire.StatusDeadEnd}
+		var c stats.Cost
+		for {
+			k := g.CandidateCount(w.Cur, w.Arrival)
+			if k == 0 {
+				break
+			}
+			_, dst, at, ok := n.eng.Step(w.Cur, k, w.Prev, w.Steps > 0, &w.RNG, &c)
+			if !ok {
+				break
+			}
+			hops = append(hops, wire.Hop{Dst: dst, At: at})
+			r.Hops++
+			w.Prev, w.Cur, w.Arrival = w.Cur, dst, at
+			w.Steps++
+			if done := len(hops) - start; runAhead && (done&ctxCheckMask == 0 && ctx.Err() != nil || done >= hopBudget) {
+				runAhead = false
+			}
+			if !runAhead || w.Steps >= limit || n.part.Owner(dst) != n.id {
+				r.Status = wire.StatusStepped
+				break
+			}
+		}
+		r.Evaluated, r.Trials, r.Rejected = c.EdgesEvaluated, uint32(c.Trials), uint32(c.Rejected)
 		r.RNG = w.RNG
 		results[i] = r
 	}
+	return hops
+}
+
+// attempts counts the walker-steps a batch of results was served: every hop,
+// plus the attempt that found each dead end.
+func attempts(results []wire.StepResult) int64 {
+	var a int64
+	for i := range results {
+		a += int64(results[i].Hops)
+		if results[i].Status == wire.StatusDeadEnd {
+			a++
+		}
+	}
+	return a
 }

@@ -1,11 +1,12 @@
 // Package shard turns the walk engine into an N-process cluster: a
 // consistent-hash Partitioner assigns every vertex to exactly one shard, each
 // shard builds the HPAT index of its own vertices only, and walkers migrate
-// between shards in batched step-synchronous frames over a compact binary RPC
-// (package shard/wire). The execution model is the walker-centric migration
-// model the paper credits to KnightKing (§4.4), with one message per step:
+// between shards in batched frames over a compact binary RPC (package
+// shard/wire). The execution model is the walker-centric migration model the
+// paper credits to KnightKing (§4.4), with at most one message per step:
 // PAT/HPAT sampling needs no rejection round trips, so a whole frontier
-// crosses a shard boundary in a single frame per peer per step.
+// crosses a shard boundary in a single frame per peer per round, and the
+// receiving shard takes every consecutive step it owns before answering.
 //
 // The correctness oracle is the engine's determinism invariant: a walker's
 // randomness is its private stream root.Split(walkID), carried inside the

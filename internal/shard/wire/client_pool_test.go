@@ -188,7 +188,7 @@ func TestChaosByteFlipCaughtByCRC(t *testing.T) {
 		t.Fatal("flip never fired")
 	}
 	for i, r := range resp.Results {
-		if r.Evaluated != int64(req.Walkers[i].ID) || r.Dst != req.Walkers[i].Cur {
+		if r.Evaluated != int64(req.Walkers[i].ID) || resp.Hops[i].Dst != req.Walkers[i].Cur {
 			t.Fatalf("result %d corrupted past the CRC: %+v", i, r)
 		}
 	}

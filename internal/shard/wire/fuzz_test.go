@@ -70,21 +70,33 @@ func FuzzDecodeStepRequest(f *testing.F) {
 func FuzzDecodeStepResponse(f *testing.F) {
 	resp := &StepResponse{Results: make([]StepResult, 4)}
 	for i := range resp.Results {
-		resp.Results[i] = StepResult{Status: StatusStepped, Dst: 7, At: 9, Evaluated: int64(i), Trials: uint32(i + 1), Rejected: uint32(i)}
+		resp.Results[i] = StepResult{Status: StatusStepped, Hops: 1, Evaluated: int64(i), Trials: uint32(i + 1), Rejected: uint32(i)}
+		resp.Hops = append(resp.Hops, Hop{Dst: 7, At: 9})
 	}
 	f.Add(AppendStepResponse(nil, resp))
 	f.Add(AppendStepResponse(nil, &StepResponse{}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
+	// Mixed hop counts (dead ends with and without hops) and a span trailer.
+	f.Add(AppendStepResponse(nil, sampleResponse(6, false)))
+	f.Add(AppendStepResponse(nil, sampleResponse(7, true)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeStepResponse(data)
 		if err != nil {
 			return
 		}
+		hops := 0
 		for i, r := range got.Results {
 			if r.Status != StatusStepped && r.Status != StatusDeadEnd {
 				t.Fatalf("result %d accepted with status %d", i, r.Status)
 			}
+			if r.Status == StatusStepped && r.Hops == 0 {
+				t.Fatalf("result %d accepted as stepped without a hop", i)
+			}
+			hops += int(r.Hops)
+		}
+		if hops != len(got.Hops) {
+			t.Fatalf("accepted %d hop records for %d hops", len(got.Hops), hops)
 		}
 		if !bytes.Equal(AppendStepResponse(nil, got), data) {
 			t.Fatalf("accepted response does not round-trip")

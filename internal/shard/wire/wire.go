@@ -1,7 +1,8 @@
 // Package wire is the binary RPC the shards speak: length-prefixed,
 // CRC-32C-framed messages (the same frame discipline as internal/wal)
 // carrying batched walker-migration payloads, so a whole step frontier
-// crosses a shard boundary in one message.
+// crosses a shard boundary in one message, and the serving shard answers with
+// every consecutive step each walker took on its partition.
 //
 //	frame   := length[4] crc[4] type[1] payload[length-1]
 //
@@ -18,6 +19,13 @@
 // re-deriving it) is what keeps sharded walks byte-identical to the
 // single-process engine: the walk consumes its stream sequentially across
 // shard hops exactly as the scalar and batched kernels do in one process.
+//
+// The reply carries one fixed-width result per walker (status, hop count,
+// cost, stream state) followed by one flat 12-byte Hop record (destination,
+// time) per step taken, in result order:
+//
+//	request  := id-string fromShard[4] partitions[4] vertices[4] flags[4] maxSteps[4] n[4] walker[60]×n
+//	response := n[4] result[53]×n hop[12]×Σhops [span trailer]
 package wire
 
 import (
@@ -31,10 +39,10 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// MaxFrameBytes bounds one frame. The largest legitimate frame is a step
-// batch of a full /walk request (10k walkers ≈ 600 KiB); 16 MiB leaves
-// generous headroom while still rejecting a garbage length prefix before
-// allocating.
+// MaxFrameBytes bounds one frame. A step batch of a full /walk request is
+// 10k walkers ≈ 600 KiB; its reply adds 12 bytes per hop, which the serving
+// shard caps well inside the limit. 16 MiB still rejects a garbage length
+// prefix before allocating.
 const MaxFrameBytes = 16 << 20
 
 // frameHeaderSize is the fixed prefix: length[4] crc[4].
@@ -43,12 +51,16 @@ const frameHeaderSize = 8
 // Message types.
 const (
 	// TypeStep asks the receiving shard to advance each walker in the
-	// payload by one step on its local partition.
+	// payload through every consecutive step its local partition owns: until
+	// the walker reaches a vertex another shard owns, dead-ends, or has taken
+	// MaxSteps steps.
 	TypeStep = byte(1)
-	// TypeStepResp carries the per-walker step outcomes, in request order.
+	// TypeStepResp carries the per-walker outcomes, in request order, and
+	// their hops.
 	TypeStepResp = byte(2)
 	// TypeError carries a shard-side refusal (mismatched cluster config, a
-	// malformed payload, a walker vertex outside the graph) as a string.
+	// malformed payload, a walker vertex outside the graph, a walker already
+	// at MaxSteps) as a string.
 	TypeError = byte(3)
 	// TypePing and TypePong are the liveness probe pair.
 	TypePing = byte(4)
@@ -57,10 +69,12 @@ const (
 
 // Step outcome statuses.
 const (
-	// StatusStepped: the walker advanced one edge.
+	// StatusStepped: the walker advanced at least one edge and stopped:
+	// its vertex belongs to another shard, it reached MaxSteps, or the shard
+	// cut the run short (the coordinator sends it again).
 	StatusStepped = byte(0)
-	// StatusDeadEnd: the walker had no temporal candidate (or a zero-weight
-	// candidate prefix) at its current vertex.
+	// StatusDeadEnd: after its hops, the walker had no temporal candidate (or
+	// a zero-weight candidate prefix) at its current vertex.
 	StatusDeadEnd = byte(1)
 )
 
@@ -80,16 +94,24 @@ type Walker struct {
 	RNG     xrand.Rand
 }
 
-// StepResult is one walker's outcome for one step. Trials and Rejected
-// count node2vec's β proposals, as in stats.Cost.
+// StepResult is one walker's outcome for one request: Hops steps taken,
+// whose records are the walker's slice of StepResponse.Hops, then the stop
+// Status. Evaluated, Trials and Rejected sum over every step attempted
+// (Trials and Rejected count node2vec's β proposals, as in stats.Cost); RNG is
+// the stream state after the last draw.
 type StepResult struct {
 	Status    byte
-	Dst       temporal.Vertex
-	At        temporal.Time
+	Hops      uint32
 	Evaluated int64
 	Trials    uint32
 	Rejected  uint32
 	RNG       xrand.Rand
+}
+
+// Hop is one step taken: the edge's destination and timestamp.
+type Hop struct {
+	Dst temporal.Vertex
+	At  temporal.Time
 }
 
 // Request flags.
@@ -100,8 +122,8 @@ const (
 	FlagCollectSpans = uint32(1 << 0)
 )
 
-// StepRequest asks a shard to advance a batch of walkers one step. The
-// cluster fingerprint (Partitions, NumVertices) guards against heterogeneous
+// StepRequest asks a shard to advance a batch of walkers. The cluster
+// fingerprint (Partitions, NumVertices) guards against heterogeneous
 // deployments: a shard built for a different ring or graph answers TypeError
 // instead of silently sampling from the wrong distribution.
 type StepRequest struct {
@@ -110,7 +132,11 @@ type StepRequest struct {
 	Partitions  uint32
 	NumVertices uint32
 	Flags       uint32
-	Walkers     []Walker
+	// MaxSteps is the walk length: a walker stops once its Steps reaches it,
+	// and a walker already there is refused. 0 asks for exactly one step per
+	// walker.
+	MaxSteps uint32
+	Walkers  []Walker
 }
 
 // SpanSummary is one remote operation's compact trace record: enough to
@@ -126,21 +152,27 @@ type SpanSummary struct {
 	Walkers     int32  `json:"walkers,omitempty"`
 }
 
-// StepResponse carries one result per request walker, in order, plus span
-// summaries when the request asked for them.
+// StepResponse carries one result per request walker, in order, their hops
+// (Σ Results[i].Hops records, in result order), plus span summaries when the
+// request asked for them.
 type StepResponse struct {
 	Results []StepResult
+	Hops    []Hop
 	Spans   []SpanSummary
 }
 
 const (
-	walkerSize = 8 + 4 + 4 + 8 + 4 + 32     // id cur prev arrival steps rng
-	resultSize = 1 + 4 + 8 + 8 + 4 + 4 + 32 // status dst at evaluated trials rejected rng
+	requestHeaderSize = 6 * 4                  // from partitions vertices flags maxSteps n
+	walkerSize        = 8 + 4 + 4 + 8 + 4 + 32 // id cur prev arrival steps rng
+	resultSize        = 1 + 4 + 8 + 4 + 4 + 32 // status hops evaluated trials rejected rng
+	hopSize           = 4 + 8                  // dst at
 )
 
-// WalkerFrameSize is the encoded size of one Walker record, exported so the
-// coordinator can account on-wire bytes without re-encoding frames.
-const WalkerFrameSize = walkerSize
+// StepRequestSize is len(AppendStepRequest(nil, req)), computed without
+// encoding, so the coordinator can account on-wire bytes.
+func StepRequestSize(req *StepRequest) int {
+	return 4 + len(req.RequestID) + requestHeaderSize + len(req.Walkers)*walkerSize
+}
 
 // rngWords round-trips the xoshiro state through the frame. The state fields
 // are unexported, so the wire layer carries them via Marshal/Unmarshal on a
@@ -169,6 +201,7 @@ func AppendStepRequest(buf []byte, req *StepRequest) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, req.Partitions)
 	buf = binary.LittleEndian.AppendUint32(buf, req.NumVertices)
 	buf = binary.LittleEndian.AppendUint32(buf, req.Flags)
+	buf = binary.LittleEndian.AppendUint32(buf, req.MaxSteps)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Walkers)))
 	for i := range req.Walkers {
 		w := &req.Walkers[i]
@@ -202,15 +235,16 @@ func DecodeStepRequestInto(payload []byte, req *StepRequest) error {
 	if err != nil {
 		return err
 	}
-	if len(payload) < 20 {
+	if len(payload) < requestHeaderSize {
 		return fmt.Errorf("%w: step request header short (%d bytes)", ErrCorrupt, len(payload))
 	}
 	req.FromShard = binary.LittleEndian.Uint32(payload[0:])
 	req.Partitions = binary.LittleEndian.Uint32(payload[4:])
 	req.NumVertices = binary.LittleEndian.Uint32(payload[8:])
 	req.Flags = binary.LittleEndian.Uint32(payload[12:])
-	n := int(binary.LittleEndian.Uint32(payload[16:]))
-	payload = payload[20:]
+	req.MaxSteps = binary.LittleEndian.Uint32(payload[16:])
+	n := int(binary.LittleEndian.Uint32(payload[20:]))
+	payload = payload[requestHeaderSize:]
 	if n < 0 || len(payload) != n*walkerSize {
 		return fmt.Errorf("%w: step request payload %d bytes for %d walkers", ErrCorrupt, len(payload), n)
 	}
@@ -233,21 +267,24 @@ func DecodeStepRequestInto(payload []byte, req *StepRequest) error {
 }
 
 // AppendStepResponse encodes resp after buf and returns the extended slice.
-// Span summaries, when present, follow the results as a counted trailer;
-// responses without spans encode byte-identically to the pre-trailer format.
+// The hop records follow the results; span summaries, when present, follow
+// the hops as a counted trailer, and a response without spans omits it.
 func AppendStepResponse(buf []byte, resp *StepResponse) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(resp.Results)))
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		buf = append(buf, r.Status)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Dst))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.At))
+		buf = binary.LittleEndian.AppendUint32(buf, r.Hops)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Evaluated))
 		buf = binary.LittleEndian.AppendUint32(buf, r.Trials)
 		buf = binary.LittleEndian.AppendUint32(buf, r.Rejected)
 		var rng [32]byte
 		putRNG(rng[:], &r.RNG)
 		buf = append(buf, rng[:]...)
+	}
+	for _, h := range resp.Hops {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Dst))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(h.At))
 	}
 	if len(resp.Spans) > 0 {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(resp.Spans)))
@@ -274,6 +311,7 @@ func DecodeStepResponse(payload []byte) (*StepResponse, error) {
 		return nil, fmt.Errorf("%w: step response payload %d bytes for %d results", ErrCorrupt, len(payload), n)
 	}
 	resp := &StepResponse{Results: make([]StepResult, n)}
+	var hops uint64 // Σ Hops; cannot wrap: n < 2³² results of < 2³² hops
 	for i := 0; i < n; i++ {
 		b := payload[i*resultSize:]
 		r := &resp.Results[i]
@@ -281,14 +319,31 @@ func DecodeStepResponse(payload []byte) (*StepResponse, error) {
 		if r.Status != StatusStepped && r.Status != StatusDeadEnd {
 			return nil, fmt.Errorf("%w: step result %d has status %d", ErrCorrupt, i, r.Status)
 		}
-		r.Dst = temporal.Vertex(binary.LittleEndian.Uint32(b[1:]))
-		r.At = temporal.Time(binary.LittleEndian.Uint64(b[5:]))
-		r.Evaluated = int64(binary.LittleEndian.Uint64(b[13:]))
-		r.Trials = binary.LittleEndian.Uint32(b[21:])
-		r.Rejected = binary.LittleEndian.Uint32(b[25:])
-		getRNG(b[29:], &r.RNG)
+		r.Hops = binary.LittleEndian.Uint32(b[1:])
+		if r.Status == StatusStepped && r.Hops == 0 {
+			return nil, fmt.Errorf("%w: step result %d stepped without a hop", ErrCorrupt, i)
+		}
+		r.Evaluated = int64(binary.LittleEndian.Uint64(b[5:]))
+		r.Trials = binary.LittleEndian.Uint32(b[13:])
+		r.Rejected = binary.LittleEndian.Uint32(b[17:])
+		getRNG(b[21:], &r.RNG)
+		hops += uint64(r.Hops)
 	}
 	payload = payload[n*resultSize:]
+	if hops > uint64(len(payload)/hopSize) {
+		return nil, fmt.Errorf("%w: step response has %d bytes for %d hops", ErrCorrupt, len(payload), hops)
+	}
+	if hops > 0 {
+		resp.Hops = make([]Hop, hops)
+		for i := range resp.Hops {
+			b := payload[i*hopSize:]
+			resp.Hops[i] = Hop{
+				Dst: temporal.Vertex(binary.LittleEndian.Uint32(b[0:])),
+				At:  temporal.Time(binary.LittleEndian.Uint64(b[4:])),
+			}
+		}
+		payload = payload[hops*hopSize:]
+	}
 	if len(payload) == 0 {
 		return resp, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -29,6 +30,7 @@ func sampleRequest(n int) *StepRequest {
 		FromShard:   2,
 		Partitions:  3,
 		NumVertices: 1000,
+		MaxSteps:    80,
 		Walkers:     make([]Walker, n),
 	}
 	root := xrand.New(42)
@@ -57,7 +59,7 @@ func TestStepRequestRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if got.RequestID != req.RequestID || got.FromShard != req.FromShard ||
-			got.Partitions != req.Partitions || got.NumVertices != req.NumVertices {
+			got.Partitions != req.Partitions || got.NumVertices != req.NumVertices || got.MaxSteps != req.MaxSteps {
 			t.Fatalf("n=%d: header mismatch: %+v vs %+v", n, got, req)
 		}
 		if len(got.Walkers) != len(req.Walkers) {
@@ -80,33 +82,99 @@ func TestStepRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStepResponseRoundTrip(t *testing.T) {
-	resp := &StepResponse{Results: make([]StepResult, 9)}
+// sampleResponse answers n walkers with mixed outcomes: dead ends with and
+// without hops, and stepped results of one to three hops.
+func sampleResponse(n int, spans bool) *StepResponse {
+	resp := &StepResponse{Results: make([]StepResult, n)}
 	root := xrand.New(7)
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		r.Status = byte(i % 2)
-		r.Dst = temporal.Vertex(i * 3)
-		r.At = temporal.Time(-5 + i)
+		r.Hops = uint32(i % 3)
+		if r.Status == StatusStepped && r.Hops == 0 {
+			r.Hops = 3
+		}
 		r.Evaluated = int64(i * 11)
 		r.Trials = uint32(i * 3)
 		r.Rejected = uint32(i)
 		root.SplitTo(uint64(i), &r.RNG)
+		for h := uint32(0); h < r.Hops; h++ {
+			resp.Hops = append(resp.Hops, Hop{Dst: temporal.Vertex(i*3 + int(h)), At: temporal.Time(-5 + i + int(h))})
+		}
 	}
-	got, err := DecodeStepResponse(AppendStepResponse(nil, resp))
-	if err != nil {
+	if spans {
+		resp.Spans = []SpanSummary{{Name: "shard.step", Shard: 2, StartMicros: 1700000000000000, DurMicros: 42, Walkers: int32(n)}}
+	}
+	return resp
+}
+
+func TestStepResponseRoundTrip(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		resp := sampleResponse(9, spans)
+		got, err := DecodeStepResponse(AppendStepResponse(nil, resp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resp.Results {
+			a, b := &resp.Results[i], &got.Results[i]
+			if a.Status != b.Status || a.Hops != b.Hops || a.Evaluated != b.Evaluated ||
+				a.Trials != b.Trials || a.Rejected != b.Rejected {
+				t.Fatalf("result %d: %+v vs %+v", i, a, b)
+			}
+			ar, br := a.RNG, b.RNG
+			if ar.Uint64() != br.Uint64() {
+				t.Fatalf("result %d: rng mismatch", i)
+			}
+		}
+		if !reflect.DeepEqual(got.Hops, resp.Hops) || !reflect.DeepEqual(got.Spans, resp.Spans) {
+			t.Fatalf("spans=%v: hops %v spans %v, want %v %v", spans, got.Hops, got.Spans, resp.Hops, resp.Spans)
+		}
+	}
+}
+
+// StepRequestSize is the encoder's length, not a copy of its layout.
+func TestStepRequestSize(t *testing.T) {
+	for _, n := range []int{0, 1, 513} {
+		for _, id := range []string{"", "req-abc123"} {
+			req := sampleRequest(n)
+			req.RequestID = id
+			if got, want := StepRequestSize(req), len(AppendStepRequest(nil, req)); got != want {
+				t.Fatalf("n=%d id=%q: StepRequestSize %d, encoded %d bytes", n, id, got, want)
+			}
+		}
+	}
+}
+
+// The hop trailer is sized by the results: too few hop bytes, a hop count
+// that only fits if summed modulo 2³², or a stepped result without a hop are
+// all corruption.
+func TestDecodeRejectsBadHops(t *testing.T) {
+	good := AppendStepResponse(nil, sampleResponse(5, false))
+	if _, err := DecodeStepResponse(good); err != nil {
 		t.Fatal(err)
 	}
-	for i := range resp.Results {
-		a, b := &resp.Results[i], &got.Results[i]
-		if a.Status != b.Status || a.Dst != b.Dst || a.At != b.At || a.Evaluated != b.Evaluated ||
-			a.Trials != b.Trials || a.Rejected != b.Rejected {
-			t.Fatalf("result %d: %+v vs %+v", i, a, b)
-		}
-		ar, br := a.RNG, b.RNG
-		if ar.Uint64() != br.Uint64() {
-			t.Fatalf("result %d: rng mismatch", i)
-		}
+	if _, err := DecodeStepResponse(good[:len(good)-hopSize]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short hop trailer: %v", err)
+	}
+
+	// Two dead ends of 2³¹ hops each: Σhops is 0 in uint32 arithmetic, so
+	// an empty trailer would pass a wrapping check.
+	wrap := &StepResponse{Results: []StepResult{
+		{Status: StatusDeadEnd, Hops: 1 << 31},
+		{Status: StatusDeadEnd, Hops: 1 << 31},
+	}}
+	if _, err := DecodeStepResponse(AppendStepResponse(nil, wrap)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Σhops overflow: %v", err)
+	}
+
+	zero := AppendStepResponse(nil, &StepResponse{Results: []StepResult{{Status: StatusStepped}}})
+	if _, err := DecodeStepResponse(zero); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("stepped without a hop: %v", err)
+	}
+	// The same result as a dead end is a walker with no candidate.
+	dead := AppendStepResponse(nil, &StepResponse{Results: []StepResult{{Status: StatusDeadEnd}}})
+	if _, err := DecodeStepResponse(dead); err != nil {
+		t.Fatalf("dead end without a hop: %v", err)
 	}
 }
 
@@ -241,7 +309,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
-// echoHandler advances nothing: it answers each walker with a stepped result
+// echoHandler advances nothing: it answers each walker with a one-hop result
 // landing on the walker's own vertex, tagging Evaluated with the walker id so
 // tests can check request/response pairing.
 type echoHandler struct {
@@ -258,15 +326,15 @@ func (h *echoHandler) HandleStep(_ context.Context, req *StepRequest) (*StepResp
 	if fail != nil {
 		return nil, fail
 	}
-	resp := &StepResponse{Results: make([]StepResult, len(req.Walkers))}
+	resp := &StepResponse{Results: make([]StepResult, len(req.Walkers)), Hops: make([]Hop, len(req.Walkers))}
 	for i, w := range req.Walkers {
 		resp.Results[i] = StepResult{
 			Status:    StatusStepped,
-			Dst:       w.Cur,
-			At:        w.Arrival,
+			Hops:      1,
 			Evaluated: int64(w.ID),
 			RNG:       w.RNG,
 		}
+		resp.Hops[i] = Hop{Dst: w.Cur, At: w.Arrival}
 	}
 	return resp, nil
 }
@@ -297,7 +365,7 @@ func TestClientServerExchange(t *testing.T) {
 		t.Fatalf("%d results", len(resp.Results))
 	}
 	for i, r := range resp.Results {
-		if r.Evaluated != int64(req.Walkers[i].ID) || r.Dst != req.Walkers[i].Cur {
+		if r.Evaluated != int64(req.Walkers[i].ID) || resp.Hops[i].Dst != req.Walkers[i].Cur {
 			t.Fatalf("result %d out of order: %+v", i, r)
 		}
 	}
