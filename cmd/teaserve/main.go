@@ -73,8 +73,8 @@
 // Shard mode (§4.4 distributed serving; mutually exclusive with -wal-dir and
 // -ooc): serve one shard of a horizontally partitioned cluster. Every shard
 // process loads the same graph file, keeps only the out-edges of the vertices
-// a consistent-hash ring assigns to it, and exchanges batched
-// walker-migration frames with its peers over a compact binary RPC. Walks
+// an owner table cut from the graph's edge times assigns to it, and exchanges
+// batched walker-migration frames with its peers over a compact binary RPC. Walks
 // replay byte-identically to a single process for any shard count. Front the
 // cluster with cmd/tearouter to merge the per-shard partial responses.
 //
@@ -560,8 +560,8 @@ func parseHedge(s string) (shard.HedgeConfig, error) {
 // runShard serves one shard of a partitioned cluster: a binary-RPC listener
 // answers peer step batches (walker migration) while the HTTP server answers
 // /walk for the walks whose source vertex this shard owns. Every shard
-// process loads the same graph file; the consistent-hash partitioner makes
-// them agree on vertex ownership with no coordination. A partition may be
+// process loads the same graph file; the owner table is a pure function of
+// that file, so they agree on vertex ownership with no coordination. A partition may be
 // served by several interchangeable replicas ('|' in its -shard-peers
 // entry): step batches fail over between a peer partition's replicas, and
 // -shard-hedge duplicates slow step-RPCs against a sibling. Front the

@@ -26,9 +26,10 @@ type (
 // locally on every node via a replicated edge Bloom filter.
 type ClusterNode2Vec = shard.Node2Vec
 
-// NewCluster hash-partitions g across nodes and builds per-partition HPAT
-// indices. Seeded walks equal NewEngine's for any partition count: each
-// walker carries its private random stream across partitions.
+// NewCluster partitions g across nodes by activity time, one stretch of the
+// timeline per node, and builds per-partition HPAT indices. Seeded walks
+// equal NewEngine's for any partition count: each walker carries its private
+// random stream across partitions.
 func NewCluster(g *Graph, weight WeightSpec, cfg ClusterConfig) (*Cluster, error) {
 	return shard.NewCluster(g, weight, cfg)
 }

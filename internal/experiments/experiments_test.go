@@ -297,7 +297,7 @@ func TestDistScaling(t *testing.T) {
 	if rows[0].Messages != 0 || rows[1].Messages == 0 {
 		t.Fatalf("message accounting: %+v", rows)
 	}
-	// Hash partitioning sends ≈ (P-1)/P of moves across workers.
+	// Without time locality ≈ (P-1)/P of moves cross workers, as under hashing.
 	if f := rows[1].MessagesPerStep; f < 0.4 || f > 0.9 {
 		t.Fatalf("msgs/step = %.2f, want ≈ 2/3", f)
 	}

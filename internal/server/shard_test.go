@@ -105,7 +105,10 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 func TestShardPartialResponses(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 62)
 	servers := newShardCluster(t, g, sampling.WeightSpec{}, 3, Config{}, nil)
-	part := shard.MustPartitioner(3)
+	part, err := shard.NewPartitioner(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const from, count = 7, 5
 	owner := part.Owner(from)
@@ -137,33 +140,21 @@ func (failingCaller) Step(context.Context, int, *wire.StepRequest) (*wire.StepRe
 	return nil, &wire.PeerError{Addr: "127.0.0.1:1", Err: errors.New("connection refused")}
 }
 
-// migrationGraph builds a two-vertex graph whose single edge crosses the
-// 2-partition boundary, so the very first walk step after arrival needs the
-// peer — a deterministic way to exercise the peer-down path.
+// migrationGraph builds the chain 0 → 1 → 2 whose first edge crosses the
+// 2-partition boundary (vertex 0's edge is the earlier half of the graph's),
+// so the very first walk step after arrival needs the peer — a deterministic
+// way to exercise the peer-down path.
 func migrationGraph(t *testing.T) (*temporal.Graph, temporal.Vertex) {
 	t.Helper()
-	part := shard.MustPartitioner(2)
-	v0, v1 := temporal.Vertex(0), temporal.Vertex(0)
-	found0, found1 := false, false
-	for v := temporal.Vertex(0); v < 64; v++ {
-		switch part.Owner(v) {
-		case 0:
-			if !found0 {
-				v0, found0 = v, true
-			}
-		case 1:
-			if !found1 {
-				v1, found1 = v, true
-			}
-		}
+	g := temporal.MustFromEdges([]temporal.Edge{{Src: 0, Dst: 1, Time: 5}, {Src: 1, Dst: 2, Time: 6}})
+	part, err := shard.NewPartitioner(g, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found0 || !found1 {
-		t.Fatal("no cross-partition vertex pair in 0..63")
+	if part.Owner(0) != 0 || part.Owner(1) != 1 {
+		t.Fatalf("owners %d, %d; want the edge 0 → 1 to cross from shard 0 to shard 1", part.Owner(0), part.Owner(1))
 	}
-	n := int(max(v0, v1)) + 1
-	g := temporal.MustFromEdges([]temporal.Edge{{Src: v0, Dst: v1, Time: 5}},
-		temporal.WithNumVertices(n))
-	return g, v0
+	return g, 0
 }
 
 // A peer shard going down mid-walk surfaces as 503 + Retry-After: the shard

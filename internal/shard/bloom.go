@@ -48,6 +48,15 @@ func newEdgeBloom(numEdges int, bitsPerEdge int) *edgeBloom {
 	}
 }
 
+// mix64 is the splitmix64 finalizer: a fast, well-dispersed 64-bit mixer
+// (the same construction xrand uses for seed expansion).
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 func pairKey(u, v temporal.Vertex) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }

@@ -25,7 +25,7 @@ type Cluster struct {
 // ClusterConfig sizes an in-process cluster.
 type ClusterConfig struct {
 	// Partitions is the node count; vertices are assigned by the
-	// consistent-hash Partitioner. Must be ≥ 1.
+	// activity-time Partitioner. Must be ≥ 1.
 	Partitions int
 	// Threads bounds index-construction parallelism per partition.
 	Threads int

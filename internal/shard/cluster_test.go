@@ -105,8 +105,8 @@ func TestClusterPartitionInvariance(t *testing.T) {
 	}
 }
 
-// The shared consistent-hash partitioner keeps strided-id load balanced, and
-// the cluster walks correctly on such a graph.
+// The shared partitioner keeps strided-id load balanced, and the cluster
+// walks correctly on such a graph.
 func TestClusterStridedIDPartitionSkew(t *testing.T) {
 	const parts, active = 4, 2000
 	var edges []temporal.Edge
@@ -172,8 +172,9 @@ func TestClusterWalksAreTemporalAndComplete(t *testing.T) {
 	}
 }
 
-// One partition sends no messages; P partitions send ≈ (P−1)/P of the
-// walker-steps to a peer, and the total step traffic is partition-invariant.
+// One partition sends no messages; on this graph without time locality P
+// partitions send ≈ (P−1)/P of the walker-steps to a peer, and the total
+// step traffic is partition-invariant.
 func TestClusterMessageAccounting(t *testing.T) {
 	g := testutil.RandomGraph(t, 200, 6000, 1200, 35)
 	run := func(parts int) *ClusterResult {

@@ -65,8 +65,8 @@ type Node struct {
 
 // NewNode partitions the full graph down to this shard's vertices and builds
 // an engine over them. Every process in the cluster loads the same graph file
-// and calls NewNode with its own ShardID; the consistent-hash Partitioner
-// makes them agree on ownership with no coordination.
+// and calls NewNode with its own ShardID; the Partitioner is a pure function
+// of that graph, so they agree on ownership with no coordination.
 func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, error) {
 	if cfg.Partitions < 1 {
 		return nil, fmt.Errorf("shard: need at least one partition, got %d", cfg.Partitions)
@@ -74,7 +74,7 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 	if cfg.ShardID < 0 || cfg.ShardID >= cfg.Partitions {
 		return nil, fmt.Errorf("shard: shard id %d outside [0, %d)", cfg.ShardID, cfg.Partitions)
 	}
-	part, err := NewPartitioner(cfg.Partitions)
+	part, err := NewPartitioner(g, cfg.Partitions)
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +118,26 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 			func(_ *temporal.Graph, prev, cand temporal.Vertex) bool { return bloom.has(prev, cand) })
 	}
 
-	var owned []temporal.Edge
-	for _, e := range g.Edges(nil) {
-		if part.Owner(e.Src) == cfg.ShardID {
-			owned = append(owned, e)
+	// The owned edges are copied from their CSR rows, never the whole graph;
+	// the Bloom filter reads every row in place.
+	size := 0
+	for v := range temporal.Vertex(n.numV) {
+		if part.Owner(v) == cfg.ShardID {
+			size += g.Degree(v)
 		}
+	}
+	owned := make([]temporal.Edge, 0, size)
+	for v := range temporal.Vertex(n.numV) {
+		dsts, ts := g.OutDst(v), g.OutTimes(v)
 		if n.bloom != nil {
-			n.bloom.add(e.Src, e.Dst)
+			for _, d := range dsts {
+				n.bloom.add(v, d)
+			}
+		}
+		if part.Owner(v) == cfg.ShardID {
+			for i, d := range dsts {
+				owned = append(owned, temporal.Edge{Src: v, Dst: d, Time: ts[i]})
+			}
 		}
 	}
 	sub, err := temporal.FromEdges(owned, temporal.WithNumVertices(n.numV))
@@ -147,17 +160,17 @@ func (n *Node) ShardID() int { return n.id }
 // Partitions returns the cluster size the node was built for.
 func (n *Node) Partitions() int { return n.part.Partitions() }
 
-// Partitioner returns the shared ownership ring.
+// Partitioner returns the cluster's owner table.
 func (n *Node) Partitioner() *Partitioner { return n.part }
 
 // NumVertices returns the full graph's vertex count (the cluster
 // fingerprint carried on every step frame).
 func (n *Node) NumVertices() int { return n.numV }
 
-// MemoryBytes reports this shard's index footprint, its node2vec Bloom
-// filter included.
+// MemoryBytes reports this shard's index footprint, its owner table and
+// node2vec Bloom filter included.
 func (n *Node) MemoryBytes() int64 {
-	b := n.eng.MemoryBytes()
+	b := n.eng.MemoryBytes() + n.part.memoryBytes()
 	if n.bloom != nil {
 		b += n.bloom.memoryBytes()
 	}
@@ -178,11 +191,16 @@ func (n *Node) HandleStep(ctx context.Context, req *wire.StepRequest) (*wire.Ste
 			req.Partitions, req.NumVertices, n.part.Partitions(), n.numV)
 	}
 	// A CRC-valid frame can still name a vertex outside the graph; indexing
-	// the CSR arrays with it would panic the process.
+	// the CSR arrays with it would panic the process. A walker at a vertex
+	// another shard owns would dead-end here on a partition with no edges for
+	// it, so it is refused rather than answered with a wrong walk.
 	for i := range req.Walkers {
 		w := &req.Walkers[i]
 		if int(w.Cur) >= n.numV || (w.Steps > 0 && int(w.Prev) >= n.numV) {
 			return nil, fmt.Errorf("walker %d: vertex cur=%d prev=%d outside graph with %d vertices", w.ID, w.Cur, w.Prev, n.numV)
+		}
+		if owner := n.part.Owner(w.Cur); owner != n.id {
+			return nil, fmt.Errorf("walker %d: vertex %d is owned by shard %d, not shard %d", w.ID, w.Cur, owner, n.id)
 		}
 		if req.MaxSteps > 0 && w.Steps >= req.MaxSteps {
 			return nil, fmt.Errorf("walker %d: has taken %d steps of at most %d", w.ID, w.Steps, req.MaxSteps)

@@ -94,22 +94,34 @@ func TestHandleStepOutOfRangeOverWire(t *testing.T) {
 	}
 }
 
-// runAheadGraph is a graph on partition 0 of 2 where every vertex has one
-// out-edge: x0 → x1 → x2 stay on shard 0, then x2 → y leaves for shard 1;
-// u0 → u1 stays on shard 0 and u1 has no out-edge.
+// runAheadGraph is a graph on 2 partitions where x0 → x1 → x2 stay on shard
+// 0, then x2 → y leaves for shard 1; u0 → u1 stays on shard 0 and u1 has no
+// out-edge. y's four late edges to z are half the graph's edges, which puts
+// y and z on shard 1 and everything earlier on shard 0.
 func runAheadGraph(t *testing.T) (g *temporal.Graph, x0, x1, x2, y, u0, u1 temporal.Vertex) {
 	t.Helper()
-	part := MustPartitioner(2)
-	var owned [2][]temporal.Vertex
-	for v := temporal.Vertex(0); len(owned[0]) < 5 || len(owned[1]) < 1; v++ {
-		owned[part.Owner(v)] = append(owned[part.Owner(v)], v)
-	}
-	x0, x1, x2, u0, u1, y = owned[0][0], owned[0][1], owned[0][2], owned[0][3], owned[0][4], owned[1][0]
-	n := int(max(y, u1)) + 1
-	g = temporal.MustFromEdges([]temporal.Edge{
+	x0, x1, x2, u0, u1, y, z := temporal.Vertex(0), temporal.Vertex(1), temporal.Vertex(2), temporal.Vertex(3), temporal.Vertex(4), temporal.Vertex(5), temporal.Vertex(6)
+	edges := []temporal.Edge{
 		{Src: x0, Dst: x1, Time: 1}, {Src: x1, Dst: x2, Time: 2}, {Src: x2, Dst: y, Time: 3},
 		{Src: u0, Dst: u1, Time: 1},
-	}, temporal.WithNumVertices(n))
+	}
+	for at := temporal.Time(10); at < 14; at++ {
+		edges = append(edges, temporal.Edge{Src: y, Dst: z, Time: at})
+	}
+	g = temporal.MustFromEdges(edges)
+	part, err := NewPartitioner(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range temporal.Vertex(g.NumVertices()) {
+		want := 0
+		if v >= y {
+			want = 1
+		}
+		if part.Owner(v) != want {
+			t.Fatalf("vertex %d on shard %d, want %d", v, part.Owner(v), want)
+		}
+	}
 	return g, x0, x1, x2, y, u0, u1
 }
 
@@ -179,6 +191,34 @@ func TestHandleStepRefusesSpentWalkerOverWire(t *testing.T) {
 	}
 	if r := resp.Results[0]; r.Status != wire.StatusStepped || r.Hops != 1 {
 		t.Fatalf("one step left: %+v", r)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want the one connection kept across the refusal", n)
+	}
+}
+
+// A walker at a vertex another shard owns is refused with a TypeError rather
+// than dead-ended on a partition without its edges, and the connection keeps
+// serving.
+func TestHandleStepRefusesForeignWalkerOverWire(t *testing.T) {
+	g, x0, _, _, y, _, _ := runAheadGraph(t)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
+	c, dials := serveOverWire(t, nodes[0])
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req := &wire.StepRequest{Partitions: 2, NumVertices: uint32(g.NumVertices()), MaxSteps: 4,
+		Walkers: []wire.Walker{{Cur: y, Arrival: temporal.MinTime, RNG: *xrand.New(1)}}}
+	var remote *wire.RemoteError
+	if _, err := c.Step(ctx, req); !errors.As(err, &remote) {
+		t.Fatalf("walker at shard 1's vertex: want RemoteError, got %v", err)
+	}
+	req.Walkers[0].Cur = x0
+	resp, err := c.Step(ctx, req)
+	if err != nil {
+		t.Fatalf("follow-up request failed: %v", err)
+	}
+	if r := resp.Results[0]; r.Status != wire.StatusStepped || r.Hops != 3 {
+		t.Fatalf("owned walker: %+v, want 3 hops to shard 1", r)
 	}
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("%d connections dialed, want the one connection kept across the refusal", n)

@@ -42,20 +42,26 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// validStepRequest builds a fingerprint-matching request for nodes built with
-// the given partition count.
-func validStepRequest(g *temporal.Graph, parts, walkers int) *wire.StepRequest {
+// validStepRequest builds a fingerprint-matching request for node and its
+// replicas, with walkers at vertices node owns.
+func validStepRequest(node *Node, walkers int) *wire.StepRequest {
 	req := &wire.StepRequest{
 		RequestID:   "replica-test",
-		Partitions:  uint32(parts),
-		NumVertices: uint32(g.NumVertices()),
+		Partitions:  uint32(node.Partitions()),
+		NumVertices: uint32(node.NumVertices()),
 		Walkers:     make([]wire.Walker, walkers),
+	}
+	var owned []temporal.Vertex
+	for v := range temporal.Vertex(node.NumVertices()) {
+		if node.Partitioner().Owner(v) == node.ShardID() {
+			owned = append(owned, v)
+		}
 	}
 	root := xrand.New(7)
 	for i := range req.Walkers {
 		w := &req.Walkers[i]
 		w.ID = uint64(i)
-		w.Cur = temporal.Vertex(i % g.NumVertices())
+		w.Cur = owned[i%len(owned)]
 		w.Arrival = temporal.MinTime
 		root.SplitTo(uint64(i), &w.RNG)
 	}
@@ -81,7 +87,7 @@ func TestReplicaFailoverOnDeadPrimary(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req := validStepRequest(g, 2, 5)
+	req := validStepRequest(nodes[1], 5)
 	resp, err := rp.Step(ctx, 1, req)
 	if err != nil {
 		t.Fatalf("failover step: %v", err)
@@ -112,12 +118,13 @@ func TestReplicaFailoverOnDeadPrimary(t *testing.T) {
 
 func TestAllReplicasDownYieldsPeerError(t *testing.T) {
 	g := testutil.RandomGraph(t, 40, 800, 200, 62)
+	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	reg := metrics.NewRegistry()
 	rp := NewReplicaPeers(map[int][]string{1: {deadAddr(t), deadAddr(t)}}, testReplicaConfig(reg))
 	defer rp.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := rp.Step(ctx, 1, validStepRequest(g, 2, 1))
+	_, err := rp.Step(ctx, 1, validStepRequest(nodes[1], 1))
 	var peer *wire.PeerError
 	if !errors.As(err, &peer) {
 		t.Fatalf("want PeerError, got %v", err)
@@ -155,7 +162,7 @@ func TestRemoteErrorNotFailedOver(t *testing.T) {
 	defer rp.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := rp.Step(ctx, 1, validStepRequest(g, 2, 1))
+	_, err := rp.Step(ctx, 1, validStepRequest(right[1], 1))
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -194,7 +201,7 @@ func TestHedgedStepWinsOverSlowPrimary(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req := validStepRequest(g, 2, 4)
+	req := validStepRequest(nodes[1], 4)
 	start := time.Now()
 	resp, err := rp.Step(ctx, 1, req)
 	if err != nil {
@@ -243,7 +250,7 @@ func TestHedgeRescuesNetchaosStall(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	req := validStepRequest(g, 2, 3)
+	req := validStepRequest(nodes[1], 3)
 	start := time.Now()
 	if _, err := rp.Step(ctx, 1, req); err != nil {
 		t.Fatalf("hedged step through stall: %v", err)

@@ -59,8 +59,8 @@ const (
 	// their hops.
 	TypeStepResp = byte(2)
 	// TypeError carries a shard-side refusal (mismatched cluster config, a
-	// malformed payload, a walker vertex outside the graph, a walker already
-	// at MaxSteps) as a string.
+	// malformed payload, a walker vertex outside the graph or owned by
+	// another shard, a walker already at MaxSteps) as a string.
 	TypeError = byte(3)
 	// TypePing and TypePong are the liveness probe pair.
 	TypePing = byte(4)
@@ -124,8 +124,8 @@ const (
 
 // StepRequest asks a shard to advance a batch of walkers. The cluster
 // fingerprint (Partitions, NumVertices) guards against heterogeneous
-// deployments: a shard built for a different ring or graph answers TypeError
-// instead of silently sampling from the wrong distribution.
+// deployments: a shard built for a different partition count or graph answers
+// TypeError instead of silently sampling from the wrong distribution.
 type StepRequest struct {
 	RequestID   string
 	FromShard   uint32
