@@ -59,10 +59,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"log/slog"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -89,13 +87,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var logHandler slog.Handler
-	if *logJSON {
-		logHandler = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
-		logHandler = slog.NewTextHandler(os.Stderr, nil)
-	}
-	logger := slog.New(trace.NewLogHandler(logHandler))
+	logger := server.NewLogger(os.Stderr, *logJSON)
 
 	if *shards == "" {
 		flag.Usage()
@@ -137,7 +129,6 @@ func main() {
 		logger.Error("router", "error", err)
 		os.Exit(1)
 	}
-	defer rt.Close()
 
 	logger.Info("routing",
 		"addr", *addr,
@@ -145,33 +136,15 @@ func main() {
 		"timeout", *reqTimeout,
 		"max_inflight", *maxFlight)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("serve failed", "error", err)
+		os.Exit(1)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "error", err)
+	context.AfterFunc(ctx, stop) // restore default signal behavior: a second signal kills hard
+	if err := server.Serve(ctx, ln, rt.Handler(), *drain, logger, rt.Close); err != nil {
 		os.Exit(1)
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down", "drain", *drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			logger.Error("drain incomplete", "error", err)
-			os.Exit(1)
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("serve error", "error", err)
-		}
-		logger.Info("bye")
 	}
 }

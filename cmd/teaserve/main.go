@@ -202,7 +202,7 @@ func main() {
 		shardReplica = flag.Int("shard-replica", 0, "which replica of its partition this process is (index into the '|' list of its -shard-peers entry)")
 		shardRPC     = flag.String("shard-rpc-addr", "", "walker-migration RPC listen address (default: this shard's -shard-peers entry)")
 		shardHedge   = flag.String("shard-hedge", "off", "hedged step-RPCs against sibling replicas: off|auto|<duration> (auto = primary's observed p99)")
-		chaosSpec    = flag.String("chaos", "", "inject network faults on peer RPC conns, e.g. 'drop:peer=h1:9000,after=3;delay:dur=50ms' (testing only)")
+		chaosSpec    = flag.String("chaos", "", "inject network faults on peer RPC conns, e.g. 'drop:peer=h1:9000,after=3;delay:delay=50ms' (testing only)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for randomized -chaos faults (byte flips)")
 
 		oocMode        = flag.Bool("ooc", false, "serve out-of-core: PAT trunks on disk, trunk prefix sums in memory")
@@ -232,28 +232,22 @@ func main() {
 
 	// Structured logging: every record carries request_id/trace_id when its
 	// context does (the server threads both through request contexts).
-	var logHandler slog.Handler
-	if *logJSON {
-		logHandler = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
-		logHandler = slog.NewTextHandler(os.Stderr, nil)
-	}
-	logger := slog.New(trace.NewLogHandler(logHandler))
+	logger := server.NewLogger(os.Stderr, *logJSON)
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "error", err)
 		os.Exit(1)
 	}
-	durableMode := *walDir != ""
-	if durableMode && *input != "" {
+	ingestMode := *walDir != ""
+	if ingestMode && *input != "" {
 		fatal("flags", errors.New("-input and -wal-dir are mutually exclusive: serve a static index or a live stream, not both"))
 	}
-	if !durableMode && *input == "" {
+	if !ingestMode && *input == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *shardID >= 0 {
 		switch {
-		case durableMode:
+		case ingestMode:
 			fatal("flags", errors.New("-shard-id is incompatible with -wal-dir: shard mode serves a static partitioned index"))
 		case *oocMode:
 			fatal("flags", errors.New("-shard-id is incompatible with -ooc"))
@@ -304,9 +298,9 @@ func main() {
 		Logger:               logger,
 	}
 
-	var handler http.Handler
+	serve := srvParams{addr: *addr, drain: *drain, pprof: *withPprof, logger: logger}
 	var durableGraph atomic.Pointer[stream.DurableGraph]
-	if durableMode {
+	if ingestMode {
 		spec, err := streamWeightSpec(*algo, *lambda)
 		if err != nil {
 			fatal("bad algorithm for ingest mode", err)
@@ -319,7 +313,6 @@ func main() {
 			fatal("wal dir", err)
 		}
 		s := server.NewDurable(scfg)
-		handler = s.Handler()
 		var scrubber atomic.Pointer[scrub.Scrubber]
 		// Recover in the background so the listener binds immediately;
 		// /readyz answers 503 (with replay progress) until SetDurable flips
@@ -385,7 +378,7 @@ func main() {
 			"mode", "durable-ingest",
 			"timeout", *reqTimeout,
 			"max_inflight", *maxFlight)
-		serveHTTP(handler, srvParams{addr: *addr, drain: *drain, pprof: *withPprof, logger: logger, onShutdown: func() {
+		serve.onShutdown = func() {
 			if sc := scrubber.Load(); sc != nil {
 				sc.Stop()
 			}
@@ -394,7 +387,8 @@ func main() {
 					logger.Error("wal close", "error", err)
 				}
 			}
-		}})
+		}
+		serveHTTP(s.Handler(), serve)
 		return
 	}
 
@@ -443,11 +437,8 @@ func main() {
 			hedge:     *shardHedge,
 			chaos:     *chaosSpec,
 			chaosSeed: *chaosSeed,
-			addr:      *addr,
-			drain:     *drain,
-			pprof:     *withPprof,
+			srvParams: serve,
 			tracer:    tracer,
-			logger:    logger,
 			fatal:     fatal,
 		})
 		return
@@ -516,12 +507,12 @@ func main() {
 		srv.SetScrubber(staticScrub)
 		staticScrub.Start()
 	}
-	handler = srv.Handler()
-	serveHTTP(handler, srvParams{addr: *addr, drain: *drain, pprof: *withPprof, logger: logger, onShutdown: func() {
+	serve.onShutdown = func() {
 		if staticScrub != nil {
 			staticScrub.Stop()
 		}
-	}})
+	}
+	serveHTTP(srv.Handler(), serve)
 }
 
 // shardOpts carries the shard-mode knobs from flag parsing to runShard.
@@ -533,12 +524,9 @@ type shardOpts struct {
 	hedge     string
 	chaos     string
 	chaosSeed int64
-	addr      string
-	drain     time.Duration
-	pprof     bool
-	tracer    *trace.Tracer
-	logger    *slog.Logger
-	fatal     func(string, error)
+	srvParams
+	tracer *trace.Tracer
+	fatal  func(string, error)
 }
 
 // parseHedge maps the -shard-hedge flag onto a hedge config.
@@ -637,10 +625,11 @@ func runShard(g *tea.Graph, app tea.App, scfg server.Config, o shardOpts) {
 	o.logger.Info("listening", "addr", o.addr, "mode", "shard")
 
 	srv := server.NewShard(node, callers, scfg)
-	serveHTTP(srv.Handler(), srvParams{addr: o.addr, drain: o.drain, pprof: o.pprof, logger: o.logger, onShutdown: func() {
+	o.onShutdown = func() {
 		_ = wireSrv.Close()
 		callers.Close()
-	}})
+	}
+	serveHTTP(srv.Handler(), o.srvParams)
 }
 
 // srvParams carries the operational knobs serveHTTP needs.
@@ -669,37 +658,15 @@ func serveHTTP(handler http.Handler, p srvParams) {
 		handler = mux
 		p.logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	srv := &http.Server{
-		Addr:              p.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
+	ln, err := net.Listen("tcp", p.addr)
+	if err != nil {
 		p.logger.Error("serve failed", "error", err)
 		os.Exit(1)
-	case <-ctx.Done():
-		stop() // restore default signal behavior: a second signal kills hard
-		p.logger.Info("shutting down", "drain", p.drain)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), p.drain)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			p.logger.Error("drain incomplete", "error", err)
-			os.Exit(1)
-		}
-		if p.onShutdown != nil {
-			p.onShutdown()
-		}
-		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			p.logger.Error("serve error", "error", err)
-		}
-		p.logger.Info("bye")
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // restore default signal behavior: a second signal kills hard
+	if err := server.Serve(ctx, ln, handler, p.drain, p.logger, p.onShutdown); err != nil {
+		os.Exit(1)
 	}
 }

@@ -258,9 +258,10 @@ func TestParseSpecs(t *testing.T) {
 		{"delay:op=read,delay=50ms", false, 1},
 		{"flip:op=write,once;drop:peer=h1", false, 2},
 		{"stall", false, 1},
-		{"delay", true, 0},            // delay without duration
-		{"explode", true, 0},          // unknown kind
-		{"drop:op=sideways", true, 0}, // unknown op
+		{"drop:peer=h1:9000,after=3;delay:delay=50ms", false, 2}, // teaserve -chaos usage example
+		{"delay", true, 0},                                       // delay without duration
+		{"explode", true, 0},                                     // unknown kind
+		{"drop:op=sideways", true, 0},                            // unknown op
 		{"drop:after=-1", true, 0},
 	}
 	for _, tc := range cases {

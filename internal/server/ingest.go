@@ -42,10 +42,19 @@ var errQueryOnly = errors.New("server is not in durable-ingest mode (start with 
 // NewDurable builds a server in durable-ingest mode. The durable graph is
 // attached later with SetDurable (typically after crash recovery completes
 // in the background); until then /readyz reports recovering and write
-// endpoints shed.
+// endpoints shed. The endpoints that need a preprocessed index answer 501.
 func NewDurable(cfg Config) *Server {
-	s := NewWithConfig(nil, cfg)
-	s.durableMode = true
+	s := &Server{}
+	s.shell = newShell(cfg, []route{
+		{"GET /healthz", "healthz", false, s.handleHealth},
+		{"GET /readyz", "readyz", false, s.handleDurableReady},
+		{"POST /edges", "edges", false, s.handleIngestEdges},
+		{"POST /expire", "expire", false, s.handleIngestExpire},
+		{"GET /stats", "stats", false, s.handleDurableStats},
+		{"GET /walk", "walk", true, s.handleDurableWalk},
+		{"GET /ppr", "ppr", true, notImplemented(errIngestOnly)},
+		{"GET /reach", "reach", true, notImplemented(errIngestOnly)},
+	})
 	return s
 }
 
@@ -53,68 +62,46 @@ func NewDurable(cfg Config) *Server {
 // ready. Safe to call at most once, from any goroutine.
 func (s *Server) SetDurable(d *stream.DurableGraph) { s.durable.Store(d) }
 
-// retryUnavailable sheds with 503 + Retry-After, the same contract the load
-// shedder uses, so ingest clients back off instead of hammering a server
-// that is still replaying its log.
-func (s *Server) retryUnavailable(w http.ResponseWriter, err error) {
-	s.retryStatus(w, http.StatusServiceUnavailable, err)
-}
-
-// retryStatus sheds with an explicit status + Retry-After.
-func (s *Server) retryStatus(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeErr(w, status, err)
-}
-
 // durableForWrite resolves the durable graph for a mutation, shedding while
 // recovering and while degraded. Degradation caused by a full disk is 507
 // Insufficient Storage (the truthful status); everything else is 503. Both
 // carry Retry-After — the heal loop clears the condition without a restart.
 // A nil return means the response was sent.
 func (s *Server) durableForWrite(w http.ResponseWriter) *stream.DurableGraph {
-	if !s.durableMode {
-		writeErr(w, http.StatusNotImplemented, errQueryOnly)
-		return nil
-	}
-	d := s.durable.Load()
+	d := s.durableForRead(w)
 	if d == nil {
-		s.retryUnavailable(w, errors.New("recovering: WAL replay in progress"))
 		return nil
 	}
 	if err := d.Err(); err != nil {
-		s.retryStatus(w, ingestStatus(err), err)
+		s.retryErr(w, ingestStatus(err), err)
 		return nil
 	}
 	return d
 }
 
-// durableForRead resolves the durable graph for a query. Reads are served
-// even while degraded (the in-memory graph is intact); only recovery blocks
-// them.
+// durableForRead resolves the durable graph for a query, shedding with 503 +
+// Retry-After — the load shedder's contract, so clients back off instead of
+// hammering a server still replaying its log — while recovering. Reads are
+// served even while degraded (the in-memory graph is intact).
 func (s *Server) durableForRead(w http.ResponseWriter) *stream.DurableGraph {
 	d := s.durable.Load()
 	if d == nil {
-		s.retryUnavailable(w, errors.New("recovering: WAL replay in progress"))
+		s.retryErr(w, http.StatusServiceUnavailable, errors.New("recovering: WAL replay in progress"))
 		return nil
 	}
 	return d
 }
 
-// handleReady implements GET /readyz. An engine-mode server is ready as soon
-// as it is constructed; a durable server is ready once recovery has
-// completed and SetDurable ran, and reports degraded (still 200 — reads
-// work) thereafter if the WAL failed. While recovering, the 503 body carries
+// handleDurableReady implements GET /readyz: ready once recovery has
+// completed and SetDurable ran, and degraded (still 200 — reads work)
+// thereafter if the WAL failed. While recovering, the 503 body carries
 // progress (chosen snapshot, segments replayed, records applied) so an
 // operator watching a long replay can tell a working recovery from a hung
 // one.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if !s.durableMode {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-		return
-	}
+func (s *Server) handleDurableReady(w http.ResponseWriter, _ *http.Request) {
 	d := s.durable.Load()
 	if d == nil {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		s.retryAfter(w)
 		body := map[string]any{"status": "recovering"}
 		if p := s.recovering.Load(); p != nil {
 			body["snapshot_lsn"] = p.SnapshotLSN
@@ -246,7 +233,7 @@ func ingestStatus(err error) int {
 func (s *Server) writeIngestErr(w http.ResponseWriter, err error) {
 	status := ingestStatus(err)
 	if status == http.StatusServiceUnavailable || status == http.StatusInsufficientStorage {
-		s.retryStatus(w, status, err)
+		s.retryErr(w, status, err)
 		return
 	}
 	writeErr(w, status, err)

@@ -7,9 +7,10 @@
 // single-process reply: a client cannot tell a routed cluster
 // from one teaserve process.
 //
-// Each configured shard entry may name several "|"-separated replica URLs
-// (router_replica.go): the router prefers the healthiest replica per
-// partition and fails over to a sibling on a transport error or 503, so a
+// Each configured shard entry may name several "|"-separated replica URLs,
+// held in one shard.ReplicaGroup per partition — the same health model and
+// failover loop the step-RPC layer uses: the router prefers the healthiest
+// replica and fails over to a sibling on a transport error or 503, so a
 // single replica outage never surfaces to clients.
 //
 // Failure semantics: a partition whose every replica is unreachable or
@@ -23,6 +24,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -73,10 +75,9 @@ type RouterConfig struct {
 
 // Router fans queries over a shard cluster and merges the partial answers.
 type Router struct {
-	base   *Server // instrumentation + ops endpoints; its own mux is never served
-	groups []*routerGroup
+	*shell
+	groups []*shard.ReplicaGroup[struct{}] // replica URLs are all a fan needs
 	client *http.Client
-	mux    *http.ServeMux
 
 	fanouts *metrics.Counter
 	merges  *metrics.Counter
@@ -91,7 +92,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
-	base := NewWithConfig(nil, Config{
+	rt := &Router{client: &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}}
+	rt.shell = newShell(Config{
 		RequestTimeout:       cfg.RequestTimeout,
 		MaxInFlight:          cfg.MaxInFlight,
 		RetryAfter:           cfg.RetryAfter,
@@ -102,32 +107,22 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		Metrics:              cfg.Metrics,
 		Trace:                cfg.Trace,
 		Logger:               cfg.Logger,
+	}, []route{
+		{"GET /healthz", "healthz", false, rt.handleHealth},
+		{"GET /readyz", "readyz", false, rt.handleReady},
+		{"GET /stats", "stats", false, rt.handleStats},
+		{"GET /walk", "walk", true, rt.handleWalk},
 	})
-	rt := &Router{
-		base:   base,
-		groups: newRouterGroups(replicaURLs, base.metrics, cfg.Breaker),
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}},
-		mux:     http.NewServeMux(),
-		fanouts: base.metrics.Counter("tea_router_fanouts_total"),
-		merges:  base.metrics.Counter("tea_router_merged_walks_total"),
+	rt.snapshot = rt.federate
+	reg := rt.cfg.Metrics
+	for p, urls := range replicaURLs {
+		rt.groups = append(rt.groups, shard.NewReplicaGroup(p, urls, func(string) struct{} { return struct{}{} },
+			cfg.Breaker, reg, "tea_router_replica", "router.failover"))
 	}
-	rt.mux.HandleFunc("GET /healthz", base.instrument("healthz", rt.handleHealth))
-	rt.mux.HandleFunc("GET /readyz", base.instrument("readyz", rt.handleReady))
-	rt.mux.HandleFunc("GET /stats", base.instrument("stats", rt.handleStats))
-	rt.mux.HandleFunc("GET /walk", base.instrument("walk", base.limited(rt.handleWalk)))
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /metrics.json", rt.handleMetricsJSON)
-	rt.mux.HandleFunc("GET /debug/tea/trace", base.handleTrace)
-	rt.mux.HandleFunc("GET /debug/tea/flight", base.handleFlight)
-	rt.mux.HandleFunc("GET /debug/tea/top", base.handleTop)
+	rt.fanouts = reg.Counter("tea_router_fanouts_total")
+	rt.merges = reg.Counter("tea_router_merged_walks_total")
 	return rt, nil
 }
-
-// Handler returns the routable HTTP handler.
-func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Close releases pooled shard connections.
 func (rt *Router) Close() { rt.client.CloseIdleConnections() }
@@ -149,54 +144,38 @@ func (rt *Router) fan(ctx context.Context, path, rawQuery string) []shardReply {
 	var wg sync.WaitGroup
 	for i, g := range rt.groups {
 		wg.Add(1)
-		go func(i int, g *routerGroup) {
+		go func() {
 			defer wg.Done()
 			replies[i] = rt.fanPartition(ctx, g, path, rawQuery)
-		}(i, g)
+		}()
 	}
 	wg.Wait()
 	return replies
 }
 
-// fanPartition tries a partition's replicas in health-preference order and
-// returns the first reply that isn't a transport failure or a 503. Those two
-// are exactly the retryable-elsewhere outcomes — a 400/500 is the partition's
-// deliberate answer and would be identical from every sibling. Replica
-// outcomes feed the breakers unless the request's own context was cancelled
-// (an abandoned request says nothing about replica health).
-func (rt *Router) fanPartition(ctx context.Context, g *routerGroup, path, rawQuery string) shardReply {
-	order := g.ordered()
-	var last shardReply
-	for i, rep := range order {
-		if i > 0 {
-			g.failovers.Inc()
-			rt.traceFailover(ctx, g.partition, order[i-1].url, rep.url)
-		}
-		// Register half-open probe intent; ordering already demotes open
-		// replicas, and even a hard-open one is attempted as a last resort.
-		rep.breaker.Allow()
-		start := time.Now()
-		reply := rt.doShardRequest(ctx, g.partition, rep.url, path, rawQuery)
-		var outcome error
+// fanPartition runs the partition's failover loop and returns the first
+// reply that isn't a transport failure or a 503. Those two are exactly the
+// retryable-elsewhere outcomes — a 400/500 is the partition's deliberate
+// answer and would be identical from every sibling.
+func (rt *Router) fanPartition(ctx context.Context, g *shard.ReplicaGroup[struct{}], path, rawQuery string) shardReply {
+	var reply shardReply
+	// The error only drives the loop; the callers read the outcome, transport
+	// error or status, from the last reply.
+	_ = g.Try(ctx, func(r *shard.Replica[struct{}]) error {
+		reply = rt.doShardRequest(ctx, g.Partition, r.Addr, path, rawQuery)
 		if reply.err != nil {
-			outcome = reply.err
-		} else if reply.status == http.StatusServiceUnavailable {
-			outcome = fmt.Errorf("replica shedding (503)")
+			return reply.err
 		}
-		if outcome == nil || ctx.Err() == nil {
-			rep.breaker.Report(time.Since(start), outcome)
-			rep.publishState()
+		if reply.status == http.StatusServiceUnavailable {
+			return errShardShedding
 		}
-		if outcome == nil {
-			return reply
-		}
-		last = reply
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return last
+		return nil
+	}, nil)
+	return reply
 }
+
+// errShardShedding reports a replica's 503 to its breaker.
+var errShardShedding = errors.New("replica shedding (503)")
 
 // doShardRequest performs one GET against one replica of one partition.
 func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, path, rawQuery string) shardReply {
@@ -248,19 +227,6 @@ func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, pa
 	}
 }
 
-// traceFailover records a replica failover as an instantaneous span on the
-// request's timeline.
-func (rt *Router) traceFailover(ctx context.Context, partition int, from, to string) {
-	_, sp := trace.Start(ctx, "router.failover")
-	if sp == nil {
-		return
-	}
-	sp.SetInt("shard", int64(partition))
-	sp.SetStr("from", from)
-	sp.SetStr("to", to)
-	sp.End()
-}
-
 // shardErrMsg extracts the {"error": "..."} body of a shard error response,
 // falling back to the raw body.
 func shardErrMsg(body []byte) string {
@@ -279,10 +245,7 @@ func shardErrMsg(body []byte) string {
 // writeShardDown answers 503 + Retry-After for an unreachable or shedding
 // shard: the cluster is momentarily incomplete and the query is retryable.
 func (rt *Router) writeShardDown(w http.ResponseWriter, shardID int, detail string) {
-	ra := retryAfterSecs(rt.base.cfg.RetryAfter)
-	w.Header().Set("Retry-After", ra)
-	writeErr(w, http.StatusServiceUnavailable,
-		fmt.Errorf("shard %d unavailable: %s", shardID, detail))
+	rt.retryErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %d unavailable: %s", shardID, detail))
 }
 
 // shardWalkResponse is how the router decodes one shard's partial answer to a
@@ -359,11 +322,12 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rep.status == http.StatusServiceUnavailable {
-			ra := rep.retryAfter
-			if ra == "" {
-				ra = retryAfterSecs(rt.base.cfg.RetryAfter)
+			// The shard's own Retry-After hint wins over the router's.
+			if rep.retryAfter != "" {
+				w.Header().Set("Retry-After", rep.retryAfter)
+			} else {
+				rt.retryAfter(w)
 			}
-			w.Header().Set("Retry-After", ra)
 			writeErr(w, http.StatusServiceUnavailable,
 				fmt.Errorf("shard %d unavailable: %s", i, shardErrMsg(rep.body)))
 			return
@@ -455,7 +419,7 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 	// inject the shards' span summaries when this request's trace is retained.
 	reqcost.From(r.Context()).AddCost(clusterCost)
 	if len(spanRecs) > 0 && trace.SpanFromContext(r.Context()).Sampled() {
-		rt.base.tracer.Inject(trace.RequestID(r.Context()), spanRecs)
+		rt.cfg.Trace.Inject(trace.RequestID(r.Context()), spanRecs)
 	}
 
 	rep := walkReply{from: temporal.Vertex(fromID), paths: walks}
@@ -518,18 +482,20 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", retryAfterSecs(rt.base.cfg.RetryAfter))
+		rt.retryAfter(w)
 	}
 	writeJSON(w, status, map[string]any{
 		"status": overall, "shards": shards, "replicas": rt.replicaTopology(),
 	})
 }
 
-// scrapeShards pulls and parses every shard's /metrics.json snapshot. Any
-// failed scrape fails the whole federation: a silently absent shard would
-// make the cluster rollups understate reality.
-func (rt *Router) scrapeShards(ctx context.Context) ([]metrics.ShardSnap, error) {
-	replies := rt.fan(ctx, "/metrics.json", "")
+// federate scrapes every shard's /metrics.json snapshot and merges them
+// with the router's own registry: the router's series unlabeled, each
+// shard's under shard="<id>", cluster rollups under shard="all". Any failed
+// scrape fails the whole federation: a silently absent shard would make the
+// cluster rollups understate reality.
+func (rt *Router) federate(r *http.Request) (*metrics.Snapshot, error) {
+	replies := rt.fan(r.Context(), "/metrics.json", "")
 	shards := make([]metrics.ShardSnap, len(replies))
 	for i, rep := range replies {
 		if rep.err != nil {
@@ -544,43 +510,8 @@ func (rt *Router) scrapeShards(ctx context.Context) ([]metrics.ShardSnap, error)
 		}
 		shards[i] = metrics.ShardSnap{Label: strconv.Itoa(i), Snap: snap}
 	}
-	return shards, nil
-}
-
-// federatedSnapshot scrapes the cluster and merges it with the router's own
-// registry; on scrape failure it has already written the 503 (with no-store
-// and Retry-After) and returns nil.
-func (rt *Router) federatedSnapshot(w http.ResponseWriter, r *http.Request) *metrics.Snapshot {
-	w.Header().Set("Cache-Control", "no-store")
-	shards, err := rt.scrapeShards(r.Context())
-	if err != nil {
-		w.Header().Set("Retry-After", retryAfterSecs(rt.base.cfg.RetryAfter))
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("metrics federation: %v", err))
-		return nil
-	}
-	rt.base.uptime.Set(time.Since(rt.base.started).Seconds())
-	return metrics.Federate(rt.base.metrics.Snapshot(), shards)
-}
-
-// handleMetrics is the federated Prometheus exposition: the router's own
-// series unlabeled, each shard's under shard="<id>", cluster rollups under
-// shard="all".
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	fed := rt.federatedSnapshot(w, r)
-	if fed == nil {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = fed.WritePrometheus(w)
-}
-
-// handleMetricsJSON is the same federated snapshot as JSON.
-func (rt *Router) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	fed := rt.federatedSnapshot(w, r)
-	if fed == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, fed)
+	local, _ := rt.localSnapshot(r)
+	return metrics.Federate(local, shards), nil
 }
 
 // handleReady is cluster readiness: 200 only when every partition has at
@@ -597,7 +528,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(notReady) > 0 {
-		w.Header().Set("Retry-After", retryAfterSecs(rt.base.cfg.RetryAfter))
+		rt.retryAfter(w)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "waiting", "shards": len(rt.groups), "not_ready": notReady,
 			"replicas": rt.replicaTopology(),
@@ -625,4 +556,23 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		shards[i] = json.RawMessage(rep.body)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"partitions": len(rt.groups), "shards": shards})
+}
+
+// replicaRow is one router replica's health in /healthz and /readyz.
+type replicaRow struct {
+	URL string `json:"url"`
+	shard.ReplicaHealth
+}
+
+// replicaTopology reports every partition's replica table, keyed by shard id.
+func (rt *Router) replicaTopology() map[string][]replicaRow {
+	out := make(map[string][]replicaRow, len(rt.groups))
+	for _, g := range rt.groups {
+		rows := make([]replicaRow, 0, len(g.Replicas))
+		for _, r := range g.Replicas {
+			rows = append(rows, replicaRow{URL: r.Addr, ReplicaHealth: r.Health()})
+		}
+		out[strconv.Itoa(g.Partition)] = rows
+	}
+	return out
 }

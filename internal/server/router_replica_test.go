@@ -128,7 +128,7 @@ func TestRouterReplicaTopologyReporting(t *testing.T) {
 	}
 
 	type topo struct {
-		Replicas map[string][]routerReplicaStatus `json:"replicas"`
+		Replicas map[string][]replicaRow `json:"replicas"`
 	}
 	for _, path := range []string{"/readyz", "/healthz"} {
 		var out topo
@@ -139,7 +139,7 @@ func TestRouterReplicaTopologyReporting(t *testing.T) {
 		if n := len(out.Replicas["0"]); n != 2 {
 			t.Fatalf("%s: partition 0 lists %d replicas, want 2", path, n)
 		}
-		byURL := map[string]routerReplicaStatus{}
+		byURL := map[string]replicaRow{}
 		for _, r := range out.Replicas["0"] {
 			byURL[r.URL] = r
 		}

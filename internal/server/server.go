@@ -1,18 +1,23 @@
-// Package server exposes a walk engine over HTTP: walk sampling, temporal
-// personalized PageRank, and temporal reachability queries as JSON
-// endpoints. cmd/teaserve wires it to a listening socket; the handler is
-// usable under any http.Server (or httptest) directly.
+// Package server exposes a walk engine over HTTP in four modes: engine
+// (walk sampling, temporal personalized PageRank and temporal reachability
+// over a preprocessed index), durable ingest (a WAL-backed live graph that
+// POST /edges and POST /expire mutate), shard (one partition of a cluster)
+// and router (the stateless front that merges a cluster's shards). The
+// handlers are usable under any http.Server (or httptest) directly; Serve
+// runs one with a graceful drain, as cmd/teaserve and cmd/tearouter do.
 //
-// The server is built for operation under load: every query runs under the
-// request's context (client disconnects abort in-flight walks), an optional
-// per-request timeout bounds the worst-case query, and an optional
-// max-in-flight semaphore sheds excess load with 503 + Retry-After instead
-// of queueing unboundedly. All errors are structured JSON ({"error": "..."})
-// with meaningful status codes: 400 for malformed or out-of-range
-// parameters, 503 when shedding, 504 when the per-request deadline fires.
-// Client-supplied sizing parameters (length, count, walks, topk) are capped
-// (Config-overridable) and rejected with 400 beyond the cap, before any
-// proportional allocation happens.
+// Every mode is one shell (shell.go) plus its own handlers: the shell holds
+// what the modes share and registers each mode's route table. It is built
+// for operation under load: every query runs under the request's context
+// (client disconnects abort in-flight walks), an optional per-request
+// timeout bounds the worst-case query, and an optional max-in-flight
+// semaphore sheds excess load with 503 + Retry-After instead of queueing
+// unboundedly. All errors are structured JSON ({"error": "..."}) with
+// meaningful status codes: 400 for malformed or out-of-range parameters,
+// 501 for an endpoint another mode serves, 503 when shedding, 504 when the
+// per-request deadline fires. Client-supplied sizing parameters (length,
+// count, walks, topk) are capped (Config-overridable) and rejected with 400
+// beyond the cap, before any proportional allocation happens.
 //
 // Every endpoint is instrumented: request counts, status-class counts, and
 // latency histograms per endpoint, plus an in-flight gauge and shed/timeout
@@ -29,7 +34,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -77,9 +81,10 @@ type Config struct {
 	// MaxInFlight caps concurrently executing walk queries; excess requests
 	// are shed with 503 + Retry-After. 0 means unlimited.
 	MaxInFlight int
-	// RetryAfter is the Retry-After hint attached to shed requests.
-	// NewWithConfig defaults non-positive values to 1s so the emitted
-	// header is never "0" (which clients read as "retry immediately").
+	// RetryAfter is the Retry-After hint attached to shed requests. Every
+	// mode defaults non-positive values to 1s, and the header rounds up to
+	// whole seconds, so it is never "0" (which clients read as "retry
+	// immediately").
 	RetryAfter time.Duration
 
 	// MaxWalkLength caps the length parameter of /walk; 0 means the
@@ -132,39 +137,20 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Server answers walk queries for one engine. Engines are safe for
-// concurrent Run calls, so the handler needs no locking.
+// Server answers walk queries in the engine or the durable-ingest mode.
+// Engines are safe for concurrent Run calls, so the handler needs no locking.
 type Server struct {
-	eng      *core.Engine
-	mux      *http.ServeMux
-	cfg      Config
-	inflight chan struct{}
-	metrics  *metrics.Registry
-	tracer   *trace.Tracer
-	logger   *slog.Logger
-	started  time.Time
-
-	inflightGauge *metrics.Gauge
-	shedTotal     *metrics.Counter
-	timeoutTotal  *metrics.Counter
-	uptime        *metrics.Gauge
-
-	// top retains the most recent completed requests with their cost
-	// breakdowns for GET /debug/tea/top.
-	top *reqcost.Top
+	*shell
+	eng *core.Engine
 
 	// prepWalk, when non-nil, may adjust the WalkConfig before a /walk run
 	// starts. Test seam: lets tests install a Visitor to observe and pace
 	// in-flight runs.
 	prepWalk func(*core.WalkConfig)
 
-	// durableMode switches the server to live-ingest serving: queries hit the
-	// durable streaming graph instead of a preprocessed engine, and the
-	// ingest endpoints (POST /edges, POST /expire) accept writes. durable is
-	// nil until recovery completes — handlers answer 503 + Retry-After until
-	// SetDurable is called (see ingest.go).
-	durableMode bool
-	durable     atomic.Pointer[stream.DurableGraph]
+	// durable is the live graph of the durable-ingest mode (see ingest.go):
+	// nil until recovery completes and SetDurable is called.
+	durable atomic.Pointer[stream.DurableGraph]
 
 	// recovering, while durable is nil, holds the latest recovery progress
 	// so /readyz can report how far replay has come instead of a bare 503.
@@ -187,256 +173,21 @@ func (s *Server) ReportRecoveryProgress(p stream.RecoveryProgress) { s.recoverin
 // New builds a server around a preprocessed engine with default Config.
 func New(eng *core.Engine) *Server { return NewWithConfig(eng, Config{}) }
 
-// NewWithConfig builds a server with explicit operational limits.
+// NewWithConfig builds a server around a preprocessed engine with explicit
+// operational limits. The ingest endpoints answer 501.
 func NewWithConfig(eng *core.Engine, cfg Config) *Server {
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxWalkLength <= 0 {
-		cfg.MaxWalkLength = defaultMaxWalkLength
-	}
-	if cfg.MaxWalkCount <= 0 {
-		cfg.MaxWalkCount = defaultMaxWalksPerRequest
-	}
-	if cfg.MaxPPRWalks <= 0 {
-		cfg.MaxPPRWalks = defaultMaxPPRWalks
-	}
-	if cfg.MaxTopK <= 0 {
-		cfg.MaxTopK = defaultMaxTopK
-	}
-	if cfg.MaxIngestBatch <= 0 {
-		cfg.MaxIngestBatch = defaultMaxIngestBatch
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.Default
-	}
-	s := &Server{
-		eng: eng, mux: http.NewServeMux(), cfg: cfg, metrics: cfg.Metrics,
-		tracer: cfg.Trace, logger: cfg.Logger, started: time.Now(),
-		top: reqcost.NewTop(cfg.TopRequests),
-	}
-	if cfg.Instance != "" && s.logger != nil {
-		s.logger = s.logger.With(slog.String("instance", cfg.Instance))
-		if cfg.ShardID >= 0 {
-			s.logger = s.logger.With(slog.Int("shard", cfg.ShardID))
-		}
-	}
-	s.inflightGauge = s.metrics.Gauge("tea_server_inflight")
-	s.shedTotal = s.metrics.Counter("tea_server_shed_total")
-	s.timeoutTotal = s.metrics.Counter("tea_server_timeout_total")
-	s.uptime = s.metrics.Gauge("tea_uptime_seconds")
-	buildInfo := fmt.Sprintf("tea_build_info{version=%q,go_version=%q", buildVersion(), runtime.Version())
-	if cfg.Instance != "" {
-		buildInfo += fmt.Sprintf(",instance=%q", cfg.Instance)
-		if cfg.ShardID >= 0 {
-			buildInfo += fmt.Sprintf(",shard_id=%q", strconv.Itoa(cfg.ShardID))
-		}
-	}
-	s.metrics.Gauge(buildInfo + "}").Set(1)
-	if cfg.MaxInFlight > 0 {
-		s.inflight = make(chan struct{}, cfg.MaxInFlight)
-	}
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealth))
-	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReady))
-	s.mux.HandleFunc("POST /edges", s.instrument("edges", s.handleIngestEdges))
-	s.mux.HandleFunc("POST /expire", s.instrument("expire", s.handleIngestExpire))
-	s.mux.HandleFunc("GET /stats", s.instrument("stats", s.handleStats))
-	s.mux.HandleFunc("GET /walk", s.instrument("walk", s.limited(s.handleWalk)))
-	s.mux.HandleFunc("GET /ppr", s.instrument("ppr", s.limited(s.handlePPR)))
-	s.mux.HandleFunc("GET /reach", s.instrument("reach", s.limited(s.handleReach)))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /debug/tea/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /debug/tea/flight", s.handleFlight)
-	s.mux.HandleFunc("GET /debug/tea/top", s.handleTop)
+	s := &Server{eng: eng}
+	s.shell = newShell(cfg, []route{
+		{"GET /healthz", "healthz", false, s.handleHealth},
+		{"GET /readyz", "readyz", false, handleReady},
+		{"POST /edges", "edges", false, notImplemented(errQueryOnly)},
+		{"POST /expire", "expire", false, notImplemented(errQueryOnly)},
+		{"GET /stats", "stats", false, s.handleStats},
+		{"GET /walk", "walk", true, s.handleWalk},
+		{"GET /ppr", "ppr", true, s.handlePPR},
+		{"GET /reach", "reach", true, s.handleReach},
+	})
 	return s
-}
-
-// Handler returns the routable HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// statusWriter captures the response status for instrumentation.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// statusClasses label the per-endpoint response counters.
-var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
-
-// statusClass buckets a status code: its index in statusClasses.
-func statusClass(status int) int {
-	switch {
-	case status >= 500:
-		return 3
-	case status >= 400:
-		return 2
-	case status >= 300:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// instrument wraps an endpoint with request counting, an in-flight gauge, a
-// latency histogram, and per-status-class response counters; 503 and 504
-// responses additionally feed the shed and timeout counters wherever they
-// were produced.
-//
-// It is also where request correlation starts: the client's X-Request-ID is
-// adopted (or one is minted) and echoed back, stamped on the request context
-// for structured logs, and — when tracing is enabled — doubles as the trace
-// ID of the request's root span, so /debug/tea/trace?id=<X-Request-ID>
-// resolves directly.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	requests := s.metrics.Counter(fmt.Sprintf("tea_server_requests_total{endpoint=%q}", endpoint))
-	latency := s.metrics.Histogram(fmt.Sprintf("tea_server_request_seconds{endpoint=%q}", endpoint))
-	var responses [len(statusClasses)]*metrics.Counter
-	for i, class := range statusClasses {
-		responses[i] = s.metrics.Counter(fmt.Sprintf("tea_server_responses_total{endpoint=%q,class=%q}", endpoint, class))
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		s.inflightGauge.Add(1)
-		defer s.inflightGauge.Add(-1)
-
-		reqID := r.Header.Get(requestIDHeader)
-		if reqID == "" {
-			reqID = trace.GenID()
-		}
-		w.Header().Set(requestIDHeader, reqID)
-		ctx := trace.WithRequestID(r.Context(), reqID)
-		var sp *trace.Span
-		if s.tracer.Enabled() {
-			ctx = trace.WithTracer(ctx, s.tracer)
-			if r.Header.Get("X-Trace-Sampled") == "1" {
-				// An upstream process (the router) already sampled this
-				// request; retain this process's part of the trace too.
-				ctx, sp = s.tracer.StartRootSampled(ctx, "server.request", reqID)
-			} else {
-				ctx, sp = s.tracer.StartRoot(ctx, "server.request", reqID)
-			}
-			sp.SetStr("endpoint", endpoint)
-			sp.SetStr("method", r.Method)
-			sp.SetStr("path", r.URL.RequestURI())
-		}
-		ctx, col := reqcost.Attach(ctx)
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		elapsed := time.Since(start)
-		latency.ObserveSince(start)
-		if sp != nil {
-			sp.SetInt("status", int64(sw.status))
-			sp.End()
-		}
-		responses[statusClass(sw.status)].Inc()
-		switch sw.status {
-		case http.StatusServiceUnavailable:
-			s.shedTotal.Inc()
-		case http.StatusGatewayTimeout:
-			s.timeoutTotal.Inc()
-		}
-		cost := col.Snapshot()
-		cost.WallMicros = elapsed.Microseconds()
-		s.top.Record(reqcost.Record{
-			RequestID:   reqID,
-			Endpoint:    endpoint,
-			Status:      sw.status,
-			StartMicros: start.UnixMicro(),
-			WallMicros:  elapsed.Microseconds(),
-			Cost:        cost,
-		})
-		if s.logger != nil {
-			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("endpoint", endpoint),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.RequestURI()),
-				slog.Int("status", sw.status),
-				slog.Duration("elapsed", elapsed),
-			)
-			if s.cfg.SlowRequestThreshold > 0 && elapsed > s.cfg.SlowRequestThreshold {
-				s.logger.LogAttrs(ctx, slog.LevelWarn, "slow request",
-					slog.String("endpoint", endpoint),
-					slog.String("path", r.URL.RequestURI()),
-					slog.Int("status", sw.status),
-					slog.Duration("elapsed", elapsed),
-					slog.Duration("threshold", s.cfg.SlowRequestThreshold),
-					slog.Int64("steps", cost.Steps),
-					slog.Int64("edges_evaluated", cost.EdgesEvaluated),
-					slog.Int64("migrations", cost.Migrations),
-					slog.Int64("migration_bytes", cost.MigrationBytes),
-					slog.Int64("cache_hits", cost.CacheHits),
-					slog.Int64("cache_misses", cost.CacheMisses),
-					slog.Int64("device_bytes", cost.DeviceBytes),
-					slog.Int64("read_retries", cost.ReadRetries),
-				)
-			}
-		}
-	}
-}
-
-// handleTop implements GET /debug/tea/top: the k (default 20) most expensive
-// recent requests by wall time, each with its full cost breakdown — the
-// first stop when "something was slow a minute ago" and the trace was not
-// sampled.
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	k, err := intParam(r.URL.Query(), "k", 20)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, map[string]any{"top": s.top.Top(k)})
-}
-
-// handleMetrics renders the registry in the Prometheus text exposition
-// format. Cache-Control: no-store keeps intermediaries from serving a stale
-// scrape; the uptime gauge is refreshed at render time so it is accurate in
-// every scrape without a background ticker.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.uptime.Set(time.Since(s.started).Seconds())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-store")
-	_ = s.metrics.Snapshot().WritePrometheus(w)
-}
-
-// handleMetricsJSON renders the same snapshot as JSON.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	s.uptime.Set(time.Since(s.started).Seconds())
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
-}
-
-// limited wraps a query handler with the load-shedding semaphore and the
-// per-request timeout.
-func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.inflight != nil {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-				writeErr(w, http.StatusServiceUnavailable,
-					fmt.Errorf("server at capacity (%d queries in flight); retry later", s.cfg.MaxInFlight))
-				return
-			}
-		}
-		if s.cfg.RequestTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
-	}
 }
 
 // handleHealth implements GET /healthz — liveness, so always 200 (the
@@ -447,12 +198,10 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 // its liveness probe.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	storage := map[string]any{}
-	if s.durableMode {
-		if d := s.durable.Load(); d != nil {
-			if err := d.Err(); err != nil {
-				storage["write_path"] = err.Error()
-				storage["read_only"] = true
-			}
+	if d := s.durable.Load(); d != nil {
+		if err := d.Err(); err != nil {
+			storage["write_path"] = err.Error()
+			storage["read_only"] = true
 		}
 	}
 	if sc := s.scrubber.Load(); sc != nil {
@@ -478,11 +227,7 @@ type statsResponse struct {
 	IndexBytes  int64  `json:"index_bytes"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.durableMode {
-		s.handleDurableStats(w, r)
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := s.eng.Graph()
 	lo, hi := g.TimeRange()
 	writeJSON(w, http.StatusOK, statsResponse{
@@ -506,7 +251,7 @@ type walkQuery struct {
 
 // parseWalk validates the /walk parameters every walk producer shares against
 // the graph's vertex count and the configured size caps.
-func (s *Server) parseWalk(q url.Values, numVertices int) (walkQuery, error) {
+func (sh *shell) parseWalk(q url.Values, numVertices int) (walkQuery, error) {
 	from, err := vertexParam(q, "from", numVertices)
 	if err != nil {
 		return walkQuery{}, err
@@ -526,20 +271,16 @@ func (s *Server) parseWalk(q url.Values, numVertices int) (walkQuery, error) {
 	if length <= 0 || count <= 0 {
 		return walkQuery{}, fmt.Errorf("length and count must be positive")
 	}
-	if length > s.cfg.MaxWalkLength {
-		return walkQuery{}, fmt.Errorf("length %d exceeds per-request limit %d", length, s.cfg.MaxWalkLength)
+	if length > sh.cfg.MaxWalkLength {
+		return walkQuery{}, fmt.Errorf("length %d exceeds per-request limit %d", length, sh.cfg.MaxWalkLength)
 	}
-	if count > s.cfg.MaxWalkCount {
-		return walkQuery{}, fmt.Errorf("count %d exceeds per-request limit %d", count, s.cfg.MaxWalkCount)
+	if count > sh.cfg.MaxWalkCount {
+		return walkQuery{}, fmt.Errorf("count %d exceeds per-request limit %d", count, sh.cfg.MaxWalkCount)
 	}
 	return walkQuery{from: from, length: length, count: count, seed: uint64(seed)}, nil
 }
 
 func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
-	if s.durableMode {
-		s.handleDurableWalk(w, r)
-		return
-	}
 	q := r.URL.Query()
 	wq, err := s.parseWalk(q, s.eng.Graph().NumVertices())
 	if err != nil {
@@ -565,16 +306,22 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := reqcost.From(r.Context())
 	rc.AddEngine(res.Cost)
-	rep := walkReply{from: wq.from, paths: res.Paths}
-	if q.Get("cost") == "1" && rc != nil {
-		detail := rc.Snapshot()
-		detail.WallMicros = res.Duration.Microseconds()
-		rep.detail = &detail
-	}
+	rep := walkReply{from: wq.from, paths: res.Paths, detail: costDetail(q, rc, res.Duration)}
 	writeWalkReply(w, &rep,
 		costNum("steps", res.Cost.Steps),
 		costRatio("edges_per_step", res.Cost.EdgesPerStep()),
 		costText("duration", res.Duration.String()))
+}
+
+// costDetail is the request's cost ledger with the run's wall time, for a
+// /walk that asked for it with cost=1; nil otherwise.
+func costDetail(q url.Values, rc *reqcost.Collector, wall time.Duration) *reqcost.Cost {
+	if q.Get("cost") != "1" || rc == nil {
+		return nil
+	}
+	detail := rc.Snapshot()
+	detail.WallMicros = wall.Microseconds()
+	return &detail
 }
 
 type pprResponse struct {
@@ -584,10 +331,6 @@ type pprResponse struct {
 }
 
 func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
-	if s.durableMode {
-		writeErr(w, http.StatusNotImplemented, errIngestOnly)
-		return
-	}
 	q := r.URL.Query()
 	from, err := vertexParam(q, "from", s.eng.Graph().NumVertices())
 	if err != nil {
@@ -650,10 +393,6 @@ type reachResponse struct {
 }
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
-	if s.durableMode {
-		writeErr(w, http.StatusNotImplemented, errIngestOnly)
-		return
-	}
 	q := r.URL.Query()
 	from, err := vertexParam(q, "from", s.eng.Graph().NumVertices())
 	if err != nil {
@@ -709,15 +448,8 @@ func vertexParam(q url.Values, name string, numVertices int) (temporal.Vertex, e
 }
 
 func intParam(q url.Values, name string, def int) (int, error) {
-	raw := q.Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: not an integer: %q", name, raw)
-	}
-	return v, nil
+	v, err := int64Param(q, name, int64(def))
+	return int(v), err
 }
 
 func int64Param(q url.Values, name string, def int64) (int64, error) {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/reqcost"
@@ -32,13 +31,11 @@ var errShardMode = errors.New("endpoint not available in shard mode; use a singl
 
 // ShardServer is the HTTP handler of one shard process: /walk runs the
 // scatter-gather coordinator over this node's share of the request, /stats
-// describes the partition, and the operational endpoints (health, metrics,
-// tracing) are the regular server's.
+// describes the partition, and the ops endpoints are the shell's.
 type ShardServer struct {
-	base   *Server // instrumentation + ops endpoints; its own mux is never served
+	*shell
 	node   *shard.Node
 	caller shard.StepCaller
-	mux    *http.ServeMux
 }
 
 // NewShard builds the HTTP server for one shard node. caller delivers step
@@ -46,41 +43,34 @@ type ShardServer struct {
 // in tests); cfg carries the same operational limits as the single-process
 // server.
 func NewShard(node *shard.Node, caller shard.StepCaller, cfg Config) *ShardServer {
-	base := NewWithConfig(nil, cfg)
-	ss := &ShardServer{base: base, node: node, caller: caller, mux: http.NewServeMux()}
-	ss.mux.HandleFunc("GET /healthz", base.instrument("healthz", ss.handleHealth))
-	ss.mux.HandleFunc("GET /readyz", base.instrument("readyz", base.handleReady))
-	ss.mux.HandleFunc("GET /stats", base.instrument("stats", ss.handleStats))
-	ss.mux.HandleFunc("GET /walk", base.instrument("walk", base.limited(ss.handleWalk)))
-	ss.mux.HandleFunc("GET /ppr", base.instrument("ppr", ss.handleUnavailable))
-	ss.mux.HandleFunc("GET /reach", base.instrument("reach", ss.handleUnavailable))
-	ss.mux.HandleFunc("GET /metrics", base.handleMetrics)
-	ss.mux.HandleFunc("GET /metrics.json", base.handleMetricsJSON)
-	ss.mux.HandleFunc("GET /debug/tea/trace", base.handleTrace)
-	ss.mux.HandleFunc("GET /debug/tea/flight", base.handleFlight)
-	ss.mux.HandleFunc("GET /debug/tea/top", base.handleTop)
+	ss := &ShardServer{node: node, caller: caller}
+	ss.shell = newShell(cfg, []route{
+		{"GET /healthz", "healthz", false, ss.handleHealth},
+		{"GET /readyz", "readyz", false, handleReady},
+		{"GET /stats", "stats", false, ss.handleStats},
+		{"GET /walk", "walk", true, ss.handleWalk},
+		{"GET /ppr", "ppr", false, notImplemented(errShardMode)},
+		{"GET /reach", "reach", false, notImplemented(errShardMode)},
+	})
 	return ss
 }
 
-// Handler returns the routable HTTP handler.
-func (ss *ShardServer) Handler() http.Handler { return ss.mux }
-
 // peerSnapshotter is implemented by step callers that keep a health-aware
-// replica table (shard.Peers, shard.ReplicaPeers).
+// replica table (shard.ReplicaPeers, which shard.Peers aliases).
 type peerSnapshotter interface {
 	Snapshot() map[int][]shard.ReplicaStatus
 }
 
-// handleHealth is the single-process /healthz plus, when the step caller
-// keeps one, this shard's local view of every peer partition's replicas:
+// handleHealth answers {"status":"ok"} plus, when the step caller keeps
+// one, this shard's local view of every peer partition's replicas:
 // breaker state, consecutive failures, latency EWMA, open connections. The
 // view is per-process by design — each shard's breakers see their own
 // traffic — so comparing /healthz across shards localizes asymmetric
 // network trouble.
-func (ss *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (ss *ShardServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	ps, ok := ss.caller.(peerSnapshotter)
 	if !ok {
-		ss.base.handleHealth(w, r)
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		return
 	}
 	peers := map[string][]shard.ReplicaStatus{}
@@ -94,7 +84,7 @@ func (ss *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	wq, err := ss.base.parseWalk(q, ss.node.NumVertices())
+	wq, err := ss.parseWalk(q, ss.node.NumVertices())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -109,7 +99,14 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 		CollectSpans:   r.Header.Get("X-Trace-Sampled") == "1",
 	})
 	if err != nil {
-		ss.writeRunErr(w, err)
+		// A transient peer failure is 503 + Retry-After: this shard is
+		// healthy, the cluster momentarily incomplete.
+		var pe *wire.PeerError
+		if errors.As(err, &pe) {
+			ss.retryErr(w, http.StatusServiceUnavailable, err)
+		} else {
+			writeErr(w, runStatus(err), err)
+		}
 		return
 	}
 	rc := reqcost.From(r.Context())
@@ -122,6 +119,7 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 		walkIDs:    res.WalkIDs,
 		paths:      res.Paths,
 		spans:      res.Spans,
+		detail:     costDetail(q, rc, res.Duration),
 	}
 	// A shard that owns none of the walks says so with [], not null.
 	if rep.walkIDs == nil {
@@ -129,11 +127,6 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	if rep.paths == nil {
 		rep.paths = []core.Path{}
-	}
-	if q.Get("cost") == "1" && rc != nil {
-		detail := rc.Snapshot()
-		detail.WallMicros = res.Duration.Microseconds()
-		rep.detail = &detail
 	}
 	writeWalkReply(w, &rep,
 		costNum("steps", res.Cost.Steps),
@@ -144,19 +137,6 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 		costNum("frames", res.Frames),
 		costNum("local_steps", res.LocalSteps),
 		costNum("bytes_sent", res.BytesSent))
-}
-
-// writeRunErr maps a coordinator error onto HTTP: a transient peer failure is
-// 503 + Retry-After (the shard itself is healthy; the cluster is momentarily
-// incomplete), everything else follows the single-process mapping.
-func (ss *ShardServer) writeRunErr(w http.ResponseWriter, err error) {
-	var pe *wire.PeerError
-	if errors.As(err, &pe) {
-		w.Header().Set("Retry-After", retryAfterSecs(ss.base.cfg.RetryAfter))
-		writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeErr(w, runStatus(err), err)
 }
 
 type shardStatsResponse struct {
@@ -175,14 +155,4 @@ func (ss *ShardServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 		OwnedEdges: ss.node.OwnedEdges(),
 		IndexBytes: ss.node.MemoryBytes(),
 	})
-}
-
-func (ss *ShardServer) handleUnavailable(w http.ResponseWriter, _ *http.Request) {
-	writeErr(w, http.StatusNotImplemented, errShardMode)
-}
-
-// retryAfterSecs renders a Retry-After duration in whole seconds, rounded up
-// so the emitted header is never "0".
-func retryAfterSecs(d time.Duration) string {
-	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -18,25 +19,27 @@ func buildVersion() string {
 	return "devel"
 }
 
+// errNoTracing answers the trace endpoints of a process without a tracer.
+var errNoTracing = errors.New("tracing disabled; start teaserve with -trace-fraction > 0 or -flight-spans > 0")
+
 // handleTrace serves sampled traces. Without ?id= it lists the retained
 // trace IDs; with one it renders that trace as a span tree (default), a
 // Chrome trace_event document for chrome://tracing / Perfetto
 // (?format=chrome), or JSON lines (?format=jsonl). The trace ID is the
 // request's X-Request-ID, so a client that kept its response header can pull
 // the matching trace directly.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (sh *shell) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
-	if !s.tracer.Enabled() {
-		writeErr(w, http.StatusNotFound,
-			fmt.Errorf("tracing disabled; start teaserve with -trace-fraction > 0 or -flight-spans > 0"))
+	if !sh.cfg.Trace.Enabled() {
+		writeErr(w, http.StatusNotFound, errNoTracing)
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		writeJSON(w, http.StatusOK, map[string]any{"traces": s.tracer.TraceIDs()})
+		writeJSON(w, http.StatusOK, map[string]any{"traces": sh.cfg.Trace.TraceIDs()})
 		return
 	}
-	spans, dropped, ok := s.tracer.Trace(id)
+	spans, dropped, ok := sh.cfg.Trace.Trace(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound,
 			fmt.Errorf("no sampled trace %q: head sampling may have skipped it (raise -trace-fraction) or it was evicted", id))
@@ -70,13 +73,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleFlight dumps the always-on flight recorder: the last N completed
 // spans plus recent error/cancel/retry events, available even when head
 // sampling retained nothing.
-func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
+func (sh *shell) handleFlight(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
-	if !s.tracer.Enabled() {
-		writeErr(w, http.StatusNotFound,
-			fmt.Errorf("tracing disabled; start teaserve with -trace-fraction > 0 or -flight-spans > 0"))
+	if !sh.cfg.Trace.Enabled() {
+		writeErr(w, http.StatusNotFound, errNoTracing)
 		return
 	}
-	events := s.tracer.Flight()
+	events := sh.cfg.Trace.Flight()
 	writeJSON(w, http.StatusOK, map[string]any{"count": len(events), "events": events})
 }

@@ -437,41 +437,3 @@ func (p *InProcess) Step(ctx context.Context, shardID int, req *wire.StepRequest
 	}
 	return p.Nodes[shardID].HandleStep(ctx, req)
 }
-
-// Peers is a StepCaller over wire clients, one per remote shard. It is the
-// single-replica view of ReplicaPeers — the same health-aware table with
-// groups of one — kept as the simple constructor for tests and deployments
-// without replication.
-type Peers struct {
-	rp *ReplicaPeers
-}
-
-// NewPeers builds pooled clients for every peer address. addrs maps shard id
-// to host:port; the local shard must not appear in it.
-func NewPeers(addrs map[int]string, cfg wire.ClientConfig) *Peers {
-	groups := make(map[int][]string, len(addrs))
-	for id, addr := range addrs {
-		groups[id] = []string{addr}
-	}
-	return &Peers{rp: NewReplicaPeers(groups, ReplicaPeersConfig{Client: cfg, Metrics: cfg.Metrics})}
-}
-
-// Step implements StepCaller.
-func (p *Peers) Step(ctx context.Context, shardID int, req *wire.StepRequest) (*wire.StepResponse, error) {
-	return p.rp.Step(ctx, shardID, req)
-}
-
-// Ping probes every peer once; the first failure is returned.
-func (p *Peers) Ping(ctx context.Context) error {
-	return p.rp.Ping(ctx)
-}
-
-// Snapshot exposes the underlying replica health table (groups of one).
-func (p *Peers) Snapshot() map[int][]ReplicaStatus {
-	return p.rp.Snapshot()
-}
-
-// Close releases every pooled connection.
-func (p *Peers) Close() {
-	p.rp.Close()
-}

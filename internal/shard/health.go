@@ -14,8 +14,8 @@ const (
 	HealthHealthy HealthState = iota
 	// HealthSuspect: some consecutive failures, below the breaker threshold.
 	HealthSuspect
-	// HealthOpen: the breaker tripped; the replica only sees half-open probe
-	// traffic (or last-resort attempts when every sibling is down too).
+	// HealthOpen: the breaker tripped; the replica is tried only after every
+	// live sibling has failed, probe-eligible ones (past OpenFor) first.
 	HealthOpen
 )
 
@@ -37,8 +37,9 @@ type BreakerConfig struct {
 	// FailureThreshold is the consecutive-failure count that opens the
 	// breaker. Default 3.
 	FailureThreshold int
-	// OpenFor is how long an open breaker refuses traffic before admitting a
-	// single half-open probe. Default 2s.
+	// OpenFor is how long an open breaker ranks hard-open before it becomes
+	// probe-eligible: ahead of hard-open siblings, still behind live ones.
+	// Default 2s.
 	OpenFor time.Duration
 	// EWMAAlpha smooths the latency estimate (new = α·sample + (1−α)·old).
 	// Default 0.2.
@@ -67,7 +68,7 @@ func (c BreakerConfig) normalized() BreakerConfig {
 // is computed from. 128 samples ≈ the last few step rounds of a busy walk.
 const latencyRingSize = 128
 
-// Breaker is a per-replica circuit breaker with half-open probing and a
+// Breaker is a per-replica circuit breaker with an open window and a
 // latency profile (EWMA for preference ordering, a sample ring for the
 // p99-based hedge delay). All methods are safe for concurrent use.
 type Breaker struct {
@@ -76,7 +77,6 @@ type Breaker struct {
 	mu       sync.Mutex
 	fails    int       // consecutive failures
 	openedAt time.Time // when fails crossed the threshold (re-armed per failure while open)
-	probing  bool      // a half-open probe is in flight
 	ewma     float64   // seconds; 0 until first success
 	ring     [latencyRingSize]float64
 	ringN    int // samples written (caps at ring size for indexing)
@@ -90,38 +90,18 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.normalized()}
 }
 
-// Allow reports whether traffic should be sent to this replica right now,
-// and whether that traffic is a half-open probe (the caller must Report its
-// outcome so the breaker can close or re-open).
-func (b *Breaker) Allow() (ok, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.fails < b.cfg.FailureThreshold {
-		return true, false
-	}
-	if b.probing {
-		return false, false
-	}
-	if b.cfg.now().Sub(b.openedAt) >= b.cfg.OpenFor {
-		b.probing = true
-		return true, true
-	}
-	return false, false
-}
-
 // Report records the outcome of one attempt against this replica. Latency is
 // only profiled on success (a failed attempt's duration measures the failure
 // mode, not the replica).
 func (b *Breaker) Report(d time.Duration, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
 	if err != nil {
 		b.errTotal++
 		b.fails++
 		if b.fails >= b.cfg.FailureThreshold {
 			// Re-arm the open window on every failure at/over the threshold so
-			// a failed probe buys another OpenFor of quiet.
+			// a failed attempt on an open replica buys another OpenFor of quiet.
 			b.openedAt = b.cfg.now()
 		}
 		return
@@ -214,7 +194,7 @@ func (b *Breaker) Rank() (r int, ewma float64) {
 	case HealthSuspect:
 		r = 1
 	default:
-		if !b.probing && b.cfg.now().Sub(b.openedAt) >= b.cfg.OpenFor {
+		if b.cfg.now().Sub(b.openedAt) >= b.cfg.OpenFor {
 			r = 2 // probe-eligible
 		} else {
 			r = 3

@@ -25,36 +25,17 @@ func TestBreakerOpensAfterThresholdAndProbes(t *testing.T) {
 	if st := b.State(); st != HealthSuspect {
 		t.Fatalf("after 1 failure: %v", st)
 	}
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("suspect replica must still take traffic")
-	}
 	b.Report(time.Millisecond, errPeer)
 	b.Report(time.Millisecond, errPeer)
 	if st := b.State(); st != HealthOpen {
 		t.Fatalf("after 3 failures: %v", st)
 	}
-	if ok, _ := b.Allow(); ok {
-		t.Fatal("open breaker admitted traffic inside OpenFor")
-	}
 
-	// Half-open: one probe after OpenFor, and only one.
+	// A failed attempt after OpenFor keeps the breaker open.
 	clk.advance(2 * time.Second)
-	ok, probe := b.Allow()
-	if !ok || !probe {
-		t.Fatalf("Allow after OpenFor = (%v,%v), want probe", ok, probe)
-	}
-	if ok, _ := b.Allow(); ok {
-		t.Fatal("second concurrent probe admitted")
-	}
-
-	// Failed probe re-arms the open window.
 	b.Report(time.Millisecond, errPeer)
-	if ok, _ := b.Allow(); ok {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-	clk.advance(2 * time.Second)
-	if ok, probe := b.Allow(); !ok || !probe {
-		t.Fatal("no probe after re-armed window")
+	if st := b.State(); st != HealthOpen {
+		t.Fatalf("after failed probe: %v", st)
 	}
 
 	// Successful probe closes the breaker.
@@ -62,8 +43,28 @@ func TestBreakerOpensAfterThresholdAndProbes(t *testing.T) {
 	if st := b.State(); st != HealthHealthy {
 		t.Fatalf("after good probe: %v", st)
 	}
-	if ok, probe := b.Allow(); !ok || probe {
-		t.Fatalf("healthy Allow = (%v,%v)", ok, probe)
+}
+
+// An open replica is probe-eligible (rank 2) exactly when OpenFor has passed
+// since its last failure; no attempt in flight can hold it at hard-open (3).
+func TestBreakerRankFollowsOpenWindow(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: 2 * time.Second, now: clk.now})
+	rank := func() int { r, _ := b.Rank(); return r }
+	b.Report(time.Millisecond, errPeer)
+	if r := rank(); r != 3 {
+		t.Fatalf("inside OpenFor: rank %d, want 3", r)
+	}
+	clk.advance(2 * time.Second)
+	if r := rank(); r != 2 {
+		t.Fatalf("past OpenFor: rank %d, want 2", r)
+	}
+	if r := rank(); r != 2 {
+		t.Fatalf("ranking twice: rank %d, want 2", r)
+	}
+	b.Report(time.Millisecond, errPeer)
+	if r := rank(); r != 3 {
+		t.Fatalf("after a failed probe: rank %d, want 3", r)
 	}
 }
 
@@ -102,15 +103,15 @@ func TestReplicaOrderingPrefersHealthyThenLatency(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		open.Report(time.Millisecond, errPeer)
 	}
-	g := &replicaGroup{replicas: []*replica{
-		{addr: "open", breaker: open},
-		{addr: "slow", breaker: slow},
-		{addr: "suspect", breaker: suspect},
-		{addr: "fast", breaker: fast},
+	g := &ReplicaGroup[struct{}]{Replicas: []*Replica[struct{}]{
+		{Addr: "open", breaker: open},
+		{Addr: "slow", breaker: slow},
+		{Addr: "suspect", breaker: suspect},
+		{Addr: "fast", breaker: fast},
 	}}
 	var got []string
 	for _, r := range g.ordered() {
-		got = append(got, r.addr)
+		got = append(got, r.Addr)
 	}
 	want := []string{"fast", "slow", "suspect", "open"}
 	for i := range want {
@@ -121,7 +122,7 @@ func TestReplicaOrderingPrefersHealthyThenLatency(t *testing.T) {
 	// Past OpenFor the open replica becomes probe-eligible but still ranks
 	// behind live ones.
 	clk.advance(3 * time.Second)
-	if last := g.ordered()[3]; last.addr != "open" {
-		t.Fatalf("probe-eligible open replica jumped the queue: %v", last.addr)
+	if last := g.ordered()[3]; last.Addr != "open" {
+		t.Fatalf("probe-eligible open replica jumped the queue: %v", last.Addr)
 	}
 }

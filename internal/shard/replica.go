@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -54,57 +53,12 @@ type ReplicaPeersConfig struct {
 	Metrics *metrics.Registry
 }
 
-// replica is one address serving a partition, plus its local health view.
-type replica struct {
-	addr    string
-	client  *wire.Client
-	breaker *Breaker
-	state   *metrics.Gauge // 0 healthy / 1 suspect / 2 open
-}
-
-func (r *replica) publishState() {
-	r.state.Set(float64(r.breaker.State()))
-}
-
-// replicaGroup is the replica set serving one partition.
-type replicaGroup struct {
-	shardID   int
-	replicas  []*replica
-	failovers *metrics.Counter
+// peerGroup is the replica set serving one peer partition, plus its hedge
+// counters.
+type peerGroup struct {
+	*ReplicaGroup[*wire.Client]
 	hedges    *metrics.Counter
 	hedgeWins *metrics.Counter
-}
-
-// ordered returns the group's replicas in attempt-preference order: by
-// breaker rank (healthy, suspect, probe-eligible, open), then by latency
-// EWMA, then by stable index. Open replicas stay in the list as a last
-// resort — the partition is reported down only when every replica fails.
-func (g *replicaGroup) ordered() []*replica {
-	type scored struct {
-		r    *replica
-		rank int
-		ewma float64
-		idx  int
-	}
-	s := make([]scored, len(g.replicas))
-	for i, r := range g.replicas {
-		rank, ewma := r.breaker.Rank()
-		s[i] = scored{r, rank, ewma, i}
-	}
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].rank != s[b].rank {
-			return s[a].rank < s[b].rank
-		}
-		if s[a].ewma != s[b].ewma {
-			return s[a].ewma < s[b].ewma
-		}
-		return s[a].idx < s[b].idx
-	})
-	out := make([]*replica, len(s))
-	for i := range s {
-		out[i] = s[i].r
-	}
-	return out
 }
 
 // ReplicaPeers is a StepCaller over replica groups: every partition maps to
@@ -114,7 +68,22 @@ func (g *replicaGroup) ordered() []*replica {
 // duplicate slow RPCs at a p99-based delay with first-wins cancellation.
 type ReplicaPeers struct {
 	cfg    ReplicaPeersConfig
-	groups map[int]*replicaGroup
+	groups map[int]*peerGroup
+}
+
+// Peers is the single-replica view of ReplicaPeers, built by NewPeers for
+// tests and deployments without replication.
+type Peers = ReplicaPeers
+
+// NewPeers builds pooled clients for every peer address: a ReplicaPeers
+// with groups of one. addrs maps shard id to host:port; the local shard must
+// not appear in it.
+func NewPeers(addrs map[int]string, cfg wire.ClientConfig) *Peers {
+	groups := make(map[int][]string, len(addrs))
+	for id, addr := range addrs {
+		groups[id] = []string{addr}
+	}
+	return NewReplicaPeers(groups, ReplicaPeersConfig{Client: cfg, Metrics: cfg.Metrics})
 }
 
 // ParseReplicaList parses the replica-list syntax of teaserve's -shard-peers,
@@ -147,79 +116,51 @@ func NewReplicaPeers(addrs map[int][]string, cfg ReplicaPeersConfig) *ReplicaPee
 		cfg.Client.Metrics = cfg.Metrics
 	}
 	cfg.Hedge = cfg.Hedge.normalized()
-	rp := &ReplicaPeers{cfg: cfg, groups: make(map[int]*replicaGroup, len(addrs))}
+	dial := func(addr string) *wire.Client { return wire.NewClient(addr, cfg.Client) }
+	rp := &ReplicaPeers{cfg: cfg, groups: make(map[int]*peerGroup, len(addrs))}
 	for id, as := range addrs {
-		g := &replicaGroup{
-			shardID:   id,
-			failovers: cfg.Metrics.Counter(fmt.Sprintf(`tea_shard_replica_failovers_total{shard="%d"}`, id)),
-			hedges:    cfg.Metrics.Counter(fmt.Sprintf(`tea_shard_replica_hedges_total{shard="%d"}`, id)),
-			hedgeWins: cfg.Metrics.Counter(fmt.Sprintf(`tea_shard_replica_hedge_wins_total{shard="%d"}`, id)),
+		rp.groups[id] = &peerGroup{
+			ReplicaGroup: NewReplicaGroup(id, as, dial, cfg.Breaker, cfg.Metrics, "tea_shard_replica", "shard.failover"),
+			hedges:       cfg.Metrics.Counter(fmt.Sprintf(`tea_shard_replica_hedges_total{shard="%d"}`, id)),
+			hedgeWins:    cfg.Metrics.Counter(fmt.Sprintf(`tea_shard_replica_hedge_wins_total{shard="%d"}`, id)),
 		}
-		for _, addr := range as {
-			r := &replica{
-				addr:    addr,
-				client:  wire.NewClient(addr, cfg.Client),
-				breaker: NewBreaker(cfg.Breaker),
-				state:   cfg.Metrics.Gauge(fmt.Sprintf(`tea_shard_replica_state{shard="%d",replica=%q}`, id, addr)),
-			}
-			g.replicas = append(g.replicas, r)
-		}
-		rp.groups[id] = g
 	}
 	return rp
 }
 
+// refused reports a deliberate refusal by the peer (a config mismatch):
+// siblings share the fingerprint and would refuse identically, so it is
+// never failed over.
+func refused(err error) bool {
+	var remote *wire.RemoteError
+	return errors.As(err, &remote)
+}
+
 // Step implements StepCaller with mid-request failover: replicas are tried
-// in health order and the first good answer wins. A *wire.RemoteError (the
-// peer deliberately refused — config mismatch) is returned immediately:
-// siblings share the fingerprint and would refuse identically.
+// in health order and the first good answer wins; a refusal is returned at
+// once.
 func (rp *ReplicaPeers) Step(ctx context.Context, shardID int, req *wire.StepRequest) (*wire.StepResponse, error) {
 	g, ok := rp.groups[shardID]
 	if !ok {
 		return nil, fmt.Errorf("shard: no peer addresses for shard %d", shardID)
 	}
-	order := g.ordered()
-	if rp.cfg.Hedge.Enabled && len(order) > 1 {
-		return rp.hedgedStep(ctx, g, order, req)
+	if rp.cfg.Hedge.Enabled && len(g.Replicas) > 1 {
+		return rp.hedgedStep(ctx, g, req)
 	}
-	var lastErr error
-	for i, r := range order {
-		resp, err := rp.try(ctx, r, req)
-		if err == nil {
-			return resp, nil
-		}
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return nil, err
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-		if i+1 < len(order) {
-			g.failovers.Inc()
-			rp.traceFailover(ctx, g.shardID, r.addr, order[i+1].addr)
-		}
+	var resp *wire.StepResponse
+	err := g.Try(ctx, func(r *Replica[*wire.Client]) (err error) {
+		resp, err = r.Conn.Step(ctx, req)
+		return err
+	}, refused)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
-}
-
-// try runs one attempt against one replica and reports its outcome to the
-// breaker — unless the surrounding context was cancelled, in which case the
-// failure says nothing about the replica's health.
-func (rp *ReplicaPeers) try(ctx context.Context, r *replica, req *wire.StepRequest) (*wire.StepResponse, error) {
-	start := time.Now()
-	resp, err := r.client.Step(ctx, req)
-	if err == nil || ctx.Err() == nil {
-		r.breaker.Report(time.Since(start), err)
-		r.publishState()
-	}
-	return resp, err
+	return resp, nil
 }
 
 // hedgeDelay picks the speculative-duplicate delay for a primary replica.
 // A second return of false means hedging should be skipped this round.
-func (rp *ReplicaPeers) hedgeDelay(primary *replica) (time.Duration, bool) {
+func (rp *ReplicaPeers) hedgeDelay(primary *Replica[*wire.Client]) (time.Duration, bool) {
 	h := rp.cfg.Hedge
 	if h.Delay > 0 {
 		return h.Delay, true
@@ -242,7 +183,7 @@ func (rp *ReplicaPeers) hedgeDelay(primary *replica) (time.Duration, bool) {
 // wins and cancels the other. A replica error before the timer fires skips
 // straight to failover (no reason to wait for a timer when the primary is
 // already known dead).
-func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order []*replica, req *wire.StepRequest) (*wire.StepResponse, error) {
+func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *peerGroup, req *wire.StepRequest) (*wire.StepResponse, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -251,6 +192,7 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 		err  error
 		idx  int
 	}
+	order := g.ordered()
 	ch := make(chan outcome, len(order))
 	next, inflight := 0, 0
 	launch := func() {
@@ -260,12 +202,9 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 		inflight++
 		go func() {
 			start := time.Now()
-			resp, err := r.client.Step(hctx, req)
+			resp, err := r.Conn.Step(hctx, req)
 			// A loser cancelled by first-wins is not a health signal.
-			if err == nil || hctx.Err() == nil {
-				r.breaker.Report(time.Since(start), err)
-				r.publishState()
-			}
+			g.report(hctx, r, start, err)
 			ch <- outcome{resp, err, idx}
 		}()
 	}
@@ -290,8 +229,7 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 				}
 				return out.resp, nil
 			}
-			var remote *wire.RemoteError
-			if errors.As(out.err, &remote) {
+			if refused(out.err) {
 				return nil, out.err
 			}
 			lastErr = out.err
@@ -302,8 +240,7 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 				continue
 			}
 			if next < len(order) {
-				rp.traceFailover(ctx, g.shardID, order[out.idx].addr, order[next].addr)
-				g.failovers.Inc()
+				g.failover(ctx, order[out.idx], order[next])
 				launch()
 			} else if inflight == 0 {
 				return nil, lastErr
@@ -312,7 +249,11 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 			timerC = nil
 			if next < len(order) {
 				g.hedges.Inc()
-				rp.traceHedge(ctx, g.shardID, order[next].addr)
+				if _, sp := trace.Start(ctx, "shard.hedge"); sp != nil {
+					sp.SetInt("shard", int64(g.Partition))
+					sp.SetStr("to", order[next].Addr)
+					sp.End()
+				}
 				hedgeIdx = next
 				launch()
 			}
@@ -321,57 +262,20 @@ func (rp *ReplicaPeers) hedgedStep(ctx context.Context, g *replicaGroup, order [
 	return nil, lastErr
 }
 
-// traceFailover records a failover decision as an instantaneous span on the
-// request's timeline.
-func (rp *ReplicaPeers) traceFailover(ctx context.Context, shardID int, from, to string) {
-	_, sp := trace.Start(ctx, "shard.failover")
-	if sp == nil {
-		return
-	}
-	sp.SetInt("shard", int64(shardID))
-	sp.SetStr("from", from)
-	sp.SetStr("to", to)
-	sp.End()
-}
-
-// traceHedge records a hedge launch on the request's timeline.
-func (rp *ReplicaPeers) traceHedge(ctx context.Context, shardID int, to string) {
-	_, sp := trace.Start(ctx, "shard.hedge")
-	if sp == nil {
-		return
-	}
-	sp.SetInt("shard", int64(shardID))
-	sp.SetStr("to", to)
-	sp.End()
-}
-
-// ReplicaStatus is one replica's health as reported by /healthz.
+// ReplicaStatus is one peer replica's health as reported by /healthz.
 type ReplicaStatus struct {
-	Addr             string  `json:"addr"`
-	State            string  `json:"state"`
-	ConsecutiveFails int     `json:"consecutive_fails"`
-	LatencyEWMAms    float64 `json:"latency_ewma_ms"`
-	OK               int64   `json:"ok_total"`
-	Errors           int64   `json:"err_total"`
-	OpenConns        int     `json:"open_conns"`
+	Addr string `json:"addr"`
+	ReplicaHealth
+	OpenConns int `json:"open_conns"`
 }
 
 // Snapshot reports every peer partition's replica table for observability.
 func (rp *ReplicaPeers) Snapshot() map[int][]ReplicaStatus {
 	out := make(map[int][]ReplicaStatus, len(rp.groups))
 	for id, g := range rp.groups {
-		sts := make([]ReplicaStatus, 0, len(g.replicas))
-		for _, r := range g.replicas {
-			ok, errs := r.breaker.Totals()
-			sts = append(sts, ReplicaStatus{
-				Addr:             r.addr,
-				State:            r.breaker.State().String(),
-				ConsecutiveFails: r.breaker.Fails(),
-				LatencyEWMAms:    float64(r.breaker.EWMA()) / float64(time.Millisecond),
-				OK:               ok,
-				Errors:           errs,
-				OpenConns:        r.client.OpenConns(),
-			})
+		sts := make([]ReplicaStatus, 0, len(g.Replicas))
+		for _, r := range g.Replicas {
+			sts = append(sts, ReplicaStatus{Addr: r.Addr, ReplicaHealth: r.Health(), OpenConns: r.Conn.OpenConns()})
 		}
 		out[id] = sts
 	}
@@ -379,27 +283,13 @@ func (rp *ReplicaPeers) Snapshot() map[int][]ReplicaStatus {
 }
 
 // Ping probes every peer partition; a partition is reachable if any one of
-// its replicas answers. Outcomes feed the breakers, so startup probing also
-// warms the health table.
+// its replicas answers. Outcomes feed the breakers, so startup pings also warm
+// the health table.
 func (rp *ReplicaPeers) Ping(ctx context.Context) error {
 	for id, g := range rp.groups {
-		var lastErr error
-		reached := false
-		for _, r := range g.ordered() {
-			start := time.Now()
-			err := r.client.Ping(ctx)
-			if err == nil || ctx.Err() == nil {
-				r.breaker.Report(time.Since(start), err)
-				r.publishState()
-			}
-			if err == nil {
-				reached = true
-				break
-			}
-			lastErr = err
-		}
-		if !reached {
-			return fmt.Errorf("shard %d unreachable on all replicas: %w", id, lastErr)
+		err := g.Try(ctx, func(r *Replica[*wire.Client]) error { return r.Conn.Ping(ctx) }, nil)
+		if err != nil {
+			return fmt.Errorf("shard %d unreachable on all replicas: %w", id, err)
 		}
 	}
 	return nil
@@ -408,8 +298,8 @@ func (rp *ReplicaPeers) Ping(ctx context.Context) error {
 // Close releases every replica's pooled connections.
 func (rp *ReplicaPeers) Close() {
 	for _, g := range rp.groups {
-		for _, r := range g.replicas {
-			r.client.Close()
+		for _, r := range g.Replicas {
+			r.Conn.Close()
 		}
 	}
 }
