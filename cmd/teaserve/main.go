@@ -149,6 +149,7 @@ import (
 
 	tea "github.com/tea-graph/tea"
 	"github.com/tea-graph/tea/internal/blockcache"
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/netchaos"
 	"github.com/tea-graph/tea/internal/ooc"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -592,12 +593,13 @@ func runShard(g *tea.Graph, app tea.App, scfg server.Config, o shardOpts) {
 		// Fault injection for chaos drills: the plan wraps both directions of
 		// this process's RPC traffic — outbound peer dials and inbound
 		// migration conns — exactly like FaultFS wraps the WAL's filesystem.
-		plan, err := netchaos.Parse(o.chaos, o.chaosSeed)
+		faults, err := netchaos.Parse(o.chaos)
 		if err != nil {
 			o.fatal("flags", err)
 		}
-		clientCfg.Dialer = plan.Dial
-		ln = plan.Listener(ln)
+		plan := fault.New(o.chaosSeed, faults...)
+		clientCfg.Dialer = netchaos.Dial(plan)
+		ln = netchaos.Listener(plan, ln)
 		o.logger.Warn("network chaos enabled", "spec", o.chaos, "seed", o.chaosSeed)
 	}
 	wireSrv := wire.NewServer(ln, node, o.logger)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/ooc"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/testutil"
@@ -79,7 +80,7 @@ func TestDeadDeviceStopsTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = store.Close() })
-	fi := ooc.NewFaultInjector(store, ooc.FaultConfig{ReadErrorRate: 1, Class: ooc.FaultPermanent, Seed: 3})
+	fi := ooc.NewFaultInjector(store, fault.New(3, fault.Fault{Op: fault.Read}))
 	d, err := ooc.BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)

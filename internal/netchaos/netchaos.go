@@ -1,108 +1,41 @@
-// Package netchaos is the network counterpart of internal/vfs.FaultFS: a
-// seeded, scripted fault plan threaded through net.Conn / net.Listener / dial
-// so the shard RPC layer can be exercised against the failures a real cluster
-// network produces — refused dials, mid-stream resets, silent packet loss
-// (stalls), latency spikes, asymmetric partitions, and corrupted bytes (which
-// the wire CRC must catch).
+// Package netchaos is the network adapter of internal/fault: it threads a
+// fault.Plan through net.Conn / net.Listener / dial so the shard RPC layer
+// can be exercised against the failures a real cluster network produces —
+// refused dials, mid-stream resets, silent packet loss (stalls), latency
+// spikes, asymmetric partitions, and corrupted bytes (which the wire CRC must
+// catch).
 //
-// A Plan is a list of Faults matched in injection order, exactly like the
-// FaultFS plan: the first armed fault whose Op, Kind and Peer match decides
-// the operation's fate, After skips the first N matching operations (the
-// "injection point" of the chaos oracle), and Once disarms a fault after it
-// fires. A Plan with no armed faults is transparent; the wrappers delegate
-// straight through, so a production binary can carry a nil/empty plan at zero
-// cost.
+// Faults match by fault.Op (Dial, Accept, Read, Write) and by peer address
+// as their Target. What a firing fault does here:
 //
-// Determinism: the byte-flip position is drawn from the plan's seeded RNG and
-// fault matching is ordered by a single mutex, so a given (seed, plan,
-// workload) replays the same failure — the property the chaos determinism
-// oracle needs to sweep injection points.
+//   - Fail closes the connection and fails the operation (dial refused,
+//     read/write error) — a severed link or a reset.
+//   - Delay sleeps Fault.Delay before letting the operation proceed; the
+//     connection's deadline still applies to the real operation afterwards.
+//   - Stall blocks the operation until the connection's deadline expires,
+//     the connection is closed, or the dial's context ends — the failure mode
+//     that distinguishes timeout handling from error handling.
+//   - Flip performs the real read or write but flips one seeded bit of the
+//     transferred bytes.
+//
+// Parse refuses any other kind or op pairing; a hand-built plan's Torn or
+// Crash fault acts as Fail, and an accepted connection under any fault but
+// Delay is closed as it arrives. A plan with no armed faults is transparent.
 package netchaos
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/tea-graph/tea/internal/fault"
 )
-
-// Op classifies network operations for fault matching.
-type Op int
-
-const (
-	// OpDial matches outbound connection attempts (peer = dialed address).
-	OpDial Op = iota
-	// OpAccept matches inbound connection establishment (peer = remote addr).
-	OpAccept
-	// OpRead matches Conn.Read.
-	OpRead
-	// OpWrite matches Conn.Write.
-	OpWrite
-)
-
-// String names the op for error messages.
-func (o Op) String() string {
-	switch o {
-	case OpDial:
-		return "dial"
-	case OpAccept:
-		return "accept"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
-
-// Kind selects what a firing fault does to the matched operation.
-type Kind int
-
-const (
-	// KindDrop fails the operation immediately (dial refused, read/write
-	// error) and closes the connection — the deterministic stand-in for a
-	// severed link. Partition uses it for every op toward a peer.
-	KindDrop Kind = iota
-	// KindDelay sleeps Fault.Delay before letting the operation proceed — a
-	// latency spike. The connection's deadline still applies to the real
-	// operation afterwards.
-	KindDelay
-	// KindStall blocks the operation until the connection's deadline expires
-	// or the connection is closed — silent packet loss, the failure mode that
-	// distinguishes timeout handling from error handling.
-	KindStall
-	// KindReset closes the connection and fails the operation with a
-	// connection-reset error — the peer's kernel sent RST mid-stream.
-	KindReset
-	// KindFlip performs the real operation but flips one seeded bit of the
-	// transferred bytes — line corruption the wire CRC must catch (the frame
-	// poisons the connection and the client retries on a fresh one).
-	KindFlip
-)
-
-// String names the kind for error messages and plan parsing.
-func (k Kind) String() string {
-	switch k {
-	case KindDrop:
-		return "drop"
-	case KindDelay:
-		return "delay"
-	case KindStall:
-		return "stall"
-	case KindReset:
-		return "reset"
-	case KindFlip:
-		return "flip"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // ErrInjected is the base error of every netchaos-caused failure, so tests
 // and log scrapers can tell injected faults from real ones.
@@ -111,182 +44,82 @@ var ErrInjected = errors.New("netchaos: injected fault")
 // timeoutError satisfies net.Error with Timeout() == true — what a stalled
 // operation surfaces once the deadline passes, matching the real kernel's
 // behavior for lost packets.
-type timeoutError struct{ op Op }
+type timeoutError struct{ op fault.Op }
 
 func (e timeoutError) Error() string   { return fmt.Sprintf("netchaos: %s stalled past deadline", e.op) }
 func (e timeoutError) Timeout() bool   { return true }
 func (e timeoutError) Temporary() bool { return true }
 
-// Fault is one scripted network failure.
-type Fault struct {
-	// Op selects which operation kind the fault matches.
-	Op Op
-	// Kind selects what happens when it fires.
-	Kind Kind
-	// Peer, when non-empty, restricts the fault to operations whose peer
-	// address contains it as a substring (partition-by-peer).
-	Peer string
-	// After skips the first After matching operations; the fault fires on the
-	// next one. This is the seeded injection point of the chaos oracle.
-	After int
-	// Delay is the injected latency for KindDelay.
-	Delay time.Duration
-	// Err overrides the error returned when the fault fires (ignored by
-	// KindDelay and KindFlip, which let the operation proceed).
-	Err error
-	// Once disarms the fault after it fires; otherwise it keeps firing for
-	// every further matching operation until Heal.
-	Once bool
-
-	matched int
-	fired   bool
+// failure is the error a failing fault f returns for op toward peer.
+func failure(f *fault.Fault, op fault.Op, peer string) error {
+	err := f.Err
+	if err == nil {
+		err = ErrInjected
+	}
+	return fmt.Errorf("netchaos: injected %s %s toward %s: %w", f.Kind, op, peer, err)
 }
 
-// Plan is a seeded set of armed faults shared by every conn, listener, and
-// dialer wrapped with it. Safe for concurrent use.
-type Plan struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	faults []*Fault
-	fired  int
-}
-
-// NewPlan builds an empty plan whose byte-flip positions are drawn from seed.
-func NewPlan(seed int64) *Plan {
-	return &Plan{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Inject arms additional faults.
-func (p *Plan) Inject(faults ...Fault) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range faults {
-		f := faults[i]
-		p.faults = append(p.faults, &f)
+// Partition returns the faults that sever all traffic toward peers whose
+// address contains peer: dials are refused and reads/writes on existing
+// connections fail and close them. after delays the cut by that many
+// matching operations; Heal restores the link.
+func Partition(peer string, after int) []fault.Fault {
+	return []fault.Fault{
+		{Op: fault.Dial, Target: peer, After: after},
+		{Op: fault.Read, Target: peer, After: after},
+		{Op: fault.Write, Target: peer, After: after},
 	}
 }
 
-// Partition severs all traffic toward peers whose address contains peer:
-// dials are refused and reads/writes on existing connections fail and close
-// them. after delays the cut by that many matching operations. Heal restores
-// the link.
-func (p *Plan) Partition(peer string, after int) {
-	p.Inject(
-		Fault{Op: OpDial, Kind: KindDrop, Peer: peer, After: after},
-		Fault{Op: OpRead, Kind: KindDrop, Peer: peer, After: after},
-		Fault{Op: OpWrite, Kind: KindDrop, Peer: peer, After: after},
-	)
-}
-
-// Heal disarms every fault — the switch came back, the cable was replugged.
-func (p *Plan) Heal() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.faults = nil
-}
-
-// Fired reports how many times any fault has fired.
-func (p *Plan) Fired() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fired
-}
-
-// verdict is the outcome check decides for one operation.
-type verdict struct {
-	kind  Kind
-	delay time.Duration
-	err   error
-	flip  int // byte index to corrupt, for KindFlip (bit drawn separately)
-	bit   uint
-}
-
-// check consults the fault plan for one operation of kind op toward peer.
-// n is the buffer length (flip-position derivation); a nil verdict means the
-// operation proceeds untouched.
-func (p *Plan) check(op Op, peer string, n int) *verdict {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range p.faults {
-		if f.Op != op || (f.Once && f.fired) {
-			continue
-		}
-		if f.Peer != "" && !strings.Contains(peer, f.Peer) {
-			continue
-		}
-		if f.matched < f.After {
-			f.matched++
-			continue
-		}
-		f.fired = true
-		p.fired++
-		v := &verdict{kind: f.Kind, delay: f.Delay}
-		switch f.Kind {
-		case KindDelay, KindFlip:
-			// These let the operation proceed; no error to synthesize.
-		default:
-			err := f.Err
-			if err == nil {
-				err = ErrInjected
+// Dial returns a dialer that dials through p: Dial faults decide each
+// attempt's fate and the returned connection is wrapped so Read/Write faults
+// apply for its lifetime. Use as wire.ClientConfig.Dialer.
+func Dial(p *fault.Plan) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	return func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if f, _ := p.Check(fault.Dial, addr, 0); f != nil {
+			switch f.Kind {
+			case fault.Delay:
+				select {
+				case <-time.After(f.Delay):
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			case fault.Stall:
+				<-ctx.Done()
+				return nil, fmt.Errorf("netchaos: injected stall dial toward %s: %w", addr, ctx.Err())
+			default:
+				return nil, failure(f, fault.Dial, addr)
 			}
-			v.err = fmt.Errorf("netchaos: injected %s %s toward %s: %w", f.Kind, op, peer, err)
 		}
-		if f.Kind == KindFlip && n > 0 {
-			v.flip = p.rng.Intn(n)
-			v.bit = uint(p.rng.Intn(8))
+		var d net.Dialer
+		raw, err := d.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
 		}
-		return v
+		return Conn(p, raw, addr), nil
 	}
-	return nil
-}
-
-// Dial dials network/addr through the plan: OpDial faults decide the
-// attempt's fate and the returned connection is wrapped so OpRead/OpWrite
-// faults apply for its lifetime. Use as wire.ClientConfig.Dialer.
-func (p *Plan) Dial(ctx context.Context, network, addr string) (net.Conn, error) {
-	if v := p.check(OpDial, addr, 0); v != nil {
-		switch v.kind {
-		case KindDelay:
-			select {
-			case <-time.After(v.delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		case KindStall:
-			<-ctx.Done()
-			return nil, fmt.Errorf("netchaos: injected stall dial toward %s: %w", addr, ctx.Err())
-		default:
-			return nil, v.err
-		}
-	}
-	var d net.Dialer
-	raw, err := d.DialContext(ctx, network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return p.Conn(raw, addr), nil
 }
 
 // Conn wraps an established connection; peer is the address faults match
 // against (defaults to the connection's remote address when empty).
-func (p *Plan) Conn(c net.Conn, peer string) net.Conn {
+func Conn(p *fault.Plan, c net.Conn, peer string) net.Conn {
 	if peer == "" && c.RemoteAddr() != nil {
 		peer = c.RemoteAddr().String()
 	}
 	return &chaosConn{Conn: c, plan: p, peer: peer, closed: make(chan struct{}), dlCh: make(chan struct{})}
 }
 
-// Listener wraps ln so accepted connections pass through the plan: OpAccept
-// drop/reset faults close the connection as it arrives, and every surviving
-// connection is wrapped for OpRead/OpWrite faults. This is the server-loop
-// half of the chaos threading (the client-pool half is Dial).
-func (p *Plan) Listener(ln net.Listener) net.Listener {
+// Listener wraps ln so accepted connections pass through p: Accept faults
+// other than Delay close the connection as it arrives, and every surviving
+// connection is wrapped for Read/Write faults. This is the server-loop half
+// of the chaos threading (the client-pool half is Dial).
+func Listener(p *fault.Plan, ln net.Listener) net.Listener {
 	return &chaosListener{Listener: ln, plan: p}
 }
 
 type chaosListener struct {
 	net.Listener
-	plan *Plan
+	plan *fault.Plan
 }
 
 func (l *chaosListener) Accept() (net.Conn, error) {
@@ -299,18 +132,16 @@ func (l *chaosListener) Accept() (net.Conn, error) {
 		if c.RemoteAddr() != nil {
 			peer = c.RemoteAddr().String()
 		}
-		if v := l.plan.check(OpAccept, peer, 0); v != nil {
-			switch v.kind {
-			case KindDelay:
-				time.Sleep(v.delay)
-			default:
+		if f, _ := l.plan.Check(fault.Accept, peer, 0); f != nil {
+			if f.Kind != fault.Delay {
 				// The connection is torn down as it arrives; the dialer sees
 				// an immediate EOF/reset on first use.
 				c.Close()
 				continue
 			}
+			time.Sleep(f.Delay)
 		}
-		return l.plan.Conn(c, peer), nil
+		return Conn(l.plan, c, peer), nil
 	}
 }
 
@@ -320,7 +151,7 @@ func (l *chaosListener) Accept() (net.Conn, error) {
 // fire for it.
 type chaosConn struct {
 	net.Conn
-	plan *Plan
+	plan *fault.Plan
 	peer string
 
 	mu        sync.Mutex
@@ -367,11 +198,11 @@ func (c *chaosConn) setDL(t time.Time, read, write bool) {
 // stall blocks until the relevant deadline passes or the conn closes,
 // re-checking whenever the deadline is updated (the wire client poisons the
 // deadline to interrupt in-flight exchanges on context cancellation).
-func (c *chaosConn) stall(op Op) error {
+func (c *chaosConn) stall(op fault.Op) error {
 	for {
 		c.mu.Lock()
 		dl := c.readDL
-		if op == OpWrite {
+		if op == fault.Write {
 			dl = c.writeDL
 		}
 		ch := c.dlCh
@@ -398,119 +229,111 @@ func (c *chaosConn) stall(op Op) error {
 }
 
 func (c *chaosConn) Read(p []byte) (int, error) {
-	v := c.plan.check(OpRead, c.peer, len(p))
-	if v == nil {
+	f, bit := c.plan.Check(fault.Read, c.peer, 8*len(p))
+	if f == nil {
 		return c.Conn.Read(p)
 	}
-	switch v.kind {
-	case KindDelay:
-		time.Sleep(v.delay)
+	switch f.Kind {
+	case fault.Delay:
+		time.Sleep(f.Delay)
 		return c.Conn.Read(p)
-	case KindStall:
-		return 0, c.stall(OpRead)
-	case KindFlip:
+	case fault.Stall:
+		return 0, c.stall(fault.Read)
+	case fault.Flip:
 		n, err := c.Conn.Read(p)
 		if n > 0 {
-			p[v.flip%n] ^= 1 << v.bit
+			p[bit/8%n] ^= 1 << (bit % 8)
 		}
 		return n, err
-	default: // drop, reset
+	default:
 		c.Close()
-		return 0, v.err
+		return 0, failure(f, fault.Read, c.peer)
 	}
 }
 
 func (c *chaosConn) Write(p []byte) (int, error) {
-	v := c.plan.check(OpWrite, c.peer, len(p))
-	if v == nil {
+	f, bit := c.plan.Check(fault.Write, c.peer, 8*len(p))
+	if f == nil {
 		return c.Conn.Write(p)
 	}
-	switch v.kind {
-	case KindDelay:
-		time.Sleep(v.delay)
+	switch f.Kind {
+	case fault.Delay:
+		time.Sleep(f.Delay)
 		return c.Conn.Write(p)
-	case KindStall:
-		return 0, c.stall(OpWrite)
-	case KindFlip:
+	case fault.Stall:
+		return 0, c.stall(fault.Write)
+	case fault.Flip:
 		// Corrupt a copy — the caller's buffer must stay pristine (the wire
 		// client reuses it for retries, which must resend correct bytes).
 		dup := make([]byte, len(p))
 		copy(dup, p)
 		if len(dup) > 0 {
-			dup[v.flip] ^= 1 << v.bit
+			dup[bit/8] ^= 1 << (bit % 8)
 		}
 		return c.Conn.Write(dup)
-	default: // drop, reset
+	default:
 		c.Close()
-		return 0, v.err
+		return 0, failure(f, fault.Write, c.peer)
 	}
 }
 
-// Parse builds a plan from a CLI spec: semicolon-separated faults of the form
+// specKinds maps each spec kind to its fault kind and the ops it can act on;
+// the first op is the default. partition acts on all three of its ops
+// whatever op= says.
+var specKinds = map[string]struct {
+	kind fault.Kind
+	ops  []fault.Op
+}{
+	"drop":      {fault.Fail, []fault.Op{fault.Dial, fault.Accept, fault.Read, fault.Write}},
+	"reset":     {fault.Fail, []fault.Op{fault.Read, fault.Write}},
+	"delay":     {fault.Delay, []fault.Op{fault.Read, fault.Write, fault.Dial, fault.Accept}},
+	"stall":     {fault.Stall, []fault.Op{fault.Read, fault.Write, fault.Dial}},
+	"flip":      {fault.Flip, []fault.Op{fault.Read, fault.Write}},
+	"partition": {fault.Fail, []fault.Op{fault.Dial, fault.Read, fault.Write}},
+}
+
+// Parse reads the faults of a CLI spec: semicolon-separated faults of the form
 //
 //	kind[:key=value[,key=value...]]
 //
 // kinds: drop | delay | stall | reset | flip | partition
-// keys:  op=dial|accept|read|write (default: read for conn kinds, dial for
+// keys:  op=dial|accept|read|write (default: read, dial for drop),
 //
-//	drop), peer=<substring>, after=<N>, delay=<duration>, once
+//	peer=<substring>, after=<N>, delay=<duration>, once
 //
-// partition expands to persistent drop faults on dial+read+write toward peer.
-// Examples:
+// drop and reset both fail the operation and close the connection; reset and
+// flip act only on read|write, stall on dial|read|write. partition expands to
+// persistent drop faults on dial+read+write toward peer. Examples:
 //
 //	partition:peer=10.0.0.3
 //	reset:op=write,peer=:9301,after=12,once
 //	delay:op=read,delay=50ms
 //	flip:op=write,once
-func Parse(spec string, seed int64) (*Plan, error) {
-	p := NewPlan(seed)
-	if strings.TrimSpace(spec) == "" {
-		return p, nil
-	}
+func Parse(spec string) ([]fault.Fault, error) {
+	var faults []fault.Fault
 	for _, raw := range strings.Split(spec, ";") {
 		raw = strings.TrimSpace(raw)
 		if raw == "" {
 			continue
 		}
 		name, args, _ := strings.Cut(raw, ":")
-		f := Fault{Op: OpRead}
-		partition := false
-		switch name {
-		case "drop":
-			f.Kind = KindDrop
-			f.Op = OpDial
-		case "delay":
-			f.Kind = KindDelay
-		case "stall":
-			f.Kind = KindStall
-		case "reset":
-			f.Kind = KindReset
-		case "flip":
-			f.Kind = KindFlip
-		case "partition":
-			partition = true
-		default:
+		sk, ok := specKinds[name]
+		if !ok {
 			return nil, fmt.Errorf("netchaos: unknown fault kind %q in %q", name, raw)
 		}
+		f := fault.Fault{Op: sk.ops[0], Kind: sk.kind}
 		if args != "" {
 			for _, kv := range strings.Split(args, ",") {
 				key, val, _ := strings.Cut(kv, "=")
 				switch key {
 				case "op":
-					switch val {
-					case "dial":
-						f.Op = OpDial
-					case "accept":
-						f.Op = OpAccept
-					case "read":
-						f.Op = OpRead
-					case "write":
-						f.Op = OpWrite
-					default:
-						return nil, fmt.Errorf("netchaos: unknown op %q in %q", val, raw)
+					i := slices.IndexFunc(sk.ops, func(o fault.Op) bool { return o.String() == val })
+					if i < 0 {
+						return nil, fmt.Errorf("netchaos: %s cannot act on op %q in %q", name, val, raw)
 					}
+					f.Op = sk.ops[i]
 				case "peer":
-					f.Peer = val
+					f.Target = val
 				case "after":
 					n, err := strconv.Atoi(val)
 					if err != nil || n < 0 {
@@ -530,14 +353,14 @@ func Parse(spec string, seed int64) (*Plan, error) {
 				}
 			}
 		}
-		if partition {
-			p.Partition(f.Peer, f.After)
+		if name == "partition" {
+			faults = append(faults, Partition(f.Target, f.After)...)
 			continue
 		}
-		if f.Kind == KindDelay && f.Delay <= 0 {
+		if f.Kind == fault.Delay && f.Delay <= 0 {
 			return nil, fmt.Errorf("netchaos: delay fault needs delay=<duration> in %q", raw)
 		}
-		p.Inject(f)
+		faults = append(faults, f)
 	}
-	return p, nil
+	return faults, nil
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/tea-graph/tea/internal/fault"
 )
 
 // echoServer accepts connections on a plain listener and echoes whatever it
@@ -34,11 +36,11 @@ func echoServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func dialChaos(t *testing.T, p *Plan, addr string) net.Conn {
+func dialChaos(t *testing.T, p *fault.Plan, addr string) net.Conn {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	c, err := p.Dial(ctx, "tcp", addr)
+	c, err := Dial(p)(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func dialChaos(t *testing.T, p *Plan, addr string) net.Conn {
 
 func TestTransparentWithoutFaults(t *testing.T) {
 	addr := echoServer(t)
-	c := dialChaos(t, NewPlan(1), addr)
+	c := dialChaos(t, fault.New(1), addr)
 	msg := []byte("hello")
 	if _, err := c.Write(msg); err != nil {
 		t.Fatal(err)
@@ -64,14 +66,14 @@ func TestTransparentWithoutFaults(t *testing.T) {
 
 func TestDropDialRefused(t *testing.T) {
 	addr := echoServer(t)
-	p := NewPlan(1)
-	p.Inject(Fault{Op: OpDial, Kind: KindDrop, Once: true})
+	p := fault.New(1, fault.Fault{Op: fault.Dial, Once: true})
+	dial := Dial(p)
 	ctx := context.Background()
-	if _, err := p.Dial(ctx, "tcp", addr); !errors.Is(err, ErrInjected) {
+	if _, err := dial(ctx, "tcp", addr); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected dial error, got %v", err)
 	}
 	// Once: the next dial goes through.
-	c, err := p.Dial(ctx, "tcp", addr)
+	c, err := dial(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +83,27 @@ func TestDropDialRefused(t *testing.T) {
 	}
 }
 
+// TestDialFaultNeverYieldsNilConn: whatever kind a dial fault has, the
+// dialer returns a connection or an error, never neither — the wire client
+// would dereference a nil conn.
+func TestDialFaultNeverYieldsNilConn(t *testing.T) {
+	addr := echoServer(t)
+	for _, k := range []fault.Kind{fault.Fail, fault.Stall, fault.Flip, fault.Torn, fault.Crash} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		c, err := Dial(fault.New(1, fault.Fault{Op: fault.Dial, Kind: k}))(ctx, "tcp", addr)
+		cancel()
+		if c == nil && err == nil {
+			t.Errorf("%s dial fault: nil conn and nil error", k)
+		}
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
 func TestAfterSkipsOperations(t *testing.T) {
 	addr := echoServer(t)
-	p := NewPlan(1)
-	p.Inject(Fault{Op: OpWrite, Kind: KindReset, After: 2})
+	p := fault.New(1, fault.Fault{Op: fault.Write, After: 2})
 	c := dialChaos(t, p, addr)
 	for i := 0; i < 2; i++ {
 		if _, err := c.Write([]byte("x")); err != nil {
@@ -103,21 +122,21 @@ func TestAfterSkipsOperations(t *testing.T) {
 func TestPartitionByPeer(t *testing.T) {
 	addrA := echoServer(t)
 	addrB := echoServer(t)
-	p := NewPlan(1)
-	p.Partition(addrA, 0)
+	p := fault.New(1, Partition(addrA, 0)...)
+	dial := Dial(p)
 	ctx := context.Background()
-	if _, err := p.Dial(ctx, "tcp", addrA); !errors.Is(err, ErrInjected) {
+	if _, err := dial(ctx, "tcp", addrA); !errors.Is(err, ErrInjected) {
 		t.Fatalf("partitioned peer dialed: %v", err)
 	}
 	// The other peer is unaffected.
-	c, err := p.Dial(ctx, "tcp", addrB)
+	c, err := dial(ctx, "tcp", addrB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 	// Heal restores the link.
 	p.Heal()
-	c, err = p.Dial(ctx, "tcp", addrA)
+	c, err = dial(ctx, "tcp", addrA)
 	if err != nil {
 		t.Fatalf("healed dial: %v", err)
 	}
@@ -126,8 +145,7 @@ func TestPartitionByPeer(t *testing.T) {
 
 func TestStallHonorsDeadline(t *testing.T) {
 	addr := echoServer(t)
-	p := NewPlan(1)
-	p.Inject(Fault{Op: OpRead, Kind: KindStall, Once: true})
+	p := fault.New(1, fault.Fault{Op: fault.Read, Kind: fault.Stall, Once: true})
 	c := dialChaos(t, p, addr)
 	if _, err := c.Write([]byte("ping")); err != nil {
 		t.Fatal(err)
@@ -146,8 +164,7 @@ func TestStallHonorsDeadline(t *testing.T) {
 
 func TestStallWakesOnDeadlineUpdate(t *testing.T) {
 	addr := echoServer(t)
-	p := NewPlan(1)
-	p.Inject(Fault{Op: OpRead, Kind: KindStall, Once: true})
+	p := fault.New(1, fault.Fault{Op: fault.Read, Kind: fault.Stall, Once: true})
 	c := dialChaos(t, p, addr)
 	// No deadline: the stall would block forever. Poisoning the deadline from
 	// another goroutine (what the wire client does on context cancellation)
@@ -172,8 +189,7 @@ func TestStallWakesOnDeadlineUpdate(t *testing.T) {
 
 func TestFlipCorruptsOneBitOnWrite(t *testing.T) {
 	addr := echoServer(t)
-	p := NewPlan(7)
-	p.Inject(Fault{Op: OpWrite, Kind: KindFlip, Once: true})
+	p := fault.New(7, fault.Fault{Op: fault.Write, Kind: fault.Flip, Once: true})
 	c := dialChaos(t, p, addr)
 	msg := bytes.Repeat([]byte{0x00}, 64)
 	if _, err := c.Write(msg); err != nil {
@@ -205,9 +221,8 @@ func TestListenerDropsAcceptedConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlan(1)
-	p.Inject(Fault{Op: OpAccept, Kind: KindDrop, Once: true})
-	cln := p.Listener(ln)
+	p := fault.New(1, fault.Fault{Op: fault.Accept, Once: true})
+	cln := Listener(p, ln)
 	defer cln.Close()
 	done := make(chan net.Conn, 1)
 	go func() {
@@ -263,9 +278,17 @@ func TestParseSpecs(t *testing.T) {
 		{"explode", true, 0},                                     // unknown kind
 		{"drop:op=sideways", true, 0},                            // unknown op
 		{"drop:after=-1", true, 0},
+		{"flip:op=dial", true, 0}, // no bit to flip on a dial
+		{"flip:op=accept", true, 0},
+		{"stall:op=accept", true, 0}, // an accept has no deadline to stall to
+		{"reset:op=accept", true, 0}, // reset needs an established stream
+		{"reset:op=dial", true, 0},
+		{"stall:op=dial", false, 1},
+		{"drop:op=accept", false, 1},
+		{"delay:op=accept,delay=5ms", false, 1},
 	}
 	for _, tc := range cases {
-		p, err := Parse(tc.spec, 1)
+		faults, err := Parse(tc.spec)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("Parse(%q): want error", tc.spec)
@@ -276,10 +299,7 @@ func TestParseSpecs(t *testing.T) {
 			t.Errorf("Parse(%q): %v", tc.spec, err)
 			continue
 		}
-		p.mu.Lock()
-		n := len(p.faults)
-		p.mu.Unlock()
-		if n != tc.faults {
+		if n := len(faults); n != tc.faults {
 			t.Errorf("Parse(%q): %d faults, want %d", tc.spec, n, tc.faults)
 		}
 	}
@@ -288,8 +308,7 @@ func TestParseSpecs(t *testing.T) {
 func TestSeededFlipIsDeterministic(t *testing.T) {
 	run := func(seed int64) []byte {
 		addr := echoServer(t)
-		p := NewPlan(seed)
-		p.Inject(Fault{Op: OpWrite, Kind: KindFlip, Once: true})
+		p := fault.New(seed, fault.Fault{Op: fault.Write, Kind: fault.Flip, Once: true})
 		c := dialChaos(t, p, addr)
 		msg := bytes.Repeat([]byte{0x00}, 32)
 		if _, err := c.Write(msg); err != nil {

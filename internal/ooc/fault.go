@@ -3,11 +3,9 @@ package ooc
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/tea-graph/tea/internal/xrand"
+	"github.com/tea-graph/tea/internal/fault"
 )
 
 // ErrTransient classifies an I/O error as retryable: the same read may
@@ -21,66 +19,36 @@ var ErrTransient = errors.New("ooc: transient I/O fault")
 // real device, so tests and operators can tell drills from genuine faults.
 var ErrInjected = errors.New("ooc: injected fault")
 
-// FaultClass selects the kind of error a FaultInjector produces.
-type FaultClass int
-
-const (
-	// FaultTransient faults match ErrTransient and are retryable.
-	FaultTransient FaultClass = iota
-	// FaultPermanent faults do not match ErrTransient: retrying is useless
-	// and the engine surfaces them as wrapped errors.
-	FaultPermanent
-)
-
-// FaultConfig parameterizes a FaultInjector. The zero value injects nothing.
-type FaultConfig struct {
-	// ReadErrorRate is the probability in [0, 1] that one ReadAt fails
-	// before touching the underlying store.
-	ReadErrorRate float64
-	// Class selects transient (retryable) or permanent faults.
-	Class FaultClass
-	// Latency is added to every ReadAt, modelling a slow or contended
-	// device.
-	Latency time.Duration
-	// Seed makes the fault sequence deterministic.
-	Seed uint64
-}
-
-// FaultInjector wraps a BlockStore and injects read faults per FaultConfig:
-// the §4.1 out-of-core path assumes a perfect disk, and this wrapper is how
-// deployments (and our tests) verify behavior on an imperfect one without
-// special hardware. Writes pass through untouched. Safe for concurrent use.
+// FaultInjector wraps a BlockStore and applies a fault.Plan's fault.Read
+// faults to every ReadAt: the §4.1 out-of-core path assumes a perfect disk,
+// and this wrapper is how deployments (and our tests) verify behavior on an
+// imperfect one without special hardware. A Delay fault sleeps before the
+// read, modelling a slow or contended device; every other kind fails the read
+// before it touches the store with an error wrapping ErrInjected and the
+// fault's Err — ErrTransient makes it retryable, nil permanent. Writes pass
+// through untouched. Safe for concurrent use.
 type FaultInjector struct {
 	inner BlockStore
-	cfg   FaultConfig
-
-	mu       sync.Mutex
-	rng      *xrand.Rand
-	injected atomic.Int64
+	plan  *fault.Plan
 }
 
-// NewFaultInjector wraps inner with deterministic fault injection.
-func NewFaultInjector(inner BlockStore, cfg FaultConfig) *FaultInjector {
-	return &FaultInjector{inner: inner, cfg: cfg, rng: xrand.New(cfg.Seed)}
+// NewFaultInjector wraps inner with plan.
+func NewFaultInjector(inner BlockStore, plan *fault.Plan) *FaultInjector {
+	return &FaultInjector{inner: inner, plan: plan}
 }
 
-// Injected reports how many faults have been injected so far.
-func (f *FaultInjector) Injected() int64 { return f.injected.Load() }
+// Injected reports how many faults the plan has fired so far.
+func (f *FaultInjector) Injected() int64 { return int64(f.plan.Fired()) }
 
 // ReadAt implements BlockStore, possibly failing or delaying the read.
 func (f *FaultInjector) ReadAt(p []byte, off int64) error {
-	if f.cfg.Latency > 0 {
-		time.Sleep(f.cfg.Latency)
-	}
-	if f.cfg.ReadErrorRate > 0 {
-		f.mu.Lock()
-		hit := f.rng.Float64() < f.cfg.ReadErrorRate
-		f.mu.Unlock()
-		if hit {
-			f.injected.Add(1)
+	if flt, _ := f.plan.Check(fault.Read, "", 0); flt != nil {
+		if flt.Kind == fault.Delay {
+			time.Sleep(flt.Delay)
+		} else {
 			mInjected.Inc()
-			if f.cfg.Class == FaultTransient {
-				return fmt.Errorf("read %d bytes at %d: %w: %w", len(p), off, ErrInjected, ErrTransient)
+			if flt.Err != nil {
+				return fmt.Errorf("read %d bytes at %d: %w: %w", len(p), off, ErrInjected, flt.Err)
 			}
 			return fmt.Errorf("read %d bytes at %d: %w", len(p), off, ErrInjected)
 		}

@@ -3,6 +3,7 @@ package ooc
 import (
 	"testing"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/testutil"
 )
@@ -25,7 +26,7 @@ func TestCacheOverFaultInjectorTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fi := NewFaultInjector(tempStore(t), FaultConfig{ReadErrorRate: 0.02, Class: FaultTransient, Seed: 7})
+	fi := NewFaultInjector(tempStore(t), fault.New(7, fault.Fault{Op: fault.Read, Rate: 0.02, Err: ErrTransient}))
 	d, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestCacheNeverPoisonedByFaults(t *testing.T) {
 
 	// The build only writes, so it succeeds over an injector that fails
 	// every read; the cache then layers on top of the faulty store.
-	fi := NewFaultInjector(tempStore(t), FaultConfig{ReadErrorRate: 1.0, Class: FaultPermanent, Seed: 3})
+	fi := NewFaultInjector(tempStore(t), fault.New(3, fault.Fault{Op: fault.Read}))
 	d, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
@@ -30,7 +31,7 @@ func TestTransientFaultsAreRetriedTransparently(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fi := NewFaultInjector(tempStore(t), FaultConfig{ReadErrorRate: 0.02, Class: FaultTransient, Seed: 7})
+	fi := NewFaultInjector(tempStore(t), fault.New(7, fault.Fault{Op: fault.Read, Rate: 0.02, Err: ErrTransient}))
 	faulty, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestPermanentFaultSurfacesAsError(t *testing.T) {
 	g.PrecomputeCandidates(1)
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 
-	fi := NewFaultInjector(tempStore(t), FaultConfig{ReadErrorRate: 1.0, Class: FaultPermanent, Seed: 3})
+	fi := NewFaultInjector(tempStore(t), fault.New(3, fault.Fault{Op: fault.Read}))
 	d, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestTransientRetryBudgetExhaustion(t *testing.T) {
 	g.PrecomputeCandidates(1)
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 
-	fi := NewFaultInjector(tempStore(t), FaultConfig{ReadErrorRate: 1.0, Class: FaultTransient, Seed: 3})
+	fi := NewFaultInjector(tempStore(t), fault.New(3, fault.Fault{Op: fault.Read, Err: ErrTransient}))
 	d, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestFaultInjectorZeroRatePassThrough(t *testing.T) {
 	g.PrecomputeCandidates(1)
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 
-	fi := NewFaultInjector(tempStore(t), FaultConfig{})
+	fi := NewFaultInjector(tempStore(t), fault.New(0))
 	d, err := BuildDiskPAT(w, fi, 4)
 	if err != nil {
 		t.Fatal(err)

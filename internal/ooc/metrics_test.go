@@ -3,6 +3,8 @@ package ooc
 import (
 	"context"
 	"testing"
+
+	"github.com/tea-graph/tea/internal/fault"
 )
 
 // Store I/O must publish volume counters and block-fetch latency to the
@@ -56,7 +58,7 @@ func TestRetryAndFaultMetrics(t *testing.T) {
 	if _, err := inner.Append(make([]byte, 256)); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewFaultInjector(inner, FaultConfig{ReadErrorRate: 1, Class: FaultTransient, Seed: 7})
+	inj := NewFaultInjector(inner, fault.New(7, fault.Fault{Op: fault.Read, Err: ErrTransient}))
 
 	retries0 := mRetries.Value()
 	injected0 := mInjected.Value()

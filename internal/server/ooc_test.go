@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/ooc"
 )
@@ -13,7 +14,7 @@ import (
 // 200 and walks truncated to their start vertex: the engine stops on the
 // sampler's sticky error and the handler maps it to a 5xx.
 func TestOOCDeadDeviceWalkIsNot200(t *testing.T) {
-	ts, fi, _ := newOOCServer(t, ooc.FaultConfig{ReadErrorRate: 1, Class: ooc.FaultPermanent, Seed: 7},
+	ts, fi, _ := newOOCServer(t, fault.New(7, fault.Fault{Op: fault.Read}),
 		Config{Metrics: metrics.NewRegistry()})
 	resp, err := http.Get(ts.URL + "/walk?from=0&count=8&length=30&seed=3")
 	if err != nil {
@@ -32,7 +33,7 @@ func TestOOCDeadDeviceWalkIsNot200(t *testing.T) {
 // Read retries are billed to the request that caused them: cost_detail
 // reports exactly the retries DiskPAT counted during the request.
 func TestOOCCostReportsReadRetries(t *testing.T) {
-	ts, fi, dp := newOOCServer(t, ooc.FaultConfig{ReadErrorRate: 0.3, Class: ooc.FaultTransient, Seed: 7},
+	ts, fi, dp := newOOCServer(t, fault.New(7, fault.Fault{Op: fault.Read, Rate: 0.3, Err: ooc.ErrTransient}),
 		Config{Metrics: metrics.NewRegistry()})
 	dp.SetRetryPolicy(ooc.RetryPolicy{MaxRetries: 20})
 	before := dp.Retries()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/scrub"
 	"github.com/tea-graph/tea/internal/stream"
@@ -26,7 +27,7 @@ import (
 // quickly.
 func newFaultIngestServer(t *testing.T, dcfg stream.DurableConfig) (*httptest.Server, *Server, *stream.DurableGraph, *vfs.FaultFS) {
 	t.Helper()
-	ffs := vfs.NewFaultFS(vfs.OS, 42)
+	ffs := vfs.NewFaultFS(vfs.OS, fault.New(42))
 	dcfg.FS = ffs
 	if dcfg.WAL.Policy == 0 && dcfg.WAL.Interval == 0 {
 		dcfg.WAL.Policy = wal.SyncAlways
@@ -69,7 +70,7 @@ func TestIngestDiskFullDegradesToReadOnlyAndRecovers(t *testing.T) {
 		`{"edges":[{"src":0,"dst":1,"t":10},{"src":0,"dst":2,"t":11}]}`, http.StatusOK, nil)
 
 	// The disk fills: every WAL write fails with ENOSPC until healed.
-	ffs.Inject(vfs.Fault{Op: vfs.OpWrite, Path: "wal-"})
+	ffs.Inject(fault.Fault{Op: fault.Write, Target: "wal-"})
 
 	resp := postStatus(t, ts.URL+"/edges", `{"edges":[{"src":1,"dst":2,"t":12}]}`)
 	if resp.StatusCode != http.StatusInsufficientStorage {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/ooc"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -48,14 +49,14 @@ func attrOf(n *traceNode, key string) (any, bool) {
 func newOOCTraceServer(t *testing.T) (*httptest.Server, *ooc.FaultInjector, *trace.Tracer) {
 	t.Helper()
 	tr := trace.New(trace.Config{SampleFraction: 1, FlightSpans: 256})
-	ts, fi, _ := newOOCServer(t, ooc.FaultConfig{ReadErrorRate: 0.3, Class: ooc.FaultTransient, Seed: 7},
+	ts, fi, _ := newOOCServer(t, fault.New(7, fault.Fault{Op: fault.Read, Rate: 0.3, Err: ooc.ErrTransient}),
 		Config{Trace: tr, Metrics: metrics.NewRegistry()})
 	return ts, fi, tr
 }
 
 // newOOCServer serves an engine whose sampler is a DiskPAT with a block
-// cache, backed by a store injecting read faults per fc — the -ooc stack.
-func newOOCServer(t *testing.T, fc ooc.FaultConfig, cfg Config) (*httptest.Server, *ooc.FaultInjector, *ooc.DiskPAT) {
+// cache, backed by a store injecting read faults per plan — the -ooc stack.
+func newOOCServer(t *testing.T, plan *fault.Plan, cfg Config) (*httptest.Server, *ooc.FaultInjector, *ooc.DiskPAT) {
 	t.Helper()
 	g := temporal.CommuteGraph()
 	app := core.ExponentialWalk(1)
@@ -68,7 +69,7 @@ func newOOCServer(t *testing.T, fc ooc.FaultConfig, cfg Config) (*httptest.Serve
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	fi := ooc.NewFaultInjector(store, fc)
+	fi := ooc.NewFaultInjector(store, plan)
 	dp, err := ooc.BuildDiskPAT(w, fi, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/netchaos"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -121,20 +122,20 @@ func TestChaosSingleReplicaFaultsByteIdentical(t *testing.T) {
 
 	type faultCase struct {
 		name   string
-		inject func(p *netchaos.Plan, victim string, after int)
+		inject func(p *fault.Plan, victim string, after int)
 	}
 	cases := []faultCase{
-		{"partition", func(p *netchaos.Plan, victim string, after int) {
-			p.Partition(victim, after)
+		{"partition", func(p *fault.Plan, victim string, after int) {
+			p.Inject(netchaos.Partition(victim, after)...)
 		}},
-		{"reset-on-write", func(p *netchaos.Plan, victim string, after int) {
-			p.Inject(netchaos.Fault{Op: netchaos.OpWrite, Kind: netchaos.KindReset, Peer: victim, After: after})
+		{"reset-on-write", func(p *fault.Plan, victim string, after int) {
+			p.Inject(fault.Fault{Op: fault.Write, Target: victim, After: after})
 		}},
-		{"reset-on-read", func(p *netchaos.Plan, victim string, after int) {
-			p.Inject(netchaos.Fault{Op: netchaos.OpRead, Kind: netchaos.KindReset, Peer: victim, After: after})
+		{"reset-on-read", func(p *fault.Plan, victim string, after int) {
+			p.Inject(fault.Fault{Op: fault.Read, Target: victim, After: after})
 		}},
-		{"byte-flip-once", func(p *netchaos.Plan, victim string, after int) {
-			p.Inject(netchaos.Fault{Op: netchaos.OpWrite, Kind: netchaos.KindFlip, Peer: victim, After: after, Once: true})
+		{"byte-flip-once", func(p *fault.Plan, victim string, after int) {
+			p.Inject(fault.Fault{Op: fault.Write, Kind: fault.Flip, Target: victim, After: after, Once: true})
 		}},
 	}
 	for _, fc := range cases {
@@ -142,10 +143,10 @@ func TestChaosSingleReplicaFaultsByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/after=%d", fc.name, after), func(t *testing.T) {
 				cluster := startReplicatedCluster(t, tg, 2, 2)
 				victim := cluster.addrs[1][0] // partition 1's primary replica
-				plan := netchaos.NewPlan(int64(after) + 17)
+				plan := fault.New(int64(after) + 17)
 				fc.inject(plan, victim, after)
 				callers := []StepCaller{
-					cluster.peersFor(t, 0, plan.Dial), // coordinator 0 sees the fault
+					cluster.peersFor(t, 0, netchaos.Dial(plan)), // coordinator 0 sees the fault
 					cluster.peersFor(t, 1, nil),
 				}
 				got, err := cluster.runMerged(t, callers,
@@ -200,10 +201,9 @@ func TestChaosReplicaKilledMidRequest(t *testing.T) {
 func TestChaosWholePartitionDownFailsFast(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 73)
 	cluster := startReplicatedCluster(t, &testutilGraph{g: g, spec: sampling.WeightSpec{}}, 2, 2)
-	plan := netchaos.NewPlan(5)
-	plan.Partition(cluster.addrs[1][0], 0)
-	plan.Partition(cluster.addrs[1][1], 0)
-	rp := cluster.peersFor(t, 0, plan.Dial)
+	plan := fault.New(5, netchaos.Partition(cluster.addrs[1][0], 0)...)
+	plan.Inject(netchaos.Partition(cluster.addrs[1][1], 0)...)
+	rp := cluster.peersFor(t, 0, netchaos.Dial(plan))
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
 	defer cancel()
 	start := time.Now()

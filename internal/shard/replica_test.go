@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/netchaos"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -237,12 +238,11 @@ func TestHedgeRescuesNetchaosStall(t *testing.T) {
 	primary := serveNode(t, nodes[1])
 	sibling := serveNode(t, nodes[1])
 
-	plan := netchaos.NewPlan(3)
-	plan.Inject(netchaos.Fault{Op: netchaos.OpRead, Kind: netchaos.KindStall, Peer: primary})
+	plan := fault.New(3, fault.Fault{Op: fault.Read, Kind: fault.Stall, Target: primary})
 
 	reg := metrics.NewRegistry()
 	cfg := testReplicaConfig(reg)
-	cfg.Client.Dialer = plan.Dial
+	cfg.Client.Dialer = netchaos.Dial(plan)
 	cfg.Hedge = HedgeConfig{Enabled: true, Delay: 15 * time.Millisecond}
 	rp := NewReplicaPeers(map[int][]string{1: {primary, sibling}}, cfg)
 	defer rp.Close()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/netchaos"
 )
@@ -149,10 +150,9 @@ func TestCancelInterruptsInflightExchange(t *testing.T) {
 // Dialer hook: a one-shot dial drop is absorbed by the retry loop.
 func TestChaosDialerDropRetried(t *testing.T) {
 	_, addr := startServer(t, &echoHandler{})
-	plan := netchaos.NewPlan(1)
-	plan.Inject(netchaos.Fault{Op: netchaos.OpDial, Kind: netchaos.KindDrop, Once: true})
+	plan := fault.New(1, fault.Fault{Op: fault.Dial, Once: true})
 	cfg := testClientConfig()
-	cfg.Dialer = plan.Dial
+	cfg.Dialer = netchaos.Dial(plan)
 	c := NewClient(addr, cfg)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -171,10 +171,9 @@ func TestChaosDialerDropRetried(t *testing.T) {
 func TestChaosByteFlipCaughtByCRC(t *testing.T) {
 	h := &echoHandler{}
 	_, addr := startServer(t, h)
-	plan := netchaos.NewPlan(99)
-	plan.Inject(netchaos.Fault{Op: netchaos.OpWrite, Kind: netchaos.KindFlip, Once: true})
+	plan := fault.New(99, fault.Fault{Op: fault.Write, Kind: fault.Flip, Once: true})
 	cfg := testClientConfig()
-	cfg.Dialer = plan.Dial
+	cfg.Dialer = netchaos.Dial(plan)
 	c := NewClient(addr, cfg)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -206,10 +205,9 @@ func TestChaosByteFlipCaughtByCRC(t *testing.T) {
 // be bounded by the Step context, not hang forever.
 func TestChaosStallInterruptedByContext(t *testing.T) {
 	_, addr := startServer(t, &echoHandler{})
-	plan := netchaos.NewPlan(1)
-	plan.Inject(netchaos.Fault{Op: netchaos.OpRead, Kind: netchaos.KindStall})
+	plan := fault.New(1, fault.Fault{Op: fault.Read, Kind: fault.Stall})
 	cfg := testClientConfig()
-	cfg.Dialer = plan.Dial
+	cfg.Dialer = netchaos.Dial(plan)
 	cfg.Retries = -1 // negative → normalized to 0: no retries, one stalled try
 	c := NewClient(addr, cfg)
 	defer c.Close()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/vfs"
 	"github.com/tea-graph/tea/internal/wal"
@@ -62,15 +63,15 @@ func TestFaultMatrixShadowEquality(t *testing.T) {
 	// one more op; every other fault leaves no replayable residue.
 	cases := []struct {
 		name    string
-		fault   vfs.Fault
+		fault   fault.Fault
 		residue int
 	}{
-		{"walWriteENOSPC", vfs.Fault{Op: vfs.OpWrite, Path: "wal-", Once: true}, 0},
-		{"walWriteTorn", vfs.Fault{Op: vfs.OpWrite, Path: "wal-", Torn: true, Once: true}, 0},
-		{"walSyncFail", vfs.Fault{Op: vfs.OpSync, Path: "wal-", Once: true}, 1},
-		{"snapCreateENOSPC", vfs.Fault{Op: vfs.OpCreate, Path: ".snapshot-", Once: true}, 0},
-		{"snapSyncENOSPC", vfs.Fault{Op: vfs.OpSync, Path: ".snapshot-", Once: true}, 0},
-		{"snapRenameCrash", vfs.Fault{Op: vfs.OpRename, Path: "snapshot.", Crash: true, Once: true}, 0},
+		{"walWriteENOSPC", fault.Fault{Op: fault.Write, Target: "wal-", Once: true}, 0},
+		{"walWriteTorn", fault.Fault{Op: fault.Write, Kind: fault.Torn, Target: "wal-", Once: true}, 0},
+		{"walSyncFail", fault.Fault{Op: fault.Sync, Target: "wal-", Once: true}, 1},
+		{"snapCreateENOSPC", fault.Fault{Op: fault.Create, Target: ".snapshot-", Once: true}, 0},
+		{"snapSyncENOSPC", fault.Fault{Op: fault.Sync, Target: ".snapshot-", Once: true}, 0},
+		{"snapRenameCrash", fault.Fault{Op: fault.Rename, Kind: fault.Crash, Target: "snapshot.", Once: true}, 0},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +80,7 @@ func TestFaultMatrixShadowEquality(t *testing.T) {
 				ops := genOps(seed, 40)
 				rng := rand.New(rand.NewSource(seed * 31337))
 				dir := t.TempDir()
-				ffs := vfs.NewFaultFS(vfs.OS, seed)
+				ffs := vfs.NewFaultFS(vfs.OS, fault.New(seed))
 
 				cfg := DurableConfig{
 					WAL:           wal.Options{Policy: wal.SyncAlways},
@@ -231,7 +232,7 @@ func TestAllSnapshotsCorruptRefusesPartialHistory(t *testing.T) {
 func TestSnapshotENOSPCPreservesGenerationsAndHeals(t *testing.T) {
 	ops := genOps(99, 60)
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(vfs.OS, 99)
+	ffs := vfs.NewFaultFS(vfs.OS, fault.New(99))
 	cfg := DurableConfig{
 		WAL:           wal.Options{Policy: wal.SyncAlways},
 		SnapshotEvery: 5,
@@ -247,7 +248,7 @@ func TestSnapshotENOSPCPreservesGenerationsAndHeals(t *testing.T) {
 	if err := applyDurable(d, ops, 0, 30); err != nil {
 		t.Fatal(err)
 	}
-	ffs.Inject(vfs.Fault{Op: vfs.OpCreate, Path: ".snapshot-"}) // sticky ENOSPC
+	ffs.Inject(fault.Fault{Op: fault.Create, Target: ".snapshot-"}) // sticky ENOSPC
 
 	acked, faulted := applyUntilFault(t, d, ops[30:])
 	if !faulted {

@@ -4,188 +4,78 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"os"
-	"strings"
-	"sync"
+	"sync/atomic"
+
+	"github.com/tea-graph/tea/internal/fault"
 )
-
-// Op classifies filesystem operations for fault matching.
-type Op int
-
-const (
-	// OpWrite matches File.Write and File.WriteAt.
-	OpWrite Op = iota
-	// OpSync matches File.Sync and FS.SyncDir.
-	OpSync
-	// OpRename matches FS.Rename.
-	OpRename
-	// OpCreate matches file creation (OpenFile with O_CREATE, CreateTemp).
-	OpCreate
-	// OpRemove matches FS.Remove.
-	OpRemove
-	// OpTruncate matches File.Truncate.
-	OpTruncate
-)
-
-// String names the op for error messages.
-func (o Op) String() string {
-	switch o {
-	case OpWrite:
-		return "write"
-	case OpSync:
-		return "sync"
-	case OpRename:
-		return "rename"
-	case OpCreate:
-		return "create"
-	case OpRemove:
-		return "remove"
-	case OpTruncate:
-		return "truncate"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
 
 // ErrCrashed is returned for every mutating operation after a Crash fault
 // fired: the simulated process is "dead" and the test should reopen the
 // directory the way recovery would.
 var ErrCrashed = errors.New("vfs: filesystem crashed (simulated)")
 
-// Fault is one scripted failure. The zero Err means ErrNoSpace.
-type Fault struct {
-	// Op selects which operation kind the fault matches.
-	Op Op
-	// Path, when non-empty, restricts the fault to operations whose file
-	// path contains it as a substring.
-	Path string
-	// After skips the first After matching operations; the fault fires on
-	// the next one.
-	After int
-	// Err is the error returned when the fault fires; nil means ErrNoSpace.
-	Err error
-	// Torn, for OpWrite, writes a seeded strict prefix of the buffer before
-	// failing — the on-disk residue of a torn write.
-	Torn bool
-	// Crash, when the fault fires, additionally flips the whole filesystem
-	// into the crashed state: every further mutating operation returns
-	// ErrCrashed. For OpRename a seeded coin decides whether the rename
-	// itself completed before the crash — both orders must recover.
-	Crash bool
-	// Once disarms the fault after it fires; otherwise it keeps firing for
-	// every further matching operation until Heal.
-	Once bool
-
-	matched int
-	fired   bool
-}
-
-// FaultFS wraps an FS with a seeded fault plan. Faults are matched in
-// injection order; the first armed fault whose op and path match decides the
-// operation's fate. A FaultFS with no armed faults is transparent.
+// FaultFS wraps an FS with a fault.Plan, matched against each operation's
+// file path. A Fail fault's nil Err means ErrNoSpace. A Torn fault writes a
+// seeded strict prefix of the buffer before failing — the on-disk residue of
+// a torn write. A Crash fault does the same to a write, lets a seeded coin
+// decide whether a rename completed, and then flips the whole filesystem into
+// the crashed state: every further mutating operation returns ErrCrashed.
+// Other kinds fail the operation like Fail. A FaultFS whose plan has no armed
+// faults is transparent.
 type FaultFS struct {
-	base FS
-
-	mu      sync.Mutex
-	rng     *rand.Rand
-	faults  []*Fault
-	crashed bool
-	fired   int
+	*fault.Plan
+	base    FS
+	crashed atomic.Bool
 }
 
-// NewFaultFS wraps base with a fault plan seeded for deterministic torn-write
-// lengths and crash-at-rename coin flips.
-func NewFaultFS(base FS, seed int64) *FaultFS {
-	return &FaultFS{base: base, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Inject arms additional faults.
-func (f *FaultFS) Inject(faults ...Fault) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range faults {
-		fa := faults[i]
-		f.faults = append(f.faults, &fa)
-	}
+// NewFaultFS wraps base with plan.
+func NewFaultFS(base FS, plan *fault.Plan) *FaultFS {
+	return &FaultFS{Plan: plan, base: base}
 }
 
 // Heal disarms every fault and clears the crashed state — the operator freed
 // space, replaced the disk, or restarted the machine.
 func (f *FaultFS) Heal() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.faults = nil
-	f.crashed = false
-}
-
-// Fired reports how many times any fault has fired.
-func (f *FaultFS) Fired() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fired
+	f.Plan.Heal()
+	f.crashed.Store(false)
 }
 
 // Crashed reports whether a Crash fault has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
+func (f *FaultFS) Crashed() bool { return f.crashed.Load() }
 
-// verdict is the outcome check decides for one operation.
-type verdict struct {
-	err  error
-	torn int  // for writes: bytes of the buffer to write before failing (-1: all)
-	ren  bool // for crash-at-rename: perform the rename before failing
-}
-
-// check consults the fault plan for one operation of kind op on path.
-// n is the buffer length for writes (torn-length derivation).
-func (f *FaultFS) check(op Op, path string, n int) *verdict {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.crashed {
-		return &verdict{err: ErrCrashed}
+// check consults the plan for one operation op on path; a nil error lets the
+// operation proceed. Otherwise keep is how much of the operation lands before
+// it fails: the torn prefix of a write (n is its length), or 1 when a
+// crashing rename (n is 2) completed.
+func (f *FaultFS) check(op fault.Op, path string, n int) (keep int, err error) {
+	if f.crashed.Load() {
+		return 0, ErrCrashed
 	}
-	for _, fa := range f.faults {
-		if fa.Op != op || (fa.Once && fa.fired) {
-			continue
-		}
-		if fa.Path != "" && !strings.Contains(path, fa.Path) {
-			continue
-		}
-		if fa.matched < fa.After {
-			fa.matched++
-			continue
-		}
-		fa.fired = true
-		f.fired++
-		v := &verdict{err: fa.Err}
-		if v.err == nil {
-			v.err = ErrNoSpace
-		}
-		v.err = fmt.Errorf("vfs: injected %s fault on %s: %w", op, path, v.err)
-		if fa.Torn && op == OpWrite && n > 0 {
-			v.torn = f.rng.Intn(n) // strict prefix: [0, n)
-		}
-		if fa.Crash {
-			f.crashed = true
-			if op == OpRename {
-				v.ren = f.rng.Intn(2) == 0
-			}
-			v.err = fmt.Errorf("%w: %v", ErrCrashed, v.err)
-		}
-		return v
+	flt, draw := f.Check(op, path, n)
+	if flt == nil {
+		return 0, nil
 	}
-	return nil
+	cause := flt.Err
+	if cause == nil {
+		cause = ErrNoSpace
+	}
+	err = fmt.Errorf("vfs: injected %s fault on %s: %w", op, path, cause)
+	switch flt.Kind {
+	case fault.Torn:
+		return draw, err
+	case fault.Crash:
+		f.crashed.Store(true)
+		return draw, fmt.Errorf("%w: %v", ErrCrashed, err)
+	}
+	return 0, err
 }
 
 // OpenFile opens name, faulting creation when O_CREATE is requested.
 func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	if flag&os.O_CREATE != 0 {
-		if v := f.check(OpCreate, name, 0); v != nil {
-			return nil, v.err
+		if _, err := f.check(fault.Create, name, 0); err != nil {
+			return nil, err
 		}
 	}
 	file, err := f.base.OpenFile(name, flag, perm)
@@ -195,11 +85,11 @@ func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 	return &faultFile{File: file, fs: f, path: name}, nil
 }
 
-// CreateTemp creates a temp file, subject to OpCreate faults (matched
+// CreateTemp creates a temp file, subject to Create faults (matched
 // against dir and pattern).
 func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	if v := f.check(OpCreate, dir+"/"+pattern, 0); v != nil {
-		return nil, v.err
+	if _, err := f.check(fault.Create, dir+"/"+pattern, 0); err != nil {
+		return nil, err
 	}
 	file, err := f.base.CreateTemp(dir, pattern)
 	if err != nil {
@@ -208,22 +98,22 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 	return &faultFile{File: file, fs: f, path: file.Name()}, nil
 }
 
-// Rename renames, subject to OpRename faults. Under a Crash fault a seeded
+// Rename renames, subject to Rename faults. Under a Crash fault a seeded
 // coin decides whether the rename completed before the simulated crash.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if v := f.check(OpRename, newpath, 0); v != nil {
-		if v.ren {
+	if landed, err := f.check(fault.Rename, newpath, 2); err != nil {
+		if landed == 1 {
 			_ = f.base.Rename(oldpath, newpath)
 		}
-		return v.err
+		return err
 	}
 	return f.base.Rename(oldpath, newpath)
 }
 
-// Remove deletes, subject to OpRemove faults.
+// Remove deletes, subject to Remove faults.
 func (f *FaultFS) Remove(name string) error {
-	if v := f.check(OpRemove, name, 0); v != nil {
-		return v.err
+	if _, err := f.check(fault.Remove, name, 0); err != nil {
+		return err
 	}
 	return f.base.Remove(name)
 }
@@ -239,10 +129,10 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 // Glob is never faulted.
 func (f *FaultFS) Glob(pattern string) ([]string, error) { return f.base.Glob(pattern) }
 
-// SyncDir fsyncs a directory, subject to OpSync faults.
+// SyncDir fsyncs a directory, subject to Sync faults.
 func (f *FaultFS) SyncDir(dir string) error {
-	if v := f.check(OpSync, dir, 0); v != nil {
-		return v.err
+	if _, err := f.check(fault.Sync, dir, 0); err != nil {
+		return err
 	}
 	return f.base.SyncDir(dir)
 }
@@ -255,37 +145,37 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	if v := f.fs.check(OpWrite, f.path, len(p)); v != nil {
+	if torn, err := f.fs.check(fault.Write, f.path, len(p)); err != nil {
 		n := 0
-		if v.torn > 0 {
-			n, _ = f.File.Write(p[:v.torn])
+		if torn > 0 {
+			n, _ = f.File.Write(p[:torn])
 		}
-		return n, v.err
+		return n, err
 	}
 	return f.File.Write(p)
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if v := f.fs.check(OpWrite, f.path, len(p)); v != nil {
+	if torn, err := f.fs.check(fault.Write, f.path, len(p)); err != nil {
 		n := 0
-		if v.torn > 0 {
-			n, _ = f.File.WriteAt(p[:v.torn], off)
+		if torn > 0 {
+			n, _ = f.File.WriteAt(p[:torn], off)
 		}
-		return n, v.err
+		return n, err
 	}
 	return f.File.WriteAt(p, off)
 }
 
 func (f *faultFile) Sync() error {
-	if v := f.fs.check(OpSync, f.path, 0); v != nil {
-		return v.err
+	if _, err := f.fs.check(fault.Sync, f.path, 0); err != nil {
+		return err
 	}
 	return f.File.Sync()
 }
 
 func (f *faultFile) Truncate(size int64) error {
-	if v := f.fs.check(OpTruncate, f.path, 0); v != nil {
-		return v.err
+	if _, err := f.fs.check(fault.Truncate, f.path, 0); err != nil {
+		return err
 	}
 	return f.File.Truncate(size)
 }

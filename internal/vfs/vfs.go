@@ -1,8 +1,9 @@
 // Package vfs is the filesystem seam under TEA's durable storage: a small
 // interface covering exactly the operations the WAL, snapshot, and index
 // writers perform (open/create/rename/sync/remove/stat), a passthrough OS
-// implementation, and a seeded fault injector (FaultFS) that turns "the disk
-// misbehaved" into a deterministic, scriptable event.
+// implementation, and FaultFS, the filesystem adapter of internal/fault's
+// seeded plan, which turns "the disk misbehaved" into a deterministic,
+// scriptable event.
 //
 // Every durability claim in the storage layer — "a crash at rename leaves
 // either the old or the new snapshot", "an ENOSPC mid-checkpoint never

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/tea-graph/tea/internal/fault"
 )
 
 func writeFile(t *testing.T, fsys FS, path string, data []byte) error {
@@ -48,8 +50,8 @@ func TestOSPassthrough(t *testing.T) {
 
 func TestFaultENOSPCAfterN(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(OS, 1)
-	ffs.Inject(Fault{Op: OpWrite, After: 2})
+	ffs := NewFaultFS(OS, fault.New(1))
+	ffs.Inject(fault.Fault{Op: fault.Write, After: 2})
 	f, err := ffs.OpenFile(filepath.Join(dir, "x"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +81,8 @@ func TestFaultENOSPCAfterN(t *testing.T) {
 
 func TestFaultTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(OS, 7)
-	ffs.Inject(Fault{Op: OpWrite, Torn: true, Once: true})
+	ffs := NewFaultFS(OS, fault.New(7))
+	ffs.Inject(fault.Fault{Op: fault.Write, Kind: fault.Torn, Once: true})
 	path := filepath.Join(dir, "torn")
 	err := writeFile(t, ffs, path, []byte("0123456789abcdef"))
 	if err == nil {
@@ -105,8 +107,8 @@ func TestFaultCrashAtRename(t *testing.T) {
 	outcomes := map[bool]bool{}
 	for seed := int64(0); seed < 16; seed++ {
 		dir := t.TempDir()
-		ffs := NewFaultFS(OS, seed)
-		ffs.Inject(Fault{Op: OpRename, Crash: true})
+		ffs := NewFaultFS(OS, fault.New(seed))
+		ffs.Inject(fault.Fault{Op: fault.Rename, Kind: fault.Crash})
 		old := filepath.Join(dir, "old")
 		if err := writeFile(t, ffs, old, []byte("x")); err != nil {
 			t.Fatal(err)
@@ -138,8 +140,8 @@ func TestFaultCrashAtRename(t *testing.T) {
 
 func TestFaultPathFilterAndSync(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(OS, 3)
-	ffs.Inject(Fault{Op: OpSync, Path: "victim", Err: errors.New("injected: fsync")})
+	ffs := NewFaultFS(OS, fault.New(3))
+	ffs.Inject(fault.Fault{Op: fault.Sync, Target: "victim", Err: errors.New("injected: fsync")})
 	ok := filepath.Join(dir, "bystander")
 	if err := writeFile(t, ffs, ok, []byte("x")); err != nil {
 		t.Fatalf("bystander faulted: %v", err)
@@ -150,7 +152,7 @@ func TestFaultPathFilterAndSync(t *testing.T) {
 	}
 	// Directory syncs match OpSync faults too.
 	ffs.Heal()
-	ffs.Inject(Fault{Op: OpSync, Err: errors.New("injected: dirsync")})
+	ffs.Inject(fault.Fault{Op: fault.Sync, Err: errors.New("injected: dirsync")})
 	if err := ffs.SyncDir(dir); err == nil {
 		t.Fatal("dir sync did not fault")
 	}
@@ -158,8 +160,8 @@ func TestFaultPathFilterAndSync(t *testing.T) {
 
 func TestFaultCreate(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(OS, 3)
-	ffs.Inject(Fault{Op: OpCreate})
+	ffs := NewFaultFS(OS, fault.New(3))
+	ffs.Inject(fault.Fault{Op: fault.Create})
 	if _, err := ffs.OpenFile(filepath.Join(dir, "n"), os.O_RDWR|os.O_CREATE, 0o644); !IsNoSpace(err) {
 		t.Fatalf("create: %v", err)
 	}
@@ -171,7 +173,7 @@ func TestFaultCreate(t *testing.T) {
 	if err := writeFile(t, ffs, filepath.Join(dir, "e"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	ffs.Inject(Fault{Op: OpCreate})
+	ffs.Inject(fault.Fault{Op: fault.Create})
 	if _, err := ffs.OpenFile(filepath.Join(dir, "e"), os.O_RDWR, 0); err != nil {
 		t.Fatalf("plain open faulted: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/vfs"
 )
 
@@ -14,7 +15,7 @@ import (
 // durable point, probes the device, and resumes appends with correct LSNs.
 func TestHealAfterSyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(vfs.OS, 11)
+	ffs := vfs.NewFaultFS(vfs.OS, fault.New(11))
 	l, err := Open(dir, Options{Policy: SyncAlways, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +23,7 @@ func TestHealAfterSyncFailure(t *testing.T) {
 	defer l.Close()
 	fill(t, l, 10, 0)
 
-	ffs.Inject(vfs.Fault{Op: vfs.OpSync, Err: errors.New("injected: fsync")})
+	ffs.Inject(fault.Fault{Op: fault.Sync, Err: errors.New("injected: fsync")})
 	if _, err := l.Append(Entry{Type: RecEdgeBatch, Payload: []byte("doomed")}); err == nil {
 		t.Fatal("append under injected fsync failure succeeded")
 	}
@@ -92,7 +93,7 @@ func TestHealAfterSyncFailure(t *testing.T) {
 // written but never fsynced are rolled back by Heal — the crash contract.
 func TestHealRollsBackUnsyncedInterval(t *testing.T) {
 	dir := t.TempDir()
-	ffs := vfs.NewFaultFS(vfs.OS, 5)
+	ffs := vfs.NewFaultFS(vfs.OS, fault.New(5))
 	// Very long interval: the background flusher never fires during the test.
 	l, err := Open(dir, Options{Policy: SyncInterval, Interval: 1 << 30, FS: ffs})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestHealRollsBackUnsyncedInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, l, 3, 5) // acked but not yet synced
-	ffs.Inject(vfs.Fault{Op: vfs.OpSync, Err: errors.New("injected: fsync")})
+	ffs.Inject(fault.Fault{Op: fault.Sync, Err: errors.New("injected: fsync")})
 	if err := l.Sync(); err == nil {
 		t.Fatal("sync under fault succeeded")
 	}
