@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Replicated-cluster chaos drill: 2 partitions x 2 replicas + router on real
 # processes. Phase A partitions one coordinator from partition 1's primary
-# replica via -chaos; phase B SIGKILLs that replica mid-load; both must be
+# replica via -chaos; phase B SIGKILLs the partition-1 replica the router is
+# using, mid-load; both must be
 # invisible to clients (200s only, walks byte-identical to a single-process
 # teaserve). Phase C kills the surviving sibling too — only then may the
 # router answer 503, and it must carry Retry-After.
@@ -80,22 +81,34 @@ check_round() {
 for round in 1 2 3; do check_round; done
 echo "phase A OK: netchaos partition invisible (byte-identical, zero 5xx)"
 
-# Phase B: SIGKILL partition 1's primary replica while load is in flight.
-( sleep 0.2; kill -9 $S1R0 ) &
+# Phase B: SIGKILL the replica of partition 1 the router is sending to while
+# load is in flight. The router prefers the replica with the lower latency
+# EWMA, so which one that is depends on first-request timings: ask its
+# replica table instead of assuming replica 0, or the kill may hit an idle
+# replica the router never touches again.
+DEAD=$(curl -sf http://127.0.0.1:8490/healthz | python3 -c '
+import json, sys
+print(max(json.load(sys.stdin)["replicas"]["1"], key=lambda r: r["ok_total"])["url"])
+')
+DEAD_PID=$S1R0 LIVE_PID=$S1R1 LIVE=http://127.0.0.1:8404
+if [ "$DEAD" = "$LIVE" ]; then
+  DEAD_PID=$S1R1 LIVE_PID=$S1R0 LIVE=http://127.0.0.1:8403
+fi
+( sleep 0.2; kill -9 $DEAD_PID ) &
 KILLER=$!
 for round in 1 2 3 4 5 6; do check_round; done
 wait $KILLER
-wait $S1R0 || true
+wait $DEAD_PID || true
 check_round
 echo "phase B OK: replica SIGKILL invisible (byte-identical, zero 5xx)"
 
 # The router's replica table must show partition 1 degraded but served.
-curl -s http://127.0.0.1:8490/healthz | python3 -c '
-import json, sys
+curl -s http://127.0.0.1:8490/healthz | DEAD=$DEAD LIVE=$LIVE python3 -c '
+import json, os, sys
 h = json.load(sys.stdin)
 reps = {r["url"]: r for r in h["replicas"]["1"]}
-dead = reps["http://127.0.0.1:8403"]
-live = reps["http://127.0.0.1:8404"]
+dead = reps[os.environ["DEAD"]]
+live = reps[os.environ["LIVE"]]
 assert dead["err_total"] > 0 and dead["state"] in ("suspect", "open"), dead
 assert live["state"] == "healthy" and live["ok_total"] > 0, live
 print("replica topology OK:", {u: r["state"] for u, r in reps.items()})
@@ -119,8 +132,8 @@ print("federation labels OK under replica outage")
 # Phase C: kill the surviving sibling — partition 1 is now truly down, and
 # ONLY now may the router answer 503. It must do so promptly, with
 # Retry-After, never a 200 with partial walks.
-kill -9 $S1R1
-wait $S1R1 || true
+kill -9 $LIVE_PID
+wait $LIVE_PID || true
 code=$(curl -s -o /dev/null -w '%{http_code}' --max-time 20 \
   "http://127.0.0.1:8490/walk?from=7&length=40&count=8&seed=3")
 test "$code" = 503

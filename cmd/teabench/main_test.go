@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/tea-graph/tea/cmd/internal/cli"
 	"github.com/tea-graph/tea/internal/experiments"
 )
 
@@ -58,38 +60,85 @@ func TestTableIsThePaperOrderWithoutGaps(t *testing.T) {
 	}
 }
 
-// docs are the files that show teabench command lines, relative to the repo
-// root.
+// docs are the files, relative to the repo root, whose command lines the
+// guard keeps live.
 var docs = []string{"README.md", "TUTORIAL.md", "DESIGN.md", "PERF.md",
-	".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml", "ci/cluster_chaos_drill.sh"}
 
 // retired are the pre-harness perf artifacts; bench/ is the one record now.
 var retired = []string{"BENCH_walks", "BENCH_obs", "BENCH_shard", "BENCH_cache", "experiments_output"}
 
+// invocation is one command line a doc shows: where, the command, the words
+// after it, and whether it is a markdown code span — a fragment in prose
+// that may name a flag without its value — rather than a whole line.
+type invocation struct {
+	where, cmd string
+	args       []string
+	inline     bool
+}
+
 var (
 	inlineCode = regexp.MustCompile("`[^`]+`")
-	// invocation captures the arguments after a teabench command word, up to
-	// the first shell operator or comment.
-	invocation = regexp.MustCompile(`(?:^|[\s/` + "`" + `])teabench((?:[ \t]+[^\s&|;>#)` + "`" + `]+)*)`)
+	// operator splits a line into commands; a | with no space around it
+	// separates replicas and is not a pipe.
+	operator = regexp.MustCompile(`\s+(?:&&|\|\||\||&|\d?>>?)(?:\s+|$)|;\s*|\s#.*`)
+	variable = regexp.MustCompile(`\$\(\([^)]*\)\)|\$\{?(\w+)\}?`)
+	commands = map[string]bool{"teabench": true, "teaserve": true, "tearouter": true, "teawalk": true}
 )
 
-// codeLines returns what a reader would paste into a shell: every line of a
-// workflow file, and the fenced blocks and inline code spans of a markdown one.
-func codeLines(path, text string) []string {
-	lines := strings.Split(text, "\n")
-	if !strings.HasSuffix(path, ".md") {
-		return lines
+// invocations returns every command line of the four commands in text: a
+// command whose first word is one of them, with any path or as go run
+// ./cmd/<name>, in a script or workflow line or a markdown fence or code
+// span. Lines continued with \ are joined, quotes dropped, $VAR takes the
+// file's last VAR= or "for VAR in" value, and $((…)) reads as 1.
+func invocations(doc, text string) []invocation {
+	var out []invocation
+	vars := map[string]string{"": "1"}
+	scan := func(line, where string, inline bool) {
+		line = strings.NewReplacer("'", "", `"`, "").Replace(line)
+		for _, c := range operator.Split(line, -1) {
+			words := strings.Fields(c)
+			for len(words) > 0 && (words[0] == "do" || words[0] == "then" || words[0] == "run:") {
+				words = words[1:]
+			}
+			if len(words) > 2 && words[0] == "go" && words[1] == "run" {
+				words = words[2:]
+			}
+			switch {
+			case len(words) > 3 && words[0] == "for" && words[2] == "in":
+				vars[words[1]] = words[3]
+			case len(words) == 1 && strings.Contains(words[0], "="):
+				name, value, _ := strings.Cut(words[0], "=")
+				vars[name] = value
+			case len(words) > 0 && commands[filepath.Base(words[0])]:
+				inv := invocation{where: where, cmd: filepath.Base(words[0]), inline: inline}
+				for _, w := range words[1:] {
+					inv.args = append(inv.args, variable.ReplaceAllStringFunc(w, func(v string) string {
+						if val, ok := vars[variable.FindStringSubmatch(v)[1]]; ok {
+							return val
+						}
+						return v
+					}))
+				}
+				out = append(out, inv)
+			}
+		}
 	}
-	var out []string
-	fenced := false
-	for _, line := range lines {
+	markdown, fenced, joined := strings.HasSuffix(doc, ".md"), false, ""
+	for i, line := range strings.Split(text, "\n") {
+		where := doc + ":" + strconv.Itoa(i+1)
 		switch {
-		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+		case markdown && strings.HasPrefix(strings.TrimSpace(line), "```"):
 			fenced = !fenced
-		case fenced:
-			out = append(out, line)
+		case markdown && !fenced:
+			for _, span := range inlineCode.FindAllString(line, -1) {
+				scan(strings.Trim(span, "`"), where, true)
+			}
+		case strings.HasSuffix(strings.TrimSpace(line), `\`):
+			joined += strings.TrimSuffix(strings.TrimSpace(line), `\`) + " "
 		default:
-			out = append(out, inlineCode.FindAllString(line, -1)...)
+			scan(joined+line, where, false)
+			joined = ""
 		}
 	}
 	return out
@@ -119,34 +168,48 @@ func checkInvocation(fs *flag.FlagSet, args []string) string {
 	return ""
 }
 
-// The docs and CI may only show teabench command lines that still work, and
-// may not point back at the retired perf artifacts.
+// The docs, CI and the chaos drill may only show command lines that still
+// work, and may not point back at the retired perf artifacts. A teabench
+// line must name registered flags and experiments. A teaserve, tearouter or
+// teawalk line runs through the command's own parsing, Validate included; a
+// code span in prose only has to name registered flags.
 func TestDocsShowOnlyLiveInvocations(t *testing.T) {
-	fs := flag.NewFlagSet("teabench", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	registerFlags(fs)
-	invocations := 0
+	bench := flag.NewFlagSet("teabench", flag.ContinueOnError)
+	bench.SetOutput(io.Discard)
+	registerFlags(bench)
+	check := map[string]func(args []string) error{
+		"teaserve": func(args []string) error { _, err := cli.Parse("teaserve", args, io.Discard, cli.Teaserve); return err },
+		"tearouter": func(args []string) error {
+			_, err := cli.Parse("tearouter", args, io.Discard, cli.Tearouter)
+			return err
+		},
+		"teawalk": func(args []string) error { _, err := cli.Parse("teawalk", args, io.Discard, cli.Teawalk); return err },
+	}
+	found := map[string]int{}
 	for _, doc := range docs {
 		data, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := string(data)
 		for _, name := range retired {
-			if strings.Contains(text, name) {
+			if strings.Contains(string(data), name) {
 				t.Errorf("%s mentions the retired %s", doc, name)
 			}
 		}
-		for _, line := range codeLines(doc, text) {
-			for _, m := range invocation.FindAllStringSubmatch(line, -1) {
-				invocations++
-				if problem := checkInvocation(fs, strings.Fields(m[1])); problem != "" {
-					t.Errorf("%s: %q: %s", doc, strings.TrimSpace(line), problem)
+		for _, inv := range invocations(doc, string(data)) {
+			found[inv.cmd]++
+			if inv.cmd == "teabench" {
+				if problem := checkInvocation(bench, inv.args); problem != "" {
+					t.Errorf("%s: teabench %s: %s", inv.where, strings.Join(inv.args, " "), problem)
 				}
+			} else if err := check[inv.cmd](inv.args); err != nil && (!inv.inline || strings.Contains(err.Error(), "not defined")) {
+				t.Errorf("%s: %s %s: %v", inv.where, inv.cmd, strings.Join(inv.args, " "), err)
 			}
 		}
 	}
-	if invocations == 0 {
-		t.Fatal("found no teabench invocation in any doc; the extraction is broken")
+	for cmd := range commands {
+		if found[cmd] < 2 {
+			t.Errorf("found %d %s invocations in the docs; the extraction is broken", found[cmd], cmd)
+		}
 	}
 }

@@ -8,127 +8,67 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	tea "github.com/tea-graph/tea"
+	"github.com/tea-graph/tea/cmd/internal/cli"
+	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/walkio"
 )
 
 func main() {
-	var (
-		input   = flag.String("input", "", "edge list path (.txt or binary .teag)")
-		algo    = flag.String("algo", "exp", "walk algorithm: uniform|linear|rank|exp|node2vec")
-		lambda  = flag.Float64("lambda", 0, "exponential decay (0 = auto: 50/timespan)")
-		p       = flag.Float64("p", 0.5, "node2vec return parameter")
-		q       = flag.Float64("q", 2, "node2vec in-out parameter")
-		length  = flag.Int("length", 80, "walk length L")
-		walks   = flag.Int("walks", 1, "walks per vertex R")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		threads = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		method  = flag.String("method", "hpat", "sampler: hpat|pat|its")
-		paths   = flag.Bool("paths", false, "print each sampled path")
-		start   = flag.Int("from", -1, "walk only from this vertex (-1 = all)")
-		out     = flag.String("o", "", "write the walk corpus to this path (.txt or binary .teaw)")
-	)
-	flag.Parse()
-	if *input == "" {
-		flag.Usage()
+	w, err := cli.Parse("teawalk", os.Args[1:], os.Stderr, cli.Teawalk)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-
-	g, err := load(*input)
+	g, err := edgeio.LoadGraph(w.Input, nil)
 	if err != nil {
 		fatal(err)
 	}
-	lo, hi := g.TimeRange()
-	if *lambda == 0 {
-		span := float64(hi - lo)
-		if span <= 0 {
-			span = 1
-		}
-		*lambda = 50 / span
-	}
-
-	var app tea.App
-	switch *algo {
-	case "uniform":
-		app = tea.Unbiased()
-	case "linear":
-		app = tea.LinearTime()
-	case "rank":
-		app = tea.LinearRank()
-	case "exp":
-		app = tea.ExponentialWalk(*lambda)
-	case "node2vec":
-		app = tea.TemporalNode2Vec(*p, *q, *lambda)
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
-	}
-
-	var m tea.Method
-	switch *method {
-	case "hpat":
-		m = tea.MethodHPAT
-	case "pat":
-		m = tea.MethodPAT
-	case "its":
-		m = tea.MethodITS
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
-	}
-
-	eng, err := tea.NewEngine(g, app, tea.Options{Method: m, Threads: *threads})
+	app, err := w.App.App(g)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := tea.WalkConfig{
-		WalksPerVertex: *walks,
-		Length:         *length,
-		Threads:        *threads,
-		Seed:           *seed,
-		KeepPaths:      *paths || *out != "",
+	eng, err := tea.NewEngine(g, app, tea.Options{Method: w.Method, Threads: w.Config.Threads})
+	if err != nil {
+		fatal(err)
 	}
-	if *start >= 0 {
-		cfg.StartVertices = []tea.Vertex{tea.Vertex(*start)}
+	cfg := w.Config
+	cfg.KeepPaths = w.Paths || w.Out != ""
+	if w.From >= 0 {
+		cfg.StartVertices = []tea.Vertex{tea.Vertex(w.From)}
 	}
 	res, err := eng.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	if w.Out != "" {
+		write := walkio.WriteBinary
+		if strings.HasSuffix(w.Out, ".txt") {
+			write = walkio.WriteText
 		}
-		if strings.HasSuffix(*out, ".txt") {
-			err = walkio.WriteText(f, res.Paths)
-		} else {
-			err = walkio.WriteBinary(f, res.Paths)
-		}
-		if err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "teawalk: wrote %d walks to %s\n", len(res.Paths), *out)
-	}
-	if *paths {
-		w := bufio.NewWriter(os.Stdout)
-		for _, path := range res.Paths {
-			cells := make([]string, len(path.Vertices))
-			for i, v := range path.Vertices {
-				cells[i] = fmt.Sprint(v)
+		f, err := os.Create(w.Out)
+		if err == nil {
+			err = write(f, res.Paths)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			fmt.Fprintln(w, strings.Join(cells, " "))
 		}
-		if err := w.Flush(); err != nil {
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "teawalk: wrote %d walks to %s\n", len(res.Paths), w.Out)
+	}
+	if w.Paths {
+		if err := walkio.WriteText(os.Stdout, res.Paths); err != nil {
 			fatal(err)
 		}
 	}
@@ -137,13 +77,6 @@ func main() {
 		app.Name, g.NumVertices(), g.NumEdges(),
 		res.Cost.WalksStarted, res.Cost.Steps, res.Cost.EdgesPerStep(),
 		res.Duration.Round(1e6), eng.Preprocess().Total.Round(1e6))
-}
-
-func load(path string) (*tea.Graph, error) {
-	if strings.HasSuffix(path, ".teag") || strings.HasSuffix(path, ".bin") {
-		return tea.LoadBinaryFile(path)
-	}
-	return tea.LoadTextFile(path)
 }
 
 func fatal(err error) {

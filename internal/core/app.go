@@ -85,6 +85,43 @@ func TemporalNode2Vec(p, q, lambda float64) App {
 	}
 }
 
+// AppSpec names an application the way the command lines spell it: -algo
+// (uniform|linear|rank|exp|node2vec) with its -lambda, -p and -q.
+type AppSpec struct {
+	Algo         string
+	Lambda, P, Q float64
+}
+
+// App builds the application for g. A zero Lambda is 50 over g's time
+// span, so weights contrast by e^50 across it, or 0.01 for a nil g. Errors
+// name the offending flag.
+func (s AppSpec) App(g *temporal.Graph) (App, error) {
+	lambda := s.Lambda
+	if lambda == 0 {
+		lambda = 0.01
+		if g != nil {
+			lo, hi := g.TimeRange()
+			lambda = 50 / math.Max(float64(hi-lo), 1)
+		}
+	}
+	switch s.Algo {
+	case "uniform":
+		return Unbiased(), nil
+	case "linear":
+		return LinearTime(), nil
+	case "rank":
+		return LinearRank(), nil
+	case "exp":
+		return ExponentialWalk(lambda), nil
+	case "node2vec":
+		if !(s.P > 0 && s.Q > 0) {
+			return App{}, fmt.Errorf("-p %g -q %g: node2vec needs positive -p and -q", s.P, s.Q)
+		}
+		return TemporalNode2Vec(s.P, s.Q, lambda), nil
+	}
+	return App{}, fmt.Errorf("-algo %q: want uniform, linear, rank, exp or node2vec", s.Algo)
+}
+
 // Node2VecParameter returns node2vec's β ∈ {1/p, 1, 1/q} dynamic parameter
 // and its rejection envelope max(1, 1/p, 1/q). neighbor answers "is cand
 // adjacent to prev?" (d(prev, cand) = 1); the single-process app asks the

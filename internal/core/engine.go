@@ -54,8 +54,6 @@ type Options struct {
 	Method Method
 	// Threads for parallel preprocessing; <1 means GOMAXPROCS.
 	Threads int
-	// PATTrunkSize overrides the ⌊√D⌋ trunk policy for MethodPAT.
-	PATTrunkSize int
 	// SkipCandidatePrecompute disables the O(1) candidate-count table (§4.2),
 	// forcing per-step binary searches. The baselines of Table 4 run this way
 	// ("both GraphWalker and KnightKing use binary search to search candidate
@@ -146,7 +144,7 @@ func NewEngine(g *temporal.Graph, app App, opts Options) (*Engine, error) {
 		e.prep.AuxIndexBuild = time.Duration(auxNS)
 		e.sampler = idx
 	case opts.Method == MethodPAT:
-		e.sampler = pat.Build(e.weights, pat.Config{TrunkSize: opts.PATTrunkSize, Threads: threads})
+		e.sampler = pat.Build(e.weights, pat.Config{Threads: threads})
 		e.prep.IndexBuild = time.Since(start)
 	case opts.Method == MethodITS:
 		e.sampler = NewITSSampler(e.weights)

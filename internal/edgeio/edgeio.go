@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 
 	"github.com/tea-graph/tea/internal/chksum"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -31,6 +33,28 @@ var ErrBadFormat = errors.New("edgeio: malformed edge stream")
 // or an interrupted write. Files written before footers existed (no trailer
 // at all) are still accepted.
 var ErrCorrupt = errors.New("edgeio: corrupt edge stream")
+
+// LoadGraph reads the edge file at path with read and builds the graph. A
+// nil read picks the format by name: ReadBinary for .teag and .bin, ReadText
+// otherwise.
+func LoadGraph(path string, read func(io.Reader) ([]temporal.Edge, error)) (*temporal.Graph, error) {
+	if read == nil {
+		read = ReadText
+		if strings.HasSuffix(path, ".teag") || strings.HasSuffix(path, ".bin") {
+			read = ReadBinary
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	edges, err := read(f)
+	if err != nil {
+		return nil, err
+	}
+	return temporal.FromEdges(edges)
+}
 
 // ReadText parses a whitespace-separated "src dst time" stream. Lines that
 // are blank or start with '#' or '%' are skipped. The time column is

@@ -69,7 +69,7 @@ func TestFederatedMetricsRollup(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
 	spec := sampling.Exponential(0.01)
 	servers, regs := newObsCluster(t, g, spec, 3)
-	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	const requests = 3
 	for i := 0; i < requests; i++ {
@@ -143,8 +143,8 @@ func TestFederatedMetricsShardDown(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	router := newShardRouter(t, []*httptest.Server{servers[0]}, RouterConfig{
-		Shards:  []string{dead.URL},
-		Metrics: metrics.NewRegistry(),
+		Shards: []string{dead.URL},
+		Config: Config{Metrics: metrics.NewRegistry()},
 	})
 
 	for _, path := range []string{"/metrics", "/metrics.json"} {
@@ -171,7 +171,7 @@ func TestFederatedMetricsShardDown(t *testing.T) {
 func TestRouterHealthRollup(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1200, 300, 19)
 	servers, _ := newObsCluster(t, g, sampling.WeightSpec{}, 3)
-	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	resp, err := http.Get(router.URL + "/healthz")
 	if err != nil {
@@ -195,8 +195,8 @@ func TestRouterHealthRollup(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	degradedRouter := newShardRouter(t, servers[:2], RouterConfig{
-		Shards:  []string{dead.URL},
-		Metrics: metrics.NewRegistry(),
+		Shards: []string{dead.URL},
+		Config: Config{Metrics: metrics.NewRegistry()},
 	})
 	resp, err = http.Get(degradedRouter.URL + "/healthz")
 	if err != nil {
@@ -240,7 +240,7 @@ func TestRouterCostDetailMatchesSingleProcess(t *testing.T) {
 	single := httptest.NewServer(New(eng).Handler())
 	t.Cleanup(single.Close)
 	servers, _ := newObsCluster(t, g, spec, 3)
-	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	const q = "/walk?from=7&length=20&count=6&seed=9&cost=1"
 	var want, got walkResponse
@@ -284,8 +284,7 @@ func TestRouterTraceAssembly(t *testing.T) {
 	servers, _ := newObsCluster(t, g, spec, 3)
 	tracer := trace.New(trace.Config{SampleFraction: 1, Instance: "router", Shard: -1})
 	router := newShardRouter(t, servers, RouterConfig{
-		Metrics: metrics.NewRegistry(),
-		Trace:   tracer,
+		Config: Config{Metrics: metrics.NewRegistry(), Trace: tracer},
 	})
 
 	const reqID = "obs-e2e-trace-1"
@@ -366,7 +365,7 @@ func TestRouterTopCarriesClusterCost(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
 	spec := sampling.Exponential(0.01)
 	servers, _ := newObsCluster(t, g, spec, 3)
-	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	var out walkResponse
 	getJSON(t, router.URL+"/walk?from=7&length=20&count=6&seed=9&cost=1", http.StatusOK, &out)
@@ -393,7 +392,7 @@ func TestRouterTopCarriesClusterCost(t *testing.T) {
 func TestCostLedgerAgreesWithReply(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
 	servers, _ := newObsCluster(t, g, sampling.Exponential(0.01), 3)
-	router := newShardRouter(t, servers, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	const q = "/walk?from=7&length=40&count=32&seed=9&cost=1"
 	var routed walkResponse

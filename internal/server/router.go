@@ -27,9 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -47,30 +47,19 @@ import (
 // capped walk response (count and length are capped shard-side).
 const maxShardBody = 64 << 20
 
-// RouterConfig parameterizes a stateless shard router.
+// RouterConfig parameterizes a stateless shard router. Its Config is the
+// operational one every mode shares; Instance and ShardID are always
+// "router" and -1, and the size caps are enforced shard-side.
 type RouterConfig struct {
+	Config
 	// Shards lists the shard base URLs in shard-id order; Shards[i] names the
 	// HTTP address(es) of the processes serving shard i. An entry may hold
 	// several "|"-separated replica URLs; the router load-balances toward the
-	// healthiest and fails over between them.
+	// healthiest and fails over between them. A URL without a scheme gets
+	// http://, and a trailing / is dropped.
 	Shards []string
 	// Breaker tunes the per-replica circuit breakers (zero value → defaults).
 	Breaker shard.BreakerConfig
-	// RequestTimeout bounds one fan-out; 0 disables.
-	RequestTimeout time.Duration
-	// MaxInFlight caps concurrently executing fan-outs; 0 unlimited.
-	MaxInFlight int
-	// RetryAfter is the Retry-After hint on shed and peer-down responses.
-	RetryAfter time.Duration
-	// SlowRequestThreshold and TopRequests as in Config: the slow-request log
-	// and the /debug/tea/top ring also run at the router, where one record
-	// covers the whole fan-out with the merged cluster cost.
-	SlowRequestThreshold time.Duration
-	TopRequests          int
-	// Metrics, Trace, Logger as in Config.
-	Metrics *metrics.Registry
-	Trace   *trace.Tracer
-	Logger  *slog.Logger
 }
 
 // Router fans queries over a shard cluster and merges the partial answers.
@@ -96,18 +85,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     90 * time.Second,
 	}}}
-	rt.shell = newShell(Config{
-		RequestTimeout:       cfg.RequestTimeout,
-		MaxInFlight:          cfg.MaxInFlight,
-		RetryAfter:           cfg.RetryAfter,
-		SlowRequestThreshold: cfg.SlowRequestThreshold,
-		TopRequests:          cfg.TopRequests,
-		Instance:             "router",
-		ShardID:              -1,
-		Metrics:              cfg.Metrics,
-		Trace:                cfg.Trace,
-		Logger:               cfg.Logger,
-	}, []route{
+	cfg.Instance, cfg.ShardID = "router", -1
+	rt.shell = newShell(cfg.Config, []route{
 		{"GET /healthz", "healthz", false, rt.handleHealth},
 		{"GET /readyz", "readyz", false, rt.handleReady},
 		{"GET /stats", "stats", false, rt.handleStats},
@@ -116,6 +95,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.snapshot = rt.federate
 	reg := rt.cfg.Metrics
 	for p, urls := range replicaURLs {
+		for i, u := range urls {
+			if !strings.Contains(u, "://") {
+				u = "http://" + u
+			}
+			urls[i] = strings.TrimRight(u, "/")
+		}
 		rt.groups = append(rt.groups, shard.NewReplicaGroup(p, urls, func(string) struct{} { return struct{}{} },
 			cfg.Breaker, reg, "tea_router_replica", "router.failover"))
 	}

@@ -35,8 +35,8 @@ func TestRouterReplicaFailoverKeepsServing(t *testing.T) {
 	// URL comes first so the initial attempts must fail over.
 	reg := metrics.NewRegistry()
 	rt, err := NewRouter(RouterConfig{
-		Shards:  []string{deadURL(t) + "|" + servers[0].URL, servers[1].URL},
-		Metrics: reg,
+		Shards: []string{deadURL(t) + "|" + servers[0].URL, servers[1].URL},
+		Config: Config{Metrics: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestRouterFailoverTraceSpan(t *testing.T) {
 	tracer := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256})
 	rt, err := NewRouter(RouterConfig{
 		Shards: []string{deadURL(t) + "|" + servers[0].URL},
-		Trace:  tracer,
+		Config: Config{Trace: tracer},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestFederationSurvivesReplicaOutage(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1200, 300, 95)
 	servers := newShardCluster(t, g, sampling.WeightSpec{}, 2, Config{}, nil)
 	rt, err := NewRouter(RouterConfig{
-		Shards:  []string{deadURL(t) + "|" + servers[0].URL, servers[1].URL},
-		Metrics: metrics.NewRegistry(),
+		Shards: []string{deadURL(t) + "|" + servers[0].URL, servers[1].URL},
+		Config: Config{Metrics: metrics.NewRegistry()},
 	})
 	if err != nil {
 		t.Fatal(err)

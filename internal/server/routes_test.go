@@ -146,7 +146,7 @@ func routeServers(t *testing.T) []*httptest.Server {
 	sh := start(NewShard(nodes[0], peers, cfg()).Handler())
 
 	shards := newShardCluster(t, g, sampling.WeightSpec{}, 2, cfg(), nil)
-	router := newShardRouter(t, shards, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, shards, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 
 	recov := start(NewDurable(cfg()).Handler())
 	return []*httptest.Server{engine, durable, sh, router, recov}

@@ -12,9 +12,9 @@ import (
 	"github.com/tea-graph/tea/internal/trace"
 )
 
-// NewLogger returns the structured logger cmd/teaserve and cmd/tearouter
-// write to w: text records, or JSON ones when asJSON is set, each carrying
-// request_id/trace_id when its context does.
+// NewLogger returns the structured logger Run builds when Config.Logger is
+// nil, writing to w: text records, or JSON ones when asJSON is set, each
+// carrying request_id/trace_id when its context does.
 func NewLogger(w io.Writer, asJSON bool) *slog.Logger {
 	var h slog.Handler
 	if asJSON {

@@ -4,7 +4,8 @@
 // POST /edges and POST /expire mutate), shard (one partition of a cluster)
 // and router (the stateless front that merges a cluster's shards). The
 // handlers are usable under any http.Server (or httptest) directly; Serve
-// runs one with a graceful drain, as cmd/teaserve and cmd/tearouter do.
+// runs one with a graceful drain, and a Deployment (deploy.go) builds and
+// serves a whole process, as cmd/teaserve and cmd/tearouter do.
 //
 // Every mode is one shell (shell.go) plus its own handlers: the shell holds
 // what the modes share and registers each mode's route table. It is built

@@ -275,7 +275,7 @@ func TestRouterTracePropagation(t *testing.T) {
 	}
 	servers := newShardCluster(t, g, sampling.WeightSpec{}, 2, Config{}, tracers)
 	routerTracer := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256})
-	router := newShardRouter(t, servers, RouterConfig{Trace: routerTracer})
+	router := newShardRouter(t, servers, RouterConfig{Config: Config{Trace: routerTracer}})
 
 	const reqID = "req-router-trace-1"
 	req, _ := http.NewRequest(http.MethodGet, router.URL+"/walk?from=3&length=10&count=4&seed=5", nil)

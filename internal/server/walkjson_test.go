@@ -235,7 +235,7 @@ func TestWalkProducersEncodeLikeEncodingJSON(t *testing.T) {
 	single := httptest.NewServer(NewWithConfig(eng, Config{Metrics: metrics.NewRegistry()}).Handler())
 	t.Cleanup(single.Close)
 	shards := newShardCluster(t, g, spec, 3, Config{Metrics: metrics.NewRegistry()}, nil)
-	router := newShardRouter(t, shards, RouterConfig{Metrics: metrics.NewRegistry()})
+	router := newShardRouter(t, shards, RouterConfig{Config: Config{Metrics: metrics.NewRegistry()}})
 	durable, _, d := newIngestServer(t, Config{})
 	if err := d.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 10}, {Src: 1, Dst: 2, Time: 11}, {Src: 1, Dst: 0, Time: 12}}); err != nil {
 		t.Fatal(err)

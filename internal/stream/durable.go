@@ -123,6 +123,10 @@ func listSnapshots(fsys vfs.FS, dir string) ([]snapGen, error) {
 	return gens, nil
 }
 
+// walWarnRatio is the multiple of the newest snapshot's size beyond which
+// the retained WAL draws a warning.
+const walWarnRatio = 4
+
 // maxGroup bounds one group commit; queued writers beyond it wait for the
 // next group.
 const maxGroup = 128
@@ -161,10 +165,6 @@ type DurableConfig struct {
 	// HealInterval is how often the degraded graph probes the device and
 	// tries to self-heal; 0 means 2s, negative disables the loop.
 	HealInterval time.Duration
-	// WALWarnRatio triggers a warning log when retained WAL bytes exceed
-	// this multiple of the newest snapshot's size; 0 means 4, negative
-	// disables the warning.
-	WALWarnRatio float64
 	// FS is the filesystem the WAL and snapshots run against; nil means the
 	// real OS. Takes precedence over WAL.FS.
 	FS vfs.FS
@@ -242,7 +242,6 @@ type DurableGraph struct {
 	cfg    DurableConfig
 	fs     vfs.FS
 	keep   int
-	ratio  float64
 	logger *slog.Logger
 
 	mu sync.RWMutex // guards g
@@ -288,10 +287,6 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 	if keep <= 0 {
 		keep = 2
 	}
-	ratio := cfg.WALWarnRatio
-	if ratio == 0 {
-		ratio = 4
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(discardHandler{})
@@ -301,7 +296,6 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 		cfg:    cfg,
 		fs:     fsys,
 		keep:   keep,
-		ratio:  ratio,
 		logger: logger,
 		reqCh:  make(chan *ingestReq, 2*maxGroup),
 		quit:   make(chan struct{}),
@@ -699,12 +693,12 @@ func (d *DurableGraph) checkpoint() error {
 	// warning when it dwarfs the state it protects (snapshot cadence too
 	// slow, or generations pinning a huge suffix).
 	reclaimable := d.log.ReclaimableBefore(lsn + 1)
-	if st, serr := d.fs.Stat(path); serr == nil && d.ratio > 0 {
+	if st, serr := d.fs.Stat(path); serr == nil {
 		snapSize := st.Size()
-		if walSize := d.log.SizeBytes(); snapSize > 0 && float64(walSize) > d.ratio*float64(snapSize) {
+		if walSize := d.log.SizeBytes(); snapSize > 0 && walSize > walWarnRatio*snapSize {
 			d.logger.Warn("retained WAL exceeds snapshot size budget",
 				"wal_bytes", walSize, "snapshot_bytes", snapSize,
-				"ratio_limit", d.ratio, "reclaimable_bytes", reclaimable)
+				"ratio_limit", walWarnRatio, "reclaimable_bytes", reclaimable)
 		}
 	}
 

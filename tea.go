@@ -111,31 +111,13 @@ func FromEdgesSized(edges []Edge, numVertices int) (*Graph, error) {
 // LoadTextFile reads a "src dst time" edge list (KONECT-style, '#'/'%'
 // comments) and builds the graph.
 func LoadTextFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tea: %w", err)
-	}
-	defer f.Close()
-	edges, err := edgeio.ReadText(f)
-	if err != nil {
-		return nil, err
-	}
-	return temporal.FromEdges(edges)
+	return edgeio.LoadGraph(path, edgeio.ReadText)
 }
 
 // LoadBinaryFile reads the packed binary edge-stream format written by
 // WriteBinaryFile (or cmd/teagen).
 func LoadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tea: %w", err)
-	}
-	defer f.Close()
-	edges, err := edgeio.ReadBinary(f)
-	if err != nil {
-		return nil, err
-	}
-	return temporal.FromEdges(edges)
+	return edgeio.LoadGraph(path, edgeio.ReadBinary)
 }
 
 // WriteBinaryFile writes edges in the packed binary format.
