@@ -101,7 +101,7 @@ func Teaserve(fs *flag.FlagSet) func() (server.Deployment, error) {
 		eng server.EngineMode
 		ooc = server.DefaultOOC
 		dur = server.DurableMode{Fsync: "always", FsyncInterval: 100 * time.Millisecond, SnapshotEvery: 10000}
-		sh  = server.ShardMode{ID: -1, Hedge: "off", ChaosSeed: 1}
+		sh  = server.ShardMode{ID: -1, ChaosSeed: 1}
 		scr = server.DefaultScrub
 	)
 	engine, oocs, durable, shard, scrubs := set(&d.Engine, &eng), set(&d.OOC, &ooc), set(&d.Durable, &dur), set(&d.Shard, &sh), set(&d.Scrub, &scr)
@@ -131,7 +131,6 @@ func Teaserve(fs *flag.FlagSet) func() (server.Deployment, error) {
 		{"shard-peers", &sh.Peers, shard, "comma-separated RPC host:port of every shard in shard-id order; '|' separates a partition's replicas; the comma count is the partition count"},
 		{"shard-replica", &sh.Replica, shard, "which replica of its partition this process is (index into the '|' list of its -shard-peers entry)"},
 		{"shard-rpc-addr", &sh.RPCAddr, shard, "walker-migration RPC listen address (default: this shard's -shard-peers entry)"},
-		{"shard-hedge", &sh.Hedge, shard, "hedged step-RPCs against sibling replicas: off|auto|<duration> (auto = primary's observed p99)"},
 		{"chaos", &sh.Chaos, shard, "inject network faults on peer RPC conns, e.g. 'drop:peer=h1:9000,after=3;delay:delay=50ms' (testing only)"},
 		{"chaos-seed", &sh.ChaosSeed, shard, "seed for randomized -chaos faults (byte flips)"},
 	}...))

@@ -21,14 +21,13 @@ func TestTeaserveRefusesBeforeLoad(t *testing.T) {
 		{"-ooc-cache-bytes 1", "-ooc"},
 		{"-ooc-cache-policy clock", "-ooc"},
 		{"-chaos drop:peer=a:1", "-shard-id"},
-		{"-shard-hedge auto", "-shard-id"},
 		{"-shard-replica 1", "-shard-id"},
+		{"-shard-rpc-addr :9000", "-shard-id"},
 		{"-chaos-seed 3 -ooc", "-ooc"},
 		{"-scrub-interval 1s", "-scrub-interval"},
 		{"-scrub-rate-mbps 8 -shard-id 0 -shard-peers a:1", "-scrub-rate-mbps"},
 		{"-shard-id 2 -shard-peers a:1,b:1", "-shard-id"},
 		{"-shard-id 0 -shard-peers a:1,b:1 -shard-replica 1", "-shard-replica"},
-		{"-shard-id 0 -shard-peers a:1,b:1 -shard-hedge soon", "-shard-hedge"},
 		{"-shard-id 0 -shard-peers a:1,b:1 -chaos explode", "-chaos"},
 		{"-shard-id 0 -shard-peers a:1,,b:1", "-shard-peers"},
 		{"-shard-id 0 -shard-peers a:1 -algo node2vec", "-algo"},
@@ -37,6 +36,7 @@ func TestTeaserveRefusesBeforeLoad(t *testing.T) {
 		{"-algo node2vec -q -1", "-q"},
 		{"-algo walkies", "-algo"},
 		{"-ooc-trunk 8", "-ooc-trunk"},
+		{"-shard-hedge auto", "-shard-hedge"},
 		{"-wal-warn-ratio 2", "-wal-warn-ratio"},
 		{"-profile wikipedia", "-profile"},
 		{"stray", "stray"},
@@ -63,7 +63,7 @@ func TestTeaserveSelectsMode(t *testing.T) {
 		{"-wal-dir d", "durable"},
 		{"-wal-dir d -fsync interval -fsync-interval 5ms -snapshot-every 0 -scrub-rate-mbps 8 -algo uniform", "durable"},
 		{"-input g.teag -shard-id 0 -shard-peers a:1|a:2,b:1 -shard-replica 1", "shard"},
-		{"-input g.teag -shard-id 0 -shard-peers a:1,b:1 -shard-hedge 5ms -chaos partition:peer=b:1,after=2 -chaos-seed 7", "shard"},
+		{"-input g.teag -shard-id 0 -shard-peers a:1,b:1 -chaos partition:peer=b:1,after=2 -chaos-seed 7", "shard"},
 	} {
 		d, err := Parse("teaserve", strings.Fields(tc.args), io.Discard, Teaserve)
 		if err != nil {

@@ -1,6 +1,6 @@
 package core
 
-// batch.go implements the step-synchronous walk kernel (ROADMAP item 3): live
+// batch.go implements the step-synchronous walk kernel (ROADMAP 2(a)): live
 // walkers are kept in flat struct-of-arrays state and the whole frontier is
 // advanced one synchronized step at a time — the layout GPU temporal-walk
 // samplers use for coalesced sampling-structure lookups, and the one a future

@@ -99,9 +99,6 @@ type ShardMode struct {
 	Peers   string
 	Replica int
 	RPCAddr string
-	// Hedge duplicates slow step RPCs on a sibling replica: off, auto (after
-	// the primary's observed p99) or a positive duration.
-	Hedge string
 	// Chaos is a netchaos fault spec over this process's RPC traffic, drawn
 	// from a plan seeded with ChaosSeed. Testing only.
 	Chaos     string
@@ -120,7 +117,7 @@ var (
 
 const (
 	durableFlags = "-fsync, -fsync-interval, -snapshot-every, -snapshot-keep, -wal-segment-bytes, -heal-interval"
-	shardFlags   = "-shard-peers, -shard-replica, -shard-rpc-addr, -shard-hedge, -chaos, -chaos-seed"
+	shardFlags   = "-shard-peers, -shard-replica, -shard-rpc-addr, -chaos, -chaos-seed"
 )
 
 // Validate reports the first invalid field or combination. It reads no file
@@ -172,40 +169,32 @@ func (d *Deployment) Validate() error {
 	case d.Shard != nil && app.Parameter != nil:
 		return errors.New("-algo node2vec in shard mode would answer β's neighbor test from a Bloom filter, not exactly as one process does; use a first-order algorithm")
 	case d.Shard != nil:
-		_, _, _, err = d.Shard.parse()
+		_, _, err = d.Shard.parse()
 	}
 	return err
 }
 
-// parse resolves the shard section: the peer table [partition][replica],
-// the hedge policy and the chaos faults.
-func (s *ShardMode) parse() (parts [][]string, hedge shard.HedgeConfig, faults []fault.Fault, err error) {
+// parse resolves the shard section: the peer table [partition][replica]
+// and the chaos faults.
+func (s *ShardMode) parse() (parts [][]string, faults []fault.Fault, err error) {
 	if s.ID < 0 {
-		return nil, hedge, nil, errors.New(shardFlags + " are shard-mode flags: set -shard-id")
+		return nil, nil, errors.New(shardFlags + " are shard-mode flags: set -shard-id")
 	}
 	if parts, err = shard.ParseReplicaList(strings.Split(s.Peers, ",")); err != nil {
-		return nil, hedge, nil, fmt.Errorf("-shard-peers: %w", err)
+		return nil, nil, fmt.Errorf("-shard-peers: %w", err)
 	}
 	if s.ID >= len(parts) {
-		return nil, hedge, nil, fmt.Errorf("-shard-id %d outside the %d-entry -shard-peers list", s.ID, len(parts))
+		return nil, nil, fmt.Errorf("-shard-id %d outside the %d-entry -shard-peers list", s.ID, len(parts))
 	}
 	if s.Replica < 0 || s.Replica >= len(parts[s.ID]) {
-		return nil, hedge, nil, fmt.Errorf("-shard-replica %d outside this partition's %d-replica list", s.Replica, len(parts[s.ID]))
-	}
-	if s.Hedge != "off" && s.Hedge != "" {
-		hedge.Enabled = true
-		if s.Hedge != "auto" {
-			if hedge.Delay, err = time.ParseDuration(s.Hedge); err != nil || hedge.Delay <= 0 {
-				return nil, hedge, nil, fmt.Errorf("-shard-hedge %q: want off, auto, or a positive duration", s.Hedge)
-			}
-		}
+		return nil, nil, fmt.Errorf("-shard-replica %d outside this partition's %d-replica list", s.Replica, len(parts[s.ID]))
 	}
 	if s.Chaos != "" {
 		if faults, err = netchaos.Parse(s.Chaos); err != nil {
-			return nil, hedge, nil, fmt.Errorf("-chaos: %w", err)
+			return nil, nil, fmt.Errorf("-chaos: %w", err)
 		}
 	}
-	return parts, hedge, faults, nil
+	return parts, faults, nil
 }
 
 // Run validates d, builds its mode and serves it on Addr until ctx is done,
@@ -446,7 +435,7 @@ func (r *run) durable() (http.Handler, error) {
 // of it, so the shards agree on ownership with no coordination.
 func (r *run) shard() (http.Handler, error) {
 	s := r.Shard
-	parts, hedge, faults, _ := s.parse()
+	parts, faults, _ := s.parse()
 	start := time.Now()
 	g, app, err := r.load()
 	if err != nil {
@@ -480,13 +469,13 @@ func (r *run) shard() (http.Handler, error) {
 			peers[pid] = replicas
 		}
 	}
-	callers := shard.NewReplicaPeers(peers, shard.ReplicaPeersConfig{Client: client, Hedge: hedge})
+	callers := shard.NewReplicaPeers(peers, shard.ReplicaPeersConfig{Client: client})
 	r.closers = append(r.closers, func() {
 		_ = wireSrv.Close()
 		callers.Close()
 	})
 	r.Logger.Info("shard ready", "shard", s.ID, "replica", s.Replica, "partitions", len(parts), "application", app.Name,
-		"rpc_addr", ln.Addr().String(), "hedge", s.Hedge, "owned_edges", node.OwnedEdges(), "index_bytes", node.MemoryBytes(),
+		"rpc_addr", ln.Addr().String(), "owned_edges", node.OwnedEdges(), "index_bytes", node.MemoryBytes(),
 		"elapsed", time.Since(start).Round(time.Millisecond))
 	return NewShard(node, callers, r.Config).Handler(), nil
 }

@@ -58,8 +58,6 @@ type RouterConfig struct {
 	// healthiest and fails over between them. A URL without a scheme gets
 	// http://, and a trailing / is dropped.
 	Shards []string
-	// Breaker tunes the per-replica circuit breakers (zero value → defaults).
-	Breaker shard.BreakerConfig
 }
 
 // Router fans queries over a shard cluster and merges the partial answers.
@@ -102,7 +100,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			urls[i] = strings.TrimRight(u, "/")
 		}
 		rt.groups = append(rt.groups, shard.NewReplicaGroup(p, urls, func(string) struct{} { return struct{}{} },
-			cfg.Breaker, reg, "tea_router_replica", "router.failover"))
+			reg, "tea_router_replica", "router.failover"))
 	}
 	rt.fanouts = reg.Counter("tea_router_fanouts_total")
 	rt.merges = reg.Counter("tea_router_merged_walks_total")

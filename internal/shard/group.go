@@ -61,7 +61,7 @@ var errNoReplicas = errors.New("shard: partition has no replicas")
 // with conn(addr) as each replica's handle. Its metrics are
 // <prefix>_failovers_total{shard} and <prefix>_state{shard,replica}, and a
 // failover leaves a span named span on the request's timeline.
-func NewReplicaGroup[C any](partition int, addrs []string, conn func(addr string) C, bcfg BreakerConfig, reg *metrics.Registry, prefix, span string) *ReplicaGroup[C] {
+func NewReplicaGroup[C any](partition int, addrs []string, conn func(addr string) C, reg *metrics.Registry, prefix, span string) *ReplicaGroup[C] {
 	g := &ReplicaGroup[C]{
 		Partition: partition,
 		failovers: reg.Counter(fmt.Sprintf(`%s_failovers_total{shard="%d"}`, prefix, partition)),
@@ -71,7 +71,7 @@ func NewReplicaGroup[C any](partition int, addrs []string, conn func(addr string
 		g.Replicas = append(g.Replicas, &Replica[C]{
 			Addr:    addr,
 			Conn:    conn(addr),
-			breaker: NewBreaker(bcfg),
+			breaker: NewBreaker(),
 			state:   reg.Gauge(fmt.Sprintf(`%s_state{shard="%d",replica=%q}`, prefix, partition, addr)),
 		})
 	}
@@ -104,13 +104,15 @@ func (g *ReplicaGroup[C]) ordered() []*Replica[C] {
 }
 
 // report feeds one attempt's outcome, started at start, to r's breaker and
-// state gauge — unless ctx is done, in which case a failure says nothing
-// about the replica.
+// state gauge. A failure under a cancelled ctx (a fail-fast round cancel, a
+// client gone) says nothing about the replica and is not charged; one cut
+// off by ctx's deadline is, because the replica did not answer in time.
 func (g *ReplicaGroup[C]) report(ctx context.Context, r *Replica[C], start time.Time, err error) {
-	if err == nil || ctx.Err() == nil {
-		r.breaker.Report(time.Since(start), err)
-		r.state.Set(float64(r.breaker.State()))
+	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+		return
 	}
+	r.breaker.Report(time.Since(start), err)
+	r.state.Set(float64(r.breaker.State()))
 }
 
 // failover counts a move from one replica to a sibling and records it as an

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -15,7 +14,7 @@ const (
 	// HealthSuspect: some consecutive failures, below the breaker threshold.
 	HealthSuspect
 	// HealthOpen: the breaker tripped; the replica is tried only after every
-	// live sibling has failed, probe-eligible ones (past OpenFor) first.
+	// live sibling has failed, probe-eligible ones (past openFor) first.
 	HealthOpen
 )
 
@@ -32,62 +31,35 @@ func (s HealthState) String() string {
 	}
 }
 
-// BreakerConfig tunes a replica circuit breaker. The zero value is usable.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker. Default 3.
-	FailureThreshold int
-	// OpenFor is how long an open breaker ranks hard-open before it becomes
+// Breaker tuning, the same for every replica of every group.
+const (
+	// failureThreshold is the consecutive-failure count that opens the
+	// breaker.
+	failureThreshold = 3
+	// openFor is how long an open breaker ranks hard-open before it becomes
 	// probe-eligible: ahead of hard-open siblings, still behind live ones.
-	// Default 2s.
-	OpenFor time.Duration
-	// EWMAAlpha smooths the latency estimate (new = α·sample + (1−α)·old).
-	// Default 0.2.
-	EWMAAlpha float64
-	// now is a test hook; nil means time.Now.
-	now func() time.Time
-}
-
-func (c BreakerConfig) normalized() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 2 * time.Second
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
-	}
-	if c.now == nil {
-		c.now = time.Now
-	}
-	return c
-}
-
-// latencyRingSize bounds the per-replica sample window the p99 hedge delay
-// is computed from. 128 samples ≈ the last few step rounds of a busy walk.
-const latencyRingSize = 128
+	openFor = 2 * time.Second
+	// ewmaAlpha smooths the latency estimate (new = α·sample + (1−α)·old).
+	ewmaAlpha = 0.2
+)
 
 // Breaker is a per-replica circuit breaker with an open window and a
-// latency profile (EWMA for preference ordering, a sample ring for the
-// p99-based hedge delay). All methods are safe for concurrent use.
+// latency EWMA for preference ordering. All methods are safe for concurrent
+// use.
 type Breaker struct {
-	cfg BreakerConfig
+	now func() time.Time // a test hook; time.Now outside tests
 
 	mu       sync.Mutex
 	fails    int       // consecutive failures
 	openedAt time.Time // when fails crossed the threshold (re-armed per failure while open)
 	ewma     float64   // seconds; 0 until first success
-	ring     [latencyRingSize]float64
-	ringN    int // samples written (caps at ring size for indexing)
-	ringPos  int
 	okTotal  int64
 	errTotal int64
 }
 
-// NewBreaker builds a breaker with cfg (zero value → defaults).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.normalized()}
+// NewBreaker builds a breaker in the healthy state.
+func NewBreaker() *Breaker {
+	return &Breaker{now: time.Now}
 }
 
 // Report records the outcome of one attempt against this replica. Latency is
@@ -99,10 +71,10 @@ func (b *Breaker) Report(d time.Duration, err error) {
 	if err != nil {
 		b.errTotal++
 		b.fails++
-		if b.fails >= b.cfg.FailureThreshold {
+		if b.fails >= failureThreshold {
 			// Re-arm the open window on every failure at/over the threshold so
-			// a failed attempt on an open replica buys another OpenFor of quiet.
-			b.openedAt = b.cfg.now()
+			// a failed attempt on an open replica buys another openFor of quiet.
+			b.openedAt = b.now()
 		}
 		return
 	}
@@ -112,12 +84,7 @@ func (b *Breaker) Report(d time.Duration, err error) {
 	if b.ewma == 0 {
 		b.ewma = sec
 	} else {
-		b.ewma = b.cfg.EWMAAlpha*sec + (1-b.cfg.EWMAAlpha)*b.ewma
-	}
-	b.ring[b.ringPos] = sec
-	b.ringPos = (b.ringPos + 1) % latencyRingSize
-	if b.ringN < latencyRingSize {
-		b.ringN++
+		b.ewma = ewmaAlpha*sec + (1-ewmaAlpha)*b.ewma
 	}
 }
 
@@ -130,7 +97,7 @@ func (b *Breaker) State() HealthState {
 
 func (b *Breaker) stateLocked() HealthState {
 	switch {
-	case b.fails >= b.cfg.FailureThreshold:
+	case b.fails >= failureThreshold:
 		return HealthOpen
 	case b.fails > 0:
 		return HealthSuspect
@@ -144,27 +111,6 @@ func (b *Breaker) EWMA() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return time.Duration(b.ewma * float64(time.Second))
-}
-
-// P99 returns the 99th-percentile success latency over the sample window and
-// the number of samples behind it; callers gate hedging on the sample count.
-func (b *Breaker) P99() (time.Duration, int) {
-	b.mu.Lock()
-	n := b.ringN
-	var window []float64
-	if n > 0 {
-		window = append(window, b.ring[:n]...)
-	}
-	b.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Float64s(window)
-	idx := (n * 99) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return time.Duration(window[idx] * float64(time.Second)), n
 }
 
 // Fails returns the consecutive-failure count (for status reporting).
@@ -194,7 +140,7 @@ func (b *Breaker) Rank() (r int, ewma float64) {
 	case HealthSuspect:
 		r = 1
 	default:
-		if b.cfg.now().Sub(b.openedAt) >= b.cfg.OpenFor {
+		if b.now().Sub(b.openedAt) >= openFor {
 			r = 2 // probe-eligible
 		} else {
 			r = 3

@@ -14,9 +14,16 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 var errPeer = errors.New("peer boom")
 
+// newTestBreaker builds a breaker on a manually advanced clock.
+func newTestBreaker(clk *fakeClock) *Breaker {
+	b := NewBreaker()
+	b.now = clk.now
+	return b
+}
+
 func TestBreakerOpensAfterThresholdAndProbes(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenFor: 2 * time.Second, now: clk.now})
+	b := newTestBreaker(clk)
 
 	if st := b.State(); st != HealthHealthy {
 		t.Fatalf("initial state %v", st)
@@ -31,7 +38,7 @@ func TestBreakerOpensAfterThresholdAndProbes(t *testing.T) {
 		t.Fatalf("after 3 failures: %v", st)
 	}
 
-	// A failed attempt after OpenFor keeps the breaker open.
+	// A failed attempt after openFor keeps the breaker open.
 	clk.advance(2 * time.Second)
 	b.Report(time.Millisecond, errPeer)
 	if st := b.State(); st != HealthOpen {
@@ -45,19 +52,21 @@ func TestBreakerOpensAfterThresholdAndProbes(t *testing.T) {
 	}
 }
 
-// An open replica is probe-eligible (rank 2) exactly when OpenFor has passed
+// An open replica is probe-eligible (rank 2) exactly when openFor has passed
 // since its last failure; no attempt in flight can hold it at hard-open (3).
 func TestBreakerRankFollowsOpenWindow(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: 2 * time.Second, now: clk.now})
+	b := newTestBreaker(clk)
 	rank := func() int { r, _ := b.Rank(); return r }
-	b.Report(time.Millisecond, errPeer)
+	for range failureThreshold {
+		b.Report(time.Millisecond, errPeer)
+	}
 	if r := rank(); r != 3 {
-		t.Fatalf("inside OpenFor: rank %d, want 3", r)
+		t.Fatalf("inside openFor: rank %d, want 3", r)
 	}
 	clk.advance(2 * time.Second)
 	if r := rank(); r != 2 {
-		t.Fatalf("past OpenFor: rank %d, want 2", r)
+		t.Fatalf("past openFor: rank %d, want 2", r)
 	}
 	if r := rank(); r != 2 {
 		t.Fatalf("ranking twice: rank %d, want 2", r)
@@ -69,33 +78,27 @@ func TestBreakerRankFollowsOpenWindow(t *testing.T) {
 }
 
 func TestBreakerLatencyProfile(t *testing.T) {
-	b := NewBreaker(BreakerConfig{EWMAAlpha: 0.5})
+	b := NewBreaker()
 	for i := 0; i < 100; i++ {
 		b.Report(10*time.Millisecond, nil)
 	}
-	b.Report(100*time.Millisecond, nil) // top-2% outliers: p99 must see them
 	b.Report(100*time.Millisecond, nil)
-	if p99, n := b.P99(); n != 102 || p99 < 50*time.Millisecond {
-		t.Fatalf("p99 = %v over %d samples, want the outliers visible", p99, n)
-	}
+	b.Report(100*time.Millisecond, nil)
 	// EWMA blends toward the outliers without jumping all the way.
 	if e := b.EWMA(); e <= 10*time.Millisecond || e >= 100*time.Millisecond {
 		t.Fatalf("ewma = %v", e)
 	}
-	// Failures never pollute the latency window.
-	before, _ := b.P99()
+	// Failures never enter the latency profile.
+	before := b.EWMA()
 	b.Report(10*time.Second, errPeer)
-	if after, _ := b.P99(); after != before {
-		t.Fatal("failed attempt entered the latency window")
+	if after := b.EWMA(); after != before {
+		t.Fatalf("failed attempt moved the ewma: %v -> %v", before, after)
 	}
 }
 
 func TestReplicaOrderingPrefersHealthyThenLatency(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	mk := func() *Breaker {
-		return NewBreaker(BreakerConfig{FailureThreshold: 3, OpenFor: 2 * time.Second, now: clk.now})
-	}
-	fast, slow, suspect, open := mk(), mk(), mk(), mk()
+	fast, slow, suspect, open := newTestBreaker(clk), newTestBreaker(clk), newTestBreaker(clk), newTestBreaker(clk)
 	fast.Report(5*time.Millisecond, nil)
 	slow.Report(50*time.Millisecond, nil)
 	suspect.Report(5*time.Millisecond, nil)
@@ -119,7 +122,7 @@ func TestReplicaOrderingPrefersHealthyThenLatency(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-	// Past OpenFor the open replica becomes probe-eligible but still ranks
+	// Past openFor the open replica becomes probe-eligible but still ranks
 	// behind live ones.
 	clk.advance(3 * time.Second)
 	if last := g.ordered()[3]; last.Addr != "open" {

@@ -188,51 +188,11 @@ func (h *slowHandler) HandleStep(ctx context.Context, req *wire.StepRequest) (*w
 	return h.inner.HandleStep(ctx, req)
 }
 
-func TestHedgedStepWinsOverSlowPrimary(t *testing.T) {
-	g := testutil.RandomGraph(t, 60, 1500, 300, 64)
-	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
-	slow := serveNode(t, &slowHandler{inner: nodes[1], delay: 2 * time.Second})
-	fast := serveNode(t, nodes[1])
-
-	reg := metrics.NewRegistry()
-	cfg := testReplicaConfig(reg)
-	cfg.Hedge = HedgeConfig{Enabled: true, Delay: 20 * time.Millisecond}
-	rp := NewReplicaPeers(map[int][]string{1: {slow, fast}}, cfg)
-	defer rp.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req := validStepRequest(nodes[1], 4)
-	start := time.Now()
-	resp, err := rp.Step(ctx, 1, req)
-	if err != nil {
-		t.Fatalf("hedged step: %v", err)
-	}
-	if len(resp.Results) != len(req.Walkers) {
-		t.Fatalf("%d results", len(resp.Results))
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("hedge did not rescue the slow primary: %v", d)
-	}
-	if v := reg.Counter(`tea_shard_replica_hedges_total{shard="1"}`).Value(); v != 1 {
-		t.Fatalf("hedges = %d", v)
-	}
-	if v := reg.Counter(`tea_shard_replica_hedge_wins_total{shard="1"}`).Value(); v != 1 {
-		t.Fatalf("hedge wins = %d", v)
-	}
-	// The slow loser was cancelled, not failed: its breaker must not have
-	// tripped toward open.
-	for _, st := range rp.Snapshot()[1] {
-		if st.State == "open" {
-			t.Fatalf("hedge loser counted as breaker failure: %+v", st)
-		}
-	}
-}
-
-// A netchaos stall (packet blackhole) on the primary must be rescued by the
-// hedge, and the stalled loser must unwind when the hedge wins (first-wins
-// cancellation poisons its deadline and wakes the stall).
-func TestHedgeRescuesNetchaosStall(t *testing.T) {
+// A replica that accepts a connection and never answers is cut off by the
+// request deadline. That counts as a failure: the replica is demoted, and
+// the next request goes to its sibling instead of waiting out another
+// deadline. The stalled attempt leaves no goroutine and no conn behind.
+func TestStalledReplicaDemotedAtDeadline(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1500, 300, 65)
 	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 2)
 	primary := serveNode(t, nodes[1])
@@ -243,22 +203,40 @@ func TestHedgeRescuesNetchaosStall(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := testReplicaConfig(reg)
 	cfg.Client.Dialer = netchaos.Dial(plan)
-	cfg.Hedge = HedgeConfig{Enabled: true, Delay: 15 * time.Millisecond}
 	rp := NewReplicaPeers(map[int][]string{1: {primary, sibling}}, cfg)
 	defer rp.Close()
 
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	req := validStepRequest(nodes[1], 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	_, err := rp.Step(ctx, 1, req)
+	cancel()
+	var timeout net.Error
+	if !errors.As(err, &timeout) || !timeout.Timeout() {
+		t.Fatalf("stalled step: want a deadline error, got %v", err)
+	}
+	snap := rp.Snapshot()[1]
+	if snap[0].Addr != primary || snap[0].State != "suspect" || snap[0].OpenConns != 0 {
+		t.Fatalf("stalled primary after its deadline: %+v", snap[0])
+	}
+
+	const deadline = time.Second
+	ctx, cancel = context.WithTimeout(context.Background(), deadline)
+	defer cancel()
 	start := time.Now()
-	if _, err := rp.Step(ctx, 1, req); err != nil {
-		t.Fatalf("hedged step through stall: %v", err)
+	resp, err := rp.Step(ctx, 1, req)
+	if err != nil {
+		t.Fatalf("second step: %v", err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("stall rescue took %v", d)
+	if len(resp.Results) != len(req.Walkers) {
+		t.Fatalf("%d results", len(resp.Results))
 	}
-	// The stalled goroutine must unwind promptly after the winner returns.
+	if d := time.Since(start); d > deadline/2 {
+		t.Fatalf("second step took %v: the stalled primary was tried first", d)
+	}
+	if st := rp.Snapshot()[1][0]; st.OpenConns != 0 || st.OK != 0 {
+		t.Fatalf("stalled primary was tried again: %+v", st)
+	}
 	waitForGoroutines(t, before)
 }
 
@@ -318,6 +296,11 @@ func TestFailFastReleasesOutstandingHops(t *testing.T) {
 				t.Fatalf("shard %d replica %s: %d conns still open after fail-fast", sid, st.Addr, st.OpenConns)
 			}
 		}
+	}
+	// The round cancel cut the wedged hop off; that says nothing about the
+	// wedged replica, so its breaker is not charged.
+	if st := peers.Snapshot()[2][0]; st.Errors != 0 {
+		t.Fatalf("cancelled wedged replica charged a failure: %+v", st)
 	}
 	waitForGoroutines(t, before)
 }
