@@ -114,7 +114,6 @@ func Teaserve(fs *flag.FlagSet) func() (server.Deployment, error) {
 		{"ooc", &eng.OutOfCore, engine, "serve out-of-core: PAT trunks on disk, trunk prefix sums in memory"},
 		{"ooc-store", &ooc.Store, oocs, "block store path for -ooc (default: temp file removed on exit)"},
 		{"ooc-cache-bytes", &ooc.CacheBytes, oocs, "block cache capacity over -ooc trunk reads, 0 disables"},
-		{"ooc-cache-policy", &ooc.CachePolicy, oocs, "block cache eviction policy: lru|clock"},
 
 		{"wal-dir", &dur.Dir, durable, "durable-ingest mode: WAL + snapshot directory (mutually exclusive with -input)"},
 		{"fsync", &dur.Fsync, durable, "WAL durability policy: always|interval|never"},

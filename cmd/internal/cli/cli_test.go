@@ -19,7 +19,6 @@ func TestTeaserveRefusesBeforeLoad(t *testing.T) {
 		{"-snapshot-every 5", "-wal-dir"},
 		{"-ooc-store s", "-ooc"},
 		{"-ooc-cache-bytes 1", "-ooc"},
-		{"-ooc-cache-policy clock", "-ooc"},
 		{"-chaos drop:peer=a:1", "-shard-id"},
 		{"-shard-replica 1", "-shard-id"},
 		{"-shard-rpc-addr :9000", "-shard-id"},
@@ -31,11 +30,11 @@ func TestTeaserveRefusesBeforeLoad(t *testing.T) {
 		{"-shard-id 0 -shard-peers a:1,b:1 -chaos explode", "-chaos"},
 		{"-shard-id 0 -shard-peers a:1,,b:1", "-shard-peers"},
 		{"-shard-id 0 -shard-peers a:1 -algo node2vec", "-algo"},
-		{"-ooc -ooc-cache-policy fifo", "-ooc-cache-policy"},
 		{"-algo node2vec -p 0", "-p"},
 		{"-algo node2vec -q -1", "-q"},
 		{"-algo walkies", "-algo"},
 		{"-ooc-trunk 8", "-ooc-trunk"},
+		{"-ooc-cache-policy clock", "-ooc-cache-policy"},
 		{"-shard-hedge auto", "-shard-hedge"},
 		{"-wal-warn-ratio 2", "-wal-warn-ratio"},
 		{"-profile wikipedia", "-profile"},
@@ -59,7 +58,7 @@ func TestTeaserveSelectsMode(t *testing.T) {
 		{"-input g.teag", "engine"},
 		{"-input g.teag -algo node2vec -p 0.5 -q 2 -pprof -instance x", "engine"},
 		{"-input g.teag -ooc", "engine-ooc"},
-		{"-input g.teag -ooc -ooc-store s -ooc-cache-bytes 0 -ooc-cache-policy clock -scrub-interval 0", "engine-ooc"},
+		{"-input g.teag -ooc -ooc-store s -ooc-cache-bytes 0 -scrub-interval 0", "engine-ooc"},
 		{"-wal-dir d", "durable"},
 		{"-wal-dir d -fsync interval -fsync-interval 5ms -snapshot-every 0 -scrub-rate-mbps 8 -algo uniform", "durable"},
 		{"-input g.teag -shard-id 0 -shard-peers a:1|a:2,b:1 -shard-replica 1", "shard"},

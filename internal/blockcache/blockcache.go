@@ -11,17 +11,19 @@
 // block) with identical coordinates, so no range reassembly is needed.
 // Entries live in power-of-two shards, each guarded by one mutex and holding
 // its slice of the byte budget, so walkers on different trunks do not contend.
-// Two eviction policies are provided — strict LRU and CLOCK (second-chance,
-// an S3-FIFO-style one-bit approximation that avoids list surgery on every
-// hit) — selectable per cache so they can be compared on the same workload.
+// Eviction is CLOCK (second chance, an S3-FIFO-style one-bit approximation of
+// recency): a hit sets a reference bit instead of reordering anything, and the
+// sweep clears bits until it finds a cold block. On the corpus benchmark's
+// out-of-core phase it beat strict LRU on hit rate and device bytes per step.
 //
 // Concurrent misses on one block are deduplicated singleflight-style: the
 // first walker issues the device read, later arrivals wait for it and share
 // the result. A failed fetch is delivered to every waiter but never inserted,
 // so transient faults (including injected ones) cannot poison the cache.
 // Writes go through to the store first and then invalidate every overlapping
-// entry and mark overlapping in-flight fetches stale, so streaming merges
-// (§3.5 Append/WriteAt traffic) never leave stale trunks behind.
+// entry and retire overlapping in-flight fetches, so streaming merges (§3.5
+// Append/WriteAt traffic) never leave stale trunks behind and no read issued
+// after a write returns can see the pre-write bytes.
 //
 // Counters() and PagesRead() delegate to the wrapped store untouched: they
 // keep reporting *device* traffic only, so Figure-14-style experiments still
@@ -31,8 +33,6 @@
 package blockcache
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,55 +68,16 @@ var (
 	mMissSeconds   = metrics.Default.Histogram(`tea_blockcache_fetch_seconds{source="device"}`)
 )
 
-// Policy selects the eviction policy of a cache.
-type Policy int
-
-const (
-	// PolicyLRU evicts the least recently used block (exact recency order).
-	PolicyLRU Policy = iota
-	// PolicyClock evicts by the CLOCK second-chance sweep: hits set a
-	// reference bit instead of reordering, the sweep clears bits until it
-	// finds a cold block. Cheaper per hit than LRU, close in quality on
-	// skewed workloads.
-	PolicyClock
-)
-
-// ParsePolicy maps the user-facing policy names ("lru", "clock") to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "lru":
-		return PolicyLRU, nil
-	case "clock":
-		return PolicyClock, nil
-	default:
-		return 0, fmt.Errorf("blockcache: unknown policy %q (want lru or clock)", s)
-	}
-}
-
-// String renders the policy's flag name.
-func (p Policy) String() string {
-	switch p {
-	case PolicyClock:
-		return "clock"
-	default:
-		return "lru"
-	}
-}
-
-// Config sizes and shapes a cache. The zero value (CapacityBytes == 0)
-// selects bypass mode: reads and writes forward straight to the store,
-// nothing is retained, and only the miss/device counters move — so a cache
-// can be configured unconditionally and disabled by budget alone.
+// Config sizes a cache.
 type Config struct {
-	// CapacityBytes is the total byte budget across all shards; <= 0
-	// disables caching entirely.
+	// CapacityBytes is the total byte budget across all shards. A
+	// non-positive budget caches nothing: every read goes to the store.
 	CapacityBytes int64
-	// Policy selects the eviction policy (default PolicyLRU).
-	Policy Policy
-	// Shards is rounded up to a power of two; <= 0 selects 16. More shards
-	// cut mutex contention at the price of coarser per-shard budgets.
-	Shards int
 }
+
+// maxShards is the number of lock domains a cache starts from; small budgets
+// collapse it (see Wrap).
+const maxShards = 16
 
 // key identifies one cached block by its exact read coordinates.
 type key struct {
@@ -124,15 +85,12 @@ type key struct {
 	n   int
 }
 
-// entry is one resident block plus the intrusive bookkeeping of both
-// policies: prev/next for the LRU list, ref/ring index for CLOCK.
+// entry is one resident block plus its CLOCK bookkeeping.
 type entry struct {
 	key  key
 	data []byte
-
-	prev, next *entry // LRU list (LRU policy only)
-	ring       int    // position in the CLOCK ring (clock policy only)
-	ref        bool   // CLOCK reference bit
+	ring int  // position in the shard's CLOCK ring
+	ref  bool // CLOCK reference bit
 }
 
 // flight is one in-progress device fetch that later arrivals wait on.
@@ -144,11 +102,13 @@ type flight struct {
 }
 
 // shard is one lock domain: a fraction of the key space and byte budget.
+// Its entries sit in a CLOCK ring; hand is the sweep's position in it.
 type shard struct {
 	mu       sync.Mutex
 	entries  map[key]*entry
 	flights  map[key]*flight
-	pol      policy
+	ring     []*entry
+	hand     int
 	bytes    int64 // resident payload bytes
 	capacity int64 // this shard's slice of the budget
 }
@@ -158,7 +118,6 @@ type shard struct {
 // into any sampler unchanged. All methods are safe for concurrent use.
 type CachedStore struct {
 	inner  Store
-	cfg    Config
 	shards []*shard
 	mask   uint64
 
@@ -169,54 +128,32 @@ type CachedStore struct {
 	invalidations atomic.Int64
 	resident      atomic.Int64
 	bytesCache    atomic.Int64 // bytes served from resident entries
-	bytesDevice   atomic.Int64 // bytes served by device fetches (incl. bypass)
+	bytesDevice   atomic.Int64 // bytes served by device fetches
 }
 
-// Wrap layers a cache configured by cfg over inner. With a non-positive
-// capacity the returned store is a pure pass-through (bypass mode).
+// Wrap layers a cache configured by cfg over inner.
 func Wrap(inner Store, cfg Config) *CachedStore {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
+	// Keep each shard's budget above a floor by collapsing shards for small
+	// total budgets: a budget splintered into slices smaller than a block
+	// caches nothing at all. A non-positive budget ends at one shard that
+	// refuses every block (see insertLocked).
+	const minShardBytes = 64 << 10
+	n := maxShards
+	per := cfg.CapacityBytes / int64(n)
+	for n > 1 && per < minShardBytes {
+		n >>= 1
+		per = cfg.CapacityBytes / int64(n)
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	c := &CachedStore{inner: inner, cfg: cfg}
-	if cfg.CapacityBytes > 0 {
-		// Keep each shard's budget above a floor by collapsing shards for
-		// small total budgets: a budget splintered into slices smaller than
-		// a block caches nothing at all.
-		const minShardBytes = 64 << 10
-		per := cfg.CapacityBytes / int64(n)
-		for n > 1 && per < minShardBytes {
-			n >>= 1
-			per = cfg.CapacityBytes / int64(n)
-		}
-		c.mask = uint64(n - 1)
-		c.shards = make([]*shard, n)
-		for i := range c.shards {
-			c.shards[i] = &shard{
-				entries:  make(map[key]*entry),
-				flights:  make(map[key]*flight),
-				pol:      newPolicy(cfg.Policy),
-				capacity: per,
-			}
+	c := &CachedStore{inner: inner, mask: uint64(n - 1), shards: make([]*shard, n)}
+	for i := range c.shards {
+		c.shards[i] = &shard{
+			entries:  make(map[key]*entry),
+			flights:  make(map[key]*flight),
+			capacity: per,
 		}
 	}
 	return c
 }
-
-// Config returns the configuration the cache was built with (shards rounded
-// to the effective power of two).
-func (c *CachedStore) Config() Config {
-	cfg := c.cfg
-	cfg.Shards = len(c.shards)
-	return cfg
-}
-
-// Inner returns the wrapped store.
-func (c *CachedStore) Inner() Store { return c.inner }
 
 // shardFor hashes a key onto its shard (splitmix64-style finalizer).
 func (c *CachedStore) shardFor(k key) *shard {
@@ -239,8 +176,6 @@ const (
 	// SourceCoalesced: the read piggybacked on another caller's in-flight
 	// device fetch of the same block.
 	SourceCoalesced
-	// SourceBypass: the cache is in bypass mode (zero capacity).
-	SourceBypass
 )
 
 // String renders the source the way trace annotations and tests expect.
@@ -250,8 +185,6 @@ func (s ReadSource) String() string {
 		return "hit"
 	case SourceCoalesced:
 		return "coalesced"
-	case SourceBypass:
-		return "bypass"
 	default:
 		return "miss"
 	}
@@ -270,23 +203,13 @@ func (c *CachedStore) ReadAt(p []byte, off int64) error {
 // served; the out-of-core samplers annotate their block-fetch trace spans
 // with it.
 func (c *CachedStore) ReadAtSource(p []byte, off int64) (ReadSource, error) {
-	if c.shards == nil { // bypass mode
-		c.misses.Add(1)
-		mMisses.Inc()
-		err := c.inner.ReadAt(p, off)
-		if err == nil {
-			c.bytesDevice.Add(int64(len(p)))
-			mDeviceBytes.Add(int64(len(p)))
-		}
-		return SourceBypass, err
-	}
 	start := time.Now()
 	k := key{off: off, n: len(p)}
 	sh := c.shardFor(k)
 
 	sh.mu.Lock()
 	if e := sh.entries[k]; e != nil {
-		sh.pol.touched(e)
+		e.ref = true
 		copy(p, e.data)
 		sh.mu.Unlock()
 		c.hits.Add(1)
@@ -320,7 +243,9 @@ func (c *CachedStore) ReadAtSource(p []byte, off int64) (ReadSource, error) {
 	err := c.inner.ReadAt(buf, off)
 
 	sh.mu.Lock()
-	delete(sh.flights, k)
+	if sh.flights[k] == f { // a write may have retired f and a newer fetch taken k
+		delete(sh.flights, k)
+	}
 	if err == nil && !f.stale {
 		c.insertLocked(sh, k, buf)
 	}
@@ -351,7 +276,7 @@ func (c *CachedStore) insertLocked(sh *shard, k key, data []byte) {
 		return
 	}
 	for sh.bytes+n > sh.capacity {
-		victim := sh.pol.victim()
+		victim := sh.victimLocked()
 		if victim == nil {
 			return
 		}
@@ -359,32 +284,62 @@ func (c *CachedStore) insertLocked(sh *shard, k key, data []byte) {
 		c.evictions.Add(1)
 		mEvictions.Inc()
 	}
-	e := &entry{key: k, data: data}
+	// New entries start cold: a block must prove reuse before it survives a
+	// sweep, which keeps one-shot scans from flushing the hot set.
+	e := &entry{key: k, data: data, ring: len(sh.ring)}
 	sh.entries[k] = e
-	sh.pol.added(e)
+	sh.ring = append(sh.ring, e)
 	sh.bytes += n
 	c.resident.Add(n)
 	mResident.Add(float64(n))
 }
 
-// removeLocked drops e from sh's map, policy state, and byte accounting.
+// victimLocked runs the CLOCK sweep: the hand clears reference bits until it
+// reaches a cold entry, which it returns without removing. At most two
+// passes: the first clears every bit, the second must find a cold entry.
 // Caller holds sh.mu.
+func (sh *shard) victimLocked() *entry {
+	for sweep := 0; sweep < 2*len(sh.ring)+1; sweep++ {
+		if len(sh.ring) == 0 {
+			return nil
+		}
+		e := sh.ring[sh.hand]
+		if !e.ref {
+			return e
+		}
+		e.ref = false
+		sh.hand = (sh.hand + 1) % len(sh.ring)
+	}
+	return nil
+}
+
+// removeLocked drops e from sh's map, CLOCK ring and byte accounting: the
+// ring's last entry takes e's slot. Caller holds sh.mu.
 func (c *CachedStore) removeLocked(sh *shard, e *entry) {
 	delete(sh.entries, e.key)
-	sh.pol.removed(e)
+	last := len(sh.ring) - 1
+	moved := sh.ring[last]
+	sh.ring[e.ring] = moved
+	moved.ring = e.ring
+	sh.ring = sh.ring[:last]
+	if sh.hand >= len(sh.ring) {
+		sh.hand = 0
+	}
 	n := int64(len(e.data))
 	sh.bytes -= n
 	c.resident.Add(-n)
 	mResident.Add(float64(-n))
 }
 
-// invalidate drops every resident block overlapping [off, off+n) and marks
-// overlapping in-flight fetches stale so their (possibly pre-write) payloads
-// are delivered to waiters but never inserted. Entries are keyed by exact
-// coordinates, so this is a scan of the resident set — writes are rare
-// relative to reads on every workload this cache targets.
+// invalidate drops every resident block overlapping [off, off+n) and retires
+// overlapping in-flight fetches: each is marked stale, so its (possibly
+// pre-write) payload still reaches the waiters that joined before the write
+// but is never inserted, and leaves the flight map, so a read issued after
+// the write starts a fresh fetch instead of joining the old one. Entries are
+// keyed by exact coordinates, so this is a scan of the resident set — writes
+// are rare relative to reads on every workload this cache targets.
 func (c *CachedStore) invalidate(off, n int64) {
-	if c.shards == nil || n <= 0 {
+	if n <= 0 {
 		return
 	}
 	end := off + n
@@ -400,6 +355,7 @@ func (c *CachedStore) invalidate(off, n int64) {
 		for k, f := range sh.flights {
 			if k.off < end && off < k.off+int64(k.n) {
 				f.stale = true
+				delete(sh.flights, k)
 			}
 		}
 		sh.mu.Unlock()

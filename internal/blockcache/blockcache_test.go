@@ -72,10 +72,10 @@ func (m *memStore) Counters() (int64, int64, int64, int64) {
 
 func (m *memStore) PagesRead() int64 { return m.reads.Load() }
 
-// oneShard returns a config that collapses to a single shard so eviction
-// order is deterministic in tests.
-func oneShard(capacity int64, pol Policy) Config {
-	return Config{CapacityBytes: capacity, Policy: pol, Shards: 1}
+// oneShard returns a config whose budget is small enough to collapse to a
+// single shard, so eviction order is deterministic in tests.
+func oneShard(capacity int64) Config {
+	return Config{CapacityBytes: capacity}
 }
 
 func mustRead(t *testing.T, s *CachedStore, off int64, n int) []byte {
@@ -89,7 +89,7 @@ func mustRead(t *testing.T, s *CachedStore, off int64, n int) []byte {
 
 func TestHitServesCachedBytes(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	first := mustRead(t, c, 100, 64)
 	second := mustRead(t, c, 100, 64)
 	if !bytes.Equal(first, second) {
@@ -115,13 +115,14 @@ func TestHitServesCachedBytes(t *testing.T) {
 }
 
 // Capacity boundary: with room for exactly two 64-byte blocks, a third
-// insert must evict, and LRU must pick the least recently used victim.
-func TestCapacityBoundaryEvictionLRU(t *testing.T) {
+// insert must evict, and the victim is the block not touched since it was
+// cached.
+func TestCapacityBoundaryEviction(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(128, PolicyLRU))
+	c := Wrap(inner, oneShard(128))
 	mustRead(t, c, 0, 64)   // A
 	mustRead(t, c, 64, 64)  // B
-	mustRead(t, c, 0, 64)   // touch A: B is now LRU
+	mustRead(t, c, 0, 64)   // touch A: B is the cold one
 	mustRead(t, c, 128, 64) // C: evicts B
 	s := c.Stats()
 	if s.Evictions != 1 {
@@ -133,7 +134,7 @@ func TestCapacityBoundaryEvictionLRU(t *testing.T) {
 	devBefore := inner.reads.Load()
 	mustRead(t, c, 0, 64) // A must still be resident
 	if inner.reads.Load() != devBefore {
-		t.Fatal("A was evicted; LRU should have evicted B")
+		t.Fatal("A was evicted; the sweep should have evicted B")
 	}
 	mustRead(t, c, 64, 64) // B must be gone
 	if inner.reads.Load() != devBefore+1 {
@@ -145,7 +146,7 @@ func TestCapacityBoundaryEvictionLRU(t *testing.T) {
 // evicted.
 func TestClockSecondChance(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(128, PolicyClock))
+	c := Wrap(inner, oneShard(128))
 	mustRead(t, c, 0, 64)   // A (cold)
 	mustRead(t, c, 64, 64)  // B (cold)
 	mustRead(t, c, 0, 64)   // touch A: ref bit set
@@ -164,39 +165,39 @@ func TestClockSecondChance(t *testing.T) {
 // A block larger than the whole budget must be served but never cached.
 func TestOversizedBlockNotCached(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(128, PolicyLRU))
+	c := Wrap(inner, oneShard(128))
 	mustRead(t, c, 0, 256)
 	if s := c.Stats(); s.ResidentBytes != 0 {
 		t.Fatalf("oversized block resident: %+v", s)
 	}
 	mustRead(t, c, 0, 256)
 	if got := inner.reads.Load(); got != 2 {
-		t.Fatalf("device reads = %d, want 2 (oversized blocks bypass)", got)
+		t.Fatalf("device reads = %d, want 2 (oversized blocks are never cached)", got)
 	}
 }
 
-// Zero capacity is bypass mode: reads forward, nothing is retained, and the
-// cache is transparent to writes.
-func TestZeroCapacityBypass(t *testing.T) {
+// A zero budget builds a cache that holds nothing: every read is served by
+// the device, nothing becomes resident, and writes still reach the store.
+func TestZeroBudgetCachesNothing(t *testing.T) {
 	inner := newMemStore(4096)
 	c := Wrap(inner, Config{CapacityBytes: 0})
-	got := mustRead(t, c, 32, 64)
-	if !bytes.Equal(got, inner.data[32:96]) {
-		t.Fatal("bypass read returned wrong bytes")
+	for i := 0; i < 3; i++ {
+		if got := mustRead(t, c, 32, 64); !bytes.Equal(got, inner.data[32:96]) {
+			t.Fatal("read returned wrong bytes")
+		}
 	}
-	mustRead(t, c, 32, 64)
-	if inner.reads.Load() != 2 {
-		t.Fatalf("device reads = %d, want 2 (no caching at zero capacity)", inner.reads.Load())
+	if got := inner.reads.Load(); got != 3 {
+		t.Fatalf("device reads = %d, want 3 (nothing cached at zero budget)", got)
 	}
 	s := c.Stats()
-	if s.Hits != 0 || s.Misses != 2 || s.ResidentBytes != 0 || s.ResidentBlocks != 0 {
-		t.Fatalf("bypass stats = %+v", s)
+	if s.Hits != 0 || s.Misses != 3 || s.ResidentBytes != 0 || s.ResidentBlocks != 0 || s.BytesFromDevice != 3*64 {
+		t.Fatalf("zero-budget stats = %+v", s)
 	}
 	if err := c.WriteAt([]byte{1, 2, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inner.data[:3], []byte{1, 2, 3}) {
-		t.Fatal("bypass write did not reach the store")
+		t.Fatal("write did not reach the store")
 	}
 }
 
@@ -204,7 +205,7 @@ func TestZeroCapacityBypass(t *testing.T) {
 // overlapped by a write must be refetched, not served stale.
 func TestWriteThroughInvalidation(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	before := mustRead(t, c, 100, 64) // cache [100, 164)
 	fresh := bytes.Repeat([]byte{0xAB}, 32)
 	if err := c.WriteAt(fresh, 120); err != nil { // overlaps the cached block
@@ -236,7 +237,7 @@ func TestWriteThroughInvalidation(t *testing.T) {
 // entries, and a write overlapping both invalidates both.
 func TestOverlappingKeysInvalidatedTogether(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	mustRead(t, c, 0, 64)
 	mustRead(t, c, 0, 128)
 	if s := c.Stats(); s.ResidentBlocks != 2 {
@@ -262,7 +263,7 @@ func TestFailedFetchNotCached(t *testing.T) {
 		}
 		return nil
 	}
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	p := make([]byte, 64)
 	if err := c.ReadAt(p, 0); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
@@ -282,7 +283,7 @@ func TestFailedFetchNotCached(t *testing.T) {
 
 func TestClearReleasesResidency(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	mustRead(t, c, 0, 64)
 	mustRead(t, c, 64, 64)
 	c.Clear()
@@ -297,7 +298,7 @@ func TestClearReleasesResidency(t *testing.T) {
 
 func TestCountersDelegateToDevice(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024, PolicyLRU))
+	c := Wrap(inner, oneShard(1024))
 	mustRead(t, c, 0, 64)
 	for i := 0; i < 9; i++ {
 		mustRead(t, c, 0, 64) // hits: must not move device counters
@@ -311,25 +312,10 @@ func TestCountersDelegateToDevice(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]Policy{"lru": PolicyLRU, "LRU": PolicyLRU, " clock ": PolicyClock} {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParsePolicy("arc"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if PolicyLRU.String() != "lru" || PolicyClock.String() != "clock" {
-		t.Fatal("policy names do not round-trip")
-	}
-}
-
 func TestTinyBudgetCollapsesShards(t *testing.T) {
 	inner := newMemStore(4096)
-	c := Wrap(inner, Config{CapacityBytes: 500, Shards: 16})
-	if got := c.Config().Shards; got != 1 {
+	c := Wrap(inner, Config{CapacityBytes: 500})
+	if got := len(c.shards); got != 1 {
 		t.Fatalf("shards = %d, want 1 (500-byte budget must not splinter)", got)
 	}
 	mustRead(t, c, 0, 200)

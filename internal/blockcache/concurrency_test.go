@@ -36,7 +36,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 		})
 		return nil
 	}
-	c := Wrap(inner, oneShard(4096, PolicyLRU))
+	c := Wrap(inner, oneShard(4096))
 
 	var wg sync.WaitGroup
 	errs := make([]error, waiters)
@@ -102,7 +102,7 @@ func TestSingleflightErrorPropagation(t *testing.T) {
 		})
 		return boom
 	}
-	c := Wrap(inner, oneShard(4096, PolicyLRU))
+	c := Wrap(inner, oneShard(4096))
 
 	var wg sync.WaitGroup
 	errs := make([]error, waiters)
@@ -155,7 +155,7 @@ func TestInFlightFetchMarkedStaleByWrite(t *testing.T) {
 		})
 		return nil
 	}
-	c := Wrap(inner, oneShard(4096, PolicyLRU))
+	c := Wrap(inner, oneShard(4096))
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -183,6 +183,76 @@ func TestInFlightFetchMarkedStaleByWrite(t *testing.T) {
 	}
 }
 
+// parkAfterCopy is a store whose first read copies its bytes and then parks
+// until released, so a fetch can hold pre-write bytes while a write lands.
+type parkAfterCopy struct {
+	*memStore
+	first   atomic.Bool // set by the read that parks
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (s *parkAfterCopy) ReadAt(p []byte, off int64) error {
+	err := s.memStore.ReadAt(p, off)
+	if s.first.CompareAndSwap(false, true) {
+		close(s.parked)
+		<-s.release
+	}
+	return err
+}
+
+// A read issued after WriteAt returns must see the written bytes, even while
+// a fetch that copied the pre-write bytes is still in flight: the write
+// retires that fetch, so the later read starts its own instead of joining it.
+// The retired fetch still answers its own reader and is never inserted.
+func TestReadAfterWriteSkipsStaleFlight(t *testing.T) {
+	inner := &parkAfterCopy{memStore: newMemStore(4096), parked: make(chan struct{}), release: make(chan struct{})}
+	c := Wrap(inner, oneShard(4096))
+	old := append([]byte(nil), inner.data[:64]...)
+	fresh := bytes.Repeat([]byte{0xAB}, 64)
+	releaseA := sync.OnceFunc(func() { close(inner.release) })
+	defer releaseA()
+
+	a := make([]byte, 64)
+	aDone := make(chan error, 1)
+	go func() { aDone <- c.ReadAt(a, 0) }()
+	<-inner.parked // A missed and holds the old bytes
+	if err := c.WriteAt(fresh, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	b := make([]byte, 64)
+	bDone := make(chan error, 1)
+	go func() { bDone <- c.ReadAt(b, 0) }()
+	select {
+	case err := <-bDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		releaseA()
+		<-bDone
+		t.Fatalf("read after the write waited on the pre-write fetch and got %x", b[:8])
+	}
+	if !bytes.Equal(b, fresh) {
+		t.Fatalf("read after the write returned %x, want the written bytes", b[:8])
+	}
+
+	releaseA()
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, old) {
+		t.Fatal("A did not get the bytes its own fetch read")
+	}
+	if got := mustRead(t, c, 0, 64); !bytes.Equal(got, fresh) {
+		t.Fatal("the stale fetch was cached")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Coalesced != 0 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 2 misses, 0 coalesced, 1 hit", s)
+	}
+}
+
 // Hammer: concurrent readers and writers over a small key space. Run with
 // -race; correctness check is that every read observes some complete block
 // state (the store writes whole blocks of one repeated byte).
@@ -201,7 +271,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			inner.data[b*blockSize+i] = byte(b)
 		}
 	}
-	c := Wrap(inner, Config{CapacityBytes: 3 * blockSize, Policy: PolicyClock, Shards: 1})
+	c := Wrap(inner, oneShard(3*blockSize))
 
 	var wg sync.WaitGroup
 	var bad atomic.Int64

@@ -3,6 +3,7 @@ package ooc
 import (
 	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/reqcost"
 )
 
 // CacheConfig is the block-cache configuration accepted by the disk samplers
@@ -23,38 +24,54 @@ type CacheableSampler interface {
 	Cache() *blockcache.CachedStore
 }
 
-// enableCache implements the EnableCache contract over a sampler's base
-// store: the previous cache (if any) is cleared so the resident-bytes gauge
-// tracks live caches only, and the returned store is what the sampler should
-// read through.
-func enableCache(base BlockStore, old *blockcache.CachedStore, cfg CacheConfig) (BlockStore, *blockcache.CachedStore) {
-	if old != nil {
-		old.Clear()
-	}
-	if cfg.CapacityBytes <= 0 {
-		return base, nil
-	}
-	c := blockcache.Wrap(base, cfg)
-	return c, c
+// readPath is the read side both disk samplers embed: the store the sampler
+// was built onto and, when enabled, the block cache layered over it.
+type readPath struct {
+	base  BlockStore
+	cache *blockcache.CachedStore
 }
 
-// EnableCache implements CacheableSampler: trunk-record reads go through the
-// cache, and the device counters of Store() keep reporting device traffic
-// only (the cache delegates Counters/PagesRead).
-func (d *DiskPAT) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
-	d.store, d.cache = enableCache(d.base, d.cache, cfg)
-	return d.cache
+// EnableCache implements CacheableSampler. The previous cache (if any) is
+// cleared so the resident-bytes gauge tracks live caches only. Reads then go
+// through the new cache, and the device counters of Store() keep reporting
+// device traffic only (the cache delegates Counters/PagesRead).
+func (p *readPath) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
+	if p.cache != nil {
+		p.cache.Clear()
+		p.cache = nil
+	}
+	if cfg.CapacityBytes > 0 {
+		p.cache = blockcache.Wrap(p.base, cfg)
+	}
+	return p.cache
 }
 
 // Cache implements CacheableSampler.
-func (d *DiskPAT) Cache() *blockcache.CachedStore { return d.cache }
+func (p *readPath) Cache() *blockcache.CachedStore { return p.cache }
 
-// EnableCache implements CacheableSampler for the full-neighbor-load
-// baseline, caching whole adjacency blocks.
-func (d *DiskGraphWalker) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
-	d.store, d.cache = enableCache(d.base, d.cache, cfg)
-	return d.cache
+// Store returns the store reads go through: the cache when one is enabled,
+// else the backing store (for I/O accounting either way).
+func (p *readPath) Store() BlockStore {
+	if p.cache != nil {
+		return p.cache
+	}
+	return p.base
 }
 
-// Cache implements CacheableSampler.
-func (d *DiskGraphWalker) Cache() *blockcache.CachedStore { return d.cache }
+// read fills buf from off and bills rc: through the cache, as a hit or a
+// miss, when one is enabled, else as a device read. source is how the cache
+// served the read, or "" when there is no cache, so a block-fetch span
+// carries a source exactly when a cache is enabled.
+func (p *readPath) read(rc *reqcost.Collector, buf []byte, off int64) (source string, err error) {
+	if p.cache == nil {
+		if err = p.base.ReadAt(buf, off); err == nil {
+			rc.DeviceRead(int64(len(buf)))
+		}
+		return "", err
+	}
+	src, err := p.cache.ReadAtSource(buf, off)
+	if err == nil {
+		rc.CacheRead(src != blockcache.SourceDevice, int64(len(buf)))
+	}
+	return src.String(), err
+}

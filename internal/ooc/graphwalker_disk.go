@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -25,10 +24,8 @@ const edgeRecBytes = 12
 // block from disk (O(D) I/O) and rebuilds the transition distribution by a
 // sequential scan.
 type DiskGraphWalker struct {
+	readPath // base is the store the adjacency was built onto
 	g        *temporal.Graph
-	store    BlockStore // read path: base, or the cache wrapped around it
-	base     BlockStore // the store the adjacency was built onto
-	cache    *blockcache.CachedStore
 	spec     sampling.WeightSpec
 	lambda   float64
 	minT     temporal.Time
@@ -51,12 +48,11 @@ func BuildDiskGraphWalker(g *temporal.Graph, spec sampling.WeightSpec, store Blo
 	}
 	minT, _ := g.TimeRange()
 	d := &DiskGraphWalker{
-		g:      g,
-		store:  store,
-		base:   store,
-		spec:   spec,
-		lambda: lambda,
-		minT:   minT,
+		readPath: readPath{base: store},
+		g:        g,
+		spec:     spec,
+		lambda:   lambda,
+		minT:     minT,
 		edgeOff: func() []int64 {
 			off := make([]int64, g.NumVertices()+1)
 			for u := 0; u < g.NumVertices(); u++ {
@@ -178,19 +174,9 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 		off := d.edgeBase + d.edgeOff[u]*edgeRecBytes
 		sp := trace.StartSpan(ctx, "ooc.block_fetch")
 		rc := reqcost.From(ctx)
-		var err error
-		if (sp != nil || rc != nil) && d.cache != nil {
-			var src blockcache.ReadSource
-			src, err = d.cache.ReadAtSource(buf, off)
-			sp.SetStr("source", src.String())
-			if err == nil {
-				rc.CacheRead(src == blockcache.SourceCache || src == blockcache.SourceCoalesced, int64(len(buf)))
-			}
-		} else {
-			err = d.store.ReadAt(buf, off)
-			if err == nil {
-				rc.DeviceRead(int64(len(buf)))
-			}
+		src, err := d.read(rc, buf, off)
+		if src != "" {
+			sp.SetStr("source", src)
 		}
 		if sp != nil {
 			sp.SetInt("vertex", int64(u))
@@ -270,6 +256,3 @@ func (d *DiskGraphWalker) Err() error {
 	defer d.errMu.Unlock()
 	return d.firstErr
 }
-
-// Store returns the backing block store.
-func (d *DiskGraphWalker) Store() BlockStore { return d.store }

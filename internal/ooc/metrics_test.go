@@ -63,7 +63,7 @@ func TestRetryAndFaultMetrics(t *testing.T) {
 	retries0 := mRetries.Value()
 	injected0 := mInjected.Value()
 
-	d := &DiskPAT{store: inj, retry: RetryPolicy{MaxRetries: 3}, trunkOff: []int64{0}, trunkSize: 1}
+	d := &DiskPAT{readPath: readPath{base: inj}, retry: RetryPolicy{MaxRetries: 3}, trunkOff: []int64{0}, trunkSize: 1}
 	if err := d.trunkRecord(context.Background(), 0, 0, make([]byte, 16)); err == nil {
 		t.Fatal("read through a 100% transient fault injector succeeded")
 	}

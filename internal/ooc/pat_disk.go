@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -46,10 +45,8 @@ var DefaultRetryPolicy = RetryPolicy{MaxRetries: 5, BaseDelay: 100 * time.Micros
 // Sampling reads exactly one trunk record per step: O(trunkSize) I/O versus
 // the O(D) of a full-neighbor-load engine (§5.6).
 type DiskPAT struct {
+	readPath  // base is the store the PAT was built onto
 	g         *temporal.Graph
-	store     BlockStore // read path: base, or the cache wrapped around it
-	base      BlockStore // the store the PAT was built onto
-	cache     *blockcache.CachedStore
 	trunkSize int
 
 	trunkOff []int64   // per vertex: first trunk index
@@ -73,9 +70,8 @@ func BuildDiskPAT(w *sampling.GraphWeights, store BlockStore, trunkSize int) (*D
 	g := w.Graph()
 	numV := g.NumVertices()
 	d := &DiskPAT{
+		readPath:  readPath{base: store},
 		g:         g,
-		store:     store,
-		base:      store,
 		trunkSize: trunkSize,
 		retry:     DefaultRetryPolicy,
 		trunkOff:  make([]int64, numV+1),
@@ -153,7 +149,7 @@ func (d *DiskPAT) Name() string { return "TEA-OOC" }
 //
 // When ctx carries an active trace span (the SampleCtx path of a traced
 // run), the fetch is wrapped in an "ooc.block_fetch" span annotated with the
-// block coordinates, the cache source (hit/miss/coalesced/bypass) when a
+// block coordinates, the cache source (hit/miss/coalesced) when a
 // block cache is enabled, and the retry count; each retry additionally drops
 // a KindRetry event into the flight recorder. Untraced runs pass
 // context.Background() and skip all of it on the nil-span fast path.
@@ -169,25 +165,8 @@ func (d *DiskPAT) trunkRecord(ctx context.Context, u temporal.Vertex, t int, buf
 	sp := trace.StartSpan(ctx, "ooc.block_fetch")
 	rc := reqcost.From(ctx)
 	off := d.diskBase + (d.trunkOff[u]+int64(t))*int64(d.trunkSize*slotBytes)
-	var src blockcache.ReadSource
-	srcKnown := false
-	readOnce := func() error {
-		if (sp != nil || rc != nil) && d.cache != nil {
-			s, err := d.cache.ReadAtSource(buf, off)
-			src, srcKnown = s, true
-			if err == nil {
-				rc.CacheRead(s == blockcache.SourceCache || s == blockcache.SourceCoalesced, int64(len(buf)))
-			}
-			return err
-		}
-		err := d.store.ReadAt(buf, off)
-		if err == nil {
-			rc.DeviceRead(int64(len(buf)))
-		}
-		return err
-	}
 	retries := 0
-	err := readOnce()
+	src, err := d.read(rc, buf, off)
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < d.retry.MaxRetries; attempt++ {
 		d.retries.Add(1)
 		mRetries.Inc()
@@ -200,7 +179,7 @@ func (d *DiskPAT) trunkRecord(ctx context.Context, u temporal.Vertex, t int, buf
 		if d.retry.BaseDelay > 0 {
 			time.Sleep(d.retry.BaseDelay << attempt)
 		}
-		err = readOnce()
+		src, err = d.read(rc, buf, off)
 	}
 	if err != nil {
 		err = fmt.Errorf("ooc: trunk read for vertex %d trunk %d failed: %w", u, t, err)
@@ -216,8 +195,8 @@ func (d *DiskPAT) trunkRecord(ctx context.Context, u temporal.Vertex, t int, buf
 		sp.SetInt("vertex", int64(u))
 		sp.SetInt("trunk", int64(t))
 		sp.SetInt("bytes", int64(len(buf)))
-		if srcKnown {
-			sp.SetStr("source", src.String())
+		if src != "" {
+			sp.SetStr("source", src)
 		}
 		if retries > 0 {
 			sp.SetInt("retries", int64(retries))
@@ -473,6 +452,3 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 func (d *DiskPAT) MemoryBytes() int64 {
 	return int64(len(d.trunkCum))*8 + int64(len(d.trunkOff)+len(d.cumOff))*8
 }
-
-// Store returns the backing block store (for I/O accounting).
-func (d *DiskPAT) Store() BlockStore { return d.store }

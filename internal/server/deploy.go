@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/fault"
@@ -70,12 +69,11 @@ type Deployment struct {
 type EngineMode struct{ OutOfCore bool }
 
 // OOCOptions tune the out-of-core engine: the block store path (empty: a
-// temp file removed when Run returns), the block cache capacity over trunk
-// reads (0 disables it) and its eviction policy, lru or clock.
+// temp file removed when Run returns) and the block cache capacity over
+// trunk reads (0 disables it).
 type OOCOptions struct {
-	Store       string
-	CacheBytes  int64
-	CachePolicy string
+	Store      string
+	CacheBytes int64
 }
 
 // DurableMode serves a live write-ahead-logged stream graph in Dir that
@@ -111,7 +109,7 @@ type RouterMode struct{ Shards string }
 
 // Defaults of the option sections; the flag tables show them in -h.
 var (
-	DefaultOOC   = OOCOptions{CacheBytes: 64 << 20, CachePolicy: "lru"}
+	DefaultOOC   = OOCOptions{CacheBytes: 64 << 20}
 	DefaultScrub = scrub.Config{Interval: 5 * time.Minute, RateMBps: 32}
 )
 
@@ -134,7 +132,7 @@ func (d *Deployment) Validate() error {
 	case modes != 1:
 		return fmt.Errorf("flags of %d modes: set those of one — engine (-input, -ooc), durable (-wal-dir, %s), shard (-shard-id, %s) or router (-shards)", modes, durableFlags, shardFlags)
 	case d.OOC != nil && !outOfCore:
-		return errors.New("-ooc-store, -ooc-cache-bytes and -ooc-cache-policy need -ooc")
+		return errors.New("-ooc-store and -ooc-cache-bytes need -ooc")
 	case d.Scrub != nil && !outOfCore && d.Durable == nil:
 		return errors.New("-scrub-interval and -scrub-rate-mbps apply only with -wal-dir or -ooc")
 	case d.Router != nil && (d.Input != "" || d.App != (core.AppSpec{})):
@@ -144,11 +142,6 @@ func (d *Deployment) Validate() error {
 			return fmt.Errorf("-shards: %w", err)
 		}
 		return nil
-	}
-	if d.OOC != nil {
-		if _, err := blockcache.ParsePolicy(d.OOC.CachePolicy); err != nil {
-			return fmt.Errorf("-ooc-cache-policy: %w", err)
-		}
 	}
 	app, err := d.App.App(nil)
 	switch dm := d.Durable; {
@@ -334,11 +327,8 @@ func (r *run) engine() (http.Handler, error) {
 			return nil, fmt.Errorf("disk PAT build: %w", err)
 		}
 		store.ResetCounters() // device counters report serving traffic, not the build
-		if o.CacheBytes > 0 {
-			policy, _ := blockcache.ParsePolicy(o.CachePolicy)
-			dp.EnableCache(ooc.CacheConfig{CapacityBytes: o.CacheBytes, Policy: policy})
-		}
-		r.Logger.Info("out-of-core store", "path", store.Path(), "cache_bytes", o.CacheBytes, "cache_policy", o.CachePolicy)
+		dp.EnableCache(ooc.CacheConfig{CapacityBytes: o.CacheBytes})
+		r.Logger.Info("out-of-core store", "path", store.Path(), "cache_bytes", o.CacheBytes)
 		opts.ExternalSampler, opts.ExternalWeights = dp, w
 	}
 	eng, err := core.NewEngine(g, app, opts)

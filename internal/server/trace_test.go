@@ -149,7 +149,7 @@ func TestTraceEndToEndOOC(t *testing.T) {
 			t.Fatalf("block fetch without source attr: %+v", f.Attrs)
 		}
 		switch src {
-		case "hit", "miss", "coalesced", "bypass":
+		case "hit", "miss", "coalesced":
 		default:
 			t.Fatalf("block fetch source = %v", src)
 		}
