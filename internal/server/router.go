@@ -22,18 +22,20 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
-	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/shard"
@@ -192,13 +194,10 @@ func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, pa
 		}
 		return shardReply{err: err}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
+	body, err := readShardBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return shardReply{err: err}
-	}
-	if len(body) > maxShardBody {
-		return shardReply{err: fmt.Errorf("response exceeds %d bytes", maxShardBody)}
 	}
 	if sp != nil {
 		sp.SetInt("status", int64(resp.StatusCode))
@@ -208,6 +207,28 @@ func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, pa
 		retryAfter: resp.Header.Get("Retry-After"),
 		body:       body,
 	}
+}
+
+// errShardTooLarge refuses a shard response body beyond maxShardBody.
+var errShardTooLarge = fmt.Errorf("response exceeds %d bytes", maxShardBody)
+
+// readShardBody reads a response body of at most maxShardBody bytes into
+// one buffer sized from its Content-Length, so a body that declares its
+// length is read without regrowing. The /walk merge splices sub-slices of
+// the buffer into the reply, so it is never pooled.
+func readShardBody(resp *http.Response) ([]byte, error) {
+	size := resp.ContentLength
+	if size > maxShardBody {
+		return nil, errShardTooLarge
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxShardBody+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxShardBody {
+		return nil, errShardTooLarge
+	}
+	return buf.Bytes(), nil
 }
 
 // shardErrMsg extracts the {"error": "..."} body of a shard error response,
@@ -231,51 +252,269 @@ func (rt *Router) writeShardDown(w http.ResponseWriter, shardID int, detail stri
 	rt.retryErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %d unavailable: %s", shardID, detail))
 }
 
-// shardWalkResponse is how the router decodes one shard's partial answer to a
-// /walk: the walks whose global walk ids this shard coordinated, parallel to
-// WalkIDs. The router merges these by walk id into the single-process reply.
-type shardWalkResponse struct {
-	From       temporal.Vertex   `json:"from"`
-	Shard      int               `json:"shard"`
-	Partitions int               `json:"partitions"`
-	WalkIDs    []int             `json:"walk_ids"`
-	Walks      [][]walkHop       `json:"walks"`
-	Cost       map[string]string `json:"cost"`
-	// CostDetail is this shard's share of the request's resource consumption,
+// shardWalk is one shard's partial answer to a /walk as the router merges
+// it: walks[i] is the walk with global id walkIDs[i], still in the bytes the
+// shard rendered, plus the four cost counters the router sums.
+type shardWalk struct {
+	partitions                       int
+	walkIDs                          []int
+	walks                            [][]byte // sub-slices of the shard's body
+	steps, edges, migrations, frames int64
+	// detail is this shard's share of the request's resource consumption,
 	// present when the request carried ?cost=1; the router merges the shares
 	// into the assembled response's cost_detail with a per-shard split.
-	CostDetail *reqcost.Cost `json:"cost_detail,omitempty"`
-	// Spans carries compact span summaries (this shard's run/hop timings plus
+	detail *reqcost.Cost
+	// spans carries compact span summaries (this shard's run/hop timings plus
 	// whatever peers shipped on step responses) when the request was sampled
 	// upstream; the router injects them into its tracer so one X-Request-ID
 	// yields one cross-process trace.
-	Spans []wire.SpanSummary `json:"spans,omitempty"`
+	spans []wire.SpanSummary
 }
 
-// walkHop is one hop of a walk as a shard's reply carries it; only the router
-// still decodes walks from JSON.
-type walkHop struct {
-	Vertex temporal.Vertex `json:"v"`
-	Time   *int64          `json:"t,omitempty"` // nil for the start vertex
+// parseShardWalk reads a shard's partial /walk reply in one pass. It accepts
+// exactly what walkReply.appendJSON renders for a partial reply and nothing
+// else — no whitespace, members in their rendered order, canonical decimals
+// (walk ids and counts never negative), a start hop without "t" and every
+// later hop with one — so a walk's bytes can be copied into the merged reply
+// as they stand. Only strings with escapes and the optional cost_detail and
+// spans members go through encoding/json.
+func parseShardWalk(body []byte) (shardWalk, error) {
+	var sw shardWalk
+	c := scanner{b: body, ok: true}
+	c.lit(`{"from":`)
+	c.uint(math.MaxUint32)
+	c.lit(`,"shard":`)
+	c.uint(math.MaxInt)
+	c.lit(`,"partitions":`)
+	sw.partitions = int(c.uint(math.MaxInt))
+	c.lit(`,"walk_ids":`)
+	if !c.null() {
+		c.lit("[")
+		for c.ok && !c.next(']') {
+			if len(sw.walkIDs) > 0 {
+				c.lit(",")
+			}
+			sw.walkIDs = append(sw.walkIDs, int(c.uint(math.MaxInt)))
+		}
+	}
+	c.lit(`,"walks":`)
+	if !c.null() {
+		c.lit("[")
+		for c.ok && !c.next(']') {
+			if len(sw.walks) > 0 {
+				c.lit(",")
+			}
+			start := c.i
+			c.lit(`[{"v":`)
+			c.uint(math.MaxUint32)
+			c.lit("}")
+			for c.ok && !c.next(']') {
+				c.lit(`,{"v":`)
+				c.uint(math.MaxUint32)
+				c.lit(`,"t":`)
+				c.int()
+				c.lit("}")
+			}
+			sw.walks = append(sw.walks, body[start:c.i])
+		}
+	}
+	// The cost object's keys are strictly increasing, as rendered; of its
+	// values only the four the router sums are read, and those must be
+	// canonical integers.
+	c.lit(`,"cost":{`)
+	var prev []byte
+	for n := 0; c.ok && !c.next('}'); n++ {
+		if n > 0 {
+			c.lit(",")
+		}
+		key := c.str()
+		if n > 0 && bytes.Compare(prev, key) >= 0 {
+			c.ok = false
+		}
+		prev = key
+		c.lit(":")
+		val := c.str()
+		var sum *int64
+		switch string(key) {
+		case "steps":
+			sum = &sw.steps
+		case "edges_evaluated":
+			sum = &sw.edges
+		case "migrations":
+			sum = &sw.migrations
+		case "frames":
+			sum = &sw.frames
+		}
+		if sum != nil && c.ok {
+			v := scanner{b: val, ok: true}
+			*sum = v.int()
+			c.ok = v.ok && v.i == len(val)
+		}
+	}
+	if !c.ok {
+		return shardWalk{}, fmt.Errorf("unexpected input at byte %d", c.i)
+	}
+	tail, ok := bytes.CutSuffix(body[c.i:], []byte("}\n"))
+	if !ok {
+		return shardWalk{}, fmt.Errorf("no closing brace and newline after byte %d", c.i)
+	}
+	if len(tail) > 0 {
+		if err := parseShardTail(tail, &sw); err != nil {
+			return shardWalk{}, fmt.Errorf("after byte %d: %v", c.i, err)
+		}
+	}
+	return sw, nil
 }
 
-// pathOf turns a decoded shard walk back into a path. Only the start hop
-// lacks a time; a shard body where that does not hold is malformed.
-func pathOf(hops []walkHop) (core.Path, bool) {
-	p := core.Path{Vertices: make([]temporal.Vertex, len(hops))}
-	if len(hops) > 1 {
-		p.Times = make([]temporal.Time, len(hops)-1)
+// parseShardTail decodes the optional members that follow "cost" and
+// refuses them unless they re-render to the same bytes.
+func parseShardTail(tail []byte, sw *shardWalk) error {
+	var t struct {
+		CostDetail *reqcost.Cost      `json:"cost_detail"`
+		Spans      []wire.SpanSummary `json:"spans"`
 	}
-	for j, h := range hops {
-		if (h.Time == nil) != (j == 0) {
-			return core.Path{}, false
-		}
-		p.Vertices[j] = h.Vertex
-		if j > 0 {
-			p.Times[j-1] = temporal.Time(*h.Time)
+	obj := append([]byte{'{'}, tail[1:]...)
+	if err := json.Unmarshal(append(obj, '}'), &t); err != nil {
+		return err
+	}
+	rep := walkReply{detail: t.CostDetail, spans: t.Spans}
+	if !sameUpToFFFD(rep.appendTail(nil), tail) {
+		return errors.New("cost_detail or spans not as a shard renders them")
+	}
+	sw.detail, sw.spans = t.CostDetail, t.Spans
+	return nil
+}
+
+// sameUpToFFFD reports whether render, encoding/json's rendering of what src
+// decoded to, is src — where src may spell U+FFFD as \ufffd, which is how
+// encoding/json writes an invalid UTF-8 byte that decodes to U+FFFD.
+func sameUpToFFFD(render, src []byte) bool {
+	for len(render) > 0 && len(src) > 0 {
+		switch {
+		case bytes.HasPrefix(render, []byte("\uFFFD")) && bytes.HasPrefix(src, []byte(`\ufffd`)):
+			render, src = render[len("\uFFFD"):], src[len(`\ufffd`):]
+		case render[0] == src[0]:
+			render, src = render[1:], src[1:]
+		default:
+			return false
 		}
 	}
-	return p, true
+	return len(render) == 0 && len(src) == 0
+}
+
+// scanner is parseShardWalk's cursor over a body. The first mismatch clears
+// ok and leaves i at the offending byte; every later call is then a no-op.
+type scanner struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// has reports whether s comes next.
+func (c *scanner) has(s string) bool {
+	return c.ok && len(c.b)-c.i >= len(s) && string(c.b[c.i:c.i+len(s)]) == s
+}
+
+// lit consumes s.
+func (c *scanner) lit(s string) {
+	if c.has(s) {
+		c.i += len(s)
+	} else {
+		c.ok = false
+	}
+}
+
+// next consumes b if it is the next byte and reports whether it was.
+func (c *scanner) next(b byte) bool {
+	if c.ok && c.i < len(c.b) && c.b[c.i] == b {
+		c.i++
+		return true
+	}
+	return false
+}
+
+// null consumes a JSON null and reports whether there was one.
+func (c *scanner) null() bool {
+	if c.has("null") {
+		c.i += len("null")
+		return true
+	}
+	return false
+}
+
+// uint consumes a canonical decimal — no sign, no leading zero — of at most
+// max, which is below 10¹⁹: nineteen digits cannot overflow a uint64.
+func (c *scanner) uint(max uint64) uint64 {
+	if !c.ok {
+		return 0
+	}
+	start := c.i
+	var n uint64
+	for ; c.i < len(c.b) && '0' <= c.b[c.i] && c.b[c.i] <= '9' && c.i-start < 19; c.i++ {
+		n = n*10 + uint64(c.b[c.i]-'0')
+	}
+	if c.i == start || c.i-start > 1 && c.b[start] == '0' || n > max ||
+		c.i < len(c.b) && '0' <= c.b[c.i] && c.b[c.i] <= '9' {
+		c.i, c.ok = start, false
+		return 0
+	}
+	return n
+}
+
+// int consumes a canonical int64 as strconv.AppendInt renders it: an
+// optional minus sign, never before 0.
+func (c *scanner) int() int64 {
+	if !c.next('-') {
+		return int64(c.uint(math.MaxInt64))
+	}
+	n := c.uint(1 << 63)
+	if n == 0 {
+		c.ok = false
+	}
+	return int64(-n)
+}
+
+// str consumes a JSON string as appendString renders it and returns its
+// contents: a sub-slice of the body for a string copied verbatim, a decoded
+// copy for one with escapes.
+func (c *scanner) str() []byte {
+	start := c.i
+	c.lit(`"`)
+	for c.ok && c.i < len(c.b) {
+		r, size := utf8.DecodeRune(c.b[c.i:])
+		switch {
+		case r == '"':
+			c.i++
+			return c.b[start+1 : c.i-1]
+		case r == '\\':
+			return c.escapedStr(start)
+		case jsonEscapes(r, size):
+			c.ok = false
+			return nil
+		}
+		c.i += size
+	}
+	c.ok = false
+	return nil
+}
+
+// escapedStr finishes the string that opened at start and holds an escape.
+// It must be exactly what appendString renders for its decoded contents.
+func (c *scanner) escapedStr(start int) []byte {
+	for c.i < len(c.b) && c.b[c.i] != '"' {
+		if c.b[c.i] == '\\' {
+			c.i++
+		}
+		c.i++
+	}
+	c.i++
+	var s string
+	if c.i > len(c.b) || json.Unmarshal(c.b[start:c.i], &s) != nil ||
+		!sameUpToFFFD(appendString(nil, s), c.b[start:c.i]) {
+		c.i, c.ok = start, false
+		return nil
+	}
+	return []byte(s)
 }
 
 func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
@@ -321,59 +560,54 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Merge the partial walk lists by global walk id. Every id in [0, count)
-	// must be claimed exactly once across the cluster — anything else means
-	// the shards disagree about ownership (mismatched partition counts) and
-	// is a deployment error, not a client one.
-	walks := make([]core.Path, count) // Vertices is nil until a shard claims the walk
+	// Splice the partial walk lists by global walk id. Every id in
+	// [0, count) must be claimed exactly once across the cluster — anything
+	// else means the shards disagree about ownership (mismatched partition
+	// counts) and is a deployment error, not a client one.
+	walks := make([][]byte, count) // nil until a shard claims the walk
 	var steps, edges, migrations, frames int64
 	clusterCost := reqcost.Cost{Shards: map[string]*reqcost.Cost{}}
 	var spanRecs []trace.SpanRecord
 	for i, rep := range replies {
-		var sr shardWalkResponse
-		if err := json.Unmarshal(rep.body, &sr); err != nil {
+		sw, err := parseShardWalk(rep.body)
+		if err != nil {
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: malformed response: %v", i, err))
 			return
 		}
-		if sr.Partitions != len(rt.groups) {
+		if sw.partitions != len(rt.groups) {
 			writeErr(w, http.StatusBadGateway,
-				fmt.Errorf("shard %d built for %d partitions, router has %d shards", i, sr.Partitions, len(rt.groups)))
+				fmt.Errorf("shard %d built for %d partitions, router has %d shards", i, sw.partitions, len(rt.groups)))
 			return
 		}
-		if len(sr.WalkIDs) != len(sr.Walks) {
+		if len(sw.walkIDs) != len(sw.walks) {
 			writeErr(w, http.StatusBadGateway,
-				fmt.Errorf("shard %d: %d walk ids for %d walks", i, len(sr.WalkIDs), len(sr.Walks)))
+				fmt.Errorf("shard %d: %d walk ids for %d walks", i, len(sw.walkIDs), len(sw.walks)))
 			return
 		}
-		for j, id := range sr.WalkIDs {
-			if id < 0 || id >= count {
+		for j, id := range sw.walkIDs {
+			if id >= count {
 				writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: walk id %d outside [0, %d)", i, id, count))
 				return
 			}
-			if walks[id].Vertices != nil {
+			if walks[id] != nil {
 				writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by more than one shard", id))
 				return
 			}
-			p, ok := pathOf(sr.Walks[j])
-			if !ok {
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: malformed walk %d", i, id))
-				return
-			}
-			walks[id] = p
+			walks[id] = sw.walks[j]
 		}
-		steps += costInt(sr.Cost, "steps")
-		edges += costInt(sr.Cost, "edges_evaluated")
-		migrations += costInt(sr.Cost, "migrations")
-		frames += costInt(sr.Cost, "frames")
-		if sr.CostDetail != nil {
-			clusterCost.Add(*sr.CostDetail)
-			clusterCost.Shards[strconv.Itoa(i)] = sr.CostDetail
+		steps += sw.steps
+		edges += sw.edges
+		migrations += sw.migrations
+		frames += sw.frames
+		if sw.detail != nil {
+			clusterCost.Add(*sw.detail)
+			clusterCost.Shards[strconv.Itoa(i)] = sw.detail
 		}
 		// Shard span summaries become real spans in the router's tracer: each
 		// gets a placeholder SpanID here (Inject remaps them onto the tracer's
 		// own sequence) and identity attrs, so one X-Request-ID resolves to
 		// one trace spanning every process the request touched.
-		for _, ss := range sr.Spans {
+		for _, ss := range sw.spans {
 			attrs := []trace.Attr{
 				trace.Str("instance", fmt.Sprintf("shard-%d", ss.Shard)),
 				trace.Int("shard_id", int64(ss.Shard)),
@@ -390,8 +624,8 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	for id, p := range walks {
-		if p.Vertices == nil {
+	for id, walk := range walks {
+		if walk == nil {
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by no shard", id))
 			return
 		}
@@ -405,7 +639,7 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 		rt.cfg.Trace.Inject(trace.RequestID(r.Context()), spanRecs)
 	}
 
-	rep := walkReply{from: temporal.Vertex(fromID), paths: walks}
+	rep := walkReply{from: temporal.Vertex(fromID), walks: walks}
 	if q.Get("cost") == "1" && len(clusterCost.Shards) > 0 {
 		rep.detail = &clusterCost
 	}
@@ -420,12 +654,6 @@ func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
 		cost = append(cost, costRatio("edges_per_step", float64(edges)/float64(steps)))
 	}
 	writeWalkReply(w, &rep, cost...)
-}
-
-// costInt reads an int64 cost field, tolerating absence.
-func costInt(cost map[string]string, key string) int64 {
-	v, _ := strconv.ParseInt(cost[key], 10, 64)
-	return v
 }
 
 // handleHealth is cluster health rolled up from every shard's /healthz. An

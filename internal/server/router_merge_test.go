@@ -52,6 +52,11 @@ func TestRouterMergeTable(t *testing.T) {
 		{"later hop without a time", edit(0, `{"v":9,"t":-3}`, `{"v":9}`), http.StatusBadGateway},
 		{"vertex past uint32", edit(1, `{"v":4294967295,`, `{"v":4294967296,`), http.StatusBadGateway},
 		{"time past int64", edit(1, `"t":9223372036854775807`, `"t":9223372036854775808`), http.StatusBadGateway},
+		// Valid JSON the shard encoder never writes: a shard reply is spliced
+		// as it stands, so it must be in exactly the rendered form.
+		{"whitespace", edit(0, `"walk_ids":[0,2]`, `"walk_ids": [0, 2]`), http.StatusBadGateway},
+		{"reordered keys", edit(0, `{"v":9,"t":-3}`, `{"t":-3,"v":9}`), http.StatusBadGateway},
+		{"leading zeros", edit(1, `"steps":"2"`, `"steps":"02"`), http.StatusBadGateway},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var shards []string

@@ -17,7 +17,8 @@ import (
 
 // Every /walk reply — the single-process server's, the durable server's, a
 // shard's partial reply and the router's merged one — is rendered here, by
-// appending straight from []core.Path into a pooled buffer. The bytes are
+// appending straight from []core.Path into a pooled buffer; the router
+// splices in the walks its shards already rendered instead. The bytes are
 // exactly what json.NewEncoder(w).Encode produced for the reply structs this
 // replaced: keys in declaration order, cost keys sorted, "walks":null for no
 // paths, no "t" on a walk's start hop, a trailing newline.
@@ -47,8 +48,11 @@ type walkReply struct {
 	shard, partitions int
 	walkIDs           []int
 	paths             []core.Path
-	detail            *reqcost.Cost
-	spans             []wire.SpanSummary
+	// walks, when non-nil, replaces paths: each is one walk's JSON array as
+	// a shard rendered it, spliced in order (the router's merged reply).
+	walks  [][]byte
+	detail *reqcost.Cost
+	spans  []wire.SpanSummary
 }
 
 // appendJSON appends the reply's JSON encoding and its trailing newline. The
@@ -67,7 +71,18 @@ func (rep *walkReply) appendJSON(b []byte, cost []costField) []byte {
 		b = appendInts(b, rep.walkIDs)
 	}
 	b = append(b, `,"walks":`...)
-	b = appendPaths(b, rep.paths)
+	if rep.walks != nil {
+		b = append(b, '[')
+		for i, w := range rep.walks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, w...)
+		}
+		b = append(b, ']')
+	} else {
+		b = appendPaths(b, rep.paths)
+	}
 	b = append(b, `,"cost":{`...)
 	slices.SortFunc(cost, func(x, y costField) int { return strings.Compare(x.key, y.key) })
 	for i, f := range cost {
@@ -90,6 +105,12 @@ func (rep *walkReply) appendJSON(b []byte, cost []costField) []byte {
 		}
 	}
 	b = append(b, '}')
+	return append(rep.appendTail(b), "}\n"...)
+}
+
+// appendTail appends the optional members after "cost": cost_detail and
+// spans, each present only when set.
+func (rep *walkReply) appendTail(b []byte) []byte {
 	if rep.detail != nil {
 		b = append(b, `,"cost_detail":`...)
 		b = appendMarshal(b, rep.detail)
@@ -98,7 +119,7 @@ func (rep *walkReply) appendJSON(b []byte, cost []costField) []byte {
 		b = append(b, `,"spans":`...)
 		b = appendMarshal(b, rep.spans)
 	}
-	return append(b, "}\n"...)
+	return b
 }
 
 // appendPaths renders walks as arrays of hops: {"v":vertex} for the start,
@@ -145,21 +166,12 @@ func appendInts(b []byte, xs []int) []byte {
 }
 
 // appendString appends s as a JSON string. A string encoding/json copies
-// verbatim — valid UTF-8 with no quote, backslash, control character, <, >,
-// &, U+2028 or U+2029 — is copied here too; any other goes through
-// encoding/json itself, so the two cannot disagree.
+// verbatim is copied here too; any other goes through encoding/json itself,
+// so the two cannot disagree.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-				return appendMarshal(b, s)
-			}
-			i++
-			continue
-		}
 		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+		if jsonEscapes(r, size) {
 			return appendMarshal(b, s)
 		}
 		i += size
@@ -167,6 +179,14 @@ func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// jsonEscapes reports whether encoding/json escapes r, decoded from size
+// bytes, inside a string: a quote, a backslash, a control character, <, >,
+// &, U+2028, U+2029 or an invalid UTF-8 byte.
+func jsonEscapes(r rune, size int) bool {
+	return r < 0x20 || r == '"' || r == '\\' || r == '<' || r == '>' || r == '&' ||
+		r == '\u2028' || r == '\u2029' || r == utf8.RuneError && size == 1
 }
 
 // appendMarshal appends encoding/json's rendering of v. Only strings, ints

@@ -33,6 +33,52 @@ type walkResponse struct {
 	CostDetail *reqcost.Cost     `json:"cost_detail,omitempty"`
 }
 
+// shardWalkResponse is the struct a shard's partial /walk reply was encoded
+// from, and the router decoded it into, before the append encoder and the
+// router's splice. It stays as both oracles and as the tests' decoding
+// target.
+type shardWalkResponse struct {
+	From       temporal.Vertex    `json:"from"`
+	Shard      int                `json:"shard"`
+	Partitions int                `json:"partitions"`
+	WalkIDs    []int              `json:"walk_ids"`
+	Walks      [][]walkHop        `json:"walks"`
+	Cost       map[string]string  `json:"cost"`
+	CostDetail *reqcost.Cost      `json:"cost_detail,omitempty"`
+	Spans      []wire.SpanSummary `json:"spans,omitempty"`
+}
+
+// walkHop is one hop of a walk as the reply structs carried it.
+type walkHop struct {
+	Vertex temporal.Vertex `json:"v"`
+	Time   *int64          `json:"t,omitempty"` // nil for the start vertex
+}
+
+// pathOf turns a decoded walk back into a path. Only the start hop lacks a
+// time; a reply where that does not hold is malformed.
+func pathOf(hops []walkHop) (core.Path, bool) {
+	p := core.Path{Vertices: make([]temporal.Vertex, len(hops))}
+	if len(hops) > 1 {
+		p.Times = make([]temporal.Time, len(hops)-1)
+	}
+	for j, h := range hops {
+		if (h.Time == nil) != (j == 0) {
+			return core.Path{}, false
+		}
+		p.Vertices[j] = h.Vertex
+		if j > 0 {
+			p.Times[j-1] = temporal.Time(*h.Time)
+		}
+	}
+	return p, true
+}
+
+// costInt reads an int64 cost field of a decoded reply, tolerating absence.
+func costInt(cost map[string]string, key string) int64 {
+	v, _ := strconv.ParseInt(cost[key], 10, 64)
+	return v
+}
+
 // legacyWalks is paths as the reply structs carried them.
 func legacyWalks(paths []core.Path) [][]walkHop {
 	if paths == nil {
@@ -150,18 +196,26 @@ func FuzzWalkReplyJSON(f *testing.F) {
 	f.Add(uint32(math.MaxUint32), []byte{3, 0, 2, 255, 255, 255, 255, 1, 0, 0, 0, 0, 0, 0, 0x80}, "41.5µs", false)
 	f.Add(uint32(5), []byte{2, 5, 1, 2, 3, 4, 9, 9, 9, 9, 9, 9, 9, 9}, "<&>\u2028\xff", true)
 	f.Fuzz(func(t *testing.T, from uint32, data []byte, text string, partial bool) {
-		rep := walkReply{from: temporal.Vertex(from), paths: fuzzPaths(data)}
-		if partial {
-			rep.partial, rep.shard, rep.partitions = true, len(text), len(data)
-			rep.walkIDs = make([]int, len(rep.paths))
-			for i := range rep.walkIDs {
-				rep.walkIDs[i] = i * len(text)
-			}
-			rep.detail = &reqcost.Cost{Steps: int64(from), Shards: map[string]*reqcost.Cost{text: {Frames: 1}}}
-			rep.spans = []wire.SpanSummary{{Name: text, Shard: int32(len(data)), StartMicros: int64(from)}}
-		}
-		checkSameBytes(t, rep, costText("duration", text), costNum("steps", int64(len(data))-3), costText("x-"+text, text))
+		rep, cost := fuzzReply(from, data, text, partial)
+		checkSameBytes(t, rep, cost...)
 	})
+}
+
+// fuzzReply builds a reply and its cost fields out of fuzz input: the walks
+// come from data, the strings from text, and a partial reply also carries
+// walk ids, a cost_detail and spans.
+func fuzzReply(from uint32, data []byte, text string, partial bool) (walkReply, []costField) {
+	rep := walkReply{from: temporal.Vertex(from), paths: fuzzPaths(data)}
+	if partial {
+		rep.partial, rep.shard, rep.partitions = true, len(text), len(data)
+		rep.walkIDs = make([]int, len(rep.paths))
+		for i := range rep.walkIDs {
+			rep.walkIDs[i] = i * len(text)
+		}
+		rep.detail = &reqcost.Cost{Steps: int64(from), Shards: map[string]*reqcost.Cost{text: {Frames: 1}}}
+		rep.spans = []wire.SpanSummary{{Name: text, Shard: int32(len(data)), StartMicros: int64(from)}}
+	}
+	return rep, []costField{costText("duration", text), costNum("steps", int64(len(data))-3), costText("x-"+text, text)}
 }
 
 // fuzzPaths reads up to four walks out of data: a walk count, then per walk
