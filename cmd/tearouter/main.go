@@ -1,7 +1,8 @@
 // Command tearouter is the stateless front of a teaserve shard cluster: it
-// holds no graph and no index, only the shard addresses, fans every /walk to
-// all shards with the request's X-Request-ID attached, and merges the partial
-// responses by global walk id into exactly the single-process response shape.
+// holds no graph and no index, only the shard addresses. It sends every
+// /walk to one shard, from mod P, with the request's X-Request-ID attached;
+// that shard coordinates every walk of the request, and the router relays
+// its reply — exactly the single-process response — byte for byte.
 // Because it keeps no state, any number of router replicas can front the same
 // cluster behind a plain TCP load balancer.
 //
@@ -11,7 +12,7 @@
 //
 // The -shards list must be in shard-id order and match the -shard-peers list
 // the shards themselves were started with (same length = same partition
-// count); a mismatch is detected per-request and answered with 502.
+// count); a shard reply naming another partition count is answered with 502.
 //
 // A -shards entry may name several "|"-separated replica URLs serving the
 // same partition:
@@ -19,7 +20,7 @@
 //	tearouter -shards 'http://h0a:8080|http://h0b:8080,http://h1a:8080|http://h1b:8080'
 //
 // The router keeps a per-replica circuit breaker, prefers the healthiest /
-// fastest replica for every fanned request, and fails over to a sibling on a
+// fastest replica for every request, and fails over to a sibling on a
 // transport error or 503 — a single replica outage never surfaces to
 // clients. Only a partition with every replica down answers 503 +
 // Retry-After. /healthz and /readyz report the per-partition replica table,
@@ -38,7 +39,7 @@
 //	GET /readyz             200 only when every shard's /readyz is 200
 //	GET /stats              every shard's /stats under one response
 //	GET /walk?from=ID&length=80&count=1&seed=1    append &cost=1 for the
-//	                        merged per-shard cost_detail block
+//	                        routed shard's cost_detail block, cluster-wide
 //	GET /metrics            federated Prometheus exposition: the router's own
 //	                        series unlabeled, per-shard series under
 //	                        shard="<id>", cluster rollups under shard="all"

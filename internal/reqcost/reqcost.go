@@ -25,8 +25,6 @@ import (
 
 // Cost is one request's resource snapshot — the JSON shape of the response
 // "cost" block, /debug/tea/top entries, and the slow-request log fields.
-// On a router-assembled response, Shards carries the per-shard split keyed
-// by shard id.
 type Cost struct {
 	Steps          int64 `json:"steps"`
 	EdgesEvaluated int64 `json:"edges_evaluated"`
@@ -40,24 +38,6 @@ type Cost struct {
 	ReadOps        int64 `json:"read_ops,omitempty"`
 	ReadRetries    int64 `json:"read_retries,omitempty"`
 	WallMicros     int64 `json:"wall_us,omitempty"`
-
-	Shards map[string]*Cost `json:"shards,omitempty"`
-}
-
-// Add merges other's totals into c (Shards maps are not merged — the split
-// belongs to whoever assembled it).
-func (c *Cost) Add(other Cost) {
-	c.Steps += other.Steps
-	c.EdgesEvaluated += other.EdgesEvaluated
-	c.Walks += other.Walks
-	c.Migrations += other.Migrations
-	c.Frames += other.Frames
-	c.MigrationBytes += other.MigrationBytes
-	c.CacheHits += other.CacheHits
-	c.CacheMisses += other.CacheMisses
-	c.DeviceBytes += other.DeviceBytes
-	c.ReadOps += other.ReadOps
-	c.ReadRetries += other.ReadRetries
 }
 
 // Collector accumulates one request's cost. All methods are safe for
@@ -134,8 +114,8 @@ func (c *Collector) ReadRetry() {
 	c.readRetries.Add(1)
 }
 
-// AddCost merges an externally assembled Cost (e.g. a shard's cost_detail
-// merged at the router).
+// AddCost merges an externally assembled Cost (e.g. the cost ledger a shard
+// returns to the router).
 func (c *Collector) AddCost(cost Cost) {
 	if c == nil {
 		return

@@ -420,7 +420,7 @@ func (r *run) durable() (http.Handler, error) {
 
 // shard builds one shard of a partitioned cluster: a binary-RPC listener
 // answers peer step batches (walker migration) while the HTTP handler
-// answers /walk for the walks whose source vertex this shard owns. Every
+// answers /walk, coordinating every walk of the request. Every
 // shard loads the same graph file, and the owner table is a pure function
 // of it, so the shards agree on ownership with no coordination.
 func (r *run) shard() (http.Handler, error) {

@@ -1,11 +1,10 @@
 // Router: the stateless front of a shard cluster. It holds no graph and no
 // index — only the shard base URLs — so any number of router replicas can
-// front the same cluster. GET /walk fans the query to every partition with
-// the request's X-Request-ID attached, collects each partition's partial
-// response (the walks whose source vertex that partition owns, keyed by
-// global walk id), and merges them by walk id into exactly the
-// single-process reply: a client cannot tell a routed cluster
-// from one teaserve process.
+// front the same cluster. GET /walk goes to one partition, from mod P, with
+// the request's X-Request-ID attached: that shard coordinates every walk of
+// the request, stepping walkers on whichever shards own their vertices, and
+// the router relays its reply byte for byte. A client cannot tell a routed
+// cluster from one teaserve process.
 //
 // Each configured shard entry may name several "|"-separated replica URLs,
 // held in one shard.ReplicaGroup per partition — the same health model and
@@ -13,12 +12,13 @@
 // replica and fails over to a sibling on a transport error or 503, so a
 // single replica outage never surfaces to clients.
 //
-// Failure semantics: a partition whose every replica is unreachable or
-// shedding makes the whole /walk a 503 + Retry-After (partial walk lists
-// would silently change query semantics); other shard errors (400, 500)
-// propagate with their status — a deliberate refusal is identical on every
-// replica of the partition, so it is never failed over. The readiness of
-// the cluster is the conjunction of every partition's /readyz.
+// Failure semantics: a /walk is a 503 + Retry-After when its routed
+// partition, or a partition its walks step on, has no replica answering —
+// never a partial walk list. Other shard errors (400, 500) propagate with
+// their status: a deliberate refusal is identical on every replica of the
+// partition, so it is never failed over. /healthz, /readyz, /stats and
+// metrics federation fan out to every partition; the readiness of the
+// cluster is the conjunction of every partition's /readyz.
 package server
 
 import (
@@ -28,25 +28,23 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/shard"
 	"github.com/tea-graph/tea/internal/shard/wire"
-	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/trace"
 )
 
-// maxShardBody bounds one shard's response body read by the router; beyond it
-// the response is treated as malformed. 64 MiB comfortably holds the largest
-// capped walk response (count and length are capped shard-side).
+// maxShardBody bounds one shard's response body read by the router. The
+// shard-side caps do not keep a /walk reply under it (count 10⁴ × length 10⁴
+// is 10⁸ hops), so a longer reply is a 502: it is final, because every
+// replica of the partition renders the same bytes.
 const maxShardBody = 64 << 20
 
 // RouterConfig parameterizes a stateless shard router. Its Config is the
@@ -62,14 +60,13 @@ type RouterConfig struct {
 	Shards []string
 }
 
-// Router fans queries over a shard cluster and merges the partial answers.
+// Router forwards queries to a shard cluster and relays the answers.
 type Router struct {
 	*shell
-	groups []*shard.ReplicaGroup[struct{}] // replica URLs are all a fan needs
+	groups []*shard.ReplicaGroup[struct{}] // replica URLs are all a request needs
 	client *http.Client
 
 	fanouts *metrics.Counter
-	merges  *metrics.Counter
 }
 
 // NewRouter builds a router over the given shard addresses.
@@ -105,19 +102,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			reg, "tea_router_replica", "router.failover"))
 	}
 	rt.fanouts = reg.Counter("tea_router_fanouts_total")
-	rt.merges = reg.Counter("tea_router_merged_walks_total")
 	return rt, nil
 }
 
 // Close releases pooled shard connections.
 func (rt *Router) Close() { rt.client.CloseIdleConnections() }
 
-// shardReply is one shard's raw answer to a fanned request.
+// shardReply is one shard's raw answer to a request.
 type shardReply struct {
-	status     int
-	retryAfter string
-	body       []byte
-	err        error // transport-level failure; status is meaningless
+	status int
+	header http.Header
+	body   []byte
+	err    error // transport-level failure or errShardTooLarge; status is meaningless
 }
 
 // fan issues GET path?query to every partition concurrently, propagating the
@@ -131,24 +127,25 @@ func (rt *Router) fan(ctx context.Context, path, rawQuery string) []shardReply {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replies[i] = rt.fanPartition(ctx, g, path, rawQuery)
+			replies[i] = rt.askPartition(ctx, g, path, rawQuery)
 		}()
 	}
 	wg.Wait()
 	return replies
 }
 
-// fanPartition runs the partition's failover loop and returns the first
+// askPartition runs the partition's failover loop and returns the first
 // reply that isn't a transport failure or a 503. Those two are exactly the
 // retryable-elsewhere outcomes — a 400/500 is the partition's deliberate
-// answer and would be identical from every sibling.
-func (rt *Router) fanPartition(ctx context.Context, g *shard.ReplicaGroup[struct{}], path, rawQuery string) shardReply {
+// answer and would be identical from every sibling, and so would an
+// over-size body, which the replica is not to blame for.
+func (rt *Router) askPartition(ctx context.Context, g *shard.ReplicaGroup[struct{}], path, rawQuery string) shardReply {
 	var reply shardReply
 	// The error only drives the loop; the callers read the outcome, transport
 	// error or status, from the last reply.
 	_ = g.Try(ctx, func(r *shard.Replica[struct{}]) error {
 		reply = rt.doShardRequest(ctx, g.Partition, r.Addr, path, rawQuery)
-		if reply.err != nil {
+		if reply.err != nil && !errors.Is(reply.err, errShardTooLarge) {
 			return reply.err
 		}
 		if reply.status == http.StatusServiceUnavailable {
@@ -202,11 +199,7 @@ func (rt *Router) doShardRequest(ctx context.Context, partition int, baseURL, pa
 	if sp != nil {
 		sp.SetInt("status", int64(resp.StatusCode))
 	}
-	return shardReply{
-		status:     resp.StatusCode,
-		retryAfter: resp.Header.Get("Retry-After"),
-		body:       body,
-	}
+	return shardReply{status: resp.StatusCode, header: resp.Header, body: body}
 }
 
 // errShardTooLarge refuses a shard response body beyond maxShardBody.
@@ -214,8 +207,7 @@ var errShardTooLarge = fmt.Errorf("response exceeds %d bytes", maxShardBody)
 
 // readShardBody reads a response body of at most maxShardBody bytes into
 // one buffer sized from its Content-Length, so a body that declares its
-// length is read without regrowing. The /walk merge splices sub-slices of
-// the buffer into the reply, so it is never pooled.
+// length is read without regrowing.
 func readShardBody(resp *http.Response) ([]byte, error) {
 	size := resp.ContentLength
 	if size > maxShardBody {
@@ -252,408 +244,84 @@ func (rt *Router) writeShardDown(w http.ResponseWriter, shardID int, detail stri
 	rt.retryErr(w, http.StatusServiceUnavailable, fmt.Errorf("shard %d unavailable: %s", shardID, detail))
 }
 
-// shardWalk is one shard's partial answer to a /walk as the router merges
-// it: walks[i] is the walk with global id walkIDs[i], still in the bytes the
-// shard rendered, plus the four cost counters the router sums.
-type shardWalk struct {
-	partitions                       int
-	walkIDs                          []int
-	walks                            [][]byte // sub-slices of the shard's body
-	steps, edges, migrations, frames int64
-	// detail is this shard's share of the request's resource consumption,
-	// present when the request carried ?cost=1; the router merges the shares
-	// into the assembled response's cost_detail with a per-shard split.
-	detail *reqcost.Cost
-	// spans carries compact span summaries (this shard's run/hop timings plus
-	// whatever peers shipped on step responses) when the request was sampled
-	// upstream; the router injects them into its tracer so one X-Request-ID
-	// yields one cross-process trace.
-	spans []wire.SpanSummary
-}
-
-// parseShardWalk reads a shard's partial /walk reply in one pass. It accepts
-// exactly what walkReply.appendJSON renders for a partial reply and nothing
-// else — no whitespace, members in their rendered order, canonical decimals
-// (walk ids and counts never negative), a start hop without "t" and every
-// later hop with one — so a walk's bytes can be copied into the merged reply
-// as they stand. Only strings with escapes and the optional cost_detail and
-// spans members go through encoding/json.
-func parseShardWalk(body []byte) (shardWalk, error) {
-	var sw shardWalk
-	c := scanner{b: body, ok: true}
-	c.lit(`{"from":`)
-	c.uint(math.MaxUint32)
-	c.lit(`,"shard":`)
-	c.uint(math.MaxInt)
-	c.lit(`,"partitions":`)
-	sw.partitions = int(c.uint(math.MaxInt))
-	c.lit(`,"walk_ids":`)
-	if !c.null() {
-		c.lit("[")
-		for c.ok && !c.next(']') {
-			if len(sw.walkIDs) > 0 {
-				c.lit(",")
-			}
-			sw.walkIDs = append(sw.walkIDs, int(c.uint(math.MaxInt)))
-		}
-	}
-	c.lit(`,"walks":`)
-	if !c.null() {
-		c.lit("[")
-		for c.ok && !c.next(']') {
-			if len(sw.walks) > 0 {
-				c.lit(",")
-			}
-			start := c.i
-			c.lit(`[{"v":`)
-			c.uint(math.MaxUint32)
-			c.lit("}")
-			for c.ok && !c.next(']') {
-				c.lit(`,{"v":`)
-				c.uint(math.MaxUint32)
-				c.lit(`,"t":`)
-				c.int()
-				c.lit("}")
-			}
-			sw.walks = append(sw.walks, body[start:c.i])
-		}
-	}
-	// The cost object's keys are strictly increasing, as rendered; of its
-	// values only the four the router sums are read, and those must be
-	// canonical integers.
-	c.lit(`,"cost":{`)
-	var prev []byte
-	for n := 0; c.ok && !c.next('}'); n++ {
-		if n > 0 {
-			c.lit(",")
-		}
-		key := c.str()
-		if n > 0 && bytes.Compare(prev, key) >= 0 {
-			c.ok = false
-		}
-		prev = key
-		c.lit(":")
-		val := c.str()
-		var sum *int64
-		switch string(key) {
-		case "steps":
-			sum = &sw.steps
-		case "edges_evaluated":
-			sum = &sw.edges
-		case "migrations":
-			sum = &sw.migrations
-		case "frames":
-			sum = &sw.frames
-		}
-		if sum != nil && c.ok {
-			v := scanner{b: val, ok: true}
-			*sum = v.int()
-			c.ok = v.ok && v.i == len(val)
-		}
-	}
-	if !c.ok {
-		return shardWalk{}, fmt.Errorf("unexpected input at byte %d", c.i)
-	}
-	tail, ok := bytes.CutSuffix(body[c.i:], []byte("}\n"))
-	if !ok {
-		return shardWalk{}, fmt.Errorf("no closing brace and newline after byte %d", c.i)
-	}
-	if len(tail) > 0 {
-		if err := parseShardTail(tail, &sw); err != nil {
-			return shardWalk{}, fmt.Errorf("after byte %d: %v", c.i, err)
-		}
-	}
-	return sw, nil
-}
-
-// parseShardTail decodes the optional members that follow "cost" and
-// refuses them unless they re-render to the same bytes.
-func parseShardTail(tail []byte, sw *shardWalk) error {
-	var t struct {
-		CostDetail *reqcost.Cost      `json:"cost_detail"`
-		Spans      []wire.SpanSummary `json:"spans"`
-	}
-	obj := append([]byte{'{'}, tail[1:]...)
-	if err := json.Unmarshal(append(obj, '}'), &t); err != nil {
-		return err
-	}
-	rep := walkReply{detail: t.CostDetail, spans: t.Spans}
-	if !sameUpToFFFD(rep.appendTail(nil), tail) {
-		return errors.New("cost_detail or spans not as a shard renders them")
-	}
-	sw.detail, sw.spans = t.CostDetail, t.Spans
-	return nil
-}
-
-// sameUpToFFFD reports whether render, encoding/json's rendering of what src
-// decoded to, is src — where src may spell U+FFFD as \ufffd, which is how
-// encoding/json writes an invalid UTF-8 byte that decodes to U+FFFD.
-func sameUpToFFFD(render, src []byte) bool {
-	for len(render) > 0 && len(src) > 0 {
-		switch {
-		case bytes.HasPrefix(render, []byte("\uFFFD")) && bytes.HasPrefix(src, []byte(`\ufffd`)):
-			render, src = render[len("\uFFFD"):], src[len(`\ufffd`):]
-		case render[0] == src[0]:
-			render, src = render[1:], src[1:]
-		default:
-			return false
-		}
-	}
-	return len(render) == 0 && len(src) == 0
-}
-
-// scanner is parseShardWalk's cursor over a body. The first mismatch clears
-// ok and leaves i at the offending byte; every later call is then a no-op.
-type scanner struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// has reports whether s comes next.
-func (c *scanner) has(s string) bool {
-	return c.ok && len(c.b)-c.i >= len(s) && string(c.b[c.i:c.i+len(s)]) == s
-}
-
-// lit consumes s.
-func (c *scanner) lit(s string) {
-	if c.has(s) {
-		c.i += len(s)
-	} else {
-		c.ok = false
-	}
-}
-
-// next consumes b if it is the next byte and reports whether it was.
-func (c *scanner) next(b byte) bool {
-	if c.ok && c.i < len(c.b) && c.b[c.i] == b {
-		c.i++
-		return true
-	}
-	return false
-}
-
-// null consumes a JSON null and reports whether there was one.
-func (c *scanner) null() bool {
-	if c.has("null") {
-		c.i += len("null")
-		return true
-	}
-	return false
-}
-
-// uint consumes a canonical decimal — no sign, no leading zero — of at most
-// max, which is below 10¹⁹: nineteen digits cannot overflow a uint64.
-func (c *scanner) uint(max uint64) uint64 {
-	if !c.ok {
-		return 0
-	}
-	start := c.i
-	var n uint64
-	for ; c.i < len(c.b) && '0' <= c.b[c.i] && c.b[c.i] <= '9' && c.i-start < 19; c.i++ {
-		n = n*10 + uint64(c.b[c.i]-'0')
-	}
-	if c.i == start || c.i-start > 1 && c.b[start] == '0' || n > max ||
-		c.i < len(c.b) && '0' <= c.b[c.i] && c.b[c.i] <= '9' {
-		c.i, c.ok = start, false
-		return 0
-	}
-	return n
-}
-
-// int consumes a canonical int64 as strconv.AppendInt renders it: an
-// optional minus sign, never before 0.
-func (c *scanner) int() int64 {
-	if !c.next('-') {
-		return int64(c.uint(math.MaxInt64))
-	}
-	n := c.uint(1 << 63)
-	if n == 0 {
-		c.ok = false
-	}
-	return int64(-n)
-}
-
-// str consumes a JSON string as appendString renders it and returns its
-// contents: a sub-slice of the body for a string copied verbatim, a decoded
-// copy for one with escapes.
-func (c *scanner) str() []byte {
-	start := c.i
-	c.lit(`"`)
-	for c.ok && c.i < len(c.b) {
-		r, size := utf8.DecodeRune(c.b[c.i:])
-		switch {
-		case r == '"':
-			c.i++
-			return c.b[start+1 : c.i-1]
-		case r == '\\':
-			return c.escapedStr(start)
-		case jsonEscapes(r, size):
-			c.ok = false
-			return nil
-		}
-		c.i += size
-	}
-	c.ok = false
-	return nil
-}
-
-// escapedStr finishes the string that opened at start and holds an escape.
-// It must be exactly what appendString renders for its decoded contents.
-func (c *scanner) escapedStr(start int) []byte {
-	for c.i < len(c.b) && c.b[c.i] != '"' {
-		if c.b[c.i] == '\\' {
-			c.i++
-		}
-		c.i++
-	}
-	c.i++
-	var s string
-	if c.i > len(c.b) || json.Unmarshal(c.b[start:c.i], &s) != nil ||
-		!sameUpToFFFD(appendString(nil, s), c.b[start:c.i]) {
-		c.i, c.ok = start, false
-		return nil
-	}
-	return []byte(s)
-}
-
+// handleWalk forwards the query to partition from mod P and relays the
+// shard's reply: status, Content-Type, Retry-After and body, unread. Of the
+// reply it reads only headers — the shard's partition count, and the cost
+// ledger and span summaries the shard adds when asked for them.
 func (rt *Router) handleWalk(w http.ResponseWriter, r *http.Request) {
-	// The router is stateless: it validates only what merging needs (the
-	// walk count); vertex bounds and size caps are enforced shard-side and
-	// their 400s propagate unchanged.
-	q := r.URL.Query()
-	rawFrom := q.Get("from")
-	fromID, err := strconv.ParseUint(rawFrom, 10, 32)
-	if rawFrom == "" || err != nil {
+	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 32)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing or malformed required parameter %q", "from"))
 		return
 	}
-	count, err := intParam(q, "count", 1)
-	if err != nil || count <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("count must be a positive integer"))
+	p := int(from % uint64(len(rt.groups)))
+	rep := rt.askPartition(r.Context(), rt.groups[p], "/walk", r.URL.RawQuery)
+	switch {
+	case errors.Is(rep.err, errShardTooLarge):
+		writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: %v", p, rep.err))
+		return
+	case rep.err != nil:
+		rt.writeShardDown(w, p, rep.err.Error())
+		return
+	case rep.status == http.StatusOK:
+		// A shard built for another partition count owns other vertices:
+		// its walks would be right, the deployment is not.
+		if got := rep.header.Get(partitionsHeader); got != strconv.Itoa(len(rt.groups)) {
+			writeErr(w, http.StatusBadGateway,
+				fmt.Errorf("shard %d built for %q partitions, router has %d shards", p, got, len(rt.groups)))
+			return
+		}
+		rt.absorbShardHeaders(r.Context(), rep.header)
+	case rep.status == http.StatusServiceUnavailable && rep.header.Get("Retry-After") == "":
+		rt.retryAfter(w)
+	}
+	h := w.Header()
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := rep.header.Get(k); v != "" {
+			h.Set(k, v)
+		}
+	}
+	h.Set("Content-Length", strconv.Itoa(len(rep.body)))
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body) // a failed write means the client has gone
+}
+
+// absorbShardHeaders folds a shard's cost ledger into this request's
+// collector, so the router's slow-request log and /debug/tea/top carry
+// cluster-wide numbers, and injects the shard's span summaries into the
+// router's tracer when this request's trace is retained, so one
+// X-Request-ID yields one trace spanning every process the request touched.
+// Both are telemetry: a header that does not decode is left out.
+func (rt *Router) absorbShardHeaders(ctx context.Context, h http.Header) {
+	var cost reqcost.Cost
+	if v := h.Get(costHeader); v != "" && json.Unmarshal([]byte(v), &cost) == nil {
+		reqcost.From(ctx).AddCost(cost)
+	}
+	var spans []wire.SpanSummary
+	v := h.Get(spansHeader)
+	if v == "" || !trace.SpanFromContext(ctx).Sampled() || json.Unmarshal([]byte(v), &spans) != nil {
 		return
 	}
-
-	replies := rt.fan(r.Context(), "/walk", q.Encode())
-
-	// Any failed or shedding shard fails the whole query: merging a partial
-	// cluster would silently return fewer walks than asked.
-	for i, rep := range replies {
-		if rep.err != nil {
-			rt.writeShardDown(w, i, rep.err.Error())
-			return
+	// Each summary becomes a real span with a placeholder SpanID (Inject
+	// remaps them onto the tracer's own sequence) and identity attrs.
+	recs := make([]trace.SpanRecord, len(spans))
+	for i, ss := range spans {
+		attrs := []trace.Attr{
+			trace.Str("instance", fmt.Sprintf("shard-%d", ss.Shard)),
+			trace.Int("shard_id", int64(ss.Shard)),
 		}
-		if rep.status == http.StatusServiceUnavailable {
-			// The shard's own Retry-After hint wins over the router's.
-			if rep.retryAfter != "" {
-				w.Header().Set("Retry-After", rep.retryAfter)
-			} else {
-				rt.retryAfter(w)
-			}
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("shard %d unavailable: %s", i, shardErrMsg(rep.body)))
-			return
+		if ss.Walkers > 0 {
+			attrs = append(attrs, trace.Int("walkers", int64(ss.Walkers)))
 		}
-		if rep.status != http.StatusOK {
-			writeErr(w, rep.status, fmt.Errorf("shard %d: %s", i, shardErrMsg(rep.body)))
-			return
+		recs[i] = trace.SpanRecord{
+			SpanID:      uint64(i + 1),
+			Name:        ss.Name,
+			StartMicros: ss.StartMicros,
+			DurMicros:   ss.DurMicros,
+			Attrs:       attrs,
 		}
 	}
-
-	// Splice the partial walk lists by global walk id. Every id in
-	// [0, count) must be claimed exactly once across the cluster — anything
-	// else means the shards disagree about ownership (mismatched partition
-	// counts) and is a deployment error, not a client one.
-	walks := make([][]byte, count) // nil until a shard claims the walk
-	var steps, edges, migrations, frames int64
-	clusterCost := reqcost.Cost{Shards: map[string]*reqcost.Cost{}}
-	var spanRecs []trace.SpanRecord
-	for i, rep := range replies {
-		sw, err := parseShardWalk(rep.body)
-		if err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: malformed response: %v", i, err))
-			return
-		}
-		if sw.partitions != len(rt.groups) {
-			writeErr(w, http.StatusBadGateway,
-				fmt.Errorf("shard %d built for %d partitions, router has %d shards", i, sw.partitions, len(rt.groups)))
-			return
-		}
-		if len(sw.walkIDs) != len(sw.walks) {
-			writeErr(w, http.StatusBadGateway,
-				fmt.Errorf("shard %d: %d walk ids for %d walks", i, len(sw.walkIDs), len(sw.walks)))
-			return
-		}
-		for j, id := range sw.walkIDs {
-			if id >= count {
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %d: walk id %d outside [0, %d)", i, id, count))
-				return
-			}
-			if walks[id] != nil {
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by more than one shard", id))
-				return
-			}
-			walks[id] = sw.walks[j]
-		}
-		steps += sw.steps
-		edges += sw.edges
-		migrations += sw.migrations
-		frames += sw.frames
-		if sw.detail != nil {
-			clusterCost.Add(*sw.detail)
-			clusterCost.Shards[strconv.Itoa(i)] = sw.detail
-		}
-		// Shard span summaries become real spans in the router's tracer: each
-		// gets a placeholder SpanID here (Inject remaps them onto the tracer's
-		// own sequence) and identity attrs, so one X-Request-ID resolves to
-		// one trace spanning every process the request touched.
-		for _, ss := range sw.spans {
-			attrs := []trace.Attr{
-				trace.Str("instance", fmt.Sprintf("shard-%d", ss.Shard)),
-				trace.Int("shard_id", int64(ss.Shard)),
-			}
-			if ss.Walkers > 0 {
-				attrs = append(attrs, trace.Int("walkers", int64(ss.Walkers)))
-			}
-			spanRecs = append(spanRecs, trace.SpanRecord{
-				SpanID:      uint64(len(spanRecs) + 1),
-				Name:        ss.Name,
-				StartMicros: ss.StartMicros,
-				DurMicros:   ss.DurMicros,
-				Attrs:       attrs,
-			})
-		}
-	}
-	for id, walk := range walks {
-		if walk == nil {
-			writeErr(w, http.StatusBadGateway, fmt.Errorf("walk id %d claimed by no shard", id))
-			return
-		}
-	}
-	rt.merges.Add(int64(count))
-	// Fold the cluster's cost into this request's collector so the router's
-	// slow-request log and /debug/tea/top carry cluster-wide numbers, and
-	// inject the shards' span summaries when this request's trace is retained.
-	reqcost.From(r.Context()).AddCost(clusterCost)
-	if len(spanRecs) > 0 && trace.SpanFromContext(r.Context()).Sampled() {
-		rt.cfg.Trace.Inject(trace.RequestID(r.Context()), spanRecs)
-	}
-
-	rep := walkReply{from: temporal.Vertex(fromID), walks: walks}
-	if q.Get("cost") == "1" && len(clusterCost.Shards) > 0 {
-		rep.detail = &clusterCost
-	}
-	cost := []costField{
-		costNum("steps", steps),
-		costNum("edges_evaluated", edges),
-		costNum("migrations", migrations),
-		costNum("frames", frames),
-		costNum("shards", int64(len(rt.groups))),
-	}
-	if steps > 0 {
-		cost = append(cost, costRatio("edges_per_step", float64(edges)/float64(steps)))
-	}
-	writeWalkReply(w, &rep, cost...)
+	rt.cfg.Trace.Inject(trace.RequestID(ctx), recs)
 }
 
 // handleHealth is cluster health rolled up from every shard's /healthz. An

@@ -45,7 +45,7 @@ func TestRouterReplicaFailoverKeepsServing(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(ts.Close)
 
-	const q = "/walk?from=7&length=15&count=4&seed=3"
+	const q = "/walk?from=8&length=15&count=4&seed=3" // 8 mod 2 routes to partition 0
 	var want walkResponse
 	getJSON(t, reference.URL+q, http.StatusOK, &want)
 	wantJSON, _ := json.Marshal(want.Walks)

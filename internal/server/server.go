@@ -2,7 +2,7 @@
 // (walk sampling, temporal personalized PageRank and temporal reachability
 // over a preprocessed index), durable ingest (a WAL-backed live graph that
 // POST /edges and POST /expire mutate), shard (one partition of a cluster)
-// and router (the stateless front that merges a cluster's shards). The
+// and router (the stateless front that forwards to a cluster's shards). The
 // handlers are usable under any http.Server (or httptest) directly; Serve
 // runs one with a graceful drain, and a Deployment (deploy.go) builds and
 // serves a whole process, as cmd/teaserve and cmd/tearouter do.

@@ -1,8 +1,8 @@
 // Shard mode: the HTTP face of one internal/shard node. A ShardServer serves
-// the same GET /walk surface as the single-process server, but answers only
-// with the walks whose source vertex its shard owns — walk ids are positions
-// in the global walk list, so a stateless Router (router.go) can merge the
-// partial responses of every shard into exactly the single-process response.
+// the same GET /walk surface as the single-process server and coordinates
+// every walk of a request itself, whichever shard owns its source: the walk
+// state crosses to the owner of each step, so any shard's reply is the whole
+// reply, which a stateless Router (router.go) relays unread.
 //
 // Failure semantics: a peer shard going down mid-walk surfaces as a
 // *wire.PeerError from the coordinator, which maps to 503 + Retry-After here
@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/shard"
 	"github.com/tea-graph/tea/internal/shard/wire"
@@ -24,13 +23,30 @@ import (
 	"github.com/tea-graph/tea/internal/trace"
 )
 
+// Headers a shard's /walk reply carries for the router, which never reads
+// the body; each key is in net/http's canonical form.
+const (
+	// partitionsHeader is the shard's partition count, on every reply.
+	partitionsHeader = "X-Tea-Partitions"
+	// costHeader is the request's cost ledger as JSON, when it asked for
+	// cost=1.
+	costHeader = "X-Tea-Cost"
+	// spansHeader is the run's span summaries as JSON, when the request
+	// arrived with X-Trace-Sampled: 1 and they fit in maxSpansHeader bytes.
+	spansHeader = "X-Tea-Spans"
+)
+
+// maxSpansHeader bounds the span header well inside net/http's 10 MiB
+// response-header limit; a larger trace stays in the shard's own tracer.
+const maxSpansHeader = 1 << 20
+
 // errShardMode is returned by endpoints that need the whole graph resident
 // (PPR's visit accounting, reachability's BFS) and so are not served by one
 // shard.
 var errShardMode = errors.New("endpoint not available in shard mode; use a single-process teaserve")
 
 // ShardServer is the HTTP handler of one shard process: /walk runs the
-// scatter-gather coordinator over this node's share of the request, /stats
+// scatter-gather coordinator over the whole request, /stats
 // describes the partition, and the ops endpoints are the shell's.
 type ShardServer struct {
 	*shell
@@ -83,6 +99,8 @@ func (ss *ShardServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
+	h := w.Header()
+	h.Set(partitionsHeader, strconv.Itoa(ss.node.Partitions()))
 	q := r.URL.Query()
 	wq, err := ss.parseWalk(q, ss.node.NumVertices())
 	if err != nil {
@@ -111,24 +129,16 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := reqcost.From(r.Context())
 	rc.AddEngine(res.Cost)
-	rep := walkReply{
-		from:       wq.from,
-		partial:    true,
-		shard:      ss.node.ShardID(),
-		partitions: ss.node.Partitions(),
-		walkIDs:    res.WalkIDs,
-		paths:      res.Paths,
-		spans:      res.Spans,
-		detail:     costDetail(q, rc, res.Duration),
+	rep := walkReply{from: wq.from, paths: res.Paths, detail: costDetail(q, rc, res.Duration)}
+	if rep.detail != nil {
+		h.Set(costHeader, string(appendMarshal(nil, rep.detail)))
 	}
-	// A shard that owns none of the walks says so with [], not null.
-	if rep.walkIDs == nil {
-		rep.walkIDs = []int{}
+	if len(res.Spans) > 0 {
+		if spans := appendMarshal(nil, res.Spans); len(spans) <= maxSpansHeader {
+			h.Set(spansHeader, string(spans))
+		}
 	}
-	if rep.paths == nil {
-		rep.paths = []core.Path{}
-	}
-	writeWalkReply(w, &rep,
+	cost := []costField{
 		costNum("steps", res.Cost.Steps),
 		costNum("edges_evaluated", res.Cost.EdgesEvaluated),
 		costText("duration", res.Duration.String()),
@@ -136,7 +146,13 @@ func (ss *ShardServer) handleWalk(w http.ResponseWriter, r *http.Request) {
 		costNum("migrations", res.Migrations),
 		costNum("frames", res.Frames),
 		costNum("local_steps", res.LocalSteps),
-		costNum("bytes_sent", res.BytesSent))
+		costNum("bytes_sent", res.BytesSent),
+		costNum("shards", int64(ss.node.Partitions())),
+	}
+	if res.Cost.Steps > 0 {
+		cost = append(cost, costRatio("edges_per_step", res.Cost.EdgesPerStep()))
+	}
+	writeWalkReply(w, &rep, cost...)
 }
 
 type shardStatsResponse struct {

@@ -100,35 +100,44 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// Each shard answers only the walk ids whose source it owns; the others
-// return empty partial responses — the ownership split the router merges.
-func TestShardPartialResponses(t *testing.T) {
+// Every shard coordinates the whole request, whichever shard owns its
+// source: each answers the single-process engine's walks, names its
+// partition count in cost.shards and in the header the router checks, and
+// reports edges_per_step like the single-process reply.
+func TestShardWalkWholeReply(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 62)
-	servers := newShardCluster(t, g, sampling.WeightSpec{}, 3, Config{}, nil)
-	part, err := shard.NewPartitioner(g, 3)
+	eng, err := core.NewEngine(g, core.App{Name: "test"}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := httptest.NewServer(New(eng).Handler())
+	t.Cleanup(single.Close)
+	servers := newShardCluster(t, g, sampling.WeightSpec{}, 3, Config{}, nil)
 
-	const from, count = 7, 5
-	owner := part.Owner(from)
-	total := 0
+	const q = "/walk?from=7&length=10&count=5&seed=3"
+	var want walkResponse
+	getJSON(t, single.URL+q, http.StatusOK, &want)
+	wantWalks, _ := json.Marshal(want.Walks)
 	for i, ts := range servers {
-		var out shardWalkResponse
-		getJSON(t, ts.URL+"/walk?from=7&length=10&count=5&seed=3", http.StatusOK, &out)
-		if out.Shard != i || out.Partitions != 3 {
-			t.Fatalf("shard %d: identity %d/%d", i, out.Shard, out.Partitions)
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(out.WalkIDs) != len(out.Walks) {
-			t.Fatalf("shard %d: %d ids for %d walks", i, len(out.WalkIDs), len(out.Walks))
+		var out walkResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i != owner && len(out.WalkIDs) != 0 {
-			t.Fatalf("shard %d answered %d walks for a vertex owned by shard %d", i, len(out.WalkIDs), owner)
+		if got := resp.Header.Get(partitionsHeader); got != "3" {
+			t.Fatalf("shard %d: %s %q, want 3", i, partitionsHeader, got)
 		}
-		total += len(out.WalkIDs)
-	}
-	if total != count {
-		t.Fatalf("cluster answered %d walks, want %d", total, count)
+		if gotWalks, _ := json.Marshal(out.Walks); string(gotWalks) != string(wantWalks) {
+			t.Fatalf("shard %d diverged from the single process\nsingle: %s\nshard:  %s", i, wantWalks, gotWalks)
+		}
+		if out.Cost["shards"] != "3" || out.Cost["edges_per_step"] != want.Cost["edges_per_step"] {
+			t.Fatalf("shard %d cost %v, want shards 3 and the single process's edges_per_step %q", i, out.Cost, want.Cost["edges_per_step"])
+		}
 	}
 }
 
@@ -265,8 +274,9 @@ func TestRouterPartitionMismatch502(t *testing.T) {
 }
 
 // The satellite's trace criterion: one X-Request-ID names the request on the
-// router and on every shard it fanned to, so /debug/tea/trace on each
-// process shows the same timeline key.
+// router and on every shard it touched — the routed shard's server.request,
+// the peer's shard.step for the walkers it served — so /debug/tea/trace on
+// each process shows the same timeline key.
 func TestRouterTracePropagation(t *testing.T) {
 	g := testutil.RandomGraph(t, 80, 2000, 400, 66)
 	tracers := []*trace.Tracer{
@@ -313,14 +323,18 @@ func TestRouterTracePropagation(t *testing.T) {
 		if !ok {
 			t.Fatalf("shard %d recorded no trace under the propagated request id", i)
 		}
+		want := "shard.step"
+		if i == 3%len(tracers) { // from=3 routes to shard 3 mod P
+			want = "server.request"
+		}
 		var sawShard bool
 		for _, sp := range spans {
-			if sp.Name == "server.request" {
+			if sp.Name == want {
 				sawShard = true
 			}
 		}
 		if !sawShard {
-			t.Fatalf("shard %d trace missing server.request: %+v", i, spans)
+			t.Fatalf("shard %d trace missing %s: %+v", i, want, spans)
 		}
 	}
 }

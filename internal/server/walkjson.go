@@ -11,14 +11,12 @@ import (
 
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/reqcost"
-	"github.com/tea-graph/tea/internal/shard/wire"
 	"github.com/tea-graph/tea/internal/temporal"
 )
 
-// Every /walk reply — the single-process server's, the durable server's, a
-// shard's partial reply and the router's merged one — is rendered here, by
-// appending straight from []core.Path into a pooled buffer; the router
-// splices in the walks its shards already rendered instead. The bytes are
+// Every /walk reply — the single-process server's, the durable server's and
+// a shard's, which the router relays — is rendered here, by appending
+// straight from []core.Path into a pooled buffer. The bytes are
 // exactly what json.NewEncoder(w).Encode produced for the reply structs this
 // replaced: keys in declaration order, cost keys sorted, "walks":null for no
 // paths, no "t" on a walk's start hop, a trailing newline.
@@ -40,49 +38,20 @@ func costText(key, s string) costField          { return costField{key: key, kin
 
 // walkReply is one /walk response body.
 type walkReply struct {
-	from temporal.Vertex
-	// partial marks a shard's share of a request: its shard id, the
-	// cluster's partition count and the global ids of its walks follow
-	// "from", and walkIDs[i] names paths[i].
-	partial           bool
-	shard, partitions int
-	walkIDs           []int
-	paths             []core.Path
-	// walks, when non-nil, replaces paths: each is one walk's JSON array as
-	// a shard rendered it, spliced in order (the router's merged reply).
-	walks  [][]byte
+	from   temporal.Vertex
+	paths  []core.Path
 	detail *reqcost.Cost
-	spans  []wire.SpanSummary
 }
 
 // appendJSON appends the reply's JSON encoding and its trailing newline. The
 // cost entries may come in any order; they are rendered sorted by key. They
 // are not a field of walkReply so that they can stay on the caller's stack:
-// escape analysis would send them to the heap with the detail and spans.
+// escape analysis would send them to the heap with the detail.
 func (rep *walkReply) appendJSON(b []byte, cost []costField) []byte {
 	b = append(b, `{"from":`...)
 	b = strconv.AppendUint(b, uint64(rep.from), 10)
-	if rep.partial {
-		b = append(b, `,"shard":`...)
-		b = strconv.AppendInt(b, int64(rep.shard), 10)
-		b = append(b, `,"partitions":`...)
-		b = strconv.AppendInt(b, int64(rep.partitions), 10)
-		b = append(b, `,"walk_ids":`...)
-		b = appendInts(b, rep.walkIDs)
-	}
 	b = append(b, `,"walks":`...)
-	if rep.walks != nil {
-		b = append(b, '[')
-		for i, w := range rep.walks {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, w...)
-		}
-		b = append(b, ']')
-	} else {
-		b = appendPaths(b, rep.paths)
-	}
+	b = appendPaths(b, rep.paths)
 	b = append(b, `,"cost":{`...)
 	slices.SortFunc(cost, func(x, y costField) int { return strings.Compare(x.key, y.key) })
 	for i, f := range cost {
@@ -105,21 +74,11 @@ func (rep *walkReply) appendJSON(b []byte, cost []costField) []byte {
 		}
 	}
 	b = append(b, '}')
-	return append(rep.appendTail(b), "}\n"...)
-}
-
-// appendTail appends the optional members after "cost": cost_detail and
-// spans, each present only when set.
-func (rep *walkReply) appendTail(b []byte) []byte {
 	if rep.detail != nil {
 		b = append(b, `,"cost_detail":`...)
 		b = appendMarshal(b, rep.detail)
 	}
-	if len(rep.spans) > 0 {
-		b = append(b, `,"spans":`...)
-		b = appendMarshal(b, rep.spans)
-	}
-	return b
+	return append(b, "}\n"...)
 }
 
 // appendPaths renders walks as arrays of hops: {"v":vertex} for the start,
@@ -151,27 +110,15 @@ func appendPaths(b []byte, paths []core.Path) []byte {
 	return append(b, ']')
 }
 
-func appendInts(b []byte, xs []int) []byte {
-	if xs == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(x), 10)
-	}
-	return append(b, ']')
-}
-
 // appendString appends s as a JSON string. A string encoding/json copies
-// verbatim is copied here too; any other goes through encoding/json itself,
-// so the two cannot disagree.
+// verbatim — valid UTF-8 with no quote, backslash, control character, <, >,
+// &, U+2028 or U+2029 — is copied here too; any other goes through
+// encoding/json itself, so the two cannot disagree.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); {
 		r, size := utf8.DecodeRuneInString(s[i:])
-		if jsonEscapes(r, size) {
+		if r < 0x20 || r == '"' || r == '\\' || r == '<' || r == '>' || r == '&' ||
+			r == '\u2028' || r == '\u2029' || r == utf8.RuneError && size == 1 {
 			return appendMarshal(b, s)
 		}
 		i += size
@@ -181,16 +128,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// jsonEscapes reports whether encoding/json escapes r, decoded from size
-// bytes, inside a string: a quote, a backslash, a control character, <, >,
-// &, U+2028, U+2029 or an invalid UTF-8 byte.
-func jsonEscapes(r rune, size int) bool {
-	return r < 0x20 || r == '"' || r == '\\' || r == '<' || r == '>' || r == '&' ||
-		r == '\u2028' || r == '\u2029' || r == utf8.RuneError && size == 1
-}
-
-// appendMarshal appends encoding/json's rendering of v. Only strings, ints
-// and maps keyed by strings reach it, which cannot fail to marshal.
+// appendMarshal appends encoding/json's rendering of v. Only strings and
+// structs of ints reach it, which cannot fail to marshal.
 func appendMarshal(b []byte, v any) []byte {
 	m, _ := json.Marshal(v)
 	return append(b, m...)

@@ -18,14 +18,13 @@ import (
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/sampling"
-	"github.com/tea-graph/tea/internal/shard/wire"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
 )
 
-// walkResponse is the struct every non-shard /walk reply was encoded from
-// with encoding/json before the append encoder. It stays as that encoder's
-// oracle, beside shardWalkResponse, and as the tests' decoding target.
+// walkResponse is the struct every /walk reply was encoded from with
+// encoding/json before the append encoder. It stays as that encoder's
+// oracle and as the tests' decoding target.
 type walkResponse struct {
 	From       temporal.Vertex   `json:"from"`
 	Walks      [][]walkHop       `json:"walks"`
@@ -33,44 +32,14 @@ type walkResponse struct {
 	CostDetail *reqcost.Cost     `json:"cost_detail,omitempty"`
 }
 
-// shardWalkResponse is the struct a shard's partial /walk reply was encoded
-// from, and the router decoded it into, before the append encoder and the
-// router's splice. It stays as both oracles and as the tests' decoding
-// target.
-type shardWalkResponse struct {
-	From       temporal.Vertex    `json:"from"`
-	Shard      int                `json:"shard"`
-	Partitions int                `json:"partitions"`
-	WalkIDs    []int              `json:"walk_ids"`
-	Walks      [][]walkHop        `json:"walks"`
-	Cost       map[string]string  `json:"cost"`
-	CostDetail *reqcost.Cost      `json:"cost_detail,omitempty"`
-	Spans      []wire.SpanSummary `json:"spans,omitempty"`
-}
+// shardWalkResponse is a shard's /walk reply, which is the whole reply: the
+// router relays it as it stands.
+type shardWalkResponse = walkResponse
 
 // walkHop is one hop of a walk as the reply structs carried it.
 type walkHop struct {
 	Vertex temporal.Vertex `json:"v"`
 	Time   *int64          `json:"t,omitempty"` // nil for the start vertex
-}
-
-// pathOf turns a decoded walk back into a path. Only the start hop lacks a
-// time; a reply where that does not hold is malformed.
-func pathOf(hops []walkHop) (core.Path, bool) {
-	p := core.Path{Vertices: make([]temporal.Vertex, len(hops))}
-	if len(hops) > 1 {
-		p.Times = make([]temporal.Time, len(hops)-1)
-	}
-	for j, h := range hops {
-		if (h.Time == nil) != (j == 0) {
-			return core.Path{}, false
-		}
-		p.Vertices[j] = h.Vertex
-		if j > 0 {
-			p.Times[j-1] = temporal.Time(*h.Time)
-		}
-	}
-	return p, true
 }
 
 // costInt reads an int64 cost field of a decoded reply, tolerating absence.
@@ -114,13 +83,7 @@ func legacyCost(fields []costField) map[string]string {
 }
 
 // legacy is the reply struct encoding/json was given for rep and cost.
-func legacy(rep walkReply, cost []costField) any {
-	if rep.partial {
-		return shardWalkResponse{
-			From: rep.from, Shard: rep.shard, Partitions: rep.partitions, WalkIDs: rep.walkIDs,
-			Walks: legacyWalks(rep.paths), Cost: legacyCost(cost), CostDetail: rep.detail, Spans: rep.spans,
-		}
-	}
+func legacy(rep walkReply, cost []costField) walkResponse {
 	return walkResponse{From: rep.from, Walks: legacyWalks(rep.paths), Cost: legacyCost(cost), CostDetail: rep.detail}
 }
 
@@ -148,8 +111,7 @@ func TestWalkReplyMatchesEncodingJSON(t *testing.T) {
 		{Vertices: []temporal.Vertex{1, 2}, Times: []temporal.Time{math.MinInt64}},
 		{Vertices: []temporal.Vertex{2, 1}, Times: []temporal.Time{math.MaxInt64}},
 	}
-	detail := &reqcost.Cost{Steps: 3, EdgesEvaluated: 9, WallMicros: 41,
-		Shards: map[string]*reqcost.Cost{"1": {Steps: 1}, "0": {Steps: 2, Migrations: 1}}}
+	detail := &reqcost.Cost{Steps: 3, EdgesEvaluated: 9, Migrations: 1, WallMicros: 41}
 	single := []costField{costNum("steps", 3), costRatio("edges_per_step", 3), costText("duration", "41.5µs")}
 	for _, tc := range []struct {
 		name string
@@ -160,17 +122,12 @@ func TestWalkReplyMatchesEncodingJSON(t *testing.T) {
 		{"single cost=1", walkReply{from: math.MaxUint32, paths: edgeValues, detail: detail}, single},
 		{"no paths", walkReply{from: 0}, single},
 		{"durable", walkReply{from: 2, paths: edgeValues[1:2]}, []costField{costNum("steps", 2), costText("duration", "1.0002ms")}},
-		{"shard owning nothing", walkReply{partial: true, from: 3, shard: 2, partitions: 3, walkIDs: []int{}, paths: []core.Path{}},
-			[]costField{costNum("steps", 0), costNum("rounds", 0), costText("duration", "0s")}},
-		{"shard", walkReply{partial: true, from: 3, shard: 0, partitions: 3, walkIDs: []int{3, 0, 1}, paths: edgeValues[:3], detail: detail,
-			spans: []wire.SpanSummary{{Name: "shard.run", Shard: 0, StartMicros: -1, DurMicros: 9, Walkers: 3}, {Name: "shard.hop"}}},
+		{"shard", walkReply{from: 3, paths: edgeValues[:3], detail: detail},
 			[]costField{
 				costNum("steps", 3), costNum("edges_evaluated", 8), costText("duration", "2m3.5s"), costNum("rounds", 2),
 				costNum("migrations", 1), costNum("frames", 4), costNum("local_steps", 2), costNum("bytes_sent", 1<<40),
+				costNum("shards", 3), costRatio("edges_per_step", 8.0/3),
 			}},
-		{"router", walkReply{from: 9, paths: edgeValues, detail: detail}, []costField{
-			costNum("steps", 4), costNum("edges_evaluated", 10), costNum("migrations", 1), costNum("frames", 2),
-			costNum("shards", 3), costRatio("edges_per_step", 2.5)}},
 		{"strings encoding/json escapes", walkReply{from: 1}, []costField{
 			costText("a<b", "<"), costText("gt", "a>b"), costText("amp", "a&b"), costText("quote", `"q"`),
 			costText("backslash", `a\b`), costText("nl", "a\nb"), costText("ctl", "\x01\x1f"), costText("del", "\x7f"),
@@ -189,33 +146,20 @@ func TestCostRatioMatchesSprintf(t *testing.T) {
 	}
 }
 
-// FuzzWalkReplyJSON drives the encoder with arbitrary walks, ids, strings and
-// cost values; encoding/json over the legacy structs is the oracle.
+// FuzzWalkReplyJSON drives the encoder with arbitrary walks, strings and
+// cost values, with or without a cost_detail; encoding/json over the legacy
+// struct is the oracle.
 func FuzzWalkReplyJSON(f *testing.F) {
 	f.Add(uint32(0), []byte{}, "", false)
 	f.Add(uint32(math.MaxUint32), []byte{3, 0, 2, 255, 255, 255, 255, 1, 0, 0, 0, 0, 0, 0, 0x80}, "41.5µs", false)
 	f.Add(uint32(5), []byte{2, 5, 1, 2, 3, 4, 9, 9, 9, 9, 9, 9, 9, 9}, "<&>\u2028\xff", true)
-	f.Fuzz(func(t *testing.T, from uint32, data []byte, text string, partial bool) {
-		rep, cost := fuzzReply(from, data, text, partial)
-		checkSameBytes(t, rep, cost...)
-	})
-}
-
-// fuzzReply builds a reply and its cost fields out of fuzz input: the walks
-// come from data, the strings from text, and a partial reply also carries
-// walk ids, a cost_detail and spans.
-func fuzzReply(from uint32, data []byte, text string, partial bool) (walkReply, []costField) {
-	rep := walkReply{from: temporal.Vertex(from), paths: fuzzPaths(data)}
-	if partial {
-		rep.partial, rep.shard, rep.partitions = true, len(text), len(data)
-		rep.walkIDs = make([]int, len(rep.paths))
-		for i := range rep.walkIDs {
-			rep.walkIDs[i] = i * len(text)
+	f.Fuzz(func(t *testing.T, from uint32, data []byte, text string, detail bool) {
+		rep := walkReply{from: temporal.Vertex(from), paths: fuzzPaths(data)}
+		if detail {
+			rep.detail = &reqcost.Cost{Steps: int64(from), Frames: int64(len(text)), WallMicros: -int64(len(data))}
 		}
-		rep.detail = &reqcost.Cost{Steps: int64(from), Shards: map[string]*reqcost.Cost{text: {Frames: 1}}}
-		rep.spans = []wire.SpanSummary{{Name: text, Shard: int32(len(data)), StartMicros: int64(from)}}
-	}
-	return rep, []costField{costText("duration", text), costNum("steps", int64(len(data))-3), costText("x-"+text, text)}
+		checkSameBytes(t, rep, costText("duration", text), costNum("steps", int64(len(data))-3), costText("x-"+text, text))
+	})
 }
 
 // fuzzPaths reads up to four walks out of data: a walk count, then per walk
@@ -278,7 +222,7 @@ func checkReencodes(t *testing.T, body []byte, v any) {
 }
 
 // Every producer's reply, served end to end, is what encoding/json would have
-// written: the single-process, durable, shard and router /walk.
+// written: the single-process, durable, shard and routed /walk.
 func TestWalkProducersEncodeLikeEncodingJSON(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
 	spec := sampling.Exponential(0.01)
@@ -299,7 +243,7 @@ func TestWalkProducersEncodeLikeEncodingJSON(t *testing.T) {
 		checkReencodes(t, fetch(t, single.URL+"/walk?"+q), &walkResponse{})
 		checkReencodes(t, fetch(t, router.URL+"/walk?"+q), &walkResponse{})
 		for _, ts := range shards {
-			checkReencodes(t, fetch(t, ts.URL+"/walk?"+q), &shardWalkResponse{})
+			checkReencodes(t, fetch(t, ts.URL+"/walk?"+q), &walkResponse{})
 		}
 	}
 	checkReencodes(t, fetch(t, durable.URL+"/walk?from=0&length=5&count=3&seed=2"), &walkResponse{})

@@ -84,12 +84,11 @@ type testutilGraph struct {
 	spec sampling.WeightSpec
 }
 
-// runMerged coordinates req on every partition (partition p using callers[p])
-// and merges by global walk id.
-func (c *replicatedCluster) runMerged(t *testing.T, callers []StepCaller, req WalkRequest, total int) ([]core.Path, error) {
+// runEach coordinates the whole of req on every partition's first replica
+// (partition p using callers[p]) and returns the paths they all agree on.
+func (c *replicatedCluster) runEach(t *testing.T, callers []StepCaller, req WalkRequest, total int) ([]core.Path, error) {
 	t.Helper()
-	merged := make([]core.Path, total)
-	seen := 0
+	var agreed []core.Path
 	for p := range c.nodes {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		res, err := c.nodes[p][0].RunWalks(ctx, callers[p], req)
@@ -97,20 +96,21 @@ func (c *replicatedCluster) runMerged(t *testing.T, callers []StepCaller, req Wa
 		if err != nil {
 			return nil, err
 		}
-		for i, wi := range res.WalkIDs {
-			merged[wi] = res.Paths[i]
-			seen++
+		if len(res.Paths) != total {
+			return nil, fmt.Errorf("partition %d coordinated %d of %d walks", p, len(res.Paths), total)
+		}
+		if agreed == nil {
+			agreed = res.Paths
+		} else if !reflect.DeepEqual(res.Paths, agreed) {
+			return nil, fmt.Errorf("partition %d coordinated other walks than partition 0", p)
 		}
 	}
-	if seen != total {
-		return nil, fmt.Errorf("coordinated %d of %d walks", seen, total)
-	}
-	return merged, nil
+	return agreed, nil
 }
 
 // TestChaosSingleReplicaFaultsByteIdentical is the tentpole oracle: with one
 // replica of a partition killed, partitioned, resetting, or corrupting at a
-// seeded injection point mid-request, the merged cluster output stays
+// seeded injection point mid-request, every coordinator's output stays
 // byte-identical to the single-process engine and the run sees no error.
 func TestChaosSingleReplicaFaultsByteIdentical(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 71)
@@ -149,7 +149,7 @@ func TestChaosSingleReplicaFaultsByteIdentical(t *testing.T) {
 					cluster.peersFor(t, 0, netchaos.Dial(plan)), // coordinator 0 sees the fault
 					cluster.peersFor(t, 1, nil),
 				}
-				got, err := cluster.runMerged(t, callers,
+				got, err := cluster.runEach(t, callers,
 					WalkRequest{Length: length, Seed: seed, KeepPaths: true, RequestID: "chaos-" + fc.name}, total)
 				if err != nil {
 					t.Fatalf("cluster run under %s: %v", fc.name, err)
@@ -182,7 +182,7 @@ func TestChaosReplicaKilledMidRequest(t *testing.T) {
 		return rp0.Step(ctx, shardID, req)
 	})
 	callers := []StepCaller{killer, cluster.peersFor(t, 1, nil)}
-	got, err := cluster.runMerged(t, callers,
+	got, err := cluster.runEach(t, callers,
 		WalkRequest{Length: length, Seed: seed, KeepPaths: true, RequestID: "chaos-kill"}, total)
 	if err != nil {
 		t.Fatalf("cluster run with killed replica: %v", err)

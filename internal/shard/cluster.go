@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/tea-graph/tea/internal/metrics"
@@ -44,13 +43,13 @@ type ClusterRunConfig struct {
 	KeepPaths bool
 }
 
-// ClusterResult aggregates a cluster run.
+// ClusterResult reports a cluster run.
 type ClusterResult struct {
 	Cost     stats.Cost
 	Duration time.Duration
-	// Rounds is the largest scatter-gather round count of any node.
+	// Rounds is the coordinator's scatter-gather round count.
 	Rounds int
-	// Messages counts walker-steps served by a node other than the walk's
+	// Messages counts walker-steps served by a node other than the
 	// coordinator — the network traffic a deployment pays.
 	Messages int64
 	// LocalMoves counts walker-steps served by the coordinator itself.
@@ -95,39 +94,26 @@ func (c *Cluster) MemoryBytes() int64 {
 	return b
 }
 
-// Run walks R walks of length L from every vertex: every node coordinates
-// the walks whose source it owns, all nodes concurrently, and the partial
-// results are merged by walk id.
+// Run walks R walks of length L from every vertex, all coordinated by node
+// 0; walkers step on the nodes that own their vertices.
 func (c *Cluster) Run(cfg ClusterRunConfig) (*ClusterResult, error) {
 	req := WalkRequest{WalksPerVertex: cfg.WalksPerVertex, Length: cfg.Length, Seed: cfg.Seed, KeepPaths: cfg.KeepPaths}
 	start := time.Now()
-	parts := make([]*WalkResult, len(c.nodes))
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, n := range c.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i], errs[i] = n.RunWalks(context.TODO(), c.caller, req)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	wr, err := c.nodes[0].RunWalks(context.TODO(), c.caller, req)
+	if err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{Duration: time.Since(start)}
-	for _, p := range parts {
-		res.Cost.Add(p.Cost)
-		res.Rounds = max(res.Rounds, p.Rounds)
-		res.Messages += p.Migrations
-		res.LocalMoves += p.LocalSteps
+	res := &ClusterResult{
+		Cost:       wr.Cost,
+		Duration:   time.Since(start),
+		Rounds:     wr.Rounds,
+		Messages:   wr.Migrations,
+		LocalMoves: wr.LocalSteps,
 	}
 	if cfg.KeepPaths {
-		res.Paths = make([][]temporal.Vertex, res.Cost.WalksStarted)
-		for _, p := range parts {
-			for i, wi := range p.WalkIDs {
-				res.Paths[wi] = p.Paths[i].Vertices
-			}
+		res.Paths = make([][]temporal.Vertex, len(wr.Paths))
+		for i, p := range wr.Paths {
+			res.Paths[i] = p.Vertices
 		}
 	}
 	return res, nil

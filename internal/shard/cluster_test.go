@@ -8,7 +8,6 @@ import (
 
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/sampling"
-	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
 )
@@ -292,8 +291,8 @@ func TestClusterNode2VecMatchesEngine(t *testing.T) {
 // The node2vec golden: with a filter sized so that it answers exactly like
 // the graph's neighbor test on every vertex pair (checked here, not
 // assumed), cluster node2vec walks equal core.Engine running
-// TemporalNode2Vec byte for byte, with equal cost, at every partition count,
-// in-process and over loopback TCP.
+// TemporalNode2Vec byte for byte, with equal cost, at every partition count
+// and coordinating node, in-process and over loopback TCP.
 func TestClusterNode2VecGolden(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 61)
 	const p, q, lambda = 0.5, 2.0, 0.01
@@ -326,23 +325,21 @@ func TestClusterNode2VecGolden(t *testing.T) {
 			"in-process": func(int) StepCaller { return c.caller },
 			"tcp":        func(id int) StepCaller { return tcp[id] },
 		} {
-			paths := make([]core.Path, total)
-			var cost stats.Cost
 			for id, n := range c.nodes {
 				res, err := n.RunWalks(context.Background(), callerOf(id), req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cost.Add(res.Cost)
-				for i, wi := range res.WalkIDs {
-					paths[wi] = res.Paths[i]
+				cost, paths := res.Cost, res.Paths
+				if len(paths) != total {
+					t.Fatalf("%s parts=%d shard %d: %d of %d walks", name, parts, id, len(paths), total)
 				}
-			}
-			if cost != ref.Cost {
-				t.Fatalf("%s parts=%d: cost %+v, engine %+v", name, parts, cost, ref.Cost)
-			}
-			if !reflect.DeepEqual(paths, ref.Paths) {
-				t.Fatalf("%s parts=%d: node2vec paths diverge from the engine", name, parts)
+				if cost != ref.Cost {
+					t.Fatalf("%s parts=%d: cost %+v, engine %+v", name, parts, cost, ref.Cost)
+				}
+				if !reflect.DeepEqual(paths, ref.Paths) {
+					t.Fatalf("%s parts=%d: node2vec paths diverge from the engine", name, parts)
+				}
 			}
 		}
 	}

@@ -24,10 +24,8 @@ type StepCaller interface {
 	Step(ctx context.Context, shardID int, req *wire.StepRequest) (*wire.StepResponse, error)
 }
 
-// WalkRequest describes the full logical walk request, identical on every
-// shard: walk ids are positions in the global (source-major) walk list, so
-// each shard independently selects the ids whose source it owns and the
-// router can merge partial results without renumbering.
+// WalkRequest describes one logical walk request. Walk ids are positions in
+// the source-major walk list, and any node can coordinate the whole list.
 type WalkRequest struct {
 	// Sources is the global source list; nil means every vertex.
 	Sources []temporal.Vertex
@@ -69,8 +67,8 @@ func (r *WalkRequest) normalize(numV int) {
 	}
 }
 
-// WalkResult is one shard's share of a walk request: the walks whose source
-// vertex this shard owns, each walked to completion (possibly via peers).
+// WalkResult is a coordinated walk request: every walk, each walked to
+// completion on the shards owning its vertices.
 type WalkResult struct {
 	Cost     stats.Cost
 	Duration time.Duration
@@ -85,10 +83,8 @@ type WalkResult struct {
 	BytesSent  int64
 	// LocalSteps counts walker-steps served by this shard's own partition.
 	LocalSteps int64
-	// WalkIDs lists the global walk ids this shard coordinated, ascending.
-	// Paths is parallel to it when KeepPaths is set.
-	WalkIDs []int
-	Paths   []core.Path
+	// Paths holds walk i at index i when KeepPaths is set.
+	Paths []core.Path
 	// Lengths histograms realized walk lengths, as in core.Result.
 	Lengths *stats.Histogram
 	// Spans carries the compact cross-process span summaries when the
@@ -96,14 +92,7 @@ type WalkResult struct {
 	Spans []wire.SpanSummary
 }
 
-// coordWalker is a frontier entry: the migrating wire state plus the local
-// result slot it reports into.
-type coordWalker struct {
-	wire.Walker
-	slot int // index into WalkIDs/Paths
-}
-
-// RunWalks executes the walks of req whose source vertex this shard owns,
+// RunWalks coordinates every walk of req, whatever shard owns its source,
 // scatter-gather style: each round the resident frontier is grouped by the
 // owner of each walker's current vertex, remote groups cross to their owner
 // as one wire frame per peer, the local group advances on this node's
@@ -114,7 +103,7 @@ type coordWalker struct {
 // Determinism: walker wi's randomness is root.Split(wi) carried in the
 // migration frames and consumed sequentially wherever the walker happens to
 // be resident — so paths are byte-identical to core.Engine.RunContext with
-// the same seed, for any shard count including 1.
+// the same seed, for any shard count including 1 and any coordinating node.
 //
 // A peer failure aborts the run with the *wire.PeerError (fail-fast: the
 // caller maps it to 503 + Retry-After; no partial silent results).
@@ -141,30 +130,23 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 	res := &WalkResult{Lengths: stats.NewHistogram(req.Length + 1)}
 	root := xrand.New(req.Seed)
 
-	// Seed the frontier with the owned slice of the global walk list.
 	totalWalks := len(req.Sources) * req.WalksPerVertex
-	var frontier []coordWalker
-	for wi := 0; wi < totalWalks; wi++ {
+	frontier := make([]wire.Walker, totalWalks)
+	if req.KeepPaths {
+		res.Paths = make([]core.Path, totalWalks)
+	}
+	for wi := range frontier {
 		src := req.Sources[wi/req.WalksPerVertex]
-		if n.part.Owner(src) != n.id {
-			continue
-		}
-		slot := len(res.WalkIDs)
-		res.WalkIDs = append(res.WalkIDs, wi)
-		w := coordWalker{slot: slot}
+		w := &frontier[wi]
 		w.ID = uint64(wi)
 		w.Cur = src
 		w.Arrival = req.StartTime
 		root.SplitTo(uint64(wi), &w.RNG)
-		frontier = append(frontier, w)
-		res.Cost.WalksStarted++
-	}
-	if req.KeepPaths {
-		res.Paths = make([]core.Path, len(res.WalkIDs))
-		for i, wi := range res.WalkIDs {
-			res.Paths[i] = core.NewPath(req.Sources[wi/req.WalksPerVertex], req.Length)
+		if req.KeepPaths {
+			res.Paths[wi] = core.NewPath(src, req.Length)
 		}
 	}
+	res.Cost.WalksStarted = int64(totalWalks)
 	if runSpan != nil {
 		runSpan.SetInt("walks", int64(len(frontier)))
 	}
@@ -239,7 +221,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 				Walkers:     make([]wire.Walker, len(idxs)),
 			}
 			for j, fi := range idxs {
-				sreq.Walkers[j] = frontier[fi].Walker
+				sreq.Walkers[j] = frontier[fi]
 			}
 			frameBytes := int64(wire.FrameSize(wire.StepRequestSize(sreq)))
 			res.Frames++
@@ -299,7 +281,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 		if idxs := groups[n.id]; len(idxs) > 0 {
 			local = local[:0]
 			for _, fi := range idxs {
-				local = append(local, frontier[fi].Walker)
+				local = append(local, frontier[fi])
 			}
 			if cap(localRes) < len(idxs) {
 				localRes = make([]wire.StepResult, len(idxs))
@@ -335,7 +317,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 			for _, h := range hopsOf[i] {
 				w.Prev, w.Cur, w.Arrival = w.Cur, h.Dst, h.At
 				if req.KeepPaths {
-					p := &res.Paths[w.slot]
+					p := &res.Paths[w.ID]
 					p.Vertices = append(p.Vertices, h.Dst)
 					p.Times = append(p.Times, h.At)
 				}
@@ -394,7 +376,7 @@ func (n *Node) appendRunSummary(res *WalkResult, req *WalkRequest, start time.Ti
 		Shard:       int32(n.id),
 		StartMicros: start.UnixMicro(),
 		DurMicros:   res.Duration.Microseconds(),
-		Walkers:     int32(len(res.WalkIDs)),
+		Walkers:     int32(res.Cost.WalksStarted),
 	}
 	res.Spans = append([]wire.SpanSummary{run}, res.Spans...)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,12 +59,12 @@ func newTestNodes(t *testing.T, g *temporal.Graph, spec sampling.WeightSpec, par
 	return nodes
 }
 
-// clusterPaths runs req on every node and merges the partial results by walk
-// id into a single global path list.
+// clusterPaths runs req on every node alone, each coordinating the whole
+// request, and returns the paths they all agree on: any node can coordinate
+// any walk and must return the same walks.
 func clusterPaths(t *testing.T, nodes []*Node, caller StepCaller, req WalkRequest, totalWalks int) []core.Path {
 	t.Helper()
-	merged := make([]core.Path, totalWalks)
-	seen := 0
+	var agreed []core.Path
 	for _, n := range nodes {
 		res, err := n.RunWalks(context.Background(), caller, req)
 		if err != nil {
@@ -74,19 +73,20 @@ func clusterPaths(t *testing.T, nodes []*Node, caller StepCaller, req WalkReques
 		if res.Cost.WalksStarted != res.Cost.WalksFinished() {
 			t.Fatalf("shard %d accounting: %+v", n.ShardID(), res.Cost)
 		}
-		for i, wi := range res.WalkIDs {
-			merged[wi] = res.Paths[i]
-			seen++
+		if len(res.Paths) != totalWalks {
+			t.Fatalf("shard %d coordinated %d of %d walks", n.ShardID(), len(res.Paths), totalWalks)
+		}
+		if agreed == nil {
+			agreed = res.Paths
+		} else if !reflect.DeepEqual(res.Paths, agreed) {
+			t.Fatalf("shard %d coordinated other walks than shard %d", n.ShardID(), nodes[0].ShardID())
 		}
 	}
-	if seen != totalWalks {
-		t.Fatalf("cluster coordinated %d of %d walks", seen, totalWalks)
-	}
-	return merged
+	return agreed
 }
 
 // The tentpole's acceptance criterion: seeded walks are byte-identical across
-// partition counts {1, 2, 3, 8}, in-process.
+// partition counts {1, 2, 3, 8} and coordinating nodes, in-process.
 func TestGoldenPartitionInvariance(t *testing.T) {
 	g := testutil.RandomGraph(t, 120, 3500, 700, 51)
 	specs := []sampling.WeightSpec{
@@ -143,8 +143,9 @@ func startWireCluster(t *testing.T, nodes []*Node) []StepCaller {
 	return callers
 }
 
-// The same invariance over real loopback-TCP wire RPC: the serialized
-// migration frames carry everything the walk's determinism needs.
+// The same invariance over real loopback-TCP wire RPC, with every node
+// coordinating the whole request: the serialized migration frames carry
+// everything the walk's determinism needs.
 func TestGoldenLoopbackTCPInvariance(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 3000, 600, 52)
 	spec := sampling.Exponential(0.01)
@@ -154,24 +155,18 @@ func TestGoldenLoopbackTCPInvariance(t *testing.T) {
 	for _, parts := range []int{2, 3, 8} {
 		nodes := newTestNodes(t, g, spec, parts)
 		callers := startWireCluster(t, nodes)
-		merged := make([]core.Path, total)
-		seen := 0
 		for id, n := range nodes {
 			res, err := n.RunWalks(context.Background(), callers[id],
 				WalkRequest{Length: length, Seed: seed, KeepPaths: true, RequestID: "golden-tcp"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, wi := range res.WalkIDs {
-				merged[wi] = res.Paths[i]
-				seen++
+			if len(res.Paths) != total {
+				t.Fatalf("parts=%d shard %d: %d of %d walks", parts, id, len(res.Paths), total)
 			}
-		}
-		if seen != total {
-			t.Fatalf("parts=%d: %d of %d walks", parts, seen, total)
-		}
-		if !reflect.DeepEqual(merged, ref) {
-			t.Fatalf("parts=%d: TCP paths diverge from engine reference", parts)
+			if !reflect.DeepEqual(res.Paths, ref) {
+				t.Fatalf("parts=%d: TCP paths diverge from engine reference", parts)
+			}
 		}
 	}
 }
@@ -342,8 +337,9 @@ func TestTracePropagationAcrossHop(t *testing.T) {
 	}
 }
 
-// Cost parity: the cluster's summed cost equals the single-process engine's
-// for the same workload (steps, edges evaluated, classification counts).
+// Cost parity: every node coordinating the whole workload alone reports the
+// single-process engine's cost (steps, edges evaluated, classification
+// counts).
 func TestCostParityWithEngine(t *testing.T) {
 	g := testutil.RandomGraph(t, 100, 2500, 500, 58)
 	spec := sampling.WeightSpec{Kind: sampling.WeightLinearRank}
@@ -357,52 +353,49 @@ func TestCostParityWithEngine(t *testing.T) {
 	}
 	nodes := newTestNodes(t, g, spec, 3)
 	caller := &InProcess{Nodes: nodes}
-	var steps, evaluated, completed, deadEnded, started int64
 	for _, n := range nodes {
 		res, err := n.RunWalks(context.Background(), caller, WalkRequest{Length: 10, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps += res.Cost.Steps
-		evaluated += res.Cost.EdgesEvaluated
-		completed += res.Cost.WalksCompleted
-		deadEnded += res.Cost.WalksDeadEnded
-		started += res.Cost.WalksStarted
-	}
-	if steps != engRes.Cost.Steps || evaluated != engRes.Cost.EdgesEvaluated ||
-		completed != engRes.Cost.WalksCompleted || deadEnded != engRes.Cost.WalksDeadEnded ||
-		started != engRes.Cost.WalksStarted {
-		t.Fatalf("cluster cost {steps %d eval %d comp %d dead %d start %d} vs engine {%d %d %d %d %d}",
-			steps, evaluated, completed, deadEnded, started,
-			engRes.Cost.Steps, engRes.Cost.EdgesEvaluated, engRes.Cost.WalksCompleted,
-			engRes.Cost.WalksDeadEnded, engRes.Cost.WalksStarted)
+		c := res.Cost
+		if c.Steps != engRes.Cost.Steps || c.EdgesEvaluated != engRes.Cost.EdgesEvaluated ||
+			c.WalksCompleted != engRes.Cost.WalksCompleted || c.WalksDeadEnded != engRes.Cost.WalksDeadEnded ||
+			c.WalksStarted != engRes.Cost.WalksStarted {
+			t.Fatalf("shard %d cost {steps %d eval %d comp %d dead %d start %d} vs engine {%d %d %d %d %d}",
+				n.ShardID(), c.Steps, c.EdgesEvaluated, c.WalksCompleted, c.WalksDeadEnded, c.WalksStarted,
+				engRes.Cost.Steps, engRes.Cost.EdgesEvaluated, engRes.Cost.WalksCompleted,
+				engRes.Cost.WalksDeadEnded, engRes.Cost.WalksStarted)
+		}
 	}
 }
 
-// Explicit source lists: walk ids are global positions in the request's
-// source-major order, each id coordinated by exactly one shard.
-func TestExplicitSourcesPartitioned(t *testing.T) {
+// Explicit source lists: walk ids are positions in the request's
+// source-major order, and one node coordinating them all returns the
+// engine's walks for the same start vertices.
+func TestExplicitSourcesOneCoordinator(t *testing.T) {
 	g := testutil.RandomGraph(t, 80, 2000, 400, 59)
 	sources := []temporal.Vertex{3, 3, 17, 42, 8}
+	eng, err := core.NewEngine(g, core.App{Name: "golden"}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := eng.Run(core.WalkConfig{StartVertices: sources, WalksPerVertex: 2, Length: 5, Seed: 11, KeepPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := newTestNodes(t, g, sampling.WeightSpec{}, 3)
 	caller := &InProcess{Nodes: nodes}
-	var ids []int
-	for _, n := range nodes {
-		res, err := n.RunWalks(context.Background(), caller,
-			WalkRequest{Sources: sources, WalksPerVertex: 2, Length: 5, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, res.WalkIDs...)
+	res, err := nodes[1].RunWalks(context.Background(), caller,
+		WalkRequest{Sources: sources, WalksPerVertex: 2, Length: 5, Seed: 11, KeepPaths: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Ints(ids)
-	if len(ids) != len(sources)*2 {
-		t.Fatalf("coordinated %d walks, want %d", len(ids), len(sources)*2)
+	if len(res.Paths) != len(sources)*2 {
+		t.Fatalf("coordinated %d walks, want %d", len(res.Paths), len(sources)*2)
 	}
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("walk ids not a partition of 0..%d: %v", len(sources)*2-1, ids)
-		}
+	if !reflect.DeepEqual(res.Paths, ref.Paths) {
+		t.Fatal("explicit-source walks diverge from the engine's")
 	}
 	// Out-of-range source is refused.
 	if _, err := nodes[0].RunWalks(context.Background(), caller,

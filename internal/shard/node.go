@@ -49,7 +49,7 @@ type Node2Vec struct {
 // Node is one shard: a core.Engine over the subgraph of its owned vertices'
 // out-edges, and the step executor remote peers call into. A Node both
 // serves steps for walkers arriving from peers (HandleStep) and coordinates
-// the walks whose source vertex it owns (RunWalks).
+// whole walk requests (RunWalks).
 type Node struct {
 	id     int
 	part   *Partitioner
