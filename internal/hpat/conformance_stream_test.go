@@ -9,7 +9,7 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// The streaming graph draws through hpat.Table segments. Ingest each hub in
+// The streaming graph draws through per-segment hpat blocks. Ingest each hub in
 // two batches, the second no smaller than the first, so the LSM policy merges
 // them into one rebuilt segment; SampleStep must then follow the same exact
 // prefix distribution as the static index.

@@ -94,10 +94,10 @@ func TestConformanceIndexSample(t *testing.T) {
 
 func TestConformanceTableSample(t *testing.T) {
 	ForEachConformanceCase(t, func(t *testing.T, c ConformanceCase) {
-		tab := NewTable(c.Weights.Vertex(0))
+		block := newBlock(c.Weights.Vertex(0))
 		r := xrand.New(uint64(c.Degree) + 1)
 		c.CheckPrefixes(t, func(k int) (int, bool) {
-			e, _, ok := tab.Sample(k, nil, r)
+			e, _, ok := SampleBlock(block, c.Degree, k, nil, r)
 			return e, ok
 		})
 	})
@@ -122,7 +122,7 @@ func trunkMass(trunk []uint64) []float64 {
 func TestConformanceMassReconstruction(t *testing.T) {
 	ForEachConformanceCase(t, func(t *testing.T, c ConformanceCase) {
 		w := c.Weights.Vertex(0)
-		tab := NewTable(w)
+		slots := newBlock(w)[c.Degree+1:]
 		for level := minTableLevel; level <= topLevel(c.Degree); level++ {
 			size := 1 << level
 			base := levelBase(c.Degree, level)
@@ -131,7 +131,7 @@ func TestConformanceMassReconstruction(t *testing.T) {
 				for _, x := range w[lo : lo+size] {
 					total += x
 				}
-				mass := trunkMass(tab.slots[base+lo : base+lo+size])
+				mass := trunkMass(slots[base+lo : base+lo+size])
 				tol := float64(size) / (1 << 31)
 				for j, m := range mass {
 					if got, want := m/float64(size), w[lo+j]/total; math.Abs(got-want) > tol {
@@ -164,8 +164,9 @@ func TestConformanceZeroWeightTrunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := Build(sampling.WrapGraphWeights(g, w), Config{})
-	tab := NewTable(w)
-	for _, s := range tab.slots[levelBase(len(w), 6)+64 : levelBase(len(w), 6)+128] {
+	block := newBlock(w)
+	slots := block[len(w)+1:]
+	for _, s := range slots[levelBase(len(w), 6)+64 : levelBase(len(w), 6)+128] {
 		if s != 0 {
 			t.Fatal("weightless trunk has slots built")
 		}
@@ -174,14 +175,14 @@ func TestConformanceZeroWeightTrunk(t *testing.T) {
 	for k := 1; k <= len(w); k++ {
 		for i := 0; i < 200; i++ {
 			e, _, ok := idx.Sample(0, k, r)
-			e2, _, ok2 := tab.Sample(k, nil, r)
+			e2, _, ok2 := SampleBlock(block, len(w), k, nil, r)
 			if !ok || !ok2 || w[e] == 0 || w[e2] == 0 || e >= k || e2 >= k {
 				t.Fatalf("k=%d: drew (%d,%v) and (%d,%v)", k, e, ok, e2, ok2)
 			}
 		}
 	}
 	// A prefix that is nothing but the weightless run carries no mass.
-	if _, _, ok := NewTable(w[64:160]).Sample(96, nil, r); ok {
+	if _, _, ok := SampleBlock(newBlock(w[64:160]), 96, 96, nil, r); ok {
 		t.Fatal("sampled from an all-zero prefix")
 	}
 }

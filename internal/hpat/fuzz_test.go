@@ -35,7 +35,7 @@ func FuzzDecompose(f *testing.F) {
 	})
 }
 
-// FuzzTableSample builds a Table from arbitrary weights and hammers every
+// FuzzTableSample builds a block from arbitrary weights and hammers every
 // prefix: no panics, indices in range, ok iff the prefix has positive mass.
 func FuzzTableSample(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7})
@@ -50,14 +50,14 @@ func FuzzTableSample(f *testing.F) {
 		for i, b := range raw {
 			w[i] = float64(b)
 		}
-		tab := NewTable(w)
+		block := newBlock(w)
 		r := xrand.New(1)
 		for k := 0; k <= len(w); k++ {
 			mass := 0.0
 			for _, x := range w[:k] {
 				mass += x
 			}
-			idx, _, ok := tab.Sample(k, nil, r)
+			idx, _, ok := SampleBlock(block, len(w), k, nil, r)
 			if ok != (mass > 0) {
 				t.Fatalf("k=%d mass=%v ok=%v", k, mass, ok)
 			}

@@ -1,9 +1,14 @@
 package hpat
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -297,11 +302,18 @@ func TestTotalMatchesPrefixSum(t *testing.T) {
 	}
 }
 
+// newBlock builds a standalone block over w.
+func newBlock(w []float64) []uint64 {
+	words := make([]uint64, BlockWords(len(w)))
+	BuildBlock(w, words, new(BlockScratch))
+	return words
+}
+
 func TestTableMatchesIndexDistribution(t *testing.T) {
 	w := []float64{7, 6, 5, 4, 3, 2, 1}
-	tab := NewTable(w)
-	if tab.Len() != 7 {
-		t.Fatalf("Len = %d", tab.Len())
+	block := newBlock(w)
+	if len(block) != 8 {
+		t.Fatalf("BlockWords(7) = %d", len(block))
 	}
 	aux := BuildAuxIndex(8)
 	r := xrand.New(12)
@@ -313,7 +325,7 @@ func TestTableMatchesIndexDistribution(t *testing.T) {
 				a = nil
 			}
 			testutil.CheckDistribution(t, "table", want, 15000, func() (int, bool) {
-				e, _, ok := tab.Sample(k, a, r)
+				e, _, ok := SampleBlock(block, len(w), k, a, r)
 				return e, ok
 			})
 		}
@@ -322,30 +334,32 @@ func TestTableMatchesIndexDistribution(t *testing.T) {
 
 func TestTableDegenerate(t *testing.T) {
 	r := xrand.New(14)
-	empty := NewTable(nil)
-	if _, _, ok := empty.Sample(1, nil, r); ok {
-		t.Fatal("empty table sampled")
+	empty := newBlock(nil)
+	if _, _, ok := SampleBlock(empty, 0, 1, nil, r); ok {
+		t.Fatal("empty block sampled")
 	}
-	if empty.MemoryBytes() < 0 {
-		t.Fatal("negative memory")
+	if len(empty) != 1 {
+		t.Fatalf("empty block holds %d words, want its one prefix sum", len(empty))
 	}
-	single := NewTable([]float64{2})
-	e, _, ok := single.Sample(1, nil, r)
+	single := newBlock([]float64{2})
+	e, _, ok := SampleBlock(single, 1, 1, nil, r)
 	if !ok || e != 0 {
-		t.Fatalf("single-edge table sample (%d,%v)", e, ok)
+		t.Fatalf("single-edge block sample (%d,%v)", e, ok)
 	}
-	zero := NewTable([]float64{0, 0})
-	if _, _, ok := zero.Sample(2, nil, r); ok {
-		t.Fatal("zero-weight table sampled")
+	zero := newBlock([]float64{0, 0})
+	if _, _, ok := SampleBlock(zero, 2, 2, nil, r); ok {
+		t.Fatal("zero-weight block sampled")
 	}
 }
 
+// The builder reads the weights only during the call, so callers may reuse
+// their buffer.
 func TestTableCopiesWeights(t *testing.T) {
 	w := []float64{3, 2, 1}
-	tab := NewTable(w)
+	block := newBlock(w)
 	w[0] = 999
-	if tab.Weights()[0] != 3 {
-		t.Fatal("table aliases caller weights")
+	if got := BlockTotal(block, 3); got != 6 {
+		t.Fatalf("block total %v after the caller reused its buffer, want 6", got)
 	}
 }
 
@@ -438,5 +452,29 @@ func TestIndexBytesBudget(t *testing.T) {
 		t.Fatalf("index + graph = %.1f B/edge, budget 50", perEdge)
 	} else {
 		t.Logf("index + graph = %.2f B/edge over %d edges", perEdge, numE)
+	}
+}
+
+// The standalone block API replaced the heap-owning Table: the streaming
+// engine keeps each segment's block inside the segment's one arena.
+func TestNoStandaloneTable(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						if spec.(*ast.TypeSpec).Name.Name == "Table" {
+							t.Fatalf("%s declares Table", name)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -144,8 +144,9 @@ type ingestResponse struct {
 }
 
 // handleIngestEdges implements POST /edges: a JSON batch of strictly newer
-// edges, WAL-logged before it is applied. Non-increasing timestamps are the
-// client's bug → 400; an unrecovered or degraded server sheds → 503.
+// edges, WAL-logged before it is applied. Non-increasing timestamps and
+// vertex ids out of range (refused before the WAL append) are the client's
+// bug → 400; an unrecovered or degraded server sheds → 503.
 func (s *Server) handleIngestEdges(w http.ResponseWriter, r *http.Request) {
 	d := s.durableForWrite(w)
 	if d == nil {
@@ -212,11 +213,11 @@ func (s *Server) handleIngestExpire(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestStatus maps a durable-write error to an HTTP status: client bugs
-// (stale timestamps, unknown edges) are 400, a full disk is 507 Insufficient
+// (stale timestamps, unknown edges, vertex ids out of range) are 400, a full disk is 507 Insufficient
 // Storage, other infrastructure failures are 503.
 func ingestStatus(err error) int {
 	switch {
-	case errors.Is(err, stream.ErrStaleBatch), errors.Is(err, stream.ErrEdgeNotFound):
+	case errors.Is(err, stream.ErrStaleBatch), errors.Is(err, stream.ErrEdgeNotFound), errors.Is(err, stream.ErrVertexRange):
 		return http.StatusBadRequest
 	case vfs.IsNoSpace(err):
 		return http.StatusInsufficientStorage

@@ -183,6 +183,22 @@ func TestIngestValidation(t *testing.T) {
 	postJSON(t, ts.URL+"/expire?before=abc", "", http.StatusBadRequest, nil)
 }
 
+// A vertex id past the stream's bound is the client's bug: 400 with a JSON
+// error, and nothing reaches the WAL — a logged batch would be replayed at
+// every restart.
+func TestIngestRefusesVertexIDOutOfRange(t *testing.T) {
+	ts, _, d := newIngestServer(t, Config{})
+	lsn := d.Log().LastLSN()
+	var body map[string]any
+	postJSON(t, ts.URL+"/edges", `{"edges":[{"src":4294967295,"dst":1,"t":1}]}`, http.StatusBadRequest, &body)
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "vertex id out of range") {
+		t.Fatalf("error body %v", body)
+	}
+	if got := d.Log().LastLSN(); got != lsn || d.NumVertices() != 0 {
+		t.Fatalf("refused batch reached the log (LSN %d → %d) or the graph (%d vertices)", lsn, got, d.NumVertices())
+	}
+}
+
 // A read-only query server refuses ingest endpoints explicitly rather than
 // 404ing.
 func TestIngestRejectedInEngineMode(t *testing.T) {

@@ -3,7 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/tea-graph/tea/internal/temporal"
 )
@@ -12,7 +12,8 @@ import (
 // ("deleting or changing vertices or edges are not supported. We plan to add
 // support for these features"). The design keeps the HPAT segments intact:
 //
-//   - a deleted edge is tombstoned in its segment (bitmap + counter);
+//   - a deleted edge is tombstoned in its segment (bitmap + counter; the
+//     deletion installs a new bitmap, so published ones never change);
 //   - sampling proposes from the unchanged segment tables and re-proposes
 //     when it hits a tombstone — classic rejection against the live
 //     sub-distribution, so live edges keep exactly their relative
@@ -68,30 +69,38 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // eventually discards tombstones, after which a re-delete of that edge
 // reports ErrEdgeNotFound again; retry promptly.)
 func (g *Graph) DeleteEdges(edges []temporal.Edge) error {
+	t := g.begin()
+	err := t.deleteEdges(edges)
+	t.commit()
+	return err
+}
+
+// deleteEdges stages DeleteEdges; the entries before a failure stay staged.
+func (t *txn) deleteEdges(edges []temporal.Edge) error {
+	t.track()
 	for i, e := range edges {
-		if err := g.deleteOne(e); err != nil {
+		if err := t.deleteOne(e); err != nil {
 			return &BatchError{Applied: i, Err: fmt.Errorf("%w: %v", err, e)}
 		}
 	}
 	return nil
 }
 
-func (g *Graph) deleteOne(e temporal.Edge) error {
-	if int(e.Src) >= len(g.verts) {
+func (t *txn) deleteOne(e temporal.Edge) error {
+	if int(e.Src) >= len(t.verts) {
 		return ErrEdgeNotFound
 	}
-	vs := &g.verts[e.Src]
+	vs := t.vertex(e.Src)
 	tombstoned := false
-	for si := range vs.segs {
+	for si := len(vs.segs) - 1; si >= 0; si-- {
 		s := &vs.segs[si]
-		if s.len() == 0 || e.Time > s.newestTime() || e.Time < s.oldestTime() {
+		if e.Time > s.newestTime() || e.Time < s.oldestTime() {
 			continue
 		}
 		// Times are newest-first within a segment: find the run with this
 		// timestamp, then match the destination among live slots.
-		lo := sort.Search(s.len(), func(i int) bool { return s.ts[i] <= e.Time })
-		for i := lo; i < s.len() && s.ts[i] == e.Time; i++ {
-			if s.dst[i] != e.Dst {
+		for i := s.newerThan(e.Time); i < s.len() && s.ts(i) == e.Time; i++ {
+			if s.dst(i) != e.Dst {
 				continue
 			}
 			if s.isDeleted(i) {
@@ -101,11 +110,15 @@ func (g *Graph) deleteOne(e temporal.Edge) error {
 				tombstoned = true
 				continue
 			}
-			s.tombstone(i)
+			// Published directories and bitmaps are never edited: the
+			// deletion gets copies.
+			vs.segs = slices.Clone(vs.segs)
+			vs.segs[si].dead = s.dead.with(i, s.len())
 			vs.deleted++
-			g.numDeleted++
-			g.numEdges-- // NumEdges reports live edges
-			g.maybeCompact(e.Src)
+			t.set(e.Src, vs)
+			t.numDeleted++
+			t.numEdges-- // NumEdges reports live edges
+			t.maybeCompact(e.Src)
 			return nil
 		}
 	}
@@ -117,26 +130,38 @@ func (g *Graph) deleteOne(e temporal.Edge) error {
 
 // isDeleted reports whether slot i is tombstoned.
 func (s *segment) isDeleted(i int) bool {
-	return s.dead != nil && s.dead[i]
+	return s.dead != nil && s.dead.bits[i/64]&(1<<(i%64)) != 0
 }
 
-// tombstone marks slot i deleted.
-func (s *segment) tombstone(i int) {
+// deadCount returns the segment's tombstoned slots.
+func (s *segment) deadCount() int {
 	if s.dead == nil {
-		s.dead = make([]bool, s.len())
+		return 0
 	}
-	s.dead[i] = true
-	s.deadCount++
+	return s.dead.count
+}
+
+// with returns a copy of d (nil: none yet) for an n-slot segment with slot
+// i tombstoned too.
+func (d *tombstones) with(i, n int) *tombstones {
+	next := &tombstones{bits: make([]uint64, (n+63)/64)}
+	if d != nil {
+		copy(next.bits, d.bits)
+		next.count = d.count
+	}
+	next.bits[i/64] |= 1 << (i % 64)
+	next.count++
+	return next
 }
 
 // liveWithin counts live edges among the k newest slots of the segment.
 func (s *segment) liveWithin(k int) int {
-	if s.deadCount == 0 {
+	if s.dead == nil {
 		return k
 	}
 	live := k
 	for i := 0; i < k; i++ {
-		if s.dead[i] {
+		if s.isDeleted(i) {
 			live--
 		}
 	}
@@ -145,48 +170,58 @@ func (s *segment) liveWithin(k int) int {
 
 // maybeCompact rebuilds the vertex without tombstones once they pass the
 // threshold.
-func (g *Graph) maybeCompact(u temporal.Vertex) {
-	vs := &g.verts[u]
+func (t *txn) maybeCompact(u temporal.Vertex) {
+	vs := t.vertex(u)
 	if vs.degree == 0 || float64(vs.deleted) < CompactionThreshold*float64(vs.degree) {
 		return
 	}
-	g.CompactVertex(u)
+	t.compactVertex(u)
 }
 
 // CompactVertex eagerly rebuilds u's segments without tombstoned edges.
 // Usually invoked automatically; exposed for tests and maintenance tooling.
 func (g *Graph) CompactVertex(u temporal.Vertex) {
-	if int(u) >= len(g.verts) {
+	t := g.begin()
+	t.track()
+	t.compactVertex(u)
+	t.commit()
+}
+
+func (t *txn) compactVertex(u temporal.Vertex) {
+	if int(u) >= len(t.verts) {
 		return
 	}
-	vs := &g.verts[u]
+	vs := t.vertex(u)
 	if vs.deleted == 0 {
 		return
 	}
-	dst := make([]temporal.Vertex, 0, vs.degree-vs.deleted)
-	ts := make([]temporal.Time, 0, vs.degree-vs.deleted)
-	for i := len(vs.segs) - 1; i >= 0; i-- {
-		s := &vs.segs[i]
-		for j := 0; j < s.len(); j++ {
-			if !s.isDeleted(j) {
-				dst = append(dst, s.dst[j])
-				ts = append(ts, s.ts[j])
+	live := 0
+	for si := range vs.segs {
+		live += vs.segs[si].len() - vs.segs[si].deadCount()
+	}
+	t.numDeleted -= vs.deleted
+	next := vertexState{degree: live}
+	if live > 0 {
+		seg := t.newSegment(live, 0)
+		i := 0
+		for si := range vs.segs {
+			s := &vs.segs[si]
+			for j := 0; j < s.len(); j++ {
+				if !s.isDeleted(j) {
+					seg.put(i, s.dst(j), s.ts(j))
+					i++
+				}
 			}
 		}
+		t.g.finish(&seg, t.minTime)
+		next.segs = []segment{seg}
+		t.g.rescale(next.segs)
 	}
-	g.numDeleted -= vs.deleted
-	vs.deleted = 0
-	vs.degree = len(dst)
-	if len(dst) == 0 {
-		vs.segs = nil
-		return
+	t.set(u, next)
+	if live > 0 {
+		t.maxSeg = max(t.maxSeg, live)
+		t.growAux()
 	}
-	vs.segs = []segment{g.buildSegment(dst, ts, 0)}
-	g.rescale(vs)
-	if vs.degree > g.maxSeg {
-		g.maxSeg = vs.degree
-	}
-	g.maybeGrowAux()
 }
 
 // NumDeleted returns the live tombstone count across the graph.
@@ -205,17 +240,14 @@ func (g *Graph) LiveCandidateCount(u temporal.Vertex, after temporal.Time) int {
 	if int(u) >= len(g.verts) {
 		return 0
 	}
-	vs := &g.verts[u]
 	count := 0
-	for i := len(vs.segs) - 1; i >= 0; i-- {
-		s := &vs.segs[i]
-		if s.oldestTime() > after {
-			count += s.len() - s.deadCount
+	for i := range g.verts[u].segs {
+		s := &g.verts[u].segs[i]
+		if s.oldest > after {
+			count += s.len() - s.deadCount()
 			continue
 		}
-		k := sort.Search(s.len(), func(j int) bool { return s.ts[j] <= after })
-		count += s.liveWithin(k)
-		break
+		return count + s.liveWithin(s.newerThan(after))
 	}
 	return count
 }

@@ -26,9 +26,10 @@ import (
 // is applied in memory. Mutations from concurrent callers are group-
 // committed: a single committer goroutine drains the submission queue,
 // writes the whole group with one WAL append (one fsync), then applies the
-// operations in log order under the write lock, so the in-memory state and
-// the log never disagree about ordering. Readers (walks, stats) take the
-// read lock and keep running during ingest.
+// operations in log order, so the in-memory state and the log never disagree
+// about ordering. The committer builds the group's segments before it takes
+// the write lock and holds it only to install them; readers (walks, stats)
+// take the read lock and keep running during ingest.
 //
 // Recovery is snapshot + log-suffix replay: OpenDurable loads the newest
 // *verifiable* snapshot generation (exact segment-level image, CRC-verified),
@@ -474,10 +475,14 @@ func (d *DurableGraph) applyRecord(rec wal.Record) error {
 }
 
 // AppendBatch logs and applies a batch of strictly newer edges. The batch
-// is durable per the configured fsync policy before this returns.
+// is durable per the configured fsync policy before this returns. A batch
+// naming a vertex id out of range is refused before it is logged.
 func (d *DurableGraph) AppendBatch(edges []temporal.Edge) error {
 	if len(edges) == 0 {
 		return nil
+	}
+	if err := checkVertexIDs(edges); err != nil {
+		return err
 	}
 	req := &ingestReq{typ: wal.RecEdgeBatch, payload: encodeEdgeList(edges), edges: edges, done: make(chan struct{})}
 	return d.submit(req)
@@ -606,7 +611,7 @@ func (d *DurableGraph) drainOnExit() {
 }
 
 // commitGroup writes one group through the WAL (log order = slice order),
-// applies it under the write lock, and releases the waiters.
+// applies it, and releases the waiters.
 func (d *DurableGraph) commitGroup(batch []*ingestReq) {
 	entries := make([]wal.Entry, len(batch))
 	for i, r := range batch {
@@ -622,17 +627,22 @@ func (d *DurableGraph) commitGroup(batch []*ingestReq) {
 		return
 	}
 	mGroupCommit.Observe(float64(len(batch)))
-	d.mu.Lock()
+	// Build the group's new vertex states aside — walkers keep reading the
+	// published graph meanwhile — and take the write lock only to install
+	// them.
+	tx := d.g.begin()
 	for _, r := range batch {
 		switch r.typ {
 		case wal.RecEdgeBatch:
-			r.err = d.g.AppendBatch(r.edges)
+			r.err = tx.appendBatch(r.edges)
 		case wal.RecDeleteBatch:
-			r.err = d.g.DeleteEdges(r.edges)
+			r.err = tx.deleteEdges(r.edges)
 		case wal.RecExpire:
-			r.dropped = d.g.ExpireBefore(r.horizon)
+			r.dropped = tx.expireBefore(r.horizon)
 		}
 	}
+	d.mu.Lock()
+	tx.commit()
 	d.mu.Unlock()
 	for _, r := range batch {
 		close(r.done)

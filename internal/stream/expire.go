@@ -9,71 +9,81 @@ import (
 // older than a horizon. Because segments are time-ordered runs, whole
 // segments older than the horizon are dropped in O(1) per segment and only
 // one boundary segment per vertex needs filtering — no tombstones, no
-// rejection cost afterward.
+// rejection cost afterward. A vertex with nothing to expire is left as it is.
 
 // ExpireBefore removes every edge with time < horizon from the stream and
 // returns the number of edges dropped. Weights of the surviving edges keep
 // their original values (rank weights keep their ingestion ranks until the
 // vertex is next rebuilt, matching DeleteEdges' documented approximation).
 func (g *Graph) ExpireBefore(horizon temporal.Time) int {
-	dropped := 0
-	for u := range g.verts {
-		dropped += g.expireVertex(temporal.Vertex(u), horizon)
-	}
-	g.numEdges -= dropped
+	t := g.begin()
+	dropped := t.expireBefore(horizon)
+	t.commit()
 	return dropped
 }
 
-func (g *Graph) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
-	vs := &g.verts[u]
-	if len(vs.segs) == 0 {
-		return 0
+// expireBefore stages ExpireBefore on a private vertex table: expiry may
+// touch every vertex.
+func (t *txn) expireBefore(horizon temporal.Time) int {
+	t.own(len(t.verts))
+	dropped := 0
+	for u := range t.verts {
+		dropped += t.expireVertex(temporal.Vertex(u), horizon)
 	}
-	kept := vs.segs[:0]
+	t.numEdges -= dropped
+	return dropped
+}
+
+func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
+	vs := t.verts[u]
+	if len(vs.segs) == 0 || vs.segs[len(vs.segs)-1].oldestTime() >= horizon {
+		return 0 // entirely inside the window
+	}
+	var kept []segment
 	droppedEdges := 0
 	droppedTombstones := 0
 	for si := range vs.segs {
 		s := &vs.segs[si]
 		switch {
 		case s.oldestTime() >= horizon:
-			kept = append(kept, *s) // entirely inside the window
+			kept = append(kept, *s)
 		case s.newestTime() < horizon:
 			// Entirely expired: account and drop.
-			droppedEdges += s.len() - s.deadCount
-			droppedTombstones += s.deadCount
+			droppedEdges += s.len() - s.deadCount()
+			droppedTombstones += s.deadCount()
 		default:
 			// Boundary segment: keep the newest-first prefix with
 			// time >= horizon, filtering tombstones along the way.
-			dst := make([]temporal.Vertex, 0, s.len())
-			ts := make([]temporal.Time, 0, s.len())
-			for i := 0; i < s.len(); i++ {
-				if s.ts[i] < horizon {
-					// Everything from here on is older (newest-first order).
-					for j := i; j < s.len(); j++ {
-						if s.isDeleted(j) {
-							droppedTombstones++
-						} else {
-							droppedEdges++
-						}
-					}
-					break
-				}
+			k := s.newerThan(horizon - 1)
+			live := s.liveWithin(k)
+			droppedTombstones += k - live
+			for i := k; i < s.len(); i++ {
 				if s.isDeleted(i) {
 					droppedTombstones++
-					continue
+				} else {
+					droppedEdges++
 				}
-				dst = append(dst, s.dst[i])
-				ts = append(ts, s.ts[i])
 			}
-			if len(dst) > 0 {
-				kept = append(kept, g.buildSegment(dst, ts, 0))
+			if live > 0 {
+				seg := t.newSegment(live, 0)
+				n := 0
+				for i := 0; i < k; i++ {
+					if !s.isDeleted(i) {
+						seg.put(n, s.dst(i), s.ts(i))
+						n++
+					}
+				}
+				t.g.finish(&seg, t.minTime)
+				kept = append(kept, seg)
 			}
 		}
 	}
-	vs.segs = append([]segment(nil), kept...)
-	vs.degree -= droppedEdges + droppedTombstones
-	vs.deleted -= droppedTombstones
-	g.numDeleted -= droppedTombstones
-	g.rescale(vs)
+	t.g.rescale(kept)
+	t.verts[u] = vertexState{
+		segs:    kept,
+		degree:  vs.degree - droppedEdges - droppedTombstones,
+		deleted: vs.deleted - droppedTombstones,
+	}
+	t.numDeleted -= droppedTombstones
 	return droppedEdges
 }

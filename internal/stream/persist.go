@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"path/filepath"
+	"slices"
 
 	"github.com/tea-graph/tea/internal/chksum"
-	"github.com/tea-graph/tea/internal/hpat"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/vfs"
@@ -23,7 +24,8 @@ import (
 // and tombstone bitmaps verbatim, so a recovered graph is structurally
 // identical to the one that wrote it — seeded walks replay the same paths,
 // which is what lets the crash-recovery tests compare against a shadow
-// graph exactly.
+// graph exactly. Memory keeps no weights: the writer recomputes them from
+// the slots, and the reader checks that the stored ones follow.
 
 // snapMagic identifies the serialized stream snapshot ("TEA snapshot v1").
 var snapMagic = [8]byte{'T', 'E', 'A', 'S', 'N', 'A', 'P', '1'}
@@ -72,6 +74,8 @@ func (g *Graph) WriteSnapshot(w io.Writer, lsn uint64) error {
 			return err
 		}
 	}
+	var buf []byte
+	var err error
 	for u := range g.verts {
 		vs := &g.verts[u]
 		binary.LittleEndian.PutUint32(scratch[0:], uint32(vs.degree))
@@ -80,8 +84,8 @@ func (g *Graph) WriteSnapshot(w io.Writer, lsn uint64) error {
 		if err := wr(scratch[:12]); err != nil {
 			return err
 		}
-		for si := range vs.segs {
-			if err := writeSegment(hw, &vs.segs[si]); err != nil {
+		for si := len(vs.segs) - 1; si >= 0; si-- {
+			if buf, err = g.writeSegment(hw, &vs.segs[si], buf); err != nil {
 				return err
 			}
 		}
@@ -93,50 +97,33 @@ func (g *Graph) WriteSnapshot(w io.Writer, lsn uint64) error {
 	return bw.Flush()
 }
 
-func writeSegment(w io.Writer, s *segment) error {
+// writeSegment writes one segment record, its weights recomputed from the
+// slots; buf is reusable scratch.
+func (g *Graph) writeSegment(w io.Writer, s *segment, buf []byte) ([]byte, error) {
 	n := s.len()
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
-	hasDead := byte(0)
 	if s.dead != nil {
-		hasDead = 1
+		hdr[4] = 1
 	}
-	hdr[4] = hasDead
 	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(s.scale))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	buf = append(buf[:0], hdr[:]...)
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dst(i)))
 	}
-	buf := make([]byte, n*8)
-	for i, d := range s.dst {
-		binary.LittleEndian.PutUint32(buf[i*4:], uint32(d))
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.ts(i)))
 	}
-	if _, err := w.Write(buf[:n*4]); err != nil {
-		return err
+	for i := 0; i < n; i++ {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.weight(s, i, g.minTime)))
 	}
-	for i, t := range s.ts {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(t))
-	}
-	if _, err := w.Write(buf[:n*8]); err != nil {
-		return err
-	}
-	for i, v := range s.tab.Weights() {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
-	}
-	if _, err := w.Write(buf[:n*8]); err != nil {
-		return err
-	}
-	if hasDead == 1 {
-		bits := make([]byte, (n+7)/8)
-		for i, d := range s.dead {
-			if d {
-				bits[i/8] |= 1 << (i % 8)
-			}
-		}
-		if _, err := w.Write(bits); err != nil {
-			return err
+	if s.dead != nil {
+		for i := 0; i < n; i += 8 {
+			buf = append(buf, byte(s.dead.bits[i/64]>>(i%64)))
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // ReadSnapshot deserializes a snapshot written by WriteSnapshot, returning
@@ -177,12 +164,15 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 	if numVerts < 0 || numVerts > snapMaxCount {
 		return nil, 0, fmt.Errorf("%w: vertex count %d", ErrSnapshotCorrupt, numVerts)
 	}
+	kind := sampling.WeightKind(head[0])
+	if kind > sampling.WeightExponential {
+		return nil, 0, fmt.Errorf("%w: weight kind %d", ErrSnapshotCorrupt, head[0])
+	}
 	g := &Graph{
-		spec:       sampling.WeightSpec{Kind: sampling.WeightKind(head[0]), Lambda: math.Float64frombits(head[1])},
+		spec:       sampling.WeightSpec{Kind: kind, Lambda: math.Float64frombits(head[1])},
 		hasEdges:   head[2] != 0,
 		minTime:    temporal.Time(head[3]),
 		frontier:   temporal.Time(head[4]),
-		verts:      make([]vertexState, numVerts),
 		numEdges:   int(head[6]),
 		numDeleted: int(head[7]),
 		maxSeg:     int(head[8]),
@@ -191,81 +181,115 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 	if g.lambda == 0 {
 		g.lambda = 1
 	}
+	// Every table grows as its records arrive, never from a stored count,
+	// so a damaged count fails at the end of the data instead of asking for
+	// gigabytes before the CRC is checked.
+	var buf []byte
+	largest := 0
 	for u := 0; u < numVerts; u++ {
 		if err := rd(scratch[:12]); err != nil {
 			return nil, 0, err
 		}
-		vs := &g.verts[u]
-		vs.degree = int(binary.LittleEndian.Uint32(scratch[0:]))
-		vs.deleted = int(binary.LittleEndian.Uint32(scratch[4:]))
+		vs := vertexState{
+			degree:  int(binary.LittleEndian.Uint32(scratch[0:])),
+			deleted: int(binary.LittleEndian.Uint32(scratch[4:])),
+		}
 		segCount := int(binary.LittleEndian.Uint32(scratch[8:]))
-		if segCount > snapMaxCount || vs.degree > snapMaxCount {
-			return nil, 0, fmt.Errorf("%w: vertex %d counts", ErrSnapshotCorrupt, u)
-		}
-		if segCount > 0 {
-			vs.segs = make([]segment, segCount)
-		}
+		slots := 0
 		for si := 0; si < segCount; si++ {
-			if err := readSegment(hr, &vs.segs[si]); err != nil {
+			var s segment
+			if buf, err = g.readSegment(hr, &s, buf); err != nil {
 				return nil, 0, err
 			}
+			vs.segs = append(vs.segs, s)
+			slots += s.len()
+			largest = max(largest, s.len())
 		}
+		if slots != vs.degree || vs.deleted > vs.degree {
+			return nil, 0, fmt.Errorf("%w: vertex %d counts %d slots, %d deleted, %d stored", ErrSnapshotCorrupt, u, vs.degree, vs.deleted, slots)
+		}
+		slices.Reverse(vs.segs) // the file lists segments oldest first
+		g.verts = append(g.verts, vs)
 	}
 	if _, err := hr.Verify(br); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	g.maybeGrowAux()
+	// The index covers the segments present; the next append grows it to
+	// maxSeg should that be larger.
+	g.aux = auxFor(nil, min(g.maxSeg, largest))
 	return g, lsn, nil
 }
 
-func readSegment(r io.Reader, s *segment) error {
+// readSegment reads one segment record into s, rebuilding its HPAT block
+// from the stored slots. The stored weights must be the ones the slots
+// imply; buf is reusable scratch.
+func (g *Graph) readSegment(r io.Reader, s *segment, buf []byte) ([]byte, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: segment header: %v", ErrSnapshotCorrupt, err)
+		return buf, fmt.Errorf("%w: segment header: %v", ErrSnapshotCorrupt, err)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[0:]))
-	if n <= 0 || n > snapMaxCount {
-		return fmt.Errorf("%w: segment length %d", ErrSnapshotCorrupt, n)
+	if n <= 0 || n > math.MaxInt32 {
+		return buf, fmt.Errorf("%w: segment length %d", ErrSnapshotCorrupt, n)
 	}
 	hasDead := hdr[4] == 1
-	s.scale = math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
-	buf := make([]byte, n*8)
-	if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-		return fmt.Errorf("%w: segment dst: %v", ErrSnapshotCorrupt, err)
-	}
-	s.dst = make([]temporal.Vertex, n)
-	for i := range s.dst {
-		s.dst[i] = temporal.Vertex(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-		return fmt.Errorf("%w: segment ts: %v", ErrSnapshotCorrupt, err)
-	}
-	s.ts = make([]temporal.Time, n)
-	for i := range s.ts {
-		s.ts[i] = temporal.Time(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-		return fmt.Errorf("%w: segment weights: %v", ErrSnapshotCorrupt, err)
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	s.tab = hpat.NewTable(w)
+	deadBytes := 0
 	if hasDead {
-		bits := make([]byte, (n+7)/8)
-		if _, err := io.ReadFull(r, bits); err != nil {
-			return fmt.Errorf("%w: segment tombstones: %v", ErrSnapshotCorrupt, err)
+		deadBytes = (n + 7) / 8
+	}
+	buf, err := readGrowing(r, buf[:0], 20*n+deadBytes)
+	if err != nil {
+		return buf, fmt.Errorf("%w: segment of %d edges: %v", ErrSnapshotCorrupt, n, err)
+	}
+	dsts, times, weights, dead := buf[:4*n], buf[4*n:12*n], buf[12*n:20*n], buf[20*n:]
+	rank := 0
+	if g.spec.Kind == sampling.WeightLinearRank {
+		r := math.Float64frombits(binary.LittleEndian.Uint64(weights)) - float64(n)
+		if !(r >= 0 && r <= math.MaxInt32 && r == math.Trunc(r)) {
+			return buf, fmt.Errorf("%w: rank weight %v for a %d-edge segment", ErrSnapshotCorrupt, r+float64(n), n)
 		}
-		s.dead = make([]bool, n)
-		for i := range s.dead {
-			if bits[i/8]&(1<<(i%8)) != 0 {
-				s.dead[i] = true
-				s.deadCount++
-			}
+		rank = int(r)
+	}
+	*s = newSegment(n, rank)
+	s.scale = math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
+	for i := 0; i < n; i++ {
+		s.put(i, temporal.Vertex(binary.LittleEndian.Uint32(dsts[4*i:])), temporal.Time(binary.LittleEndian.Uint64(times[8*i:])))
+	}
+	g.finish(s, g.minTime)
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint64(weights[8*i:]) != math.Float64bits(g.weight(s, i, g.minTime)) {
+			return buf, fmt.Errorf("%w: slot %d weight does not follow from its time", ErrSnapshotCorrupt, i)
 		}
 	}
-	return nil
+	if hasDead {
+		d := &tombstones{bits: make([]uint64, (n+63)/64)}
+		for i, b := range dead {
+			d.bits[i/8] |= uint64(b) << (8 * (i % 8))
+		}
+		if tail := n % 64; tail != 0 && d.bits[len(d.bits)-1]>>tail != 0 {
+			return buf, fmt.Errorf("%w: tombstones past the segment end", ErrSnapshotCorrupt)
+		}
+		for _, w := range d.bits {
+			d.count += bits.OnesCount64(w)
+		}
+		s.dead = d
+	}
+	return buf, nil
+}
+
+// readGrowing appends want bytes from r to buf, growing it only as the data
+// arrives: a count larger than what follows costs at most twice the bytes
+// actually read.
+func readGrowing(r io.Reader, buf []byte, want int) ([]byte, error) {
+	for len(buf) < want {
+		chunk := min(want-len(buf), max(len(buf), 1<<16))
+		buf = slices.Grow(buf, chunk)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk]); err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+chunk]
+	}
+	return buf, nil
 }
 
 // WriteSnapshotFile writes the snapshot atomically on the real filesystem;

@@ -35,12 +35,12 @@ func requireSameGraph(t *testing.T, a, b *Graph) {
 		}
 		for si := range av.segs {
 			as, bs := &av.segs[si], &bv.segs[si]
-			if as.scale != bs.scale || as.deadCount != bs.deadCount {
+			if as.scale != bs.scale || as.deadCount() != bs.deadCount() {
 				t.Fatalf("vertex %d seg %d: scale/dead (%v,%d) vs (%v,%d)",
-					u, si, as.scale, as.deadCount, bs.scale, bs.deadCount)
+					u, si, as.scale, as.deadCount(), bs.scale, bs.deadCount())
 			}
 			for i := 0; i < as.len(); i++ {
-				if as.dst[i] != bs.dst[i] || as.ts[i] != bs.ts[i] || as.isDeleted(i) != bs.isDeleted(i) {
+				if as.dst(i) != bs.dst(i) || as.ts(i) != bs.ts(i) || as.isDeleted(i) != bs.isDeleted(i) {
 					t.Fatalf("vertex %d seg %d slot %d differs", u, si, i)
 				}
 			}
@@ -69,7 +69,7 @@ func requireSameGraph(t *testing.T, a, b *Graph) {
 
 // buildMixedGraph produces a graph exercising every structure the snapshot
 // must capture: multi-segment vertices, tombstones, and an expired window.
-func buildMixedGraph(t *testing.T) *Graph {
+func buildMixedGraph(t testing.TB) *Graph {
 	t.Helper()
 	g := mustNew(t, Config{Weight: sampling.WeightSpec{Kind: sampling.WeightExponential, Lambda: 0.05}})
 	for b := 0; b < 12; b++ {

@@ -10,13 +10,20 @@
 // elder when it reaches the elder's size), realizing Figure 7's "grow the
 // hierarchy" with amortized O(log) rebuild work instead of the naive
 // rebuild-from-scratch the paper's Figure 13d compares against.
+//
+// A vertex is one compact segment directory, newest first. An entry holds
+// what a walker needs to take a fully-covered segment whole — its oldest
+// time and scaled mass — and one pointer-free arena with the segment's
+// times, destinations and HPAT block, so a step reads the directory and then
+// one arena. Arenas and directories are immutable once published; every
+// mutation is staged aside (txn.go) and installed in one short step.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"unsafe"
 
 	"github.com/tea-graph/tea/internal/hpat"
 	"github.com/tea-graph/tea/internal/sampling"
@@ -28,36 +35,97 @@ import (
 // stream's current frontier; §3.5 supports additions only.
 var ErrStaleBatch = errors.New("stream: batch edge is not newer than the current frontier")
 
+// ErrVertexRange is returned when a batch names a vertex id above
+// maxVertexID.
+var ErrVertexRange = errors.New("stream: vertex id out of range")
+
 // ErrCustomWeight mirrors the baseline restriction: streaming needs to
 // re-derive weights on merges, which the built-in kinds support.
 var ErrCustomWeight = errors.New("stream: custom weight functions are not supported in streaming mode")
 
-// segment is one contiguous run of a vertex's out-edges, newest first, with
-// its own HPAT. scale converts the segment-relative weight total into the
+// maxVertexID is the largest vertex id a batch may name. The vertex table is
+// dense — one state per id up to the largest seen — so one id near 2^32
+// would ask for gigabytes, and a durable graph would ask again on every
+// replay of the logged batch. 2^26−1 bounds the table at about 2.7 GB.
+const maxVertexID = 1<<26 - 1
+
+// maxStepSegments bounds the segments one step composes; the LSM policy
+// keeps far fewer, so only a pathological history reaches it.
+const maxStepSegments = 64
+
+// segment is one directory entry: a contiguous run of a vertex's out-edges,
+// newest first. scale converts the segment-relative weight total into the
 // vertex-global scale (exponential weights are normalized per segment to
 // stay in floating-point range; the per-segment factor exp(λ·Δt) restores
 // comparability).
 type segment struct {
-	dst   []temporal.Vertex
-	ts    []temporal.Time
-	tab   *hpat.Table
-	scale float64
+	// arena is ts[n] | dst[n], two per word | the HPAT block over the
+	// segment's weights (hpat.BlockWords(n)). It holds no pointers.
+	arena  []uint64
+	oldest temporal.Time // ts[n-1]
+	mass   float64       // scale·cum[n]: the segment's share when fully covered
+	scale  float64
+	n      int32
+	// rank is, for linear-rank weights, the number of the vertex's edge
+	// slots older than the segment when it was built; 0 for other kinds.
+	rank int32
 	// dead tombstones deleted edges (see delete.go); nil until a deletion
 	// touches the segment.
-	dead      []bool
-	deadCount int
+	dead *tombstones
 }
 
-func (s *segment) len() int { return len(s.dst) }
+// tombstones is a segment's deletion bitmap, replaced (never edited) by
+// each deletion.
+type tombstones struct {
+	bits  []uint64
+	count int
+}
+
+// arenaWords returns the arena size of an n-edge segment.
+func arenaWords(n int) int { return n + (n+1)/2 + hpat.BlockWords(n) }
+
+func (s *segment) len() int { return int(s.n) }
+
+// ts returns slot i's time.
+func (s *segment) ts(i int) temporal.Time { return temporal.Time(s.arena[i]) }
+
+// dst returns slot i's destination.
+func (s *segment) dst(i int) temporal.Vertex {
+	return temporal.Vertex(s.arena[s.len()+i/2] >> (32 * (i & 1)))
+}
+
+// put stores slot i of a segment under construction (its arena is zeroed).
+func (s *segment) put(i int, dst temporal.Vertex, at temporal.Time) {
+	s.arena[i] = uint64(at)
+	s.arena[s.len()+i/2] |= uint64(dst) << (32 * (i & 1))
+}
+
+// block returns the segment's HPAT block.
+func (s *segment) block() []uint64 { return s.arena[s.len()+(s.len()+1)/2:] }
 
 // newestTime returns the segment's latest timestamp.
-func (s *segment) newestTime() temporal.Time { return s.ts[0] }
+func (s *segment) newestTime() temporal.Time { return s.ts(0) }
 
 // oldestTime returns the segment's earliest timestamp.
-func (s *segment) oldestTime() temporal.Time { return s.ts[len(s.ts)-1] }
+func (s *segment) oldestTime() temporal.Time { return s.oldest }
+
+// newerThan returns how many of the segment's slots are later than after:
+// its newest-first times make that a prefix.
+func (s *segment) newerThan(after temporal.Time) int {
+	lo, hi := 0, s.len()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.ts(mid) <= after {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
 
 type vertexState struct {
-	segs    []segment // oldest first
+	segs    []segment // newest first
 	degree  int       // slots including tombstones
 	deleted int       // tombstoned slots
 }
@@ -76,6 +144,13 @@ type Graph struct {
 	aux        *hpat.AuxIndex
 	maxSeg     int // largest segment length, tracked for the shared aux index
 	numDeleted int // live tombstones across all vertices
+
+	// The writer's working space: one goroutine mutates at a time.
+	tx      txn
+	sorted  []temporal.Edge
+	weights []float64
+	scratch hpat.BlockScratch
+	onBuild func() // called before each segment build; tests watch locks with it
 }
 
 // Config parameterizes a streaming graph.
@@ -140,168 +215,89 @@ func (g *Graph) Segments(u temporal.Vertex) int {
 
 // AppendBatch ingests a batch of edges, all strictly newer than every edge
 // already in the stream (the edge-stream model of §2.1/§3.5). The batch may
-// reference vertices beyond the current space; the space grows. Within the
-// batch, edges may arrive in any order.
+// reference vertices beyond the current space, up to maxVertexID; the space
+// grows. Within the batch, edges may arrive in any order.
 func (g *Graph) AppendBatch(edges []temporal.Edge) error {
-	if len(edges) == 0 {
-		return nil
+	t := g.begin()
+	if err := t.appendBatch(edges); err != nil {
+		return err
 	}
-	batchMin := edges[0].Time
-	maxV := temporal.Vertex(0)
-	for _, e := range edges {
-		if e.Time <= g.frontier {
-			return fmt.Errorf("%w: edge %v vs frontier %d", ErrStaleBatch, e, g.frontier)
-		}
-		if e.Time < batchMin {
-			batchMin = e.Time
-		}
-		if e.Src > maxV {
-			maxV = e.Src
-		}
-		if e.Dst > maxV {
-			maxV = e.Dst
-		}
-	}
-	if int(maxV) >= len(g.verts) {
-		grown := make([]vertexState, int(maxV)+1)
-		copy(grown, g.verts)
-		g.verts = grown
-	}
-	if !g.hasEdges {
-		g.minTime = batchMin
-		g.hasEdges = true
-	}
-
-	// Group the batch by source, newest-first within each source.
-	bySrc := map[temporal.Vertex][]temporal.Edge{}
-	for _, e := range edges {
-		bySrc[e.Src] = append(bySrc[e.Src], e)
-	}
-	for src, es := range bySrc {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Time != es[j].Time {
-				return es[i].Time > es[j].Time
-			}
-			return es[i].Dst < es[j].Dst
-		})
-		g.appendVertexRun(src, es)
-	}
-	for _, e := range edges {
-		if e.Time > g.frontier {
-			g.frontier = e.Time
-		}
-	}
-	g.numEdges += len(edges)
-	g.maybeGrowAux()
+	t.commit()
 	return nil
 }
 
-// appendVertexRun adds one vertex's newest-first run as a fresh segment and
-// applies the LSM merge policy.
-func (g *Graph) appendVertexRun(src temporal.Vertex, es []temporal.Edge) {
-	vs := &g.verts[src]
-	dst := make([]temporal.Vertex, len(es))
-	ts := make([]temporal.Time, len(es))
-	for i, e := range es {
-		dst[i] = e.Dst
-		ts[i] = e.Time
-	}
-	seg := g.buildSegment(dst, ts, vs.degree)
-	vs.segs = append(vs.segs, seg)
-	vs.degree += len(es)
-	// LSM policy: a newer segment at least as large as its elder absorbs it.
-	for len(vs.segs) > 1 {
-		n := len(vs.segs)
-		if vs.segs[n-1].len() < vs.segs[n-2].len() {
-			break
-		}
-		merged, dropped := g.mergeSegments(&vs.segs[n-2], &vs.segs[n-1], vs.degree-vs.segs[n-1].len()-vs.segs[n-2].len())
-		vs.segs = vs.segs[:n-2]
-		vs.segs = append(vs.segs, merged)
-		vs.degree -= dropped
-		vs.deleted -= dropped
-		g.numDeleted -= dropped
-	}
-	g.rescale(vs)
-	if top := vs.segs[len(vs.segs)-1].len(); top > g.maxSeg {
-		g.maxSeg = top
-	}
-}
-
-// buildSegment constructs a segment whose edges (newest first) sit above
-// olderCount existing edges of the vertex (needed for rank weights).
-func (g *Graph) buildSegment(dst []temporal.Vertex, ts []temporal.Time, olderCount int) segment {
-	n := len(dst)
-	w := make([]float64, n)
+// weight returns slot i's weight. It is a function of the segment's times,
+// length and rank offset and of the graph's weight kind, λ and minTime only,
+// so the build, the tombstone fallback and the snapshot writer compute it
+// bit for bit alike.
+func (g *Graph) weight(s *segment, i int, minTime temporal.Time) float64 {
 	switch g.spec.Kind {
 	case sampling.WeightUniform:
-		for i := range w {
-			w[i] = 1
-		}
+		return 1
 	case sampling.WeightLinearTime:
-		for i := range w {
-			w[i] = float64(ts[i]-g.minTime) + 1
-		}
+		return float64(s.ts(i)-minTime) + 1
 	case sampling.WeightLinearRank:
 		// Rank counted from the oldest edge of the vertex: stable as newer
-		// edges arrive. Newest-first position i has rank olderCount + n - i.
-		for i := range w {
-			w[i] = float64(olderCount + n - i)
-		}
+		// edges arrive. Newest-first position i has rank rank + n - i.
+		return float64(int(s.rank) + s.len() - i)
 	case sampling.WeightExponential:
-		newest := ts[0]
-		for i := range w {
-			w[i] = math.Exp(g.lambda * float64(ts[i]-newest))
-		}
+		return math.Exp(g.lambda * float64(s.ts(i)-s.ts(0)))
 	}
-	return segment{dst: dst, ts: ts, tab: hpat.NewTable(w), scale: 1}
+	return 0
 }
 
-// mergeSegments rebuilds older+newer into one segment (Figure 7's hierarchy
-// growth), dropping any tombstoned slots so deletions are never resurrected.
-// olderCount is the number of vertex edge slots older than both; dropped
-// returns how many tombstones were compacted away.
-func (g *Graph) mergeSegments(older, newer *segment, olderCount int) (segment, int) {
-	dst := make([]temporal.Vertex, 0, older.len()+newer.len())
-	ts := make([]temporal.Time, 0, older.len()+newer.len())
-	dropped := 0
-	for _, s := range []*segment{newer, older} {
-		for i := 0; i < s.len(); i++ {
-			if s.isDeleted(i) {
-				dropped++
-				continue
-			}
-			dst = append(dst, s.dst[i])
-			ts = append(ts, s.ts[i])
-		}
-	}
-	return g.buildSegment(dst, ts, olderCount), dropped
+// newSegment allocates an n-slot segment — its one heap allocation — for
+// the caller to fill with put and then finish.
+func newSegment(n, rank int) segment {
+	return segment{arena: make([]uint64, arenaWords(n)), n: int32(n), rank: int32(rank), scale: 1}
 }
 
-// rescale refreshes every segment's cross-segment scale factor after the
-// frontier moved. Only exponential weights need scaling; the factor is
-// exp(λ·(segNewest − vertexNewest)) so that scale·Total reproduces Eq. 3's
-// ratios across segments.
-func (g *Graph) rescale(vs *vertexState) {
-	if g.spec.Kind != sampling.WeightExponential || len(vs.segs) == 0 {
+// finish builds a filled segment's HPAT block from its slots' weights.
+func (g *Graph) finish(s *segment, minTime temporal.Time) {
+	if g.onBuild != nil {
+		g.onBuild()
+	}
+	n := s.len()
+	if cap(g.weights) < n {
+		g.weights = make([]float64, n)
+	}
+	w := g.weights[:n]
+	for i := range w {
+		w[i] = g.weight(s, i, minTime)
+	}
+	hpat.BuildBlock(w, s.block(), &g.scratch)
+	s.oldest = s.ts(n - 1)
+	s.mass = s.scale * hpat.BlockTotal(s.block(), n)
+}
+
+// rescale refreshes the cross-segment scale factors of a newest-first
+// directory after its newest time moved. Only exponential weights need
+// scaling; the factor is exp(λ·(segNewest − vertexNewest)) so that
+// scale·Total reproduces Eq. 3's ratios across segments.
+func (g *Graph) rescale(segs []segment) {
+	if g.spec.Kind != sampling.WeightExponential || len(segs) == 0 {
 		return
 	}
-	vertexNewest := vs.segs[len(vs.segs)-1].newestTime()
-	for i := range vs.segs {
-		vs.segs[i].scale = math.Exp(g.lambda * float64(vs.segs[i].newestTime()-vertexNewest))
+	vertexNewest := segs[0].newestTime()
+	for i := range segs {
+		s := &segs[i]
+		s.scale = math.Exp(g.lambda * float64(s.newestTime()-vertexNewest))
+		s.mass = s.scale * hpat.BlockTotal(s.block(), s.len())
 	}
 }
 
-// maybeGrowAux keeps a shared auxiliary index that covers the largest
-// segment; grown geometrically so amortized cost stays negligible.
-func (g *Graph) maybeGrowAux() {
-	if g.aux == nil || g.aux.MaxSize() < g.maxSeg {
-		size := 1
-		for size < g.maxSeg {
-			size *= 2
-		}
-		g.aux = hpat.BuildAuxIndex(size)
+// auxFor returns an auxiliary index covering segments of maxSeg edges:
+// aux itself when it does, else one grown geometrically so amortized cost
+// stays negligible.
+func auxFor(aux *hpat.AuxIndex, maxSeg int) *hpat.AuxIndex {
+	if aux != nil && aux.MaxSize() >= maxSeg {
+		return aux
 	}
+	size := 1
+	for size < maxSeg {
+		size *= 2
+	}
+	return hpat.BuildAuxIndex(size)
 }
 
 // CandidateCount returns |Γ_after(u)|, spanning segments.
@@ -309,59 +305,48 @@ func (g *Graph) CandidateCount(u temporal.Vertex, after temporal.Time) int {
 	if int(u) >= len(g.verts) {
 		return 0
 	}
-	vs := &g.verts[u]
 	count := 0
-	for i := len(vs.segs) - 1; i >= 0; i-- {
-		s := &vs.segs[i]
-		if s.oldestTime() > after {
+	for i := range g.verts[u].segs {
+		s := &g.verts[u].segs[i]
+		if s.oldest > after {
 			count += s.len()
 			continue
 		}
-		// Partial segment: binary search within its newest-first times.
-		k := sort.Search(s.len(), func(j int) bool { return s.ts[j] <= after })
-		count += k
-		break
+		return count + s.newerThan(after)
 	}
 	return count
 }
 
 // SampleStep draws the next edge for a walker at u with arrival time after.
 // evaluated counts slots examined. ok is false at temporal dead ends.
+//
+// The fully-covered newest segments are taken whole from the directory
+// (oldest time and mass); only the one partial segment's arena is searched.
 func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand) (dst temporal.Vertex, at temporal.Time, evaluated int64, ok bool) {
 	if int(u) >= len(g.verts) {
 		return 0, 0, 0, false
 	}
-	vs := &g.verts[u]
-	// Collect per-segment candidate counts and scaled totals, newest first.
-	type segPick struct {
-		seg   *segment
-		k     int
-		total float64
+	segs := g.verts[u].segs
+	if len(segs) > maxStepSegments {
+		segs = segs[:maxStepSegments]
 	}
-	var picks [64]segPick
-	n := 0
-	grand := 0.0
-	for i := len(vs.segs) - 1; i >= 0; i-- {
-		s := &vs.segs[i]
-		k := s.len()
-		partial := false
-		if !(s.oldestTime() > after) {
-			k = sort.Search(s.len(), func(j int) bool { return s.ts[j] <= after })
-			partial = true
+	// segs[:n] hold candidates: all of each but the last, whose lastK
+	// newest slots are.
+	n, lastK, grand := 0, 0, 0.0
+	for n < len(segs) {
+		s := &segs[n]
+		if s.oldest > after {
+			n, lastK = n+1, s.len()
+			grand += s.mass
+			evaluated++
+			continue
 		}
-		if k > 0 {
-			total := s.scale * s.tab.Total(k)
-			picks[n] = segPick{seg: s, k: k, total: total}
-			n++
-			grand += total
+		if k := s.newerThan(after); k > 0 {
+			n, lastK = n+1, k
+			grand += s.scale * hpat.BlockTotal(s.block(), k)
 			evaluated++
 		}
-		if partial {
-			break
-		}
-		if n == len(picks) {
-			break // pathological segment count; bounded defensively
-		}
+		break
 	}
 	if !(grand > 0) {
 		return 0, 0, evaluated, false
@@ -372,34 +357,33 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	// tombstones accept on the first draw.
 	for trial := 0; trial < deleteRetryCap; trial++ {
 		x := r.Range(grand)
-		acc := 0.0
-		chosen := picks[n-1]
-		for i := 0; i < n; i++ {
-			acc += picks[i].total
+		i, acc := n-1, 0.0
+		for j := 0; j < n-1; j++ {
+			acc += segs[j].mass
 			if x < acc {
-				chosen = picks[i]
+				i = j
 				break
 			}
 		}
-		idx, ev, sok := chosen.seg.tab.Sample(chosen.k, g.aux, r)
+		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+		idx, ev, sok := hpat.SampleBlock(s.block(), s.len(), k, g.aux, r)
 		evaluated += ev
 		if !sok {
 			return 0, 0, evaluated, false
 		}
-		if chosen.seg.isDeleted(idx) {
+		if s.isDeleted(idx) {
 			continue
 		}
-		return chosen.seg.dst[idx], chosen.seg.ts[idx], evaluated, true
+		return s.dst(idx), s.ts(idx), evaluated, true
 	}
 	// Nearly everything in range is tombstoned: exact scan over the live
 	// candidates of every overlapping segment.
 	liveTotal := 0.0
 	for i := 0; i < n; i++ {
-		p := picks[i]
-		w := p.seg.tab.Weights()
-		for j := 0; j < p.k; j++ {
-			if !p.seg.isDeleted(j) {
-				liveTotal += p.seg.scale * w[j]
+		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+		for j := 0; j < k; j++ {
+			if !s.isDeleted(j) {
+				liveTotal += s.scale * g.weight(s, j, g.minTime)
 			}
 			evaluated++
 		}
@@ -410,28 +394,36 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	x := r.Range(liveTotal)
 	acc := 0.0
 	for i := 0; i < n; i++ {
-		p := picks[i]
-		w := p.seg.tab.Weights()
-		for j := 0; j < p.k; j++ {
-			if p.seg.isDeleted(j) {
+		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+		for j := 0; j < k; j++ {
+			if s.isDeleted(j) {
 				continue
 			}
-			acc += p.seg.scale * w[j]
+			acc += s.scale * g.weight(s, j, g.minTime)
 			if x < acc {
-				return p.seg.dst[j], p.seg.ts[j], evaluated, true
+				return s.dst(j), s.ts(j), evaluated, true
 			}
 		}
 	}
 	// Floating-point edge: return the last live candidate.
 	for i := n - 1; i >= 0; i-- {
-		p := picks[i]
-		for j := p.k - 1; j >= 0; j-- {
-			if !p.seg.isDeleted(j) {
-				return p.seg.dst[j], p.seg.ts[j], evaluated, true
+		s := &segs[i]
+		for j := prefixLen(segs, i, n, lastK) - 1; j >= 0; j-- {
+			if !s.isDeleted(j) {
+				return s.dst(j), s.ts(j), evaluated, true
 			}
 		}
 	}
 	return 0, 0, evaluated, false
+}
+
+// prefixLen returns how many slots of segs[i] are candidates when segs[:n]
+// hold them and the last holds lastK.
+func prefixLen(segs []segment, i, n, lastK int) int {
+	if i == n-1 {
+		return lastK
+	}
+	return segs[i].len()
 }
 
 // Walk runs one temporal walk of at most length steps from src starting with
@@ -462,29 +454,32 @@ func (g *Graph) WalkSeeded(src temporal.Vertex, start temporal.Time, length int,
 func (g *Graph) Snapshot() (*temporal.Graph, error) {
 	edges := make([]temporal.Edge, 0, g.numEdges)
 	for u := range g.verts {
-		for si := range g.verts[u].segs {
-			s := &g.verts[u].segs[si]
-			for i := range s.dst {
+		segs := g.verts[u].segs
+		for si := len(segs) - 1; si >= 0; si-- {
+			s := &segs[si]
+			for i := 0; i < s.len(); i++ {
 				if s.isDeleted(i) {
 					continue
 				}
-				edges = append(edges, temporal.Edge{Src: temporal.Vertex(u), Dst: s.dst[i], Time: s.ts[i]})
+				edges = append(edges, temporal.Edge{Src: temporal.Vertex(u), Dst: s.dst(i), Time: s.ts(i)})
 			}
 		}
 	}
 	return temporal.FromEdges(edges, temporal.WithNumVertices(len(g.verts)))
 }
 
-// MemoryBytes reports the footprint of all segments plus the shared
-// auxiliary index.
+// MemoryBytes reports the footprint of every segment directory, arena and
+// tombstone bitmap plus the shared auxiliary index.
 func (g *Graph) MemoryBytes() int64 {
 	total := int64(0)
 	for i := range g.verts {
-		for si := range g.verts[i].segs {
-			s := &g.verts[i].segs[si]
-			total += int64(s.len())*(4+8) + s.tab.MemoryBytes() + 8
+		segs := g.verts[i].segs
+		total += int64(len(segs)) * int64(unsafe.Sizeof(segment{}))
+		for si := range segs {
+			s := &segs[si]
+			total += int64(len(s.arena)) * 8
 			if s.dead != nil {
-				total += int64(len(s.dead))
+				total += int64(unsafe.Sizeof(tombstones{})) + int64(len(s.dead.bits))*8
 			}
 		}
 	}
@@ -498,23 +493,17 @@ func (g *Graph) MemoryBytes() int64 {
 // naive "rebuild HPAT from scratch" strategy Figure 13d compares the
 // incremental update against. Exposed so experiments can time it.
 func (g *Graph) RebuildVertex(u temporal.Vertex) {
-	if int(u) >= len(g.verts) {
-		return
+	t := g.begin()
+	t.rebuildVertex(u)
+	t.commit()
+}
+
+// checkVertexIDs refuses a batch naming a vertex above maxVertexID.
+func checkVertexIDs(edges []temporal.Edge) error {
+	for _, e := range edges {
+		if e.Src > maxVertexID || e.Dst > maxVertexID {
+			return fmt.Errorf("%w: edge %v names a vertex above %d", ErrVertexRange, e, maxVertexID)
+		}
 	}
-	vs := &g.verts[u]
-	if len(vs.segs) == 0 {
-		return
-	}
-	dst := make([]temporal.Vertex, 0, vs.degree)
-	ts := make([]temporal.Time, 0, vs.degree)
-	for i := len(vs.segs) - 1; i >= 0; i-- {
-		dst = append(dst, vs.segs[i].dst...)
-		ts = append(ts, vs.segs[i].ts...)
-	}
-	vs.segs = []segment{g.buildSegment(dst, ts, 0)}
-	g.rescale(vs)
-	if vs.degree > g.maxSeg {
-		g.maxSeg = vs.degree
-	}
-	g.maybeGrowAux()
+	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-func mustNew(t *testing.T, cfg Config) *Graph {
+func mustNew(t testing.TB, cfg Config) *Graph {
 	t.Helper()
 	g, err := New(cfg)
 	if err != nil {
