@@ -107,20 +107,36 @@ func (g *Graph) writeSegment(w io.Writer, s *segment, buf []byte) ([]byte, error
 		hdr[4] = 1
 	}
 	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(s.scale))
-	buf = append(buf[:0], hdr[:]...)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return buf, err
+	}
+	buf = buf[:0]
 	for i := 0; i < n; i++ {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dst(i)))
 	}
+	if _, err := w.Write(buf); err != nil {
+		return buf, err
+	}
+	buf = buf[:0]
 	for i := 0; i < n; i++ {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.ts(i)))
 	}
+	if _, err := w.Write(buf); err != nil {
+		return buf, err
+	}
+	buf = buf[:0]
 	for i := 0; i < n; i++ {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.weight(s, i, g.minTime)))
 	}
-	if s.dead != nil {
-		for i := 0; i < n; i += 8 {
-			buf = append(buf, byte(s.dead.bits[i/64]>>(i%64)))
-		}
+	if _, err := w.Write(buf); err != nil {
+		return buf, err
+	}
+	if s.dead == nil {
+		return buf, nil
+	}
+	buf = buf[:0]
+	for i := 0; i < n; i += 8 {
+		buf = append(buf, byte(s.dead.bits[i/64]>>(i%64)))
 	}
 	_, err := w.Write(buf)
 	return buf, err
@@ -164,12 +180,11 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 	if numVerts < 0 || numVerts > snapMaxCount {
 		return nil, 0, fmt.Errorf("%w: vertex count %d", ErrSnapshotCorrupt, numVerts)
 	}
-	kind := sampling.WeightKind(head[0])
-	if kind > sampling.WeightExponential {
+	if head[0] > uint64(sampling.WeightExponential) {
 		return nil, 0, fmt.Errorf("%w: weight kind %d", ErrSnapshotCorrupt, head[0])
 	}
 	g := &Graph{
-		spec:       sampling.WeightSpec{Kind: kind, Lambda: math.Float64frombits(head[1])},
+		spec:       sampling.WeightSpec{Kind: sampling.WeightKind(head[0]), Lambda: math.Float64frombits(head[1])},
 		hasEdges:   head[2] != 0,
 		minTime:    temporal.Time(head[3]),
 		frontier:   temporal.Time(head[4]),

@@ -351,6 +351,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	if !(grand > 0) {
 		return 0, 0, evaluated, false
 	}
+	segs = segs[:n]
 	// Tombstone rejection (delete.go): segment totals still include deleted
 	// edges, so a draw that lands on one is re-proposed from scratch — live
 	// edges keep their exact relative probabilities. Vertices without
@@ -358,14 +359,14 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	for trial := 0; trial < deleteRetryCap; trial++ {
 		x := r.Range(grand)
 		i, acc := n-1, 0.0
-		for j := 0; j < n-1; j++ {
+		for j := range segs[:n-1] {
 			acc += segs[j].mass
 			if x < acc {
 				i = j
 				break
 			}
 		}
-		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+		s, k := &segs[i], candidates(segs, i, lastK)
 		idx, ev, sok := hpat.SampleBlock(s.block(), s.len(), k, g.aux, r)
 		evaluated += ev
 		if !sok {
@@ -379,8 +380,8 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	// Nearly everything in range is tombstoned: exact scan over the live
 	// candidates of every overlapping segment.
 	liveTotal := 0.0
-	for i := 0; i < n; i++ {
-		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+	for i := range segs {
+		s, k := &segs[i], candidates(segs, i, lastK)
 		for j := 0; j < k; j++ {
 			if !s.isDeleted(j) {
 				liveTotal += s.scale * g.weight(s, j, g.minTime)
@@ -393,8 +394,8 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	}
 	x := r.Range(liveTotal)
 	acc := 0.0
-	for i := 0; i < n; i++ {
-		s, k := &segs[i], prefixLen(segs, i, n, lastK)
+	for i := range segs {
+		s, k := &segs[i], candidates(segs, i, lastK)
 		for j := 0; j < k; j++ {
 			if s.isDeleted(j) {
 				continue
@@ -408,7 +409,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	// Floating-point edge: return the last live candidate.
 	for i := n - 1; i >= 0; i-- {
 		s := &segs[i]
-		for j := prefixLen(segs, i, n, lastK) - 1; j >= 0; j-- {
+		for j := candidates(segs, i, lastK) - 1; j >= 0; j-- {
 			if !s.isDeleted(j) {
 				return s.dst(j), s.ts(j), evaluated, true
 			}
@@ -417,10 +418,10 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	return 0, 0, evaluated, false
 }
 
-// prefixLen returns how many slots of segs[i] are candidates when segs[:n]
-// hold them and the last holds lastK.
-func prefixLen(segs []segment, i, n, lastK int) int {
-	if i == n-1 {
+// candidates returns how many slots of segs[i] are candidates when all of
+// segs hold some and the last holds lastK.
+func candidates(segs []segment, i, lastK int) int {
+	if i == len(segs)-1 {
 		return lastK
 	}
 	return segs[i].len()
