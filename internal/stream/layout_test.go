@@ -197,3 +197,81 @@ func TestVertexIDBound(t *testing.T) {
 		t.Fatalf("the refused batch was logged: LSN %d → %d", lsn, got)
 	}
 }
+
+// One txn staging a mixed sequence — appends that grow the vertex table,
+// deletions that compact, expiry, refused batches — installs exactly what
+// the same operations give one at a time, and readers see nothing of it
+// before commit.
+func TestTxnMatchesOneByOne(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		spec := []sampling.WeightSpec{{Kind: sampling.WeightLinearRank}, sampling.Exponential(0.05)}[seed%2]
+		staged, direct := mustNew(t, Config{Weight: spec}), mustNew(t, Config{Weight: spec})
+		r := xrand.New(seed)
+		var live []temporal.Edge
+		next := temporal.Time(1)
+		warm := func(g *Graph) {
+			for b := 0; b < 10; b++ {
+				batch := []temporal.Edge{{Src: temporal.Vertex(b % 4), Dst: 1, Time: next}}
+				next++
+				live = append(live, batch...)
+				if err := g.AppendBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if g == staged {
+					direct.AppendBatch(batch)
+				}
+			}
+		}
+		warm(staged)
+		before := walkHash(staged)
+		tx := staged.begin()
+		for op := 0; op < 40; op++ {
+			switch k := r.IntN(10); {
+			case k < 6:
+				batch := make([]temporal.Edge, 1+r.IntN(12))
+				for i := range batch {
+					batch[i] = temporal.Edge{Src: temporal.Vertex(r.IntN(6 + op)), Dst: temporal.Vertex(r.IntN(8)), Time: next + temporal.Time(r.IntN(3))}
+				}
+				if r.IntN(8) == 0 {
+					batch[0].Time = 0 // refused as stale by both
+				}
+				errA, errB := tx.appendBatch(batch), direct.AppendBatch(batch)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d op %d: staged append %v, direct %v", seed, op, errA, errB)
+				}
+				if errA == nil {
+					live = append(live, batch...)
+					next += 3
+				}
+			case k < 9 && len(live) > 0:
+				var del []temporal.Edge
+				for i := 0; i < 1+r.IntN(4) && len(live) > 0; i++ {
+					j := r.IntN(len(live))
+					del = append(del, live[j])
+					live = append(live[:j], live[j+1:]...)
+				}
+				errA, errB := tx.deleteEdges(del), direct.DeleteEdges(del)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("seed %d op %d: staged delete %v, direct %v", seed, op, errA, errB)
+				}
+			default:
+				horizon := next - 20
+				if a, b := tx.expireBefore(horizon), direct.ExpireBefore(horizon); a != b {
+					t.Fatalf("seed %d op %d: expiry dropped %d staged, %d direct", seed, op, a, b)
+				}
+				kept := live[:0]
+				for _, e := range live {
+					if e.Time >= horizon {
+						kept = append(kept, e)
+					}
+				}
+				live = kept
+			}
+		}
+		if got := walkHash(staged); got != before {
+			t.Fatalf("seed %d: readers saw the txn before commit", seed)
+		}
+		tx.commit()
+		requireSameGraph(t, direct, staged)
+	}
+}
