@@ -200,28 +200,19 @@ func (t *txn) compactVertex(u temporal.Vertex) {
 		live += vs.segs[si].len() - vs.segs[si].deadCount()
 	}
 	t.numDeleted -= vs.deleted
-	next := vertexState{degree: live}
-	if live > 0 {
-		seg := t.newSegment(live, 0)
-		i := 0
-		for si := range vs.segs {
-			s := &vs.segs[si]
-			for j := 0; j < s.len(); j++ {
-				if !s.isDeleted(j) {
-					seg.put(i, s.dst(j), s.ts(j))
-					i++
-				}
-			}
-		}
-		t.g.finish(&seg, t.minTime)
-		next.segs = []segment{seg}
-		t.g.rescale(next.segs)
+	if live == 0 {
+		t.set(u, vertexState{})
+		return
 	}
-	t.set(u, next)
-	if live > 0 {
-		t.maxSeg = max(t.maxSeg, live)
-		t.growAux()
+	seg := t.newSegment(live, 0)
+	i := 0
+	for si := range vs.segs {
+		i = seg.putLive(i, &vs.segs[si], vs.segs[si].len())
 	}
+	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
+	t.set(u, vertexState{segs: []segment{seg}, degree: live})
+	t.maxSeg = max(t.maxSeg, live)
+	t.growAux()
 }
 
 // NumDeleted returns the live tombstone count across the graph.

@@ -66,13 +66,7 @@ func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
 			}
 			if live > 0 {
 				seg := t.newSegment(live, 0)
-				n := 0
-				for i := 0; i < k; i++ {
-					if !s.isDeleted(i) {
-						seg.put(n, s.dst(i), s.ts(i))
-						n++
-					}
-				}
+				seg.putLive(0, s, k)
 				t.g.finish(&seg, t.minTime)
 				kept = append(kept, seg)
 			}

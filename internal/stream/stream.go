@@ -100,6 +100,18 @@ func (s *segment) put(i int, dst temporal.Vertex, at temporal.Time) {
 	s.arena[s.len()+i/2] |= uint64(dst) << (32 * (i & 1))
 }
 
+// putLive copies the live slots among s's k newest into the segment from
+// slot i on, and returns the next free slot.
+func (seg *segment) putLive(i int, s *segment, k int) int {
+	for j := 0; j < k; j++ {
+		if !s.isDeleted(j) {
+			seg.put(i, s.dst(j), s.ts(j))
+			i++
+		}
+	}
+	return i
+}
+
 // block returns the segment's HPAT block.
 func (s *segment) block() []uint64 { return s.arena[s.len()+(s.len()+1)/2:] }
 

@@ -223,13 +223,7 @@ func (t *txn) appendRun(src temporal.Vertex, es []temporal.Edge) {
 		i++
 	}
 	for si := range vs.segs[:absorbed] {
-		s := &vs.segs[si]
-		for j := 0; j < s.len(); j++ {
-			if !s.isDeleted(j) {
-				seg.put(i, s.dst(j), s.ts(j))
-				i++
-			}
-		}
+		i = seg.putLive(i, &vs.segs[si], vs.segs[si].len())
 	}
 	t.g.finish(&seg, t.minTime)
 	segs := make([]segment, 1+len(vs.segs)-absorbed)
@@ -265,9 +259,8 @@ func (t *txn) rebuildVertex(u temporal.Vertex) {
 			i++
 		}
 	}
-	t.g.finish(&seg, t.minTime)
+	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
 	vs.segs = []segment{seg}
-	t.g.rescale(vs.segs)
 	t.set(u, vs)
 	t.maxSeg = max(t.maxSeg, vs.degree)
 	t.growAux()
