@@ -12,8 +12,9 @@ import (
 // ("deleting or changing vertices or edges are not supported. We plan to add
 // support for these features"). The design keeps the HPAT segments intact:
 //
-//   - a deleted edge is tombstoned in its segment (bitmap + counter; the
-//     deletion installs a new bitmap, so published ones never change);
+//   - a deleted edge is tombstoned in its segment (bitmap + counter; a txn
+//     copies a published bitmap once and edits its copy, so published ones
+//     never change);
 //   - sampling proposes from the unchanged segment tables and re-proposes
 //     when it hits a tombstone — classic rejection against the live
 //     sub-distribution, so live edges keep exactly their relative
@@ -77,7 +78,6 @@ func (g *Graph) DeleteEdges(edges []temporal.Edge) error {
 
 // deleteEdges stages DeleteEdges; the entries before a failure stay staged.
 func (t *txn) deleteEdges(edges []temporal.Edge) error {
-	t.track()
 	for i, e := range edges {
 		if err := t.deleteOne(e); err != nil {
 			return &BatchError{Applied: i, Err: fmt.Errorf("%w: %v", err, e)}
@@ -110,12 +110,10 @@ func (t *txn) deleteOne(e temporal.Edge) error {
 				tombstoned = true
 				continue
 			}
-			// Published directories and bitmaps are never edited: the
-			// deletion gets copies.
-			vs.segs = slices.Clone(vs.segs)
-			vs.segs[si].dead = s.dead.with(i, s.len())
-			vs.deleted++
-			t.set(e.Src, vs)
+			sv := t.stage(e.Src)
+			sv.vs.segs = t.ownDir(sv.vs.segs)
+			sv.vs.segs[si].tombstone(i, t)
+			sv.vs.deleted++
 			t.numDeleted++
 			t.numEdges-- // NumEdges reports live edges
 			t.maybeCompact(e.Src)
@@ -141,17 +139,38 @@ func (s *segment) deadCount() int {
 	return s.dead.count
 }
 
-// with returns a copy of d (nil: none yet) for an n-slot segment with slot
-// i tombstoned too.
-func (d *tombstones) with(i, n int) *tombstones {
-	next := &tombstones{bits: make([]uint64, (n+63)/64)}
-	if d != nil {
-		copy(next.bits, d.bits)
-		next.count = d.count
+// ownDir returns a directory the txn may edit: segs itself if the txn
+// copied it, else its copy. Published directories are never edited.
+func (t *txn) ownDir(segs []segment) []segment {
+	if _, ok := t.copiedDirs[&segs[0]]; ok {
+		return segs
 	}
-	next.bits[i/64] |= 1 << (i % 64)
-	next.count++
-	return next
+	segs = slices.Clone(segs)
+	if t.copiedDirs == nil {
+		t.copiedDirs = make(map[*segment]struct{})
+	}
+	t.copiedDirs[&segs[0]] = struct{}{}
+	return segs
+}
+
+// tombstone marks slot i deleted in a segment of a directory t owns. The
+// bitmap is copied the first time t edits it; published bitmaps are never
+// edited.
+func (s *segment) tombstone(i int, t *txn) {
+	if _, ok := t.copiedBits[s.dead]; !ok {
+		next := &tombstones{bits: make([]uint64, (s.len()+63)/64)}
+		if s.dead != nil {
+			copy(next.bits, s.dead.bits)
+			next.count = s.dead.count
+		}
+		if t.copiedBits == nil {
+			t.copiedBits = make(map[*tombstones]struct{})
+		}
+		t.copiedBits[next] = struct{}{}
+		s.dead = next
+	}
+	s.dead.bits[i/64] |= 1 << (i % 64)
+	s.dead.count++
 }
 
 // liveWithin counts live edges among the k newest slots of the segment.
@@ -182,7 +201,6 @@ func (t *txn) maybeCompact(u temporal.Vertex) {
 // Usually invoked automatically; exposed for tests and maintenance tooling.
 func (g *Graph) CompactVertex(u temporal.Vertex) {
 	t := g.begin()
-	t.track()
 	t.compactVertex(u)
 	t.commit()
 }
@@ -211,8 +229,7 @@ func (t *txn) compactVertex(u temporal.Vertex) {
 	}
 	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
 	t.set(u, vertexState{segs: []segment{seg}, degree: live})
-	t.maxSeg = max(t.maxSeg, live)
-	t.growAux()
+	t.built(live)
 }
 
 // NumDeleted returns the live tombstone count across the graph.

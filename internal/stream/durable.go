@@ -452,7 +452,12 @@ func (d *DurableGraph) applyRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, rec.LSN, err)
 		}
-		d.g.AppendBatch(edges)
+		if err := d.g.AppendBatch(edges); errors.Is(err, ErrVertexRange) {
+			// A batch logged before vertex ids were bounded: refuse it as
+			// a live append would, and say so.
+			d.logger.Warn("replay refused a logged batch naming a vertex id out of range",
+				"lsn", rec.LSN, "edges", len(edges), "err", err)
+		}
 	case wal.RecDeleteBatch:
 		edges, err := decodeEdgeList(rec.Payload)
 		if err != nil {

@@ -22,10 +22,8 @@ func (g *Graph) ExpireBefore(horizon temporal.Time) int {
 	return dropped
 }
 
-// expireBefore stages ExpireBefore on a private vertex table: expiry may
-// touch every vertex.
+// expireBefore stages ExpireBefore.
 func (t *txn) expireBefore(horizon temporal.Time) int {
-	t.own(len(t.verts))
 	dropped := 0
 	for u := range t.verts {
 		dropped += t.expireVertex(temporal.Vertex(u), horizon)
@@ -35,7 +33,7 @@ func (t *txn) expireBefore(horizon temporal.Time) int {
 }
 
 func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
-	vs := t.verts[u]
+	vs := t.vertex(u)
 	if len(vs.segs) == 0 || vs.segs[len(vs.segs)-1].oldestTime() >= horizon {
 		return 0 // entirely inside the window
 	}
@@ -73,11 +71,11 @@ func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
 		}
 	}
 	t.g.rescale(kept)
-	t.verts[u] = vertexState{
+	t.set(u, vertexState{
 		segs:    kept,
 		degree:  vs.degree - droppedEdges - droppedTombstones,
 		deleted: vs.deleted - droppedTombstones,
-	}
+	})
 	t.numDeleted -= droppedTombstones
 	return droppedEdges
 }

@@ -1,8 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
+	"log/slog"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,6 +168,9 @@ func TestVertexIDBound(t *testing.T) {
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("a refused batch left %d vertices, %d edges", g.NumVertices(), g.NumEdges())
 	}
+	if _, err := New(Config{NumVertices: maxVertexID + 2}); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("New with %d vertices: err = %v, want ErrVertexRange", maxVertexID+2, err)
+	}
 
 	// A durable graph refuses before logging. A batch already in the log
 	// (written before the bound existed) is refused again on every replay,
@@ -184,10 +192,14 @@ func TestVertexIDBound(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d := openDurable(t, dir, DurableConfig{WAL: wal.Options{Policy: wal.SyncAlways}})
+	var logged bytes.Buffer
+	d := openDurable(t, dir, DurableConfig{WAL: wal.Options{Policy: wal.SyncAlways}, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 	defer d.Close()
 	if d.NumEdges() != 2 || d.NumVertices() != 2 || d.Recovery().Replayed != 3 {
 		t.Fatalf("replay: %d edges, %d vertices, %d records", d.NumEdges(), d.NumVertices(), d.Recovery().Replayed)
+	}
+	if !strings.Contains(logged.String(), "level=WARN") || !strings.Contains(logged.String(), "lsn=2") {
+		t.Fatalf("replay refused record 2 without a warning; log:\n%s", logged.String())
 	}
 	lsn := d.Log().LastLSN()
 	if err := d.AppendBatch([]temporal.Edge{{Src: 4294967295, Dst: 0, Time: 9}}); !errors.Is(err, ErrVertexRange) {
@@ -195,6 +207,53 @@ func TestVertexIDBound(t *testing.T) {
 	}
 	if got := d.Log().LastLSN(); got != lsn {
 		t.Fatalf("the refused batch was logged: LSN %d → %d", lsn, got)
+	}
+}
+
+// A txn copies a published directory and tombstone bitmap once and edits
+// its copies: deleting k edges of an n-slot segment costs O(k + n/64)
+// words, not O(k·n/64), and the published bitmap never changes.
+func TestDeleteBatchCopiesOnce(t *testing.T) {
+	const n = 1 << 15
+	g := mustNew(t, Config{})
+	batch := make([]temporal.Edge, n)
+	for i := range batch {
+		batch[i] = temporal.Edge{Src: 0, Dst: temporal.Vertex(1 + i%7), Time: temporal.Time(1 + i)}
+	}
+	if err := g.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if g.Segments(0) != 1 {
+		t.Fatalf("%d segments, want 1", g.Segments(0))
+	}
+	// Two batches of n/10 deletions each stay below the compaction
+	// threshold.
+	for round := 0; round < 2; round++ {
+		var del []temporal.Edge
+		for i := round; i < n; i += 20 {
+			del = append(del, batch[i])
+		}
+		var published []uint64
+		if d := g.verts[0].segs[0].dead; d != nil {
+			published = d.bits
+		}
+		before := slices.Clone(published)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := g.DeleteEdges(del); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		// One bitmap is n/8 bytes; a copy per deletion would be n/8·k.
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("round %d: deleting %d edges of a %d-slot segment allocated %d bytes", round, len(del), n, grew)
+		}
+		if !slices.Equal(published, before) {
+			t.Fatalf("round %d: the deletion edited the published bitmap", round)
+		}
+		if g.Segments(0) != 1 || g.NumDeleted() != (round+1)*len(del) {
+			t.Fatalf("round %d: %d segments, %d deleted", round, g.Segments(0), g.NumDeleted())
+		}
 	}
 }
 

@@ -177,8 +177,11 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 		}
 	}
 	numVerts := int(head[5])
-	if numVerts < 0 || numVerts > snapMaxCount {
+	if numVerts < 0 || numVerts > snapMaxCount || numVerts > maxVertexID+1 {
 		return nil, 0, fmt.Errorf("%w: vertex count %d", ErrSnapshotCorrupt, numVerts)
+	}
+	if head[8] > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("%w: largest segment %d", ErrSnapshotCorrupt, head[8])
 	}
 	if head[0] > uint64(sampling.WeightExponential) {
 		return nil, 0, fmt.Errorf("%w: weight kind %d", ErrSnapshotCorrupt, head[0])
@@ -229,9 +232,12 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 	if _, err := hr.Verify(br); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	// The index covers the segments present; the next append grows it to
-	// maxSeg should that be larger.
-	g.aux = auxFor(nil, min(g.maxSeg, largest))
+	// maxSeg records the largest segment ever built, which expiry and
+	// compaction may since have dropped; it never sizes an allocation.
+	if g.maxSeg < largest {
+		return nil, 0, fmt.Errorf("%w: largest segment %d, recorded %d", ErrSnapshotCorrupt, largest, g.maxSeg)
+	}
+	g.aux = auxFor(nil, largest)
 	return g, lsn, nil
 }
 
@@ -268,7 +274,11 @@ func (g *Graph) readSegment(r io.Reader, s *segment, buf []byte) ([]byte, error)
 	*s = newSegment(n, rank)
 	s.scale = math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
 	for i := 0; i < n; i++ {
-		s.put(i, temporal.Vertex(binary.LittleEndian.Uint32(dsts[4*i:])), temporal.Time(binary.LittleEndian.Uint64(times[8*i:])))
+		dst := temporal.Vertex(binary.LittleEndian.Uint32(dsts[4*i:]))
+		if dst > maxVertexID {
+			return buf, fmt.Errorf("%w: slot %d names vertex %d, above %d", ErrSnapshotCorrupt, i, dst, maxVertexID)
+		}
+		s.put(i, dst, temporal.Time(binary.LittleEndian.Uint64(times[8*i:])))
 	}
 	g.finish(s, g.minTime)
 	for i := 0; i < n; i++ {

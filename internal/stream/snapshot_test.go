@@ -16,9 +16,11 @@ import (
 // header words, then vertex 0's record and its first segment header.
 const (
 	offNumVerts = 16 + 5*8
+	offMaxSeg   = 16 + 8*8
 	offDegree   = 16 + 9*8
 	offSegCount = offDegree + 8
 	offSegLen   = offSegCount + 4
+	offFirstDst = offSegLen + 16
 )
 
 // A damaged count must cost what the data holds, not what the count says:
@@ -62,6 +64,78 @@ func TestSnapshotCorruptCountsAreBounded(t *testing.T) {
 				t.Fatalf("%s = %d: reading a %d-byte snapshot allocated %d bytes", c.name, v, len(raw), grew)
 			}
 		}
+	}
+}
+
+// The recorded largest segment may exceed every segment present (expiry
+// drops segments, never the record) but not fall below one, and it never
+// sizes an allocation; no slot names a vertex above maxVertexID. A graph
+// that loads takes appends.
+func TestSnapshotHeaderBounds(t *testing.T) {
+	g := mustNew(t, Config{})
+	big := make([]temporal.Edge, 40)
+	for i := range big {
+		big[i] = temporal.Edge{Src: 0, Dst: 2, Time: temporal.Time(1 + i)}
+	}
+	if err := g.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AppendBatch([]temporal.Edge{{Src: 1, Dst: 0, Time: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	g.ExpireBefore(50)
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if got := binary.LittleEndian.Uint64(raw[offMaxSeg:]); got != 40 {
+		t.Fatalf("recorded largest segment %d, want 40", got)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("an image recording a segment expiry dropped: %v", err)
+	}
+	patch := func(off int, v uint64, size int) []byte {
+		bad := append([]byte(nil), raw...)
+		if size == 8 {
+			binary.LittleEndian.PutUint64(bad[off:], v)
+		} else {
+			binary.LittleEndian.PutUint32(bad[off:], uint32(v))
+		}
+		return refooter(bad)
+	}
+	for _, v := range []uint64{0, 1<<31 + 1, 1 << 62, 1<<64 - 1} {
+		if _, _, err := ReadSnapshot(bytes.NewReader(patch(offMaxSeg, v, 8))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("recorded largest segment %d: err = %v, want ErrSnapshotCorrupt", v, err)
+		}
+	}
+
+	// The vertex table is dense, so a slot naming maxVertexID itself would
+	// cost gigabytes here: patch a small id instead.
+	h := mustNew(t, Config{})
+	if err := h.AppendBatch([]temporal.Edge{{Src: 0, Dst: 5, Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := h.WriteSnapshot(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	raw = buf.Bytes()
+	if got := binary.LittleEndian.Uint32(raw[offFirstDst:]); got != 5 {
+		t.Fatalf("first slot names %d, want 5", got)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(patch(offFirstDst, maxVertexID+1, 4))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("a slot naming %d: err = %v, want ErrSnapshotCorrupt", maxVertexID+1, err)
+	}
+	loaded, _, err := ReadSnapshot(bytes.NewReader(patch(offMaxSeg, 1<<20, 8)))
+	if err != nil {
+		t.Fatalf("recorded largest segment 1<<20: %v", err)
+	}
+	if err := loaded.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.aux.MaxSize() > 2 {
+		t.Fatalf("after an append to 2-edge segments the aux index covers %d", loaded.aux.MaxSize())
 	}
 }
 
@@ -121,6 +195,15 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			if walkHash(g) != walkHash(g2) {
 				t.Fatal("the round-tripped graph walks differently")
+			}
+			// The loaded graph takes an append that merges into vertex 0's
+			// segments, and walks afterwards.
+			if f := g.Frontier(); f < temporal.MaxTime-2 {
+				err := g.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: f + 1}, {Src: 0, Dst: 0, Time: f + 2}})
+				if err != nil && !errors.Is(err, ErrStaleBatch) {
+					t.Fatalf("append after load: %v", err)
+				}
+				walkHash(g)
 			}
 		}
 	})

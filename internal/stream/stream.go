@@ -36,7 +36,7 @@ import (
 var ErrStaleBatch = errors.New("stream: batch edge is not newer than the current frontier")
 
 // ErrVertexRange is returned when a batch names a vertex id above
-// maxVertexID.
+// maxVertexID, or a config asks for more vertices.
 var ErrVertexRange = errors.New("stream: vertex id out of range")
 
 // ErrCustomWeight mirrors the baseline restriction: streaming needs to
@@ -154,7 +154,7 @@ type Graph struct {
 	hasEdges   bool
 	minTime    temporal.Time // reference for linear-time weights
 	aux        *hpat.AuxIndex
-	maxSeg     int // largest segment length, tracked for the shared aux index
+	maxSeg     int // largest segment ever built; snapshots record it
 	numDeleted int // live tombstones across all vertices
 
 	// The writer's working space: one goroutine mutates at a time.
@@ -169,7 +169,8 @@ type Graph struct {
 type Config struct {
 	// Weight selects the temporal weight; custom functions are rejected.
 	Weight sampling.WeightSpec
-	// NumVertices pre-sizes the vertex space; batches may still grow it.
+	// NumVertices pre-sizes the vertex space, up to maxVertexID+1; batches
+	// may still grow it.
 	NumVertices int
 	// MinTime anchors linear-time weights; defaults to the first batch's
 	// earliest timestamp.
@@ -180,6 +181,9 @@ type Config struct {
 func New(cfg Config) (*Graph, error) {
 	if cfg.Weight.Custom != nil {
 		return nil, ErrCustomWeight
+	}
+	if cfg.NumVertices > maxVertexID+1 {
+		return nil, fmt.Errorf("%w: %d vertices, at most %d", ErrVertexRange, cfg.NumVertices, maxVertexID+1)
 	}
 	lambda := cfg.Weight.Lambda
 	if lambda == 0 {

@@ -18,14 +18,18 @@ import (
 // lock only for commit.
 type txn struct {
 	g *Graph
-	// verts is the published vertex table until the txn must grow it or
-	// rewrite most of it; then it is a private copy the txn edits in place.
-	verts   []vertexState
-	private bool
-	// staged holds the changed states while verts is the published table;
-	// at indexes them once a vertex may be staged twice.
+	// verts is the published vertex table, or a larger copy once the txn
+	// must grow it; the staged states apply over it at commit.
+	verts  []vertexState
 	staged []stagedVertex
-	at     map[temporal.Vertex]int
+	// at[u] is 1 + u's index in staged, 0 while u is unstaged. It lasts
+	// across txns: begin zeroes the entries the last one used.
+	at []int32
+	// Deletions copy a published directory or tombstone bitmap the first
+	// time they edit it; these are the copies, which no reader sees before
+	// commit, so later deletions in the txn edit them in place.
+	copiedDirs map[*segment]struct{}
+	copiedBits map[*tombstones]struct{}
 
 	frontier   temporal.Time
 	minTime    temporal.Time
@@ -44,10 +48,19 @@ type stagedVertex struct {
 // begin starts a txn over the graph's current state.
 func (g *Graph) begin() *txn {
 	t := &g.tx
+	for _, s := range t.staged {
+		t.at[s.u] = 0
+	}
+	clear(t.staged)
+	clear(t.copiedDirs)
+	clear(t.copiedBits)
 	*t = txn{
 		g:          g,
 		verts:      g.verts,
 		staged:     t.staged[:0],
+		at:         t.at,
+		copiedDirs: t.copiedDirs,
+		copiedBits: t.copiedBits,
 		frontier:   g.frontier,
 		minTime:    g.minTime,
 		hasEdges:   g.hasEdges,
@@ -66,18 +79,14 @@ func (t *txn) commit() {
 	for _, s := range t.staged {
 		g.verts[s.u] = s.vs
 	}
-	clear(t.staged)
-	t.staged = t.staged[:0]
 	g.frontier, g.minTime, g.hasEdges = t.frontier, t.minTime, t.hasEdges
 	g.numEdges, g.numDeleted, g.maxSeg, g.aux = t.numEdges, t.numDeleted, t.maxSeg, t.aux
 }
 
 // vertex returns u's state as the txn sees it.
 func (t *txn) vertex(u temporal.Vertex) vertexState {
-	if t.at != nil {
-		if i, ok := t.at[u]; ok {
-			return t.staged[i].vs
-		}
+	if int(u) < len(t.at) && t.at[u] != 0 {
+		return t.staged[t.at[u]-1].vs
 	}
 	if int(u) < len(t.verts) {
 		return t.verts[u]
@@ -85,48 +94,28 @@ func (t *txn) vertex(u temporal.Vertex) vertexState {
 	return vertexState{}
 }
 
+// stage returns u's staged entry, staging its current state first. The
+// pointer is valid until the next vertex is staged.
+func (t *txn) stage(u temporal.Vertex) *stagedVertex {
+	if int(u) >= len(t.at) {
+		t.at = append(t.at, make([]int32, max(int(u)+1, len(t.verts))-len(t.at))...)
+	}
+	if t.at[u] == 0 {
+		t.staged = append(t.staged, stagedVertex{u, t.vertex(u)})
+		t.at[u] = int32(len(t.staged))
+	}
+	return &t.staged[t.at[u]-1]
+}
+
 // set changes u's state within the txn.
-func (t *txn) set(u temporal.Vertex, vs vertexState) {
-	if t.private {
-		t.verts[u] = vs
-		return
-	}
-	if t.at != nil {
-		if i, ok := t.at[u]; ok {
-			t.staged[i].vs = vs
-			return
-		}
-		t.at[u] = len(t.staged)
-	}
-	t.staged = append(t.staged, stagedVertex{u, vs})
-}
+func (t *txn) set(u temporal.Vertex, vs vertexState) { t.stage(u).vs = vs }
 
-// track indexes the staged states, so an operation that may stage a vertex
-// already staged finds it. One append batch touches each source once and
-// needs no index.
-func (t *txn) track() {
-	if t.at != nil || t.private {
-		return
-	}
-	t.at = make(map[temporal.Vertex]int, len(t.staged))
-	for i, s := range t.staged {
-		t.at[s.u] = i
-	}
-}
-
-// own switches the txn to a private vertex table of at least n states with
-// everything staged so far applied.
-func (t *txn) own(n int) {
-	if t.private && n <= len(t.verts) {
-		return
-	}
-	verts := make([]vertexState, max(n, len(t.verts)))
+// grow gives the txn a vertex table of n states, copying the published one:
+// readers keep the table they hold.
+func (t *txn) grow(n int) {
+	verts := make([]vertexState, n)
 	copy(verts, t.verts)
-	for _, s := range t.staged {
-		verts[s.u] = s.vs
-	}
-	clear(t.staged)
-	t.verts, t.private, t.staged, t.at = verts, true, t.staged[:0], nil
+	t.verts = verts
 }
 
 // newSegment allocates an n-slot segment whose olderCount slots of the
@@ -138,8 +127,11 @@ func (t *txn) newSegment(n, olderCount int) segment {
 	return newSegment(n, olderCount)
 }
 
-// growAux makes the auxiliary index cover the largest segment.
-func (t *txn) growAux() { t.aux = auxFor(t.aux, t.maxSeg) }
+// built records a new n-slot segment: the auxiliary index must cover it.
+func (t *txn) built(n int) {
+	t.maxSeg = max(t.maxSeg, n)
+	t.aux = auxFor(t.aux, n)
+}
 
 // appendBatch stages AppendBatch: a refused batch stages nothing.
 func (t *txn) appendBatch(edges []temporal.Edge) error {
@@ -159,14 +151,11 @@ func (t *txn) appendBatch(edges []temporal.Edge) error {
 		return checkVertexIDs(edges)
 	}
 	if int(maxV) >= len(t.verts) {
-		t.own(int(maxV) + 1)
+		t.grow(int(maxV) + 1)
 	}
 	if !t.hasEdges {
 		t.minTime = batchMin
 		t.hasEdges = true
-	}
-	if len(t.staged) > 0 {
-		t.track()
 	}
 	// Group the batch by source, newest-first within each source.
 	g := t.g
@@ -193,7 +182,6 @@ func (t *txn) appendBatch(edges []temporal.Edge) error {
 		t.frontier = max(t.frontier, e.Time)
 	}
 	t.numEdges += len(edges)
-	t.growAux()
 	return nil
 }
 
@@ -204,7 +192,8 @@ func (t *txn) appendBatch(edges []temporal.Edge) error {
 // and how many tombstones drop (Figure 7's hierarchy growth, never
 // resurrecting a deletion).
 func (t *txn) appendRun(src temporal.Vertex, es []temporal.Edge) {
-	vs := t.vertex(src)
+	sv := t.stage(src)
+	vs := sv.vs
 	degree := vs.degree + len(es)
 	n, olderCount, dropped, absorbed := len(es), vs.degree, 0, 0
 	for absorbed < len(vs.segs) && n >= vs.segs[absorbed].len() {
@@ -230,9 +219,9 @@ func (t *txn) appendRun(src temporal.Vertex, es []temporal.Edge) {
 	segs[0] = seg
 	copy(segs[1:], vs.segs[absorbed:])
 	t.g.rescale(segs)
-	t.set(src, vertexState{segs: segs, degree: degree, deleted: vs.deleted - dropped})
+	sv.vs = vertexState{segs: segs, degree: degree, deleted: vs.deleted - dropped}
 	t.numDeleted -= dropped
-	t.maxSeg = max(t.maxSeg, n)
+	t.built(n)
 }
 
 // rebuildVertex stages RebuildVertex: every slot of u, tombstoned or not,
@@ -241,7 +230,6 @@ func (t *txn) rebuildVertex(u temporal.Vertex) {
 	if int(u) >= len(t.verts) {
 		return
 	}
-	t.track()
 	vs := t.vertex(u)
 	if len(vs.segs) == 0 {
 		return
@@ -262,6 +250,5 @@ func (t *txn) rebuildVertex(u temporal.Vertex) {
 	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
 	vs.segs = []segment{seg}
 	t.set(u, vs)
-	t.maxSeg = max(t.maxSeg, vs.degree)
-	t.growAux()
+	t.built(n)
 }
