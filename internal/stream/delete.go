@@ -87,13 +87,10 @@ func (t *txn) deleteEdges(edges []temporal.Edge) error {
 }
 
 func (t *txn) deleteOne(e temporal.Edge) error {
-	if int(e.Src) >= len(t.verts) {
-		return ErrEdgeNotFound
-	}
-	vs := t.vertex(e.Src)
+	segs := t.vertex(e.Src)
 	tombstoned := false
-	for si := len(vs.segs) - 1; si >= 0; si-- {
-		s := &vs.segs[si]
+	for si := len(segs) - 1; si >= 0; si-- {
+		s := &segs[si]
 		if e.Time > s.newestTime() || e.Time < s.oldestTime() {
 			continue
 		}
@@ -110,12 +107,9 @@ func (t *txn) deleteOne(e temporal.Edge) error {
 				tombstoned = true
 				continue
 			}
-			sv := t.stage(e.Src)
-			sv.vs.segs = t.ownDir(sv.vs.segs)
-			sv.vs.segs[si].tombstone(i, t)
-			sv.vs.deleted++
-			t.numDeleted++
-			t.numEdges-- // NumEdges reports live edges
+			segs = t.ownDir(segs)
+			segs[si].tombstone(i, t)
+			t.install(e.Src, segs)
 			t.maybeCompact(e.Src)
 			return nil
 		}
@@ -190,46 +184,33 @@ func (s *segment) liveWithin(k int) int {
 // maybeCompact rebuilds the vertex without tombstones once they pass the
 // threshold.
 func (t *txn) maybeCompact(u temporal.Vertex) {
-	vs := t.vertex(u)
-	if vs.degree == 0 || float64(vs.deleted) < CompactionThreshold*float64(vs.degree) {
-		return
+	if n, dead := slots(t.vertex(u)); dead > 0 && float64(dead) >= CompactionThreshold*float64(n) {
+		t.compactVertex(u)
 	}
-	t.compactVertex(u)
 }
 
 // CompactVertex eagerly rebuilds u's segments without tombstoned edges.
 // Usually invoked automatically; exposed for tests and maintenance tooling.
 func (g *Graph) CompactVertex(u temporal.Vertex) {
 	t := g.begin()
-	t.compactVertex(u)
+	if _, dead := slots(t.vertex(u)); dead > 0 {
+		t.compactVertex(u)
+	}
 	t.commit()
 }
 
+// compactVertex rebuilds u's live edges into one segment; a vertex with none
+// left keeps no segment.
 func (t *txn) compactVertex(u temporal.Vertex) {
-	if int(u) >= len(t.verts) {
+	segs := t.vertex(u)
+	if len(segs) == 0 {
 		return
 	}
-	vs := t.vertex(u)
-	if vs.deleted == 0 {
-		return
+	var compacted []segment
+	if seg, ok := t.build(nil, segs, lastLen(segs), 0); ok {
+		compacted = []segment{seg} // a lone segment's scale is 1
 	}
-	live := 0
-	for si := range vs.segs {
-		live += vs.segs[si].len() - vs.segs[si].deadCount()
-	}
-	t.numDeleted -= vs.deleted
-	if live == 0 {
-		t.set(u, vertexState{})
-		return
-	}
-	seg := t.newSegment(live, 0)
-	i := 0
-	for si := range vs.segs {
-		i = seg.putLive(i, &vs.segs[si], vs.segs[si].len())
-	}
-	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
-	t.set(u, vertexState{segs: []segment{seg}, degree: live})
-	t.built(live)
+	t.install(u, compacted)
 }
 
 // NumDeleted returns the live tombstone count across the graph.
@@ -240,7 +221,8 @@ func (g *Graph) LiveDegree(u temporal.Vertex) int {
 	if int(u) >= len(g.verts) {
 		return 0
 	}
-	return g.verts[u].degree - g.verts[u].deleted
+	n, dead := slots(g.verts[u])
+	return n - dead
 }
 
 // LiveCandidateCount returns |Γ_after(u)| counting only live edges.
@@ -249,8 +231,8 @@ func (g *Graph) LiveCandidateCount(u temporal.Vertex, after temporal.Time) int {
 		return 0
 	}
 	count := 0
-	for i := range g.verts[u].segs {
-		s := &g.verts[u].segs[i]
+	for i := range g.verts[u] {
+		s := &g.verts[u][i]
 		if s.oldest > after {
 			count += s.len() - s.deadCount()
 			continue

@@ -300,6 +300,35 @@ func TestDeleteThenMergeDoesNotResurrect(t *testing.T) {
 	}
 }
 
+// RebuildVertex builds from the live slots only: a deleted edge stays
+// deleted, and the counts say so.
+func TestRebuildVertexDoesNotResurrect(t *testing.T) {
+	var edges []temporal.Edge
+	for i := 0; i < 10; i++ {
+		edges = append(edges, temporal.Edge{Src: 0, Dst: temporal.Vertex(i + 1), Time: temporal.Time(i + 1)})
+	}
+	g := seedGraph(t, sampling.WeightSpec{}, edges)
+	gone := edges[4]
+	if err := g.DeleteEdges([]temporal.Edge{gone}); err != nil {
+		t.Fatal(err)
+	}
+	g.RebuildVertex(0)
+	if g.Degree(0) != 9 || g.LiveDegree(0) != 9 || g.NumDeleted() != 0 || g.NumEdges() != 9 {
+		t.Fatalf("after rebuild: Degree %d, LiveDegree %d, NumDeleted %d, NumEdges %d; want 9, 9, 0, 9",
+			g.Degree(0), g.LiveDegree(0), g.NumDeleted(), g.NumEdges())
+	}
+	r := xrand.New(3)
+	for i := 0; i < 2000; i++ {
+		dst, at, _, ok := g.SampleStep(0, temporal.MinTime, r)
+		if !ok {
+			t.Fatal("sample failed")
+		}
+		if dst == gone.Dst && at == gone.Time {
+			t.Fatalf("draw %d: the deleted edge %v came back", i, gone)
+		}
+	}
+}
+
 func TestSnapshotSkipsDeleted(t *testing.T) {
 	g := seedGraph(t, sampling.WeightSpec{}, []temporal.Edge{
 		{Src: 0, Dst: 1, Time: 1}, {Src: 0, Dst: 2, Time: 2},

@@ -812,10 +812,9 @@ func (d *DurableGraph) Stats() DurableStats {
 		MemoryBytes: d.g.MemoryBytes(),
 		Weight:      d.g.spec.Kind.String(),
 	}
-	for u := range d.g.verts {
-		if live := d.g.verts[u].degree - d.g.verts[u].deleted; live > st.MaxDegree {
-			st.MaxDegree = live
-		}
+	for _, segs := range d.g.verts {
+		n, dead := slots(segs)
+		st.MaxDegree = max(st.MaxDegree, n-dead)
 	}
 	if st.Edges > 0 {
 		st.TimeLo = d.g.minTime

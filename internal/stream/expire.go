@@ -28,54 +28,31 @@ func (t *txn) expireBefore(horizon temporal.Time) int {
 	for u := range t.verts {
 		dropped += t.expireVertex(temporal.Vertex(u), horizon)
 	}
-	t.numEdges -= dropped
 	return dropped
 }
 
+// expireVertex drops u's edges older than horizon and returns how many live
+// ones went.
 func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
-	vs := t.vertex(u)
-	if len(vs.segs) == 0 || vs.segs[len(vs.segs)-1].oldestTime() >= horizon {
+	segs := t.vertex(u)
+	if len(segs) == 0 || segs[len(segs)-1].oldestTime() >= horizon {
 		return 0 // entirely inside the window
 	}
-	var kept []segment
-	droppedEdges := 0
-	droppedTombstones := 0
-	for si := range vs.segs {
-		s := &vs.segs[si]
-		switch {
-		case s.oldestTime() >= horizon:
-			kept = append(kept, *s)
-		case s.newestTime() < horizon:
-			// Entirely expired: account and drop.
-			droppedEdges += s.len() - s.deadCount()
-			droppedTombstones += s.deadCount()
-		default:
-			// Boundary segment: keep the newest-first prefix with
-			// time >= horizon, filtering tombstones along the way.
-			k := s.newerThan(horizon - 1)
-			live := s.liveWithin(k)
-			droppedTombstones += k - live
-			for i := k; i < s.len(); i++ {
-				if s.isDeleted(i) {
-					droppedTombstones++
-				} else {
-					droppedEdges++
-				}
-			}
-			if live > 0 {
-				seg := t.newSegment(live, 0)
-				seg.putLive(0, s, k)
-				t.g.finish(&seg, t.minTime)
-				kept = append(kept, seg)
-			}
-		}
+	// Segments are time-ordered runs: those wholly inside the window come
+	// first, and only the next one can straddle the horizon. It keeps the
+	// live slots of its newest-first prefix inside the window.
+	keep := 0
+	for segs[keep].oldestTime() >= horizon {
+		keep++
+	}
+	kept := append([]segment(nil), segs[:keep]...)
+	s := segs[keep : keep+1]
+	if seg, ok := t.build(nil, s, s[0].newerThan(horizon-1), 0); ok {
+		kept = append(kept, seg)
 	}
 	t.g.rescale(kept)
-	t.set(u, vertexState{
-		segs:    kept,
-		degree:  vs.degree - droppedEdges - droppedTombstones,
-		deleted: vs.deleted - droppedTombstones,
-	})
-	t.numDeleted -= droppedTombstones
-	return droppedEdges
+	t.install(u, kept)
+	n0, dead0 := slots(segs)
+	n1, dead1 := slots(kept)
+	return n0 - dead0 - (n1 - dead1)
 }

@@ -234,7 +234,7 @@ func TestDeleteBatchCopiesOnce(t *testing.T) {
 			del = append(del, batch[i])
 		}
 		var published []uint64
-		if d := g.verts[0].segs[0].dead; d != nil {
+		if d := g.verts[0][0].dead; d != nil {
 			published = d.bits
 		}
 		before := slices.Clone(published)

@@ -76,16 +76,16 @@ func (g *Graph) WriteSnapshot(w io.Writer, lsn uint64) error {
 	}
 	var buf []byte
 	var err error
-	for u := range g.verts {
-		vs := &g.verts[u]
-		binary.LittleEndian.PutUint32(scratch[0:], uint32(vs.degree))
-		binary.LittleEndian.PutUint32(scratch[4:], uint32(vs.deleted))
-		binary.LittleEndian.PutUint32(scratch[8:], uint32(len(vs.segs)))
+	for _, segs := range g.verts {
+		n, dead := slots(segs)
+		binary.LittleEndian.PutUint32(scratch[0:], uint32(n))
+		binary.LittleEndian.PutUint32(scratch[4:], uint32(dead))
+		binary.LittleEndian.PutUint32(scratch[8:], uint32(len(segs)))
 		if err := wr(scratch[:12]); err != nil {
 			return err
 		}
-		for si := len(vs.segs) - 1; si >= 0; si-- {
-			if buf, err = g.writeSegment(hw, &vs.segs[si], buf); err != nil {
+		for si := len(segs) - 1; si >= 0; si-- {
+			if buf, err = g.writeSegment(hw, &segs[si], buf); err != nil {
 				return err
 			}
 		}
@@ -203,34 +203,37 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 	// so a damaged count fails at the end of the data instead of asking for
 	// gigabytes before the CRC is checked.
 	var buf []byte
-	largest := 0
+	largest, live, tombs := 0, 0, 0
 	for u := 0; u < numVerts; u++ {
 		if err := rd(scratch[:12]); err != nil {
 			return nil, 0, err
 		}
-		vs := vertexState{
-			degree:  int(binary.LittleEndian.Uint32(scratch[0:])),
-			deleted: int(binary.LittleEndian.Uint32(scratch[4:])),
-		}
+		degree := int(binary.LittleEndian.Uint32(scratch[0:]))
+		deleted := int(binary.LittleEndian.Uint32(scratch[4:]))
 		segCount := int(binary.LittleEndian.Uint32(scratch[8:]))
-		slots := 0
+		var segs []segment
 		for si := 0; si < segCount; si++ {
 			var s segment
 			if buf, err = g.readSegment(hr, &s, buf); err != nil {
 				return nil, 0, err
 			}
-			vs.segs = append(vs.segs, s)
-			slots += s.len()
+			segs = append(segs, s)
 			largest = max(largest, s.len())
 		}
-		if slots != vs.degree || vs.deleted > vs.degree {
-			return nil, 0, fmt.Errorf("%w: vertex %d counts %d slots, %d deleted, %d stored", ErrSnapshotCorrupt, u, vs.degree, vs.deleted, slots)
+		n, dead := slots(segs)
+		if n != degree || dead != deleted {
+			return nil, 0, fmt.Errorf("%w: vertex %d counts %d slots, %d deleted; its segments hold %d, %d", ErrSnapshotCorrupt, u, degree, deleted, n, dead)
 		}
-		slices.Reverse(vs.segs) // the file lists segments oldest first
-		g.verts = append(g.verts, vs)
+		live += n - dead
+		tombs += dead
+		slices.Reverse(segs) // the file lists segments oldest first
+		g.verts = append(g.verts, segs)
 	}
 	if _, err := hr.Verify(br); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	if live != g.numEdges || tombs != g.numDeleted {
+		return nil, 0, fmt.Errorf("%w: %d edges, %d deleted recorded; the segments hold %d, %d", ErrSnapshotCorrupt, g.numEdges, g.numDeleted, live, tombs)
 	}
 	// maxSeg records the largest segment ever built, which expiry and
 	// compaction may since have dropped; it never sizes an allocation.

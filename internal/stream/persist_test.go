@@ -28,13 +28,15 @@ func requireSameGraph(t *testing.T, a, b *Graph) {
 			a.minTime, a.Frontier(), a.hasEdges, b.minTime, b.Frontier(), b.hasEdges)
 	}
 	for u := range a.verts {
-		av, bv := &a.verts[u], &b.verts[u]
-		if av.degree != bv.degree || av.deleted != bv.deleted || len(av.segs) != len(bv.segs) {
+		av, bv := a.verts[u], b.verts[u]
+		aDegree, aDeleted := slots(av)
+		bDegree, bDeleted := slots(bv)
+		if aDegree != bDegree || aDeleted != bDeleted || len(av) != len(bv) {
 			t.Fatalf("vertex %d shape: (%d,%d,%d) vs (%d,%d,%d)",
-				u, av.degree, av.deleted, len(av.segs), bv.degree, bv.deleted, len(bv.segs))
+				u, aDegree, aDeleted, len(av), bDegree, bDeleted, len(bv))
 		}
-		for si := range av.segs {
-			as, bs := &av.segs[si], &bv.segs[si]
+		for si := range av {
+			as, bs := &av[si], &bv[si]
 			if as.scale != bs.scale || as.deadCount() != bs.deadCount() {
 				t.Fatalf("vertex %d seg %d: scale/dead (%v,%d) vs (%v,%d)",
 					u, si, as.scale, as.deadCount(), bs.scale, bs.deadCount())

@@ -44,9 +44,9 @@ var ErrVertexRange = errors.New("stream: vertex id out of range")
 var ErrCustomWeight = errors.New("stream: custom weight functions are not supported in streaming mode")
 
 // maxVertexID is the largest vertex id a batch may name. The vertex table is
-// dense — one state per id up to the largest seen — so one id near 2^32
-// would ask for gigabytes, and a durable graph would ask again on every
-// replay of the logged batch. 2^26−1 bounds the table at about 2.7 GB.
+// dense — one directory header per id up to the largest seen — so one id
+// near 2^32 would ask for gigabytes, and a durable graph would ask again on
+// every replay of the logged batch. 2^26−1 bounds the table at about 1.6 GB.
 const maxVertexID = 1<<26 - 1
 
 // maxStepSegments bounds the segments one step composes; the LSM policy
@@ -136,10 +136,15 @@ func (s *segment) newerThan(after temporal.Time) int {
 	return lo
 }
 
-type vertexState struct {
-	segs    []segment // newest first
-	degree  int       // slots including tombstones
-	deleted int       // tombstoned slots
+// slots returns a directory's slot count and, of those, how many are
+// tombstoned. They are the only per-vertex counts: every degree derives
+// from them.
+func slots(segs []segment) (n, dead int) {
+	for i := range segs {
+		n += segs[i].len()
+		dead += segs[i].deadCount()
+	}
+	return n, dead
 }
 
 // Graph is a streaming temporal graph: an initial (possibly empty) edge set
@@ -148,7 +153,7 @@ type vertexState struct {
 type Graph struct {
 	spec       sampling.WeightSpec
 	lambda     float64
-	verts      []vertexState
+	verts      [][]segment // each vertex's segment directory, newest first
 	numEdges   int
 	frontier   temporal.Time // latest time seen; batches must exceed it
 	hasEdges   bool
@@ -192,7 +197,7 @@ func New(cfg Config) (*Graph, error) {
 	g := &Graph{
 		spec:     cfg.Weight,
 		lambda:   lambda,
-		verts:    make([]vertexState, cfg.NumVertices),
+		verts:    make([][]segment, cfg.NumVertices),
 		frontier: temporal.MinTime,
 	}
 	if cfg.MinTime != nil {
@@ -217,7 +222,8 @@ func (g *Graph) Degree(u temporal.Vertex) int {
 	if int(u) >= len(g.verts) {
 		return 0
 	}
-	return g.verts[u].degree
+	n, _ := slots(g.verts[u])
+	return n
 }
 
 // Segments returns the current segment count of u; exposed for tests and the
@@ -226,7 +232,7 @@ func (g *Graph) Segments(u temporal.Vertex) int {
 	if int(u) >= len(g.verts) {
 		return 0
 	}
-	return len(g.verts[u].segs)
+	return len(g.verts[u])
 }
 
 // AppendBatch ingests a batch of edges, all strictly newer than every edge
@@ -322,8 +328,8 @@ func (g *Graph) CandidateCount(u temporal.Vertex, after temporal.Time) int {
 		return 0
 	}
 	count := 0
-	for i := range g.verts[u].segs {
-		s := &g.verts[u].segs[i]
+	for i := range g.verts[u] {
+		s := &g.verts[u][i]
 		if s.oldest > after {
 			count += s.len()
 			continue
@@ -342,7 +348,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 	if int(u) >= len(g.verts) {
 		return 0, 0, 0, false
 	}
-	segs := g.verts[u].segs
+	segs := g.verts[u]
 	if len(segs) > maxStepSegments {
 		segs = segs[:maxStepSegments]
 	}
@@ -470,8 +476,7 @@ func (g *Graph) WalkSeeded(src temporal.Vertex, start temporal.Time, length int,
 // Snapshot materializes the current stream as an immutable temporal.Graph.
 func (g *Graph) Snapshot() (*temporal.Graph, error) {
 	edges := make([]temporal.Edge, 0, g.numEdges)
-	for u := range g.verts {
-		segs := g.verts[u].segs
+	for u, segs := range g.verts {
 		for si := len(segs) - 1; si >= 0; si-- {
 			s := &segs[si]
 			for i := 0; i < s.len(); i++ {
@@ -486,11 +491,13 @@ func (g *Graph) Snapshot() (*temporal.Graph, error) {
 }
 
 // MemoryBytes reports the footprint of every segment directory, arena and
-// tombstone bitmap plus the shared auxiliary index.
+// tombstone bitmap plus the shared auxiliary index. It leaves out the dense
+// vertex table (one 24-byte directory header per vertex id, seen or not)
+// and the writer's scratch: the sorted copy of the last batch, the staged
+// directories and the weight buffer of the largest segment built.
 func (g *Graph) MemoryBytes() int64 {
 	total := int64(0)
-	for i := range g.verts {
-		segs := g.verts[i].segs
+	for _, segs := range g.verts {
 		total += int64(len(segs)) * int64(unsafe.Sizeof(segment{}))
 		for si := range segs {
 			s := &segs[si]
@@ -506,12 +513,13 @@ func (g *Graph) MemoryBytes() int64 {
 	return total
 }
 
-// RebuildVertex rebuilds u's entire adjacency into a single segment, the
-// naive "rebuild HPAT from scratch" strategy Figure 13d compares the
-// incremental update against. Exposed so experiments can time it.
+// RebuildVertex rebuilds u's live edges into a single segment, the naive
+// "rebuild HPAT from scratch" strategy Figure 13d compares the incremental
+// update against: CompactVertex without waiting for a tombstone. Exposed so
+// experiments can time it.
 func (g *Graph) RebuildVertex(u temporal.Vertex) {
 	t := g.begin()
-	t.rebuildVertex(u)
+	t.compactVertex(u)
 	t.commit()
 }
 

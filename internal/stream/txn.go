@@ -11,16 +11,16 @@ import (
 )
 
 // txn stages mutations aside from the published graph. It reads the graph
-// freely — only the txn's owner ever writes it — and keeps every vertex
-// state it changes to itself, so building segments needs no lock; commit
-// installs the staged states, the only step readers must be kept out of.
-// A DurableGraph stages a whole group commit in one txn and holds its write
-// lock only for commit.
+// freely — only the txn's owner ever writes it — and keeps every directory
+// it changes to itself, so building segments needs no lock; commit
+// installs the staged directories, the only step readers must be kept out
+// of. A DurableGraph stages a whole group commit in one txn and holds its
+// write lock only for commit.
 type txn struct {
 	g *Graph
 	// verts is the published vertex table, or a larger copy once the txn
-	// must grow it; the staged states apply over it at commit.
-	verts  []vertexState
+	// must grow it; the staged directories apply over it at commit.
+	verts  [][]segment
 	staged []stagedVertex
 	// at[u] is 1 + u's index in staged, 0 while u is unstaged. It lasts
 	// across txns: begin zeroes the entries the last one used.
@@ -31,18 +31,38 @@ type txn struct {
 	copiedDirs map[*segment]struct{}
 	copiedBits map[*tombstones]struct{}
 
-	frontier   temporal.Time
-	minTime    temporal.Time
-	hasEdges   bool
-	numEdges   int
-	numDeleted int
-	maxSeg     int
-	aux        *hpat.AuxIndex
+	frontier temporal.Time
+	minTime  temporal.Time
+	hasEdges bool
+	maxSeg   int
+	aux      *hpat.AuxIndex
 }
 
+// stagedVertex is u's directory as the txn leaves it. live and dead are
+// the published directory's counts, taken when u is first staged: commit
+// moves the graph's totals by the staged directory's difference from them.
 type stagedVertex struct {
-	u  temporal.Vertex
-	vs vertexState
+	u          temporal.Vertex
+	segs       []segment
+	live, dead int
+}
+
+// scratchSlack bounds how far the writer's scratch may outgrow the batch
+// that last used it: a buffer more than scratchSlack times larger (and past
+// scratchFloor elements) is dropped, so one huge batch does not pin its
+// scratch for the graph's life while steady batches reuse theirs.
+const (
+	scratchSlack = 4
+	scratchFloor = 4096
+)
+
+// reuse returns buf emptied for the next batch, or nil when its capacity is
+// far above the used elements the last batch needed.
+func reuse[S ~[]E, E any](buf S, used int) S {
+	if cap(buf) > max(scratchSlack*used, scratchFloor) {
+		return nil
+	}
+	return buf[:0]
 }
 
 // begin starts a txn over the graph's current state.
@@ -57,80 +77,99 @@ func (g *Graph) begin() *txn {
 	*t = txn{
 		g:          g,
 		verts:      g.verts,
-		staged:     t.staged[:0],
+		staged:     reuse(t.staged, len(t.staged)),
 		at:         t.at,
 		copiedDirs: t.copiedDirs,
 		copiedBits: t.copiedBits,
 		frontier:   g.frontier,
 		minTime:    g.minTime,
 		hasEdges:   g.hasEdges,
-		numEdges:   g.numEdges,
-		numDeleted: g.numDeleted,
 		maxSeg:     g.maxSeg,
 		aux:        g.aux,
 	}
 	return t
 }
 
-// commit installs everything the txn staged.
+// commit installs everything the txn staged. The live-edge and tombstone
+// totals follow from the directories, never from the operations.
 func (t *txn) commit() {
 	g := t.g
 	g.verts = t.verts
 	for _, s := range t.staged {
-		g.verts[s.u] = s.vs
+		n, dead := slots(s.segs)
+		g.numEdges += n - dead - s.live
+		g.numDeleted += dead - s.dead
+		g.verts[s.u] = s.segs
 	}
 	g.frontier, g.minTime, g.hasEdges = t.frontier, t.minTime, t.hasEdges
-	g.numEdges, g.numDeleted, g.maxSeg, g.aux = t.numEdges, t.numDeleted, t.maxSeg, t.aux
+	g.maxSeg, g.aux = t.maxSeg, t.aux
 }
 
-// vertex returns u's state as the txn sees it.
-func (t *txn) vertex(u temporal.Vertex) vertexState {
+// vertex returns u's directory as the txn sees it.
+func (t *txn) vertex(u temporal.Vertex) []segment {
 	if int(u) < len(t.at) && t.at[u] != 0 {
-		return t.staged[t.at[u]-1].vs
+		return t.staged[t.at[u]-1].segs
 	}
 	if int(u) < len(t.verts) {
 		return t.verts[u]
 	}
-	return vertexState{}
+	return nil
 }
 
-// stage returns u's staged entry, staging its current state first. The
+// stage returns u's staged entry, staging its current directory first. The
 // pointer is valid until the next vertex is staged.
 func (t *txn) stage(u temporal.Vertex) *stagedVertex {
 	if int(u) >= len(t.at) {
 		t.at = append(t.at, make([]int32, max(int(u)+1, len(t.verts))-len(t.at))...)
 	}
 	if t.at[u] == 0 {
-		t.staged = append(t.staged, stagedVertex{u, t.vertex(u)})
+		segs := t.vertex(u)
+		n, dead := slots(segs)
+		t.staged = append(t.staged, stagedVertex{u: u, segs: segs, live: n - dead, dead: dead})
 		t.at[u] = int32(len(t.staged))
 	}
 	return &t.staged[t.at[u]-1]
 }
 
-// set changes u's state within the txn.
-func (t *txn) set(u temporal.Vertex, vs vertexState) { t.stage(u).vs = vs }
+// install makes segs u's directory within the txn.
+func (t *txn) install(u temporal.Vertex, segs []segment) { t.stage(u).segs = segs }
 
-// grow gives the txn a vertex table of n states, copying the published one:
-// readers keep the table they hold.
+// grow gives the txn a vertex table of n directories, copying the published
+// one: readers keep the table they hold.
 func (t *txn) grow(n int) {
-	verts := make([]vertexState, n)
+	verts := make([][]segment, n)
 	copy(verts, t.verts)
 	t.verts = verts
 }
 
-// newSegment allocates an n-slot segment whose olderCount slots of the
-// vertex precede it.
-func (t *txn) newSegment(n, olderCount int) segment {
+// build is the one way a segment is made from slots: it allocates, fills
+// and finishes a segment holding the newest-first run followed by the live
+// slots of segs, a newest-first directory prefix of whose last segment only
+// the k newest slots count. olderCount slots of the vertex precede the
+// segment. ok is false when nothing is live to build from.
+func (t *txn) build(run []temporal.Edge, segs []segment, k, olderCount int) (seg segment, ok bool) {
+	n := len(run)
+	for i := range segs {
+		n += segs[i].liveWithin(candidates(segs, i, k))
+	}
+	if n == 0 {
+		return segment{}, false
+	}
 	if t.g.spec.Kind != sampling.WeightLinearRank {
 		olderCount = 0
 	}
-	return newSegment(n, olderCount)
-}
-
-// built records a new n-slot segment: the auxiliary index must cover it.
-func (t *txn) built(n int) {
+	seg = newSegment(n, olderCount)
+	for i, e := range run {
+		seg.put(i, e.Dst, e.Time)
+	}
+	i := len(run)
+	for si := range segs {
+		i = seg.putLive(i, &segs[si], candidates(segs, si, k))
+	}
+	t.g.finish(&seg, t.minTime)
 	t.maxSeg = max(t.maxSeg, n)
 	t.aux = auxFor(t.aux, n)
+	return seg, true
 }
 
 // appendBatch stages AppendBatch: a refused batch stages nothing.
@@ -177,11 +216,10 @@ func (t *txn) appendBatch(edges []temporal.Edge) error {
 		t.appendRun(sorted[lo].Src, sorted[lo:hi])
 		lo = hi
 	}
-	g.sorted = sorted[:0]
+	g.sorted = reuse(sorted, len(sorted))
 	for _, e := range edges {
 		t.frontier = max(t.frontier, e.Time)
 	}
-	t.numEdges += len(edges)
 	return nil
 }
 
@@ -189,66 +227,28 @@ func (t *txn) appendBatch(edges []temporal.Edge) error {
 // LSM policy: a newer segment at least as large as its elder absorbs it.
 // The absorbed segments and the run are built once, as the final merged
 // segment; the intermediate merges only decide which segments it absorbs
-// and how many tombstones drop (Figure 7's hierarchy growth, never
-// resurrecting a deletion).
+// (Figure 7's hierarchy growth, never resurrecting a deletion).
 func (t *txn) appendRun(src temporal.Vertex, es []temporal.Edge) {
-	sv := t.stage(src)
-	vs := sv.vs
-	degree := vs.degree + len(es)
-	n, olderCount, dropped, absorbed := len(es), vs.degree, 0, 0
-	for absorbed < len(vs.segs) && n >= vs.segs[absorbed].len() {
-		s := &vs.segs[absorbed]
-		olderCount = degree - n - s.len()
-		dead := s.deadCount()
-		n += s.len() - dead
-		degree -= dead
-		dropped += dead
+	old := t.vertex(src)
+	n, absorbed := len(es), 0
+	for absorbed < len(old) && n >= old[absorbed].len() {
+		n += old[absorbed].len() - old[absorbed].deadCount()
 		absorbed++
 	}
-	seg := t.newSegment(n, olderCount)
-	i := 0
-	for _, e := range es {
-		seg.put(i, e.Dst, e.Time)
-		i++
-	}
-	for si := range vs.segs[:absorbed] {
-		i = seg.putLive(i, &vs.segs[si], vs.segs[si].len())
-	}
-	t.g.finish(&seg, t.minTime)
-	segs := make([]segment, 1+len(vs.segs)-absorbed)
+	older, _ := slots(old[absorbed:])
+	seg, _ := t.build(es, old[:absorbed], lastLen(old[:absorbed]), older)
+	segs := make([]segment, 1+len(old)-absorbed)
 	segs[0] = seg
-	copy(segs[1:], vs.segs[absorbed:])
+	copy(segs[1:], old[absorbed:])
 	t.g.rescale(segs)
-	sv.vs = vertexState{segs: segs, degree: degree, deleted: vs.deleted - dropped}
-	t.numDeleted -= dropped
-	t.built(n)
+	t.install(src, segs)
 }
 
-// rebuildVertex stages RebuildVertex: every slot of u, tombstoned or not,
-// in one segment.
-func (t *txn) rebuildVertex(u temporal.Vertex) {
-	if int(u) >= len(t.verts) {
-		return
+// lastLen returns the length of a directory's oldest segment, 0 when empty:
+// the k that builds from a whole directory.
+func lastLen(segs []segment) int {
+	if len(segs) == 0 {
+		return 0
 	}
-	vs := t.vertex(u)
-	if len(vs.segs) == 0 {
-		return
-	}
-	n := 0
-	for si := range vs.segs {
-		n += vs.segs[si].len()
-	}
-	seg := t.newSegment(n, 0)
-	i := 0
-	for si := range vs.segs {
-		s := &vs.segs[si]
-		for j := 0; j < s.len(); j++ {
-			seg.put(i, s.dst(j), s.ts(j))
-			i++
-		}
-	}
-	t.g.finish(&seg, t.minTime) // a lone segment's scale is 1
-	vs.segs = []segment{seg}
-	t.set(u, vs)
-	t.built(n)
+	return segs[len(segs)-1].len()
 }
