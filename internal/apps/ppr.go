@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
 )
@@ -82,7 +83,9 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sampler := eng.Sampler()
+	// A disk sampler's failed read looks like a dead end to the walk; its
+	// sticky error tells them apart and stops the run.
+	sampler, _ := eng.Sampler().(interface{ Err() error })
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -122,7 +125,11 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 				if runCtx.Err() != nil {
 					return
 				}
-				if err := pprWalkSafe(g, sampler, source, cfg, i, root, local); err != nil {
+				err := pprWalkSafe(eng, source, cfg, i, root, local)
+				if err == nil && sampler != nil {
+					err = sampler.Err()
+				}
+				if err != nil {
 					fail(err)
 					return
 				}
@@ -168,16 +175,21 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 }
 
 // pprWalkSafe runs one walk-with-restart, converting a panic in user code
-// (custom samplers or weight callbacks) into an error naming the walk.
-func pprWalkSafe(g *temporal.Graph, sampler core.Sampler, source temporal.Vertex, cfg PPRConfig, walk int, root *xrand.Rand, local []int64) (err error) {
+// (custom samplers, weight or parameter callbacks) into an error naming the
+// walk. Each step is the engine's own (Engine.Step), so a second-order
+// app's β applies exactly as in engine walks.
+func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk int, root *xrand.Rand, local []int64) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("apps: ppr walk %d panicked: %v", walk, rec)
 		}
 	}()
+	g := eng.Graph()
 	r := root.Split(uint64(walk))
-	u := source
-	t := cfg.StartTime
+	u, t := source, cfg.StartTime
+	var prev temporal.Vertex
+	hasPrev := false
+	var cost stats.Cost
 	local[u]++
 	for step := 0; step < cfg.MaxLength; step++ {
 		if r.Float64() < cfg.Alpha {
@@ -187,11 +199,11 @@ func pprWalkSafe(g *temporal.Graph, sampler core.Sampler, source temporal.Vertex
 		if k == 0 {
 			break
 		}
-		idx, _, ok := sampler.Sample(u, k, r)
+		_, dst, at, ok := eng.Step(u, k, prev, hasPrev, r, &cost)
 		if !ok {
 			break
 		}
-		dst, at := g.EdgeAt(u, idx)
+		prev, hasPrev = u, true
 		u, t = dst, at
 		local[u]++
 	}

@@ -334,3 +334,41 @@ func TestTxnMatchesOneByOne(t *testing.T) {
 		requireSameGraph(t, direct, staged)
 	}
 }
+
+// The writer's scratch follows the batches: one huge batch does not pin its
+// sorted copy and staged list for the graph's life, and steady 1,000-edge
+// batches reuse theirs without reallocating.
+func TestWriterScratchFollowsBatches(t *testing.T) {
+	g := mustNew(t, Config{})
+	r := xrand.New(9)
+	next := temporal.Time(1)
+	appendBatch := func(n, sources int) {
+		t.Helper()
+		batch := make([]temporal.Edge, n)
+		for i := range batch {
+			batch[i] = temporal.Edge{Src: temporal.Vertex(r.IntN(sources)), Dst: temporal.Vertex(r.IntN(sources)), Time: next + temporal.Time(r.IntN(50))}
+		}
+		next += 50
+		if err := g.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendBatch(200_000, 50_000)
+	if cap(g.sorted) < 200_000 {
+		t.Fatalf("sorted scratch cap %d after a 200,000-edge batch", cap(g.sorted))
+	}
+	// The first steady batch releases the sorted copy, the second the
+	// staged list (begin trims it by the txn before); then both hold.
+	appendBatch(1000, 300)
+	appendBatch(1000, 300)
+	if cap(g.sorted) > scratchFloor || cap(g.tx.staged) > scratchFloor {
+		t.Fatalf("scratch kept after steady batches: sorted cap %d, staged cap %d", cap(g.sorted), cap(g.tx.staged))
+	}
+	sorted, staged := unsafe.SliceData(g.sorted), unsafe.SliceData(g.tx.staged)
+	for b := 0; b < 100; b++ {
+		appendBatch(1000, 300)
+		if unsafe.SliceData(g.sorted) != sorted || unsafe.SliceData(g.tx.staged) != staged {
+			t.Fatalf("steady batch %d reallocated the writer's scratch", b)
+		}
+	}
+}
