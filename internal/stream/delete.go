@@ -207,7 +207,7 @@ func (t *txn) compactVertex(u temporal.Vertex) {
 		return
 	}
 	var compacted []segment
-	if seg, ok := t.build(nil, segs, lastLen(segs), 0); ok {
+	if seg, ok := t.build(nil, segs, temporal.MinTime, 0); ok {
 		compacted = []segment{seg} // a lone segment's scale is 1
 	}
 	t.install(u, compacted)

@@ -46,8 +46,7 @@ func (t *txn) expireVertex(u temporal.Vertex, horizon temporal.Time) int {
 		keep++
 	}
 	kept := append([]segment(nil), segs[:keep]...)
-	s := segs[keep : keep+1]
-	if seg, ok := t.build(nil, s, s[0].newerThan(horizon-1), 0); ok {
+	if seg, ok := t.build(nil, segs[keep:keep+1], horizon, 0); ok {
 		kept = append(kept, seg)
 	}
 	t.g.rescale(kept)

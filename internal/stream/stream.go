@@ -112,6 +112,15 @@ func (seg *segment) putLive(i int, s *segment, k int) int {
 	return i
 }
 
+// since returns how many of the segment's slots are timed at or after
+// from: a newest-first prefix.
+func (s *segment) since(from temporal.Time) int {
+	if s.oldest >= from {
+		return s.len()
+	}
+	return s.newerThan(from - 1)
+}
+
 // block returns the segment's HPAT block.
 func (s *segment) block() []uint64 { return s.arena[s.len()+(s.len()+1)/2:] }
 

@@ -142,15 +142,15 @@ func (t *txn) grow(n int) {
 	t.verts = verts
 }
 
-// build is the one way a segment is made from slots: it allocates, fills
-// and finishes a segment holding the newest-first run followed by the live
-// slots of segs, a newest-first directory prefix of whose last segment only
-// the k newest slots count. olderCount slots of the vertex precede the
-// segment. ok is false when nothing is live to build from.
-func (t *txn) build(run []temporal.Edge, segs []segment, k, olderCount int) (seg segment, ok bool) {
+// build is the one way a segment is made from existing slots: it
+// allocates, fills and finishes a segment holding the newest-first run,
+// then the live slots of segs, a newest-first directory prefix, timed at or
+// after from. olderCount slots of the vertex precede the segment. ok is
+// false when nothing is live to build from.
+func (t *txn) build(run []temporal.Edge, segs []segment, from temporal.Time, olderCount int) (seg segment, ok bool) {
 	n := len(run)
 	for i := range segs {
-		n += segs[i].liveWithin(candidates(segs, i, k))
+		n += segs[i].liveWithin(segs[i].since(from))
 	}
 	if n == 0 {
 		return segment{}, false
@@ -164,7 +164,7 @@ func (t *txn) build(run []temporal.Edge, segs []segment, k, olderCount int) (seg
 	}
 	i := len(run)
 	for si := range segs {
-		i = seg.putLive(i, &segs[si], candidates(segs, si, k))
+		i = seg.putLive(i, &segs[si], segs[si].since(from))
 	}
 	t.g.finish(&seg, t.minTime)
 	t.maxSeg = max(t.maxSeg, n)
@@ -236,19 +236,10 @@ func (t *txn) appendRun(src temporal.Vertex, es []temporal.Edge) {
 		absorbed++
 	}
 	older, _ := slots(old[absorbed:])
-	seg, _ := t.build(es, old[:absorbed], lastLen(old[:absorbed]), older)
+	seg, _ := t.build(es, old[:absorbed], temporal.MinTime, older)
 	segs := make([]segment, 1+len(old)-absorbed)
 	segs[0] = seg
 	copy(segs[1:], old[absorbed:])
 	t.g.rescale(segs)
 	t.install(src, segs)
-}
-
-// lastLen returns the length of a directory's oldest segment, 0 when empty:
-// the k that builds from a whole directory.
-func lastLen(segs []segment) int {
-	if len(segs) == 0 {
-		return 0
-	}
-	return segs[len(segs)-1].len()
 }
