@@ -14,7 +14,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -34,23 +33,18 @@ var ErrOutOfMemory = errors.New("baseline: alias method exceeds memory budget")
 // timestamp list; normalization for the exponential kind uses times[0] (the
 // newest out-edge), constant within a vertex, so ratios match Eq. 3.
 type weightEval struct {
-	kind   sampling.WeightKind
-	lambda float64
-	minT   temporal.Time
+	spec sampling.WeightSpec
+	minT temporal.Time
 }
 
 func newWeightEval(g *temporal.Graph, spec sampling.WeightSpec) (weightEval, error) {
 	if spec.Custom != nil {
 		return weightEval{}, ErrCustomWeight
 	}
-	lambda := spec.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
-	minT, _ := g.TimeRange()
 	switch spec.Kind {
 	case sampling.WeightUniform, sampling.WeightLinearTime, sampling.WeightLinearRank, sampling.WeightExponential:
-		return weightEval{kind: spec.Kind, lambda: lambda, minT: minT}, nil
+		minT, _ := g.TimeRange()
+		return weightEval{spec: spec, minT: minT}, nil
 	default:
 		return weightEval{}, fmt.Errorf("baseline: unknown weight kind %v", spec.Kind)
 	}
@@ -59,21 +53,29 @@ func newWeightEval(g *temporal.Graph, spec sampling.WeightSpec) (weightEval, err
 // at computes the weight of edge i of a vertex whose newest-first timestamps
 // are times.
 func (w weightEval) at(times []temporal.Time, i int) float64 {
-	switch w.kind {
-	case sampling.WeightUniform:
-		return 1
-	case sampling.WeightLinearTime:
-		return float64(times[i]-w.minT) + 1
-	case sampling.WeightLinearRank:
-		return float64(len(times) - i)
-	default: // exponential
-		return math.Exp(w.lambda * float64(times[i]-times[0]))
-	}
+	return w.spec.EdgeWeight(times[i], times[0], w.minT, len(times)-i)
 }
 
 // dynamic reports whether the weight depends on temporal information in a
 // way that forces per-step recomputation in engines without TEA's
 // normalization trick (§3.1): the exponential family.
 func (w weightEval) dynamic() bool {
-	return w.kind == sampling.WeightExponential
+	return w.spec.Kind == sampling.WeightExponential
+}
+
+// staticITS returns the sampler §4.3 prescribes for the baselines on
+// walker-independent weights (uniform/linear): the shared per-vertex ITS
+// over precomputed prefix sums, O(log D) per step. Both GraphWalker and
+// KnightKing use it for the linear temporal weight walk; their Table 4 gap
+// on that algorithm is the paper's 1-node-vs-8-node hardware difference,
+// not an algorithmic one. It returns nil for dynamic weights.
+func (w weightEval) staticITS(g *temporal.Graph) (*sampling.ITS, error) {
+	if w.dynamic() {
+		return nil, nil
+	}
+	gw, err := sampling.BuildGraphWeights(g, w.spec, 0)
+	if err != nil {
+		return nil, err
+	}
+	return sampling.NewITS(gw), nil
 }

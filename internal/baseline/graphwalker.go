@@ -22,8 +22,8 @@ import (
 type GraphWalker struct {
 	g      *temporal.Graph
 	eval   weightEval
-	static *staticITS // non-nil for walker-independent weights (§4.3)
-	pool   sync.Pool  // *gwScratch
+	static *sampling.ITS // non-nil for walker-independent weights (§4.3)
+	pool   sync.Pool     // *gwScratch
 }
 
 type gwScratch struct {
@@ -37,10 +37,8 @@ func NewGraphWalker(g *temporal.Graph, spec sampling.WeightSpec) (*GraphWalker, 
 		return nil, err
 	}
 	gw := &GraphWalker{g: g, eval: ev}
-	if !ev.dynamic() {
-		// §4.3: for the linear temporal weight walk GraphWalker samples by
-		// ITS over precomputed cumulative arrays, O(log D) per step.
-		gw.static = newStaticITS(g, ev)
+	if gw.static, err = ev.staticITS(g); err != nil {
+		return nil, err
 	}
 	gw.pool.New = func() any { return &gwScratch{} }
 	return gw, nil
@@ -57,7 +55,7 @@ func (gw *GraphWalker) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int
 		return 0, 0, false
 	}
 	if gw.static != nil {
-		return gw.static.sample(u, k, r)
+		return gw.static.Sample(u, k, r)
 	}
 	deg := gw.g.Degree(u)
 	if deg == 0 {
@@ -88,7 +86,7 @@ func (gw *GraphWalker) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int
 // is bounded by the maximum degree per worker.
 func (gw *GraphWalker) MemoryBytes() int64 {
 	if gw.static != nil {
-		return gw.static.memoryBytes()
+		return gw.static.MemoryBytes()
 	}
 	return int64(gw.g.MaxDegree()) * 8
 }

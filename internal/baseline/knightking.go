@@ -22,7 +22,7 @@ import (
 type KnightKing struct {
 	g      *temporal.Graph
 	eval   weightEval
-	static *staticITS // non-nil for walker-independent weights (§4.3)
+	static *sampling.ITS // non-nil for walker-independent weights (§4.3)
 	// maxTrials bounds the rejection loop; 0 selects 64·k.
 	maxTrials int
 }
@@ -34,9 +34,8 @@ func NewKnightKing(g *temporal.Graph, spec sampling.WeightSpec) (*KnightKing, er
 		return nil, err
 	}
 	kk := &KnightKing{g: g, eval: ev}
-	if !ev.dynamic() {
-		// §4.3: for the linear temporal weight walk KnightKing uses ITS.
-		kk.static = newStaticITS(g, ev)
+	if kk.static, err = ev.staticITS(g); err != nil {
+		return nil, err
 	}
 	return kk, nil
 }
@@ -50,7 +49,7 @@ func (kk *KnightKing) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int6
 		return 0, 0, false
 	}
 	if kk.static != nil {
-		return kk.static.sample(u, k, r)
+		return kk.static.Sample(u, k, r)
 	}
 	deg := kk.g.Degree(u)
 	if deg == 0 {
@@ -104,7 +103,7 @@ func (kk *KnightKing) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int6
 // index; the static-weight ITS arrays are counted when present.
 func (kk *KnightKing) MemoryBytes() int64 {
 	if kk.static != nil {
-		return kk.static.memoryBytes()
+		return kk.static.MemoryBytes()
 	}
 	return 0
 }

@@ -73,115 +73,30 @@ type FrontierGrouper interface {
 	WantsGroupedFrontier() bool
 }
 
-// ITSSampler samples candidate prefixes by inverse transform sampling over
-// per-vertex per-edge prefix sums: O(log D) per draw and O(D) space. §5.4
-// notes ITS slots directly into TEA because the newest-first edge order
-// matches the prefix-sum layout; it is the "ITS" row of Figure 12.
+// ITSSampler is MethodITS: the shared per-vertex prefix-sum ITS
+// (sampling.ITS) over the engine's weights, the "ITS" row of Figure 12.
 type ITSSampler struct {
-	g   *temporal.Graph
-	w   *sampling.GraphWeights
-	cum []float64
-	off []int64
+	*sampling.ITS
+	w *sampling.GraphWeights
 }
 
 // NewITSSampler builds per-vertex cumulative arrays for the weighted graph.
 func NewITSSampler(w *sampling.GraphWeights) *ITSSampler {
-	g := w.Graph()
-	numV := g.NumVertices()
-	off := make([]int64, numV+1)
-	for u := 0; u < numV; u++ {
-		off[u+1] = off[u] + int64(g.Degree(temporal.Vertex(u))) + 1
-	}
-	cum := make([]float64, off[numV])
-	for u := 0; u < numV; u++ {
-		ws := w.Vertex(temporal.Vertex(u))
-		sum := 0.0
-		base := off[u]
-		cum[base] = 0
-		for i, x := range ws {
-			sum += x
-			cum[base+int64(i)+1] = sum
-		}
-	}
-	return &ITSSampler{g: g, w: w, cum: cum, off: off}
+	return &ITSSampler{ITS: sampling.NewITS(w), w: w}
 }
 
 // Name implements Sampler.
 func (s *ITSSampler) Name() string { return "ITS" }
 
-// Sample implements Sampler via binary search over the cumulative array.
-func (s *ITSSampler) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool) {
-	if k <= 0 {
-		return 0, 0, false
-	}
-	deg := s.g.Degree(u)
-	if deg == 0 {
-		return 0, 0, false
-	}
-	if k > deg {
-		k = deg
-	}
-	cum := s.cum[s.off[u] : s.off[u]+int64(deg)+1]
-	total := cum[k]
-	if !(total > 0) {
-		return 0, 0, false
-	}
-	x := r.Range(total)
-	lo, hi := 0, k-1
-	var eval int64
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		eval++
-		if cum[mid+1] > x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, eval + 1, true
-}
-
-// SampleBatch implements BatchSampler: the per-entry draw is exactly Sample,
-// with the index's slice headers hoisted out of the loop.
+// SampleBatch implements BatchSampler: each entry draws exactly as Sample.
 func (s *ITSSampler) SampleBatch(_ context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	cumAll, offAll := s.cum, s.off
 	for i, u := range us {
-		k := int(ks[i])
-		if k <= 0 {
-			edges[i], evals[i], oks[i] = 0, 0, false
-			continue
-		}
-		deg := s.g.Degree(u)
-		if deg == 0 {
-			edges[i], evals[i], oks[i] = 0, 0, false
-			continue
-		}
-		if k > deg {
-			k = deg
-		}
-		cum := cumAll[offAll[u] : offAll[u]+int64(deg)+1]
-		total := cum[k]
-		if !(total > 0) {
-			edges[i], evals[i], oks[i] = 0, 0, false
-			continue
-		}
-		x := rs[i].Range(total)
-		lo, hi := 0, k-1
-		var eval int64
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			eval++
-			if cum[mid+1] > x {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		edges[i], evals[i], oks[i] = int32(lo), eval+1, true
+		e, ev, ok := s.Sample(u, int(ks[i]), rs[i])
+		edges[i], evals[i], oks[i] = int32(e), ev, ok
 	}
 }
 
 // MemoryBytes implements Sampler: the cumulative arrays plus shared weights.
 func (s *ITSSampler) MemoryBytes() int64 {
-	return int64(len(s.cum))*8 + int64(len(s.off))*8 + s.w.MemoryBytes()
+	return s.ITS.MemoryBytes() + s.w.MemoryBytes()
 }

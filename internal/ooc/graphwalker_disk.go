@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/tea-graph/tea/internal/reqcost"
@@ -27,7 +26,6 @@ type DiskGraphWalker struct {
 	readPath // base is the store the adjacency was built onto
 	g        *temporal.Graph
 	spec     sampling.WeightSpec
-	lambda   float64
 	minT     temporal.Time
 	edgeBase int64
 	edgeOff  []int64
@@ -42,16 +40,11 @@ func BuildDiskGraphWalker(g *temporal.Graph, spec sampling.WeightSpec, store Blo
 	if spec.Custom != nil {
 		return nil, ErrCustomWeight
 	}
-	lambda := spec.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
 	minT, _ := g.TimeRange()
 	d := &DiskGraphWalker{
 		readPath: readPath{base: store},
 		g:        g,
 		spec:     spec,
-		lambda:   lambda,
 		minT:     minT,
 		edgeOff: func() []int64 {
 			off := make([]int64, g.NumVertices()+1)
@@ -213,19 +206,8 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 	total := 0.0
 	for i := 0; i < k; i++ {
 		t := temporal.Time(int64(binary.LittleEndian.Uint64(buf[i*edgeRecBytes:])))
-		var x float64
-		switch d.spec.Kind {
-		case sampling.WeightUniform:
-			x = 1
-		case sampling.WeightLinearTime:
-			x = float64(t-d.minT) + 1
-		case sampling.WeightLinearRank:
-			x = float64(deg - i)
-		default:
-			x = math.Exp(d.lambda * float64(t-newest))
-		}
-		w[i] = x
-		total += x
+		w[i] = d.spec.EdgeWeight(t, newest, d.minT, deg-i)
+		total += w[i]
 	}
 	idx, ok := sampling.LinearITS(w, total, r)
 	return idx, int64(deg + k), ok

@@ -7,7 +7,8 @@ import (
 // AliasTable supports O(1) weighted sampling over a fixed weight array using
 // Vose's method (§2.2 "alias method"): every trunk slot holds at most two
 // "pieces", its own probability mass and an alias to borrow the remainder
-// from. Construction is O(n).
+// from. Construction is O(n). It is plain storage for FillAlias and
+// SampleAliasSlots.
 //
 // The zero-length table is valid and never sampled.
 type AliasTable struct {
@@ -19,57 +20,11 @@ type AliasTable struct {
 // non-negative; an all-zero or empty array yields a table whose Sample
 // reports ok=false.
 func NewAliasTable(weights []float64) *AliasTable {
-	n := len(weights)
 	t := &AliasTable{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
+		prob:  make([]float64, len(weights)),
+		alias: make([]int32, len(weights)),
 	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if !(total > 0) {
-		// Degenerate: mark every slot as unsampleable.
-		for i := range t.prob {
-			t.prob[i] = -1
-		}
-		return t
-	}
-	// Scale so the average weight maps to 1.
-	scaled := make([]float64, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		t.prob[s] = scaled[s]
-		t.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			large = large[:len(large)-1]
-			small = append(small, l)
-		}
-	}
-	for _, l := range large {
-		t.prob[l] = 1
-		t.alias[l] = l
-	}
-	for _, s := range small {
-		// Only reachable through floating-point round-off; treat as full.
-		t.prob[s] = 1
-		t.alias[s] = s
-	}
+	FillAlias(weights, t.prob, t.alias, nil)
 	return t
 }
 
@@ -79,19 +34,7 @@ func (t *AliasTable) Len() int { return len(t.prob) }
 // Sample draws an index in [0, Len()) with probability proportional to the
 // construction weights, in O(1). ok is false for degenerate tables.
 func (t *AliasTable) Sample(r *xrand.Rand) (idx int, ok bool) {
-	n := len(t.prob)
-	if n == 0 {
-		return 0, false
-	}
-	i := r.IntN(n)
-	p := t.prob[i]
-	if p < 0 {
-		return 0, false
-	}
-	if p >= 1 || r.Float64() < p {
-		return i, true
-	}
-	return int(t.alias[i]), true
+	return SampleAliasSlots(t.prob, t.alias, r)
 }
 
 // MemoryBytes returns the footprint of the table arrays.
@@ -153,6 +96,7 @@ func FillAlias(weights []float64, prob []float64, alias []int32, smallLarge []in
 		alias[l] = l
 	}
 	for _, s := range small {
+		// Only reachable through floating-point round-off; treat as full.
 		prob[s] = 1
 		alias[s] = s
 	}

@@ -100,22 +100,21 @@ func TestMemoryBytesAccessors(t *testing.T) {
 	if NewAliasTable(w).MemoryBytes() != 3*8+3*4 {
 		t.Fatal("alias memory")
 	}
-	if NewPrefixSum(w).MemoryBytes() != 4*8 {
-		t.Fatal("prefix-sum memory")
-	}
-	if NewPrefixMax(w).MemoryBytes() != 4*8 {
-		t.Fatal("prefix-max memory")
+	// Two vertices: 3+1 and 0+1 prefix sums, 3 offsets.
+	if vertexITS(t, w).MemoryBytes() != 5*8+3*8 {
+		t.Fatal("ITS memory")
 	}
 }
 
-// Exercise the floating-point clamp fallbacks of the ITS samplers: with a
-// weight vector whose tail is zero, r.Range can land exactly on the total.
+// A weight vector whose tail is zero: the prefix sums end in a run equal to
+// the total, so neither ITS may return a zero-weight edge there, and
+// LinearITS's floating-point fallback must land on the last positive
+// weight.
 func TestITSFloatEdgeFallbacks(t *testing.T) {
-	// Trailing zeros force the "x landed on total" clamp when x is maximal.
-	c := NewPrefixSum([]float64{1, 0, 0})
+	s := vertexITS(t, []float64{1, 0, 0})
 	r := xrand.New(31)
 	for i := 0; i < 20000; i++ {
-		idx, ok := c.SampleITS(3, r)
+		idx, _, ok := s.Sample(0, 3, r)
 		if !ok || idx != 0 {
 			t.Fatalf("draw %d: (%d,%v)", i, idx, ok)
 		}

@@ -1,62 +1,81 @@
 package sampling
 
 import (
-	"sort"
-
+	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-// PrefixSum is a cumulative distribution over an ordered weight array:
-// C[i] = Σ_{j<i} w_j, so C has one more element than the weights. Candidate
-// prefixes of length k have total weight C[k], which is what makes a single
-// prefix-sum array serve every temporal candidate set of a vertex (§3.3).
-type PrefixSum []float64
-
-// NewPrefixSum builds the cumulative array for weights.
-func NewPrefixSum(weights []float64) PrefixSum {
-	c := make(PrefixSum, len(weights)+1)
-	sum := 0.0
-	for i, w := range weights {
-		sum += w
-		c[i+1] = sum
-	}
-	return c
+// ITS samples temporal candidate sets by inverse transform sampling (§2.2)
+// over per-vertex prefix sums of a graph's weights: C[i] = Σ_{j<i} w_j over
+// each vertex's newest-first out-edges, so one array serves every candidate
+// prefix (§3.3) — O(log D) per draw, O(D) space. §5.4 notes ITS slots
+// directly into TEA because the newest-first order matches the prefix-sum
+// layout; it is the "ITS" row of Figure 12 and the baselines' sampler for
+// walker-independent weights (§4.3).
+type ITS struct {
+	cum []float64 // u's prefix sums are cum[off[u]:off[u+1]], deg(u)+1 of them
+	off []int64
 }
 
-// Total returns the total weight of the k-element prefix.
-func (c PrefixSum) Total(k int) float64 { return c[k] }
-
-// RangeWeight returns the total weight of elements [lo, hi).
-func (c PrefixSum) RangeWeight(lo, hi int) float64 { return c[hi] - c[lo] }
-
-// SampleITS draws an index from the k-element prefix with probability
-// proportional to its weight, via inverse transform sampling: a binary search
-// over the cumulative array, O(log k). This is the classic ITS of §2.2 and
-// the baseline TEA improves upon.
-//
-// ok is false when the prefix has zero total weight (k == 0 or all-zero
-// weights).
-func (c PrefixSum) SampleITS(k int, r *xrand.Rand) (idx int, ok bool) {
-	total := c[k]
-	if !(total > 0) {
-		return 0, false
+// NewITS builds the per-vertex prefix sums of w.
+func NewITS(w *GraphWeights) *ITS {
+	g := w.Graph()
+	numV := g.NumVertices()
+	off := make([]int64, numV+1)
+	for u := 0; u < numV; u++ {
+		off[u+1] = off[u] + int64(g.Degree(temporal.Vertex(u))) + 1
 	}
-	x := r.Range(total)
-	// Smallest i in [1, k] with c[i] > x; the sampled element is i-1.
-	i := sort.Search(k, func(j int) bool { return c[j+1] > x })
-	if i >= k {
-		// Floating-point edge: x landed on the total; clamp to the last
-		// positive-weight element.
-		i = k - 1
-		for i > 0 && c[i+1] == c[i] {
-			i--
+	cum := make([]float64, off[numV])
+	for u := 0; u < numV; u++ {
+		c := cum[off[u]:off[u+1]]
+		sum := 0.0
+		for i, x := range w.Vertex(temporal.Vertex(u)) {
+			sum += x
+			c[i+1] = sum
 		}
 	}
-	return i, true
+	return &ITS{cum: cum, off: off}
 }
 
-// MemoryBytes returns the footprint of the cumulative array.
-func (c PrefixSum) MemoryBytes() int64 { return int64(len(c)) * 8 }
+// Sample draws an index in [0, k) of u's newest-first out-edges with
+// probability proportional to its weight, by a binary search for the first
+// prefix sum above a uniform draw. evaluated counts the probes plus one.
+// ok is false when k ≤ 0, u has no out-edges or the prefix carries no
+// weight.
+func (s *ITS) Sample(u temporal.Vertex, k int, r *xrand.Rand) (idx int, evaluated int64, ok bool) {
+	if k <= 0 {
+		return 0, 0, false
+	}
+	cum := s.cum[s.off[u]:s.off[u+1]]
+	deg := len(cum) - 1
+	if deg == 0 {
+		return 0, 0, false
+	}
+	if k > deg {
+		k = deg
+	}
+	total := cum[k]
+	if !(total > 0) {
+		return 0, 0, false
+	}
+	x := r.Range(total)
+	lo, hi := 0, k-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		evaluated++
+		if cum[mid+1] > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, evaluated + 1, true
+}
+
+// MemoryBytes returns the footprint of the prefix sums and offsets.
+func (s *ITS) MemoryBytes() int64 {
+	return int64(len(s.cum))*8 + int64(len(s.off))*8
+}
 
 // LinearITS samples from weights[0:k] by a sequential scan, used for tiny
 // segments (the incomplete-trunk case of PAT, §3.2) where a scan beats a

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -51,63 +52,74 @@ func checkDistribution(t *testing.T, name string, want []float64, n int, draw fu
 	}
 }
 
+// vertexITS builds the shared ITS over a two-vertex graph: vertex 0 has one
+// out-edge per weight, newest first, and vertex 1 has none.
+func vertexITS(tb testing.TB, weights []float64) *ITS {
+	tb.Helper()
+	edges := make([]temporal.Edge, len(weights))
+	for i := range edges {
+		edges[i] = temporal.Edge{Src: 0, Dst: 1, Time: temporal.Time(len(weights) - i)}
+	}
+	g, err := temporal.FromEdges(edges, temporal.WithNumVertices(2))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return NewITS(WrapGraphWeights(g, weights))
+}
+
+// itsDraw adapts ITS.Sample on vertex 0's k-prefix to checkDistribution.
+func itsDraw(s *ITS, k int, r *xrand.Rand) func() (int, bool) {
+	return func() (int, bool) {
+		idx, _, ok := s.Sample(0, k, r)
+		return idx, ok
+	}
+}
+
 func TestPrefixSumBasics(t *testing.T) {
-	c := NewPrefixSum([]float64{5, 6, 7})
+	s := vertexITS(t, []float64{5, 6, 7})
 	want := []float64{0, 5, 11, 18}
-	for i, v := range want {
-		if c[i] != v {
-			t.Fatalf("C[%d] = %v, want %v", i, c[i], v)
-		}
-	}
-	if c.Total(2) != 11 {
-		t.Fatalf("Total(2) = %v", c.Total(2))
-	}
-	if c.RangeWeight(1, 3) != 13 {
-		t.Fatalf("RangeWeight(1,3) = %v", c.RangeWeight(1, 3))
+	if got := s.cum[s.off[0]:s.off[1]]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("prefix sums %v, want %v", got, want)
 	}
 }
 
 // The paper's Figure 3b: weights {5,6,7}, r=12 selects the third edge.
 // Reproduce the deterministic pick by checking boundaries directly.
 func TestITSSelectsByCumulative(t *testing.T) {
-	c := NewPrefixSum([]float64{5, 6, 7})
 	r := xrand.New(1)
-	checkDistribution(t, "its", []float64{5, 6, 7}, 60000, func() (int, bool) {
-		return c.SampleITS(3, r)
-	})
+	checkDistribution(t, "its", []float64{5, 6, 7}, 60000, itsDraw(vertexITS(t, []float64{5, 6, 7}), 3, r))
 }
 
 func TestITSPrefixRestriction(t *testing.T) {
 	// Sampling the 2-element prefix must never return index 2.
-	c := NewPrefixSum([]float64{5, 6, 7})
+	s := vertexITS(t, []float64{5, 6, 7})
 	r := xrand.New(2)
-	checkDistribution(t, "its-prefix", []float64{5, 6}, 40000, func() (int, bool) {
-		return c.SampleITS(2, r)
-	})
+	checkDistribution(t, "its-prefix", []float64{5, 6}, 40000, itsDraw(s, 2, r))
+	// A k above the degree draws from every edge.
+	checkDistribution(t, "its-clamp", []float64{5, 6, 7}, 40000, itsDraw(s, 9, r))
 }
 
 func TestITSZeroPrefix(t *testing.T) {
-	c := NewPrefixSum([]float64{5, 6, 7})
+	s := vertexITS(t, []float64{5, 6, 7})
 	r := xrand.New(3)
-	if _, ok := c.SampleITS(0, r); ok {
-		t.Fatal("SampleITS(0) reported ok")
+	if _, _, ok := s.Sample(0, 0, r); ok {
+		t.Fatal("Sample(k=0) reported ok")
+	}
+	if _, _, ok := s.Sample(1, 1, r); ok {
+		t.Fatal("degree-0 vertex reported ok")
 	}
 }
 
 func TestITSZeroWeights(t *testing.T) {
-	c := NewPrefixSum([]float64{0, 0})
 	r := xrand.New(4)
-	if _, ok := c.SampleITS(2, r); ok {
+	if _, _, ok := vertexITS(t, []float64{0, 0}).Sample(0, 2, r); ok {
 		t.Fatal("all-zero prefix reported ok")
 	}
 }
 
 func TestITSSkipsZeroWeight(t *testing.T) {
-	c := NewPrefixSum([]float64{0, 3, 0, 5})
 	r := xrand.New(5)
-	checkDistribution(t, "its-zero", []float64{0, 3, 0, 5}, 40000, func() (int, bool) {
-		return c.SampleITS(4, r)
-	})
+	checkDistribution(t, "its-zero", []float64{0, 3, 0, 5}, 40000, itsDraw(vertexITS(t, []float64{0, 3, 0, 5}), 4, r))
 }
 
 func TestLinearITSMatchesITS(t *testing.T) {
@@ -184,17 +196,6 @@ func TestAliasSkewedDistribution(t *testing.T) {
 	checkDistribution(t, "alias-skew", w, 120000, func() (int, bool) { return at.Sample(r) })
 }
 
-func TestFillAliasMatchesNewAliasTable(t *testing.T) {
-	w := []float64{7, 6, 5, 4}
-	prob := make([]float64, len(w))
-	alias := make([]int32, len(w))
-	FillAlias(w, prob, alias, nil)
-	r := xrand.New(13)
-	checkDistribution(t, "fill-alias", w, 40000, func() (int, bool) {
-		return SampleAliasSlots(prob, alias, r)
-	})
-}
-
 func TestFillAliasDegenerate(t *testing.T) {
 	prob := make([]float64, 2)
 	alias := make([]int32, 2)
@@ -238,90 +239,6 @@ func TestAliasConstructionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPrefixMax(t *testing.T) {
-	m := NewPrefixMax([]float64{3, 1, 7, 2})
-	want := []float64{0, 3, 3, 7, 7}
-	for i, v := range want {
-		if m[i] != v {
-			t.Fatalf("M[%d] = %v, want %v", i, m[i], v)
-		}
-	}
-	if m.Max(3) != 7 {
-		t.Fatalf("Max(3) = %v", m.Max(3))
-	}
-}
-
-func TestRejectionDistribution(t *testing.T) {
-	w := []float64{7, 6, 5, 4, 3, 2, 1}
-	m := NewPrefixMax(w)
-	r := xrand.New(15)
-	checkDistribution(t, "rejection", w, 70000, func() (int, bool) {
-		res := SampleRejection(w, len(w), m.Max(len(w)), 0, r)
-		return res.Index, res.OK
-	})
-}
-
-func TestRejectionPrefix(t *testing.T) {
-	w := []float64{1, 2, 100}
-	m := NewPrefixMax(w)
-	r := xrand.New(16)
-	// Restricting to the first two elements must use envelope max(1,2)=2 and
-	// never return index 2.
-	checkDistribution(t, "rejection-prefix", []float64{1, 2}, 30000, func() (int, bool) {
-		res := SampleRejection(w, 2, m.Max(2), 0, r)
-		return res.Index, res.OK
-	})
-}
-
-func TestRejectionEmpty(t *testing.T) {
-	r := xrand.New(17)
-	if res := SampleRejection(nil, 0, 1, 0, r); res.OK {
-		t.Fatal("empty rejection ok")
-	}
-	if res := SampleRejection([]float64{1}, 1, 0, 0, r); res.OK {
-		t.Fatal("zero envelope ok")
-	}
-}
-
-func TestRejectionTrialBound(t *testing.T) {
-	// An absurd envelope forces rejections; the bounded sampler must give up.
-	w := []float64{1e-12}
-	r := xrand.New(18)
-	res := SampleRejection(w, 1, 1.0, 10, r)
-	if res.OK {
-		t.Skip("improbably lucky draw") // ~1e-11 chance
-	}
-	if res.Trials != 10 {
-		t.Fatalf("Trials = %d, want 10", res.Trials)
-	}
-}
-
-// The paper's observation: exponential weights inflate rejection trial counts
-// toward D while ITS/alias stay exact. Verify the trial blow-up empirically.
-func TestRejectionTrialBlowupOnExponentialWeights(t *testing.T) {
-	const d = 64
-	w := make([]float64, d)
-	for i := range w {
-		w[i] = math.Exp(float64(d - i - 1 - (d - 1))) // newest-first exp weights
-	}
-	m := NewPrefixMax(w)
-	r := xrand.New(19)
-	totalTrials := 0
-	const draws = 2000
-	for i := 0; i < draws; i++ {
-		res := SampleRejection(w, d, m.Max(d), 0, r)
-		if !res.OK {
-			t.Fatal("rejection failed")
-		}
-		totalTrials += res.Trials
-	}
-	avg := float64(totalTrials) / draws
-	// ε = Σw/(D·max) ≈ 1.58/64 → expected trials ≈ 40.
-	if avg < 20 {
-		t.Fatalf("expected heavy rejection on exponential weights, got avg %.1f trials", avg)
 	}
 }
 
@@ -409,9 +326,6 @@ func TestWeightSpecCustom(t *testing.T) {
 	if w[0] != 107 || w[6] != 101 {
 		t.Fatalf("custom weights = %v", w)
 	}
-	if spec.MonotoneNonIncreasing() {
-		t.Fatal("custom spec claimed monotone")
-	}
 }
 
 func TestWeightSpecCustomRejectsBadWeights(t *testing.T) {
@@ -427,11 +341,7 @@ func TestWeightSpecCustomRejectsBadWeights(t *testing.T) {
 func TestWeightSpecMonotone(t *testing.T) {
 	g := temporal.CommuteGraph()
 	for _, k := range []WeightKind{WeightUniform, WeightLinearTime, WeightLinearRank, WeightExponential} {
-		spec := WeightSpec{Kind: k}
-		if !spec.MonotoneNonIncreasing() {
-			t.Fatalf("%v not monotone", k)
-		}
-		w, err := spec.VertexWeights(g, 7, nil)
+		w, err := WeightSpec{Kind: k}.VertexWeights(g, 7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,8 +379,7 @@ func TestSamplerAgreementProperty(t *testing.T) {
 			w[i] = float64(v)
 			total += w[i]
 		}
-		c := NewPrefixSum(w)
-		_, okITS := c.SampleITS(len(w), r)
+		_, _, okITS := vertexITS(t, w).Sample(0, len(w), r)
 		_, okAlias := NewAliasTable(w).Sample(r)
 		return okITS == (total > 0) && okAlias == (total > 0)
 	}
@@ -484,11 +393,11 @@ func BenchmarkITS(b *testing.B) {
 	for i := range w {
 		w[i] = float64(i + 1)
 	}
-	c := NewPrefixSum(w)
+	s := vertexITS(b, w)
 	r := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SampleITS(len(w), r)
+		s.Sample(0, len(w), r)
 	}
 }
 
@@ -502,18 +411,5 @@ func BenchmarkAlias(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at.Sample(r)
-	}
-}
-
-func BenchmarkRejectionLinearWeights(b *testing.B) {
-	w := make([]float64, 1024)
-	for i := range w {
-		w[i] = float64(len(w) - i)
-	}
-	m := NewPrefixMax(w)
-	r := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SampleRejection(w, len(w), m.Max(len(w)), 0, r)
 	}
 }

@@ -1,7 +1,8 @@
 // Package sampling provides the Monte Carlo sampling primitives that TEA
-// composes (§2.2 of the paper): inverse transform sampling over prefix sums,
-// Vose alias tables, and rejection sampling, plus the temporal edge-weight
-// functions of §2.3 (uniform, linear, exponential, and user-defined).
+// composes (§2.2 of the paper): per-vertex inverse transform sampling over
+// prefix sums and Vose alias tables, plus the temporal edge-weight functions
+// of §2.3 (uniform, linear, exponential, and user-defined). Each is written
+// once, here, and every index, baseline and the stream build on these.
 //
 // All primitives operate on a single vertex's out-edge list in
 // newest-first order, so a candidate edge set is always a prefix of the
@@ -73,13 +74,42 @@ func Exponential(lambda float64) WeightSpec {
 	return WeightSpec{Kind: WeightExponential, Lambda: lambda}
 }
 
+// EffectiveLambda returns the exponential decay the spec samples with:
+// Lambda, or 1.0 when Lambda is 0.
+func (s WeightSpec) EffectiveLambda() float64 {
+	if s.Lambda == 0 {
+		return 1
+	}
+	return s.Lambda
+}
+
+// EdgeWeight is the built-in temporal weight of one out-edge timed t of a
+// vertex whose newest out-edge is timed newest: minT is the time linear-time
+// weights count from, and rank the edge's rank among the vertex's edges in
+// increasing time order (the oldest has rank 1). It is the one formula every
+// sampler evaluates — index builds, the baselines' on-demand weights, the
+// out-of-core walker and the stream's segments — so they agree bit for bit.
+// Custom is ignored; an unknown kind weighs 0.
+func (s WeightSpec) EdgeWeight(t, newest, minT temporal.Time, rank int) float64 {
+	switch s.Kind {
+	case WeightUniform:
+		return 1
+	case WeightLinearTime:
+		return float64(t-minT) + 1
+	case WeightLinearRank:
+		return float64(rank)
+	case WeightExponential:
+		return math.Exp(s.EffectiveLambda() * float64(t-newest))
+	}
+	return 0
+}
+
 // VertexWeights computes the weight of every out-edge of u, newest first,
 // appending to buf. Weights are guaranteed positive; non-finite or
 // non-positive custom weights are reported as an error.
 func (s WeightSpec) VertexWeights(g *temporal.Graph, u temporal.Vertex, buf []float64) ([]float64, error) {
 	times := g.OutTimes(u)
-	switch {
-	case s.Custom != nil:
+	if s.Custom != nil {
 		for _, t := range times {
 			w := s.Custom(t)
 			if !(w > 0) || math.IsInf(w, 1) {
@@ -87,42 +117,15 @@ func (s WeightSpec) VertexWeights(g *temporal.Graph, u temporal.Vertex, buf []fl
 			}
 			buf = append(buf, w)
 		}
-	case s.Kind == WeightUniform:
-		for range times {
-			buf = append(buf, 1)
-		}
-	case s.Kind == WeightLinearTime:
-		minT, _ := g.TimeRange()
-		for _, t := range times {
-			buf = append(buf, float64(t-minT)+1)
-		}
-	case s.Kind == WeightLinearRank:
-		n := len(times)
-		for i := range times {
-			// Newest edge has the highest rank n, oldest has rank 1.
-			buf = append(buf, float64(n-i))
-		}
-	case s.Kind == WeightExponential:
-		lambda := s.Lambda
-		if lambda == 0 {
-			lambda = 1
-		}
-		if len(times) > 0 {
-			newest := times[0]
-			for _, t := range times {
-				buf = append(buf, math.Exp(lambda*float64(t-newest)))
-			}
-		}
-	default:
+		return buf, nil
+	}
+	if s.Kind < WeightUniform || s.Kind > WeightExponential {
 		return nil, fmt.Errorf("sampling: unknown weight kind %v", s.Kind)
 	}
+	minT, _ := g.TimeRange()
+	for i, t := range times {
+		// Newest edge has the highest rank n, oldest has rank 1.
+		buf = append(buf, s.EdgeWeight(t, times[0], minT, len(times)-i))
+	}
 	return buf, nil
-}
-
-// MonotoneNonIncreasing reports whether weights produced by the spec are
-// non-increasing along a newest-first adjacency list. All built-in temporal
-// weights are (weights grow with time), which lets rejection samplers find
-// the candidate-set maximum in O(1) at index 0.
-func (s WeightSpec) MonotoneNonIncreasing() bool {
-	return s.Custom == nil
 }

@@ -126,7 +126,7 @@ func (g *Graph) writeSegment(w io.Writer, s *segment, buf []byte) ([]byte, error
 	}
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.weight(s, i, g.minTime)))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.weight(g.spec, i, g.minTime)))
 	}
 	if _, err := w.Write(buf); err != nil {
 		return buf, err
@@ -194,10 +194,6 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 		numEdges:   int(head[6]),
 		numDeleted: int(head[7]),
 		maxSeg:     int(head[8]),
-	}
-	g.lambda = g.spec.Lambda
-	if g.lambda == 0 {
-		g.lambda = 1
 	}
 	// Every table grows as its records arrive, never from a stored count,
 	// so a damaged count fails at the end of the data instead of asking for
@@ -285,7 +281,7 @@ func (g *Graph) readSegment(r io.Reader, s *segment, buf []byte) ([]byte, error)
 	}
 	g.finish(s, g.minTime)
 	for i := 0; i < n; i++ {
-		if binary.LittleEndian.Uint64(weights[8*i:]) != math.Float64bits(g.weight(s, i, g.minTime)) {
+		if binary.LittleEndian.Uint64(weights[8*i:]) != math.Float64bits(s.weight(g.spec, i, g.minTime)) {
 			return buf, fmt.Errorf("%w: slot %d weight does not follow from its time", ErrSnapshotCorrupt, i)
 		}
 	}

@@ -22,7 +22,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math"
 	"unsafe"
 
 	"github.com/tea-graph/tea/internal/hpat"
@@ -161,7 +160,6 @@ func slots(segs []segment) (n, dead int) {
 // directly, with per-vertex incremental HPAT segments.
 type Graph struct {
 	spec       sampling.WeightSpec
-	lambda     float64
 	verts      [][]segment // each vertex's segment directory, newest first
 	numEdges   int
 	frontier   temporal.Time // latest time seen; batches must exceed it
@@ -199,13 +197,8 @@ func New(cfg Config) (*Graph, error) {
 	if cfg.NumVertices > maxVertexID+1 {
 		return nil, fmt.Errorf("%w: %d vertices, at most %d", ErrVertexRange, cfg.NumVertices, maxVertexID+1)
 	}
-	lambda := cfg.Weight.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
 	g := &Graph{
 		spec:     cfg.Weight,
-		lambda:   lambda,
 		verts:    make([][]segment, cfg.NumVertices),
 		frontier: temporal.MinTime,
 	}
@@ -257,24 +250,13 @@ func (g *Graph) AppendBatch(edges []temporal.Edge) error {
 	return nil
 }
 
-// weight returns slot i's weight. It is a function of the segment's times,
-// length and rank offset and of the graph's weight kind, λ and minTime only,
-// so the build, the tombstone fallback and the snapshot writer compute it
-// bit for bit alike.
-func (g *Graph) weight(s *segment, i int, minTime temporal.Time) float64 {
-	switch g.spec.Kind {
-	case sampling.WeightUniform:
-		return 1
-	case sampling.WeightLinearTime:
-		return float64(s.ts(i)-minTime) + 1
-	case sampling.WeightLinearRank:
-		// Rank counted from the oldest edge of the vertex: stable as newer
-		// edges arrive. Newest-first position i has rank rank + n - i.
-		return float64(int(s.rank) + s.len() - i)
-	case sampling.WeightExponential:
-		return math.Exp(g.lambda * float64(s.ts(i)-s.ts(0)))
-	}
-	return 0
+// weight returns slot i's weight under spec: the shared temporal weight of
+// its time against the segment's newest, its rank counted from the oldest
+// edge of the vertex so it stays put as newer edges arrive. The build, the
+// tombstone fallback and the snapshot writer all call it, so they agree bit
+// for bit.
+func (s *segment) weight(spec sampling.WeightSpec, i int, minTime temporal.Time) float64 {
+	return spec.EdgeWeight(s.ts(i), s.ts(0), minTime, int(s.rank)+s.len()-i)
 }
 
 // newSegment allocates an n-slot segment — its one heap allocation — for
@@ -294,7 +276,7 @@ func (g *Graph) finish(s *segment, minTime temporal.Time) {
 	}
 	w := g.weights[:n]
 	for i := range w {
-		w[i] = g.weight(s, i, minTime)
+		w[i] = s.weight(g.spec, i, minTime)
 	}
 	hpat.BuildBlock(w, s.block(), &g.scratch)
 	s.oldest = s.ts(n - 1)
@@ -303,7 +285,8 @@ func (g *Graph) finish(s *segment, minTime temporal.Time) {
 
 // rescale refreshes the cross-segment scale factors of a newest-first
 // directory after its newest time moved. Only exponential weights need
-// scaling; the factor is exp(λ·(segNewest − vertexNewest)) so that
+// scaling; the factor is the weight of the segment's newest edge against
+// the vertex's newest, exp(λ·(segNewest − vertexNewest)), so that
 // scale·Total reproduces Eq. 3's ratios across segments.
 func (g *Graph) rescale(segs []segment) {
 	if g.spec.Kind != sampling.WeightExponential || len(segs) == 0 {
@@ -312,7 +295,7 @@ func (g *Graph) rescale(segs []segment) {
 	vertexNewest := segs[0].newestTime()
 	for i := range segs {
 		s := &segs[i]
-		s.scale = math.Exp(g.lambda * float64(s.newestTime()-vertexNewest))
+		s.scale = g.spec.EdgeWeight(s.newestTime(), vertexNewest, 0, 0)
 		s.mass = s.scale * hpat.BlockTotal(s.block(), s.len())
 	}
 }
@@ -415,7 +398,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 		s, k := &segs[i], candidates(segs, i, lastK)
 		for j := 0; j < k; j++ {
 			if !s.isDeleted(j) {
-				liveTotal += s.scale * g.weight(s, j, g.minTime)
+				liveTotal += s.scale * s.weight(g.spec, j, g.minTime)
 			}
 			evaluated++
 		}
@@ -431,7 +414,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 			if s.isDeleted(j) {
 				continue
 			}
-			acc += s.scale * g.weight(s, j, g.minTime)
+			acc += s.scale * s.weight(g.spec, j, g.minTime)
 			if x < acc {
 				return s.dst(j), s.ts(j), evaluated, true
 			}
@@ -503,7 +486,8 @@ func (g *Graph) Snapshot() (*temporal.Graph, error) {
 // tombstone bitmap plus the shared auxiliary index. It leaves out the dense
 // vertex table (one 24-byte directory header per vertex id, seen or not)
 // and the writer's scratch: the sorted copy of the last batch, the staged
-// directories and the weight buffer of the largest segment built.
+// directories, and the weight buffer and HPAT block scratch of the last
+// txn's largest segment.
 func (g *Graph) MemoryBytes() int64 {
 	total := int64(0)
 	for _, segs := range g.verts {
