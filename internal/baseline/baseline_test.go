@@ -161,15 +161,17 @@ func TestKnightKingFallbackTerminates(t *testing.T) {
 }
 
 func TestKnightKingFallbackDistribution(t *testing.T) {
-	// With maxTrials=1 nearly every draw takes the exact fallback path, which
-	// must still produce the right distribution.
+	// With maxTrials=1 most draws take the exact fallback path, which must
+	// still produce the right distribution. Exponential weights, because
+	// static ones are drawn by ITS and never reach the rejection loop.
 	g := temporal.CommuteGraph()
-	kk, err := NewKnightKing(g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
+	spec := sampling.Exponential(0.5)
+	kk, err := NewKnightKing(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kk.maxTrials = 1
-	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
+	w := testutil.Weights(t, g, spec)
 	r := xrand.New(5)
 	testutil.CheckDistribution(t, "kk-fallback", w.Vertex(7), 40000, func() (int, bool) {
 		e, _, ok := kk.Sample(7, 7, r)
