@@ -20,6 +20,10 @@ func BlockWords(n int) int { return n + 1 + int(slotCount(n)) }
 // across builds.
 type BlockScratch struct{ s blockScratch }
 
+// Len returns the largest trunk the scratch has room for: it holds 20 bytes
+// per slot.
+func (s *BlockScratch) Len() int { return len(s.s.prob) }
+
 // blockCum views a block's prefix sums as float64s.
 func blockCum(words []uint64, n int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(words))), n+1)

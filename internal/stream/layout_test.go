@@ -336,39 +336,122 @@ func TestTxnMatchesOneByOne(t *testing.T) {
 }
 
 // The writer's scratch follows the batches: one huge batch does not pin its
-// sorted copy and staged list for the graph's life, and steady 1,000-edge
-// batches reuse theirs without reallocating.
+// sorted copy, staged list, weight buffer or HPAT block scratch for the
+// graph's life, and steady batches reuse theirs: the sorted copy and staged
+// list without reallocating, the weight buffer and block scratch without
+// ever being dropped.
 func TestWriterScratchFollowsBatches(t *testing.T) {
-	g := mustNew(t, Config{})
 	r := xrand.New(9)
-	next := temporal.Time(1)
-	appendBatch := func(n, sources int) {
-		t.Helper()
-		batch := make([]temporal.Edge, n)
-		for i := range batch {
-			batch[i] = temporal.Edge{Src: temporal.Vertex(r.IntN(sources)), Dst: temporal.Vertex(r.IntN(sources)), Time: next + temporal.Time(r.IntN(50))}
+	random := func(n, vertices int) func(temporal.Time) []temporal.Edge {
+		return func(next temporal.Time) []temporal.Edge {
+			batch := make([]temporal.Edge, n)
+			for i := range batch {
+				batch[i] = temporal.Edge{Src: temporal.Vertex(r.IntN(vertices)), Dst: temporal.Vertex(r.IntN(vertices)), Time: next + temporal.Time(r.IntN(50))}
+			}
+			return batch
 		}
-		next += 50
-		if err := g.AppendBatch(batch); err != nil {
+	}
+	fromVertex0 := func(n int) func(temporal.Time) []temporal.Edge {
+		return func(next temporal.Time) []temporal.Edge {
+			batch := make([]temporal.Edge, n)
+			for i := range batch {
+				batch[i] = temporal.Edge{Src: 0, Dst: temporal.Vertex(1 + i%1000), Time: next + temporal.Time(i%50)}
+			}
+			return batch
+		}
+	}
+	cases := []struct {
+		name         string
+		huge, steady func(temporal.Time) []temporal.Edge
+		hugeSegment  int // the largest segment the huge batch builds, if it matters
+	}{
+		{name: "200000-random-then-1000", huge: random(200_000, 50_000), steady: random(1000, 300)},
+		{name: "1048576-to-vertex-0-then-1", huge: fromVertex0(1 << 20), steady: fromVertex0(1), hugeSegment: 1 << 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := mustNew(t, Config{})
+			next := temporal.Time(1)
+			appendBatch := func(batch func(temporal.Time) []temporal.Edge) {
+				t.Helper()
+				if err := g.AppendBatch(batch(next)); err != nil {
+					t.Fatal(err)
+				}
+				next += 50
+			}
+			appendBatch(tc.huge)
+			if cap(g.sorted) < 200_000 {
+				t.Fatalf("sorted scratch cap %d after the huge batch", cap(g.sorted))
+			}
+			if cap(g.weights) < tc.hugeSegment || g.scratch.Len() < tc.hugeSegment/2 {
+				t.Fatalf("weights cap %d, block scratch %d after a %d-edge segment", cap(g.weights), g.scratch.Len(), tc.hugeSegment)
+			}
+			// The first steady batch releases what the huge one sized (the
+			// sorted copy, and at its begin the weights and block scratch),
+			// the second the staged list (begin trims it by the txn before);
+			// then all of them hold.
+			appendBatch(tc.steady)
+			appendBatch(tc.steady)
+			if cap(g.sorted) > scratchFloor || cap(g.tx.staged) > scratchFloor || cap(g.weights) > scratchFloor || g.scratch.Len() > scratchFloor {
+				t.Fatalf("scratch kept after steady batches: sorted cap %d, staged cap %d, weights cap %d, block scratch %d",
+					cap(g.sorted), cap(g.tx.staged), cap(g.weights), g.scratch.Len())
+			}
+			sorted, staged := unsafe.SliceData(g.sorted), unsafe.SliceData(g.tx.staged)
+			weights, block := cap(g.weights), g.scratch.Len()
+			for b := 0; b < 100; b++ {
+				appendBatch(tc.steady)
+				if unsafe.SliceData(g.sorted) != sorted || unsafe.SliceData(g.tx.staged) != staged {
+					t.Fatalf("steady batch %d reallocated the writer's scratch", b)
+				}
+				if cap(g.weights) < weights || g.scratch.Len() < block {
+					t.Fatalf("steady batch %d dropped the weights (cap %d → %d) or block scratch (%d → %d)", b, weights, cap(g.weights), block, g.scratch.Len())
+				}
+				weights, block = cap(g.weights), g.scratch.Len()
+			}
+		})
+	}
+}
+
+// A deletion batch's copy sets do not keep their buckets: after one
+// 200,000-edge DeleteEdges, the next txn starts with fresh maps, while
+// small deletion batches keep reusing theirs.
+func TestTxnCopySetsFollowDeletions(t *testing.T) {
+	const n = 200_000
+	g := mustNew(t, Config{})
+	// Two edges per vertex: the batch deletes edges[:n], the small
+	// deletions take from edges[n:].
+	edges := make([]temporal.Edge, 2*n)
+	for i := range edges {
+		edges[i] = temporal.Edge{Src: temporal.Vertex(i % n), Dst: temporal.Vertex((i + 1) % n), Time: temporal.Time(1 + i%50)}
+	}
+	if err := g.AppendBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.DeleteEdges(edges[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if len(g.tx.copiedDirs) < n || len(g.tx.copiedBits) < n {
+		t.Fatalf("copy sets hold %d dirs and %d bitmaps after deleting %d edges", len(g.tx.copiedDirs), len(g.tx.copiedBits), n)
+	}
+	if err := g.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	if g.tx.copiedDirs != nil || g.tx.copiedBits != nil {
+		t.Fatal("the txn after a 200,000-edge deletion kept its copy sets")
+	}
+	// Steady small deletions reuse one map of each kind.
+	deleteOne := func(i int) {
+		t.Helper()
+		if err := g.DeleteEdges(edges[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	appendBatch(200_000, 50_000)
-	if cap(g.sorted) < 200_000 {
-		t.Fatalf("sorted scratch cap %d after a 200,000-edge batch", cap(g.sorted))
-	}
-	// The first steady batch releases the sorted copy, the second the
-	// staged list (begin trims it by the txn before); then both hold.
-	appendBatch(1000, 300)
-	appendBatch(1000, 300)
-	if cap(g.sorted) > scratchFloor || cap(g.tx.staged) > scratchFloor {
-		t.Fatalf("scratch kept after steady batches: sorted cap %d, staged cap %d", cap(g.sorted), cap(g.tx.staged))
-	}
-	sorted, staged := unsafe.SliceData(g.sorted), unsafe.SliceData(g.tx.staged)
-	for b := 0; b < 100; b++ {
-		appendBatch(1000, 300)
-		if unsafe.SliceData(g.sorted) != sorted || unsafe.SliceData(g.tx.staged) != staged {
-			t.Fatalf("steady batch %d reallocated the writer's scratch", b)
+	deleteOne(n)
+	dirs, bits := reflect.ValueOf(g.tx.copiedDirs).UnsafePointer(), reflect.ValueOf(g.tx.copiedBits).UnsafePointer()
+	for i := n + 1; i < n+100; i++ {
+		deleteOne(i)
+		if reflect.ValueOf(g.tx.copiedDirs).UnsafePointer() != dirs || reflect.ValueOf(g.tx.copiedBits).UnsafePointer() != bits {
+			t.Fatalf("deletion %d reallocated a copy set", i)
 		}
 	}
 }

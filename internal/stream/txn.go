@@ -35,6 +35,7 @@ type txn struct {
 	minTime  temporal.Time
 	hasEdges bool
 	maxSeg   int
+	largest  int // the largest segment this txn built
 	aux      *hpat.AuxIndex
 }
 
@@ -47,7 +48,7 @@ type stagedVertex struct {
 	live, dead int
 }
 
-// scratchSlack bounds how far the writer's scratch may outgrow the batch
+// scratchSlack bounds how far the writer's scratch may outgrow the txn
 // that last used it: a buffer more than scratchSlack times larger (and past
 // scratchFloor elements) is dropped, so one huge batch does not pin its
 // scratch for the graph's life while steady batches reuse theirs.
@@ -65,6 +66,17 @@ func reuse[S ~[]E, E any](buf S, used int) S {
 	return buf[:0]
 }
 
+// reuseMap returns m emptied for the next txn, or nil when the last one put
+// more than scratchFloor entries in it: Go maps never shrink, so clearing
+// would keep the buckets of the largest deletion batch.
+func reuseMap[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > scratchFloor {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
 // begin starts a txn over the graph's current state.
 func (g *Graph) begin() *txn {
 	t := &g.tx
@@ -72,15 +84,19 @@ func (g *Graph) begin() *txn {
 		t.at[s.u] = 0
 	}
 	clear(t.staged)
-	clear(t.copiedDirs)
-	clear(t.copiedBits)
+	// Segment builds size the weight buffer and the HPAT block scratch to
+	// the largest segment of the txn; they follow the last txn's largest.
+	g.weights = reuse(g.weights, t.largest)
+	if g.scratch.Len() > max(scratchSlack*t.largest, scratchFloor) {
+		g.scratch = hpat.BlockScratch{}
+	}
 	*t = txn{
 		g:          g,
 		verts:      g.verts,
 		staged:     reuse(t.staged, len(t.staged)),
 		at:         t.at,
-		copiedDirs: t.copiedDirs,
-		copiedBits: t.copiedBits,
+		copiedDirs: reuseMap(t.copiedDirs),
+		copiedBits: reuseMap(t.copiedBits),
 		frontier:   g.frontier,
 		minTime:    g.minTime,
 		hasEdges:   g.hasEdges,
@@ -168,6 +184,7 @@ func (t *txn) build(run []temporal.Edge, segs []segment, from temporal.Time, old
 	}
 	t.g.finish(&seg, t.minTime)
 	t.maxSeg = max(t.maxSeg, n)
+	t.largest = max(t.largest, n)
 	t.aux = auxFor(t.aux, n)
 	return seg, true
 }
