@@ -409,16 +409,6 @@ type Stats struct {
 	BytesFromCache, BytesFromDevice int64
 }
 
-// HitRate returns hits (including coalesced fetches) over all lookups, in
-// [0, 1]; 0 when nothing was looked up.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Coalesced + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Coalesced) / float64(total)
-}
-
 // Stats reports the cache's accumulated statistics.
 func (c *CachedStore) Stats() Stats {
 	s := Stats{

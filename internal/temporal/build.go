@@ -11,19 +11,12 @@ type BuildOption func(*buildConfig)
 
 type buildConfig struct {
 	numVertices int // 0 = infer max id + 1
-	threads     int // 0 = GOMAXPROCS
 }
 
 // WithNumVertices forces the vertex id space to [0, n) even if the stream
 // references fewer vertices. FromEdges fails if an edge exceeds the range.
 func WithNumVertices(n int) BuildOption {
 	return func(c *buildConfig) { c.numVertices = n }
-}
-
-// WithThreads sets the worker count used by parallel build phases. Values
-// below 1 select runtime.GOMAXPROCS(0).
-func WithThreads(n int) BuildOption {
-	return func(c *buildConfig) { c.threads = n }
 }
 
 // FromEdges builds an immutable Graph from a temporal edge stream.

@@ -18,9 +18,6 @@ func Int(key string, v int64) Attr { return Attr{Key: key, Value: v} }
 // Str builds a string annotation.
 func Str(key, v string) Attr { return Attr{Key: key, Value: v} }
 
-// Float builds a float annotation.
-func Float(key string, v float64) Attr { return Attr{Key: key, Value: v} }
-
 // Span is one in-progress operation. A nil *Span is the disabled fast path:
 // every method is a no-op, so call sites never branch on "is tracing on".
 // A span is owned by the goroutine that started it until End, which
@@ -217,14 +214,6 @@ func (s *Span) SetInt(key string, v int64) {
 
 // SetStr annotates the span with a string value.
 func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
-}
-
-// SetFloat annotates the span with a float value.
-func (s *Span) SetFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
