@@ -1,6 +1,8 @@
 package tea
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -130,5 +132,32 @@ func TestLoadIndexErrors(t *testing.T) {
 	g := CommuteGraph()
 	if _, err := NewEngineWithIndex(g, Unbiased(), "/nonexistent/idx", Options{}); err == nil {
 		t.Fatal("missing index accepted")
+	}
+}
+
+// TestSaveIndexBytesPinned pins the file SaveIndex writes for a fixed
+// engine, footer included.
+func TestSaveIndexBytesPinned(t *testing.T) {
+	const want = "fae432db49205be5dd2a4c104cde80e3ee53bc3611afc76f3215ac7394c4e09b"
+	profile := DatasetProfile{Name: "t", Vertices: 120, Edges: 2500, Skew: 0.8, Seed: 43}
+	g, err := profile.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(g, ExponentialWalk(0.002), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.teai")
+	if err := SaveIndex(eng, path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("SaveIndex (%d bytes): sha256 %s, want %s", len(b), got, want)
 	}
 }
