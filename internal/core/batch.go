@@ -31,10 +31,10 @@ import (
 )
 
 const (
-	// DefaultBatchWave bounds how many walks are resident in the batched
-	// kernel's flat state at once. At ~32 bytes of SoA state per walker a
-	// wave is ~2 MiB regardless of the run's total walk count.
-	DefaultBatchWave = 1 << 16
+	// batchWave bounds how many walks are resident in the batched kernel's
+	// flat state at once. At ~32 bytes of SoA state per walker a wave is
+	// ~2 MiB regardless of the run's total walk count.
+	batchWave = 1 << 16
 	// batchChunk is the number of frontier entries a worker claims per bump
 	// of the shared cursor within one step. It is also the kernel's
 	// cancellation latency bound: a worker checks the run context between
@@ -115,7 +115,7 @@ type batchScratch struct {
 }
 
 // runBatch executes the run on the step-synchronous kernel. Waves of at most
-// cfg.BatchWave walks are initialized into ws; within a wave the coordinator
+// batchWave walks are initialized into ws; within a wave the coordinator
 // releases the worker pool once per step (one token per worker through
 // stepGate), workers sweep frontier chunks off the shared cursor, and the
 // coordinator compacts the frontier after the step barrier. Classification
@@ -127,10 +127,7 @@ func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkC
 	if fg, ok := bs.(FrontierGrouper); ok {
 		grouped = fg.WantsGroupedFrontier()
 	}
-	waveSize := cfg.BatchWave
-	if waveSize > totalWalks {
-		waveSize = totalWalks
-	}
+	waveSize := min(batchWave, totalWalks)
 	var ws waveState
 	ws.resize(waveSize)
 

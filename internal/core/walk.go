@@ -107,10 +107,6 @@ type WalkConfig struct {
 	// — walker randomness is derived from (walk id, step) regardless of how
 	// walkers are scheduled — so the choice affects only throughput.
 	Kernel Kernel
-	// BatchWave bounds how many walks the batched kernel keeps resident in
-	// its flat state at once; <=0 selects DefaultBatchWave. Ignored by the
-	// scalar kernel.
-	BatchWave int
 	// Visitor, if non-nil, is invoked for every step as it is sampled —
 	// walker-centric stream processing without storing paths. Walkers run in
 	// parallel, so the callback MUST be safe for concurrent use; walkID
@@ -127,9 +123,6 @@ func (c *WalkConfig) normalize() {
 	}
 	if !c.HasStartTime && c.StartTime == 0 {
 		c.StartTime = temporal.MinTime
-	}
-	if c.BatchWave <= 0 {
-		c.BatchWave = DefaultBatchWave
 	}
 }
 

@@ -2,8 +2,10 @@ package edgeio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +136,29 @@ func TestBinaryErrors(t *testing.T) {
 	bad = append(bad, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
 		t.Fatal("implausible count accepted")
+	}
+}
+
+// hugeCountStream is a .teag header that claims 2^33 edges, followed by
+// three records.
+func hugeCountStream() []byte {
+	b := append([]byte(nil), Magic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, 1<<33)
+	return AppendRecords(b, temporal.CommuteEdges()[:3])
+}
+
+// A count the records do not back is ErrBadFormat, and costs no more memory
+// than the records that do arrive.
+func TestBinaryCorruptCountIsBounded(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(hugeCountStream()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("reading a header of 2^33 edges allocated %d bytes", grew)
 	}
 }
 

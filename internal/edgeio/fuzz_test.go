@@ -46,6 +46,7 @@ func FuzzReadBinary(f *testing.F) {
 	_ = WriteBinary(&seed, nil)
 	f.Add(seed.Bytes())
 	f.Add([]byte("TEAG\x00\x00\x00\x01\x03\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(hugeCountStream())
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		edges, err := ReadBinary(bytes.NewReader(input))

@@ -2,15 +2,14 @@ package ooc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
+	"github.com/tea-graph/tea/internal/walkio"
 )
 
 // ErrCustomWeight mirrors the baseline restriction for the on-disk engines.
@@ -26,7 +25,7 @@ const WalkFlushThreshold = 1024
 // core's walk loop over the disk-backed sampler — one thread, the scalar
 // kernel, walk ids in order, so device reads happen in walk order — plus a
 // sink that flushes completed walks to the output store in groups of
-// WalkFlushThreshold.
+// WalkFlushThreshold, as internal/walkio walk records.
 type Engine struct {
 	eng   *core.Engine
 	out   BlockStore
@@ -114,11 +113,19 @@ func (e *Engine) run(ctx context.Context, cfg core.WalkConfig) (*Result, error) 
 	cfg.Threads = 1
 	cfg.Kernel = core.KernelScalar
 	var buffer []core.Path
+	var rec []byte
 	flush := func() error {
 		if len(buffer) == 0 {
 			return nil
 		}
-		if err := writeWalks(e.out, buffer); err != nil {
+		rec = rec[:0]
+		for _, p := range buffer {
+			var err error
+			if rec, err = walkio.AppendWalk(rec, p); err != nil {
+				return err
+			}
+		}
+		if _, err := e.out.Append(rec); err != nil {
 			return err
 		}
 		res.Flushes++
@@ -152,32 +159,4 @@ func (e *Engine) run(ctx context.Context, cfg core.WalkConfig) (*Result, error) 
 	}
 	res.Duration = time.Since(start)
 	return res, err
-}
-
-// writeWalks serializes a flush batch: per walk, a length header followed by
-// (vertex, time) pairs.
-func writeWalks(out BlockStore, walks []core.Path) error {
-	size := 0
-	for _, w := range walks {
-		size += 4 + len(w.Vertices)*4 + len(w.Times)*8
-	}
-	buf := make([]byte, size)
-	pos := 0
-	for _, w := range walks {
-		binary.LittleEndian.PutUint32(buf[pos:], uint32(len(w.Vertices)))
-		pos += 4
-		for _, v := range w.Vertices {
-			binary.LittleEndian.PutUint32(buf[pos:], uint32(v))
-			pos += 4
-		}
-		for _, t := range w.Times {
-			binary.LittleEndian.PutUint64(buf[pos:], uint64(t))
-			pos += 8
-		}
-	}
-	if pos != size {
-		return fmt.Errorf("ooc: walk serialization mismatch: %d != %d", pos, size)
-	}
-	_, err := out.Append(buf)
-	return err
 }

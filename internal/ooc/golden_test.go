@@ -42,7 +42,7 @@ func TestEngineGolden(t *testing.T) {
 			name:  "diskpat",
 			build: func(src BlockStore) (CacheableSampler, error) { return BuildDiskPAT(w, src, 8) },
 			want: oocGolden{
-				outSHA:   "17b7d065085abd5a",
+				outSHA:   "73390939ac4b4d1e",
 				flushes:  2,
 				cost:     stats.Cost{Steps: 3805, EdgesEvaluated: 19653, WalksStarted: 1500, WalksDeadEnded: 1500},
 				counters: [4]int64{971520, 6072, 0, 0},
@@ -54,7 +54,7 @@ func TestEngineGolden(t *testing.T) {
 			build: func(src BlockStore) (CacheableSampler, error) { return BuildDiskPAT(w, src, 8) },
 			cache: CacheConfig{CapacityBytes: 64 << 10},
 			want: oocGolden{
-				outSHA:   "17b7d065085abd5a",
+				outSHA:   "73390939ac4b4d1e",
 				flushes:  2,
 				cost:     stats.Cost{Steps: 3805, EdgesEvaluated: 19653, WalksStarted: 1500, WalksDeadEnded: 1500},
 				counters: [4]int64{65120, 407, 0, 0},
@@ -65,7 +65,7 @@ func TestEngineGolden(t *testing.T) {
 			name:  "graphwalker",
 			build: func(src BlockStore) (CacheableSampler, error) { return BuildDiskGraphWalker(g, spec, src) },
 			want: oocGolden{
-				outSHA:   "862db22540bdb002",
+				outSHA:   "8a11d6b68cf6cc02",
 				flushes:  2,
 				cost:     stats.Cost{Steps: 3782, EdgesEvaluated: 166783, WalksStarted: 1500, WalksDeadEnded: 1500},
 				counters: [4]int64{1372344, 3782, 0, 0},

@@ -334,60 +334,26 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 	var evaluated int64
 	const proposalCap = 128
 	for trial := 0; trial < proposalCap; trial++ {
-		x := r.Range(cum[overlap])
-		lo, hi := 0, overlap-1
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			evaluated++
-			if cum[mid+1] > x {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
+		lo, probes := trunkOf(cum, overlap, r.Range(cum[overlap]))
+		evaluated += probes
 		if err := fetch(lo); err != nil {
 			return 0, evaluated, false
 		}
 		if lo < full {
 			// Complete trunk: O(1) alias draw from the fetched record.
-			n := ts
-			if (lo+1)*ts > deg {
-				n = deg - lo*ts
-			}
-			i := r.IntN(n)
-			o := i * slotBytes
-			p := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+8:]))
-			a := int32(binary.LittleEndian.Uint32(buf[o+16:]))
-			evaluated += 2
-			if p < 0 {
-				return 0, evaluated, false
-			}
-			if p >= 1 || r.Float64() < p {
-				return lo*ts + i, evaluated, true
-			}
-			return lo*ts + int(a), evaluated, true
+			e, ok := completeDraw(r, buf, lo, ts, deg)
+			return e, evaluated + 2, ok
 		}
 		// Partial trunk proposed with its full weight: accept with the
 		// candidate fraction, then ITS within the candidate portion.
 		trunkW := cum[lo+1] - cum[lo]
-		partialW := 0.0
-		for i := 0; i < rem; i++ {
-			partialW += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
-		}
+		partialW := partialMass(buf, rem)
 		evaluated += int64(rem)
 		if !(partialW > 0) || r.Range(trunkW) >= partialW {
 			continue // rejected: excluded (too-old) mass was hit
 		}
-		y := r.Range(partialW)
-		acc := 0.0
-		for i := 0; i < rem; i++ {
-			acc += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
-			evaluated++
-			if y < acc {
-				return full*ts + i, evaluated, true
-			}
-		}
-		return full*ts + rem - 1, evaluated, true
+		i, scanned := partialScan(buf, rem, r.Range(partialW))
+		return full*ts + i, evaluated + scanned, true
 	}
 	// Proposal cap reached: the partial trunk's excluded (too-old) mass
 	// dominates its trunk. Fall back to the exact two-read path — fetch the
@@ -396,10 +362,7 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 	if err := fetch(full); err != nil {
 		return 0, evaluated, false
 	}
-	partialW := 0.0
-	for i := 0; i < rem; i++ {
-		partialW += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
-	}
+	partialW := partialMass(buf, rem)
 	evaluated += int64(rem)
 	total := cum[full] + partialW
 	if !(total > 0) {
@@ -407,44 +370,72 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 	}
 	x := r.Range(total)
 	if x >= cum[full] {
-		y := x - cum[full]
-		acc := 0.0
-		for i := 0; i < rem; i++ {
-			acc += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
-			evaluated++
-			if y < acc {
-				return full*ts + i, evaluated, true
-			}
-		}
-		return full*ts + rem - 1, evaluated, true
+		i, scanned := partialScan(buf, rem, x-cum[full])
+		return full*ts + i, evaluated + scanned, true
 	}
-	lo, hi := 0, full-1
+	lo, _ := trunkOf(cum, full, x)
+	if err := fetch(lo); err != nil {
+		return 0, evaluated, false
+	}
+	e, ok := completeDraw(r, buf, lo, ts, deg)
+	return e, evaluated, ok
+}
+
+// trunkOf returns the trunk among the first n whose cumulative weight range
+// holds x, by binary search over the prefix sums, and the probes it took.
+func trunkOf(cum []float64, n int, x float64) (int, int64) {
+	lo, hi := 0, n-1
+	var probes int64
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
+		probes++
 		if cum[mid+1] > x {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if err := fetch(lo); err != nil {
-		return 0, evaluated, false
-	}
-	n := ts
-	if (lo+1)*ts > deg {
-		n = deg - lo*ts
-	}
-	i := r.IntN(n)
+	return lo, probes
+}
+
+// completeDraw draws an edge of complete trunk t, whose record is in buf,
+// by the trunk's alias table: one slot, then its probability or its alias.
+// ok is false when the record is damaged.
+func completeDraw(r *xrand.Rand, buf []byte, t, ts, deg int) (int, bool) {
+	i := r.IntN(min(ts, deg-t*ts))
 	o := i * slotBytes
 	p := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+8:]))
-	a := int32(binary.LittleEndian.Uint32(buf[o+16:]))
 	if p < 0 {
-		return 0, evaluated, false
+		return 0, false
 	}
 	if p >= 1 || r.Float64() < p {
-		return lo*ts + i, evaluated, true
+		return t*ts + i, true
 	}
-	return lo*ts + int(a), evaluated, true
+	return t*ts + int(int32(binary.LittleEndian.Uint32(buf[o+16:]))), true
+}
+
+// partialMass sums the weights of the first rem slots of the trunk record
+// in buf: the candidate part of a partial trunk.
+func partialMass(buf []byte, rem int) float64 {
+	w := 0.0
+	for i := 0; i < rem; i++ {
+		w += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
+	}
+	return w
+}
+
+// partialScan is ITS over the first rem slots of the trunk record in buf:
+// the first slot whose running weight exceeds y (the last slot when
+// rounding leaves y above the total), and the slots it read.
+func partialScan(buf []byte, rem int, y float64) (int, int64) {
+	acc := 0.0
+	for i := 0; i < rem; i++ {
+		acc += math.Float64frombits(binary.LittleEndian.Uint64(buf[i*slotBytes:]))
+		if y < acc {
+			return i, int64(i + 1)
+		}
+	}
+	return rem - 1, int64(rem)
 }
 
 // MemoryBytes implements the Sampler contract: only the trunk prefix sums

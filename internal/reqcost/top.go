@@ -28,12 +28,9 @@ type Top struct {
 	pos  int
 }
 
-// NewTop builds a ring retaining the last capacity completed requests
-// (default 256 when capacity <= 0).
+// NewTop builds a ring retaining the last capacity (> 0) completed
+// requests.
 func NewTop(capacity int) *Top {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &Top{ring: make([]Record, capacity), used: make([]bool, capacity)}
 }
 

@@ -3,14 +3,13 @@ package scrub
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-)
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	"github.com/tea-graph/tea/internal/chksum"
+)
 
 // ChunkBaseline scrubs a file that carries no checksums of its own (the
 // out-of-core store's block file): the first pass records a CRC-32C per
@@ -82,7 +81,7 @@ func (c *ChunkBaseline) Scrub(ctx context.Context, bill func(int) error) (int, e
 			if berr := bill(n); berr != nil {
 				return i, berr
 			}
-			sum := crc32.Checksum(buf[:n], castagnoli)
+			sum := chksum.Checksum(buf[:n])
 			if baseline != nil {
 				if i >= len(baseline) || sum != baseline[i] {
 					return i, fmt.Errorf("scrub: %s: chunk %d CRC mismatch (offset %d)", name, i, int64(i)*int64(chunk))

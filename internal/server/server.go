@@ -64,6 +64,9 @@ const (
 	defaultMaxTopK = 10000
 )
 
+// topRequests is how many recent requests /debug/tea/top retains.
+const topRequests = 256
+
 // requestIDHeader is X-Request-ID in the canonical form net/http stores
 // header keys in; a key already in that form skips the allocating
 // canonicalisation on every Get and Set.
@@ -117,10 +120,6 @@ type Config struct {
 	// (with the request's full cost breakdown) for every request slower than
 	// it. 0 disables the slow-request log.
 	SlowRequestThreshold time.Duration
-	// TopRequests sizes the /debug/tea/top ring of recent requests; 0 means
-	// 256.
-	TopRequests int
-
 	// Metrics receives the server's operational metrics and backs the
 	// /metrics and /metrics.json endpoints; nil means metrics.Default (so
 	// engine and out-of-core families rendered there too).

@@ -75,7 +75,7 @@ func newShell(cfg Config, routes []route) *shell {
 	}
 	sh := &shell{
 		cfg: cfg, mux: http.NewServeMux(), logger: cfg.Logger, started: time.Now(),
-		top: reqcost.NewTop(cfg.TopRequests),
+		top: reqcost.NewTop(topRequests),
 	}
 	sh.snapshot = sh.localSnapshot
 	if cfg.Instance != "" && sh.logger != nil {

@@ -26,15 +26,14 @@ type StepCaller interface {
 
 // WalkRequest describes one logical walk request. Walk ids are positions in
 // the source-major walk list, and any node can coordinate the whole list.
+// Every walk starts at temporal.MinTime, so each out-edge of its source is a
+// candidate for the first step.
 type WalkRequest struct {
 	// Sources is the global source list; nil means every vertex.
 	Sources []temporal.Vertex
 	// WalksPerVertex is R; default 1. Length is L; default 80.
 	WalksPerVertex int
 	Length         int
-	// StartTime/HasStartTime follow core.WalkConfig's convention.
-	StartTime    temporal.Time
-	HasStartTime bool
 	// Seed drives every walker's stream, exactly as in core: walk wi uses
 	// root.Split(wi).
 	Seed uint64
@@ -55,9 +54,6 @@ func (r *WalkRequest) normalize(numV int) {
 	}
 	if r.Length <= 0 {
 		r.Length = 80
-	}
-	if !r.HasStartTime && r.StartTime == 0 {
-		r.StartTime = temporal.MinTime
 	}
 	if r.Sources == nil {
 		r.Sources = make([]temporal.Vertex, numV)
@@ -140,7 +136,7 @@ func (n *Node) RunWalks(ctx context.Context, caller StepCaller, req WalkRequest)
 		w := &frontier[wi]
 		w.ID = uint64(wi)
 		w.Cur = src
-		w.Arrival = req.StartTime
+		w.Arrival = temporal.MinTime
 		root.SplitTo(uint64(wi), &w.RNG)
 		if req.KeepPaths {
 			res.Paths[wi] = core.NewPath(src, req.Length)

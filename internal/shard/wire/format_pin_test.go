@@ -70,3 +70,31 @@ func TestFrameBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameRoundTripAllocatesNothing checks the promise of pconn: on a warm
+// connection, encoding a step frame in place and reading it back through
+// the connection's scratch buffer allocates nothing.
+func TestFrameRoundTripAllocatesNothing(t *testing.T) {
+	req := sampleRequest(64)
+	var wbuf, rbuf []byte
+	var rd bytes.Reader
+	roundTrip := func() {
+		frame := BeginFrame(wbuf[:0], TypeStep)
+		frame = AppendStepRequest(frame, req)
+		frame, err := SealFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wbuf = frame
+		rd.Reset(frame)
+		typ, body, nbuf, err := ReadFrameBuf(&rd, rbuf)
+		if err != nil || typ != TypeStep || len(body) != len(frame)-FrameSize(0) {
+			t.Fatalf("round trip: typ %d, %d body bytes, err %v", typ, len(body), err)
+		}
+		rbuf = nbuf
+	}
+	roundTrip() // warm the two buffers
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("warm frame round trip allocates %.1f times, want 0", allocs)
+	}
+}

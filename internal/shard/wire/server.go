@@ -108,44 +108,34 @@ func (s *Server) serveConn(conn net.Conn) {
 			// only safe response is to drop the connection.
 			return
 		}
+		var frame []byte
 		switch typ {
 		case TypePing:
-			if err := WriteFrame(conn, TypePong, nil); err != nil {
-				return
-			}
+			frame = BeginFrame(wbuf[:0], TypePong)
 		case TypeStep:
-			if err := DecodeStepRequestInto(payload, &req); err != nil {
-				// Frame passed CRC but the payload is malformed: a protocol
-				// bug, not line noise. Refuse it and keep the stream.
-				if werr := WriteFrame(conn, TypeError, []byte(err.Error())); werr != nil {
-					return
-				}
-				continue
+			var resp *StepResponse
+			if err = DecodeStepRequestInto(payload, &req); err == nil {
+				resp, err = s.handler.HandleStep(s.ctx, &req)
 			}
-			resp, err := s.handler.HandleStep(s.ctx, &req)
-			if err != nil {
-				if werr := WriteFrame(conn, TypeError, []byte(err.Error())); werr != nil {
-					return
-				}
-				continue
-			}
-			frame := BeginFrame(wbuf[:0], TypeStepResp)
-			frame = AppendStepResponse(frame, resp)
-			frame, err = SealFrame(frame)
-			if err != nil {
-				if werr := WriteFrame(conn, TypeError, []byte(err.Error())); werr != nil {
-					return
-				}
-				continue
-			}
-			wbuf = frame
-			if _, err := conn.Write(frame); err != nil {
-				return
+			if err == nil {
+				frame = AppendStepResponse(BeginFrame(wbuf[:0], TypeStepResp), resp)
 			}
 		default:
-			if werr := WriteFrame(conn, TypeError, []byte("unknown frame type")); werr != nil {
-				return
-			}
+			err = errors.New("unknown frame type")
+		}
+		if err == nil {
+			frame, err = SealFrame(frame)
+		}
+		if err != nil {
+			// The frame passed its CRC, so the stream position is sound: a
+			// malformed payload (a protocol bug, not line noise), a refused
+			// step or an oversized reply is answered with TypeError and the
+			// connection kept.
+			frame, _ = SealFrame(append(BeginFrame(wbuf[:0], TypeError), err.Error()...))
+		}
+		wbuf = frame
+		if _, err := conn.Write(frame); err != nil {
+			return
 		}
 	}
 }

@@ -1,16 +1,13 @@
-// Package wire is the binary RPC the shards speak: length-prefixed,
-// CRC-32C-framed messages (the same frame discipline as internal/wal)
-// carrying batched walker-migration payloads, so a whole step frontier
-// crosses a shard boundary in one message, and the serving shard answers with
-// every consecutive step each walker took on its partition.
+// Package wire is the binary RPC the shards speak: internal/chksum record
+// frames (the write-ahead log's frame) carrying batched walker-migration
+// payloads, so a whole step frontier crosses a shard boundary in one
+// message, and the serving shard answers with every consecutive step each
+// walker took on its partition.
 //
-//	frame   := length[4] crc[4] type[1] payload[length-1]
-//
-// length covers the type byte plus the payload; crc is the CRC-32C
-// (Castagnoli) of the type byte and payload, all little-endian. A frame that
-// fails its CRC or exceeds MaxFrameBytes poisons the connection — the peer
-// closes it and the client retries on a fresh one — because a framing error
-// means the stream position can no longer be trusted.
+// A frame that fails its CRC or exceeds MaxFrameBytes poisons the
+// connection — the peer closes it and the client retries on a fresh one —
+// because a framing error means the stream position can no longer be
+// trusted.
 //
 // Walker frames are fixed-width records: the migrating state of one walk is
 // its id, current and previous vertex (node2vec's β tests the candidate
@@ -32,9 +29,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"github.com/tea-graph/tea/internal/chksum"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
 )
@@ -44,9 +41,6 @@ import (
 // shard caps well inside the limit. 16 MiB still rejects a garbage length
 // prefix before allocating.
 const MaxFrameBytes = 16 << 20
-
-// frameHeaderSize is the fixed prefix: length[4] crc[4].
-const frameHeaderSize = 8
 
 // Message types.
 const (
@@ -77,8 +71,6 @@ const (
 	// a zero-weight candidate prefix) at its current vertex.
 	StatusDeadEnd = byte(1)
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a frame whose CRC or length prefix is invalid.
 var ErrCorrupt = errors.New("wire: corrupt frame")
@@ -404,20 +396,13 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if 1+len(payload) > MaxFrameBytes {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", 1+len(payload), MaxFrameBytes)
 	}
-	hdr := make([]byte, frameHeaderSize+1, frameHeaderSize+1+len(payload))
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(1+len(payload)))
-	crc := crc32.Update(0, castagnoli, []byte{typ})
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
-	hdr[8] = typ
-	buf := append(hdr, payload...)
-	_, err := w.Write(buf)
+	_, err := w.Write(chksum.AppendFrame(make([]byte, 0, FrameSize(len(payload))), typ, payload))
 	return err
 }
 
 // FrameSize returns the on-wire size of a frame with the given payload
 // length (header + type byte + payload).
-func FrameSize(payloadLen int) int { return frameHeaderSize + 1 + payloadLen }
+func FrameSize(payloadLen int) int { return chksum.FrameHeaderSize + 1 + payloadLen }
 
 // BeginFrame starts an in-place frame: it appends a zeroed header and the
 // type byte to buf. The caller appends the payload with the Append* encoders
@@ -426,24 +411,18 @@ func FrameSize(payloadLen int) int { return frameHeaderSize + 1 + payloadLen }
 // difference between two allocations per hop and zero on a warm connection.
 // buf must be empty or end exactly at a frame boundary; the frame starts at
 // len(buf).
-func BeginFrame(buf []byte, typ byte) []byte {
-	var hdr [frameHeaderSize]byte
-	buf = append(buf, hdr[:]...)
-	return append(buf, typ)
-}
+func BeginFrame(buf []byte, typ byte) []byte { return chksum.BeginFrame(buf, typ) }
 
 // SealFrame fills in the length and CRC of the single frame occupying buf
 // (as started by BeginFrame at offset 0) and returns it ready to write.
 func SealFrame(buf []byte) ([]byte, error) {
-	if len(buf) < frameHeaderSize+1 {
+	if len(buf) < FrameSize(0) {
 		return nil, fmt.Errorf("wire: sealing short frame of %d bytes", len(buf))
 	}
-	body := buf[frameHeaderSize:]
-	if len(body) > MaxFrameBytes {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(body), MaxFrameBytes)
+	if body := len(buf) - chksum.FrameHeaderSize; body > MaxFrameBytes {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", body, MaxFrameBytes)
 	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(body, castagnoli))
+	chksum.SealFrame(buf)
 	return buf, nil
 }
 
@@ -458,29 +437,15 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // payload aliases buf (grown as needed and returned as newBuf), so it is
 // valid only until the next ReadFrameBuf call with the same buffer. The
 // per-connection loops on both sides use it to read every frame of a
-// connection's lifetime into one allocation.
+// connection's lifetime into one allocation. A bad length prefix or CRC is
+// ErrCorrupt.
 func ReadFrameBuf(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, buf, io.EOF
-		}
+	body, buf, err := chksum.ReadFrame(r, buf, MaxFrameBytes)
+	if errors.Is(err, chksum.ErrFrameLength) || errors.Is(err, chksum.ErrFrameSum) {
+		return 0, nil, buf, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if err != nil {
 		return 0, nil, buf, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if length == 0 || length > MaxFrameBytes {
-		return 0, nil, buf, fmt.Errorf("%w: frame length %d", ErrCorrupt, length)
-	}
-	if uint32(cap(buf)) < length {
-		buf = make([]byte, length)
-	}
-	body := buf[:length]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, buf, fmt.Errorf("wire: truncated frame: %w", err)
-	}
-	if crc32.Checksum(body, castagnoli) != want {
-		return 0, nil, buf, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return body[0], body[1:], buf, nil
 }

@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 )
 
 // Cost accumulates the work performed by a walk or a sampler.
@@ -69,54 +68,6 @@ func (c Cost) TrialsPerStep() float64 {
 func (c Cost) String() string {
 	return fmt.Sprintf("steps=%d edges/step=%.2f trials/step=%.2f bytes=%d",
 		c.Steps, c.EdgesPerStep(), c.TrialsPerStep(), c.BytesRead)
-}
-
-// Welford tracks a running mean and variance without storing samples.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Observe adds one sample.
-func (w *Welford) Observe(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the sample count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 for no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 for fewer than 2 samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another Welford accumulator into w (Chan et al.).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
 }
 
 // Histogram is a fixed-bucket histogram over [0, len(buckets)) with an

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 )
@@ -33,109 +32,6 @@ func TestCostString(t *testing.T) {
 	c := Cost{Steps: 2, EdgesEvaluated: 11}
 	if !strings.Contains(c.String(), "edges/step=5.50") {
 		t.Fatalf("String = %q", c.String())
-	}
-}
-
-func TestWelfordKnown(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Observe(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("Mean = %v", w.Mean())
-	}
-	// Population variance is 4; sample variance is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Fatalf("Variance = %v", w.Variance())
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Fatalf("StdDev = %v", w.StdDev())
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 {
-		t.Fatal("empty accumulator not zero")
-	}
-	w.Observe(42)
-	if w.Mean() != 42 || w.Variance() != 0 {
-		t.Fatal("single observation wrong")
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := r.NormFloat64()*3 + 7
-		all.Observe(x)
-		if i%2 == 0 {
-			a.Observe(x)
-		} else {
-			b.Observe(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %v vs %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmptyCases(t *testing.T) {
-	var a, b Welford
-	a.Merge(b) // both empty
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 {
-		t.Fatal("empty merge corrupted state")
-	}
-	b.Observe(3)
-	a.Merge(b)
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge into empty failed")
-	}
-	// Merging an empty accumulator into a populated one is a no-op.
-	a.Merge(Welford{})
-	if a.N() != 1 || a.Mean() != 3 || a.Variance() != 0 {
-		t.Fatal("merging empty into populated corrupted state")
-	}
-}
-
-func TestWelfordMergeSingleSamples(t *testing.T) {
-	// Two single-sample accumulators must merge to the same state as
-	// observing both samples sequentially: n=2, mean 5, sample variance
-	// ((3-5)² + (7-5)²) / 1 = 8.
-	var a, b Welford
-	a.Observe(3)
-	b.Observe(7)
-	a.Merge(b)
-	if a.N() != 2 || math.Abs(a.Mean()-5) > 1e-12 {
-		t.Fatalf("merged n=%d mean=%v", a.N(), a.Mean())
-	}
-	if math.Abs(a.Variance()-8) > 1e-12 {
-		t.Fatalf("merged variance = %v, want 8", a.Variance())
-	}
-
-	// Single sample into a populated accumulator, against sequential truth.
-	var seq, multi, single Welford
-	for _, x := range []float64{1, 2, 3} {
-		seq.Observe(x)
-		multi.Observe(x)
-	}
-	seq.Observe(10)
-	single.Observe(10)
-	multi.Merge(single)
-	if multi.N() != seq.N() || math.Abs(multi.Mean()-seq.Mean()) > 1e-12 ||
-		math.Abs(multi.Variance()-seq.Variance()) > 1e-12 {
-		t.Fatalf("merge %v/%v vs sequential %v/%v", multi.Mean(), multi.Variance(), seq.Mean(), seq.Variance())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/trace"
@@ -448,7 +449,7 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 func (d *DurableGraph) applyRecord(rec wal.Record) error {
 	switch rec.Type {
 	case wal.RecEdgeBatch:
-		edges, err := decodeEdgeList(rec.Payload)
+		edges, err := edgeio.DecodeList(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, rec.LSN, err)
 		}
@@ -459,7 +460,7 @@ func (d *DurableGraph) applyRecord(rec wal.Record) error {
 				"lsn", rec.LSN, "edges", len(edges), "err", err)
 		}
 	case wal.RecDeleteBatch:
-		edges, err := decodeEdgeList(rec.Payload)
+		edges, err := edgeio.DecodeList(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, rec.LSN, err)
 		}
@@ -489,7 +490,7 @@ func (d *DurableGraph) AppendBatch(edges []temporal.Edge) error {
 	if err := checkVertexIDs(edges); err != nil {
 		return err
 	}
-	req := &ingestReq{typ: wal.RecEdgeBatch, payload: encodeEdgeList(edges), edges: edges, done: make(chan struct{})}
+	req := &ingestReq{typ: wal.RecEdgeBatch, payload: edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges), edges: edges, done: make(chan struct{})}
 	return d.submit(req)
 }
 
@@ -500,16 +501,15 @@ func (d *DurableGraph) DeleteEdges(edges []temporal.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	req := &ingestReq{typ: wal.RecDeleteBatch, payload: encodeEdgeList(edges), edges: edges, done: make(chan struct{})}
+	req := &ingestReq{typ: wal.RecDeleteBatch, payload: edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges), edges: edges, done: make(chan struct{})}
 	return d.submit(req)
 }
 
 // ExpireBefore logs and applies a sliding-window expiry, returning the
 // number of edges dropped.
 func (d *DurableGraph) ExpireBefore(horizon temporal.Time) (int, error) {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], uint64(horizon))
-	req := &ingestReq{typ: wal.RecExpire, payload: p[:], horizon: horizon, done: make(chan struct{})}
+	p := binary.LittleEndian.AppendUint64(nil, uint64(horizon))
+	req := &ingestReq{typ: wal.RecExpire, payload: p, horizon: horizon, done: make(chan struct{})}
 	if err := d.submit(req); err != nil {
 		return 0, err
 	}
@@ -677,9 +677,8 @@ func (d *DurableGraph) checkpoint() error {
 		}
 		return err
 	}
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], lsn)
-	if _, err := d.log.Append(wal.Entry{Type: wal.RecSnapshotMark, Payload: p[:]}); err != nil {
+	mark := wal.Entry{Type: wal.RecSnapshotMark, Payload: binary.LittleEndian.AppendUint64(nil, lsn)}
+	if _, err := d.log.Append(mark); err != nil {
 		d.fail(err)
 		return err
 	}
@@ -867,40 +866,4 @@ func (d *DurableGraph) failPending(err error) {
 			return
 		}
 	}
-}
-
-// encodeEdgeList frames a batch as u32 count then (u32 src, u32 dst,
-// u64 time) per edge.
-func encodeEdgeList(edges []temporal.Edge) []byte {
-	buf := make([]byte, 4+16*len(edges))
-	binary.LittleEndian.PutUint32(buf, uint32(len(edges)))
-	off := 4
-	for _, e := range edges {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(e.Src))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(e.Dst))
-		binary.LittleEndian.PutUint64(buf[off+8:], uint64(e.Time))
-		off += 16
-	}
-	return buf
-}
-
-func decodeEdgeList(p []byte) ([]temporal.Edge, error) {
-	if len(p) < 4 {
-		return nil, errors.New("edge list: short count")
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	if len(p) != 4+16*n {
-		return nil, fmt.Errorf("edge list: %d bytes for %d edges", len(p), n)
-	}
-	edges := make([]temporal.Edge, n)
-	off := 4
-	for i := range edges {
-		edges[i] = temporal.Edge{
-			Src:  temporal.Vertex(binary.LittleEndian.Uint32(p[off:])),
-			Dst:  temporal.Vertex(binary.LittleEndian.Uint32(p[off+4:])),
-			Time: temporal.Time(binary.LittleEndian.Uint64(p[off+8:])),
-		}
-		off += 16
-	}
-	return edges, nil
 }

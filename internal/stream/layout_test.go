@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/wal"
@@ -185,7 +186,7 @@ func TestVertexIDBound(t *testing.T) {
 		{{Src: 4294967295, Dst: 1, Time: 2}},
 		{{Src: 1, Dst: 0, Time: 3}},
 	} {
-		if _, err := log.Append(wal.Entry{Type: wal.RecEdgeBatch, Payload: encodeEdgeList(b)}); err != nil {
+		if _, err := log.Append(wal.Entry{Type: wal.RecEdgeBatch, Payload: edgeio.AppendList(nil, b)}); err != nil {
 			t.Fatal(err)
 		}
 	}

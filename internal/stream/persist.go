@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"path/filepath"
 	"slices"
 
 	"github.com/tea-graph/tea/internal/chksum"
@@ -322,42 +321,18 @@ func WriteSnapshotFile(path string, g *Graph, lsn uint64) error {
 	return WriteSnapshotFileFS(vfs.OS, path, g, lsn)
 }
 
-// WriteSnapshotFileFS writes the snapshot atomically: a temp file in the same
-// directory, fsynced, then renamed over path, then the directory fsynced —
-// a crash mid-write leaves the previous snapshot intact. A failed directory
-// sync is an error: until the directory entry is durable, the rename itself
-// can be lost by a crash, which would silently resurrect the prior snapshot.
+// WriteSnapshotFileFS writes the snapshot atomically (vfs.ReplaceFile): a
+// crash mid-write leaves the previous snapshot intact. The temp file is
+// named .snapshot-*, the pattern recovery sweeps.
 func WriteSnapshotFileFS(fsys vfs.FS, path string, g *Graph, lsn uint64) error {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, ".snapshot-*")
+	err := vfs.ReplaceFile(fsys, path, ".snapshot-*", func(w io.Writer) error {
+		return g.WriteSnapshot(w, lsn)
+	})
 	if err != nil {
 		return fmt.Errorf("stream: snapshot: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("stream: snapshot: %w", err)
-	}
-	if err := g.WriteSnapshot(f, lsn); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("stream: snapshot: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("stream: snapshot: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("stream: snapshot: sync dir: %w", err)
 	}
 	return nil
 }

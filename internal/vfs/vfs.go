@@ -1,9 +1,10 @@
 // Package vfs is the filesystem seam under TEA's durable storage: a small
 // interface covering exactly the operations the WAL, snapshot, and index
 // writers perform (open/create/rename/sync/remove/stat), a passthrough OS
-// implementation, and FaultFS, the filesystem adapter of internal/fault's
-// seeded plan, which turns "the disk misbehaved" into a deterministic,
-// scriptable event.
+// implementation, ReplaceFile, the one atomic file replace that snapshots
+// and saved indices land by, and FaultFS, the filesystem adapter of
+// internal/fault's seeded plan, which turns "the disk misbehaved" into a
+// deterministic, scriptable event.
 //
 // Every durability claim in the storage layer — "a crash at rename leaves
 // either the old or the new snapshot", "an ENOSPC mid-checkpoint never
@@ -17,6 +18,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -78,6 +80,41 @@ type FS interface {
 // Open opens name read-only on fsys.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
+}
+
+// ReplaceFile replaces path with the bytes write produces, atomically: write
+// fills a temp file named by pattern (os.CreateTemp rules) in path's
+// directory, which is fsynced, closed and renamed over path; then the
+// directory is fsynced. Any failure up to the rename removes the temp file
+// and leaves path as it was, so a crash leaves the old file or the new one,
+// never a torn one. A failed directory sync is an error: until the
+// directory entry is durable, a crash can lose the rename and bring the old
+// file back.
+func ReplaceFile(fsys FS, path, pattern string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
 }
 
 // OS is the passthrough filesystem. The zero value is ready to use; the OS

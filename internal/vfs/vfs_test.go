@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -176,5 +177,41 @@ func TestFaultCreate(t *testing.T) {
 	ffs.Inject(fault.Fault{Op: fault.Create})
 	if _, err := ffs.OpenFile(filepath.Join(dir, "e"), os.O_RDWR, 0); err != nil {
 		t.Fatalf("plain open faulted: %v", err)
+	}
+}
+
+// ReplaceFile lands the new bytes whole, or on a failure at any step up to
+// the rename keeps the old file and removes its temp file; a failed
+// directory sync after the rename is still reported.
+func TestReplaceFile(t *testing.T) {
+	write := func(data string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	if err := ReplaceFile(OS, path, ".f-*", write("old")); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []fault.Op{fault.Create, fault.Write, fault.Sync, fault.Rename} {
+		ffs := NewFaultFS(OS, fault.New(1, fault.Fault{Op: op}))
+		if err := ReplaceFile(ffs, path, ".f-*", write("new")); !IsNoSpace(err) {
+			t.Fatalf("%s fault: err = %v", op, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != "old" {
+			t.Fatalf("%s fault: file holds %q", op, got)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, ".f-*")); len(tmps) != 0 {
+			t.Fatalf("%s fault: temp files left: %v", op, tmps)
+		}
+	}
+	ffs := NewFaultFS(OS, fault.New(1, fault.Fault{Op: fault.Sync, After: 1}))
+	if err := ReplaceFile(ffs, path, ".f-*", write("new")); !IsNoSpace(err) {
+		t.Fatalf("directory sync fault: err = %v", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("after the rename: file holds %q", got)
 	}
 }

@@ -14,11 +14,10 @@
 //
 //	segment  := header frame*
 //	header   := magic[8] ("TEAWAL01") firstLSN[8]
-//	frame    := length[4] crc[4] type[1] payload[length-1]
 //
-// length covers the type byte plus the payload; crc is the CRC-32C
-// (Castagnoli) of those same bytes, so a flipped length, type, or payload
-// byte fails verification. Records carry log sequence numbers (LSNs)
+// Each record is one internal/chksum record frame (length, CRC-32C, type
+// byte, payload), so a flipped length, type, or payload byte fails
+// verification. Records carry log sequence numbers (LSNs)
 // implicitly: the segment header pins the LSN of its first frame and frames
 // number consecutively, so LSNs survive old segments being truncated away
 // after a snapshot.
@@ -42,7 +41,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tea-graph/tea/internal/chksum"
 	"github.com/tea-graph/tea/internal/vfs"
 )
 
@@ -124,15 +123,13 @@ var ErrClosed = errors.New("wal: log closed")
 
 const (
 	headerSize  = 16
-	frameHdr    = 8
+	frameHdr    = chksum.FrameHeaderSize
 	maxFrame    = 64 << 20 // sanity cap on one frame; a larger length is damage
 	defaultSeg  = 64 << 20
 	defaultTick = 100 * time.Millisecond
 )
 
 var segMagic = [8]byte{'T', 'E', 'A', 'W', 'A', 'L', '0', '1'}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options tunes a log.
 type Options struct {
@@ -396,7 +393,7 @@ func (l *Log) Append(entries ...Entry) (uint64, error) {
 	}
 	buf := make([]byte, 0, size)
 	for _, e := range entries {
-		buf = appendFrame(buf, e)
+		buf = chksum.AppendFrame(buf, byte(e.Type), e.Payload)
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
@@ -655,7 +652,7 @@ func (l *Log) Heal() error {
 
 	// Probe: a no-op record through the normal append + fsync path. Failure
 	// re-degrades the log (sticky again) and the next Heal retries.
-	buf := appendFrame(nil, Entry{Type: RecNoop})
+	buf := chksum.AppendFrame(nil, byte(RecNoop), nil)
 	if _, err := l.f.Write(buf); err != nil {
 		l.err = fmt.Errorf("wal: heal probe: %w", err)
 		return l.err
@@ -732,18 +729,6 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// appendFrame appends one framed entry to buf.
-func appendFrame(buf []byte, e Entry) []byte {
-	var hdr [frameHdr]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(1+len(e.Payload)))
-	crc := crc32.Update(0, castagnoli, []byte{byte(e.Type)})
-	crc = crc32.Update(crc, castagnoli, e.Payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, byte(e.Type))
-	return append(buf, e.Payload...)
-}
-
 // scanResult is one segment's verdict.
 type scanResult struct {
 	firstLSN uint64
@@ -805,37 +790,27 @@ func scanSegment(fsys vfs.FS, path string, last bool, fn func(Record) error, bil
 	}
 
 	off := int64(headerSize)
-	var fh [frameHdr]byte
-	payload := make([]byte, 0, 4096)
+	buf := make([]byte, 0, 4096)
 	for off < size {
 		if size-off < frameHdr {
 			return torn(off)
 		}
-		if _, err := io.ReadFull(f, fh[:]); err != nil {
-			return res, fmt.Errorf("wal: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(fh[0:])
-		want := binary.LittleEndian.Uint32(fh[4:])
-		if length == 0 || length > maxFrame {
+		// A length past end-of-file is refused by the cap, unread.
+		body, nbuf, err := chksum.ReadFrame(f, buf, uint32(min(maxFrame, size-off-frameHdr)))
+		buf = nbuf
+		if errors.Is(err, chksum.ErrFrameLength) {
 			return torn(off)
 		}
-		frameEnd := off + frameHdr + int64(length)
-		if frameEnd > size {
-			return torn(off)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if err != nil && !errors.Is(err, chksum.ErrFrameSum) {
 			return res, fmt.Errorf("wal: %w", err)
 		}
 		if bill != nil {
-			if err := bill(frameHdr + int(length)); err != nil {
+			if err := bill(frameHdr + len(body)); err != nil {
 				return res, err
 			}
 		}
-		if crc32.Checksum(payload, castagnoli) != want {
+		frameEnd := off + frameHdr + int64(len(body))
+		if err != nil {
 			if frameEnd == size {
 				// Garbled final frame with nothing after it: torn write.
 				return torn(off)
@@ -847,9 +822,9 @@ func scanSegment(fsys vfs.FS, path string, last bool, fn func(Record) error, bil
 		}
 		if fn != nil {
 			rec := Record{
-				Type:    RecordType(payload[0]),
+				Type:    RecordType(body[0]),
 				LSN:     res.firstLSN + res.records,
-				Payload: append([]byte(nil), payload[1:]...),
+				Payload: append([]byte(nil), body[1:]...),
 			}
 			if err := fn(rec); err != nil {
 				return res, err

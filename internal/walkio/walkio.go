@@ -98,42 +98,56 @@ func ReadText(r io.Reader) ([][]temporal.Vertex, error) {
 	return walks, nil
 }
 
-// WriteBinary writes the lossless binary corpus.
+// recordChunk is the most ReadBinary allocates for walks or hops before
+// their records arrive.
+const recordChunk = 4096
+
+// AppendWalk appends p's binary record to buf: a u32 vertex count, then per
+// vertex its u32 id and the u64 time of the edge that reached it (0 for the
+// start vertex). The binary corpus and the out-of-core engine's flushed
+// walks are runs of these records.
+func AppendWalk(buf []byte, p core.Path) ([]byte, error) {
+	if len(p.Times) != len(p.Vertices)-1 && !(len(p.Vertices) == 0 && len(p.Times) == 0) {
+		return buf, fmt.Errorf("walkio: path shape %d vertices / %d times", len(p.Vertices), len(p.Times))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Vertices)))
+	for i, v := range p.Vertices {
+		t := temporal.Time(0)
+		if i > 0 {
+			t = p.Times[i-1]
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
+	}
+	return buf, nil
+}
+
+// WriteBinary writes the lossless binary corpus: magic, walk count, then
+// one AppendWalk record per path.
 func WriteBinary(w io.Writer, paths []core.Path) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(paths)))
+	var hdr [16]byte
+	copy(hdr[:], Magic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(paths)))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var rec [12]byte
+	var rec []byte
 	for _, p := range paths {
-		if len(p.Times) != len(p.Vertices)-1 && !(len(p.Vertices) == 0 && len(p.Times) == 0) {
-			return fmt.Errorf("walkio: path shape %d vertices / %d times", len(p.Vertices), len(p.Times))
-		}
-		binary.LittleEndian.PutUint32(rec[:4], uint32(len(p.Vertices)))
-		if _, err := bw.Write(rec[:4]); err != nil {
+		var err error
+		if rec, err = AppendWalk(rec[:0], p); err != nil {
 			return err
 		}
-		for i, v := range p.Vertices {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-			t := int64(0)
-			if i > 0 {
-				t = int64(p.Times[i-1])
-			}
-			binary.LittleEndian.PutUint64(rec[4:], uint64(t))
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
+		if _, err := bw.Write(rec); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary corpus.
+// ReadBinary parses the binary corpus. The result and each walk grow as
+// their records arrive, so a damaged count costs no more memory than the
+// records that follow it.
 func ReadBinary(r io.Reader) ([]core.Path, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -152,7 +166,7 @@ func ReadBinary(r io.Reader) ([]core.Path, error) {
 	if n > maxWalks {
 		return nil, fmt.Errorf("%w: implausible walk count %d", ErrBadFormat, n)
 	}
-	paths := make([]core.Path, 0, n)
+	paths := make([]core.Path, 0, min(n, recordChunk))
 	var rec [12]byte
 	for wi := uint64(0); wi < n; wi++ {
 		if _, err := io.ReadFull(br, rec[:4]); err != nil {
@@ -165,16 +179,16 @@ func ReadBinary(r io.Reader) ([]core.Path, error) {
 		}
 		p := core.Path{}
 		if length > 0 {
-			p.Vertices = make([]temporal.Vertex, length)
-			p.Times = make([]temporal.Time, length-1)
+			p.Vertices = make([]temporal.Vertex, 0, min(length, recordChunk))
+			p.Times = make([]temporal.Time, 0, min(length-1, recordChunk))
 		}
 		for i := uint32(0); i < length; i++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("%w: walk %d hop %d: %v", ErrBadFormat, wi, i, err)
 			}
-			p.Vertices[i] = temporal.Vertex(binary.LittleEndian.Uint32(rec[0:]))
+			p.Vertices = append(p.Vertices, temporal.Vertex(binary.LittleEndian.Uint32(rec[0:])))
 			if i > 0 {
-				p.Times[i-1] = temporal.Time(binary.LittleEndian.Uint64(rec[4:]))
+				p.Times = append(p.Times, temporal.Time(binary.LittleEndian.Uint64(rec[4:])))
 			}
 		}
 		paths = append(paths, p)

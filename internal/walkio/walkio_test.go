@@ -2,8 +2,10 @@ package walkio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -109,6 +111,35 @@ func TestBinaryErrors(t *testing.T) {
 	bad := []core.Path{{Vertices: []temporal.Vertex{1, 2}, Times: []temporal.Time{1, 2, 3}}}
 	if err := WriteBinary(&buf, bad); err == nil {
 		t.Fatal("bad shape accepted")
+	}
+}
+
+// Counts the records do not back — 2^33 walks, or a walk of 2^24 vertices —
+// are ErrBadFormat and cost no more memory than the records that arrive.
+func TestBinaryCorruptCountsAreBounded(t *testing.T) {
+	var records []byte
+	for _, p := range samplePaths() {
+		var err error
+		if records, err = AppendWalk(records, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walks := binary.LittleEndian.AppendUint64(append([]byte(nil), Magic[:]...), 1<<33)
+	walks = append(walks, records...)
+	hops := binary.LittleEndian.AppendUint64(append([]byte(nil), Magic[:]...), 1)
+	hops = binary.LittleEndian.AppendUint32(hops, 1<<24)
+	hops = append(hops, records[4:4+2*12]...)
+	for name, input := range map[string][]byte{"walk count": walks, "walk length": hops} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%s: err = %v, want ErrBadFormat", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("%s: reading %d bytes allocated %d bytes", name, len(input), grew)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/tea-graph/tea/internal/fault"
+	"github.com/tea-graph/tea/internal/vfs"
 )
 
 func TestSaveAndLoadIndex(t *testing.T) {
@@ -85,22 +88,13 @@ func TestSaveIndexFailureLeavesOldFileIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Inject a write failure: hand SaveIndex a read-only file handle, so the
-	// very first write of the new index fails mid-save.
-	orig := indexTemp
-	indexTemp = func(dir string) (*os.File, error) {
-		f, err := os.CreateTemp(dir, ".tea-index-*")
-		if err != nil {
-			return nil, err
-		}
-		name := f.Name()
-		f.Close()
-		return os.OpenFile(name, os.O_RDONLY, 0o600)
-	}
-	defer func() { indexTemp = orig }()
+	// Inject a write failure: the very first write of the new index fails
+	// mid-save.
+	indexFS = vfs.NewFaultFS(vfs.OS, fault.New(1, fault.Fault{Op: fault.Write, Target: ".tea-index-"}))
+	defer func() { indexFS = vfs.OS }()
 
 	if err := SaveIndex(eng, path); err == nil {
-		t.Fatal("save through read-only handle succeeded")
+		t.Fatal("save through a failing write succeeded")
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -119,7 +113,7 @@ func TestSaveIndexFailureLeavesOldFileIntact(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}
 	// A healthy retry still works and the result loads.
-	indexTemp = orig
+	indexFS = vfs.OS
 	if err := SaveIndex(eng, path); err != nil {
 		t.Fatal(err)
 	}
