@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -153,8 +152,8 @@ const RecordSize = 16
 // call, and the most ReadBinary allocates before any record arrives.
 const chunkRecords = 4096
 
-// AppendRecords appends the packed records of edges to buf.
-func AppendRecords(buf []byte, edges []temporal.Edge) []byte {
+// appendRecords appends the packed records of edges to buf.
+func appendRecords(buf []byte, edges []temporal.Edge) []byte {
 	for _, e := range edges {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Src))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Dst))
@@ -163,9 +162,9 @@ func AppendRecords(buf []byte, edges []temporal.Edge) []byte {
 	return buf
 }
 
-// DecodeRecords appends the edges of the packed records in p to edges; a
+// decodeRecords appends the edges of the packed records in p to edges; a
 // trailing partial record is ignored.
-func DecodeRecords(edges []temporal.Edge, p []byte) []temporal.Edge {
+func decodeRecords(edges []temporal.Edge, p []byte) []temporal.Edge {
 	for ; len(p) >= RecordSize; p = p[RecordSize:] {
 		edges = append(edges, temporal.Edge{
 			Src:  temporal.Vertex(binary.LittleEndian.Uint32(p[0:])),
@@ -179,7 +178,7 @@ func DecodeRecords(edges []temporal.Edge, p []byte) []temporal.Edge {
 // AppendList appends a counted edge list to buf: a u32 edge count, then
 // the packed records. It is the payload of a logged edge batch.
 func AppendList(buf []byte, edges []temporal.Edge) []byte {
-	return AppendRecords(binary.LittleEndian.AppendUint32(buf, uint32(len(edges))), edges)
+	return appendRecords(binary.LittleEndian.AppendUint32(buf, uint32(len(edges))), edges)
 }
 
 // DecodeList parses an AppendList payload; its length must match its count.
@@ -191,7 +190,7 @@ func DecodeList(p []byte) ([]temporal.Edge, error) {
 	if len(p)-4 != RecordSize*n {
 		return nil, fmt.Errorf("%w: edge list of %d bytes for %d edges", ErrBadFormat, len(p), n)
 	}
-	return DecodeRecords(make([]temporal.Edge, 0, n), p[4:]), nil
+	return decodeRecords(make([]temporal.Edge, 0, n), p[4:]), nil
 }
 
 // WriteBinary writes the packed binary format, terminated by a CRC-32C
@@ -208,7 +207,7 @@ func WriteBinary(w io.Writer, edges []temporal.Edge) error {
 	var rec []byte
 	for len(edges) > 0 {
 		n := min(len(edges), chunkRecords)
-		rec = AppendRecords(rec[:0], edges[:n])
+		rec = appendRecords(rec[:0], edges[:n])
 		if _, err := hw.Write(rec); err != nil {
 			return fmt.Errorf("edgeio: writing binary stream: %w", err)
 		}
@@ -224,8 +223,8 @@ func WriteBinary(w io.Writer, edges []temporal.Edge) error {
 // ReadBinary parses the packed binary format and verifies the trailing
 // CRC-32C footer; footer failures return errors wrapping ErrCorrupt.
 // Streams without any footer (written by older versions) are accepted. The
-// result grows as records arrive, so a damaged count costs no more memory
-// than the records that follow it.
+// result grows as records arrive, so a damaged count costs at most about
+// twice the memory of the records that do follow it.
 func ReadBinary(r io.Reader) ([]temporal.Edge, error) {
 	br := bufio.NewReader(r)
 	hr := chksum.NewReader(br)
@@ -253,7 +252,12 @@ func ReadBinary(r io.Reader) ([]temporal.Edge, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at edge %d: %v", ErrBadFormat, len(edges)+got/RecordSize, err)
 		}
-		edges = DecodeRecords(slices.Grow(edges, k), rec[:got])
+		if len(edges) == cap(edges) {
+			// Double, but never past the count: a sound file's edges end
+			// up in exactly n slots.
+			edges = append(make([]temporal.Edge, 0, min(int(n), 2*len(edges))), edges...)
+		}
+		edges = decodeRecords(edges, rec[:got])
 		left -= k
 	}
 	// The footer is read from br directly so its bytes stay out of the sum.

@@ -144,7 +144,7 @@ func TestBinaryErrors(t *testing.T) {
 func hugeCountStream() []byte {
 	b := append([]byte(nil), Magic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, 1<<33)
-	return AppendRecords(b, temporal.CommuteEdges()[:3])
+	return appendRecords(b, temporal.CommuteEdges()[:3])
 }
 
 // A count the records do not back is ErrBadFormat, and costs no more memory

@@ -217,23 +217,24 @@ func (c *Client) Ping(ctx context.Context) error {
 		return &PeerError{Addr: c.addr, Err: err}
 	}
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(aLongTimeAgo) })
-	fail := func(err error) error {
+	if err := c.applyDeadline(ctx, conn); err != nil {
 		stop()
 		conn.Close()
 		return &PeerError{Addr: c.addr, Err: err}
 	}
-	if err := c.applyDeadline(ctx, conn); err != nil {
-		return fail(err)
-	}
 	if err := WriteFrame(conn, TypePing, nil); err != nil {
-		return fail(err)
+		stop()
+		conn.Close()
+		return &PeerError{Addr: c.addr, Err: err}
 	}
 	typ, _, err := ReadFrame(conn)
-	if err == nil && typ != TypePong {
-		err = fmt.Errorf("unexpected frame type %d to ping", typ)
-	}
-	if err != nil {
-		return fail(err)
+	if err != nil || typ != TypePong {
+		stop()
+		conn.Close()
+		if err == nil {
+			err = fmt.Errorf("unexpected frame type %d to ping", typ)
+		}
+		return &PeerError{Addr: c.addr, Err: err}
 	}
 	c.release(conn, stop)
 	return nil

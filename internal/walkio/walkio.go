@@ -146,8 +146,8 @@ func WriteBinary(w io.Writer, paths []core.Path) error {
 }
 
 // ReadBinary parses the binary corpus. The result and each walk grow as
-// their records arrive, so a damaged count costs no more memory than the
-// records that follow it.
+// their records arrive, so a damaged count costs at most about twice the
+// memory of the records that do follow it.
 func ReadBinary(r io.Reader) ([]core.Path, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
