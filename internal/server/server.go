@@ -120,6 +120,7 @@ type Config struct {
 	// (with the request's full cost breakdown) for every request slower than
 	// it. 0 disables the slow-request log.
 	SlowRequestThreshold time.Duration
+
 	// Metrics receives the server's operational metrics and backs the
 	// /metrics and /metrics.json endpoints; nil means metrics.Default (so
 	// engine and out-of-core families rendered there too).
