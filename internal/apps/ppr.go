@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
@@ -29,7 +30,8 @@ type PPRConfig struct {
 	HasStartTime bool
 	// Seed drives the Monte Carlo sampling.
 	Seed uint64
-	// Threads bounds parallel walkers; <1 selects the engine default.
+	// Threads bounds parallel walkers; <1 selects GOMAXPROCS, the engine
+	// default.
 	Threads int
 }
 
@@ -45,9 +47,6 @@ func (c *PPRConfig) normalize() {
 	}
 	if !c.HasStartTime && c.StartTime == 0 {
 		c.StartTime = temporal.MinTime
-	}
-	if c.Threads < 1 {
-		c.Threads = 1
 	}
 }
 
@@ -102,52 +101,36 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 		cancel()
 	}
 
-	counts := make([]int64, g.NumVertices())
-	var wg sync.WaitGroup
-	perWorker := (cfg.Walks + cfg.Threads - 1) / cfg.Threads
-	workerCounts := make([][]int64, cfg.Threads)
+	// Each walk draws from root.Split(walk), so the scores do not depend on
+	// which chunk, or how many, ran it.
 	root := xrand.New(cfg.Seed)
-	for w := 0; w < cfg.Threads; w++ {
-		lo := w * perWorker
-		if lo >= cfg.Walks {
-			break
-		}
-		hi := lo + perWorker
-		if hi > cfg.Walks {
-			hi = cfg.Walks
-		}
-		wg.Add(1)
-		go func(worker, lo, hi int) {
-			defer wg.Done()
-			local := make([]int64, g.NumVertices())
-			workerCounts[worker] = local
-			for i := lo; i < hi; i++ {
-				if runCtx.Err() != nil {
-					return
-				}
-				err := pprWalkSafe(eng, source, cfg, i, root, local)
-				if err == nil && sampler != nil {
-					err = sampler.Err()
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
+	chunkCounts := make([][]int64, par.Threads(cfg.Threads))
+	par.For(cfg.Walks, cfg.Threads, func(chunk, lo, hi int) {
+		local := make([]int64, g.NumVertices())
+		chunkCounts[chunk] = local
+		for i := lo; i < hi; i++ {
+			if runCtx.Err() != nil {
+				return
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	failMu.Lock()
-	err := runErr
-	failMu.Unlock()
-	if err != nil {
-		return nil, err
+			err := pprWalkSafe(eng, source, cfg, i, root, local)
+			if err == nil && sampler != nil {
+				err = sampler.Err()
+			}
+			if err != nil {
+				fail(err)
+				return
+			}
+		}
+	})
+	if runErr != nil {
+		return nil, runErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	counts := make([]int64, g.NumVertices())
 	total := int64(0)
-	for _, local := range workerCounts {
+	for _, local := range chunkCounts {
 		if local == nil {
 			continue
 		}

@@ -2,9 +2,8 @@ package baseline
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
@@ -40,9 +39,6 @@ func NewAliasFull(w *sampling.GraphWeights, budget int64, threads int) (*AliasFu
 	if budget <= 0 {
 		budget = DefaultAliasBudget
 	}
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	g := w.Graph()
 	numV := g.NumVertices()
 	off := make([]int64, numV+1)
@@ -61,38 +57,24 @@ func NewAliasFull(w *sampling.GraphWeights, budget int64, threads int) (*AliasFu
 		prob:  make([]float64, totalSlots),
 		alias: make([]int32, totalSlots),
 	}
-	var wg sync.WaitGroup
-	chunk := (numV + threads - 1) / threads
-	if chunk == 0 {
-		chunk = 1
-	}
-	for lo := 0; lo < numV; lo += chunk {
-		hi := lo + chunk
-		if hi > numV {
-			hi = numV
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var scratch []int32
-			for u := lo; u < hi; u++ {
-				deg := g.Degree(temporal.Vertex(u))
-				if deg == 0 {
-					continue
-				}
-				if cap(scratch) < 2*deg {
-					scratch = make([]int32, 2*deg)
-				}
-				ws := w.Vertex(temporal.Vertex(u))
-				base := off[u]
-				for k := 1; k <= deg; k++ {
-					s := base + int64(k)*int64(k-1)/2
-					sampling.FillAlias(ws[:k], af.prob[s:s+int64(k)], af.alias[s:s+int64(k)], scratch[:2*k])
-				}
+	par.For(numV, threads, func(_, lo, hi int) {
+		var scratch []int32
+		for u := lo; u < hi; u++ {
+			deg := g.Degree(temporal.Vertex(u))
+			if deg == 0 {
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			if cap(scratch) < 2*deg {
+				scratch = make([]int32, 2*deg)
+			}
+			ws := w.Vertex(temporal.Vertex(u))
+			base := off[u]
+			for k := 1; k <= deg; k++ {
+				s := base + int64(k)*int64(k-1)/2
+				sampling.FillAlias(ws[:k], af.prob[s:s+int64(k)], af.alias[s:s+int64(k)], scratch[:2*k])
+			}
+		}
+	})
 	return af, nil
 }
 

@@ -2,18 +2,14 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/tea-graph/tea/internal/hpat"
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/pat"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 )
-
-// defaultThreads returns the worker count used when a config leaves the
-// thread count unset.
-func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Method selects the sampling structure the engine builds.
 type Method int
@@ -96,10 +92,7 @@ func NewEngine(g *temporal.Graph, app App, opts Options) (*Engine, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	threads := opts.Threads
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
+	threads := par.Threads(opts.Threads)
 	e := &Engine{g: g, app: app, opts: opts}
 	totalStart := time.Now()
 

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -198,10 +199,7 @@ func (e *Engine) Run(cfg WalkConfig) (*Result, error) {
 func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error) {
 	cfg.normalize()
 	mRunsStarted.Inc()
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = defaultThreads()
-	}
+	threads := par.Threads(cfg.Threads)
 	sources := cfg.StartVertices
 	if sources == nil {
 		sources = make([]temporal.Vertex, e.g.NumVertices())

@@ -17,9 +17,8 @@
 package experiments
 
 import (
-	"runtime"
-
 	"github.com/tea-graph/tea/internal/gen"
+	"github.com/tea-graph/tea/internal/par"
 )
 
 // Config parameterizes an experiment run.
@@ -58,7 +57,7 @@ func Default() Config {
 		Profiles:       gen.Profiles(),
 		WalksPerVertex: defaultWalksPerVertex(),
 		Length:         80,
-		Threads:        runtime.GOMAXPROCS(0),
+		Threads:        par.Threads(0),
 		Seed:           1,
 		Contrast:       50,
 		P:              0.5,
@@ -84,9 +83,7 @@ func (c Config) normalized() Config {
 	if c.Length <= 0 {
 		c.Length = 80
 	}
-	if c.Threads < 1 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
+	c.Threads = par.Threads(c.Threads)
 	if c.Contrast <= 0 {
 		c.Contrast = 50
 	}

@@ -66,8 +66,8 @@ func Fig13cAuxIndex(cfg Config) ([]Fig13ScalingRow, error) {
 			return nil, err
 		}
 		maxDeg := g.MaxDegree()
-		t1 := timeIt(func() { hpat.BuildAuxIndexParallel(maxDeg, 1) })
-		tn := timeIt(func() { hpat.BuildAuxIndexParallel(maxDeg, cfg.Threads) })
+		t1 := timeIt(func() { hpat.BuildAuxIndex(maxDeg, 1) })
+		tn := timeIt(func() { hpat.BuildAuxIndex(maxDeg, cfg.Threads) })
 		rows = append(rows, Fig13ScalingRow{Dataset: p.Name, SingleThread: t1, MultiThread: tn, Threads: cfg.Threads})
 	}
 	return rows, nil

@@ -18,6 +18,8 @@ package hpat
 import (
 	"fmt"
 	"math/bits"
+
+	"github.com/tea-graph/tea/internal/par"
 )
 
 // DecompEntry is one trunk of a prefix decomposition: the trunk spans edges
@@ -53,11 +55,11 @@ type AuxIndex struct {
 	entries []DecompEntry
 }
 
-// BuildAuxIndex precomputes decompositions for sizes 1..maxSize. The
-// construction is embarrassingly parallel in principle; at Σ popcount(m)
-// entries it is so cheap that a single linear pass suffices and is what we
-// time for Figure 13c (the parallel variant lives in BuildAuxIndexParallel).
-func BuildAuxIndex(maxSize int) *AuxIndex {
+// BuildAuxIndex precomputes decompositions for sizes 1..maxSize with the
+// given number of threads (<1 means GOMAXPROCS). Every size's entries sit at
+// an offset fixed by the popcounts before the fill, so sizes are filled
+// independently in parallel (§4.2 "auxiliary index generation").
+func BuildAuxIndex(maxSize, threads int) *AuxIndex {
 	if maxSize < 0 {
 		maxSize = 0
 	}
@@ -68,9 +70,11 @@ func BuildAuxIndex(maxSize int) *AuxIndex {
 		off[m+1] = total
 	}
 	entries := make([]DecompEntry, total)
-	for m := 1; m <= maxSize; m++ {
-		fillDecomp(m, entries[off[m]:off[m+1]])
-	}
+	par.For(maxSize+1, threads, func(_, lo, hi int) {
+		for m := lo; m < hi; m++ {
+			fillDecomp(m, entries[off[m]:off[m+1]])
+		}
+	})
 	return &AuxIndex{off: off, entries: entries}
 }
 

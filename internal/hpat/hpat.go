@@ -1,9 +1,9 @@
 package hpat
 
 import (
-	"runtime"
-	"sync"
+	"time"
 
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
@@ -47,10 +47,6 @@ type buildTiming struct {
 // Build constructs the HPAT index over the weighted graph.
 func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	g := w.Graph()
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	numV := g.NumVertices()
 	// Phase 1: layout. Every vertex's storage range is fixed up front.
 	idx := newLayout(g)
@@ -59,35 +55,21 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	idx.slots = make([]uint64, idx.slotOff[numV])
 
 	// Phase 2: lock-free parallel per-vertex construction.
-	start := nanotime()
-	var wg sync.WaitGroup
-	chunk := (numV + threads - 1) / threads
-	if chunk == 0 {
-		chunk = 1
-	}
-	for lo := 0; lo < numV; lo += chunk {
-		hi := lo + chunk
-		if hi > numV {
-			hi = numV
+	start := time.Now()
+	par.For(numV, cfg.Threads, func(_, lo, hi int) {
+		var scratch blockScratch
+		for u := lo; u < hi; u++ {
+			u := temporal.Vertex(u)
+			buildBlock(w.Vertex(u), idx.cumRun(u), idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], &scratch)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var scratch blockScratch
-			for u := lo; u < hi; u++ {
-				u := temporal.Vertex(u)
-				buildBlock(w.Vertex(u), idx.cumRun(u), idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], &scratch)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	idx.buildNS.hpatNS = nanotime() - start
+	})
+	idx.buildNS.hpatNS = int64(time.Since(start))
 
 	// Phase 3: global auxiliary index (§3.4).
 	if !cfg.DisableAuxIndex {
-		start = nanotime()
-		idx.aux = BuildAuxIndexParallel(g.MaxDegree(), threads)
-		idx.buildNS.auxNS = nanotime() - start
+		start = time.Now()
+		idx.aux = BuildAuxIndex(g.MaxDegree(), cfg.Threads)
+		idx.buildNS.auxNS = int64(time.Since(start))
 	}
 	return idx
 }

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tea-graph/tea/internal/baseline"
+	"github.com/tea-graph/tea/internal/pat"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
@@ -66,7 +68,7 @@ func TestDecomposeProperty(t *testing.T) {
 }
 
 func TestAuxIndexMatchesDecompose(t *testing.T) {
-	aux := BuildAuxIndex(300)
+	aux := BuildAuxIndex(300, 0)
 	if aux.MaxSize() != 300 {
 		t.Fatalf("MaxSize = %d", aux.MaxSize())
 	}
@@ -80,16 +82,89 @@ func TestAuxIndexMatchesDecompose(t *testing.T) {
 	}
 }
 
-func TestAuxIndexParallelMatchesSerial(t *testing.T) {
-	a := BuildAuxIndex(5000)
-	b := BuildAuxIndexParallel(5000, 8)
-	if !reflect.DeepEqual(a.off, b.off) || !reflect.DeepEqual(a.entries, b.entries) {
-		t.Fatal("parallel auxiliary index differs from serial")
+// Every §4.2 build splits its index range over threads (par.For) and each
+// chunk writes a disjoint range, so arrays and seeded draws are the same at
+// any thread count. Every 17th vertex of the graph is a hub, so at 3 and 8
+// threads hubs land in different chunks.
+func TestParallelBuildsMatchSerial(t *testing.T) {
+	r := xrand.New(44)
+	var edges []temporal.Edge
+	const numV = 120
+	for u := 0; u < numV; u++ {
+		for i := 0; i < 300/(1+u%17); i++ {
+			edges = append(edges, temporal.Edge{
+				Src: temporal.Vertex(u), Dst: temporal.Vertex(r.IntN(numV)), Time: temporal.Time(r.IntN(1000)),
+			})
+		}
+	}
+	g := temporal.MustFromEdges(edges, temporal.WithNumVertices(numV))
+	spec := sampling.Exponential(0.01)
+	w := testutil.Weights(t, g, spec)
+	type sampler interface {
+		Sample(temporal.Vertex, int, *xrand.Rand) (int, int64, bool)
+	}
+	builds := []struct {
+		name  string
+		build func(threads int) any
+	}{
+		{"BuildGraphWeights", func(threads int) any {
+			w, err := sampling.BuildGraphWeights(g, spec, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}},
+		{"PrecomputeCandidates", func(threads int) any {
+			g.PrecomputeCandidates(threads)
+			return *g // a copy holding this call's candidate table
+		}},
+		{"hpat.Build", func(threads int) any {
+			idx := Build(w, Config{Threads: threads})
+			idx.buildNS = buildTiming{}
+			return idx
+		}},
+		{"pat.Build", func(threads int) any { return pat.Build(w, pat.Config{Threads: threads}) }},
+		{"NewAliasFull", func(threads int) any {
+			af, err := baseline.NewAliasFull(w, 0, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return af
+		}},
+		{"BuildAuxIndex", func(threads int) any { return BuildAuxIndex(5000, threads) }},
+	}
+	// draws samples every prefix of every vertex three times from one seed.
+	draws := func(s sampler) (out [][3]int64) {
+		r := xrand.New(7)
+		for u := 0; u < numV; u++ {
+			for k := 1; k <= g.Degree(temporal.Vertex(u)); k++ {
+				for i := 0; i < 3; i++ {
+					e, eval, ok := s.Sample(temporal.Vertex(u), k, r)
+					if !ok {
+						e = -1
+					}
+					out = append(out, [3]int64{int64(u), int64(e), eval})
+				}
+			}
+		}
+		return out
+	}
+	for _, b := range builds {
+		serial := b.build(1)
+		for _, threads := range []int{3, 8} {
+			got := b.build(threads)
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s at %d threads differs from 1 thread", b.name, threads)
+			}
+			if s, ok := got.(sampler); ok && !reflect.DeepEqual(draws(s), draws(serial.(sampler))) {
+				t.Fatalf("%s at %d threads draws differently from 1 thread", b.name, threads)
+			}
+		}
 	}
 }
 
 func TestAuxIndexPanicsOutOfRange(t *testing.T) {
-	aux := BuildAuxIndex(10)
+	aux := BuildAuxIndex(10, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for out-of-range size")
@@ -315,7 +390,7 @@ func TestTableMatchesIndexDistribution(t *testing.T) {
 	if len(block) != 8 {
 		t.Fatalf("BlockWords(7) = %d", len(block))
 	}
-	aux := BuildAuxIndex(8)
+	aux := BuildAuxIndex(8, 0)
 	r := xrand.New(12)
 	for _, useAux := range []bool{true, false} {
 		for k := 1; k <= 7; k++ {
@@ -400,7 +475,7 @@ func BenchmarkHPATBuild(b *testing.B) {
 
 func BenchmarkAuxIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		BuildAuxIndexParallel(1<<20, 0)
+		BuildAuxIndex(1<<20, 0)
 	}
 }
 

@@ -118,7 +118,7 @@ func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: no integrity footer", ErrIndexCorrupt)
 	}
 	if hdr[32] != 0 {
-		idx.aux = BuildAuxIndexParallel(g.MaxDegree(), 0)
+		idx.aux = BuildAuxIndex(g.MaxDegree(), 0)
 	}
 	return idx, nil
 }

@@ -11,10 +11,9 @@ package pat
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/xrand"
@@ -60,10 +59,6 @@ type Index struct {
 // Build constructs the PAT index over g with the given edge weights.
 func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	g := w.Graph()
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	numV := g.NumVertices()
 	idx := &Index{
 		g:         g,
@@ -87,26 +82,12 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 
 	// Phase 2: per-vertex construction, parallel and lock-free because every
 	// vertex writes disjoint pre-computed ranges.
-	var wg sync.WaitGroup
-	chunk := (numV + threads - 1) / threads
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < numV; start += chunk {
-		end := start + chunk
-		if end > numV {
-			end = numV
+	par.For(numV, cfg.Threads, func(_, lo, hi int) {
+		var scratch []int32
+		for u := lo; u < hi; u++ {
+			scratch = idx.buildVertex(temporal.Vertex(u), scratch)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var scratch []int32
-			for u := lo; u < hi; u++ {
-				scratch = idx.buildVertex(temporal.Vertex(u), scratch)
-			}
-		}(start, end)
-	}
-	wg.Wait()
+	})
 	return idx
 }
 

@@ -2,9 +2,8 @@ package sampling
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"github.com/tea-graph/tea/internal/par"
 	"github.com/tea-graph/tea/internal/temporal"
 )
 
@@ -17,49 +16,26 @@ type GraphWeights struct {
 }
 
 // BuildGraphWeights evaluates spec on every edge of g in parallel. threads <
-// 1 selects GOMAXPROCS. The first weight-evaluation error (possible only with
-// custom Dynamic_weight functions) aborts the build.
+// 1 selects GOMAXPROCS. A weight-evaluation error (possible only with custom
+// Dynamic_weight functions) stops its chunk and aborts the build; the error
+// of the lowest such chunk is returned.
 func BuildGraphWeights(g *temporal.Graph, spec WeightSpec, threads int) (*GraphWeights, error) {
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	flat := make([]float64, g.NumEdges())
-	numV := g.NumVertices()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	chunk := (numV + threads - 1) / threads
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < numV; start += chunk {
-		end := start + chunk
-		if end > numV {
-			end = numV
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				elo, _ := g.EdgeRange(temporal.Vertex(u))
-				w, err := spec.VertexWeights(g, temporal.Vertex(u), flat[elo:elo])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				_ = w // written in place via the aliased buffer
+	errs := make([]error, par.Threads(threads))
+	par.For(g.NumVertices(), threads, func(chunk, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			elo, _ := g.EdgeRange(temporal.Vertex(u))
+			// Written in place through the aliased, zero-length buffer.
+			if _, err := spec.VertexWeights(g, temporal.Vertex(u), flat[elo:elo]); err != nil {
+				errs[chunk] = err
+				return
 			}
-		}(start, end)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return &GraphWeights{Flat: flat, g: g}, nil
 }

@@ -75,8 +75,16 @@ func TestBuildGraphWeightsPropagatesError(t *testing.T) {
 		}
 		return 1
 	}}
-	if _, err := BuildGraphWeights(g, spec, 4); err == nil {
+	// Each chunk stops at its first bad edge and the lowest chunk's error
+	// wins, which is the error a serial build meets first.
+	_, want := BuildGraphWeights(g, spec, 1)
+	if want == nil {
 		t.Fatal("invalid custom weight accepted")
+	}
+	for _, threads := range []int{3, 4, 8} {
+		if _, err := BuildGraphWeights(g, spec, threads); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%d threads: error %v, want %v", threads, err, want)
+		}
 	}
 }
 

@@ -311,7 +311,7 @@ func auxFor(aux *hpat.AuxIndex, maxSeg int) *hpat.AuxIndex {
 	for size < maxSeg {
 		size *= 2
 	}
-	return hpat.BuildAuxIndex(size)
+	return hpat.BuildAuxIndex(size, 1)
 }
 
 // CandidateCount returns |Γ_after(u)|, spanning segments.

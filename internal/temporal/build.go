@@ -2,8 +2,8 @@ package temporal
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"github.com/tea-graph/tea/internal/par"
 )
 
 // BuildOption configures FromEdges.
@@ -113,32 +113,14 @@ func MustFromEdges(edges []Edge, opts ...BuildOption) *Graph {
 // the parallel "searching candidate edge sets" phase of §4.2: a binary search
 // per edge, embarrassingly parallel over edges.
 //
-// threads < 1 selects runtime.GOMAXPROCS(0). Calling it again recomputes the
-// table (it is idempotent for an immutable graph).
+// threads < 1 selects GOMAXPROCS. Calling it again recomputes the table (it
+// is idempotent for an immutable graph).
 func (g *Graph) PrecomputeCandidates(threads int) {
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	n := len(g.dst)
-	cand := make([]int32, n)
-	var wg sync.WaitGroup
-	chunk := (n + threads - 1) / threads
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
+	cand := make([]int32, len(g.dst))
+	par.For(len(cand), threads, func(_, lo, hi int) {
+		for e := lo; e < hi; e++ {
+			cand[e] = int32(g.CandidateCount(g.dst[e], g.ts[e]))
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for e := lo; e < hi; e++ {
-				cand[e] = int32(g.CandidateCount(g.dst[e], g.ts[e]))
-			}
-		}(start, end)
-	}
-	wg.Wait()
+	})
 	g.candAtDst = cand
 }
