@@ -11,11 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/gen"
 	"github.com/tea-graph/tea/internal/temporal"
+	"github.com/tea-graph/tea/internal/vfs"
 )
 
 func main() {
@@ -61,33 +63,27 @@ func main() {
 		return
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	} else if *format == "binary" {
-		fatal(fmt.Errorf("binary output requires -o"))
-	}
-
+	var write func(io.Writer, []temporal.Edge) error
 	switch *format {
 	case "binary":
-		if err := edgeio.WriteBinary(w, stream); err != nil {
-			fatal(err)
-		}
+		write = edgeio.WriteBinary
 	case "text":
-		if err := edgeio.WriteText(w, stream); err != nil {
-			fatal(err)
-		}
+		write = edgeio.WriteText
 	default:
 		fatal(fmt.Errorf("unknown format %q", *format))
+	}
+	var err error
+	switch {
+	case *out != "":
+		// Atomic: an interrupted run leaves any previous file at *out whole.
+		err = vfs.ReplaceFile(vfs.OS, *out, ".teagen-*", func(w io.Writer) error { return write(w, stream) })
+	case *format == "binary":
+		err = fmt.Errorf("binary output requires -o")
+	default:
+		err = write(os.Stdout, stream)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "teagen: wrote %s (%d edges, %d vertices)\n", p, len(stream), p.Vertices)
 }

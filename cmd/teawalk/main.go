@@ -11,12 +11,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	tea "github.com/tea-graph/tea"
 	"github.com/tea-graph/tea/cmd/internal/cli"
 	"github.com/tea-graph/tea/internal/edgeio"
+	"github.com/tea-graph/tea/internal/vfs"
 	"github.com/tea-graph/tea/internal/walkio"
 )
 
@@ -55,13 +57,8 @@ func main() {
 		if strings.HasSuffix(w.Out, ".txt") {
 			write = walkio.WriteText
 		}
-		f, err := os.Create(w.Out)
-		if err == nil {
-			err = write(f, res.Paths)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
+		// Atomic: an interrupted run leaves any previous file at w.Out whole.
+		err := vfs.ReplaceFile(vfs.OS, w.Out, ".teawalk-*", func(f io.Writer) error { return write(f, res.Paths) })
 		if err != nil {
 			fatal(err)
 		}

@@ -10,9 +10,9 @@ import (
 	"github.com/tea-graph/tea/internal/vfs"
 )
 
-// indexFS is the filesystem SaveIndex writes through, so tests can inject
-// write failures.
-var indexFS = vfs.OS
+// fileFS is the filesystem SaveIndex and WriteBinaryFile write through, so
+// tests can inject write failures.
+var fileFS = vfs.OS
 
 // SaveIndex persists an engine's HPAT index (trunk alias tables, prefix
 // sums, and the edge weights) so preprocessing can be done once and reused:
@@ -27,7 +27,7 @@ func SaveIndex(eng *Engine, path string) error {
 	if !ok {
 		return fmt.Errorf("tea: engine sampler %q is not an HPAT index", eng.Sampler().Name())
 	}
-	err := vfs.ReplaceFile(indexFS, path, ".tea-index-*", func(w io.Writer) error {
+	err := vfs.ReplaceFile(fileFS, path, ".tea-index-*", func(w io.Writer) error {
 		_, err := idx.WriteTo(w)
 		return err
 	})

@@ -90,8 +90,8 @@ func TestSaveIndexFailureLeavesOldFileIntact(t *testing.T) {
 
 	// Inject a write failure: the very first write of the new index fails
 	// mid-save.
-	indexFS = vfs.NewFaultFS(vfs.OS, fault.New(1, fault.Fault{Op: fault.Write, Target: ".tea-index-"}))
-	defer func() { indexFS = vfs.OS }()
+	fileFS = vfs.NewFaultFS(vfs.OS, fault.New(1, fault.Fault{Op: fault.Write, Target: ".tea-index-"}))
+	defer func() { fileFS = vfs.OS }()
 
 	if err := SaveIndex(eng, path); err == nil {
 		t.Fatal("save through a failing write succeeded")
@@ -113,12 +113,36 @@ func TestSaveIndexFailureLeavesOldFileIntact(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}
 	// A healthy retry still works and the result loads.
-	indexFS = vfs.OS
+	fileFS = vfs.OS
 	if err := SaveIndex(eng, path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewEngineWithIndex(g, Unbiased(), path, Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A torn write of a .teag leaves the previous file's bytes and no temp file.
+func TestWriteBinaryFileFailureLeavesOldFileIntact(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.teag")
+	if err := WriteBinaryFile(path, []Edge{{Src: 0, Dst: 1, Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileFS = vfs.NewFaultFS(vfs.OS, fault.New(1, fault.Fault{Op: fault.Write, Target: ".teag-"}))
+	defer func() { fileFS = vfs.OS }()
+	if err := WriteBinaryFile(path, []Edge{{Src: 0, Dst: 1, Time: 1}, {Src: 1, Dst: 2, Time: 2}}); err == nil {
+		t.Fatal("write through a failing filesystem succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+		t.Fatalf("old file changed by a failed write (err %v)", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".teag-*")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
 	}
 }
 

@@ -28,7 +28,7 @@ package tea
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/edgeio"
@@ -36,6 +36,7 @@ import (
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/stream"
 	"github.com/tea-graph/tea/internal/temporal"
+	"github.com/tea-graph/tea/internal/vfs"
 )
 
 // Core temporal-graph types (see internal/temporal for full documentation).
@@ -120,17 +121,17 @@ func LoadBinaryFile(path string) (*Graph, error) {
 	return edgeio.LoadGraph(path, edgeio.ReadBinary)
 }
 
-// WriteBinaryFile writes edges in the packed binary format.
+// WriteBinaryFile writes edges in the packed binary format. The write is
+// atomic (vfs.ReplaceFile): a crash or write failure partway leaves any
+// previous file at path intact.
 func WriteBinaryFile(path string, edges []Edge) error {
-	f, err := os.Create(path)
+	err := vfs.ReplaceFile(fileFS, path, ".teag-*", func(w io.Writer) error {
+		return edgeio.WriteBinary(w, edges)
+	})
 	if err != nil {
 		return fmt.Errorf("tea: %w", err)
 	}
-	if err := edgeio.WriteBinary(f, edges); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // CommuteGraph returns the paper's Figure 1 commuting network, the running
