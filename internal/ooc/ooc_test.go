@@ -412,6 +412,46 @@ func TestDiskPATRejectionFallbackDistribution(t *testing.T) {
 	})
 }
 
+// The proposal-cap fallback bills the work it does like the proposal loop:
+// when it lands in a complete trunk, the trunk search's probes and the alias
+// draw's 2 slots count. Vertex 0 has 8 edges in trunks of 2 and the
+// candidate set is its 5 newest: two complete trunks of weight 4, one
+// candidate of weight 1e-9 and, beside it in the partial trunk, an excluded
+// edge of weight 1e12. Every proposal lands in the partial trunk (1 probe)
+// and is rejected after reading its 1 candidate weight, so 128 proposals
+// bill 256; the fallback reads the candidate (257) and almost surely draws a
+// complete trunk: 1 probe (258) and the alias draw (260).
+func TestDiskPATFallbackBillsCompleteTrunkDraw(t *testing.T) {
+	edges := make([]temporal.Edge, 8)
+	for i := range edges {
+		edges[i] = temporal.Edge{Src: 0, Dst: temporal.Vertex(i + 1), Time: temporal.Time(i + 1)}
+	}
+	g := temporal.MustFromEdges(edges)
+	spec := sampling.WeightSpec{Custom: func(tm temporal.Time) float64 {
+		switch tm {
+		case 4:
+			return 1e-9
+		case 3:
+			return 1e12
+		}
+		return 1
+	}}
+	d, err := BuildDiskPAT(testutil.Weights(t, g, spec), tempStore(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(3)
+	for i := 0; i < 200; i++ {
+		e, evaluated, ok := d.Sample(0, 5, r)
+		if !ok || e >= 4 {
+			t.Fatalf("draw %d: edge %d ok %v, want a complete-trunk edge", i, e, ok)
+		}
+		if evaluated != 260 {
+			t.Fatalf("draw %d: evaluated %d, want 260", i, evaluated)
+		}
+	}
+}
+
 // A run without an output store keeps no walks: no path is built, so the
 // run's allocations do not grow with its walk count. The sampler is
 // in-memory ITS, which allocates nothing per draw, so only the engine's own

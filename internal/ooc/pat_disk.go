@@ -373,12 +373,13 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 		i, scanned := partialScan(buf, rem, x-cum[full])
 		return full*ts + i, evaluated + scanned, true
 	}
-	lo, _ := trunkOf(cum, full, x)
+	lo, probes := trunkOf(cum, full, x)
+	evaluated += probes
 	if err := fetch(lo); err != nil {
 		return 0, evaluated, false
 	}
 	e, ok := completeDraw(r, buf, lo, ts, deg)
-	return e, evaluated, ok
+	return e, evaluated + 2, ok
 }
 
 // trunkOf returns the trunk among the first n whose cumulative weight range
