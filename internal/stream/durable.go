@@ -154,8 +154,9 @@ type DurableConfig struct {
 	// Must match the configuration of any snapshot already in the
 	// directory, or OpenDurable fails with ErrSnapshotMismatch.
 	Graph Config
-	// WAL tunes the log (fsync policy, segment size). OnSyncError is owned
-	// by the durable graph and must be left nil.
+	// WAL tunes the log (fsync policy, segment size). FS and OnSyncError
+	// are owned by the durable graph: OpenDurable sets FS from the FS field
+	// below and OnSyncError to its own handler, so leave both nil.
 	WAL wal.Options
 	// SnapshotEvery writes a snapshot (and trims the log) every N logged
 	// mutations; 0 disables periodic snapshots.
@@ -168,7 +169,7 @@ type DurableConfig struct {
 	// tries to self-heal; 0 means 2s, negative disables the loop.
 	HealInterval time.Duration
 	// FS is the filesystem the WAL and snapshots run against; nil means the
-	// real OS. Takes precedence over WAL.FS.
+	// real OS.
 	FS vfs.FS
 	// Progress, when non-nil, receives recovery progress updates (from
 	// OpenDurable's goroutine) so a serving layer can report how far
@@ -279,9 +280,6 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 		return nil, ErrCustomWeight
 	}
 	fsys := cfg.FS
-	if fsys == nil {
-		fsys = cfg.WAL.FS
-	}
 	if fsys == nil {
 		fsys = vfs.OS
 	}
