@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/core"
@@ -209,4 +210,28 @@ func TestTemporalPPRAlphaEffect(t *testing.T) {
 	if !(high[0].Vertex == 0 && high[0].Score > low[0].Score) {
 		t.Fatalf("alpha effect missing: high %+v, low %+v", high[0], low[0])
 	}
+}
+
+// A request's memory does not grow with its thread count: the chunks share
+// one count array instead of holding V counters each.
+func TestTemporalPPRMemoryIndependentOfThreads(t *testing.T) {
+	g := testutil.RandomGraph(t, 100000, 300000, 5000, 23)
+	eng, err := core.NewEngine(g, core.ExponentialWalk(0.001), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(threads int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := TemporalPPR(eng, 7, PPRConfig{Walks: 2000, Seed: 5, Threads: threads}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, eight := alloc(1), alloc(8)
+	if float64(eight) > 1.25*float64(one) {
+		t.Fatalf("ppr allocated %d bytes at 8 threads, %d at 1", eight, one)
+	}
+	t.Logf("ppr allocated %d bytes at 8 threads, %d at 1", eight, one)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/par"
@@ -102,17 +103,16 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 	}
 
 	// Each walk draws from root.Split(walk), so the scores do not depend on
-	// which chunk, or how many, ran it.
+	// which chunk, or how many, ran it. The chunks add into one shared count
+	// array, so a request holds V counters at any thread count.
 	root := xrand.New(cfg.Seed)
-	chunkCounts := make([][]int64, par.Threads(cfg.Threads))
-	par.For(cfg.Walks, cfg.Threads, func(chunk, lo, hi int) {
-		local := make([]int64, g.NumVertices())
-		chunkCounts[chunk] = local
+	counts := make([]atomic.Int64, g.NumVertices())
+	par.For(cfg.Walks, cfg.Threads, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if runCtx.Err() != nil {
 				return
 			}
-			err := pprWalkSafe(eng, source, cfg, i, root, local)
+			err := pprWalkSafe(eng, source, cfg, i, root, counts)
 			if err == nil && sampler != nil {
 				err = sampler.Err()
 			}
@@ -128,23 +128,16 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	counts := make([]int64, g.NumVertices())
+	// Every walk starts at the source: counted here, not by every chunk
+	// on the same counter.
+	counts[source].Add(int64(cfg.Walks))
 	total := int64(0)
-	for _, local := range chunkCounts {
-		if local == nil {
-			continue
-		}
-		for v, c := range local {
-			counts[v] += c
-			total += c
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("apps: ppr sampled no visits")
+	for v := range counts {
+		total += counts[v].Load()
 	}
 	var out []PPRScore
-	for v, c := range counts {
-		if c > 0 {
+	for v := range counts {
+		if c := counts[v].Load(); c > 0 {
 			out = append(out, PPRScore{Vertex: temporal.Vertex(v), Score: float64(c) / float64(total)})
 		}
 	}
@@ -160,8 +153,9 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 // pprWalkSafe runs one walk-with-restart, converting a panic in user code
 // (custom samplers, weight or parameter callbacks) into an error naming the
 // walk. Each step is the engine's own (Engine.Step), so a second-order
-// app's β applies exactly as in engine walks.
-func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk int, root *xrand.Rand, local []int64) (err error) {
+// app's β applies exactly as in engine walks. It adds the vertices the walk
+// steps to into the shared counts; the start at source is the caller's.
+func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk int, root *xrand.Rand, counts []atomic.Int64) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("apps: ppr walk %d panicked: %v", walk, rec)
@@ -173,7 +167,6 @@ func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk i
 	var prev temporal.Vertex
 	hasPrev := false
 	var cost stats.Cost
-	local[u]++
 	for step := 0; step < cfg.MaxLength; step++ {
 		if r.Float64() < cfg.Alpha {
 			break // restart: this walk's endpoint is recorded
@@ -188,7 +181,7 @@ func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk i
 		}
 		prev, hasPrev = u, true
 		u, t = dst, at
-		local[u]++
+		counts[u].Add(1)
 	}
 	return nil
 }

@@ -353,6 +353,36 @@ func TestExternalSamplerAndWeights(t *testing.T) {
 	}
 }
 
+// An HPAT engine holds no weight array once its index is built; Weights
+// rebuilds one equal bit for bit to BuildGraphWeights at any thread count.
+// PAT and ITS sample from their arrays and keep them.
+func TestHPATEngineRebuildsWeights(t *testing.T) {
+	g := testutil.RandomGraph(t, 300, 9000, 700, 13)
+	app := ExponentialWalk(0.01)
+	want := testutil.Weights(t, g, app.Weight)
+	for _, m := range allMethods() {
+		for _, threads := range []int{1, 3} {
+			eng, err := NewEngine(g, app, Options{Method: m, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			isHPAT := m == MethodHPAT || m == MethodHPATNoIndex
+			if held := eng.weights != nil; held == isHPAT {
+				t.Fatalf("%v at %d threads: engine holds weights = %v", m, threads, held)
+			}
+			got := eng.Weights()
+			if len(got.Flat) != len(want.Flat) {
+				t.Fatalf("%v: %d weights, want %d", m, len(got.Flat), len(want.Flat))
+			}
+			for i := range got.Flat {
+				if math.Float64bits(got.Flat[i]) != math.Float64bits(want.Flat[i]) {
+					t.Fatalf("%v at %d threads: weight %d = %v, want %v", m, threads, i, got.Flat[i], want.Flat[i])
+				}
+			}
+		}
+	}
+}
+
 func TestPreprocessStatsPopulated(t *testing.T) {
 	g := testutil.RandomGraph(t, 300, 9000, 700, 13)
 	eng, err := NewEngine(g, TemporalNode2Vec(0.5, 2, 0.01), Options{Method: MethodHPAT})

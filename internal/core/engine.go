@@ -59,6 +59,7 @@ type Options struct {
 	// set, Method is ignored and no index is constructed.
 	ExternalSampler Sampler
 	// ExternalWeights reuses an existing weight array instead of rebuilding.
+	// The engine keeps it, whatever its method.
 	ExternalWeights *sampling.GraphWeights
 }
 
@@ -77,9 +78,11 @@ type PreprocessStats struct {
 // following the workflow of Figure 8: preprocess (candidate search, weight
 // evaluation, index construction), then repeatedly sample steps.
 type Engine struct {
-	g       *temporal.Graph
-	app     App
-	opts    Options
+	g    *temporal.Graph
+	app  App
+	opts Options
+	// weights is what PAT and ITS sample from; an HPAT engine drops its own
+	// once the index is built, and holds only ExternalWeights.
 	weights *sampling.GraphWeights
 	sampler Sampler
 	prep    PreprocessStats
@@ -136,6 +139,7 @@ func NewEngine(g *temporal.Graph, app App, opts Options) (*Engine, error) {
 		e.prep.IndexBuild = time.Duration(hpatNS)
 		e.prep.AuxIndexBuild = time.Duration(auxNS)
 		e.sampler = idx
+		e.weights = opts.ExternalWeights // the index samples without them
 	case opts.Method == MethodPAT:
 		e.sampler = pat.Build(e.weights, pat.Config{Threads: threads})
 		e.prep.IndexBuild = time.Since(start)
@@ -158,8 +162,23 @@ func (e *Engine) App() App { return e.app }
 // Sampler returns the active sampling structure.
 func (e *Engine) Sampler() Sampler { return e.sampler }
 
-// Weights returns the per-edge weight array.
-func (e *Engine) Weights() *sampling.GraphWeights { return e.weights }
+// Weights returns the per-edge weight array: the one the engine holds, or,
+// when it holds none (an HPAT engine without ExternalWeights, or an
+// external sampler's), one it rebuilds on every call. A rebuild is
+// bit-identical to the build at NewEngine at any thread count; callers that
+// need the array more than once keep the result. It panics if the rebuild
+// fails, which for weights NewEngine built only a custom weight function
+// that now answers differently can cause.
+func (e *Engine) Weights() *sampling.GraphWeights {
+	if e.weights != nil {
+		return e.weights
+	}
+	w, err := sampling.BuildGraphWeights(e.g, e.app.Weight, e.opts.Threads)
+	if err != nil {
+		panic(fmt.Sprintf("core: rebuilding weights for %q: %v", e.app.Name, err))
+	}
+	return w
+}
 
 // Preprocess returns the preprocessing time breakdown.
 func (e *Engine) Preprocess() PreprocessStats { return e.prep }

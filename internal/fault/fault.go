@@ -37,7 +37,7 @@ const (
 	Sync
 	// Rename matches FS.Rename.
 	Rename
-	// Create matches file creation (OpenFile with O_CREATE, CreateTemp).
+	// Create matches file creation (OpenFile with O_CREATE).
 	Create
 	// Remove matches FS.Remove.
 	Remove

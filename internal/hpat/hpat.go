@@ -24,8 +24,7 @@ type Config struct {
 // vertex, and (optionally) the global auxiliary index. All storage positions
 // are computed before construction so vertices build lock-free in parallel.
 type Index struct {
-	g       *temporal.Graph
-	weights *sampling.GraphWeights
+	g *temporal.Graph
 
 	// cum holds per-vertex prefix sums, deg+1 entries each, so vertex u's run
 	// starts at its first edge's position plus u.
@@ -44,13 +43,13 @@ type buildTiming struct {
 	auxNS  int64
 }
 
-// Build constructs the HPAT index over the weighted graph.
+// Build constructs the HPAT index over the weighted graph. The index keeps
+// no reference to w: sampling reads only the prefix sums and alias slots.
 func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	g := w.Graph()
 	numV := g.NumVertices()
 	// Phase 1: layout. Every vertex's storage range is fixed up front.
 	idx := newLayout(g)
-	idx.weights = w
 	idx.cum = make([]float64, g.NumEdges()+numV)
 	idx.slots = make([]uint64, idx.slotOff[numV])
 
@@ -135,14 +134,13 @@ func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, eva
 	return sampleBlock(cum, idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], deg, k, dec, r)
 }
 
-// MemoryBytes reports the index footprint including the shared weight array
-// and the auxiliary index; the HPAT trunk tables dominate, matching the
-// paper's observation that the HPAT index is 82–91% of total memory.
+// MemoryBytes reports the index footprint: prefix sums, alias slots, slot
+// offsets and the auxiliary index. The per-edge weights the index was built
+// from are not part of it.
 func (idx *Index) MemoryBytes() int64 {
 	n := int64(len(idx.cum))*8 +
 		int64(len(idx.slots))*8 +
-		int64(len(idx.slotOff))*8 +
-		idx.weights.MemoryBytes()
+		int64(len(idx.slotOff))*8
 	if idx.aux != nil {
 		n += idx.aux.MemoryBytes()
 	}
@@ -151,6 +149,3 @@ func (idx *Index) MemoryBytes() int64 {
 
 // Graph returns the underlying temporal graph.
 func (idx *Index) Graph() *temporal.Graph { return idx.g }
-
-// Weights returns the shared per-edge weight array.
-func (idx *Index) Weights() *sampling.GraphWeights { return idx.weights }

@@ -483,8 +483,9 @@ func BenchmarkAuxIndexBuild(b *testing.B) {
 // not only in the benchmark: over a Zipf(0.8) degree sequence of mean 19.5
 // (the shape of the benchmark's graph), MemoryBytes must equal the closed-form
 // sum of the arrays the layout is allowed to hold — 8-byte slots from level
-// minTableLevel up, one offset per vertex — and index plus graph must stay
-// under 50 B/edge (the v1 layout measured 92.0 here).
+// minTableLevel up, one offset per vertex, no per-edge weights — and index
+// plus graph must stay under 42 B/edge (the v1 layout measured 92.0 here,
+// the v2 layout with its weight array 48.3).
 func TestIndexBytesBudget(t *testing.T) {
 	const numV, meanDegree, zipf = 2000, 19.5, 0.8
 	h := 0.0
@@ -515,16 +516,15 @@ func TestIndexBytesBudget(t *testing.T) {
 	for m := int64(1); m <= maxDeg; m++ {
 		auxEntries += int64(bits.OnesCount64(uint64(m)))
 	}
-	want := 8*numE + // weights
-		8*(numE+numV) + // prefix sums, deg+1 per vertex
+	want := 8*(numE+numV) + // prefix sums, deg+1 per vertex
 		8*slots +
 		8*(numV+1) + // slot offsets
 		8*(maxDeg+2) + 8*auxEntries // auxiliary index
 	if got := idx.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, layout sum %d", got, want)
 	}
-	if perEdge := float64(idx.MemoryBytes()+g.MemoryBytes()) / float64(numE); perEdge > 50 {
-		t.Fatalf("index + graph = %.1f B/edge, budget 50", perEdge)
+	if perEdge := float64(idx.MemoryBytes()+g.MemoryBytes()) / float64(numE); perEdge > 42 {
+		t.Fatalf("index + graph = %.1f B/edge, budget 42", perEdge)
 	} else {
 		t.Logf("index + graph = %.2f B/edge over %d edges", perEdge, numE)
 	}

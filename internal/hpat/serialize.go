@@ -30,11 +30,16 @@ var ErrIndexCorrupt = errors.New("hpat: corrupt serialized index")
 // graph it is being attached to.
 var ErrIndexMismatch = errors.New("hpat: serialized index does not match graph")
 
-// WriteTo serializes the index (including the per-edge weights it samples
-// from) so preprocessing can be done once and reused across runs. The
-// auxiliary index is not stored — it depends only on the maximum degree and
-// is rebuilt on load faster than it can be read from disk.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
+// WriteIndex serializes idx together with the per-edge weights it was
+// built from, so preprocessing can be done once and reused across runs. The
+// index does not hold its weights, so the caller passes them; they must be
+// the ones Build was given (or equal to them bit for bit). The auxiliary
+// index is not stored — it depends only on the maximum degree and is rebuilt
+// on load faster than it can be read from disk.
+func WriteIndex(w io.Writer, idx *Index, weights *sampling.GraphWeights) (int64, error) {
+	if len(weights.Flat) != idx.g.NumEdges() {
+		return 0, fmt.Errorf("hpat: writing %d weights for an index over %d edges", len(weights.Flat), idx.g.NumEdges())
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hw := chksum.NewWriter(bw)
 	cw := &countingWriter{w: hw}
@@ -49,7 +54,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
-	for _, arr := range [][]float64{idx.weights.Flat, idx.cum} {
+	for _, arr := range [][]float64{weights.Flat, idx.cum} {
 		if err := writeWords(cw, arr, math.Float64bits); err != nil {
 			return cw.n, err
 		}
@@ -67,9 +72,12 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadIndex deserializes an index produced by WriteTo and attaches it to g,
-// which must be the same graph (vertex and edge counts are verified; the
-// layout is then recomputed and must match the stored slot count).
+// ReadIndex deserializes an index produced by WriteIndex and attaches it to
+// g, which must be the same graph (vertex and edge counts are verified; the
+// layout is then recomputed and must match the stored slot count). The
+// stored weights are streamed through the checksum and dropped: a damaged
+// weight section is ErrIndexCorrupt like any other, but a load never holds
+// the weight array.
 func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hr := chksum.NewReader(br)
@@ -98,11 +106,11 @@ func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 		return nil, fmt.Errorf("%w: layout mismatch (slots %d vs %d)", ErrIndexMismatch, idx.slotOff[numV], slots)
 	}
 
-	flat := make([]float64, numE)
-	if err := readWords(hr, flat, math.Float64frombits); err != nil {
+	// A zero-size element type reads the section chunk by chunk into no
+	// storage at all.
+	if err := readWords(hr, make([]struct{}, numE), func(uint64) struct{} { return struct{}{} }); err != nil {
 		return nil, err
 	}
-	idx.weights = sampling.WrapGraphWeights(g, flat)
 	idx.cum = make([]float64, numE+numV)
 	if err := readWords(hr, idx.cum, math.Float64frombits); err != nil {
 		return nil, err

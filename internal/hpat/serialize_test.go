@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,21 +21,30 @@ func TestSerializeRoundTrip(t *testing.T) {
 	idx := Build(w, Config{})
 
 	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
+	n, err := WriteIndex(&buf, idx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Fatalf("WriteIndex reported %d bytes, wrote %d", n, buf.Len())
 	}
+	file := append([]byte(nil), buf.Bytes()...)
 
 	got, err := ReadIndex(&buf, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(idx.cum, got.cum) || !reflect.DeepEqual(idx.slots, got.slots) ||
-		!reflect.DeepEqual(idx.weights.Flat, got.weights.Flat) {
+	if !reflect.DeepEqual(idx.cum, got.cum) || !reflect.DeepEqual(idx.slots, got.slots) {
 		t.Fatal("round trip changed index contents")
+	}
+	// The loaded index holds no weights, but written with them again it
+	// reproduces the file.
+	var again bytes.Buffer
+	if _, err := WriteIndex(&again, got, w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), file) {
+		t.Fatal("rewriting the loaded index changed the file")
 	}
 	if got.HasAuxIndex() != idx.HasAuxIndex() {
 		t.Fatal("aux index presence lost")
@@ -58,7 +68,7 @@ func TestSerializeNoAux(t *testing.T) {
 	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearRank})
 	idx := Build(w, Config{DisableAuxIndex: true})
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx, w); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadIndex(&buf, g)
@@ -75,7 +85,7 @@ func TestReadIndexRejectsWrongGraph(t *testing.T) {
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 	idx := Build(w, Config{})
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx, w); err != nil {
 		t.Fatal(err)
 	}
 	other := testutil.RandomGraph(t, 120, 3000, 500, 25)
@@ -93,7 +103,7 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 	w := testutil.Weights(t, g, sampling.WeightSpec{})
 	idx := Build(w, Config{})
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx, w); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
@@ -104,19 +114,22 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 
 // Format v2 files are refused unless whole: a v1 magic is named as such and
 // never parsed, and the footer is mandatory, so neither a file cut off just
-// before it nor one with a flipped slot bit loads.
+// before it nor one with a flipped slot or weight bit loads. The weights are
+// not kept on load, but they are still checked.
 func TestReadIndexRejectsOldAndDamaged(t *testing.T) {
 	g := testutil.SkewedGraph(t, 16, 200)
-	idx := Build(testutil.Weights(t, g, sampling.Exponential(0.01)), Config{})
+	w := testutil.Weights(t, g, sampling.Exponential(0.01))
+	idx := Build(w, Config{})
 	if len(idx.slots) == 0 {
 		t.Fatal("test graph has no table trunks")
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := WriteIndex(&buf, idx, w); err != nil {
 		t.Fatal(err)
 	}
 	const footer = chksum.FooterSize
 	firstSlot := buf.Len() - footer - 8*len(idx.slots)
+	firstWeight := 33 + 8 // header, then the weight array's length word
 	for _, tc := range []struct {
 		name   string
 		mutate func(b []byte) []byte
@@ -128,12 +141,40 @@ func TestReadIndexRejectsOldAndDamaged(t *testing.T) {
 		{"no footer", func(b []byte) []byte { return b[:len(b)-footer] }, ErrIndexCorrupt, "no integrity footer"},
 		{"slot threshold bit", func(b []byte) []byte { b[firstSlot+7] ^= 0x80; return b }, ErrIndexCorrupt, "checksum"},
 		{"slot alias bit", func(b []byte) []byte { b[len(b)-footer-8] ^= 0x01; return b }, ErrIndexCorrupt, "checksum"},
+		{"weight mantissa bit", func(b []byte) []byte { b[firstWeight+8*(g.NumEdges()/2)] ^= 0x04; return b }, ErrIndexCorrupt, "checksum"},
 	} {
 		data := tc.mutate(append([]byte(nil), buf.Bytes()...))
 		_, err := ReadIndex(bytes.NewReader(data), g)
 		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("%s: err = %v, want %v mentioning %q", tc.name, err, tc.want, tc.msg)
 		}
+	}
+}
+
+// A load keeps none of the stored weights: ReadIndex allocates the arrays
+// the index samples from plus its read buffers, never an E × 8-byte array.
+func TestReadIndexKeepsNoWeights(t *testing.T) {
+	g := testutil.RandomGraph(t, 2000, 300000, 10000, 31)
+	w := testutil.Weights(t, g, sampling.Exponential(0.001))
+	idx := Build(w, Config{})
+	var buf bytes.Buffer
+	if _, err := WriteIndex(&buf, idx, w); err != nil {
+		t.Fatal(err)
+	}
+	const buffers = 3 << 19 // the 1 MiB reader and the chunk buffers, rounded up
+	weightBytes := w.MemoryBytes()
+	if weightBytes <= buffers {
+		t.Fatalf("weights are %d bytes, no more than the %d-byte slack: the test cannot tell", weightBytes, buffers)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadIndex(bytes.NewReader(buf.Bytes()), g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > got.MemoryBytes()+buffers {
+		t.Fatalf("ReadIndex allocated %d bytes for a %d-byte index (weights %d)", alloc, got.MemoryBytes(), weightBytes)
 	}
 }
 

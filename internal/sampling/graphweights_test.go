@@ -9,7 +9,7 @@ import (
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
-func randomTestGraph(t *testing.T, v, e int, seed int64) *temporal.Graph {
+func randomTestGraph(t testing.TB, v, e int, seed int64) *temporal.Graph {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	edges := make([]temporal.Edge, e)
@@ -132,5 +132,21 @@ func TestITSFloatEdgeFallbacks(t *testing.T) {
 		if !ok || idx != 0 {
 			t.Fatalf("linear draw %d: (%d,%v)", i, idx, ok)
 		}
+	}
+}
+
+// BenchmarkBuildGraphWeights times a one-thread weight build over 2^20
+// edges for each built-in kind, where the per-edge formula is the loop.
+func BenchmarkBuildGraphWeights(b *testing.B) {
+	g := randomTestGraph(b, 20000, 1<<20, 1)
+	for _, spec := range []WeightSpec{{Kind: WeightUniform}, {Kind: WeightLinearTime}, {Kind: WeightLinearRank}, Exponential(0.001)} {
+		b.Run(spec.Kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildGraphWeights(g, spec, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+		})
 	}
 }

@@ -93,15 +93,25 @@ func (s WeightSpec) EffectiveLambda() float64 {
 func (s WeightSpec) EdgeWeight(t, newest, minT temporal.Time, rank int) float64 {
 	switch s.Kind {
 	case WeightUniform:
-		return 1
+		return uniformWeight()
 	case WeightLinearTime:
-		return float64(t-minT) + 1
+		return linearTimeWeight(t, minT)
 	case WeightLinearRank:
-		return float64(rank)
+		return linearRankWeight(rank)
 	case WeightExponential:
-		return math.Exp(s.EffectiveLambda() * float64(t-newest))
+		return exponentialWeight(s.EffectiveLambda(), t, newest)
 	}
 	return 0
+}
+
+// The formula of each built-in kind, written once. EdgeWeight picks one per
+// edge; VertexWeights picks one per vertex, so its loop inlines the formula
+// instead of calling EdgeWeight per edge.
+func uniformWeight() float64                         { return 1 }
+func linearTimeWeight(t, minT temporal.Time) float64 { return float64(t-minT) + 1 }
+func linearRankWeight(rank int) float64              { return float64(rank) }
+func exponentialWeight(lambda float64, t, newest temporal.Time) float64 {
+	return math.Exp(lambda * float64(t-newest))
 }
 
 // VertexWeights computes the weight of every out-edge of u, newest first,
@@ -119,13 +129,28 @@ func (s WeightSpec) VertexWeights(g *temporal.Graph, u temporal.Vertex, buf []fl
 		}
 		return buf, nil
 	}
-	if s.Kind < WeightUniform || s.Kind > WeightExponential {
-		return nil, fmt.Errorf("sampling: unknown weight kind %v", s.Kind)
-	}
-	minT, _ := g.TimeRange()
-	for i, t := range times {
+	switch s.Kind {
+	case WeightUniform:
+		for range times {
+			buf = append(buf, uniformWeight())
+		}
+	case WeightLinearTime:
+		minT, _ := g.TimeRange()
+		for _, t := range times {
+			buf = append(buf, linearTimeWeight(t, minT))
+		}
+	case WeightLinearRank:
 		// Newest edge has the highest rank n, oldest has rank 1.
-		buf = append(buf, s.EdgeWeight(t, times[0], minT, len(times)-i))
+		for i := range times {
+			buf = append(buf, linearRankWeight(len(times)-i))
+		}
+	case WeightExponential:
+		lambda := s.EffectiveLambda()
+		for _, t := range times {
+			buf = append(buf, exponentialWeight(lambda, t, times[0]))
+		}
+	default:
+		return nil, fmt.Errorf("sampling: unknown weight kind %v", s.Kind)
 	}
 	return buf, nil
 }

@@ -329,7 +329,8 @@ func (r *run) engine() (http.Handler, error) {
 		store.ResetCounters() // device counters report serving traffic, not the build
 		dp.EnableCache(ooc.CacheConfig{CapacityBytes: o.CacheBytes})
 		r.Logger.Info("out-of-core store", "path", store.Path(), "cache_bytes", o.CacheBytes)
-		opts.ExternalSampler, opts.ExternalWeights = dp, w
+		// The disk PAT holds what it samples from; w dies with the build.
+		opts.ExternalSampler = dp
 	}
 	eng, err := core.NewEngine(g, app, opts)
 	if err != nil {

@@ -85,19 +85,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 	return &faultFile{File: file, fs: f, path: name}, nil
 }
 
-// CreateTemp creates a temp file, subject to Create faults (matched
-// against dir and pattern).
-func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	if _, err := f.check(fault.Create, dir+"/"+pattern, 0); err != nil {
-		return nil, err
-	}
-	file, err := f.base.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{File: file, fs: f, path: file.Name()}, nil
-}
-
 // Rename renames, subject to Rename faults. Under a Crash fault a seeded
 // coin decides whether the rename completed before the simulated crash.
 func (f *FaultFS) Rename(oldpath, newpath string) error {

@@ -21,8 +21,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 )
 
@@ -61,8 +64,6 @@ type File interface {
 type FS interface {
 	// OpenFile opens name with the given flag and permissions.
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
-	// CreateTemp creates a new temporary file in dir (os.CreateTemp rules).
-	CreateTemp(dir, pattern string) (File, error)
 	// Rename atomically renames oldpath to newpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
@@ -89,10 +90,11 @@ func Open(fsys FS, name string) (File, error) {
 // and leaves path as it was, so a crash leaves the old file or the new one,
 // never a torn one. A failed directory sync is an error: until the
 // directory entry is durable, a crash can lose the rename and bring the old
-// file back.
+// file back. The file lands with the mode os.Create gives, 0666 less the
+// umask.
 func ReplaceFile(fsys FS, path, pattern string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, pattern)
+	f, err := createTemp(fsys, dir, pattern)
 	if err != nil {
 		return err
 	}
@@ -117,6 +119,19 @@ func ReplaceFile(fsys FS, path, pattern string, write func(io.Writer) error) err
 	return nil
 }
 
+// createTemp is os.CreateTemp with os.Create's mode instead of 0600: the
+// temp file becomes the replaced file, which other users may need to read.
+func createTemp(fsys FS, dir, pattern string) (File, error) {
+	prefix, suffix, _ := strings.Cut(pattern, "*")
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, prefix+strconv.FormatUint(uint64(rand.Uint32()), 10)+suffix)
+		f, err := fsys.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 10000 {
+			return f, err
+		}
+	}
+}
+
 // OS is the passthrough filesystem. The zero value is ready to use; the OS
 // variable is the conventional instance.
 var OS FS = osFS{}
@@ -125,10 +140,6 @@ type osFS struct{}
 
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
-}
-
-func (osFS) CreateTemp(dir, pattern string) (File, error) {
-	return os.CreateTemp(dir, pattern)
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }

@@ -1,10 +1,12 @@
 package tea
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/fault"
@@ -177,5 +179,53 @@ func TestSaveIndexBytesPinned(t *testing.T) {
 	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("SaveIndex (%d bytes): sha256 %s, want %s", len(b), got, want)
+	}
+}
+
+// An engine loaded by NewEngineWithIndex holds no weights, yet walks
+// exactly like the engine that saved the index, and saving it again (its
+// weights rebuilt from the graph) writes the same file, which
+// TestSaveIndexBytesPinned pins.
+func TestLoadedIndexWalksAndSavesIdentically(t *testing.T) {
+	profile := DatasetProfile{Name: "t", Vertices: 120, Edges: 2500, Skew: 0.8, Seed: 43}
+	g, err := profile.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := ExponentialWalk(0.002)
+	eng, err := NewEngine(g, app, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	built, loadedPath := filepath.Join(dir, "built.teai"), filepath.Join(dir, "loaded.teai")
+	if err := SaveIndex(eng, built); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewEngineWithIndex(g, app, built, Options{Threads: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := WalkConfig{Length: 40, Seed: 9, WalksPerVertex: 2, KeepPaths: true}
+	a, err := eng.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loaded.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Cost != b.Cost || !reflect.DeepEqual(a.Paths, b.Paths) {
+		t.Fatalf("loaded engine walks differ: cost %+v vs %+v", a.Cost, b.Cost)
+	}
+	if err := SaveIndex(loaded, loadedPath); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(loadedPath); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-saved index differs from the saved one (err %v)", err)
 	}
 }
