@@ -57,7 +57,9 @@ func NewAliasFull(w *sampling.GraphWeights, budget int64, threads int) (*AliasFu
 		prob:  make([]float64, totalSlots),
 		alias: make([]int32, totalSlots),
 	}
-	par.For(numV, threads, func(_, lo, hi int) {
+	// Chunks of equal table-slot count: a vertex's work is its deg² / 2
+	// slots, not its edges.
+	par.ForEdges(off, threads, func(_, lo, hi int) {
 		var scratch []int32
 		for u := lo; u < hi; u++ {
 			deg := g.Degree(temporal.Vertex(u))

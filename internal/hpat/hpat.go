@@ -55,7 +55,7 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 
 	// Phase 2: lock-free parallel per-vertex construction.
 	start := time.Now()
-	par.For(numV, cfg.Threads, func(_, lo, hi int) {
+	par.ForEdges(g.Offsets(), cfg.Threads, func(_, lo, hi int) {
 		var scratch blockScratch
 		for u := lo; u < hi; u++ {
 			u := temporal.Vertex(u)

@@ -368,7 +368,7 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 	if !(total > 0) {
 		return 0, evaluated, false
 	}
-	x := r.Range(total)
+	x := float64(r.Range(total)) // rounded: x-cum[full] must not fuse (ci/fma_check.sh)
 	if x >= cum[full] {
 		i, scanned := partialScan(buf, rem, x-cum[full])
 		return full*ts + i, evaluated + scanned, true

@@ -82,7 +82,7 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 
 	// Phase 2: per-vertex construction, parallel and lock-free because every
 	// vertex writes disjoint pre-computed ranges.
-	par.For(numV, cfg.Threads, func(_, lo, hi int) {
+	par.ForEdges(g.Offsets(), cfg.Threads, func(_, lo, hi int) {
 		var scratch []int32
 		for u := lo; u < hi; u++ {
 			scratch = idx.buildVertex(temporal.Vertex(u), scratch)

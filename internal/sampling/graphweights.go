@@ -22,7 +22,7 @@ type GraphWeights struct {
 func BuildGraphWeights(g *temporal.Graph, spec WeightSpec, threads int) (*GraphWeights, error) {
 	flat := make([]float64, g.NumEdges())
 	errs := make([]error, par.Threads(threads))
-	par.For(g.NumVertices(), threads, func(chunk, lo, hi int) {
+	par.ForEdges(g.Offsets(), threads, func(chunk, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			elo, _ := g.EdgeRange(temporal.Vertex(u))
 			// Written in place through the aliased, zero-length buffer.

@@ -357,7 +357,9 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 		}
 		if k := s.newerThan(after); k > 0 {
 			n, lastK = n+1, k
-			grand += s.scale * hpat.BlockTotal(s.block(), k)
+			// float64 rounds the product, so no GOARCH fuses it into the
+			// sum and seeded draws replay alike everywhere (ci/fma_check.sh).
+			grand += float64(s.scale * hpat.BlockTotal(s.block(), k))
 			evaluated++
 		}
 		break
@@ -392,13 +394,13 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 		return s.dst(idx), s.ts(idx), evaluated, true
 	}
 	// Nearly everything in range is tombstoned: exact scan over the live
-	// candidates of every overlapping segment.
+	// candidates of every overlapping segment, products rounded as above.
 	liveTotal := 0.0
 	for i := range segs {
 		s, k := &segs[i], candidates(segs, i, lastK)
 		for j := 0; j < k; j++ {
 			if !s.isDeleted(j) {
-				liveTotal += s.scale * s.weight(g.spec, j, g.minTime)
+				liveTotal += float64(s.scale * s.weight(g.spec, j, g.minTime))
 			}
 			evaluated++
 		}
@@ -414,7 +416,7 @@ func (g *Graph) SampleStep(u temporal.Vertex, after temporal.Time, r *xrand.Rand
 			if s.isDeleted(j) {
 				continue
 			}
-			acc += s.scale * s.weight(g.spec, j, g.minTime)
+			acc += float64(s.scale * s.weight(g.spec, j, g.minTime))
 			if x < acc {
 				return s.dst(j), s.ts(j), evaluated, true
 			}

@@ -1,7 +1,9 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/tea-graph/tea/internal/par"
 )
@@ -11,6 +13,7 @@ type BuildOption func(*buildConfig)
 
 type buildConfig struct {
 	numVertices int // 0 = infer max id + 1
+	threads     int // < 1 = GOMAXPROCS; tests pin it through withThreads
 }
 
 // WithNumVertices forces the vertex id space to [0, n) even if the stream
@@ -19,11 +22,20 @@ func WithNumVertices(n int) BuildOption {
 	return func(c *buildConfig) { c.numVertices = n }
 }
 
+// withThreads sets the per-vertex ordering pass's thread count.
+func withThreads(n int) BuildOption {
+	return func(c *buildConfig) { c.threads = n }
+}
+
 // FromEdges builds an immutable Graph from a temporal edge stream.
 //
-// Construction follows §4.2 of the paper: the stream is radix-sorted so that
-// each vertex's out-edges end up in decreasing time order (ties broken by
-// ascending destination), in O(|E|) time. The stream may arrive in any order.
+// Construction follows §4.2 of the paper in O(|E|) for stream-ordered
+// input: a counting sort by source fixes every vertex's edge range, then
+// each vertex's out-edges are put newest first (ties broken by ascending
+// destination) in parallel, on chunks of equal edge count. A run that is
+// already in that order is kept, one in exactly the reverse order (a
+// stream in time order) is reversed, and any other is sorted. The stream
+// may arrive in any order.
 func FromEdges(edges []Edge, opts ...BuildOption) (*Graph, error) {
 	var cfg buildConfig
 	for _, o := range opts {
@@ -36,66 +48,69 @@ func FromEdges(edges []Edge, opts ...BuildOption) (*Graph, error) {
 		}
 		maxID := Vertex(0)
 		for _, e := range edges {
-			if e.Src > maxID {
-				maxID = e.Src
-			}
-			if e.Dst > maxID {
-				maxID = e.Dst
-			}
+			maxID = max(maxID, e.Src, e.Dst)
 		}
 		numV = int(maxID) + 1
-	} else {
-		for _, e := range edges {
-			if int(e.Src) >= numV || int(e.Dst) >= numV {
-				return nil, fmt.Errorf("%w: edge %v with %d vertices", ErrVertexRange, e, numV)
-			}
-		}
 	}
 
-	// Stable multi-pass sort: dst ascending, then time descending, then a
-	// counting sort by src. Stability of each pass makes the per-vertex order
-	// exactly (time desc, dst asc).
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	scratch := make([]Edge, len(edges))
-	radixByDstAsc(sorted, scratch)
-	radixByTimeDesc(sorted, scratch)
-
+	// Counting pass: out-degrees, the vertex range and the time range.
 	offsets := make([]int64, numV+1)
-	for _, e := range sorted {
-		offsets[e.Src+1]++
+	g := &Graph{offsets: offsets}
+	if len(edges) > 0 {
+		g.minTime, g.maxTime = edges[0].Time, edges[0].Time
 	}
-	maxDeg := int64(0)
-	for u := 1; u <= numV; u++ {
-		if offsets[u] > maxDeg {
-			maxDeg = offsets[u]
+	for _, e := range edges {
+		if int(e.Src) >= numV || int(e.Dst) >= numV {
+			return nil, fmt.Errorf("%w: edge %v with %d vertices", ErrVertexRange, e, numV)
 		}
-		offsets[u] += offsets[u-1]
+		offsets[e.Src+1]++
+		g.minTime, g.maxTime = min(g.minTime, e.Time), max(g.maxTime, e.Time)
 	}
-	dst := make([]Vertex, len(sorted))
-	ts := make([]Time, len(sorted))
-	cursor := make([]int64, numV)
-	for _, e := range sorted {
-		p := offsets[e.Src] + cursor[e.Src]
-		cursor[e.Src]++
-		dst[p] = e.Dst
-		ts[p] = e.Time
+	next := make([]int64, numV)
+	for u := range numV {
+		g.maxDegree = max(g.maxDegree, int(offsets[u+1]))
+		offsets[u+1] += offsets[u]
+		next[u] = offsets[u]
+	}
+	bySrc := make([]Edge, len(edges))
+	for _, e := range edges {
+		bySrc[next[e.Src]] = e
+		next[e.Src]++
 	}
 
-	g := &Graph{offsets: offsets, dst: dst, ts: ts, maxDegree: int(maxDeg)}
-	if len(sorted) > 0 {
-		lo, hi := sorted[0].Time, sorted[0].Time
-		for _, e := range sorted {
-			if e.Time < lo {
-				lo = e.Time
-			}
-			if e.Time > hi {
-				hi = e.Time
+	g.dst = make([]Vertex, len(edges))
+	g.ts = make([]Time, len(edges))
+	par.ForEdges(offsets, cfg.threads, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			run := bySrc[offsets[u]:offsets[u+1]]
+			newestFirst(run)
+			for i, e := range run {
+				g.dst[offsets[u]+int64(i)] = e.Dst
+				g.ts[offsets[u]+int64(i)] = e.Time
 			}
 		}
-		g.minTime, g.maxTime = lo, hi
-	}
+	})
 	return g, nil
+}
+
+// newestFirst sorts one vertex's out-edges by (time desc, dst asc). Edges
+// of one source that compare equal are identical, so the order is total
+// and any sort gives the same bytes.
+func newestFirst(run []Edge) {
+	switch {
+	case slices.IsSortedFunc(run, compareNewestFirst):
+	case slices.IsSortedFunc(run, func(a, b Edge) int { return compareNewestFirst(b, a) }):
+		slices.Reverse(run)
+	default:
+		slices.SortFunc(run, compareNewestFirst)
+	}
+}
+
+func compareNewestFirst(a, b Edge) int {
+	if c := cmp.Compare(b.Time, a.Time); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for tests,

@@ -38,6 +38,11 @@ type neighborIndex struct {
 // NumVertices returns the number of vertices (the id space is [0, NumVertices)).
 func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
 
+// Offsets returns the CSR offsets: u's out-edges are [Offsets()[u],
+// Offsets()[u+1]). The slice aliases internal storage and must not be
+// modified.
+func (g *Graph) Offsets() []int64 { return g.offsets }
+
 // NumEdges returns the number of temporal edges.
 func (g *Graph) NumEdges() int { return len(g.dst) }
 

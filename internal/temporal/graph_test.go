@@ -1,9 +1,12 @@
 package temporal
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,25 +255,101 @@ func TestCandidateCountProperty(t *testing.T) {
 	}
 }
 
-// Property: radix sort by time matches sort.SliceStable results.
-func TestRadixTimeDescMatchesStdSort(t *testing.T) {
-	f := func(raw []int64) bool {
-		edges := make([]Edge, len(raw))
-		for i, v := range raw {
-			edges[i] = Edge{Src: 0, Dst: Vertex(i), Time: Time(v)}
+// Property: FromEdges lays out exactly what a stable sort by (src asc,
+// time desc, dst asc) gives, at any thread count, for streams in time
+// order, in reverse and shuffled, with repeated times, duplicate edges and
+// negative times.
+func TestFromEdgesMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 60; trial++ {
+		v, e := 1+r.Intn(40), r.Intn(600)
+		span := int64(1 + r.Intn(50)) // small spans repeat times
+		edges := make([]Edge, e)
+		for i := range edges {
+			edges[i] = Edge{Src: Vertex(r.Intn(v)), Dst: Vertex(r.Intn(v)), Time: Time(r.Int63n(2*span) - span)}
+			if i > 0 && r.Intn(8) == 0 {
+				edges[i] = edges[r.Intn(i)]
+			}
 		}
-		scratch := make([]Edge, len(edges))
-		got := make([]Edge, len(edges))
-		copy(got, edges)
-		radixByTimeDesc(got, scratch)
-		want := make([]Edge, len(edges))
-		copy(want, edges)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].Time > want[j].Time })
-		return reflect.DeepEqual(got, want)
+		byTime := func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) }
+		for _, order := range []struct {
+			name string
+			put  func()
+		}{
+			{"shuffled", func() {}},
+			{"stream", func() { slices.SortStableFunc(edges, byTime) }},
+			{"reverse", func() { slices.Reverse(edges) }},
+		} {
+			order.put()
+			name := order.name
+			for _, threads := range []int{1, 3, 8} {
+				if err := matchesStableSort(edges, v, threads); err != nil {
+					t.Fatalf("trial %d, %s, threads=%d: %v", trial, name, threads, err)
+				}
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// FuzzFromEdges checks FromEdges against the stable-sort reference on any
+// edge list: 16 bytes per edge, vertex ids folded into a small range.
+func FuzzFromEdges(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 0x0000000200000001), 1<<63), uint8(8))
+	f.Fuzz(func(t *testing.T, raw []byte, threads uint8) {
+		const v = 64
+		edges := make([]Edge, len(raw)/16)
+		for i := range edges {
+			ids := binary.LittleEndian.Uint64(raw[16*i:])
+			edges[i] = Edge{Src: Vertex(ids % v), Dst: Vertex(ids >> 32 % v), Time: Time(binary.LittleEndian.Uint64(raw[16*i+8:]))}
+		}
+		if err := matchesStableSort(edges, v, int(threads%9)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// matchesStableSort builds edges over v vertices at the given thread count
+// and compares the graph with the reference layout.
+func matchesStableSort(edges []Edge, v, threads int) error {
+	input := slices.Clone(edges)
+	g, err := FromEdges(edges, WithNumVertices(v), withThreads(threads))
+	if err != nil {
+		return err
 	}
+	if !slices.Equal(edges, input) {
+		return fmt.Errorf("FromEdges modified its input")
+	}
+	want := slices.Clone(edges)
+	slices.SortStableFunc(want, func(a, b Edge) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Time, a.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Dst, b.Dst)
+	})
+	if got := g.Edges(nil); !slices.Equal(got, want) {
+		return fmt.Errorf("layout\n got %v\nwant %v", got, want)
+	}
+	if g.NumVertices() != v {
+		return fmt.Errorf("%d vertices, want %d", g.NumVertices(), v)
+	}
+	maxDeg, lo, hi := 0, Time(0), Time(0)
+	for u := range v {
+		maxDeg = max(maxDeg, g.Degree(Vertex(u)))
+	}
+	for i, e := range edges {
+		if i == 0 {
+			lo, hi = e.Time, e.Time
+		}
+		lo, hi = min(lo, e.Time), max(hi, e.Time)
+	}
+	if gl, gh := g.TimeRange(); g.MaxDegree() != maxDeg || gl != lo || gh != hi {
+		return fmt.Errorf("MaxDegree %d, TimeRange (%d, %d); want %d, (%d, %d)", g.MaxDegree(), gl, gh, maxDeg, lo, hi)
+	}
+	return nil
 }
 
 func TestRadixHandlesNegativeTimes(t *testing.T) {
@@ -315,16 +394,27 @@ func BenchmarkCandidateCount(b *testing.B) {
 	}
 }
 
+// BenchmarkFromEdges builds 2^20 edges over 2^16 vertices from a stream in
+// time order, which every vertex reverses, and from the same stream
+// shuffled, which every vertex sorts.
 func BenchmarkFromEdges(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	edges := make([]Edge, 100000)
-	for i := range edges {
-		edges[i] = Edge{Src: Vertex(r.Intn(5000)), Dst: Vertex(r.Intn(5000)), Time: Time(i)}
+	stream := make([]Edge, 1<<20)
+	for i := range stream {
+		stream[i] = Edge{Src: Vertex(r.Intn(1 << 16)), Dst: Vertex(r.Intn(1 << 16)), Time: Time(i)}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromEdges(edges); err != nil {
-			b.Fatal(err)
-		}
+	shuffled := slices.Clone(stream)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, bc := range []struct {
+		name  string
+		edges []Edge
+	}{{"stream", stream}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FromEdges(bc.edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

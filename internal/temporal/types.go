@@ -1,8 +1,9 @@
 // Package temporal implements the temporal-graph substrate of the TEA engine:
 // an immutable CSR representation whose per-vertex out-edge lists are sorted
-// by decreasing timestamp, linear-time construction via radix sort (§4.2 of
-// the paper), candidate-edge-set search, and temporal subgraph extraction
-// (the Edges_interval primitive of Table 2).
+// by decreasing timestamp, construction by a counting sort by source and a
+// per-vertex order pass on edge-balanced chunks (§4.2 of the paper),
+// candidate-edge-set search, and temporal subgraph extraction (the
+// Edges_interval primitive of Table 2).
 //
 // The central invariant is that, because out-edges are stored newest-first,
 // the candidate edge set Γ_t(u) = {(u,v,t') : t' > t} is always a prefix of
