@@ -1,4 +1,4 @@
-// Package blockcache puts a concurrency-safe block cache between the
+// Package blockcache puts a concurrency-safe read cache between the
 // out-of-core samplers and their backing store. TEA's §4.1 protocol fetches
 // one trunk record per step straight from the device; real walk traffic is
 // heavily skewed toward hot, high-degree vertices, so the same trunks are
@@ -20,16 +20,14 @@
 // first walker issues the device read, later arrivals wait for it and share
 // the result. A failed fetch is delivered to every waiter but never inserted,
 // so transient faults (including injected ones) cannot poison the cache.
-// Writes go through to the store first and then invalidate every overlapping
-// entry and retire overlapping in-flight fetches, so streaming merges (§3.5
-// Append/WriteAt traffic) never leave stale trunks behind and no read issued
-// after a write returns can see the pre-write bytes.
 //
-// Counters() and PagesRead() delegate to the wrapped store untouched: they
-// keep reporting *device* traffic only, so Figure-14-style experiments still
-// measure true I/O volume with the cache in place (see DESIGN.md). Cache
-// effectiveness is reported separately via Stats() and the
-// tea_blockcache_* metric families.
+// The cache is read-only. Both disk samplers write their whole store before
+// a cache is layered over it and never write again, so there is nothing to
+// invalidate: a resident block stays the bytes on the device until Clear.
+// The wrapped store keeps counting device traffic only (hits never reach
+// it), so Figure-14-style experiments read their I/O volume off the store
+// with the cache in place (see DESIGN.md). Cache effectiveness is reported
+// separately via Stats() and the tea_blockcache_* metric families.
 package blockcache
 
 import (
@@ -40,15 +38,11 @@ import (
 	"github.com/tea-graph/tea/internal/metrics"
 )
 
-// Store is the backing-store contract the cache wraps; it is structurally
-// identical to ooc.BlockStore (this package stays import-free of ooc so ooc
-// can layer the cache without a cycle).
+// Store is the read side of the backing store the cache wraps; every
+// ooc.BlockStore is one (this package stays import-free of ooc so ooc can
+// layer the cache without a cycle).
 type Store interface {
 	ReadAt(p []byte, off int64) error
-	WriteAt(p []byte, off int64) error
-	Append(p []byte) (int64, error)
-	Counters() (bytesRead, readOps, bytesWritten, writeOps int64)
-	PagesRead() int64
 }
 
 // Cache metric families, registered eagerly (like the tea_ooc_* families) so
@@ -56,16 +50,15 @@ type Store interface {
 // histogram is split by source: "cache" observes hit service time, "device"
 // observes the full miss path including the underlying read.
 var (
-	mHits          = metrics.Default.Counter("tea_blockcache_hits_total")
-	mMisses        = metrics.Default.Counter("tea_blockcache_misses_total")
-	mCoalesced     = metrics.Default.Counter("tea_blockcache_coalesced_total")
-	mEvictions     = metrics.Default.Counter("tea_blockcache_evictions_total")
-	mInvalidations = metrics.Default.Counter("tea_blockcache_invalidations_total")
-	mResident      = metrics.Default.Gauge("tea_blockcache_resident_bytes")
-	mCacheBytes    = metrics.Default.Counter(`tea_blockcache_served_bytes_total{source="cache"}`)
-	mDeviceBytes   = metrics.Default.Counter(`tea_blockcache_served_bytes_total{source="device"}`)
-	mHitSeconds    = metrics.Default.Histogram(`tea_blockcache_fetch_seconds{source="cache"}`)
-	mMissSeconds   = metrics.Default.Histogram(`tea_blockcache_fetch_seconds{source="device"}`)
+	mHits        = metrics.Default.Counter("tea_blockcache_hits_total")
+	mMisses      = metrics.Default.Counter("tea_blockcache_misses_total")
+	mCoalesced   = metrics.Default.Counter("tea_blockcache_coalesced_total")
+	mEvictions   = metrics.Default.Counter("tea_blockcache_evictions_total")
+	mResident    = metrics.Default.Gauge("tea_blockcache_resident_bytes")
+	mCacheBytes  = metrics.Default.Counter(`tea_blockcache_served_bytes_total{source="cache"}`)
+	mDeviceBytes = metrics.Default.Counter(`tea_blockcache_served_bytes_total{source="device"}`)
+	mHitSeconds  = metrics.Default.Histogram(`tea_blockcache_fetch_seconds{source="cache"}`)
+	mMissSeconds = metrics.Default.Histogram(`tea_blockcache_fetch_seconds{source="device"}`)
 )
 
 // Config sizes a cache.
@@ -95,10 +88,9 @@ type entry struct {
 
 // flight is one in-progress device fetch that later arrivals wait on.
 type flight struct {
-	done  chan struct{}
-	data  []byte
-	err   error
-	stale bool // set under the shard lock when an overlapping write lands
+	done chan struct{}
+	data []byte
+	err  error
 }
 
 // shard is one lock domain: a fraction of the key space and byte budget.
@@ -113,22 +105,20 @@ type shard struct {
 	capacity int64 // this shard's slice of the budget
 }
 
-// CachedStore wraps a Store with the block cache. It satisfies the same
-// interface as the store it wraps (and hence ooc.BlockStore), so it drops
-// into any sampler unchanged. All methods are safe for concurrent use.
+// CachedStore wraps a Store with the block cache and is itself a Store.
+// All methods are safe for concurrent use.
 type CachedStore struct {
 	inner  Store
 	shards []*shard
 	mask   uint64
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	coalesced     atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-	resident      atomic.Int64
-	bytesCache    atomic.Int64 // bytes served from resident entries
-	bytesDevice   atomic.Int64 // bytes served by device fetches
+	hits        atomic.Int64
+	misses      atomic.Int64
+	coalesced   atomic.Int64
+	evictions   atomic.Int64
+	resident    atomic.Int64
+	bytesCache  atomic.Int64 // bytes served from resident entries
+	bytesDevice atomic.Int64 // bytes served by device fetches
 }
 
 // Wrap layers a cache configured by cfg over inner.
@@ -243,10 +233,8 @@ func (c *CachedStore) ReadAtSource(p []byte, off int64) (ReadSource, error) {
 	err := c.inner.ReadAt(buf, off)
 
 	sh.mu.Lock()
-	if sh.flights[k] == f { // a write may have retired f and a newer fetch taken k
-		delete(sh.flights, k)
-	}
-	if err == nil && !f.stale {
+	delete(sh.flights, k)
+	if err == nil {
 		c.insertLocked(sh, k, buf)
 	}
 	sh.mu.Unlock()
@@ -331,76 +319,13 @@ func (c *CachedStore) removeLocked(sh *shard, e *entry) {
 	mResident.Add(float64(-n))
 }
 
-// invalidate drops every resident block overlapping [off, off+n) and retires
-// overlapping in-flight fetches: each is marked stale, so its (possibly
-// pre-write) payload still reaches the waiters that joined before the write
-// but is never inserted, and leaves the flight map, so a read issued after
-// the write starts a fresh fetch instead of joining the old one. Entries are
-// keyed by exact coordinates, so this is a scan of the resident set — writes
-// are rare relative to reads on every workload this cache targets.
-func (c *CachedStore) invalidate(off, n int64) {
-	if n <= 0 {
-		return
-	}
-	end := off + n
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if k.off < end && off < k.off+int64(k.n) {
-				c.removeLocked(sh, e)
-				c.invalidations.Add(1)
-				mInvalidations.Inc()
-			}
-		}
-		for k, f := range sh.flights {
-			if k.off < end && off < k.off+int64(k.n) {
-				f.stale = true
-				delete(sh.flights, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// WriteAt writes through to the wrapped store and then invalidates every
-// cached block the write overlaps.
-func (c *CachedStore) WriteAt(p []byte, off int64) error {
-	if err := c.inner.WriteAt(p, off); err != nil {
-		return err
-	}
-	c.invalidate(off, int64(len(p)))
-	return nil
-}
-
-// Append appends through to the wrapped store and invalidates the written
-// range (a defensive no-op for stores that only ever hand out fresh offsets).
-func (c *CachedStore) Append(p []byte) (int64, error) {
-	off, err := c.inner.Append(p)
-	if err != nil {
-		return 0, err
-	}
-	c.invalidate(off, int64(len(p)))
-	return off, nil
-}
-
-// Counters delegates to the wrapped store: device traffic only, by design —
-// cache hits never reach the device and must not inflate I/O-volume
-// experiments. Cache service volume is in Stats().
-func (c *CachedStore) Counters() (bytesRead, readOps, bytesWritten, writeOps int64) {
-	return c.inner.Counters()
-}
-
-// PagesRead delegates to the wrapped store (device pages only; see Counters).
-func (c *CachedStore) PagesRead() int64 { return c.inner.PagesRead() }
-
 // Stats is a point-in-time summary of cache effectiveness.
 type Stats struct {
 	// Hits served from resident blocks; Misses went to the device;
 	// Coalesced piggybacked on another caller's in-flight fetch.
 	Hits, Misses, Coalesced int64
-	// Evictions counts capacity evictions; Invalidations counts blocks
-	// dropped by overlapping writes.
-	Evictions, Invalidations int64
+	// Evictions counts capacity evictions.
+	Evictions int64
 	// ResidentBytes and ResidentBlocks describe current occupancy.
 	ResidentBytes, ResidentBlocks int64
 	// BytesFromCache and BytesFromDevice split served read volume by source
@@ -416,7 +341,6 @@ func (c *CachedStore) Stats() Stats {
 		Misses:          c.misses.Load(),
 		Coalesced:       c.coalesced.Load(),
 		Evictions:       c.evictions.Load(),
-		Invalidations:   c.invalidations.Load(),
 		ResidentBytes:   c.resident.Load(),
 		BytesFromCache:  c.bytesCache.Load(),
 		BytesFromDevice: c.bytesDevice.Load(),

@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// memStore is an in-memory Store with read accounting and optional
-// read-path hooks for fault and blocking behavior.
+// memStore is an in-memory Store with a read count and an optional
+// read-path hook for fault and blocking behavior. Its bytes are set before
+// the first read and never change.
 type memStore struct {
-	mu   sync.Mutex
-	data []byte
+	data  []byte
+	reads atomic.Int64
 
-	reads     atomic.Int64
-	readBytes atomic.Int64
-
-	// readHook, when non-nil, runs before each read (outside the data lock)
-	// and may return an error to fail the read.
+	// readHook, when non-nil, runs before each read and may return an
+	// error to fail the read.
 	readHook func(off int64, n int) error
 }
 
@@ -37,40 +34,13 @@ func (m *memStore) ReadAt(p []byte, off int64) error {
 			return err
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > int64(len(m.data)) {
 		return fmt.Errorf("memstore: read [%d, %d) out of range", off, off+int64(len(p)))
 	}
 	copy(p, m.data[off:])
 	m.reads.Add(1)
-	m.readBytes.Add(int64(len(p)))
 	return nil
 }
-
-func (m *memStore) WriteAt(p []byte, off int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if off < 0 || off+int64(len(p)) > int64(len(m.data)) {
-		return fmt.Errorf("memstore: write [%d, %d) out of range", off, off+int64(len(p)))
-	}
-	copy(m.data[off:], p)
-	return nil
-}
-
-func (m *memStore) Append(p []byte) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	off := int64(len(m.data))
-	m.data = append(m.data, p...)
-	return off, nil
-}
-
-func (m *memStore) Counters() (int64, int64, int64, int64) {
-	return m.readBytes.Load(), m.reads.Load(), 0, 0
-}
-
-func (m *memStore) PagesRead() int64 { return m.reads.Load() }
 
 // oneShard returns a config whose budget is small enough to collapse to a
 // single shard, so eviction order is deterministic in tests.
@@ -177,7 +147,7 @@ func TestOversizedBlockNotCached(t *testing.T) {
 }
 
 // A zero budget builds a cache that holds nothing: every read is served by
-// the device, nothing becomes resident, and writes still reach the store.
+// the device and nothing becomes resident.
 func TestZeroBudgetCachesNothing(t *testing.T) {
 	inner := newMemStore(4096)
 	c := Wrap(inner, Config{CapacityBytes: 0})
@@ -192,62 +162,6 @@ func TestZeroBudgetCachesNothing(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 0 || s.Misses != 3 || s.ResidentBytes != 0 || s.ResidentBlocks != 0 || s.BytesFromDevice != 3*64 {
 		t.Fatalf("zero-budget stats = %+v", s)
-	}
-	if err := c.WriteAt([]byte{1, 2, 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(inner.data[:3], []byte{1, 2, 3}) {
-		t.Fatal("write did not reach the store")
-	}
-}
-
-// Write-through invalidation stale-read regression: a cached block
-// overlapped by a write must be refetched, not served stale.
-func TestWriteThroughInvalidation(t *testing.T) {
-	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024))
-	before := mustRead(t, c, 100, 64) // cache [100, 164)
-	fresh := bytes.Repeat([]byte{0xAB}, 32)
-	if err := c.WriteAt(fresh, 120); err != nil { // overlaps the cached block
-		t.Fatal(err)
-	}
-	after := mustRead(t, c, 100, 64)
-	if bytes.Equal(before, after) {
-		t.Fatal("stale read: cached block served after an overlapping write")
-	}
-	if !bytes.Equal(after[20:52], fresh) {
-		t.Fatal("refetched block does not contain the written bytes")
-	}
-	s := c.Stats()
-	if s.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", s.Invalidations)
-	}
-	// A non-overlapping write must not disturb the (re-cached) block.
-	devBefore := inner.reads.Load()
-	if err := c.WriteAt([]byte{1}, 2000); err != nil {
-		t.Fatal(err)
-	}
-	mustRead(t, c, 100, 64)
-	if inner.reads.Load() != devBefore {
-		t.Fatal("non-overlapping write invalidated an unrelated block")
-	}
-}
-
-// Blocks cached under different lengths at the same offset are distinct
-// entries, and a write overlapping both invalidates both.
-func TestOverlappingKeysInvalidatedTogether(t *testing.T) {
-	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024))
-	mustRead(t, c, 0, 64)
-	mustRead(t, c, 0, 128)
-	if s := c.Stats(); s.ResidentBlocks != 2 {
-		t.Fatalf("resident blocks = %d, want 2 distinct keys", s.ResidentBlocks)
-	}
-	if err := c.WriteAt([]byte{9, 9}, 10); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.ResidentBlocks != 0 || s.Invalidations != 2 {
-		t.Fatalf("after overlapping write: %+v, want both entries invalidated", s)
 	}
 }
 
@@ -293,22 +207,6 @@ func TestClearReleasesResidency(t *testing.T) {
 	mustRead(t, c, 0, 64) // cache still functional after Clear
 	if s := c.Stats(); s.ResidentBlocks != 1 {
 		t.Fatalf("cache dead after Clear: %+v", s)
-	}
-}
-
-func TestCountersDelegateToDevice(t *testing.T) {
-	inner := newMemStore(4096)
-	c := Wrap(inner, oneShard(1024))
-	mustRead(t, c, 0, 64)
-	for i := 0; i < 9; i++ {
-		mustRead(t, c, 0, 64) // hits: must not move device counters
-	}
-	readBytes, readOps, _, _ := c.Counters()
-	if readOps != 1 || readBytes != 64 {
-		t.Fatalf("device counters = %d ops / %d bytes, want 1 / 64 (hits excluded)", readOps, readBytes)
-	}
-	if c.PagesRead() != inner.PagesRead() {
-		t.Fatal("PagesRead must delegate to the wrapped store")
 	}
 }
 

@@ -1,9 +1,18 @@
 package ooc
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
 	"github.com/tea-graph/tea/internal/blockcache"
 	"github.com/tea-graph/tea/internal/core"
 	"github.com/tea-graph/tea/internal/reqcost"
+	"github.com/tea-graph/tea/internal/temporal"
+	"github.com/tea-graph/tea/internal/trace"
 )
 
 // CacheConfig is the block-cache configuration accepted by the disk samplers
@@ -24,17 +33,37 @@ type CacheableSampler interface {
 	Cache() *blockcache.CachedStore
 }
 
-// readPath is the read side both disk samplers embed: the store the sampler
-// was built onto and, when enabled, the block cache layered over it.
+// RetryPolicy bounds the retry-with-backoff loop wrapped around transient
+// block reads: up to MaxRetries reissues after the first attempt, sleeping
+// BaseDelay, 2·BaseDelay, 4·BaseDelay, ... between them.
+type RetryPolicy struct {
+	MaxRetries int
+	BaseDelay  time.Duration
+}
+
+// DefaultRetryPolicy absorbs sporadic device glitches (at a 1% transient
+// fault rate, five retries drive the per-read failure probability to 1e-12)
+// while a genuinely dead device still fails in under ~3ms.
+var DefaultRetryPolicy = RetryPolicy{MaxRetries: 5, BaseDelay: 100 * time.Microsecond}
+
+// readPath is the one read path both disk samplers embed: the store the
+// sampler was built onto, the block cache layered over it when enabled, the
+// transient-fault retry policy, and the sampler's sticky first error.
 type readPath struct {
 	base  BlockStore
 	cache *blockcache.CachedStore
+	retry RetryPolicy
+
+	retries atomic.Int64 // reads reissued after transient faults
+
+	errMu    sync.Mutex
+	firstErr error // first unrecoverable read failure (sticky)
 }
 
 // EnableCache implements CacheableSampler. The previous cache (if any) is
 // cleared so the resident-bytes gauge tracks live caches only. Reads then go
-// through the new cache, and the device counters of Store() keep reporting
-// device traffic only (the cache delegates Counters/PagesRead).
+// through the new cache; the backing store's counters keep reporting device
+// traffic only.
 func (p *readPath) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
 	if p.cache != nil {
 		p.cache.Clear()
@@ -49,18 +78,133 @@ func (p *readPath) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
 // Cache implements CacheableSampler.
 func (p *readPath) Cache() *blockcache.CachedStore { return p.cache }
 
-// Store returns the store reads go through: the cache when one is enabled,
-// else the backing store (for I/O accounting either way).
-func (p *readPath) Store() BlockStore {
-	if p.cache != nil {
-		return p.cache
-	}
-	return p.base
+// SetRetryPolicy replaces the transient-read retry policy. Not safe to call
+// concurrently with Sample.
+func (p *readPath) SetRetryPolicy(r RetryPolicy) { p.retry = r }
+
+// Retries reports how many reads were reissued after transient faults.
+func (p *readPath) Retries() int64 { return p.retries.Load() }
+
+// Err returns the first unrecoverable read failure, or nil. The Sampler
+// contract can only signal "no candidate"; Err is how the engine tells a
+// dead-ended walk from a dead device.
+func (p *readPath) Err() error {
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	return p.firstErr
 }
 
-// read fills buf from off and bills rc: through the cache, as a hit or a
-// miss, when one is enabled, else as a device read. source is how the cache
-// served the read, or "" when there is no cache, so a block-fetch span
+// blockMemo is the batched path's one-entry read-through memo, keyed by
+// store offset (each offset starts one block in both samplers' layouts).
+// Within one SampleBatch call, consecutive draws that need the block at the
+// same offset reuse the bytes already fetched: with the frontier sorted by
+// vertex (the kernel sorts it because WantsGroupedFrontier reports true)
+// one device read serves a whole run of same-vertex walkers, rather than
+// relying on blockcache singleflight timing luck. The memo affects I/O
+// only: every draw consumes its random stream and counts evaluated edges
+// exactly as the scalar path does.
+type blockMemo struct {
+	off   int64
+	valid bool
+	buf   []byte
+}
+
+// buffer returns an n-byte buffer for a fetch: the memo's own, reallocated
+// (and so emptied) when too small, or a fresh one when m is nil.
+func (m *blockMemo) buffer(n int) []byte {
+	if m == nil {
+		return make([]byte, n)
+	}
+	if cap(m.buf) < n {
+		m.buf, m.valid = make([]byte, n), false
+	}
+	return m.buf[:n]
+}
+
+// fetch fills buf with the block at off, the one fetch of both disk
+// samplers. With a memo (buf must then be memo.buffer's), a repeat of the
+// memo's offset is served from buf without a read. Otherwise the read goes
+// through the cache when one is enabled, bills reqcost as a device or cache
+// read, and is reissued with backoff while it fails with ErrTransient, up to
+// the retry policy. u and trunk name the block in errors and trace spans; a
+// negative trunk marks a whole adjacency block.
+//
+// When ctx carries an active trace span, the fetch is wrapped in an
+// "ooc.block_fetch" span annotated with the block coordinates, the cache
+// source (hit/miss/coalesced) when a cache is enabled, and the retry count;
+// each retry also drops a KindRetry event into the flight recorder.
+// Untraced runs skip all of it on the nil-span fast path.
+//
+// Cancellation is not a device fault: a fetch requested after ctx is
+// cancelled fails at once, the retry loop stops backing off the moment ctx
+// dies, and neither case is recorded as the sticky first error — the next
+// run on this sampler starts clean. Any other failure is.
+func (p *readPath) fetch(ctx context.Context, memo *blockMemo, buf []byte, off int64, u temporal.Vertex, trunk int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if memo != nil {
+		if memo.valid && memo.off == off {
+			mBatchCoalesced.Inc()
+			return nil
+		}
+		memo.valid = false
+	}
+	sp := trace.StartSpan(ctx, "ooc.block_fetch")
+	rc := reqcost.From(ctx)
+	retries := 0
+	src, err := p.read(rc, buf, off)
+	for attempt := 0; errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < p.retry.MaxRetries; attempt++ {
+		p.retries.Add(1)
+		mRetries.Inc()
+		rc.ReadRetry()
+		retries++
+		if sp != nil {
+			trace.EventCtx(ctx, trace.KindRetry, "ooc.block_retry",
+				trace.Int("vertex", int64(u)), trace.Int("trunk", int64(trunk)), trace.Int("attempt", int64(attempt+1)))
+		}
+		if p.retry.BaseDelay > 0 {
+			time.Sleep(p.retry.BaseDelay << attempt)
+		}
+		src, err = p.read(rc, buf, off)
+	}
+	if err != nil {
+		if trunk < 0 {
+			err = fmt.Errorf("ooc: adjacency read for vertex %d failed: %w", u, err)
+		} else {
+			err = fmt.Errorf("ooc: trunk read for vertex %d trunk %d failed: %w", u, trunk, err)
+		}
+		if ctx.Err() == nil {
+			p.errMu.Lock()
+			if p.firstErr == nil {
+				p.firstErr = err
+			}
+			p.errMu.Unlock()
+		}
+	} else if memo != nil {
+		memo.off, memo.valid = off, true
+	}
+	if sp != nil {
+		sp.SetInt("vertex", int64(u))
+		if trunk >= 0 {
+			sp.SetInt("trunk", int64(trunk))
+		}
+		sp.SetInt("bytes", int64(len(buf)))
+		if src != "" {
+			sp.SetStr("source", src)
+		}
+		if retries > 0 {
+			sp.SetInt("retries", int64(retries))
+		}
+		sp.SetError(err)
+		sp.End()
+	}
+	return err
+}
+
+// read fills buf from off once and bills rc: through the cache, as a hit or
+// a miss, when one is enabled, else as a device read. source is how the
+// cache served the read, or "" when there is no cache, so a block-fetch span
 // carries a source exactly when a cache is enabled.
 func (p *readPath) read(rc *reqcost.Collector, buf []byte, off int64) (source string, err error) {
 	if p.cache == nil {

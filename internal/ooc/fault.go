@@ -10,9 +10,9 @@ import (
 
 // ErrTransient classifies an I/O error as retryable: the same read may
 // succeed if reissued (EINTR-style glitches, device hiccups, injected test
-// faults). DiskPAT retries reads whose errors match errors.Is(err,
-// ErrTransient) with exponential backoff; everything else is treated as
-// permanent and surfaces immediately.
+// faults). Both disk samplers retry reads whose errors match
+// errors.Is(err, ErrTransient) with exponential backoff; everything else is
+// treated as permanent and surfaces immediately.
 var ErrTransient = errors.New("ooc: transient I/O fault")
 
 // ErrInjected marks an error produced by a FaultInjector rather than the
@@ -61,12 +61,3 @@ func (f *FaultInjector) WriteAt(p []byte, off int64) error { return f.inner.Writ
 
 // Append implements BlockStore, delegating to the wrapped store.
 func (f *FaultInjector) Append(p []byte) (int64, error) { return f.inner.Append(p) }
-
-// Counters implements BlockStore, reporting the wrapped store's I/O.
-// Injected faults fail before the device and are not counted here.
-func (f *FaultInjector) Counters() (bytesRead, readOps, bytesWritten, writeOps int64) {
-	return f.inner.Counters()
-}
-
-// PagesRead implements BlockStore, reporting the wrapped store's pages.
-func (f *FaultInjector) PagesRead() int64 { return f.inner.PagesRead() }

@@ -3,13 +3,9 @@ package ooc
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
-	"sync"
 
-	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
-	"github.com/tea-graph/tea/internal/trace"
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
@@ -29,9 +25,6 @@ type DiskGraphWalker struct {
 	minT     temporal.Time
 	edgeBase int64
 	edgeOff  []int64
-
-	errMu    sync.Mutex
-	firstErr error // first read failure (sticky)
 }
 
 // BuildDiskGraphWalker serializes the graph's adjacency onto the store in the
@@ -42,7 +35,7 @@ func BuildDiskGraphWalker(g *temporal.Graph, spec sampling.WeightSpec, store Blo
 	}
 	minT, _ := g.TimeRange()
 	d := &DiskGraphWalker{
-		readPath: readPath{base: store},
+		readPath: readPath{base: store, retry: DefaultRetryPolicy},
 		g:        g,
 		spec:     spec,
 		minT:     minT,
@@ -104,9 +97,9 @@ func (d *DiskGraphWalker) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, 
 	return d.sample(context.Background(), u, k, r)
 }
 
-// SampleCtx is Sample with the run's context attached: when the run is being
-// traced, the adjacency load opens an "ooc.block_fetch" span annotated with
-// the vertex, the bytes read, and the cache source when a cache is enabled.
+// SampleCtx is Sample with the run's context attached: the adjacency load
+// stops on cancellation and, when the run is traced, opens an
+// "ooc.block_fetch" span (see readPath.fetch).
 func (d *DiskGraphWalker) SampleCtx(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool) {
 	return d.sample(ctx, u, k, r)
 }
@@ -115,20 +108,7 @@ func (d *DiskGraphWalker) sample(ctx context.Context, u temporal.Vertex, k int, 
 	return d.sampleWith(ctx, u, k, r, nil)
 }
 
-// adjMemo is the batched path's one-entry read-through memo: within one
-// SampleBatch call, consecutive draws for the same vertex reuse the
-// adjacency block already loaded (one O(D) device read serves the whole
-// same-vertex run of a grouped frontier). Only the read is memoized — the
-// candidate scan and weight rebuild still run per draw, so the evaluated
-// count and random stream consumption stay element-wise identical to Sample.
-type adjMemo struct {
-	u     temporal.Vertex
-	valid bool
-	buf   []byte
-	w     []float64
-}
-
-func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *adjMemo) (int, int64, bool) {
+func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *gwMemo) (int, int64, bool) {
 	if k <= 0 {
 		return 0, 0, false
 	}
@@ -136,62 +116,16 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 	if deg == 0 {
 		return 0, 0, false
 	}
-	if ctx.Err() != nil {
-		// Cancelled before the load: fail the draw without charging the
-		// device or poisoning the sticky error; the engine classifies the
-		// walk as cancelled, not dead-ended.
-		return 0, 0, false
-	}
 	if k > deg {
 		k = deg
 	}
-	need := deg * edgeRecBytes
-	var buf []byte
-	hit := false
+	var block *blockMemo
 	if memo != nil {
-		if memo.valid && memo.u == u {
-			hit = true
-		} else {
-			memo.valid = false
-			if cap(memo.buf) < need {
-				memo.buf = make([]byte, need)
-			}
-		}
-		buf = memo.buf[:need]
-	} else {
-		buf = make([]byte, need)
+		block = &memo.block
 	}
-	if hit {
-		mBatchCoalesced.Inc()
-	} else {
-		off := d.edgeBase + d.edgeOff[u]*edgeRecBytes
-		sp := trace.StartSpan(ctx, "ooc.block_fetch")
-		rc := reqcost.From(ctx)
-		src, err := d.read(rc, buf, off)
-		if src != "" {
-			sp.SetStr("source", src)
-		}
-		if sp != nil {
-			sp.SetInt("vertex", int64(u))
-			sp.SetInt("bytes", int64(len(buf)))
-		}
-		if err != nil {
-			err = fmt.Errorf("ooc: adjacency read for vertex %d failed: %w", u, err)
-			d.errMu.Lock()
-			if d.firstErr == nil {
-				d.firstErr = err
-			}
-			d.errMu.Unlock()
-			if sp != nil {
-				sp.SetError(err)
-				sp.End()
-			}
-			return 0, 0, false
-		}
-		sp.End()
-		if memo != nil {
-			memo.u, memo.valid = u, true
-		}
+	buf := block.buffer(deg * edgeRecBytes)
+	if err := d.fetch(ctx, block, buf, d.edgeBase+d.edgeOff[u]*edgeRecBytes, u, -1); err != nil {
+		return 0, 0, false
 	}
 	newest := temporal.Time(int64(binary.LittleEndian.Uint64(buf)))
 	var w []float64
@@ -213,12 +147,19 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 	return idx, int64(deg + k), ok
 }
 
+// gwMemo is one SampleBatch call's reusable state: the adjacency block memo
+// and the weight scratch the candidate scan rebuilds into.
+type gwMemo struct {
+	block blockMemo
+	w     []float64
+}
+
 // SampleBatch implements the engine's BatchSampler contract: each entry draws
 // exactly as Sample would, with same-vertex adjacency loads served from a
-// one-entry memo (see adjMemo). Concurrent calls on disjoint frontier chunks
-// are safe; each call owns its memo.
+// one-entry memo (see blockMemo). Concurrent calls on disjoint frontier
+// chunks are safe; each call owns its memo.
 func (d *DiskGraphWalker) SampleBatch(ctx context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	var memo adjMemo
+	var memo gwMemo
 	for i, u := range us {
 		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], &memo)
 		edges[i], evals[i], oks[i] = int32(e), ev, ok
@@ -231,10 +172,3 @@ func (d *DiskGraphWalker) WantsGroupedFrontier() bool { return true }
 
 // MemoryBytes implements the Sampler contract: only vertex offsets resident.
 func (d *DiskGraphWalker) MemoryBytes() int64 { return int64(len(d.edgeOff)) * 8 }
-
-// Err returns the first read failure, or nil.
-func (d *DiskGraphWalker) Err() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.firstErr
-}

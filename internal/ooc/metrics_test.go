@@ -47,8 +47,8 @@ func TestStorePublishesMetrics(t *testing.T) {
 	}
 }
 
-// DiskPAT's transient-read retry loop must feed the retry counter, and the
-// FaultInjector the injected-fault counter.
+// The shared fetch's transient-read retry loop must feed the retry counter,
+// and the FaultInjector the injected-fault counter.
 func TestRetryAndFaultMetrics(t *testing.T) {
 	inner, err := NewTempStore()
 	if err != nil {
@@ -63,8 +63,8 @@ func TestRetryAndFaultMetrics(t *testing.T) {
 	retries0 := mRetries.Value()
 	injected0 := mInjected.Value()
 
-	d := &DiskPAT{readPath: readPath{base: inj}, retry: RetryPolicy{MaxRetries: 3}, trunkOff: []int64{0}, trunkSize: 1}
-	if err := d.trunkRecord(context.Background(), 0, 0, make([]byte, 16)); err == nil {
+	p := &readPath{base: inj, retry: RetryPolicy{MaxRetries: 3}}
+	if err := p.fetch(context.Background(), nil, make([]byte, 16), 0, 0, 0); err == nil {
 		t.Fatal("read through a 100% transient fault injector succeeded")
 	}
 	if delta := mRetries.Value() - retries0; delta != 3 {

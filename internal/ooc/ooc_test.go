@@ -123,9 +123,6 @@ func TestDiskPATMemoryTiny(t *testing.T) {
 	if d.MemoryBytes() > int64(g.NumEdges())*8 {
 		t.Fatalf("OOC PAT memory %d not sublinear in edge bytes", d.MemoryBytes())
 	}
-	if d.Store() != s {
-		t.Fatal("store accessor")
-	}
 }
 
 func TestDiskGraphWalkerDistribution(t *testing.T) {
@@ -152,9 +149,6 @@ func TestDiskGraphWalkerDistribution(t *testing.T) {
 	}
 	if d.MemoryBytes() <= 0 {
 		t.Fatal("memory")
-	}
-	if d.Store() != s {
-		t.Fatal("store accessor")
 	}
 }
 

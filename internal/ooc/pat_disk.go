@@ -3,17 +3,10 @@ package ooc
 import (
 	"context"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
-	"github.com/tea-graph/tea/internal/trace"
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
@@ -25,19 +18,6 @@ const DefaultTrunkSize = 10
 // slotBytes is the on-disk footprint of one edge slot in a trunk record:
 // weight (8) + alias probability (8) + alias target (4).
 const slotBytes = 8 + 8 + 4
-
-// RetryPolicy bounds the retry-with-backoff loop wrapped around transient
-// trunk reads: up to MaxRetries reissues after the first attempt, sleeping
-// BaseDelay, 2·BaseDelay, 4·BaseDelay, ... between them.
-type RetryPolicy struct {
-	MaxRetries int
-	BaseDelay  time.Duration
-}
-
-// DefaultRetryPolicy absorbs sporadic device glitches (at a 1% transient
-// fault rate, five retries drive the per-read failure probability to 1e-12)
-// while a genuinely dead device still fails in under ~3ms.
-var DefaultRetryPolicy = RetryPolicy{MaxRetries: 5, BaseDelay: 100 * time.Microsecond}
 
 // DiskPAT is the out-of-core TEA sampler: trunk-granularity prefix sums stay
 // in memory (|E|/trunkSize floats), while per-trunk payloads — edge weights
@@ -53,12 +33,6 @@ type DiskPAT struct {
 	trunkCum []float64 // per vertex: trunk-granularity prefix sums (len trunks+1 per vertex)
 	cumOff   []int64
 	diskBase int64 // store offset of trunk record 0
-
-	retry   RetryPolicy
-	retries atomic.Int64 // reads reissued after transient faults
-
-	errMu    sync.Mutex
-	firstErr error // first unrecoverable read failure (sticky)
 }
 
 // BuildDiskPAT lays the weighted graph's PAT onto the store. trunkSize <= 0
@@ -70,10 +44,9 @@ func BuildDiskPAT(w *sampling.GraphWeights, store BlockStore, trunkSize int) (*D
 	g := w.Graph()
 	numV := g.NumVertices()
 	d := &DiskPAT{
-		readPath:  readPath{base: store},
+		readPath:  readPath{base: store, retry: DefaultRetryPolicy},
 		g:         g,
 		trunkSize: trunkSize,
-		retry:     DefaultRetryPolicy,
 		trunkOff:  make([]int64, numV+1),
 		cumOff:    make([]int64, numV+1),
 	}
@@ -141,86 +114,6 @@ func numTrunks(degree, trunkSize int) int {
 // Name implements the engine's Sampler contract.
 func (d *DiskPAT) Name() string { return "TEA-OOC" }
 
-// trunkRecord fetches trunk t of vertex u from the store, retrying transient
-// failures per the retry policy. Unrecoverable failures are wrapped with the
-// vertex/trunk coordinates and recorded as the sampler's sticky first error,
-// because the Sampler contract can only signal "no candidate" — Err() is how
-// the engine distinguishes a dead-ended walk from a dead device.
-//
-// When ctx carries an active trace span (the SampleCtx path of a traced
-// run), the fetch is wrapped in an "ooc.block_fetch" span annotated with the
-// block coordinates, the cache source (hit/miss/coalesced) when a
-// block cache is enabled, and the retry count; each retry additionally drops
-// a KindRetry event into the flight recorder. Untraced runs pass
-// context.Background() and skip all of it on the nil-span fast path.
-//
-// Cancellation is not a device fault: a fetch requested after ctx is
-// cancelled fails immediately, the retry loop stops backing off the moment
-// ctx dies, and neither case is recorded as the sampler's sticky first
-// error — the next run on this sampler starts clean.
-func (d *DiskPAT) trunkRecord(ctx context.Context, u temporal.Vertex, t int, buf []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sp := trace.StartSpan(ctx, "ooc.block_fetch")
-	rc := reqcost.From(ctx)
-	off := d.diskBase + (d.trunkOff[u]+int64(t))*int64(d.trunkSize*slotBytes)
-	retries := 0
-	src, err := d.read(rc, buf, off)
-	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < d.retry.MaxRetries; attempt++ {
-		d.retries.Add(1)
-		mRetries.Inc()
-		rc.ReadRetry()
-		retries++
-		if sp != nil {
-			trace.EventCtx(ctx, trace.KindRetry, "ooc.trunk_retry",
-				trace.Int("vertex", int64(u)), trace.Int("trunk", int64(t)), trace.Int("attempt", int64(attempt+1)))
-		}
-		if d.retry.BaseDelay > 0 {
-			time.Sleep(d.retry.BaseDelay << attempt)
-		}
-		src, err = d.read(rc, buf, off)
-	}
-	if err != nil {
-		err = fmt.Errorf("ooc: trunk read for vertex %d trunk %d failed: %w", u, t, err)
-		if ctx.Err() == nil {
-			d.errMu.Lock()
-			if d.firstErr == nil {
-				d.firstErr = err
-			}
-			d.errMu.Unlock()
-		}
-	}
-	if sp != nil {
-		sp.SetInt("vertex", int64(u))
-		sp.SetInt("trunk", int64(t))
-		sp.SetInt("bytes", int64(len(buf)))
-		if src != "" {
-			sp.SetStr("source", src)
-		}
-		if retries > 0 {
-			sp.SetInt("retries", int64(retries))
-		}
-		sp.SetError(err)
-		sp.End()
-	}
-	return err
-}
-
-// SetRetryPolicy replaces the transient-read retry policy. Not safe to call
-// concurrently with Sample.
-func (d *DiskPAT) SetRetryPolicy(p RetryPolicy) { d.retry = p }
-
-// Retries reports how many reads were reissued after transient faults.
-func (d *DiskPAT) Retries() int64 { return d.retries.Load() }
-
-// Err returns the first unrecoverable read failure, or nil.
-func (d *DiskPAT) Err() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.firstErr
-}
-
 // Sample implements the Sampler contract following §4.1's out-of-core
 // protocol: the trunk of interest is chosen purely from the in-memory
 // trunk-granularity prefix sums, then exactly one trunk record is fetched
@@ -242,12 +135,12 @@ func (d *DiskPAT) SampleCtx(ctx context.Context, u temporal.Vertex, k int, r *xr
 
 // SampleBatch implements the engine's BatchSampler contract: each entry draws
 // exactly as Sample would (same edge, same evaluated count, same random
-// stream consumption), but trunk fetches repeat-hitting the same (vertex,
-// trunk) record within the batch are served from a one-entry memo — see
-// trunkMemo. Concurrent calls on disjoint frontier chunks are safe; each
+// stream consumption), but trunk fetches repeat-hitting the same trunk
+// record within the batch are served from a one-entry memo — see
+// blockMemo. Concurrent calls on disjoint frontier chunks are safe; each
 // call owns its memo.
 func (d *DiskPAT) SampleBatch(ctx context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	var memo trunkMemo
+	var memo blockMemo
 	for i, u := range us {
 		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], &memo)
 		edges[i], evals[i], oks[i] = int32(e), ev, ok
@@ -263,23 +156,7 @@ func (d *DiskPAT) sample(ctx context.Context, u temporal.Vertex, k int, r *xrand
 	return d.sampleWith(ctx, u, k, r, nil)
 }
 
-// trunkMemo is a one-entry read-through memo used by the batched path:
-// within one SampleBatch call, consecutive draws that land on the same
-// (vertex, trunk) record reuse the bytes already fetched instead of
-// re-reading the store. With the frontier sorted by vertex (the kernel sorts
-// it because WantsGroupedFrontier reports true) walkers parked on the same
-// hub coalesce their trunk fetches deliberately — one device read serves the
-// run of same-vertex walkers — rather than relying on blockcache singleflight
-// timing luck. The memo affects I/O only: every draw consumes the walker's
-// random stream and counts evaluated slots exactly as the scalar path.
-type trunkMemo struct {
-	u     temporal.Vertex
-	t     int
-	valid bool
-	buf   []byte
-}
-
-func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *trunkMemo) (int, int64, bool) {
+func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *blockMemo) (int, int64, bool) {
 	if k <= 0 {
 		return 0, 0, false
 	}
@@ -306,31 +183,9 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 		return 0, 0, false
 	}
 
-	var buf []byte
-	if memo != nil {
-		if cap(memo.buf) < ts*slotBytes {
-			memo.buf = make([]byte, ts*slotBytes)
-		}
-		buf = memo.buf[:ts*slotBytes]
-	} else {
-		buf = make([]byte, ts*slotBytes)
-	}
-	fetch := func(t int) error {
-		if memo != nil {
-			if memo.valid && memo.u == u && memo.t == t {
-				mBatchCoalesced.Inc()
-				return nil
-			}
-			memo.valid = false
-		}
-		if err := d.trunkRecord(ctx, u, t, buf); err != nil {
-			return err
-		}
-		if memo != nil {
-			memo.u, memo.t, memo.valid = u, t, true
-		}
-		return nil
-	}
+	buf := memo.buffer(ts * slotBytes)
+	first := d.diskBase + d.trunkOff[u]*int64(ts*slotBytes) // u's trunk 0
+	fetch := func(t int) error { return d.fetch(ctx, memo, buf, first+int64(t*ts*slotBytes), u, t) }
 	var evaluated int64
 	const proposalCap = 128
 	for trial := 0; trial < proposalCap; trial++ {

@@ -22,7 +22,7 @@ import (
 // Out-of-core metric families, registered eagerly so /metrics shows them (at
 // zero) before the first disk-backed run. Reads dominate the mode's cost, so
 // they get a block-fetch latency histogram on top of the volume counters;
-// retry and injected-fault counters are fed from pat_disk.go and fault.go.
+// retry and injected-fault counters are fed from cache.go and fault.go.
 var (
 	mReads       = metrics.Default.Counter("tea_ooc_reads_total")
 	mReadBytes   = metrics.Default.Counter("tea_ooc_read_bytes_total")
@@ -32,26 +32,23 @@ var (
 	mRetries     = metrics.Default.Counter("tea_ooc_read_retries_total")
 	mInjected    = metrics.Default.Counter("tea_ooc_injected_faults_total")
 	// mBatchCoalesced counts draws served from a batched sampler's one-entry
-	// memo instead of the store — the deliberate same-vertex coalescing the
-	// grouped frontier buys (pat_disk.go, graphwalker_disk.go).
+	// block memo instead of the store — the deliberate same-vertex
+	// coalescing the grouped frontier buys (cache.go).
 	mBatchCoalesced = metrics.Default.Counter("tea_ooc_batch_coalesced_total")
 )
 
 // BlockStore is the I/O contract the out-of-core samplers and engine run
-// against. *Store is the real file-backed implementation; FaultInjector
-// wraps any BlockStore to exercise failure paths. All methods must be safe
-// for concurrent use.
+// against. *Store is the real file-backed implementation and the one that
+// counts device traffic (Counters, PagesRead); FaultInjector wraps any
+// BlockStore to exercise failure paths. All methods must be safe for
+// concurrent use.
 type BlockStore interface {
-	// ReadAt fills p from offset off, accounting the transfer.
+	// ReadAt fills p from offset off.
 	ReadAt(p []byte, off int64) error
-	// WriteAt writes p at off, accounting the transfer.
+	// WriteAt writes p at off.
 	WriteAt(p []byte, off int64) error
 	// Append writes p at the end of the store and returns its offset.
 	Append(p []byte) (int64, error)
-	// Counters reports accumulated I/O.
-	Counters() (bytesRead, readOps, bytesWritten, writeOps int64)
-	// PagesRead reports device pages touched by reads (cost-model unit).
-	PagesRead() int64
 }
 
 // Store is a file-backed block store with read/write accounting. All methods

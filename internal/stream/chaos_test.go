@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/chksum"
 	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/vfs"
@@ -176,6 +177,55 @@ func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	}
 	if _, err := os.Stat(newest); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt generation still in place: %v", err)
+	}
+	if got, want := d2.Recovery().SnapshotLSN, snapshotPathLSN(t, gens[len(gens)-2]); got != want {
+		t.Fatalf("recovered from snapshot LSN %d, want previous generation %d", got, want)
+	}
+	shadow := applyShadow(t, ops, len(ops))
+	d2.View(func(g *Graph) { requireSameGraph(t, shadow, g) })
+}
+
+// TestFooterlessLatestSnapshotFallsBack strips the newest generation of its
+// integrity footer and flips the top byte of the LSN it claims to cover, a
+// change nothing but the checksum can catch. Recovery must refuse the file
+// as corrupt like a damaged checksum, quarantine it, and rebuild the exact
+// graph from the previous generation plus the WAL.
+func TestFooterlessLatestSnapshotFallsBack(t *testing.T) {
+	ops := genOps(77, 40)
+	dir := t.TempDir()
+	cfg := DurableConfig{
+		WAL:           wal.Options{Policy: wal.SyncAlways, SegmentBytes: 256},
+		SnapshotEvery: 5,
+		SnapshotKeep:  2,
+	}
+	d := openDurable(t, dir, cfg)
+	if err := applyDurable(d, ops, 0, len(ops)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gens := snapshotGens(t, dir)
+	if len(gens) < 2 {
+		t.Fatalf("want >=2 snapshot generations, got %v", gens)
+	}
+	newest := gens[len(gens)-1]
+	st, err := os.Stat(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(newest, st.Size()-chksum.FooterSize); err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, newest, 15) // the LSN's top byte: magic[8], then lsn[8]
+	if _, _, err := ReadSnapshotFile(newest); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("footerless snapshot: err = %v, want ErrSnapshotCorrupt", err)
+	}
+
+	d2 := openDurable(t, dir, cfg)
+	defer d2.Close()
+	if _, err := os.Stat(newest + ".corrupt"); err != nil {
+		t.Fatalf("footerless generation was not quarantined: %v", err)
 	}
 	if got, want := d2.Recovery().SnapshotLSN, snapshotPathLSN(t, gens[len(gens)-2]); got != want {
 		t.Fatalf("recovered from snapshot LSN %d, want previous generation %d", got, want)

@@ -68,9 +68,8 @@ var ErrClosed = errors.New("stream: durable graph closed")
 // a different weight configuration than the one the graph is opened with.
 var ErrSnapshotMismatch = errors.New("stream: snapshot weight config does not match")
 
-// snapshotName is the snapshot base name inside the WAL directory. Current
-// generations are snapshot.<lsn> (zero-padded decimal); a bare "snapshot"
-// is the pre-generational legacy layout, still honored during recovery.
+// snapshotName is the snapshot base name inside the WAL directory; each
+// generation is snapshot.<lsn> (zero-padded decimal).
 const snapshotName = "snapshot"
 
 // snapshotFileName renders the generation file name for a covered LSN.
@@ -86,16 +85,12 @@ var ErrNoUsableSnapshot = errors.New("stream: no usable snapshot and the WAL doe
 
 // snapGen is one snapshot generation found on disk.
 type snapGen struct {
-	path   string
-	lsn    uint64
-	legacy bool // bare "snapshot" file; lsn read from its header
+	path string
+	lsn  uint64
 }
 
-// listSnapshots enumerates snapshot generations in dir, oldest first. The
-// legacy unnumbered file is ordered by its header LSN; quarantined
-// (*.corrupt) and temp files are excluded. A legacy file whose header is
-// unreadable is returned with LSN 0 so it sorts oldest and gets quarantined
-// when (and only when) recovery actually has to fall back to it.
+// listSnapshots enumerates snapshot generations in dir, oldest first;
+// quarantined (*.corrupt) and temp files are excluded.
 func listSnapshots(fsys vfs.FS, dir string) ([]snapGen, error) {
 	names, err := fsys.Glob(filepath.Join(dir, snapshotName+".*"))
 	if err != nil {
@@ -115,11 +110,6 @@ func listSnapshots(fsys vfs.FS, dir string) ([]snapGen, error) {
 		if ok {
 			gens = append(gens, snapGen{path: p, lsn: lsn})
 		}
-	}
-	legacy := filepath.Join(dir, snapshotName)
-	if _, err := fsys.Stat(legacy); err == nil {
-		lsn, _ := SnapshotFileLSN(fsys, legacy)
-		gens = append(gens, snapGen{path: legacy, lsn: lsn, legacy: true})
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i].lsn < gens[j].lsn })
 	return gens, nil

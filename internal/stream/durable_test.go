@@ -220,7 +220,6 @@ func TestDurableDegradedIsSticky(t *testing.T) {
 	for _, s := range segs {
 		os.Remove(s)
 	}
-	os.Remove(filepath.Join(dir, "snapshot"))
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -224,8 +224,10 @@ func ReadSnapshot(r io.Reader) (*Graph, uint64, error) {
 		slices.Reverse(segs) // the file lists segments oldest first
 		g.verts = append(g.verts, segs)
 	}
-	if _, err := hr.Verify(br); err != nil {
+	if legacy, err := hr.Verify(br); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	} else if legacy {
+		return nil, 0, fmt.Errorf("%w: no integrity footer", ErrSnapshotCorrupt)
 	}
 	if live != g.numEdges || tombs != g.numDeleted {
 		return nil, 0, fmt.Errorf("%w: %d edges, %d deleted recorded; the segments hold %d, %d", ErrSnapshotCorrupt, g.numEdges, g.numDeleted, live, tombs)
@@ -355,28 +357,6 @@ func ReadSnapshotFileFS(fsys vfs.FS, path string) (*Graph, uint64, error) {
 	return ReadSnapshot(f)
 }
 
-// SnapshotFileLSN reads just the header of a snapshot file and returns the
-// WAL LSN it claims to cover, without deserializing (or verifying) the body.
-// Recovery uses it to order legacy unnumbered snapshots among generations.
-func SnapshotFileLSN(fsys vfs.FS, path string) (uint64, error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	f, err := vfs.Open(fsys, path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [16]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-	}
-	if [8]byte(hdr[:8]) != snapMagic {
-		return 0, fmt.Errorf("%w: bad magic %x", ErrSnapshotCorrupt, hdr[:8])
-	}
-	return binary.LittleEndian.Uint64(hdr[8:]), nil
-}
-
 // VerifySnapshotFile re-reads a snapshot and checks its magic and CRC-32C
 // footer without rebuilding the graph — the scrubber's integrity pass. bill,
 // when non-nil, is called with each chunk's byte count so the read can be
@@ -427,8 +407,10 @@ func VerifySnapshotFile(fsys vfs.FS, path string, bill func(int) error) (uint64,
 			return 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 		}
 	}
-	if _, err := hr.Verify(f); err != nil {
+	if legacy, err := hr.Verify(f); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	} else if legacy {
+		return 0, fmt.Errorf("%w: no integrity footer", ErrSnapshotCorrupt)
 	}
 	return lsn, nil
 }

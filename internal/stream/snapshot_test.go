@@ -152,10 +152,12 @@ func refooter(data []byte) []byte {
 	return append(append([]byte(nil), body...), footer[:]...)
 }
 
-// FuzzReadSnapshot: any input is refused with ErrSnapshotCorrupt or loads
-// a graph that round-trips — its image reads back to a graph that writes
-// the same image and walks the same walks. Never a panic.
+// FuzzReadSnapshot: any input is refused with ErrSnapshotCorrupt or ends in
+// its own valid footer and loads a graph that round-trips — its image reads
+// back to a graph that writes the same image and walks the same walks.
+// Never a panic.
 func FuzzReadSnapshot(f *testing.F) {
+	var stripped []byte // a whole image without its footer
 	for _, g := range []*Graph{buildMixedGraph(f), func() *Graph {
 		g, _ := New(Config{Weight: sampling.WeightSpec{Kind: sampling.WeightLinearRank}})
 		g.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 1}, {Src: 0, Dst: 2, Time: 2}, {Src: 1, Dst: 0, Time: 2}})
@@ -168,8 +170,10 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		stripped = buf.Bytes()[:buf.Len()-chksum.FooterSize]
 	}
 	f.Add([]byte{})
+	f.Add(stripped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, refooter(data)} {
 			g, lsn, err := ReadSnapshot(bytes.NewReader(in))
@@ -178,6 +182,9 @@ func FuzzReadSnapshot(f *testing.F) {
 					t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 				}
 				continue
+			}
+			if !bytes.Equal(refooter(in), in) {
+				t.Fatal("accepted an input that does not end in its own footer")
 			}
 			var a, b bytes.Buffer
 			if err := g.WriteSnapshot(&a, lsn); err != nil {

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -118,9 +119,8 @@ func (g *Graph) HasNeighborIndex() bool { return g.nbr != nil }
 // list. This is the ISNEIGHBOR predicate of Algorithm 1.
 func (g *Graph) HasNeighbor(u, v Vertex) bool {
 	if g.nbr != nil {
-		ids := g.nbr.ids[g.nbr.offsets[u]:g.nbr.offsets[u+1]]
-		j := sort.Search(len(ids), func(i int) bool { return ids[i] >= v })
-		return j < len(ids) && ids[j] == v
+		_, ok := slices.BinarySearch(g.nbr.ids[g.nbr.offsets[u]:g.nbr.offsets[u+1]], v)
+		return ok
 	}
 	for _, d := range g.OutDst(u) {
 		if d == v {
@@ -189,19 +189,11 @@ func (g *Graph) BuildNeighborIndex() {
 	v := g.NumVertices()
 	offsets := make([]int64, v+1)
 	ids := make([]Vertex, 0, len(g.dst))
-	scratch := make([]Vertex, 0, 64)
 	for u := 0; u < v; u++ {
-		scratch = append(scratch[:0], g.OutDst(Vertex(u))...)
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-		prevValid := false
-		var prev Vertex
-		for _, d := range scratch {
-			if prevValid && d == prev {
-				continue
-			}
-			ids = append(ids, d)
-			prev, prevValid = d, true
-		}
+		start := len(ids)
+		ids = append(ids, g.OutDst(Vertex(u))...)
+		slices.Sort(ids[start:])
+		ids = ids[:start+len(slices.Compact(ids[start:]))]
 		offsets[u+1] = int64(len(ids))
 	}
 	g.nbr = &neighborIndex{offsets: offsets, ids: ids}
