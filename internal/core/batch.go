@@ -7,10 +7,12 @@ package core
 // SIMD/GPU backend needs. Each step, workers claim fixed-size chunks of the
 // frontier off a shared cursor (dynamic distribution), gather their walkers'
 // positions into flat arrays, and hand them to the sampler in one
-// BatchSampler.SampleBatch call; for disk-backed samplers the frontier is
-// additionally sorted by vertex (FrontierGrouper) so fetches for walkers
-// parked on the same vertex coalesce deliberately instead of relying on
-// blockcache singleflight luck.
+// BatchSampler.SampleBatch call, then gather every proposal's edge data in
+// one pass, so a chunk's cache misses overlap instead of queuing walker by
+// walker (hpat.Index.SampleBatch stages its own loads the same way). For
+// disk-backed samplers the frontier is additionally sorted by vertex
+// (FrontierGrouper) so fetches for walkers parked on the same vertex
+// coalesce deliberately instead of relying on blockcache singleflight luck.
 //
 // Determinism: walker wi's randomness comes exclusively from its private
 // stream root.Split(wi), and the batched trial rounds consume that stream in
@@ -19,9 +21,10 @@ package core
 // the scalar kernel is the batched kernel's correctness oracle.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +49,10 @@ const (
 	// kernel's per-walk latency wins. The threshold sits just above the
 	// measured crossover on the quick bench profiles (~1-2k walks), where
 	// the per-step worker synchronization stops dominating the sweep work.
+	// Above it the batch pays for itself on DRAM misses: the staged HPAT
+	// draw and the post-draw gather overlap a chunk's misses, and on the
+	// benchmark's corpus windows (2,500 walks of 80 steps) the batched
+	// kernel outruns the scalar one (DESIGN §9, PERF.md).
 	batchAutoMinWalks = 2048
 )
 
@@ -98,9 +105,10 @@ func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerSta
 }
 
 // batchScratch is one worker's reusable gather/scatter buffers, sized to the
-// chunk so a sweep allocates nothing. lastE/lastD/lastT hold each pending
-// walker's most recent rejected proposal (indexed by chunk position) for the
-// trial-cap force-accept.
+// chunk so a sweep allocates nothing. dst/at/next hold each proposal's
+// head, time and candidate count at its head, gathered after the draw;
+// lastD/lastT/lastK hold each pending walker's most recent rejected proposal
+// (indexed by chunk position) for the trial-cap force-accept.
 type batchScratch struct {
 	us    [batchChunk]temporal.Vertex
 	ks    [batchChunk]int32
@@ -108,10 +116,13 @@ type batchScratch struct {
 	edges [batchChunk]int32
 	evals [batchChunk]int64
 	oks   [batchChunk]bool
+	dst   [batchChunk]temporal.Vertex
+	at    [batchChunk]temporal.Time
+	next  [batchChunk]int32
 	pend  [batchChunk]int32
-	lastE [batchChunk]int32
 	lastD [batchChunk]temporal.Vertex
 	lastT [batchChunk]temporal.Time
+	lastK [batchChunk]int32
 }
 
 // runBatch executes the run on the step-synchronous kernel. Waves of at most
@@ -256,13 +267,12 @@ func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, wa
 // tiebreaker, keeping the order deterministic) so that a grouping sampler
 // sees same-vertex walkers adjacently.
 func sortFrontier(ws *waveState) {
-	f, cur := ws.frontier, ws.cur
-	sort.Slice(f, func(a, b int) bool {
-		va, vb := cur[f[a]], cur[f[b]]
-		if va != vb {
-			return va < vb
+	cur := ws.cur
+	slices.SortFunc(ws.frontier, func(a, b int32) int {
+		if c := cmp.Compare(cur[a], cur[b]); c != 0 {
+			return c
 		}
-		return f[a] < f[b]
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -347,6 +357,16 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 		}
 		curWalk, curPos = -1, -1
 		bs.SampleBatch(bctx, sc.us[:m], sc.ks[:m], sc.rs[:m], sc.edges[:m], sc.evals[:m], sc.oks[:m])
+		// One gather pass loads every proposal's head, time and candidate
+		// count at its head before the β test and applyStep read any of
+		// them, so the walkers' misses overlap. It makes no random draw.
+		for j := 0; j < m; j++ {
+			if sc.oks[j] {
+				u, edge := sc.us[j], int(sc.edges[j])
+				sc.dst[j], sc.at[j] = e.g.EdgeAt(u, edge)
+				sc.next[j] = int32(e.g.CandidateCountAfterEdge(u, edge))
+			}
+		}
 		// keep reuses pend's backing array: by the time pend[j] is read, at
 		// most j entries have been rewritten behind it.
 		keep := pend[:0]
@@ -363,18 +383,16 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				}
 				continue
 			}
-			u := ws.cur[i]
-			dst, at := e.g.EdgeAt(u, int(sc.edges[j]))
 			curWalk, curPos = ws.waveLo+int(i), int(pos)
-			if ws.hasPrev[i] && !e.accept(ws.prev[i], dst, &ws.rng[i], &st.cost) {
-				sc.lastE[pos] = sc.edges[j]
-				sc.lastD[pos] = dst
-				sc.lastT[pos] = at
+			if ws.hasPrev[i] && !e.accept(ws.prev[i], sc.dst[j], &ws.rng[i], &st.cost) {
+				sc.lastD[pos] = sc.dst[j]
+				sc.lastT[pos] = sc.at[j]
+				sc.lastK[pos] = sc.next[j]
 				keep = append(keep, pos)
 				curWalk, curPos = -1, -1
 				continue
 			}
-			if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.edges[j]), dst, at); err != nil {
+			if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, sc.dst[j], sc.at[j], sc.next[j]); err != nil {
 				return err
 			}
 			curWalk, curPos = -1, -1
@@ -386,7 +404,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	for _, pos := range pend {
 		i := chunk[pos]
 		curWalk, curPos = ws.waveLo+int(i), int(pos)
-		if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, int(sc.lastE[pos]), sc.lastD[pos], sc.lastT[pos]); err != nil {
+		if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, sc.lastD[pos], sc.lastT[pos], sc.lastK[pos]); err != nil {
 			return err
 		}
 		curWalk, curPos = -1, -1
@@ -394,11 +412,12 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	return nil
 }
 
-// applyStep commits an accepted proposal for the walker at chunk[pos]: path
-// append, visitor callback, clock advance (candidate count after the taken
-// edge), and terminal classification when the walker reaches the configured
-// length or the new vertex has no temporal candidates.
-func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, edgeIdx int, dst temporal.Vertex, at temporal.Time) error {
+// applyStep commits an accepted proposal (u, dst, at) for the walker at
+// chunk[pos]: path append, visitor callback, clock advance to k, the
+// candidate count after the taken edge, and terminal classification when the
+// walker reaches the configured length or the new vertex has no temporal
+// candidates.
+func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, dst temporal.Vertex, at temporal.Time, k int32) error {
 	i := chunk[pos]
 	wi := ws.waveLo + int(i)
 	u := ws.cur[i]
@@ -412,10 +431,9 @@ func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveStat
 	if cfg.Visitor != nil {
 		cfg.Visitor(wi, stepNo, u, dst, at)
 	}
-	k := e.g.CandidateCountAfterEdge(u, edgeIdx)
 	ws.prev[i], ws.hasPrev[i] = u, true
 	ws.cur[i] = dst
-	ws.kcand[i] = int32(k)
+	ws.kcand[i] = k
 	ws.steps[i] = int32(stepNo + 1)
 	if stepNo+1 == cfg.Length || k == 0 {
 		chunk[pos] = -1

@@ -65,19 +65,31 @@ func assertSamePaths(t *testing.T, label string, a, b []Path) {
 	}
 }
 
-// runBothKernels executes cfg once per kernel and asserts full equivalence.
+// runBothKernels executes cfg once per kernel and asserts full equivalence:
+// paths, costs, length histograms, and a checksum of every Visitor call.
 func runBothKernels(t *testing.T, label string, eng *Engine, cfg WalkConfig) {
 	t.Helper()
 	cfg.KeepPaths = true
+	var visits atomic.Uint64
+	cfg.Visitor = func(walkID, step int, from, to temporal.Vertex, at temporal.Time) {
+		h := (uint64(walkID)<<32 ^ uint64(step)) * 0x9E3779B97F4A7C15
+		h ^= (uint64(from)<<32 ^ uint64(to)) * 0xBF58476D1CE4E5B9
+		h ^= uint64(at) * 0x94D049BB133111EB
+		visits.Add(h ^ h>>29)
+	}
 	cfg.Kernel = KernelScalar
 	scalar, err := eng.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s scalar: %v", label, err)
 	}
+	scalarVisits := visits.Swap(0)
 	cfg.Kernel = KernelBatch
 	batch, err := eng.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s batch: %v", label, err)
+	}
+	if v := visits.Load(); v != scalarVisits {
+		t.Fatalf("%s: visitor checksum differs: scalar %#x, batch %#x", label, scalarVisits, v)
 	}
 	assertWalkInvariant(t, label+" scalar", scalar.Cost)
 	assertWalkInvariant(t, label+" batch", batch.Cost)
@@ -113,6 +125,46 @@ func TestBatchKernelMatchesScalarInMemory(t *testing.T) {
 					Threads:        threads,
 				})
 			}
+		}
+	}
+}
+
+// Rows beyond the method × application grid:
+//   - no candidate precompute, so the batched kernel's post-draw gather takes
+//     CandidateCountAfterEdge's binary-search fallback (with and without β);
+//   - hubs of ~1000 edges, so prefixes of ≥ 512 draw trunks of level ≥ 9
+//     (with and without the auxiliary index).
+func TestBatchKernelMatchesScalarRows(t *testing.T) {
+	hubs := testutil.RandomGraph(t, 60, 60000, 200000, 37)
+	if hubs.Degree(0) < 512 {
+		t.Fatalf("hub degree %d does not reach a level-9 trunk", hubs.Degree(0))
+	}
+	rows := []struct {
+		name string
+		g    *temporal.Graph
+		app  App
+		opts Options
+	}{
+		{"no-precompute", testutil.RandomGraph(t, 400, 12000, 50000, 29), LinearTime(), Options{Method: MethodHPAT, SkipCandidatePrecompute: true}},
+		{"no-precompute/node2vec", testutil.RandomGraph(t, 400, 12000, 50000, 30), TemporalNode2Vec(0.5, 2, 1), Options{SkipCandidatePrecompute: true}},
+		{"hubs", hubs, ExponentialWalk(1e-4), Options{Method: MethodHPAT}},
+		{"hubs/no-index", hubs, LinearTime(), Options{Method: MethodHPATNoIndex}},
+	}
+	for _, row := range rows {
+		eng, err := NewEngine(row.g, row.app, row.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.opts.SkipCandidatePrecompute && row.g.HasCandidatePrecompute() {
+			t.Fatalf("%s: the graph carries a candidate precompute", row.name)
+		}
+		for _, threads := range []int{1, 4} {
+			runBothKernels(t, fmt.Sprintf("%s/t%d", row.name, threads), eng, WalkConfig{
+				WalksPerVertex: 3,
+				Length:         30,
+				Seed:           4321,
+				Threads:        threads,
+			})
 		}
 	}
 }

@@ -57,5 +57,8 @@ func SampleBlock(words []uint64, n, k int, aux *AuxIndex, r *xrand.Rand) (idx in
 		var buf [maxLevels]DecompEntry
 		dec = Decompose(k, buf[:0])
 	}
-	return sampleBlock(blockCum(words, n), words[n+1:], n, k, dec, r)
+	cum := blockCum(words, n)
+	var d draw
+	d.resolve(cum, cum[k], n, k, dec, r)
+	return d.finish(words[n+1:])
 }

@@ -131,7 +131,12 @@ func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, eva
 		var buf [maxLevels]DecompEntry
 		dec = Decompose(k, buf[:0])
 	}
-	return sampleBlock(cum, idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], deg, k, dec, r)
+	// The slot offsets load before resolve runs, so their cache miss
+	// overlaps the prefix sums' instead of following them.
+	slots := idx.slots[idx.slotOff[u]:idx.slotOff[u+1]]
+	var d draw
+	d.resolve(cum, cum[k], deg, k, dec, r)
+	return d.finish(slots)
 }
 
 // MemoryBytes reports the index footprint: prefix sums, alias slots, slot

@@ -59,21 +59,6 @@ func packSlot(prob float64, alias int32) uint64 {
 	return t<<32 | uint64(uint32(alias))
 }
 
-// sampleSlots draws from one trunk of 2^level packed slots with a single
-// random word: its top level bits pick the slot (trunks are exact powers of
-// two, so there is no modulo bias), its low 32 bits are compared against the
-// threshold. The alias is masked so no stored word can index outside the
-// trunk.
-func sampleSlots(trunk []uint64, level uint8, r *xrand.Rand) int {
-	v := r.Uint64()
-	i := int(v >> (64 - level))
-	s := trunk[i]
-	if uint32(v) < uint32(s>>32) {
-		return i
-	}
-	return int(uint32(s)) & (len(trunk) - 1)
-}
-
 // blockScratch is the per-worker working space of buildBlock: one trunk's
 // Vose arrays before they are packed, and FillAlias's small/large stacks.
 type blockScratch struct {
@@ -97,7 +82,7 @@ func (s *blockScratch) grow(size int) {
 //
 // It touches only the provided slices, so disjoint vertices build lock-free
 // in parallel (§4.2). A trunk without weight keeps zero slots: its prefix
-// sums are equal at both ends, so sampleBlock never selects it.
+// sums are equal at both ends, so resolve never selects it.
 func buildBlock(w, cum []float64, slots []uint64, scratch *blockScratch) {
 	n := len(w)
 	sum := 0.0
@@ -127,16 +112,38 @@ func buildBlock(w, cum []float64, slots []uint64, scratch *blockScratch) {
 	}
 }
 
-// sampleBlock draws an edge index from the k-element prefix of an n-edge
-// vertex block built by buildBlock. dec must be the decomposition of k (from
-// the auxiliary index or Decompose); its trunks below minTableLevel together
-// form the tail run. evaluated counts array entries examined: the Figure 2
-// "edges per step" metric.
-func sampleBlock(cum []float64, slots []uint64, n, k int, dec []DecompEntry, r *xrand.Rand) (edge int, evaluated int64, ok bool) {
-	total := cum[k]
+// draw is one sample between its two halves. resolve settles everything
+// the prefix sums decide; a draw that lands in a table trunk is left holding
+// the slot to read, the random word that picked it and the trunk it lies in,
+// and finish reads that slot. Splitting at the slot read lets a batch issue
+// every walker's slot load before it needs any of them (batch.go).
+type draw struct {
+	edge      int    // the drawn edge, or the picked slot's own edge while slot ≥ 0
+	evaluated int64  // array entries examined, the Figure 2 metric
+	slot      int    // the slot to read, relative to the vertex's slot block; -1 when settled
+	v         uint64 // the slot word's random draw: its low 32 bits test the threshold
+	pos       int    // the trunk's first edge
+	mask      int    // the trunk's size minus one
+	ok        bool
+}
+
+// resolve runs the first half of a draw into d, from the k-element prefix
+// of an n-edge vertex block built by buildBlock, whose prefix sums are cum
+// and whose prefix total cum[k] the caller has loaded: it draws
+// x = r.Range(total), finds the trunk boundary by ITS and either finishes a
+// tail-run ITS or draws the slot word and computes the slot's position. dec
+// must be the decomposition of k (from the auxiliary index or Decompose);
+// its trunks below minTableLevel together form the tail run. d is written
+// field by field, not returned or assigned whole: either of those stages
+// the struct in a temporary and copies it with wide loads of narrow
+// stores, which the CPU cannot forward.
+func (d *draw) resolve(cum []float64, total float64, n, k int, dec []DecompEntry, r *xrand.Rand) {
+	d.slot = -1
 	if !(total > 0) {
-		return 0, 0, false
+		d.edge, d.evaluated, d.ok = 0, 0, false
+		return
 	}
+	d.ok = true
 	x := r.Range(total)
 	// ITS over the ≤ log2(k) boundaries — the table trunks, which lead dec,
 	// then the tail run: O(log log D). The boundary found is the first whose
@@ -147,6 +154,7 @@ func sampleBlock(cum []float64, slots []uint64, n, k int, dec []DecompEntry, r *
 	if tail > 0 {
 		hi = tables
 	}
+	var evaluated int64
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		end := int(dec[mid].Pos) + dec[mid].Size()
@@ -169,9 +177,32 @@ func sampleBlock(cum []float64, slots []uint64, n, k int, dec []DecompEntry, r *
 				lo = mid + 1
 			}
 		}
-		return lo, evaluated + 1, true
+		d.edge, d.evaluated = lo, evaluated+1
+		return
 	}
-	d := dec[lo]
-	s := levelBase(n, int(d.Level)) + int(d.Pos)
-	return int(d.Pos) + sampleSlots(slots[s:s+d.Size()], d.Level, r), evaluated + 1, true
+	// One random word picks the slot with its top level bits (trunks are
+	// exact powers of two, so there is no modulo bias) and is compared
+	// against the slot's threshold with its low 32 bits in finish.
+	t := dec[lo]
+	v := r.Uint64()
+	i := int(v >> (64 - t.Level))
+	pos := int(t.Pos)
+	d.edge, d.evaluated = pos+i, evaluated+1
+	d.slot, d.v = levelBase(n, int(t.Level))+pos+i, v
+	d.pos, d.mask = pos, t.Size()-1
+}
+
+// finish completes d against the vertex's packed alias slots: the picked
+// slot's own edge when the word passes its threshold, the slot's alias
+// otherwise. The alias is masked so no stored word can index outside the
+// trunk.
+func (d *draw) finish(slots []uint64) (edge int, evaluated int64, ok bool) {
+	if d.slot < 0 {
+		return d.edge, d.evaluated, d.ok
+	}
+	s := slots[d.slot]
+	if uint32(d.v) < uint32(s>>32) {
+		return d.edge, d.evaluated, true
+	}
+	return d.pos + int(uint32(s))&d.mask, d.evaluated, true
 }

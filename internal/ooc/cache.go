@@ -106,28 +106,54 @@ func (p *readPath) Err() error {
 type blockMemo struct {
 	off   int64
 	valid bool
-	buf   []byte
 }
 
-// buffer returns an n-byte buffer for a fetch: the memo's own, reallocated
-// (and so emptied) when too small, or a fresh one when m is nil.
-func (m *blockMemo) buffer(n int) []byte {
-	if m == nil {
-		return make([]byte, n)
+// drawScratch is a draw's working space: the fetch buffer, the GraphWalker
+// sampler's candidate weights, and the memo over the buffer, which only the
+// batched path consults. Both paths take theirs from scratchPool, so a warm
+// draw allocates nothing; a scalar draw passes no memo to fetch, so every
+// one of its fetches still issues its read.
+type drawScratch struct {
+	memo blockMemo
+	buf  []byte
+	w    []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(drawScratch) }}
+
+// getScratch takes a scratch from the pool with its memo emptied; return it
+// with scratchPool.Put.
+func getScratch() *drawScratch {
+	s := scratchPool.Get().(*drawScratch)
+	s.memo.valid = false
+	return s
+}
+
+// buffer returns an n-byte fetch buffer: the scratch's own, reallocated
+// (and so emptied of any memoized block) when too small.
+func (s *drawScratch) buffer(n int) []byte {
+	if cap(s.buf) < n {
+		s.buf, s.memo.valid = make([]byte, n), false
 	}
-	if cap(m.buf) < n {
-		m.buf, m.valid = make([]byte, n), false
+	return s.buf[:n]
+}
+
+// weights returns an n-entry weight buffer.
+func (s *drawScratch) weights(n int) []float64 {
+	if cap(s.w) < n {
+		s.w = make([]float64, n)
 	}
-	return m.buf[:n]
+	return s.w[:n]
 }
 
 // fetch fills buf with the block at off, the one fetch of both disk
-// samplers. With a memo (buf must then be memo.buffer's), a repeat of the
-// memo's offset is served from buf without a read. Otherwise the read goes
-// through the cache when one is enabled, bills reqcost as a device or cache
-// read, and is reissued with backoff while it fails with ErrTransient, up to
-// the retry policy. u and trunk name the block in errors and trace spans; a
-// negative trunk marks a whole adjacency block.
+// samplers. With a memo (buf must then be the buffer of the memo's
+// scratch), a repeat of the memo's offset is served from buf without a
+// read. Otherwise the read goes through the cache when one is enabled,
+// bills reqcost as a device or cache read, and is reissued with backoff
+// while it fails with ErrTransient, up to the retry policy. u and trunk name
+// the block in errors and trace spans; a negative trunk marks a whole
+// adjacency block.
 //
 // When ctx carries an active trace span, the fetch is wrapped in an
 // "ooc.block_fetch" span annotated with the block coordinates, the cache

@@ -105,10 +105,14 @@ func (d *DiskGraphWalker) SampleCtx(ctx context.Context, u temporal.Vertex, k in
 }
 
 func (d *DiskGraphWalker) sample(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool) {
-	return d.sampleWith(ctx, u, k, r, nil)
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return d.sampleWith(ctx, u, k, r, s, nil)
 }
 
-func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *gwMemo) (int, int64, bool) {
+// sampleWith is one draw in scratch s; memo is &s.memo on the batched path
+// and nil on the scalar one.
+func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, s *drawScratch, memo *blockMemo) (int, int64, bool) {
 	if k <= 0 {
 		return 0, 0, false
 	}
@@ -119,24 +123,12 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 	if k > deg {
 		k = deg
 	}
-	var block *blockMemo
-	if memo != nil {
-		block = &memo.block
-	}
-	buf := block.buffer(deg * edgeRecBytes)
-	if err := d.fetch(ctx, block, buf, d.edgeBase+d.edgeOff[u]*edgeRecBytes, u, -1); err != nil {
+	buf := s.buffer(deg * edgeRecBytes)
+	if err := d.fetch(ctx, memo, buf, d.edgeBase+d.edgeOff[u]*edgeRecBytes, u, -1); err != nil {
 		return 0, 0, false
 	}
 	newest := temporal.Time(int64(binary.LittleEndian.Uint64(buf)))
-	var w []float64
-	if memo != nil {
-		if cap(memo.w) < k {
-			memo.w = make([]float64, k)
-		}
-		w = memo.w[:k]
-	} else {
-		w = make([]float64, k)
-	}
+	w := s.weights(k)
 	total := 0.0
 	for i := 0; i < k; i++ {
 		t := temporal.Time(int64(binary.LittleEndian.Uint64(buf[i*edgeRecBytes:])))
@@ -147,21 +139,15 @@ func (d *DiskGraphWalker) sampleWith(ctx context.Context, u temporal.Vertex, k i
 	return idx, int64(deg + k), ok
 }
 
-// gwMemo is one SampleBatch call's reusable state: the adjacency block memo
-// and the weight scratch the candidate scan rebuilds into.
-type gwMemo struct {
-	block blockMemo
-	w     []float64
-}
-
 // SampleBatch implements the engine's BatchSampler contract: each entry draws
 // exactly as Sample would, with same-vertex adjacency loads served from a
 // one-entry memo (see blockMemo). Concurrent calls on disjoint frontier
 // chunks are safe; each call owns its memo.
 func (d *DiskGraphWalker) SampleBatch(ctx context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	var memo gwMemo
+	s := getScratch()
+	defer scratchPool.Put(s)
 	for i, u := range us {
-		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], &memo)
+		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], s, &s.memo)
 		edges[i], evals[i], oks[i] = int32(e), ev, ok
 	}
 }

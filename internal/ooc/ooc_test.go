@@ -347,6 +347,46 @@ func TestDiskGraphWalkerSurvivesStoreFailure(t *testing.T) {
 	}
 }
 
+// A scalar draw takes its fetch buffer and weight scratch from a pool, so a
+// warm draw allocates nothing; the pooled buffer is never a memo, so every
+// draw still reads its block from the store. k = 1024 is 64 whole trunks of
+// 16, so each DiskPAT draw is exactly one read, as each GraphWalker draw is.
+func TestDiskSamplersScalarDrawAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries")
+	}
+	g := testutil.SkewedGraph(t, 64, 4096)
+	spec := sampling.Exponential(0.001)
+	s := tempStore(t)
+	pat, err := BuildDiskPAT(testutil.Weights(t, g, spec), s, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := BuildDiskGraphWalker(g, spec, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(5)
+	for _, d := range []core.BatchSampler{pat, gw} {
+		const runs = 100
+		d.Sample(0, 1024, r) // warm the pool
+		_, before, _, _ := s.Counters()
+		if a := testing.AllocsPerRun(runs, func() { d.Sample(0, 1024, r) }); a != 0 {
+			t.Errorf("%s: scalar draw allocates %v times", d.Name(), a)
+		}
+		// AllocsPerRun makes one warm-up call before its runs.
+		if _, after, _, _ := s.Counters(); after-before != runs+1 {
+			t.Errorf("%s: %d draws issued %d reads", d.Name(), runs+1, after-before)
+		}
+		us, ks := []temporal.Vertex{0, 0, 1}, []int32{1024, 1024, 1}
+		rs := []*xrand.Rand{r, r, r}
+		edges, evals, oks := make([]int32, 3), make([]int64, 3), make([]bool, 3)
+		if a := testing.AllocsPerRun(runs, func() { d.SampleBatch(context.Background(), us, ks, rs, edges, evals, oks) }); a != 0 {
+			t.Errorf("%s: SampleBatch allocates %v times", d.Name(), a)
+		}
+	}
+}
+
 // The out-of-core engine must propagate output-store failures instead of
 // silently dropping walks.
 func TestEngineFlushFailure(t *testing.T) {

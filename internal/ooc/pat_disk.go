@@ -140,9 +140,10 @@ func (d *DiskPAT) SampleCtx(ctx context.Context, u temporal.Vertex, k int, r *xr
 // blockMemo. Concurrent calls on disjoint frontier chunks are safe; each
 // call owns its memo.
 func (d *DiskPAT) SampleBatch(ctx context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	var memo blockMemo
+	s := getScratch()
+	defer scratchPool.Put(s)
 	for i, u := range us {
-		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], &memo)
+		e, ev, ok := d.sampleWith(ctx, u, int(ks[i]), rs[i], s, &s.memo)
 		edges[i], evals[i], oks[i] = int32(e), ev, ok
 	}
 }
@@ -153,10 +154,14 @@ func (d *DiskPAT) SampleBatch(ctx context.Context, us []temporal.Vertex, ks []in
 func (d *DiskPAT) WantsGroupedFrontier() bool { return true }
 
 func (d *DiskPAT) sample(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool) {
-	return d.sampleWith(ctx, u, k, r, nil)
+	s := getScratch()
+	defer scratchPool.Put(s)
+	return d.sampleWith(ctx, u, k, r, s, nil)
 }
 
-func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, memo *blockMemo) (int, int64, bool) {
+// sampleWith is one draw in scratch s; memo is &s.memo on the batched path
+// and nil on the scalar one.
+func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *xrand.Rand, s *drawScratch, memo *blockMemo) (int, int64, bool) {
 	if k <= 0 {
 		return 0, 0, false
 	}
@@ -183,7 +188,7 @@ func (d *DiskPAT) sampleWith(ctx context.Context, u temporal.Vertex, k int, r *x
 		return 0, 0, false
 	}
 
-	buf := memo.buffer(ts * slotBytes)
+	buf := s.buffer(ts * slotBytes)
 	first := d.diskBase + d.trunkOff[u]*int64(ts*slotBytes) // u's trunk 0
 	fetch := func(t int) error { return d.fetch(ctx, memo, buf, first+int64(t*ts*slotBytes), u, t) }
 	var evaluated int64
