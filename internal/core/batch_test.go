@@ -11,7 +11,6 @@ import (
 	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
-	"github.com/tea-graph/tea/internal/xrand"
 )
 
 // The golden determinism suite: the scalar kernel is the batched kernel's
@@ -376,8 +375,9 @@ func TestKernelResolution(t *testing.T) {
 	if k, _ := eng.resolveKernel(KernelScalar, 10000, 4); k != KernelScalar {
 		t.Fatalf("forced scalar = %v", k)
 	}
-	// A non-batch external sampler falls back to scalar even when forced.
-	eng2, err := NewEngine(g, LinearTime(), Options{ExternalSampler: scalarOnlySampler{eng.Sampler()}})
+	// A sampler without a batch path (PAT) falls back to scalar even when
+	// forced.
+	eng2, err := NewEngine(g, LinearTime(), Options{Method: MethodPAT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +385,3 @@ func TestKernelResolution(t *testing.T) {
 		t.Fatalf("forced batch without BatchSampler = %v", k)
 	}
 }
-
-// scalarOnlySampler hides the batch path of an underlying sampler.
-type scalarOnlySampler struct{ s Sampler }
-
-func (w scalarOnlySampler) Name() string { return w.s.Name() }
-func (w scalarOnlySampler) Sample(u temporal.Vertex, k int, r *xrand.Rand) (int, int64, bool) {
-	return w.s.Sample(u, k, r)
-}
-func (w scalarOnlySampler) MemoryBytes() int64 { return w.s.MemoryBytes() }

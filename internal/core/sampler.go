@@ -88,14 +88,6 @@ func NewITSSampler(w *sampling.GraphWeights) *ITSSampler {
 // Name implements Sampler.
 func (s *ITSSampler) Name() string { return "ITS" }
 
-// SampleBatch implements BatchSampler: each entry draws exactly as Sample.
-func (s *ITSSampler) SampleBatch(_ context.Context, us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
-	for i, u := range us {
-		e, ev, ok := s.Sample(u, int(ks[i]), rs[i])
-		edges[i], evals[i], oks[i] = int32(e), ev, ok
-	}
-}
-
 // MemoryBytes implements Sampler: the cumulative arrays plus shared weights.
 func (s *ITSSampler) MemoryBytes() int64 {
 	return s.ITS.MemoryBytes() + s.w.MemoryBytes()

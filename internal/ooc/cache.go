@@ -33,26 +33,23 @@ type CacheableSampler interface {
 	Cache() *blockcache.CachedStore
 }
 
-// RetryPolicy bounds the retry-with-backoff loop wrapped around transient
-// block reads: up to MaxRetries reissues after the first attempt, sleeping
-// BaseDelay, 2·BaseDelay, 4·BaseDelay, ... between them.
-type RetryPolicy struct {
-	MaxRetries int
-	BaseDelay  time.Duration
-}
-
-// DefaultRetryPolicy absorbs sporadic device glitches (at a 1% transient
-// fault rate, five retries drive the per-read failure probability to 1e-12)
-// while a genuinely dead device still fails in under ~3ms.
-var DefaultRetryPolicy = RetryPolicy{MaxRetries: 5, BaseDelay: 100 * time.Microsecond}
+// The retry-with-backoff loop wrapped around transient block reads reissues
+// a read up to maxReadRetries times after the first attempt, sleeping
+// retryBaseDelay, 2·retryBaseDelay, 4·retryBaseDelay, ... between them. It
+// absorbs sporadic device glitches (at a 1% transient fault rate, five
+// retries drive the per-read failure probability to 1e-12) while a genuinely
+// dead device still fails in under ~3ms.
+const (
+	maxReadRetries = 5
+	retryBaseDelay = 100 * time.Microsecond
+)
 
 // readPath is the one read path both disk samplers embed: the store the
-// sampler was built onto, the block cache layered over it when enabled, the
-// transient-fault retry policy, and the sampler's sticky first error.
+// sampler was built onto, the block cache layered over it when enabled, and
+// the sampler's sticky first error.
 type readPath struct {
 	base  BlockStore
 	cache *blockcache.CachedStore
-	retry RetryPolicy
 
 	retries atomic.Int64 // reads reissued after transient faults
 
@@ -77,10 +74,6 @@ func (p *readPath) EnableCache(cfg CacheConfig) *blockcache.CachedStore {
 
 // Cache implements CacheableSampler.
 func (p *readPath) Cache() *blockcache.CachedStore { return p.cache }
-
-// SetRetryPolicy replaces the transient-read retry policy. Not safe to call
-// concurrently with Sample.
-func (p *readPath) SetRetryPolicy(r RetryPolicy) { p.retry = r }
 
 // Retries reports how many reads were reissued after transient faults.
 func (p *readPath) Retries() int64 { return p.retries.Load() }
@@ -151,8 +144,8 @@ func (s *drawScratch) weights(n int) []float64 {
 // scratch), a repeat of the memo's offset is served from buf without a
 // read. Otherwise the read goes through the cache when one is enabled,
 // bills reqcost as a device or cache read, and is reissued with backoff
-// while it fails with ErrTransient, up to the retry policy. u and trunk name
-// the block in errors and trace spans; a negative trunk marks a whole
+// while it fails with ErrTransient, up to maxReadRetries times. u and trunk
+// name the block in errors and trace spans; a negative trunk marks a whole
 // adjacency block.
 //
 // When ctx carries an active trace span, the fetch is wrapped in an
@@ -180,7 +173,7 @@ func (p *readPath) fetch(ctx context.Context, memo *blockMemo, buf []byte, off i
 	rc := reqcost.From(ctx)
 	retries := 0
 	src, err := p.read(rc, buf, off)
-	for attempt := 0; errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < p.retry.MaxRetries; attempt++ {
+	for attempt := 0; errors.Is(err, ErrTransient) && ctx.Err() == nil && attempt < maxReadRetries; attempt++ {
 		p.retries.Add(1)
 		mRetries.Inc()
 		rc.ReadRetry()
@@ -189,9 +182,7 @@ func (p *readPath) fetch(ctx context.Context, memo *blockMemo, buf []byte, off i
 			trace.EventCtx(ctx, trace.KindRetry, "ooc.block_retry",
 				trace.Int("vertex", int64(u)), trace.Int("trunk", int64(trunk)), trace.Int("attempt", int64(attempt+1)))
 		}
-		if p.retry.BaseDelay > 0 {
-			time.Sleep(p.retry.BaseDelay << attempt)
-		}
+		time.Sleep(retryBaseDelay << attempt)
 		src, err = p.read(rc, buf, off)
 	}
 	if err != nil {

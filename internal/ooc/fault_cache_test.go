@@ -31,7 +31,6 @@ func TestCacheOverFaultInjectorTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetRetryPolicy(RetryPolicy{MaxRetries: 5, BaseDelay: 0})
 	cache := d.EnableCache(CacheConfig{CapacityBytes: 1 << 20})
 	resCached, err := NewEngine(g, d, nil).Run(2, 30, 42)
 	if err != nil {

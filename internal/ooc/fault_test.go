@@ -14,10 +14,9 @@ import (
 )
 
 // diskSampler is what the fault tests need of both disk samplers: the shared
-// read path's retry policy, retry count and sticky error.
+// read path's retry count and sticky error.
 type diskSampler interface {
 	CacheableSampler
-	SetRetryPolicy(RetryPolicy)
 	Retries() int64
 	Err() error
 }
@@ -62,7 +61,6 @@ func TestTransientFaultsAreRetriedTransparently(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulty.SetRetryPolicy(RetryPolicy{MaxRetries: 5, BaseDelay: 0})
 			resFaulty, err := NewEngine(g, faulty, nil).Run(2, 30, 42)
 			if err != nil {
 				t.Fatalf("run under transient faults failed: %v", err)
@@ -133,7 +131,6 @@ func TestTransientRetryBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetRetryPolicy(RetryPolicy{MaxRetries: 2, BaseDelay: 0})
 	_, err = NewEngine(g, d, nil).Run(1, 10, 1)
 	if err == nil {
 		t.Fatal("exhausted retries did not surface an error")
@@ -141,8 +138,8 @@ func TestTransientRetryBudgetExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("error lost its transient marker: %v", err)
 	}
-	if d.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2 (MaxRetries)", d.Retries())
+	if d.Retries() != maxReadRetries {
+		t.Fatalf("retries = %d, want %d (maxReadRetries)", d.Retries(), maxReadRetries)
 	}
 }
 

@@ -35,7 +35,7 @@ func BuildDiskGraphWalker(g *temporal.Graph, spec sampling.WeightSpec, store Blo
 	}
 	minT, _ := g.TimeRange()
 	d := &DiskGraphWalker{
-		readPath: readPath{base: store, retry: DefaultRetryPolicy},
+		readPath: readPath{base: store},
 		g:        g,
 		spec:     spec,
 		minT:     minT,

@@ -63,14 +63,14 @@ func TestRetryAndFaultMetrics(t *testing.T) {
 	retries0 := mRetries.Value()
 	injected0 := mInjected.Value()
 
-	p := &readPath{base: inj, retry: RetryPolicy{MaxRetries: 3}}
+	p := &readPath{base: inj}
 	if err := p.fetch(context.Background(), nil, make([]byte, 16), 0, 0, 0); err == nil {
 		t.Fatal("read through a 100% transient fault injector succeeded")
 	}
-	if delta := mRetries.Value() - retries0; delta != 3 {
-		t.Fatalf("retries delta = %d, want 3", delta)
+	if delta := mRetries.Value() - retries0; delta != maxReadRetries {
+		t.Fatalf("retries delta = %d, want %d", delta, maxReadRetries)
 	}
-	if delta := mInjected.Value() - injected0; delta != 4 {
-		t.Fatalf("injected delta = %d, want 4 (1 initial + 3 retries)", delta)
+	if delta := mInjected.Value() - injected0; delta != maxReadRetries+1 {
+		t.Fatalf("injected delta = %d, want %d (1 initial + %d retries)", delta, maxReadRetries+1, maxReadRetries)
 	}
 }

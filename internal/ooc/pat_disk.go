@@ -44,7 +44,7 @@ func BuildDiskPAT(w *sampling.GraphWeights, store BlockStore, trunkSize int) (*D
 	g := w.Graph()
 	numV := g.NumVertices()
 	d := &DiskPAT{
-		readPath:  readPath{base: store, retry: DefaultRetryPolicy},
+		readPath:  readPath{base: store},
 		g:         g,
 		trunkSize: trunkSize,
 		trunkOff:  make([]int64, numV+1),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -26,8 +27,8 @@ import (
 // after a WAL failure flips the graph into its sticky degraded state, writes
 // (but not reads) shed the same way.
 
-// defaultMaxIngestBatch bounds edges per POST /edges request.
-const defaultMaxIngestBatch = 100_000
+// maxIngestBatch bounds edges per POST /edges request.
+const maxIngestBatch = 100_000
 
 // maxIngestBody bounds the JSON body size accepted by the ingest endpoints;
 // generous for a full-size batch, small enough to shrug off abuse.
@@ -158,13 +159,19 @@ func (s *Server) handleIngestEdges(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("body: %v", err))
 		return
 	}
+	// A second object after the first would otherwise be dropped unread
+	// while the reply reports success.
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errors.New("body: data after the JSON object"))
+		return
+	}
 	if len(req.Edges) == 0 {
 		writeErr(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	if len(req.Edges) > s.cfg.MaxIngestBatch {
+	if len(req.Edges) > maxIngestBatch {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d edges exceeds per-request limit %d", len(req.Edges), s.cfg.MaxIngestBatch))
+			fmt.Errorf("batch of %d edges exceeds per-request limit %d", len(req.Edges), maxIngestBatch))
 		return
 	}
 	edges := make([]temporal.Edge, len(req.Edges))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -173,14 +174,46 @@ func TestDurableWalkRecordsCost(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	ts, _, _ := newIngestServer(t, Config{MaxIngestBatch: 2})
+	ts, _, d := newIngestServer(t, Config{})
 	postJSON(t, ts.URL+"/edges", `{"edges":[]}`, http.StatusBadRequest, nil)
 	postJSON(t, ts.URL+"/edges", `not json`, http.StatusBadRequest, nil)
-	postJSON(t, ts.URL+"/edges",
-		`{"edges":[{"src":0,"dst":1,"t":1},{"src":0,"dst":1,"t":2},{"src":0,"dst":1,"t":3}]}`,
-		http.StatusBadRequest, nil)
+	// One edge past the per-request cap is refused before the WAL.
+	var b strings.Builder
+	b.WriteString(`{"edges":[`)
+	for i := 0; i <= maxIngestBatch; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"src":0,"dst":1,"t":%d}`, i+1)
+	}
+	b.WriteString(`]}`)
+	postJSON(t, ts.URL+"/edges", b.String(), http.StatusBadRequest, nil)
+	if lsn := d.Log().LastLSN(); lsn != 0 || d.NumEdges() != 0 {
+		t.Fatalf("over-cap batch reached the log (LSN %d) or the graph (%d edges)", lsn, d.NumEdges())
+	}
 	postJSON(t, ts.URL+"/expire", "", http.StatusBadRequest, nil)
 	postJSON(t, ts.URL+"/expire?before=abc", "", http.StatusBadRequest, nil)
+}
+
+// A body holding more than one JSON object is refused whole: appending the
+// first and answering 200 would drop the rest without a word.
+func TestIngestRefusesTrailingData(t *testing.T) {
+	ts, _, d := newIngestServer(t, Config{})
+	for _, body := range []string{
+		`{"edges":[{"src":0,"dst":1,"t":1}]}{"edges":[{"src":0,"dst":2,"t":2}]}`,
+		`{"edges":[{"src":0,"dst":1,"t":1}]} x`,
+		`{"edges":[{"src":0,"dst":1,"t":1}]}]`,
+	} {
+		postJSON(t, ts.URL+"/edges", body, http.StatusBadRequest, nil)
+	}
+	if d.NumEdges() != 0 {
+		t.Fatalf("a refused body appended %d edges", d.NumEdges())
+	}
+	var resp ingestResponse
+	postJSON(t, ts.URL+"/edges", "{\"edges\":[{\"src\":0,\"dst\":1,\"t\":1}]}\n\t ", http.StatusOK, &resp)
+	if resp.Appended != 1 {
+		t.Fatalf("trailing whitespace: %+v", resp)
+	}
 }
 
 // A vertex id past the stream's bound is the client's bug: 400 with a JSON

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -182,18 +183,19 @@ func TestLengthCapRejectsHugeRequest(t *testing.T) {
 	}
 }
 
-// The caps must be config-overridable in both directions.
+// The length cap is config-overridable; the other caps are constants, and
+// each admits its own value and refuses one more.
 func TestCapsConfigurable(t *testing.T) {
-	ts, _ := newMeteredServer(t, Config{MaxWalkLength: 5, MaxWalkCount: 2, MaxTopK: 3, MaxPPRWalks: 100})
+	ts, _ := newMeteredServer(t, Config{MaxWalkLength: 5})
 	var walk walkResponse
-	getJSON(t, ts.URL+"/walk?from=9&length=5&count=2", http.StatusOK, &walk)
+	getJSON(t, ts.URL+"/walk?from=9&length=5&count="+strconv.Itoa(maxWalkCount), http.StatusOK, &walk)
 	var bad map[string]string
 	getJSON(t, ts.URL+"/walk?from=9&length=6", http.StatusBadRequest, &bad)
-	getJSON(t, ts.URL+"/walk?from=9&count=3", http.StatusBadRequest, &bad)
-	getJSON(t, ts.URL+"/ppr?from=9&walks=101", http.StatusBadRequest, &bad)
-	getJSON(t, ts.URL+"/ppr?from=9&topk=4", http.StatusBadRequest, &bad)
+	getJSON(t, ts.URL+"/walk?from=9&length=5&count="+strconv.Itoa(maxWalkCount+1), http.StatusBadRequest, &bad)
+	getJSON(t, ts.URL+"/ppr?from=9&walks="+strconv.Itoa(maxPPRWalks+1), http.StatusBadRequest, &bad)
+	getJSON(t, ts.URL+"/ppr?from=9&topk="+strconv.Itoa(maxTopK+1), http.StatusBadRequest, &bad)
 	var ppr pprResponse
-	getJSON(t, ts.URL+"/ppr?from=9&walks=100&topk=3", http.StatusOK, &ppr)
+	getJSON(t, ts.URL+"/ppr?from=9&walks=100&topk="+strconv.Itoa(maxTopK), http.StatusOK, &ppr)
 }
 
 // The JSON snapshot endpoint must be valid JSON even with zero traffic.

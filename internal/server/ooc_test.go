@@ -35,7 +35,6 @@ func TestOOCDeadDeviceWalkIsNot200(t *testing.T) {
 func TestOOCCostReportsReadRetries(t *testing.T) {
 	ts, fi, dp := newOOCServer(t, fault.New(7, fault.Fault{Op: fault.Read, Rate: 0.3, Err: ooc.ErrTransient}),
 		Config{Metrics: metrics.NewRegistry()})
-	dp.SetRetryPolicy(ooc.RetryPolicy{MaxRetries: 20})
 	before := dp.Retries()
 	var out struct {
 		CostDetail struct {

@@ -157,7 +157,7 @@ func TestRouterReplicaTopologyReporting(t *testing.T) {
 func TestRouterFailoverTraceSpan(t *testing.T) {
 	g := testutil.RandomGraph(t, 50, 1000, 300, 94)
 	servers := newShardCluster(t, g, sampling.WeightSpec{}, 1, Config{}, nil)
-	tracer := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256})
+	tracer := trace.New(trace.Config{SampleFraction: 1})
 	rt, err := NewRouter(RouterConfig{
 		Shards: []string{deadURL(t) + "|" + servers[0].URL},
 		Config: Config{Trace: tracer},

@@ -17,8 +17,10 @@
 // meaningful status codes: 400 for malformed or out-of-range parameters,
 // 501 for an endpoint another mode serves, 503 when shedding, 504 when the
 // per-request deadline fires. Client-supplied sizing parameters (length,
-// count, walks, topk) are capped (Config-overridable) and rejected with 400
-// beyond the cap, before any proportional allocation happens.
+// count, walks, topk, and edges per POST /edges) are capped and rejected
+// with 400 beyond the cap, before any proportional allocation happens. The
+// caps are constants, except the /walk length cap, which Config.MaxWalkLength
+// (teaserve -max-length) overrides.
 //
 // Every endpoint is instrumented: request counts, status-class counts, and
 // latency histograms per endpoint, plus an in-flight gauge and shed/timeout
@@ -49,19 +51,20 @@ import (
 	"github.com/tea-graph/tea/internal/trace"
 )
 
-// Default caps on client-supplied sizing parameters; all are overridable via
-// Config. Beyond a cap the request is rejected with 400 before any allocation
-// happens — an unbounded length would otherwise make the engine allocate a
-// Length-sized histogram per run (length=2000000000 is a ~16 GB allocation).
+// Caps on client-supplied sizing parameters. Beyond a cap the request is
+// rejected with 400 before any allocation happens — an unbounded length would
+// otherwise make the engine allocate a Length-sized histogram per run
+// (length=2000000000 is a ~16 GB allocation).
 const (
-	// defaultMaxWalksPerRequest bounds count on one /walk request.
-	defaultMaxWalksPerRequest = 10000
-	// defaultMaxWalkLength bounds length on one /walk request.
+	// maxWalkCount bounds count on one /walk request.
+	maxWalkCount = 10000
+	// defaultMaxWalkLength bounds length on one /walk request unless
+	// Config.MaxWalkLength sets another cap.
 	defaultMaxWalkLength = 10000
-	// defaultMaxPPRWalks bounds walks on one /ppr request.
-	defaultMaxPPRWalks = 1_000_000
-	// defaultMaxTopK bounds topk on one /ppr request.
-	defaultMaxTopK = 10000
+	// maxPPRWalks bounds walks on one /ppr request.
+	maxPPRWalks = 1_000_000
+	// maxTopK bounds topk on one /ppr request.
+	maxTopK = 10000
 )
 
 // topRequests is how many recent requests /debug/tea/top retains.
@@ -94,17 +97,6 @@ type Config struct {
 	// MaxWalkLength caps the length parameter of /walk; 0 means the
 	// default (10000). Requests beyond the cap get 400.
 	MaxWalkLength int
-	// MaxWalkCount caps the count parameter of /walk; 0 means the
-	// default (10000).
-	MaxWalkCount int
-	// MaxPPRWalks caps the walks parameter of /ppr; 0 means the default
-	// (1000000).
-	MaxPPRWalks int
-	// MaxTopK caps the topk parameter of /ppr; 0 means the default (10000).
-	MaxTopK int
-	// MaxIngestBatch caps the number of edges one POST /edges may carry;
-	// 0 means the default (100000). Only meaningful in durable-ingest mode.
-	MaxIngestBatch int
 
 	// Instance names this process in its observability output ("router",
 	// "shard-2"): tea_build_info gains an instance label, spans are stamped
@@ -275,8 +267,8 @@ func (sh *shell) parseWalk(q url.Values, numVertices int) (walkQuery, error) {
 	if length > sh.cfg.MaxWalkLength {
 		return walkQuery{}, fmt.Errorf("length %d exceeds per-request limit %d", length, sh.cfg.MaxWalkLength)
 	}
-	if count > sh.cfg.MaxWalkCount {
-		return walkQuery{}, fmt.Errorf("count %d exceeds per-request limit %d", count, sh.cfg.MaxWalkCount)
+	if count > maxWalkCount {
+		return walkQuery{}, fmt.Errorf("count %d exceeds per-request limit %d", count, maxWalkCount)
 	}
 	return walkQuery{from: from, length: length, count: count, seed: uint64(seed)}, nil
 }
@@ -343,8 +335,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if walks <= 0 || walks > s.cfg.MaxPPRWalks {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("walks must be in (0, %d]", s.cfg.MaxPPRWalks))
+	if walks <= 0 || walks > maxPPRWalks {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("walks must be in (0, %d]", maxPPRWalks))
 		return
 	}
 	alpha, err := floatParam(q, "alpha", 0.15)
@@ -361,8 +353,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if topK <= 0 || topK > s.cfg.MaxTopK {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("topk must be in (0, %d]", s.cfg.MaxTopK))
+	if topK <= 0 || topK > maxTopK {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("topk must be in (0, %d]", maxTopK))
 		return
 	}
 	seed, err := intParam(q, "seed", 1)

@@ -280,11 +280,11 @@ func TestRouterPartitionMismatch502(t *testing.T) {
 func TestRouterTracePropagation(t *testing.T) {
 	g := testutil.RandomGraph(t, 80, 2000, 400, 66)
 	tracers := []*trace.Tracer{
-		trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256}),
-		trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256}),
+		trace.New(trace.Config{SampleFraction: 1}),
+		trace.New(trace.Config{SampleFraction: 1}),
 	}
 	servers := newShardCluster(t, g, sampling.WeightSpec{}, 2, Config{}, tracers)
-	routerTracer := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 256})
+	routerTracer := trace.New(trace.Config{SampleFraction: 1})
 	router := newShardRouter(t, servers, RouterConfig{Config: Config{Trace: routerTracer}})
 
 	const reqID = "req-router-trace-1"

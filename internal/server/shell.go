@@ -58,18 +58,6 @@ func newShell(cfg Config, routes []route) *shell {
 	if cfg.MaxWalkLength <= 0 {
 		cfg.MaxWalkLength = defaultMaxWalkLength
 	}
-	if cfg.MaxWalkCount <= 0 {
-		cfg.MaxWalkCount = defaultMaxWalksPerRequest
-	}
-	if cfg.MaxPPRWalks <= 0 {
-		cfg.MaxPPRWalks = defaultMaxPPRWalks
-	}
-	if cfg.MaxTopK <= 0 {
-		cfg.MaxTopK = defaultMaxTopK
-	}
-	if cfg.MaxIngestBatch <= 0 {
-		cfg.MaxIngestBatch = defaultMaxIngestBatch
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Default
 	}

@@ -288,8 +288,8 @@ func TestClusterNode2VecMatchesEngine(t *testing.T) {
 	}
 }
 
-// The node2vec golden: with a filter sized so that it answers exactly like
-// the graph's neighbor test on every vertex pair (checked here, not
+// The node2vec golden: where the filter, at bloomBitsPerEdge, answers exactly
+// like the graph's neighbor test on every vertex pair (checked here, not
 // assumed), cluster node2vec walks equal core.Engine running
 // TemporalNode2Vec byte for byte, with equal cost, at every partition count
 // and coordinating node, in-process and over loopback TCP.
@@ -306,7 +306,7 @@ func TestClusterNode2VecGolden(t *testing.T) {
 	req := WalkRequest{Length: length, WalksPerVertex: walksPer, Seed: seed, KeepPaths: true}
 	total := g.NumVertices() * walksPer
 	for _, parts := range []int{1, 2, 3, 8} {
-		c, err := NewCluster(g, spec, ClusterConfig{Partitions: parts, Node2Vec: &Node2Vec{P: p, Q: q, BloomBitsPerEdge: 64}})
+		c, err := NewCluster(g, spec, ClusterConfig{Partitions: parts, Node2Vec: &Node2Vec{P: p, Q: q}})
 		if err != nil {
 			t.Fatal(err)
 		}

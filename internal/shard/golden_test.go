@@ -251,10 +251,7 @@ func TestPeerDownFailsFast(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	peers := NewPeers(map[int]string{1: deadAddr}, wire.ClientConfig{
-		Metrics:      metrics.NewRegistry(),
-		RetryBackoff: time.Millisecond,
-	})
+	peers := NewPeers(map[int]string{1: deadAddr}, wire.ClientConfig{Metrics: metrics.NewRegistry()})
 	defer peers.Close()
 	inner := &InProcess{Nodes: nodes}
 	caller := stepFunc(func(c context.Context, shardID int, req *wire.StepRequest) (*wire.StepResponse, error) {
@@ -300,7 +297,7 @@ func TestConfigMismatchRefused(t *testing.T) {
 // request id, so /debug/tea/trace?id=<X-Request-ID> finds the hop.
 func TestTracePropagationAcrossHop(t *testing.T) {
 	g := testutil.RandomGraph(t, 60, 1500, 300, 57)
-	tr := trace.New(trace.Config{SampleFraction: 1, MaxTraces: 16, MaxSpansPerTrace: 4096})
+	tr := trace.New(trace.Config{SampleFraction: 1})
 	peer, err := NewNode(g, sampling.WeightSpec{}, Config{
 		ShardID: 1, Partitions: 2, Threads: 1,
 		Tracer: tr, Metrics: metrics.NewRegistry(),

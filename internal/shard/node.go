@@ -40,11 +40,12 @@ type Config struct {
 type Node2Vec struct {
 	// P and Q are node2vec's return and in-out parameters (must be > 0).
 	P, Q float64
-	// BloomBitsPerEdge sizes the neighbor filter; 0 selects 16
-	// (false-positive probability ≈ 4e-4, which can only upgrade a distant
-	// candidate's β from 1/q to 1).
-	BloomBitsPerEdge int
 }
+
+// bloomBitsPerEdge sizes the node2vec neighbor filter: a false-positive
+// probability ≈ 4e-4, which can only upgrade a distant candidate's β from
+// 1/q to 1.
+const bloomBitsPerEdge = 16
 
 // Node is one shard: a core.Engine over the subgraph of its owned vertices'
 // out-edges, and the step executor remote peers call into. A Node both
@@ -105,11 +106,7 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 		if !(n2v.P > 0 && n2v.Q > 0) {
 			return nil, fmt.Errorf("shard: node2vec parameters must be positive, got p=%v q=%v", n2v.P, n2v.Q)
 		}
-		bits := n2v.BloomBitsPerEdge
-		if bits == 0 {
-			bits = 16
-		}
-		bloom := newEdgeBloom(g.NumEdges(), bits)
+		bloom := newEdgeBloom(g.NumEdges(), bloomBitsPerEdge)
 		n.bloom = bloom
 		// The previous vertex's adjacency may live on another shard, so the
 		// neighbor test asks the filter, and NeedsPrev stays false: a

@@ -64,7 +64,7 @@ func serveOverWire(t *testing.T, node *Node) (*wire.Client, *atomic.Int64) {
 		var d net.Dialer
 		return d.DialContext(ctx, network, addr)
 	}
-	c := wire.NewClient(ln.Addr().String(), wire.ClientConfig{Metrics: metrics.NewRegistry(), RetryBackoff: time.Millisecond, Dialer: dial})
+	c := wire.NewClient(ln.Addr().String(), wire.ClientConfig{Metrics: metrics.NewRegistry(), Dialer: dial})
 	t.Cleanup(c.Close)
 	return c, dials
 }

@@ -71,7 +71,7 @@ func validStepRequest(node *Node, walkers int) *wire.StepRequest {
 
 func testReplicaConfig(reg *metrics.Registry) ReplicaPeersConfig {
 	return ReplicaPeersConfig{
-		Client:  wire.ClientConfig{Metrics: reg, RetryBackoff: time.Millisecond, DialTimeout: time.Second},
+		Client:  wire.ClientConfig{Metrics: reg},
 		Metrics: reg,
 	}
 }

@@ -42,50 +42,30 @@ var aLongTimeAgo = time.Unix(1, 0)
 // (internal/netchaos) hook the client here.
 type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
+// Connection and retry policy of every peer client.
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// maxIdleConns caps pooled idle connections per peer.
+	maxIdleConns = 4
+	// maxIdleAge caps how long a pooled connection may sit idle before it is
+	// reaped at the next checkout instead of reused.
+	maxIdleAge = 60 * time.Second
+	// maxRetries is the number of re-attempts after the first failed try on
+	// transient (connection-level) errors.
+	maxRetries = 2
+	// retryBackoff is the sleep before the first retry; it doubles each
+	// attempt.
+	retryBackoff = 25 * time.Millisecond
+)
+
 // ClientConfig tunes a peer client. The zero value is usable.
 type ClientConfig struct {
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// MaxIdleConns caps pooled idle connections per peer. Default 4.
-	MaxIdleConns int
-	// MaxIdleAge caps how long a pooled connection may sit idle before it is
-	// reaped at the next checkout instead of reused. Default 60s.
-	MaxIdleAge time.Duration
-	// Retries is the number of re-attempts after the first failed try on
-	// transient (connection-level) errors. Default 2.
-	Retries int
-	// RetryBackoff is the sleep before the first retry; it doubles each
-	// attempt. Default 25ms.
-	RetryBackoff time.Duration
-	// Dialer replaces the default net.Dialer when non-nil. DialTimeout still
+	// Dialer replaces the default net.Dialer when non-nil. dialTimeout still
 	// bounds the attempt via the context passed in.
 	Dialer DialFunc
 	// Metrics receives tea_shard_* client counters; nil means metrics.Default.
 	Metrics *metrics.Registry
-}
-
-func (c ClientConfig) normalized() ClientConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 4
-	}
-	if c.MaxIdleAge <= 0 {
-		c.MaxIdleAge = 60 * time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.Default
-	}
-	return c
 }
 
 // pconn is a pooled connection plus its reusable frame buffers. The buffers
@@ -141,7 +121,9 @@ type Client struct {
 
 // NewClient builds a client for the peer at addr (host:port).
 func NewClient(addr string, cfg ClientConfig) *Client {
-	cfg = cfg.normalized()
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.Default
+	}
 	return &Client{
 		addr:      addr,
 		cfg:       cfg,
@@ -175,14 +157,14 @@ func (c *Client) IdleConns() int {
 
 // Step sends one batched step request and waits for the response. Transient
 // connection errors (dial failure, broken stream) are retried with
-// exponential backoff up to cfg.Retries times; a TypeError answer is
+// exponential backoff up to maxRetries times; a TypeError answer is
 // returned as *RemoteError without retrying. The context deadline bounds the
 // whole exchange including retries, and cancelling the context interrupts an
 // in-flight exchange rather than waiting out the connection deadline.
 func (c *Client) Step(ctx context.Context, req *StepRequest) (*StepResponse, error) {
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
 			select {
@@ -313,7 +295,7 @@ func (c *Client) applyDeadline(ctx context.Context, conn net.Conn) error {
 }
 
 // checkout pops the most recently used idle connection, reaping any that
-// outlived MaxIdleAge or fail a liveness poke (a peer restart leaves behind
+// outlived maxIdleAge or fail a liveness poke (a peer restart leaves behind
 // conns that look open but are dead — detect them here, not mid-request).
 func (c *Client) checkout(ctx context.Context) (*pconn, error) {
 	for {
@@ -329,7 +311,7 @@ func (c *Client) checkout(ctx context.Context) (*pconn, error) {
 		}
 		conn := c.idle[n-1]
 		c.idle = c.idle[:n-1]
-		expired := time.Since(conn.idleSince) > c.cfg.MaxIdleAge
+		expired := time.Since(conn.idleSince) > maxIdleAge
 		c.mu.Unlock()
 		if expired {
 			c.reaped.Inc()
@@ -346,7 +328,7 @@ func (c *Client) checkout(ctx context.Context) (*pconn, error) {
 	dctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, c.cfg.DialTimeout)
+		dctx, cancel = context.WithTimeout(ctx, dialTimeout)
 		defer cancel()
 	}
 	var raw net.Conn
@@ -354,7 +336,7 @@ func (c *Client) checkout(ctx context.Context) (*pconn, error) {
 	if c.cfg.Dialer != nil {
 		raw, err = c.cfg.Dialer(dctx, "tcp", c.addr)
 	} else {
-		d := net.Dialer{Timeout: c.cfg.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		raw, err = d.DialContext(dctx, "tcp", c.addr)
 	}
 	if err != nil {
@@ -377,7 +359,7 @@ func (c *Client) checkin(conn *pconn) {
 	conn.SetDeadline(time.Time{})
 	conn.idleSince = time.Now()
 	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.cfg.MaxIdleConns {
+	if !c.closed && len(c.idle) < maxIdleConns {
 		c.idle = append(c.idle, conn)
 		c.mu.Unlock()
 		return

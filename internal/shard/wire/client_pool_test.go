@@ -57,17 +57,27 @@ func TestRestartPeerNoVisibleRetry(t *testing.T) {
 func TestIdleConnReapedByAge(t *testing.T) {
 	_, addr := startServer(t, &echoHandler{})
 	reg := metrics.NewRegistry()
-	cfg := testClientConfig()
-	cfg.Metrics = reg
-	cfg.MaxIdleAge = 10 * time.Millisecond
-	c := NewClient(addr, cfg)
+	c := NewClient(addr, ClientConfig{Metrics: reg})
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := c.Step(ctx, sampleRequest(1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	// A conn idle for just under maxIdleAge is reused; one idle past it is
+	// reaped at the next checkout.
+	c.mu.Lock()
+	c.idle[0].idleSince = time.Now().Add(-maxIdleAge + time.Minute)
+	c.mu.Unlock()
+	if _, err := c.Step(ctx, sampleRequest(1)); err != nil {
+		t.Fatal(err)
+	}
+	if reaped := reg.Counter(`tea_shard_conns_reaped_total{peer="` + addr + `"}`).Value(); reaped != 0 {
+		t.Fatalf("reaped = %d before maxIdleAge, want 0", reaped)
+	}
+	c.mu.Lock()
+	c.idle[0].idleSince = time.Now().Add(-maxIdleAge - time.Second)
+	c.mu.Unlock()
 	if _, err := c.Step(ctx, sampleRequest(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +212,12 @@ func TestChaosByteFlipCaughtByCRC(t *testing.T) {
 }
 
 // TestChaosStallInterruptedByContext: a stalled read (packet blackhole) must
-// be bounded by the Step context, not hang forever.
+// be bounded by the Step context, not hang forever, with maxRetries retries
+// left to try: the try that stalls runs out the deadline.
 func TestChaosStallInterruptedByContext(t *testing.T) {
 	_, addr := startServer(t, &echoHandler{})
 	plan := fault.New(1, fault.Fault{Op: fault.Read, Kind: fault.Stall})
-	cfg := testClientConfig()
-	cfg.Dialer = netchaos.Dial(plan)
-	cfg.Retries = -1 // negative → normalized to 0: no retries, one stalled try
-	c := NewClient(addr, cfg)
+	c := NewClient(addr, ClientConfig{Metrics: metrics.NewRegistry(), Dialer: netchaos.Dial(plan)})
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

@@ -18,10 +18,7 @@ import (
 )
 
 func testClientConfig() ClientConfig {
-	return ClientConfig{
-		Metrics:      metrics.NewRegistry(),
-		RetryBackoff: time.Millisecond,
-	}
+	return ClientConfig{Metrics: metrics.NewRegistry()}
 }
 
 func sampleRequest(n int) *StepRequest {
@@ -459,7 +456,8 @@ func TestClientPeerDownFailsPromptly(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listening at addr now
-	c := NewClient(addr, testClientConfig())
+	reg := metrics.NewRegistry()
+	c := NewClient(addr, ClientConfig{Metrics: reg})
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
@@ -471,6 +469,9 @@ func TestClientPeerDownFailsPromptly(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("peer-down detection took %v", d)
+	}
+	if got := reg.Counter(`tea_shard_peer_retries_total{peer="` + addr + `"}`).Value(); got != maxRetries {
+		t.Fatalf("retries = %d, want %d", got, maxRetries)
 	}
 }
 

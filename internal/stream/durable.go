@@ -217,12 +217,11 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// ingestReq is one queued mutation awaiting group commit.
+// ingestReq is one queued mutation awaiting group commit: the WAL record
+// it logs, which is also what the commit applies.
 type ingestReq struct {
 	typ     wal.RecordType
 	payload []byte
-	edges   []temporal.Edge
-	horizon temporal.Time
 	dropped int
 	err     error
 	done    chan struct{}
@@ -428,44 +427,56 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 	return d, nil
 }
 
-// applyRecord replays one WAL record during recovery. Application errors
-// are deliberately ignored: a record that failed validation live fails
-// identically here (application is deterministic), so the replayed state
-// matches the pre-crash state. Decode failures mean the payload itself is
-// damaged — impossible past the frame CRC short of a version skew — and
-// refuse the log.
+// applyRecord replays one WAL record during recovery, one txn per record.
+// Application errors are deliberately ignored: a record that failed
+// validation live fails identically here (application is deterministic), so
+// the replayed state matches the pre-crash state. Decode failures mean the
+// payload itself is damaged — impossible past the frame CRC short of a
+// version skew — and refuse the log.
 func (d *DurableGraph) applyRecord(rec wal.Record) error {
-	switch rec.Type {
-	case wal.RecEdgeBatch:
-		edges, err := edgeio.DecodeList(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, rec.LSN, err)
-		}
-		if err := d.g.AppendBatch(edges); errors.Is(err, ErrVertexRange) {
-			// A batch logged before vertex ids were bounded: refuse it as
-			// a live append would, and say so.
-			d.logger.Warn("replay refused a logged batch naming a vertex id out of range",
-				"lsn", rec.LSN, "edges", len(edges), "err", err)
-		}
-	case wal.RecDeleteBatch:
-		edges, err := edgeio.DecodeList(rec.Payload)
-		if err != nil {
-			return fmt.Errorf("%w: record %d: %v", wal.ErrCorrupt, rec.LSN, err)
-		}
-		d.g.DeleteEdges(edges)
-	case wal.RecExpire:
-		if len(rec.Payload) != 8 {
-			return fmt.Errorf("%w: record %d: expire payload %d bytes", wal.ErrCorrupt, rec.LSN, len(rec.Payload))
-		}
-		d.g.ExpireBefore(temporal.Time(binary.LittleEndian.Uint64(rec.Payload)))
-	case wal.RecSnapshotMark:
-		// Informational: the snapshot file is the source of truth.
-	case wal.RecNoop:
-		// Heal's device probe; carries no state change.
-	default:
-		return fmt.Errorf("%w: record %d: unknown type %d", wal.ErrCorrupt, rec.LSN, rec.Type)
+	t := d.g.begin()
+	_, err := t.apply(rec.Type, rec.Payload)
+	if errors.Is(err, wal.ErrCorrupt) {
+		return fmt.Errorf("record %d: %w", rec.LSN, err)
+	}
+	t.commit()
+	if errors.Is(err, ErrVertexRange) {
+		// A batch logged before vertex ids were bounded: refuse it as a
+		// live append would, and say so.
+		d.logger.Warn("replay refused a logged batch naming a vertex id out of range",
+			"lsn", rec.LSN, "err", err)
 	}
 	return nil
+}
+
+// apply stages one logged mutation, given as its WAL record type and
+// payload; the live commit and replay both apply records through it. It
+// returns how many edges an expiry dropped. A payload that does not decode,
+// or a type that is no record, is an error wrapping wal.ErrCorrupt; any
+// other error is the mutation's own, with the Graph method's staging: a
+// refused append stages nothing, a failed deletion keeps its prefix.
+func (t *txn) apply(typ wal.RecordType, payload []byte) (dropped int, err error) {
+	switch typ {
+	case wal.RecEdgeBatch, wal.RecDeleteBatch:
+		edges, err := edgeio.DecodeList(payload)
+		if err != nil {
+			return 0, fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		}
+		if typ == wal.RecEdgeBatch {
+			return 0, t.appendBatch(edges)
+		}
+		return 0, t.deleteEdges(edges)
+	case wal.RecExpire:
+		if len(payload) != 8 {
+			return 0, fmt.Errorf("%w: expire payload %d bytes", wal.ErrCorrupt, len(payload))
+		}
+		return t.expireBefore(temporal.Time(binary.LittleEndian.Uint64(payload))), nil
+	case wal.RecSnapshotMark, wal.RecNoop:
+		// A snapshot marker is informational (the snapshot file is the
+		// source of truth); a no-op is heal's device probe.
+		return 0, nil
+	}
+	return 0, fmt.Errorf("%w: unknown type %d", wal.ErrCorrupt, typ)
 }
 
 // AppendBatch logs and applies a batch of strictly newer edges. The batch
@@ -478,8 +489,8 @@ func (d *DurableGraph) AppendBatch(edges []temporal.Edge) error {
 	if err := checkVertexIDs(edges); err != nil {
 		return err
 	}
-	req := &ingestReq{typ: wal.RecEdgeBatch, payload: edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges), edges: edges, done: make(chan struct{})}
-	return d.submit(req)
+	_, err := d.submit(wal.RecEdgeBatch, edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges))
+	return err
 }
 
 // DeleteEdges logs and applies a batch of deletions; partial-failure
@@ -489,36 +500,33 @@ func (d *DurableGraph) DeleteEdges(edges []temporal.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	req := &ingestReq{typ: wal.RecDeleteBatch, payload: edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges), edges: edges, done: make(chan struct{})}
-	return d.submit(req)
+	_, err := d.submit(wal.RecDeleteBatch, edgeio.AppendList(make([]byte, 0, 4+edgeio.RecordSize*len(edges)), edges))
+	return err
 }
 
 // ExpireBefore logs and applies a sliding-window expiry, returning the
 // number of edges dropped.
 func (d *DurableGraph) ExpireBefore(horizon temporal.Time) (int, error) {
-	p := binary.LittleEndian.AppendUint64(nil, uint64(horizon))
-	req := &ingestReq{typ: wal.RecExpire, payload: p, horizon: horizon, done: make(chan struct{})}
-	if err := d.submit(req); err != nil {
-		return 0, err
-	}
-	return req.dropped, nil
+	return d.submit(wal.RecExpire, binary.LittleEndian.AppendUint64(nil, uint64(horizon)))
 }
 
-// submit queues one mutation and waits for its group to commit and apply.
-func (d *DurableGraph) submit(req *ingestReq) error {
+// submit queues one mutation and waits for its group to commit and apply;
+// it returns how many edges the mutation dropped.
+func (d *DurableGraph) submit(typ wal.RecordType, payload []byte) (int, error) {
 	if d.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if err := d.Err(); err != nil {
-		return err
+		return 0, err
 	}
+	req := &ingestReq{typ: typ, payload: payload, done: make(chan struct{})}
 	select {
 	case d.reqCh <- req:
 	case <-d.quit:
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	<-req.done
-	return req.err
+	return req.dropped, req.err
 }
 
 // commitLoop is the single committer: it drains queued mutations into
@@ -625,14 +633,7 @@ func (d *DurableGraph) commitGroup(batch []*ingestReq) {
 	// them.
 	tx := d.g.begin()
 	for _, r := range batch {
-		switch r.typ {
-		case wal.RecEdgeBatch:
-			r.err = tx.appendBatch(r.edges)
-		case wal.RecDeleteBatch:
-			r.err = tx.deleteEdges(r.edges)
-		case wal.RecExpire:
-			r.dropped = tx.expireBefore(r.horizon)
-		}
+		r.dropped, r.err = tx.apply(r.typ, r.payload)
 	}
 	d.mu.Lock()
 	tx.commit()

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/tea-graph/tea/internal/edgeio"
 	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/wal"
 )
@@ -282,5 +283,35 @@ func flipByte(t *testing.T, path string, off int64) {
 	b[0] ^= 0xFF
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A record whose frame is intact but whose payload does not decode as its
+// type says, or whose type is no record, refuses recovery with
+// wal.ErrCorrupt: replay ignores only the mutation's own errors.
+func TestReplayRefusesUndecodablePayload(t *testing.T) {
+	good := edgeio.AppendList(nil, []temporal.Edge{{Src: 0, Dst: 1, Time: 1}})
+	for name, bad := range map[string]wal.Entry{
+		"short edge batch":     {Type: wal.RecEdgeBatch, Payload: good[:len(good)-1]},
+		"miscounted deletions": {Type: wal.RecDeleteBatch, Payload: good[1:]},
+		"short expiry":         {Type: wal.RecExpire, Payload: make([]byte, 7)},
+		"unknown type":         {Type: 99, Payload: good},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := log.Append(wal.Entry{Type: wal.RecEdgeBatch, Payload: good}, bad); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenDurable(dir, DurableConfig{WAL: wal.Options{Policy: wal.SyncAlways}}); !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("err = %v, want wal.ErrCorrupt", err)
+			}
+		})
 	}
 }

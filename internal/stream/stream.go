@@ -184,9 +184,6 @@ type Config struct {
 	// NumVertices pre-sizes the vertex space, up to maxVertexID+1; batches
 	// may still grow it.
 	NumVertices int
-	// MinTime anchors linear-time weights; defaults to the first batch's
-	// earliest timestamp.
-	MinTime *temporal.Time
 }
 
 // New creates an empty streaming graph.
@@ -197,16 +194,11 @@ func New(cfg Config) (*Graph, error) {
 	if cfg.NumVertices > maxVertexID+1 {
 		return nil, fmt.Errorf("%w: %d vertices, at most %d", ErrVertexRange, cfg.NumVertices, maxVertexID+1)
 	}
-	g := &Graph{
+	return &Graph{
 		spec:     cfg.Weight,
 		verts:    make([][]segment, cfg.NumVertices),
 		frontier: temporal.MinTime,
-	}
-	if cfg.MinTime != nil {
-		g.minTime = *cfg.MinTime
-		g.hasEdges = true // minTime is pinned; batches won't move it
-	}
-	return g, nil
+	}, nil
 }
 
 // NumVertices returns the current vertex-space size.

@@ -300,28 +300,34 @@ func TestDeadEndSampling(t *testing.T) {
 	}
 }
 
+// Linear-time weights are anchored at the first batch's earliest time, and
+// later batches do not move the anchor.
 func TestPinnedMinTime(t *testing.T) {
-	pin := temporal.Time(0)
-	g := mustNew(t, Config{Weight: sampling.WeightSpec{Kind: sampling.WeightLinearTime}, MinTime: &pin})
+	g := mustNew(t, Config{Weight: sampling.WeightSpec{Kind: sampling.WeightLinearTime}})
 	if err := g.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 10}, {Src: 0, Dst: 2, Time: 20}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.AppendBatch([]temporal.Edge{{Src: 0, Dst: 3, Time: 30}}); err != nil {
+		t.Fatal(err)
+	}
 	r := xrand.New(12)
-	// Weights 11 vs 21 relative to the pinned origin.
-	newer := 0
+	// Weights 1, 11 and 21 relative to the anchor at time 10.
+	var hits [4]int
 	const draws = 40000
 	for i := 0; i < draws; i++ {
 		dst, _, _, ok := g.SampleStep(0, temporal.MinTime, r)
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		if dst == 2 {
-			newer++
-		}
+		hits[dst]++
 	}
-	want := 21.0 / 32.0
-	if math.Abs(float64(newer)/draws-want) > 0.02 {
-		t.Fatalf("pinned linear-time ratio %.3f, want %.3f", float64(newer)/draws, want)
+	for dst, w := range []float64{1: 1, 2: 11, 3: 21} {
+		if dst == 0 {
+			continue
+		}
+		if got := float64(hits[dst]) / draws; math.Abs(got-w/33) > 0.02 {
+			t.Fatalf("dst %d: linear-time share %.3f, want %.3f", dst, got, w/33)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func BenchmarkNoTracerSpan(b *testing.B) {
 // BenchmarkSampledSpan prices the enabled path for context: one child span
 // with two annotations, retained in a sampled trace.
 func BenchmarkSampledSpan(b *testing.B) {
-	tr := New(Config{SampleFraction: 1, MaxTraces: 2, MaxSpansPerTrace: 16})
+	tr := New(Config{SampleFraction: 1})
 	ctx, root := tr.StartRoot(context.Background(), "bench", "bench-trace")
 	defer root.End()
 	b.ReportAllocs()

@@ -46,12 +46,6 @@ type Config struct {
 	// FlightSpans is the flight-recorder capacity in events (rounded up to a
 	// power of two); 0 turns the recorder off.
 	FlightSpans int
-	// MaxTraces bounds the retained sampled traces; the oldest trace is
-	// evicted first. 0 means 64.
-	MaxTraces int
-	// MaxSpansPerTrace bounds one trace's span count; spans beyond the bound
-	// are counted as dropped, not retained. 0 means 4096.
-	MaxSpansPerTrace int
 	// Instance names the process in every span this tracer records (e.g.
 	// "router", "shard-2"), so spans merged across processes stay
 	// attributable. Empty leaves spans unstamped.
@@ -62,8 +56,12 @@ type Config struct {
 }
 
 const (
-	defaultMaxTraces        = 64
-	defaultMaxSpansPerTrace = 4096
+	// maxTraces bounds the retained sampled traces; the oldest trace is
+	// evicted first.
+	maxTraces = 64
+	// maxSpansPerTrace bounds one trace's span count; spans beyond the bound
+	// are counted as dropped, not retained.
+	maxSpansPerTrace = 4096
 )
 
 // Tracer owns the sampled-trace store and the flight recorder. All methods
@@ -96,12 +94,6 @@ type traceBuf struct {
 
 // New builds a tracer. A zero cfg yields a tracer that records nothing.
 func New(cfg Config) *Tracer {
-	if cfg.MaxTraces <= 0 {
-		cfg.MaxTraces = defaultMaxTraces
-	}
-	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = defaultMaxSpansPerTrace
-	}
 	t := &Tracer{cfg: cfg, traces: make(map[string]*traceBuf)}
 	if cfg.FlightSpans > 0 {
 		n := 1
@@ -191,7 +183,7 @@ func (t *Tracer) keep(rec SpanRecord) {
 	defer t.mu.Unlock()
 	tb := t.traces[rec.TraceID]
 	if tb == nil {
-		for len(t.order) >= t.cfg.MaxTraces {
+		for len(t.order) >= maxTraces {
 			delete(t.traces, t.order[0])
 			t.order = t.order[1:]
 		}
@@ -199,7 +191,7 @@ func (t *Tracer) keep(rec SpanRecord) {
 		t.traces[rec.TraceID] = tb
 		t.order = append(t.order, rec.TraceID)
 	}
-	if len(tb.spans) >= t.cfg.MaxSpansPerTrace {
+	if len(tb.spans) >= maxSpansPerTrace {
 		tb.dropped++
 		return
 	}

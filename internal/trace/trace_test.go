@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -142,35 +143,36 @@ func TestEventInSampledTrace(t *testing.T) {
 	}
 }
 
-// TestTraceEviction verifies FIFO eviction of retained traces.
+// TestTraceEviction verifies FIFO eviction of retained traces: of
+// maxTraces+1 traces, only the first is gone.
 func TestTraceEviction(t *testing.T) {
-	tr := New(Config{SampleFraction: 1, MaxTraces: 2})
-	for _, id := range []string{"a", "b", "c"} {
-		_, sp := tr.StartRoot(context.Background(), "r", id)
+	tr := New(Config{SampleFraction: 1})
+	for i := 0; i <= maxTraces; i++ {
+		_, sp := tr.StartRoot(context.Background(), "r", strconv.Itoa(i))
 		sp.End()
 	}
-	if _, _, ok := tr.Trace("a"); ok {
-		t.Fatal("oldest trace survived past MaxTraces")
+	if _, _, ok := tr.Trace("0"); ok {
+		t.Fatal("oldest trace survived past maxTraces")
 	}
-	for _, id := range []string{"b", "c"} {
-		if _, _, ok := tr.Trace(id); !ok {
-			t.Fatalf("trace %s evicted early", id)
+	for i := 1; i <= maxTraces; i++ {
+		if _, _, ok := tr.Trace(strconv.Itoa(i)); !ok {
+			t.Fatalf("trace %d evicted early", i)
 		}
 	}
 }
 
 // TestMaxSpansPerTrace verifies the per-trace bound counts drops.
 func TestMaxSpansPerTrace(t *testing.T) {
-	tr := New(Config{SampleFraction: 1, MaxSpansPerTrace: 2})
+	tr := New(Config{SampleFraction: 1})
 	ctx, root := tr.StartRoot(context.Background(), "r", "big")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxSpansPerTrace+3; i++ {
 		_, sp := Start(ctx, "child")
 		sp.End()
 	}
 	root.End()
 	spans, dropped, ok := tr.Trace("big")
-	if !ok || len(spans) != 2 || dropped != 4 {
-		t.Fatalf("spans=%d dropped=%d ok=%v, want 2/4/true", len(spans), dropped, ok)
+	if !ok || len(spans) != maxSpansPerTrace || dropped != 4 {
+		t.Fatalf("spans=%d dropped=%d ok=%v, want %d/4/true", len(spans), dropped, ok, maxSpansPerTrace)
 	}
 }
 
@@ -194,7 +196,7 @@ func TestSampleFractionZeroFlightOff(t *testing.T) {
 // give the race detector a target: sampled completions, flight writes, and
 // dumps all interleave.
 func TestConcurrentSpansAndFlight(t *testing.T) {
-	tr := New(Config{SampleFraction: 1, FlightSpans: 64, MaxTraces: 8})
+	tr := New(Config{SampleFraction: 1, FlightSpans: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
