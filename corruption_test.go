@@ -75,8 +75,8 @@ func TestLoadBinaryFileCorruption(t *testing.T) {
 }
 
 // The serialized HPAT index gets the same treatment, except that its format
-// (v2) has always carried the footer: a footer-less index is corrupt, and a
-// file of the previous format version is refused by name, never mis-parsed.
+// (v3) has always carried the footer: a footer-less index is corrupt, and a
+// file of an older format version is refused by name, never mis-parsed.
 func TestNewEngineWithIndexCorruption(t *testing.T) {
 	profile := DatasetProfile{Name: "t", Vertices: 200, Edges: 4000, Skew: 0.8, Seed: 17}
 	g, err := profile.Build()
@@ -107,6 +107,7 @@ func TestNewEngineWithIndexCorruption(t *testing.T) {
 		{"mid-header", func(b []byte) []byte { return b[:20] }, hpat.ErrIndexFormat},
 		{"truncated-half", func(b []byte) []byte { return b[:len(b)/2] }, hpat.ErrIndexFormat},
 		{"v1-magic", func(b []byte) []byte { b[7] = 1; return b }, hpat.ErrIndexFormat},
+		{"v2-magic", func(b []byte) []byte { b[7] = 2; return b }, hpat.ErrIndexFormat},
 		{"payload-bitflip", func(b []byte) []byte { b[100] ^= 0x40; return b }, hpat.ErrIndexCorrupt},
 		{"slots-bitflip", func(b []byte) []byte { b[len(b)-chksum.FooterSize-5] ^= 0x01; return b }, hpat.ErrIndexCorrupt},
 		{"no-footer", func(b []byte) []byte { return b[:len(b)-chksum.FooterSize] }, hpat.ErrIndexCorrupt},
@@ -118,8 +119,8 @@ func TestNewEngineWithIndexCorruption(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		if tc.name == "v1-magic" && !strings.Contains(err.Error(), "format version 1, rebuild with SaveIndex") {
-			t.Errorf("v1 index: err = %v, want the version named", err)
+		if v := tc.name[:2]; (v == "v1" || v == "v2") && !strings.Contains(err.Error(), "format version "+v[1:]+", rebuild with SaveIndex") {
+			t.Errorf("%s index: err = %v, want the version named", v, err)
 		}
 	}
 

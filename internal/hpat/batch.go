@@ -14,9 +14,9 @@ const batchGroup = 64
 // SampleBatch implements the engine's BatchSampler contract: one draw per
 // frontier entry, element-wise identical to Sample (same edge, same
 // evaluated count, same consumption of the walker's stream). A draw is a
-// chain of dependent loads — the vertex's CSR offsets, its prefix total, a
-// trunk boundary, an alias slot — that misses cache at nearly every link on
-// a large graph. SampleBatch stages the chain: each pass issues one link's
+// chain of dependent loads — the vertex's degree and block offset, its
+// prefix total, a trunk boundary, an alias slot — that misses cache at
+// nearly every link on a large graph. SampleBatch stages the chain: each pass issues one link's
 // loads for a whole group of walkers before the next pass uses any of them,
 // so the walkers' misses overlap instead of queuing one behind another.
 // Each walker's stream is consumed in resolve exactly as Sample consumes it.
@@ -32,21 +32,18 @@ func (idx *Index) SampleBatch(_ context.Context, us []temporal.Vertex, ks []int3
 // sampleGroup is SampleBatch over at most batchGroup entries.
 func (idx *Index) sampleGroup(us []temporal.Vertex, ks []int32, rs []*xrand.Rand, edges []int32, evals []int64, oks []bool) {
 	var (
-		first [batchGroup]int // u's first prefix sum within idx.cum
+		base  [batchGroup]int64 // u's block offset within idx.words
 		deg   [batchGroup]int
 		k     [batchGroup]int // the candidate count, clamped as Sample clamps it
-		slot0 [batchGroup]int64
 		total [batchGroup]float64
 		draws [batchGroup]draw
 	)
 	us = us[:min(len(us), batchGroup)] // lets the compiler drop the staging arrays' bounds checks
 	offs := idx.g.Offsets()
-	// Pass 1: each vertex's CSR offsets and slot offset.
+	// Pass 1: each vertex's degree and block offset.
 	for i, u := range us {
-		lo := offs[u]
-		first[i] = int(lo) + int(u)
-		deg[i] = int(offs[u+1] - lo)
-		slot0[i] = idx.slotOff[u]
+		deg[i] = int(offs[u+1] - offs[u])
+		base[i] = idx.off[u]
 	}
 	// Pass 2: each candidate prefix's total. An empty prefix keeps total 0,
 	// so pass 3 settles it, like a weightless one, without a draw, as Sample
@@ -54,7 +51,7 @@ func (idx *Index) sampleGroup(us []temporal.Vertex, ks []int32, rs []*xrand.Rand
 	for i := range us {
 		k[i] = min(int(ks[i]), deg[i])
 		if k[i] > 0 {
-			total[i] = idx.cum[first[i]+k[i]]
+			total[i] = BlockTotal(idx.words[base[i]:], k[i])
 		}
 	}
 	// Pass 3: the trunk boundary, the tail-run ITS or the slot word.
@@ -70,11 +67,11 @@ func (idx *Index) sampleGroup(us []temporal.Vertex, ks []int32, rs []*xrand.Rand
 		} else {
 			dec = Decompose(k[i], buf[:0])
 		}
-		draws[i].resolve(idx.cum[first[i]:first[i]+deg[i]+1], total[i], deg[i], k[i], dec, rs[i])
+		draws[i].resolve(blockCum(idx.words[base[i]:], deg[i]), total[i], deg[i], k[i], dec, rs[i])
 	}
-	// Pass 4: the alias slots.
+	// Pass 4: the alias slots, which follow the deg+1 prefix sums.
 	for i := range us {
-		e, ev, ok := draws[i].finish(idx.slots[slot0[i]:])
+		e, ev, ok := draws[i].finish(idx.words[base[i]+int64(deg[i])+1:])
 		edges[i], evals[i], oks[i] = int32(e), ev, ok
 	}
 }

@@ -46,8 +46,9 @@ func weightedIndex(t testing.TB, degs []int, w func(u, i int) float64, cfg Confi
 // end sum exceeds x; a table trunk then spends one more word, whose top bits
 // pick the slot and whose low 32 bits test the slot's threshold.
 func drawByHand(idx *Index, u temporal.Vertex, k int, r *xrand.Rand) (int, bool) {
-	cum := idx.cumRun(u)
-	deg := len(cum) - 1
+	deg := idx.g.Degree(u)
+	block := idx.block(u)
+	cum, slots := blockCum(block, deg), block[deg+1:]
 	k = min(k, deg)
 	if k <= 0 || !(cum[k] > 0) {
 		return 0, false
@@ -66,7 +67,7 @@ func drawByHand(idx *Index, u temporal.Vertex, k int, r *xrand.Rand) (int, bool)
 		}
 		v := r.Uint64()
 		i := int(v >> (64 - d.Level))
-		s := idx.slots[idx.slotOff[u]+int64(levelBase(deg, int(d.Level))+int(d.Pos)+i)]
+		s := slots[levelBase(deg, int(d.Level))+int(d.Pos)+i]
 		if uint32(v) < uint32(s>>32) {
 			return int(d.Pos) + i, true
 		}

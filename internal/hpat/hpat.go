@@ -19,18 +19,18 @@ type Config struct {
 	DisableAuxIndex bool
 }
 
-// Index is the HPAT over a whole graph: per-edge prefix sums, packed alias
-// slots for every trunk of every level ≥ minTableLevel, one slot offset per
-// vertex, and (optionally) the global auxiliary index. All storage positions
-// are computed before construction so vertices build lock-free in parallel.
+// Index is the HPAT over a whole graph: one arena holding every vertex's
+// standalone block (BuildBlock's layout: deg+1 prefix sums, then the packed
+// alias slots of every trunk of level ≥ minTableLevel) end to end, one block
+// offset per vertex, and (optionally) the global auxiliary index. Every
+// block's position follows from the degrees alone, so vertices build
+// lock-free in parallel (§4.2).
 type Index struct {
 	g *temporal.Graph
 
-	// cum holds per-vertex prefix sums, deg+1 entries each, so vertex u's run
-	// starts at its first edge's position plus u.
-	cum     []float64
-	slots   []uint64
-	slotOff []int64
+	// u's block is words[off[u]:off[u+1]], BlockWords(deg(u)) words.
+	words []uint64
+	off   []int64
 
 	aux     *AuxIndex
 	buildNS buildTiming
@@ -44,22 +44,20 @@ type buildTiming struct {
 }
 
 // Build constructs the HPAT index over the weighted graph. The index keeps
-// no reference to w: sampling reads only the prefix sums and alias slots.
+// no reference to w: sampling reads only the blocks.
 func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	g := w.Graph()
-	numV := g.NumVertices()
-	// Phase 1: layout. Every vertex's storage range is fixed up front.
+	// Phase 1: layout. Every vertex's block is fixed up front.
 	idx := newLayout(g)
-	idx.cum = make([]float64, g.NumEdges()+numV)
-	idx.slots = make([]uint64, idx.slotOff[numV])
+	idx.words = make([]uint64, idx.off[g.NumVertices()])
 
 	// Phase 2: lock-free parallel per-vertex construction.
 	start := time.Now()
 	par.ForEdges(g.Offsets(), cfg.Threads, func(_, lo, hi int) {
-		var scratch blockScratch
+		var scratch BlockScratch
 		for u := lo; u < hi; u++ {
 			u := temporal.Vertex(u)
-			buildBlock(w.Vertex(u), idx.cumRun(u), idx.slots[idx.slotOff[u]:idx.slotOff[u+1]], &scratch)
+			BuildBlock(w.Vertex(u), idx.block(u), &scratch)
 		}
 	})
 	idx.buildNS.hpatNS = int64(time.Since(start))
@@ -73,20 +71,19 @@ func Build(w *sampling.GraphWeights, cfg Config) *Index {
 	return idx
 }
 
-// newLayout fixes every vertex's slot range from the degree sequence alone.
+// newLayout fixes every vertex's block offset from the degree sequence alone.
 func newLayout(g *temporal.Graph) *Index {
 	numV := g.NumVertices()
-	idx := &Index{g: g, slotOff: make([]int64, numV+1)}
+	idx := &Index{g: g, off: make([]int64, numV+1)}
 	for u := 0; u < numV; u++ {
-		idx.slotOff[u+1] = idx.slotOff[u] + slotCount(g.Degree(temporal.Vertex(u)))
+		idx.off[u+1] = idx.off[u] + int64(BlockWords(g.Degree(temporal.Vertex(u))))
 	}
 	return idx
 }
 
-// cumRun returns u's prefix sums, deg+1 entries.
-func (idx *Index) cumRun(u temporal.Vertex) []float64 {
-	lo, hi := idx.g.EdgeRange(u)
-	return idx.cum[lo+int(u) : hi+int(u)+1]
+// block returns u's block.
+func (idx *Index) block(u temporal.Vertex) []uint64 {
+	return idx.words[idx.off[u]:idx.off[u+1]]
 }
 
 // Name identifies the sampler; it reflects whether the auxiliary index is
@@ -109,43 +106,21 @@ func (idx *Index) BuildTimings() (hpatNS, auxNS int64) {
 
 // Total returns the total weight of u's k newest out-edges.
 func (idx *Index) Total(u temporal.Vertex, k int) float64 {
-	return idx.cumRun(u)[k]
+	return BlockTotal(idx.block(u), k)
 }
 
 // Sample draws one edge index from the k newest out-edges of u with
 // probability proportional to edge weight. evaluated counts array entries
 // examined. ok is false when k <= 0 or the prefix carries no weight.
 func (idx *Index) Sample(u temporal.Vertex, k int, r *xrand.Rand) (edge int, evaluated int64, ok bool) {
-	cum := idx.cumRun(u)
-	deg := len(cum) - 1
-	if k <= 0 || deg == 0 {
-		return 0, 0, false
-	}
-	if k > deg {
-		k = deg
-	}
-	var dec []DecompEntry
-	if idx.aux != nil {
-		dec = idx.aux.Decomp(k)
-	} else {
-		var buf [maxLevels]DecompEntry
-		dec = Decompose(k, buf[:0])
-	}
-	// The slot offsets load before resolve runs, so their cache miss
-	// overlaps the prefix sums' instead of following them.
-	slots := idx.slots[idx.slotOff[u]:idx.slotOff[u+1]]
-	var d draw
-	d.resolve(cum, cum[k], deg, k, dec, r)
-	return d.finish(slots)
+	return SampleBlock(idx.block(u), idx.g.Degree(u), k, idx.aux, r)
 }
 
-// MemoryBytes reports the index footprint: prefix sums, alias slots, slot
-// offsets and the auxiliary index. The per-edge weights the index was built
-// from are not part of it.
+// MemoryBytes reports the index footprint: the block arena (prefix sums and
+// alias slots), the block offsets and the auxiliary index. The per-edge
+// weights the index was built from are not part of it.
 func (idx *Index) MemoryBytes() int64 {
-	n := int64(len(idx.cum))*8 +
-		int64(len(idx.slots))*8 +
-		int64(len(idx.slotOff))*8
+	n := int64(len(idx.words))*8 + int64(len(idx.off))*8
 	if idx.aux != nil {
 		n += idx.aux.MemoryBytes()
 	}

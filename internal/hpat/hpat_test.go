@@ -241,8 +241,9 @@ func TestEveryPrefixEveryConfig(t *testing.T) {
 // sampled from its prefix sums alone.
 func TestBelowTableFloorPath(t *testing.T) {
 	idx := buildCommuteIndex(t, Config{})
-	if len(idx.slots) != 0 {
-		t.Fatalf("degree-7 graph has %d alias slots", len(idx.slots))
+	g := idx.Graph()
+	if slots := len(idx.words) - g.NumEdges() - g.NumVertices(); slots != 0 {
+		t.Fatalf("degree-7 graph has %d alias slots", slots)
 	}
 	r := xrand.New(3)
 	testutil.CheckDistribution(t, "tail", []float64{7, 6, 5, 4}, 40000, func() (int, bool) {
@@ -281,7 +282,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	w := testutil.Weights(t, g, sampling.Exponential(0.01))
 	a := Build(w, Config{Threads: 1})
 	b := Build(w, Config{Threads: 8})
-	if !reflect.DeepEqual(a.cum, b.cum) || !reflect.DeepEqual(a.slots, b.slots) {
+	if !reflect.DeepEqual(a.words, b.words) || !reflect.DeepEqual(a.off, b.off) {
 		t.Fatal("parallel HPAT build differs from serial")
 	}
 }
@@ -518,7 +519,7 @@ func TestIndexBytesBudget(t *testing.T) {
 	}
 	want := 8*(numE+numV) + // prefix sums, deg+1 per vertex
 		8*slots +
-		8*(numV+1) + // slot offsets
+		8*(numV+1) + // block offsets
 		8*(maxDeg+2) + 8*auxEntries // auxiliary index
 	if got := idx.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, layout sum %d", got, want)

@@ -3,7 +3,6 @@ package hpat
 import (
 	"math/bits"
 
-	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
@@ -59,59 +58,6 @@ func packSlot(prob float64, alias int32) uint64 {
 	return t<<32 | uint64(uint32(alias))
 }
 
-// blockScratch is the per-worker working space of buildBlock: one trunk's
-// Vose arrays before they are packed, and FillAlias's small/large stacks.
-type blockScratch struct {
-	prob       []float64
-	alias      []int32
-	smallLarge []int32
-}
-
-func (s *blockScratch) grow(size int) {
-	if len(s.prob) < size {
-		s.prob = make([]float64, size)
-		s.alias = make([]int32, size)
-		s.smallLarge = make([]int32, 2*size)
-	}
-}
-
-// buildBlock constructs one vertex's HPAT storage in place:
-//
-//   - cum: per-edge prefix sums, len n+1 (the ITS array C of Figure 6),
-//   - slots: packed alias tables of levels minTableLevel..K, len slotCount(n).
-//
-// It touches only the provided slices, so disjoint vertices build lock-free
-// in parallel (§4.2). A trunk without weight keeps zero slots: its prefix
-// sums are equal at both ends, so resolve never selects it.
-func buildBlock(w, cum []float64, slots []uint64, scratch *blockScratch) {
-	n := len(w)
-	sum := 0.0
-	cum[0] = 0
-	for i, x := range w {
-		sum += x
-		cum[i+1] = sum
-	}
-	kTop := topLevel(n)
-	if kTop < minTableLevel {
-		return
-	}
-	scratch.grow(1 << kTop)
-	for k := minTableLevel; k <= kTop; k++ {
-		size := 1 << k
-		prob, alias := scratch.prob[:size], scratch.alias[:size]
-		for lo := 0; lo+size <= n; lo += size {
-			if !(cum[lo+size] > cum[lo]) {
-				continue
-			}
-			sampling.FillAlias(w[lo:lo+size], prob, alias, scratch.smallLarge[:2*size])
-			for i, p := range prob {
-				slots[lo+i] = packSlot(p, alias[i])
-			}
-		}
-		slots = slots[(n>>k)<<k:]
-	}
-}
-
 // draw is one sample between its two halves. resolve settles everything
 // the prefix sums decide; a draw that lands in a table trunk is left holding
 // the slot to read, the random word that picked it and the trunk it lies in,
@@ -120,7 +66,7 @@ func buildBlock(w, cum []float64, slots []uint64, scratch *blockScratch) {
 type draw struct {
 	edge      int    // the drawn edge, or the picked slot's own edge while slot ≥ 0
 	evaluated int64  // array entries examined, the Figure 2 metric
-	slot      int    // the slot to read, relative to the vertex's slot block; -1 when settled
+	slot      int    // the slot to read, relative to the block's first slot; -1 when settled
 	v         uint64 // the slot word's random draw: its low 32 bits test the threshold
 	pos       int    // the trunk's first edge
 	mask      int    // the trunk's size minus one
@@ -128,8 +74,8 @@ type draw struct {
 }
 
 // resolve runs the first half of a draw into d, from the k-element prefix
-// of an n-edge vertex block built by buildBlock, whose prefix sums are cum
-// and whose prefix total cum[k] the caller has loaded: it draws
+// of an n-edge block built by BuildBlock, whose prefix sums are cum and
+// whose prefix total cum[k] the caller has loaded: it draws
 // x = r.Range(total), finds the trunk boundary by ITS and either finishes a
 // tail-run ITS or draws the slot word and computes the slot's position. dec
 // must be the decomposition of k (from the auxiliary index or Decompose);

@@ -7,16 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/tea-graph/tea/internal/chksum"
-	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
 )
 
-// indexMagic identifies the serialized HPAT format ("TEAI" + version 2:
-// packed 8-byte slots from minTableLevel up, offsets derived on load).
-var indexMagic = [8]byte{'T', 'E', 'A', 'I', 0, 0, 0, 2}
+// indexMagic identifies the serialized HPAT format ("TEAI" + version 3:
+// the block arena as one section, offsets derived on load).
+var indexMagic = [8]byte{'T', 'E', 'A', 'I', 0, 0, 0, 3}
 
 // ErrIndexFormat is returned for malformed serialized indices, including
 // files of an older format version.
@@ -30,16 +28,13 @@ var ErrIndexCorrupt = errors.New("hpat: corrupt serialized index")
 // graph it is being attached to.
 var ErrIndexMismatch = errors.New("hpat: serialized index does not match graph")
 
-// WriteIndex serializes idx together with the per-edge weights it was
-// built from, so preprocessing can be done once and reused across runs. The
-// index does not hold its weights, so the caller passes them; they must be
-// the ones Build was given (or equal to them bit for bit). The auxiliary
-// index is not stored — it depends only on the maximum degree and is rebuilt
-// on load faster than it can be read from disk.
-func WriteIndex(w io.Writer, idx *Index, weights *sampling.GraphWeights) (int64, error) {
-	if len(weights.Flat) != idx.g.NumEdges() {
-		return 0, fmt.Errorf("hpat: writing %d weights for an index over %d edges", len(weights.Flat), idx.g.NumEdges())
-	}
+// WriteIndex serializes idx so preprocessing can be done once and reused
+// across runs: a 33-byte header (magic, vertex, edge and word counts, and
+// whether the auxiliary index is on), the block arena as one
+// length-prefixed section, then the CRC-32C footer. The auxiliary index is
+// not stored — it depends only on the maximum degree and is rebuilt on load
+// faster than it can be read from disk.
+func WriteIndex(w io.Writer, idx *Index) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hw := chksum.NewWriter(bw)
 	cw := &countingWriter{w: hw}
@@ -47,19 +42,14 @@ func WriteIndex(w io.Writer, idx *Index, weights *sampling.GraphWeights) (int64,
 	copy(hdr[:], indexMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(idx.g.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(idx.g.NumEdges()))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(idx.slots)))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(idx.words)))
 	if idx.aux != nil {
 		hdr[32] = 1
 	}
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
-	for _, arr := range [][]float64{weights.Flat, idx.cum} {
-		if err := writeWords(cw, arr, math.Float64bits); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := writeWords(cw, idx.slots, wordBits); err != nil {
+	if err := writeWords(cw, idx.words); err != nil {
 		return cw.n, err
 	}
 	footer := hw.Footer()
@@ -74,10 +64,8 @@ func WriteIndex(w io.Writer, idx *Index, weights *sampling.GraphWeights) (int64,
 
 // ReadIndex deserializes an index produced by WriteIndex and attaches it to
 // g, which must be the same graph (vertex and edge counts are verified; the
-// layout is then recomputed and must match the stored slot count). The
-// stored weights are streamed through the checksum and dropped: a damaged
-// weight section is ErrIndexCorrupt like any other, but a load never holds
-// the weight array.
+// block offsets are then recomputed from the degrees and must add up to the
+// stored word count).
 func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hr := chksum.NewReader(br)
@@ -96,27 +84,17 @@ func ReadIndex(r io.Reader, g *temporal.Graph) (*Index, error) {
 	}
 	numV := int(binary.LittleEndian.Uint64(hdr[8:]))
 	numE := int(binary.LittleEndian.Uint64(hdr[16:]))
-	slots := int64(binary.LittleEndian.Uint64(hdr[24:]))
+	words := binary.LittleEndian.Uint64(hdr[24:])
 	if numV != g.NumVertices() || numE != g.NumEdges() {
 		return nil, fmt.Errorf("%w: stored V=%d E=%d, graph V=%d E=%d",
 			ErrIndexMismatch, numV, numE, g.NumVertices(), g.NumEdges())
 	}
 	idx := newLayout(g)
-	if idx.slotOff[numV] != slots {
-		return nil, fmt.Errorf("%w: layout mismatch (slots %d vs %d)", ErrIndexMismatch, idx.slotOff[numV], slots)
+	if uint64(idx.off[numV]) != words {
+		return nil, fmt.Errorf("%w: layout mismatch (words %d vs %d)", ErrIndexMismatch, idx.off[numV], words)
 	}
-
-	// A zero-size element type reads the section chunk by chunk into no
-	// storage at all.
-	if err := readWords(hr, make([]struct{}, numE), func(uint64) struct{} { return struct{}{} }); err != nil {
-		return nil, err
-	}
-	idx.cum = make([]float64, numE+numV)
-	if err := readWords(hr, idx.cum, math.Float64frombits); err != nil {
-		return nil, err
-	}
-	idx.slots = make([]uint64, slots)
-	if err := readWords(hr, idx.slots, wordBits); err != nil {
+	idx.words = make([]uint64, words)
+	if err := readWords(hr, idx.words); err != nil {
 		return nil, err
 	}
 	// The footer is read from br directly so its bytes stay out of the sum.
@@ -145,11 +123,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 const chunkElems = 8192
 
-// wordBits is the conversion writeWords and readWords take for []uint64.
-func wordBits(v uint64) uint64 { return v }
-
 // writeWords writes arr as a length header and little-endian 8-byte words.
-func writeWords[T any](w io.Writer, arr []T, bits func(T) uint64) error {
+func writeWords(w io.Writer, arr []uint64) error {
 	var lenHdr [8]byte
 	binary.LittleEndian.PutUint64(lenHdr[:], uint64(len(arr)))
 	if _, err := w.Write(lenHdr[:]); err != nil {
@@ -157,16 +132,11 @@ func writeWords[T any](w io.Writer, arr []T, bits func(T) uint64) error {
 	}
 	buf := make([]byte, chunkElems*8)
 	for off := 0; off < len(arr); off += chunkElems {
-		end := off + chunkElems
-		if end > len(arr) {
-			end = len(arr)
+		chunk := arr[off:min(off+chunkElems, len(arr))]
+		for i, v := range chunk {
+			binary.LittleEndian.PutUint64(buf[8*i:], v)
 		}
-		n := 0
-		for _, v := range arr[off:end] {
-			binary.LittleEndian.PutUint64(buf[n:], bits(v))
-			n += 8
-		}
-		if _, err := w.Write(buf[:n]); err != nil {
+		if _, err := w.Write(buf[:8*len(chunk)]); err != nil {
 			return err
 		}
 	}
@@ -175,7 +145,7 @@ func writeWords[T any](w io.Writer, arr []T, bits func(T) uint64) error {
 
 // readWords fills arr from the form writeWords produces; the stored length
 // must be len(arr).
-func readWords[T any](r io.Reader, arr []T, from func(uint64) T) error {
+func readWords(r io.Reader, arr []uint64) error {
 	var lenHdr [8]byte
 	if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
 		return fmt.Errorf("%w: array header: %v", ErrIndexFormat, err)
@@ -185,16 +155,13 @@ func readWords[T any](r io.Reader, arr []T, from func(uint64) T) error {
 	}
 	buf := make([]byte, chunkElems*8)
 	for off := 0; off < len(arr); off += chunkElems {
-		end := off + chunkElems
-		if end > len(arr) {
-			end = len(arr)
-		}
-		chunk := buf[:(end-off)*8]
-		if _, err := io.ReadFull(r, chunk); err != nil {
+		chunk := arr[off:min(off+chunkElems, len(arr))]
+		b := buf[:8*len(chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return fmt.Errorf("%w: array body: %v", ErrIndexFormat, err)
 		}
-		for i := off; i < end; i++ {
-			arr[i] = from(binary.LittleEndian.Uint64(chunk[(i-off)*8:]))
+		for i := range chunk {
+			chunk[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
 	}
 	return nil

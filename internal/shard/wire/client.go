@@ -166,12 +166,15 @@ func (c *Client) Step(ctx context.Context, req *StepRequest) (*StepResponse, err
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
-			c.retries.Inc()
 			select {
 			case <-ctx.Done():
-				return nil, &PeerError{Addr: c.addr, Err: fmt.Errorf("%w (last: %v)", ctx.Err(), lastErr)}
 			case <-time.After(backoff):
 			}
+			// A retry counts once its backoff is over and it is about to run.
+			if ctx.Err() != nil {
+				return nil, &PeerError{Addr: c.addr, Err: fmt.Errorf("%w (last: %v)", ctx.Err(), lastErr)}
+			}
+			c.retries.Inc()
 			backoff *= 2
 		}
 		resp, err := c.exchange(ctx, req)

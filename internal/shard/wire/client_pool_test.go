@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,60 @@ func TestCancelInterruptsInflightExchange(t *testing.T) {
 			t.Fatalf("open conns = %d after cancelled exchange", c.OpenConns())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// cancelledAtBackoff is a context cancelled in the instant between Step's
+// ctx.Err() check after a failed try and its backoff: Err reports nil until
+// the first Done call after the dialer armed it, and Done is closed from
+// then on. Its deadline keeps checkout from wrapping it, so the backoff's
+// select is the first Done call after the dial.
+type cancelledAtBackoff struct {
+	context.Context
+	armed, fired atomic.Bool
+}
+
+func (c *cancelledAtBackoff) Deadline() (time.Time, bool) { return time.Now().Add(time.Hour), true }
+
+func (c *cancelledAtBackoff) Done() <-chan struct{} {
+	if !c.armed.Load() {
+		return nil
+	}
+	c.fired.Store(true)
+	done := make(chan struct{})
+	close(done)
+	return done
+}
+
+func (c *cancelledAtBackoff) Err() error {
+	if c.fired.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A retry whose backoff the context cuts short never runs, so it is not
+// counted: the step fails with the context's error and the retry counter
+// stays at zero.
+func TestRetryCancelledInBackoffIsNotCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ctx := &cancelledAtBackoff{Context: context.Background()}
+	dials := 0
+	cfg := ClientConfig{Metrics: reg, Dialer: func(context.Context, string, string) (net.Conn, error) {
+		dials++
+		ctx.armed.Store(true)
+		return nil, errors.New("connection refused")
+	}}
+	c := NewClient("peer:1", cfg)
+	defer c.Close()
+	if _, err := c.Step(ctx, sampleRequest(2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("step err = %v, want context.Canceled", err)
+	}
+	if dials != 1 {
+		t.Fatalf("%d dials, want 1", dials)
+	}
+	if n := reg.Counter(`tea_shard_peer_retries_total{peer="peer:1"}`).Value(); n != 0 {
+		t.Fatalf("%d retries counted, none ran", n)
 	}
 }
 

@@ -199,10 +199,12 @@ type RecoveryInfo struct {
 
 // DurableStats is a point-in-time summary for the serving layer.
 type DurableStats struct {
-	Vertices    int
-	Edges       int
-	Deleted     int
-	MaxDegree   int
+	Vertices  int
+	Edges     int
+	Deleted   int
+	MaxDegree int
+	// TimeLo and TimeHi are the times of the oldest and the newest live
+	// edge, both 0 when no edge is live.
 	TimeLo      temporal.Time
 	TimeHi      temporal.Time
 	MemoryBytes int64
@@ -802,11 +804,15 @@ func (d *DurableGraph) Stats() DurableStats {
 	}
 	for _, segs := range d.g.verts {
 		n, dead := slots(segs)
+		if n == dead {
+			continue
+		}
+		oldest, newest := liveSpan(segs)
+		if st.MaxDegree == 0 { // the first vertex with a live edge
+			st.TimeLo, st.TimeHi = oldest, newest
+		}
 		st.MaxDegree = max(st.MaxDegree, n-dead)
-	}
-	if st.Edges > 0 {
-		st.TimeLo = d.g.minTime
-		st.TimeHi = d.g.frontier
+		st.TimeLo, st.TimeHi = min(st.TimeLo, oldest), max(st.TimeHi, newest)
 	}
 	return st
 }

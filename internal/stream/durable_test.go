@@ -249,6 +249,52 @@ func TestDurableDegradedIsSticky(t *testing.T) {
 	d.Close()
 }
 
+// Stats reports the time range of the live edges: expiring the oldest edge
+// raises its low end and deleting the newest lowers its high end, though the
+// linear-time anchor and the frontier stay where they were. Vertex 0 keeps
+// its two deleted edges as tombstones at both ends of its directory.
+func TestDurableStatsTimeRangeIsLive(t *testing.T) {
+	d := openDurable(t, t.TempDir(), DurableConfig{})
+	defer d.Close()
+	edges := []temporal.Edge{{Src: 3, Dst: 1, Time: 10}, {Src: 1, Dst: 2, Time: 11}}
+	for at := temporal.Time(12); at <= 20; at++ {
+		edges = append(edges, temporal.Edge{Src: 0, Dst: temporal.Vertex(at - 10), Time: at})
+	}
+	edges = append(edges, temporal.Edge{Src: 2, Dst: 0, Time: 21})
+	if err := d.AppendBatch(edges); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, edges, deleted int, lo, hi temporal.Time) {
+		t.Helper()
+		if st := d.Stats(); st.Edges != edges || st.Deleted != deleted || st.TimeLo != lo || st.TimeHi != hi {
+			t.Fatalf("%s: %d edges (%d deleted) over [%d, %d], want %d (%d) over [%d, %d]",
+				step, st.Edges, st.Deleted, st.TimeLo, st.TimeHi, edges, deleted, lo, hi)
+		}
+	}
+	del := func(edges ...temporal.Edge) {
+		t.Helper()
+		if err := d.DeleteEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("appended", 12, 0, 10, 21)
+	if dropped, err := d.ExpireBefore(11); err != nil || dropped != 1 {
+		t.Fatalf("expire: dropped %d, err %v", dropped, err)
+	}
+	check("oldest expired", 11, 0, 11, 21)
+	del(temporal.Edge{Src: 2, Dst: 0, Time: 21}, temporal.Edge{Src: 0, Dst: 10, Time: 20})
+	check("two newest deleted", 9, 1, 11, 19)
+	del(temporal.Edge{Src: 1, Dst: 2, Time: 11}, temporal.Edge{Src: 0, Dst: 2, Time: 12})
+	check("two oldest deleted", 7, 2, 13, 19)
+	for at := temporal.Time(13); at <= 19; at++ {
+		del(temporal.Edge{Src: 0, Dst: temporal.Vertex(at - 10), Time: at})
+	}
+	check("all deleted", 0, 0, 0, 0)
+	if d.Frontier() != 21 {
+		t.Fatalf("frontier %d, want 21", d.Frontier())
+	}
+}
+
 func TestDurableClosedRejectsMutations(t *testing.T) {
 	d := openDurable(t, t.TempDir(), DurableConfig{})
 	if err := d.Close(); err != nil {

@@ -155,6 +155,34 @@ func slots(segs []segment) (n, dead int) {
 	return n, dead
 }
 
+// liveSpan returns the times of a directory's oldest and newest live edges;
+// the directory must hold one.
+func liveSpan(segs []segment) (oldest, newest temporal.Time) {
+	for i := range segs {
+		s := &segs[i]
+		j := 0
+		for j < s.len() && s.isDeleted(j) {
+			j++
+		}
+		if j < s.len() {
+			newest = s.ts(j)
+			break
+		}
+	}
+	for i := len(segs) - 1; i >= 0; i-- {
+		s := &segs[i]
+		j := s.len() - 1
+		for j >= 0 && s.isDeleted(j) {
+			j--
+		}
+		if j >= 0 {
+			oldest = s.ts(j)
+			break
+		}
+	}
+	return oldest, newest
+}
+
 // Graph is a streaming temporal graph: an initial (possibly empty) edge set
 // plus batches of strictly newer edges. It supports temporal-walk sampling
 // directly, with per-vertex incremental HPAT segments.

@@ -17,9 +17,8 @@ var fileFS = vfs.OS
 // SaveIndex persists an engine's HPAT index (trunk alias tables and prefix
 // sums) so preprocessing can be done once and reused: load it back with
 // NewEngineWithIndex. Only HPAT-method engines (the default) can be saved.
-// The file also carries the per-edge weights, which the engine does not
-// hold: they are rebuilt from the graph and the app's weight function
-// (Engine.Weights), bit for bit as the index was built from them.
+// The file holds the index's block arena and nothing else: no per-edge
+// weights, so saving rebuilds none.
 //
 // The write is atomic (vfs.ReplaceFile): a crash or write failure partway
 // leaves any previous index at path intact instead of replacing it with a
@@ -30,7 +29,7 @@ func SaveIndex(eng *Engine, path string) error {
 		return fmt.Errorf("tea: engine sampler %q is not an HPAT index", eng.Sampler().Name())
 	}
 	err := vfs.ReplaceFile(fileFS, path, ".tea-index-*", func(w io.Writer) error {
-		_, err := hpat.WriteIndex(w, idx, eng.Weights())
+		_, err := hpat.WriteIndex(w, idx)
 		return err
 	})
 	if err != nil {
@@ -42,9 +41,8 @@ func SaveIndex(eng *Engine, path string) error {
 // NewEngineWithIndex builds an engine whose HPAT index is loaded from a file
 // written by SaveIndex instead of rebuilt; g must be the same graph the
 // index was built for. The app must use the same Dynamic_weight the index
-// was built with. The file's per-edge weights are CRC-checked and skipped
-// on load: the loaded engine samples from the stored index alone and holds
-// no weight array, like a built one.
+// was built with: the loaded engine samples from the stored index alone and
+// holds no weight array, like a built one.
 //
 // The file must be whole and of the current format: a missing or mismatched
 // CRC-32C footer is hpat.ErrIndexCorrupt, and a file written in an older
