@@ -158,7 +158,7 @@ func TestLoadIndexErrors(t *testing.T) {
 // TestSaveIndexBytesPinned pins the file SaveIndex writes for a fixed
 // engine, footer included.
 func TestSaveIndexBytesPinned(t *testing.T) {
-	const want = "fae432db49205be5dd2a4c104cde80e3ee53bc3611afc76f3215ac7394c4e09b"
+	const want = "8ec21a8e1352c6ca41b204bf11e47bbd8072fbe8e3cedced669f3106862dbab5"
 	profile := DatasetProfile{Name: "t", Vertices: 120, Edges: 2500, Skew: 0.8, Seed: 43}
 	g, err := profile.Build()
 	if err != nil {
