@@ -109,7 +109,7 @@ func TestNewEngineWithIndexCorruption(t *testing.T) {
 		{"v1-magic", func(b []byte) []byte { b[7] = 1; return b }, hpat.ErrIndexFormat},
 		{"v2-magic", func(b []byte) []byte { b[7] = 2; return b }, hpat.ErrIndexFormat},
 		{"payload-bitflip", func(b []byte) []byte { b[100] ^= 0x40; return b }, hpat.ErrIndexCorrupt},
-		{"slots-bitflip", func(b []byte) []byte { b[len(b)-chksum.FooterSize-5] ^= 0x01; return b }, hpat.ErrIndexCorrupt},
+		{"arena-end-bitflip", func(b []byte) []byte { b[len(b)-chksum.FooterSize-5] ^= 0x01; return b }, hpat.ErrIndexCorrupt},
 		{"no-footer", func(b []byte) []byte { return b[:len(b)-chksum.FooterSize] }, hpat.ErrIndexCorrupt},
 		{"partial-footer", func(b []byte) []byte { return b[:len(b)-3] }, hpat.ErrIndexCorrupt},
 		{"footer-bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, hpat.ErrIndexCorrupt},

@@ -16,9 +16,10 @@ const batchGroup = 64
 // evaluated count, same consumption of the walker's stream). A draw is a
 // chain of dependent loads — the vertex's degree and block offset, its
 // prefix total, a trunk boundary, an alias slot — that misses cache at
-// nearly every link on a large graph. SampleBatch stages the chain: each pass issues one link's
-// loads for a whole group of walkers before the next pass uses any of them,
-// so the walkers' misses overlap instead of queuing one behind another.
+// nearly every link on a large graph. SampleBatch stages the chain: each
+// pass issues one link's loads for a whole group of walkers before the next
+// pass uses any of them, so the walkers' misses overlap instead of queuing
+// one behind another.
 // Each walker's stream is consumed in resolve exactly as Sample consumes it.
 // The index is immutable after build, so disjoint chunks may be sampled
 // concurrently. The hierarchy lives in RAM, so the context is ignored.

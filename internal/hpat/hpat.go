@@ -104,11 +104,6 @@ func (idx *Index) BuildTimings() (hpatNS, auxNS int64) {
 	return idx.buildNS.hpatNS, idx.buildNS.auxNS
 }
 
-// Total returns the total weight of u's k newest out-edges.
-func (idx *Index) Total(u temporal.Vertex, k int) float64 {
-	return BlockTotal(idx.block(u), k)
-}
-
 // Sample draws one edge index from the k newest out-edges of u with
 // probability proportional to edge weight. evaluated counts array entries
 // examined. ok is false when k <= 0 or the prefix carries no weight.

@@ -372,8 +372,8 @@ func TestTotalMatchesPrefixSum(t *testing.T) {
 	idx := buildCommuteIndex(t, Config{})
 	want := []float64{0, 7, 13, 18, 22, 25, 27, 28}
 	for k, v := range want {
-		if got := idx.Total(7, k); got != v {
-			t.Fatalf("Total(7,%d) = %v, want %v", k, got, v)
+		if got := BlockTotal(idx.block(7), k); got != v {
+			t.Fatalf("BlockTotal(block(7), %d) = %v, want %v", k, got, v)
 		}
 	}
 }
