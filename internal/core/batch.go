@@ -1,18 +1,15 @@
 package core
 
-// batch.go implements the step-synchronous walk kernel (ROADMAP 2(a)): live
-// walkers are kept in flat struct-of-arrays state and the whole frontier is
-// advanced one synchronized step at a time — the layout GPU temporal-walk
-// samplers use for coalesced sampling-structure lookups, and the one a future
-// SIMD/GPU backend needs. Each step, workers claim fixed-size chunks of the
-// frontier off a shared cursor (dynamic distribution), gather their walkers'
-// positions into flat arrays, and hand them to the sampler in one
-// BatchSampler.SampleBatch call, then gather every proposal's edge data in
-// one pass, so a chunk's cache misses overlap instead of queuing walker by
-// walker (hpat.Index.SampleBatch stages its own loads the same way). For
-// disk-backed samplers the frontier is additionally sorted by vertex
-// (FrontierGrouper) so fetches for walkers parked on the same vertex
-// coalesce deliberately instead of relying on blockcache singleflight luck.
+// batch.go implements the batched walk kernel (ROADMAP 2(a)): each worker
+// keeps a frontier of batchChunk resident walkers in flat struct-of-arrays
+// state — the layout GPU temporal-walk samplers use — and advances all of
+// them one step per sweep: one BatchSampler.SampleBatch call draws for the
+// whole frontier, then one pass gathers every proposal's edge data, so the
+// walkers' cache misses overlap instead of queuing walker by walker. A slot
+// whose walker ends is refilled with the next walk id the worker claims, so
+// workers never wait on one another. For disk-backed samplers the frontier
+// is sorted by vertex (FrontierGrouper) so fetches for walkers parked on the
+// same vertex coalesce.
 //
 // Determinism: walker wi's randomness comes exclusively from its private
 // stream root.Split(wi), and the batched trial rounds consume that stream in
@@ -25,90 +22,62 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/tea-graph/tea/internal/temporal"
-	"github.com/tea-graph/tea/internal/trace"
 	"github.com/tea-graph/tea/internal/xrand"
 )
 
 const (
-	// batchWave bounds how many walks are resident in the batched kernel's
-	// flat state at once. At ~32 bytes of SoA state per walker a wave is
-	// ~2 MiB regardless of the run's total walk count.
-	batchWave = 1 << 16
-	// batchChunk is the number of frontier entries a worker claims per bump
-	// of the shared cursor within one step. It is also the kernel's
-	// cancellation latency bound: a worker checks the run context between
-	// chunks, so a cancelled run overruns by at most threads×batchChunk
-	// steps.
+	// batchChunk is the number of walkers resident in one batch worker's
+	// frontier. It is also the kernel's cancellation latency bound: a worker
+	// checks the run context between sweeps, and a sweep takes at most one
+	// step per walker, so a cancelled run overruns by at most
+	// threads×batchChunk steps.
 	batchChunk = 64
 	// batchAutoMinWalks is the smallest run KernelAuto sends to the batched
-	// kernel; below it no frontier worth synchronizing forms and the scalar
-	// kernel's per-walk latency wins. The threshold sits just above the
-	// measured crossover on the quick bench profiles (~1-2k walks), where
-	// the per-step worker synchronization stops dominating the sweep work.
-	// Above it the batch pays for itself on DRAM misses: the staged HPAT
-	// draw and the post-draw gather overlap a chunk's misses, and on the
+	// kernel; below it the scalar kernel's per-walk latency wins
+	// (BenchmarkRequestShapedKernels times both at request size). On the
 	// benchmark's corpus windows (2,500 walks of 80 steps) the batched
 	// kernel outruns the scalar one (DESIGN §9, PERF.md).
 	batchAutoMinWalks = 2048
 )
 
-// waveState is the flat struct-of-arrays walker state for one wave of the
-// batched kernel. Index i is walker waveLo+i; frontier holds the indices of
-// walkers still alive, and dead walkers are marked by writing -1 into their
-// frontier slot (compacted between steps by the coordinator).
+// waveState is one batch worker's resident frontier: batchChunk walker slots
+// in struct-of-arrays form. frontier[:nlive] lists the occupied slots (a
+// sweep marks a slot whose walker ended -1 in place), free[:nfree] the empty
+// ones.
 type waveState struct {
-	waveLo   int               // walk id of index 0 in the current wave
-	cur      []temporal.Vertex // current vertex
-	prev     []temporal.Vertex // previous vertex (β test), valid when hasPrev
-	kcand    []int32           // candidate count at cur (the walker's clock)
-	steps    []int32           // steps taken so far
-	rng      []xrand.Rand      // private random stream, seeded via SplitTo
-	hasPrev  []bool
-	started  []bool // first swept by a worker; WalksStarted counted then
-	paths    []Path // walks so far, kept only when the run has a sink
-	frontier []int32
+	walk     [batchChunk]int             // walk id
+	cur      [batchChunk]temporal.Vertex // current vertex
+	prev     [batchChunk]temporal.Vertex // previous vertex (β test), valid when hasPrev
+	kcand    [batchChunk]int32           // candidate count at cur (the walker's clock)
+	steps    [batchChunk]int32           // steps taken so far
+	rng      [batchChunk]xrand.Rand      // private random stream, seeded via SplitTo
+	hasPrev  [batchChunk]bool
+	paths    [batchChunk]Path // walks so far, kept only when the run has a sink
+	frontier [batchChunk]int32
+	free     [batchChunk]int32
+	nlive    int
+	nfree    int
 }
 
-func (ws *waveState) resize(n int) {
-	if cap(ws.cur) < n {
-		ws.cur = make([]temporal.Vertex, n)
-		ws.prev = make([]temporal.Vertex, n)
-		ws.kcand = make([]int32, n)
-		ws.steps = make([]int32, n)
-		ws.rng = make([]xrand.Rand, n)
-		ws.hasPrev = make([]bool, n)
-		ws.started = make([]bool, n)
-		ws.frontier = make([]int32, 0, n)
-	}
-	ws.cur = ws.cur[:n]
-	ws.prev = ws.prev[:n]
-	ws.kcand = ws.kcand[:n]
-	ws.steps = ws.steps[:n]
-	ws.rng = ws.rng[:n]
-	ws.hasPrev = ws.hasPrev[:n]
-	ws.started = ws.started[:n]
-	ws.frontier = ws.frontier[:0]
-}
-
-// endWalk classifies walker i at its current step count and hands its path
-// to the run's sink.
+// endWalk classifies walker i at its current step count, hands its path to
+// the run's sink and returns its slot to the free list.
 func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerState, i int32) error {
 	st.finishWalk(ctx, int(ws.steps[i]), cfg.Length)
+	ws.free[ws.nfree] = i
+	ws.nfree++
 	if cfg.Sink == nil {
 		return nil
 	}
-	return cfg.Sink(ws.waveLo+int(i), ws.paths[i])
+	return cfg.Sink(ws.walk[i], ws.paths[i])
 }
 
 // batchScratch is one worker's reusable gather/scatter buffers, sized to the
-// chunk so a sweep allocates nothing. dst/at/next hold each proposal's
+// frontier so a sweep allocates nothing. dst/at/next hold each proposal's
 // head, time and candidate count at its head, gathered after the draw;
 // lastD/lastT/lastK hold each pending walker's most recent rejected proposal
-// (indexed by chunk position) for the trial-cap force-accept.
+// (indexed by frontier position) for the trial-cap force-accept.
 type batchScratch struct {
 	us    [batchChunk]temporal.Vertex
 	ks    [batchChunk]int32
@@ -125,199 +94,95 @@ type batchScratch struct {
 	lastK [batchChunk]int32
 }
 
-// runBatch executes the run on the step-synchronous kernel. Waves of at most
-// batchWave walks are initialized into ws; within a wave the coordinator
-// releases the worker pool once per step (one token per worker through
-// stepGate), workers sweep frontier chunks off the shared cursor, and the
-// coordinator compacts the frontier after the step barrier. Classification
-// during wave init (zero-candidate sources) and cancellation drain happen on
-// the coordinator between barriers, so results[0] is only touched while
-// workers are parked.
-func (e *Engine) runBatch(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, bs BatchSampler, sources []temporal.Vertex, totalWalks, threads int, root *xrand.Rand, results []walkerState, failed *runFailure) {
+// runBatch is one worker of the batched kernel. It repeats three steps until
+// the run's cursor is spent and no walker is resident: load claimed walk ids
+// into the free slots (a source with no candidates at the start time
+// dead-ends right there at length 0, as in the scalar loop), sort the
+// frontier by (vertex, walk id) when the sampler groups, and sweep it one
+// step. A walk starts when it is loaded; walkers still resident when the run
+// is cancelled or fails end as cancelled here.
+func (r *walkRun) runBatch(bctx context.Context, st *walkerState) {
+	e, cfg := r.e, &r.cfg
 	grouped := false
-	if fg, ok := bs.(FrontierGrouper); ok {
+	if fg, ok := r.bs.(FrontierGrouper); ok {
 		grouped = fg.WantsGroupedFrontier()
 	}
-	waveSize := min(batchWave, totalWalks)
-	var ws waveState
-	ws.resize(waveSize)
-
 	var (
-		wwg      sync.WaitGroup // worker lifetimes
-		swg      sync.WaitGroup // per-step barrier
-		cursor   atomic.Int64
-		stepGate = make(chan struct{})
+		ws waveState
+		sc batchScratch
+		cl claim
 	)
-	for w := 0; w < threads; w++ {
-		wwg.Add(1)
-		go func(worker int) {
-			defer wwg.Done()
-			bctx := runCtx
-			var bsp *trace.Span
-			if runSpan != nil {
-				bctx, bsp = trace.Start(runCtx, "walk_batch")
-				bsp.SetInt("worker", int64(worker))
-			}
-			st := &results[worker]
-			var sc batchScratch
-			for range stepGate {
-				e.sweepStep(bctx, runCtx, bs, &cfg, &ws, &sc, st, &cursor, sources, failed)
-				swg.Done()
-			}
-			if bsp != nil {
-				bsp.SetInt("steps", st.cost.Steps)
-				bsp.SetInt("edges_evaluated", st.cost.EdgesEvaluated)
-				bsp.SetInt("trials", st.cost.Trials)
-				bsp.SetInt("rejected", st.cost.Rejected)
-				bsp.End()
-			}
-		}(w)
+	for i := range ws.free {
+		ws.free[i] = int32(i)
 	}
-
-	st0 := &results[0]
-	for waveLo := 0; waveLo < totalWalks; waveLo += waveSize {
-		if runCtx.Err() != nil {
-			break // remaining waves never start; their walks stay uncounted
-		}
-		waveHi := waveLo + waveSize
-		if waveHi > totalWalks {
-			waveHi = totalWalks
-		}
-		if err := e.initWave(&cfg, sources, waveLo, waveHi, &ws, root, st0); err != nil {
-			failed.fail(err)
-		}
-		for s := 0; s < cfg.Length && len(ws.frontier) > 0; s++ {
-			if runCtx.Err() != nil {
+	ws.nfree = batchChunk
+run:
+	for r.ctx.Err() == nil {
+		for ws.nfree > 0 {
+			wi, ok := r.next(&cl)
+			if !ok {
 				break
 			}
-			if grouped && len(ws.frontier) > 1 {
-				sortFrontier(&ws)
-			}
-			cursor.Store(0)
-			swg.Add(threads)
-			for i := 0; i < threads; i++ {
-				stepGate <- struct{}{}
-			}
-			swg.Wait()
-			compactFrontier(&ws)
-		}
-		// Walkers still on the frontier here were cut short by cancellation
-		// (a natural wave end drains the frontier through completion or
-		// dead-end classification inside the sweep). Walkers no sweep ever
-		// touched were never started — like the scalar kernel's unclaimed
-		// walk ids, they are neither counted nor classified.
-		for _, i := range ws.frontier {
-			if i >= 0 && ws.started[i] {
-				if err := ws.endWalk(runCtx, &cfg, st0, i); err != nil {
-					failed.fail(err)
-				}
-			}
-		}
-		ws.frontier = ws.frontier[:0]
-	}
-	close(stepGate)
-	wwg.Wait()
-}
-
-// initWave seeds walkers [waveLo, waveHi) into ws: start vertex, initial
-// candidate count under cfg.StartTime, and the walker's private random stream
-// (root.SplitTo keeps the per-walk stream identical to the scalar kernel's
-// root.Split). Sources whose candidate set is empty at the start time
-// dead-end immediately at length 0, exactly as in the scalar loop, and reach
-// the sink here.
-func (e *Engine) initWave(cfg *WalkConfig, sources []temporal.Vertex, waveLo, waveHi int, ws *waveState, root *xrand.Rand, st *walkerState) error {
-	n := waveHi - waveLo
-	ws.resize(n)
-	ws.waveLo = waveLo
-	if cfg.Sink != nil && ws.paths == nil {
-		ws.paths = make([]Path, n) // the first wave is the largest
-	}
-	for i := 0; i < n; i++ {
-		wi := waveLo + i
-		src := sources[wi/cfg.WalksPerVertex]
-		root.SplitTo(uint64(wi), &ws.rng[i])
-		ws.cur[i] = src
-		ws.hasPrev[i] = false
-		ws.started[i] = false
-		ws.steps[i] = 0
-		k := e.g.CandidateCount(src, cfg.StartTime)
-		ws.kcand[i] = int32(k)
-		if cfg.Sink != nil {
-			ws.paths[i] = NewPath(src, cfg.Length)
-		}
-		if k == 0 {
-			// Dead on arrival: started and classified right here, exactly
-			// like the scalar loop's zero-candidate source.
-			st.cost.WalksStarted++
-			st.lengths.Observe(0)
-			st.cost.WalksDeadEnded++
+			ws.nfree--
+			i := ws.free[ws.nfree]
+			src := r.sources[wi/cfg.WalksPerVertex]
+			r.root.SplitTo(uint64(wi), &ws.rng[i])
+			ws.walk[i], ws.cur[i], ws.hasPrev[i], ws.steps[i] = wi, src, false, 0
+			ws.kcand[i] = int32(e.g.CandidateCount(src, cfg.StartTime))
 			if cfg.Sink != nil {
-				if err := cfg.Sink(wi, ws.paths[i]); err != nil {
-					return err
-				}
+				ws.paths[i] = NewPath(src, cfg.Length)
 			}
-			continue
+			st.cost.WalksStarted++
+			if ws.kcand[i] != 0 {
+				ws.frontier[ws.nlive] = i
+				ws.nlive++
+			} else if err := ws.endWalk(r.ctx, cfg, st, i); err != nil {
+				r.failed.fail(err)
+				break run
+			}
 		}
-		ws.frontier = append(ws.frontier, int32(i))
+		if ws.nlive == 0 {
+			break
+		}
+		front := ws.frontier[:ws.nlive]
+		if grouped && len(front) > 1 {
+			slices.SortFunc(front, func(a, b int32) int {
+				if c := cmp.Compare(ws.cur[a], ws.cur[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(ws.walk[a], ws.walk[b])
+			})
+		}
+		if err := e.sweepChunk(bctx, r.ctx, r.bs, cfg, &ws, &sc, st, front, r.sources); err != nil {
+			r.failed.fail(err)
+			break
+		}
+		if r.failed.samplerFailed() {
+			break
+		}
+		ws.nlive = 0
+		for _, i := range front {
+			if i >= 0 {
+				ws.frontier[ws.nlive] = i
+				ws.nlive++
+			}
+		}
 	}
-	return nil
-}
-
-// sortFrontier orders the frontier by current vertex (walker index as the
-// tiebreaker, keeping the order deterministic) so that a grouping sampler
-// sees same-vertex walkers adjacently.
-func sortFrontier(ws *waveState) {
-	cur := ws.cur
-	slices.SortFunc(ws.frontier, func(a, b int32) int {
-		if c := cmp.Compare(cur[a], cur[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-}
-
-// compactFrontier removes walkers marked dead (-1) during the last sweep.
-func compactFrontier(ws *waveState) {
-	live := ws.frontier[:0]
-	for _, i := range ws.frontier {
+	// Walkers still resident were cut short by cancellation or a failure.
+	for _, i := range ws.frontier[:ws.nlive] {
 		if i >= 0 {
-			live = append(live, i)
-		}
-	}
-	ws.frontier = live
-}
-
-// sweepStep advances the sweeping worker through the current step: claim a
-// chunk of the frontier off the shared cursor, process it, repeat until the
-// frontier is exhausted or the run is torn down. The sampler's sticky error
-// is checked after every chunk.
-func (e *Engine) sweepStep(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, cursor *atomic.Int64, sources []temporal.Vertex, failed *runFailure) {
-	n := int64(len(ws.frontier))
-	for runCtx.Err() == nil {
-		lo := cursor.Add(batchChunk) - batchChunk
-		if lo >= n {
-			return
-		}
-		hi := lo + batchChunk
-		if hi > n {
-			hi = n
-		}
-		if err := e.sweepChunk(bctx, runCtx, bs, cfg, ws, sc, st, ws.frontier[lo:hi], sources); err != nil {
-			failed.fail(err)
-			return
-		}
-		if failed.samplerFailed() {
-			return
+			if err := ws.endWalk(r.ctx, cfg, st, i); err != nil {
+				r.failed.fail(err)
+			}
 		}
 	}
 }
 
-// sweepChunk advances every walker in chunk (a slice of the frontier owned
-// exclusively by this worker for the step) by exactly one walk step,
-// replaying the scalar trial loop batch-wise: each trial round gathers the
-// still-pending walkers, draws their proposals in one SampleBatch call, and
-// applies the Dynamic_parameter accept/reject test per walker in the scalar
-// rand-consumption order. A panic in user code (Visitor, App.Parameter) is
+// sweepChunk advances every walker in chunk (the worker's frontier) by
+// exactly one walk step, replaying the scalar trial loop batch-wise: each
+// trial round gathers the still-pending walkers, draws their proposals in one
+// SampleBatch call, and applies the Dynamic_parameter accept/reject test per
+// walker in the scalar rand-consumption order. A panic in user code (Visitor, App.Parameter) is
 // recovered here, accounted to the offending walk, and returned as an error
 // naming it, mirroring walkOneSafe.
 func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex) (err error) {
@@ -335,16 +200,8 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 		}
 	}()
 
-	// A walk "starts" the first time a sweep picks it up; walks the run never
-	// reaches (cancellation before their first step) stay unstarted, matching
-	// the scalar kernel.
 	pend := sc.pend[:0]
 	for pos := range chunk {
-		i := chunk[pos]
-		if !ws.started[i] {
-			ws.started[i] = true
-			st.cost.WalksStarted++
-		}
 		pend = append(pend, int32(pos))
 	}
 	for trial := 0; trial < betaTrialCap && len(pend) > 0; trial++ {
@@ -383,7 +240,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				}
 				continue
 			}
-			curWalk, curPos = ws.waveLo+int(i), int(pos)
+			curWalk, curPos = ws.walk[i], int(pos)
 			if ws.hasPrev[i] && !e.accept(ws.prev[i], sc.dst[j], &ws.rng[i], &st.cost) {
 				sc.lastD[pos] = sc.dst[j]
 				sc.lastT[pos] = sc.at[j]
@@ -403,7 +260,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	// guarantee progress (same documented deviation as the scalar loop).
 	for _, pos := range pend {
 		i := chunk[pos]
-		curWalk, curPos = ws.waveLo+int(i), int(pos)
+		curWalk, curPos = ws.walk[i], int(pos)
 		if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, sc.lastD[pos], sc.lastT[pos], sc.lastK[pos]); err != nil {
 			return err
 		}
@@ -419,7 +276,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 // candidates.
 func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, dst temporal.Vertex, at temporal.Time, k int32) error {
 	i := chunk[pos]
-	wi := ws.waveLo + int(i)
+	wi := ws.walk[i]
 	u := ws.cur[i]
 	stepNo := int(ws.steps[i])
 	st.cost.Steps++

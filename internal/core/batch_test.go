@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -166,6 +167,27 @@ func TestBatchKernelMatchesScalarRows(t *testing.T) {
 			})
 		}
 	}
+	// Run sizes that are multiples of neither claimGrain nor batchChunk, so
+	// the last claim and the last refill of a frontier are partial.
+	g := testutil.RandomGraph(t, 400, 12000, 50000, 29)
+	eng, err := NewEngine(g, TemporalNode2Vec(0.5, 2, 1), Options{Method: MethodHPAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, walks := range []int{1, 17, 65, 1000} {
+		starts := make([]temporal.Vertex, walks)
+		for i := range starts {
+			starts[i] = temporal.Vertex(i * 7 % g.NumVertices())
+		}
+		for _, threads := range []int{1, 4} {
+			runBothKernels(t, fmt.Sprintf("walks%d/t%d", walks, threads), eng, WalkConfig{
+				Length:        30,
+				Seed:          4321,
+				Threads:       threads,
+				StartVertices: starts,
+			})
+		}
+	}
 }
 
 // Skewed workloads: most walks hammer one hub, the rest scatter — the load
@@ -204,7 +226,10 @@ func TestBatchKernelCancelAccounting(t *testing.T) {
 	}
 	for _, kern := range []Kernel{KernelScalar, KernelBatch} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var hops atomic.Int64
+		var (
+			hops, after atomic.Int64
+			cancelled   atomic.Bool
+		)
 		cfg := WalkConfig{
 			WalksPerVertex: 30,
 			Length:         40,
@@ -212,8 +237,12 @@ func TestBatchKernelCancelAccounting(t *testing.T) {
 			Threads:        4,
 			Kernel:         kern,
 			Visitor: func(walkID, step int, from, to temporal.Vertex, at temporal.Time) {
+				if cancelled.Load() {
+					after.Add(1)
+				}
 				if hops.Add(1) == 800 {
 					cancel()
+					cancelled.Store(true)
 				}
 			},
 		}
@@ -229,6 +258,53 @@ func TestBatchKernelCancelAccounting(t *testing.T) {
 		if res.Cost.WalksStarted >= int64(500*30) {
 			t.Fatalf("%v: cancelled run started every walk", kern)
 		}
+		// Once cancel has returned, each worker stops at its next look at the
+		// run context: the scalar kernel after its current walk, the batched
+		// one after its current sweep, which steps each of its batchChunk
+		// walkers at most once. (Steps taken while cancel runs are not
+		// counted: a preempted cancel would otherwise make this flake.)
+		if n := after.Load(); n > int64(cfg.Threads*batchChunk) {
+			t.Fatalf("%v: %d steps after cancel, want at most %d", kern, n, cfg.Threads*batchChunk)
+		}
+	}
+}
+
+// A one-worker batched run steps on the caller's goroutine, as a one-worker
+// scalar run does: every Visitor call has the test function on its stack.
+// (Counting goroutines would flake: runtime.NumGoroutine counts the
+// finalizer goroutine while it runs finalizers.)
+func TestBatchKernelOneWorkerRunsInline(t *testing.T) {
+	g := testutil.RandomGraph(t, 300, 9000, 5000, 47)
+	eng, err := NewEngine(g, LinearTime(), Options{Method: MethodHPAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, inline int
+	pcs := make([]uintptr, 64)
+	res, err := eng.Run(WalkConfig{
+		Length:  20,
+		Seed:    6,
+		Threads: 1,
+		Kernel:  KernelBatch,
+		Visitor: func(walkID, step int, from, to temporal.Vertex, at temporal.Time) {
+			calls++
+			frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+			for f, more := frames.Next(); more; f, more = frames.Next() {
+				if strings.HasSuffix(f.Function, ".TestBatchKernelOneWorkerRunsInline") {
+					inline++
+					break
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 || int64(calls) != res.Cost.Steps {
+		t.Fatalf("%d visitor calls for %d steps", calls, res.Cost.Steps)
+	}
+	if inline != calls {
+		t.Fatalf("%d of %d steps ran off the caller's goroutine", calls-inline, calls)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/sampling"
@@ -515,5 +516,41 @@ func TestRunContextAllocsPerWalk(t *testing.T) {
 				t.Errorf("%v kernel, KeepPaths %v: %.3f allocs per walk, want %v", kern, keep, perWalk, want)
 			}
 		}
+	}
+}
+
+// BenchmarkRequestShapedKernels times a served /walk's shape on both
+// kernels: 4 walks of 80 steps from one vertex at 1 thread. Vertex u's
+// out-edges lead to u+1..u+64, all later than any edge of u, so every walk
+// runs its full length over 32 candidates a step.
+func BenchmarkRequestShapedKernels(b *testing.B) {
+	const v, deg, reach = 20_000, 32, 64
+	r := rand.New(rand.NewSource(1))
+	edges := make([]temporal.Edge, 0, v*deg)
+	for u := 0; u < v; u++ {
+		for j := 0; j < deg; j++ {
+			if dst := u + 1 + r.Intn(reach); dst < v {
+				edges = append(edges, temporal.Edge{Src: temporal.Vertex(u), Dst: temporal.Vertex(dst), Time: temporal.Time(u*deg + j)})
+			}
+		}
+	}
+	eng, err := NewEngine(temporal.MustFromEdges(edges), ExponentialWalk(1e-4), Options{Method: MethodHPAT})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kern := range []Kernel{KernelScalar, KernelBatch} {
+		b.Run(kern.String(), func(b *testing.B) {
+			cfg := WalkConfig{WalksPerVertex: 4, Length: 80, Threads: 1, Kernel: kern, StartVertices: []temporal.Vertex{0}}
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i)
+				res, err := eng.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Cost.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
 	}
 }

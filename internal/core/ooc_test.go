@@ -9,6 +9,7 @@ import (
 	"github.com/tea-graph/tea/internal/fault"
 	"github.com/tea-graph/tea/internal/ooc"
 	"github.com/tea-graph/tea/internal/sampling"
+	"github.com/tea-graph/tea/internal/temporal"
 	"github.com/tea-graph/tea/internal/testutil"
 )
 
@@ -66,6 +67,28 @@ func TestBatchKernelMatchesScalarOOC(t *testing.T) {
 				Threads:        threads,
 			})
 		}
+	}
+
+	// One source × 200 walks: the grouped frontier holds runs of one vertex,
+	// and each worker refills its slots from that vertex many times over.
+	hub := temporal.Vertex(0)
+	for v := range g.NumVertices() {
+		if g.Degree(temporal.Vertex(v)) > g.Degree(hub) {
+			hub = temporal.Vertex(v)
+		}
+	}
+	eng, err := core.NewEngine(g, core.LinearTime(), core.Options{ExternalSampler: dpat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 3} {
+		core.RunBothKernels(t, fmt.Sprintf("diskpat/one-source/t%d", threads), eng, core.WalkConfig{
+			WalksPerVertex: 200,
+			Length:         15,
+			Seed:           556,
+			Threads:        threads,
+			StartVertices:  []temporal.Vertex{hub},
+		})
 	}
 }
 

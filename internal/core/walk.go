@@ -30,27 +30,28 @@ const betaTrialCap = 4096
 // extra check at all.
 const ctxCheckMask = 1023
 
-// scalarGrain is the number of walks a scalar-kernel worker claims per bump
-// of the shared cursor: small enough that skewed walk lengths cannot idle a
-// worker behind one overloaded static chunk, large enough that the atomic
-// add is amortized over many walks.
-const scalarGrain = 16
+// claimGrain is the number of walk ids a worker of either kernel claims per
+// bump of the run's shared cursor: small enough that skewed walk lengths
+// cannot idle a worker behind one overloaded static chunk, large enough that
+// the atomic add is amortized over many walks.
+const claimGrain = 16
 
 // Kernel selects the walk execution strategy of a run.
 type Kernel int
 
 const (
-	// KernelAuto picks the batched step-synchronous kernel when the engine's
-	// sampler implements BatchSampler and the run is large enough to fill a
+	// KernelAuto picks the batched kernel when the engine's sampler
+	// implements BatchSampler and the run is large enough to fill a
 	// frontier, and the scalar kernel otherwise (small runs, external
 	// samplers without a batch path).
 	KernelAuto Kernel = iota
 	// KernelScalar walks one walker at a time per worker — the original loop
 	// and the batched kernel's correctness oracle.
 	KernelScalar
-	// KernelBatch executes walks as synchronized batched steps over flat
-	// struct-of-arrays state (see batch.go). Requires a BatchSampler; the
-	// engine falls back to KernelScalar when the sampler has none.
+	// KernelBatch steps a frontier of resident walkers per worker together,
+	// in flat struct-of-arrays state (see batch.go). Requires a
+	// BatchSampler; the engine falls back to KernelScalar when the sampler
+	// has none.
 	KernelBatch
 )
 
@@ -174,17 +175,17 @@ func (e *Engine) Run(cfg WalkConfig) (*Result, error) {
 
 // RunContext executes the configured walks in parallel under ctx.
 //
-// Execution is kernel-dispatched (WalkConfig.Kernel): the scalar kernel
-// walks one walker at a time per worker, claiming walks off a shared cursor
-// so skewed walk lengths cannot idle workers behind a static chunk split;
-// the batched kernel (batch.go) advances the whole frontier one synchronized
-// step at a time over flat struct-of-arrays state. Walker randomness is
-// derived from (walk id, step) via root.Split(walkID) in both, so the two
-// kernels — and any worker/wave schedule within them — replay byte-identical
-// seeded walks.
+// Execution is kernel-dispatched (WalkConfig.Kernel). Workers of both
+// kernels claim walk ids off a shared cursor, so skewed walk lengths cannot
+// idle workers behind a static chunk split: the scalar kernel walks one
+// walker at a time, the batched kernel (batch.go) steps a frontier of
+// resident walkers together over flat struct-of-arrays state and refills a
+// slot as soon as its walker ends. Walker randomness is derived from
+// (walk id, step) via root.Split(walkID) in both, so the two kernels — and
+// any worker schedule within them — replay byte-identical seeded walks.
 //
 // Cancellation is honored between walks, every ctxCheckMask+1 steps inside a
-// walk, and (in the batched kernel) between frontier chunks, so a deadline
+// walk, and (in the batched kernel) between frontier sweeps, so a deadline
 // aborts the run promptly even when a single walk is billions of steps long;
 // the partial Result accumulated so far is returned together with ctx.Err().
 // Every started walk is classified exactly once in Result.Cost:
@@ -252,19 +253,17 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 		}
 	}
 
-	// runCtx lets a panicking walk abort sibling workers promptly without
-	// cancelling the caller's context.
+	// The run's own context lets a panicking walk abort sibling workers
+	// promptly without cancelling the caller's context.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	failed := &runFailure{cancel: cancel}
-	failed.sampler, _ = e.sampler.(stickyErrSampler)
+	r := &walkRun{e: e, ctx: runCtx, cfg: cfg, sources: sources, total: totalWalks, root: root, cs: ctxSampler, bs: bs}
+	r.failed.cancel = cancel
+	r.failed.sampler, _ = e.sampler.(stickyErrSampler)
 
-	workers := threads
-	if kern == KernelScalar {
-		// A scalar worker claims scalarGrain walks at a time: more workers
-		// than claims would find the cursor exhausted.
-		workers = min(threads, (totalWalks+scalarGrain-1)/scalarGrain)
-	}
+	// A worker claims claimGrain walks at a time: more workers than claims
+	// would find the cursor exhausted.
+	workers := min(threads, (totalWalks+claimGrain-1)/claimGrain)
 	start := time.Now()
 	results := make([]walkerState, workers)
 	for i := range results {
@@ -274,11 +273,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 			results[i].lengths = stats.NewHistogram(cfg.Length + 1)
 		}
 	}
-	if kern == KernelBatch {
-		e.runBatch(runCtx, runSpan, cfg, bs, sources, totalWalks, threads, root, results, failed)
-	} else {
-		e.runScalar(runCtx, runSpan, cfg, ctxSampler, sources, totalWalks, root, results, failed)
-	}
+	r.fanOut(runSpan, results)
 	for i := range results {
 		result.Cost.Add(results[i].cost)
 		if workers > 1 {
@@ -286,7 +281,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 		}
 	}
 	result.Duration = time.Since(start)
-	err := failed.first()
+	err := r.failed.err
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -316,7 +311,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 // run. The batched kernel needs a BatchSampler; KernelAuto additionally
 // requires the run to be large enough that a frontier forms — tiny runs
 // (single API walks) stay on the scalar kernel, whose per-walk latency is
-// lower than a step-synchronized wave.
+// lower than the batched kernel's at that size.
 func (e *Engine) resolveKernel(k Kernel, totalWalks, threads int) (Kernel, BatchSampler) {
 	if k == KernelScalar {
 		return KernelScalar, nil
@@ -343,8 +338,9 @@ type stickyErrSampler interface {
 }
 
 // runFailure keeps the first error that aborts a run and cancels the run's
-// context so sibling workers stop promptly. sampler is the run's sampler when
-// it reports sticky errors, nil otherwise.
+// context so sibling workers stop promptly; err is read once every worker
+// has returned. sampler is the run's sampler when it reports sticky errors,
+// nil otherwise.
 type runFailure struct {
 	mu      sync.Mutex
 	err     error
@@ -376,74 +372,55 @@ func (f *runFailure) fail(err error) {
 	f.cancel()
 }
 
-func (f *runFailure) first() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
+// walkRun is what a run's workers share: the normalized config, the
+// sources, the root stream, the cursor they claim walk ids off and the
+// run's first failure. bs is the batched kernel's sampler, nil when the run
+// is on the scalar kernel; cs is the scalar kernel's context sampler, set
+// only when the run is traced or cost-accounted.
+type walkRun struct {
+	e       *Engine
+	ctx     context.Context // the run's context, cancelled by the first failure
+	cfg     WalkConfig
+	sources []temporal.Vertex
+	total   int
+	root    *xrand.Rand
+	cs      ContextSampler
+	bs      BatchSampler
+	cursor  atomic.Int64
+	failed  runFailure
 }
 
-// runScalar is the scalar kernel: one worker per element of results claims
-// scalarGrain-sized runs of walk ids off a shared cursor (dynamic
-// distribution — a worker that drew short, dead-ending walks immediately
-// claims more instead of idling behind a static chunk) and walks each one to
-// completion. A single worker (every API-sized request) walks on the
-// caller's goroutine. After each walk the sampler's sticky error is checked
-// before the walk reaches the sink.
-func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg WalkConfig, ctxSampler ContextSampler, sources []temporal.Vertex, totalWalks int, root *xrand.Rand, results []walkerState, failed *runFailure) {
-	var cursor atomic.Int64
-	work := func(worker int) {
-		bctx := runCtx
-		var bsp *trace.Span
-		if runSpan != nil {
-			bctx, bsp = trace.Start(runCtx, "walk_batch")
-			bsp.SetInt("worker", int64(worker))
+// claim is one worker's unspent share of the cursor: walk ids [lo, hi).
+type claim struct{ lo, hi int }
+
+// next returns the worker's next walk id, claiming claimGrain more off the
+// shared cursor when its share is spent (dynamic distribution: a worker that
+// drew short, dead-ending walks claims more instead of idling behind a
+// static chunk); ok is false once every walk id has been claimed. A share
+// spent at r.total means the cursor is too, so asking again costs no atomic
+// add.
+func (r *walkRun) next(c *claim) (wi int, ok bool) {
+	if c.lo == c.hi {
+		if c.hi == r.total {
+			return 0, false
 		}
-		st := &results[worker]
-		walked := 0
-	claim:
-		for {
-			lo := int(cursor.Add(scalarGrain)) - scalarGrain
-			if lo >= totalWalks {
-				break
-			}
-			hi := lo + scalarGrain
-			if hi > totalWalks {
-				hi = totalWalks
-			}
-			for wi := lo; wi < hi; wi++ {
-				if runCtx.Err() != nil {
-					break claim
-				}
-				src := sources[wi/cfg.WalksPerVertex]
-				root.SplitTo(uint64(wi), &st.rng)
-				p, err := e.walkOneSafe(bctx, ctxSampler, wi, src, cfg, &st.rng, st)
-				walked++
-				if err == nil && failed.samplerFailed() {
-					break claim
-				}
-				if err == nil && cfg.Sink != nil {
-					err = cfg.Sink(wi, p)
-				}
-				if err != nil {
-					failed.fail(err)
-					break claim
-				}
-			}
+		lo := int(r.cursor.Add(claimGrain)) - claimGrain
+		if lo >= r.total {
+			c.lo, c.hi = r.total, r.total
+			return 0, false
 		}
-		if bsp != nil {
-			// Per-batch hot-layer aggregates: sampled steps, slots the
-			// sampler examined (trunk/level traffic for HPAT/PAT), and
-			// the Dynamic_parameter rejection counters.
-			bsp.SetInt("walks", int64(walked))
-			bsp.SetInt("steps", st.cost.Steps)
-			bsp.SetInt("edges_evaluated", st.cost.EdgesEvaluated)
-			bsp.SetInt("trials", st.cost.Trials)
-			bsp.SetInt("rejected", st.cost.Rejected)
-			bsp.End()
-		}
+		c.lo, c.hi = lo, min(lo+claimGrain, r.total)
 	}
+	c.lo++
+	return c.lo - 1, true
+}
+
+// fanOut runs one worker of the run's kernel per element of results: a lone
+// worker (every API-sized request) on the caller's goroutine, more on a
+// goroutine each.
+func (r *walkRun) fanOut(runSpan *trace.Span, results []walkerState) {
 	if len(results) == 1 {
-		work(0)
+		r.work(runSpan, 0, &results[0])
 		return
 	}
 	var wg sync.WaitGroup
@@ -451,10 +428,63 @@ func (e *Engine) runScalar(runCtx context.Context, runSpan *trace.Span, cfg Walk
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(w)
+			r.work(runSpan, w, &results[w])
 		}()
 	}
 	wg.Wait()
+}
+
+// work runs one worker. A traced run wraps it in a walk_batch span carrying
+// the worker's hot-layer aggregates: walks started, sampled steps, slots the
+// sampler examined (trunk/level traffic for HPAT/PAT) and the
+// Dynamic_parameter rejection counters.
+func (r *walkRun) work(runSpan *trace.Span, worker int, st *walkerState) {
+	bctx := r.ctx
+	var bsp *trace.Span
+	if runSpan != nil {
+		bctx, bsp = trace.Start(r.ctx, "walk_batch")
+		bsp.SetInt("worker", int64(worker))
+	}
+	if r.bs != nil {
+		r.runBatch(bctx, st)
+	} else {
+		r.runScalar(bctx, st)
+	}
+	if bsp != nil {
+		bsp.SetInt("walks", st.cost.WalksStarted)
+		bsp.SetInt("steps", st.cost.Steps)
+		bsp.SetInt("edges_evaluated", st.cost.EdgesEvaluated)
+		bsp.SetInt("trials", st.cost.Trials)
+		bsp.SetInt("rejected", st.cost.Rejected)
+		bsp.End()
+	}
+}
+
+// runScalar is one worker of the scalar kernel: it walks each walk id it
+// claims to completion, checking the sampler's sticky error after each walk
+// before the walk reaches the sink.
+func (r *walkRun) runScalar(bctx context.Context, st *walkerState) {
+	cfg := &r.cfg
+	var cl claim
+	for r.ctx.Err() == nil {
+		wi, ok := r.next(&cl)
+		if !ok {
+			break
+		}
+		src := r.sources[wi/cfg.WalksPerVertex]
+		r.root.SplitTo(uint64(wi), &st.rng)
+		p, err := r.e.walkOneSafe(bctx, r.cs, wi, src, *cfg, &st.rng, st)
+		if err == nil && r.failed.samplerFailed() {
+			break
+		}
+		if err == nil && cfg.Sink != nil {
+			err = cfg.Sink(wi, p)
+		}
+		if err != nil {
+			r.failed.fail(err)
+			break
+		}
+	}
 }
 
 // walkOneSafe runs one walk, converting a panic in user code into an error

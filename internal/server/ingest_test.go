@@ -195,6 +195,82 @@ func TestIngestValidation(t *testing.T) {
 	postJSON(t, ts.URL+"/expire?before=abc", "", http.StatusBadRequest, nil)
 }
 
+// The edge cap is enforced while the body streams: the edge past it is
+// refused before anything behind it is read, so a broken tail after it gets
+// the cap's answer, not a JSON error.
+func TestIngestCapRefusedBeforeRestOfBody(t *testing.T) {
+	ts, _, d := newIngestServer(t, Config{})
+	var b strings.Builder
+	b.WriteString(`{"edges":[`)
+	for i := 0; i <= maxIngestBatch; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"src":0,"dst":1,"t":%d}`, i+1)
+	}
+	b.WriteString(`,!! not json`)
+	var body map[string]string
+	postJSON(t, ts.URL+"/edges", b.String(), http.StatusBadRequest, &body)
+	if !strings.Contains(body["error"], "per-request limit") {
+		t.Fatalf("error %q, want the per-request limit", body["error"])
+	}
+	if d.NumEdges() != 0 {
+		t.Fatalf("over-cap batch appended %d edges", d.NumEdges())
+	}
+}
+
+// The streamed body decode answers every body shape as decoding the whole
+// object did: other keys anywhere are skipped, the key matches in any case,
+// a repeated key's last array wins, and null or missing edges are an empty
+// batch.
+func TestIngestBodyShapes(t *testing.T) {
+	ts, _, d := newIngestServer(t, Config{})
+	for _, c := range []struct {
+		body     string
+		appended int    // on 200
+		errPart  string // on 400
+	}{
+		{`{"edges":null}`, 0, "empty batch"},
+		{`{"edges":[]}`, 0, "empty batch"},
+		{`{"other":1}`, 0, "empty batch"},
+		{`not json`, 0, "body: "},
+		{`[{"src":0,"dst":1,"t":1}]`, 0, "body: "},
+		{`{"edges":{"src":0,"dst":1,"t":1}}`, 0, "body: "},
+		{`{"edges":[{"src":0,"dst":1,"t":1}]} {}`, 0, "data after the JSON object"},
+		{`{"a":{"b":[1,"]"]},"edges":[{"src":0,"dst":1,"t":1}],"c":null}`, 1, ""},
+		{`{"Edges":[{"src":0,"dst":2,"t":2},{"src":1,"dst":2,"t":3}]}`, 2, ""},
+		{`{"edges":[{"src":0,"dst":1,"t":9}],"edges":[{"src":0,"dst":3,"t":4}]}`, 1, ""},
+		{`{"edges":[{"src":7,"dst":3,"t":5},{"src":8,"t":6}]}`, 2, ""},
+	} {
+		if c.errPart != "" {
+			var body map[string]string
+			postJSON(t, ts.URL+"/edges", c.body, http.StatusBadRequest, &body)
+			if !strings.Contains(body["error"], c.errPart) {
+				t.Fatalf("%s: error %q, want %q", c.body, body["error"], c.errPart)
+			}
+			continue
+		}
+		var resp ingestResponse
+		postJSON(t, ts.URL+"/edges", c.body, http.StatusOK, &resp)
+		if resp.Appended != c.appended {
+			t.Fatalf("%s: appended %d, want %d", c.body, resp.Appended, c.appended)
+		}
+	}
+	if d.NumEdges() != 6 || d.Frontier() != 6 {
+		t.Fatalf("%d edges up to t=%d, want 6 up to t=6", d.NumEdges(), d.Frontier())
+	}
+	// An edge that omits a field gets zero there, not the previous edge's.
+	d.View(func(g *stream.Graph) {
+		snap, err := g.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dst, at := snap.EdgeAt(8, 0); dst != 0 || at != 6 {
+			t.Fatalf("edge {src 8, t 6} stored as 8→%d at %d, want 8→0 at 6", dst, at)
+		}
+	})
+}
+
 // A body holding more than one JSON object is refused whole: appending the
 // first and answering 200 would drop the rest without a word.
 func TestIngestRefusesTrailingData(t *testing.T) {
