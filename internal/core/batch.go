@@ -99,8 +99,9 @@ type batchScratch struct {
 // into the free slots (a source with no candidates at the start time
 // dead-ends right there at length 0, as in the scalar loop), sort the
 // frontier by (vertex, walk id) when the sampler groups, and sweep it one
-// step. A walk starts when it is loaded; walkers still resident when the run
-// is cancelled or fails end as cancelled here.
+// step. A walk starts when it is loaded, and a worker loads only while the
+// run's context is live; walkers still resident when the run is cancelled or
+// fails end as cancelled here.
 func (r *walkRun) runBatch(bctx context.Context, st *walkerState) {
 	e, cfg := r.e, &r.cfg
 	grouped := false
@@ -118,7 +119,7 @@ func (r *walkRun) runBatch(bctx context.Context, st *walkerState) {
 	ws.nfree = batchChunk
 run:
 	for r.ctx.Err() == nil {
-		for ws.nfree > 0 {
+		for ws.nfree > 0 && r.ctx.Err() == nil {
 			wi, ok := r.next(&cl)
 			if !ok {
 				break

@@ -269,6 +269,36 @@ func TestBatchKernelCancelAccounting(t *testing.T) {
 	}
 }
 
+// Both kernels start a walk only while the run's context is live: when the
+// Sink of the first walk, which dead-ends where it starts, cancels the run,
+// no other walk starts.
+func TestKernelsStopStartingWalksOnCancel(t *testing.T) {
+	g := testutil.RandomGraph(t, 300, 9000, 5000, 47)
+	eng, err := NewEngine(g, LinearTime(), Options{Method: MethodHPAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kern := range []Kernel{KernelScalar, KernelBatch} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := eng.RunContext(ctx, WalkConfig{
+			Length:    20,
+			Seed:      6,
+			Threads:   1,
+			Kernel:    kern,
+			StartTime: 5000, // later than every edge: each walk dead-ends at its source
+			Sink:      func(int, Path) error { cancel(); return nil },
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want Canceled", kern, err)
+		}
+		assertWalkInvariant(t, kern.String(), res.Cost)
+		if res.Cost.WalksStarted != 1 {
+			t.Fatalf("%v: %d walks started after the first one cancelled the run, want 1", kern, res.Cost.WalksStarted)
+		}
+	}
+}
+
 // A one-worker batched run steps on the caller's goroutine, as a one-worker
 // scalar run does: every Visitor call has the test function on its stack.
 // (Counting goroutines would flake: runtime.NumGoroutine counts the

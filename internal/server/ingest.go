@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/tea-graph/tea/internal/core"
@@ -135,6 +134,10 @@ type ingestEdge struct {
 	T   int64  `json:"t"`
 }
 
+type ingestRequest struct {
+	Edges []ingestEdge `json:"edges"`
+}
+
 type ingestResponse struct {
 	Appended int   `json:"appended"`
 	Edges    int   `json:"edges"`
@@ -150,10 +153,30 @@ func (s *Server) handleIngestEdges(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	edges, err := decodeIngestBatch(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	var req ingestRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	if err := dec.Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("body: %v", err))
 		return
+	}
+	// A second object after the first would otherwise be dropped unread
+	// while the reply reports success.
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, errors.New("body: data after the JSON object"))
+		return
+	}
+	if len(req.Edges) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("empty batch"))
+		return
+	}
+	if len(req.Edges) > maxIngestBatch {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("batch of %d edges exceeds per-request limit %d", len(req.Edges), maxIngestBatch))
+		return
+	}
+	edges := make([]temporal.Edge, len(req.Edges))
+	for i, e := range req.Edges {
+		edges[i] = temporal.Edge{Src: temporal.Vertex(e.Src), Dst: temporal.Vertex(e.Dst), Time: temporal.Time(e.T)}
 	}
 	if err := d.AppendBatch(edges); err != nil {
 		s.writeIngestErr(w, err)
@@ -164,64 +187,6 @@ func (s *Server) handleIngestEdges(w http.ResponseWriter, r *http.Request) {
 		Edges:    d.NumEdges(),
 		Frontier: int64(d.Frontier()),
 	})
-}
-
-// decodeIngestBatch reads a POST /edges body: one JSON object whose "edges"
-// array (the key matched case-insensitively, as encoding/json does) is
-// streamed edge by edge, so a batch past maxIngestBatch is refused at its
-// first extra edge without reading the rest. Other keys are skipped, a null
-// array is an empty batch, and data after the object is refused: a second
-// object would otherwise be dropped unread while the reply reports success.
-func decodeIngestBatch(body io.Reader) ([]temporal.Edge, error) {
-	dec := json.NewDecoder(body)
-	var edges []temporal.Edge
-	tok, err := dec.Token()
-	if err == nil && tok != json.Delim('{') {
-		err = errors.New("not a JSON object")
-	}
-	for err == nil && dec.More() {
-		if tok, err = dec.Token(); err != nil {
-			break
-		}
-		if key, _ := tok.(string); !strings.EqualFold(key, "edges") {
-			err = dec.Decode(new(json.RawMessage))
-			continue
-		}
-		edges = edges[:0] // a repeated key replaces the batch, as in encoding/json
-		if tok, err = dec.Token(); err != nil || tok == nil {
-			continue
-		}
-		if tok != json.Delim('[') {
-			err = errors.New(`"edges" is not an array`)
-			break
-		}
-		var e ingestEdge // reused: Decode's argument escapes, so one allocation
-		for err == nil && dec.More() {
-			if len(edges) == maxIngestBatch {
-				return nil, fmt.Errorf("batch exceeds per-request limit of %d edges", maxIngestBatch)
-			}
-			e = ingestEdge{} // a field the element omits is zero
-			if err = dec.Decode(&e); err == nil {
-				edges = append(edges, temporal.Edge{Src: temporal.Vertex(e.Src), Dst: temporal.Vertex(e.Dst), Time: temporal.Time(e.T)})
-			}
-		}
-		if err == nil {
-			_, err = dec.Token() // ']'
-		}
-	}
-	if err == nil {
-		_, err = dec.Token() // '}'
-	}
-	if err != nil {
-		return nil, fmt.Errorf("body: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, errors.New("body: data after the JSON object")
-	}
-	if len(edges) == 0 {
-		return nil, errors.New("empty batch")
-	}
-	return edges, nil
 }
 
 type expireResponse struct {
