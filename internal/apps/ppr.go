@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/tea-graph/tea/internal/core"
-	"github.com/tea-graph/tea/internal/par"
-	"github.com/tea-graph/tea/internal/stats"
 	"github.com/tea-graph/tea/internal/temporal"
-	"github.com/tea-graph/tea/internal/xrand"
 )
 
 // PPRConfig parameterizes temporal personalized PageRank estimation.
@@ -70,75 +66,44 @@ func TemporalPPR(eng *core.Engine, source temporal.Vertex, cfg PPRConfig) ([]PPR
 	return TemporalPPRContext(context.Background(), eng, source, cfg)
 }
 
-// TemporalPPRContext is TemporalPPR under a context: workers check ctx
-// between walks, so cancellation or a deadline aborts the estimation and
-// returns ctx.Err(). A panic in user-supplied engine callbacks is recovered
-// and reported as an error naming the walk instead of crashing the process.
+// TemporalPPRContext is TemporalPPR under a context. The walks are one
+// engine run with restart (core.Engine.RunRestart), so cancellation returns
+// ctx.Err() and a panic in user-supplied engine callbacks is an error naming
+// the walk, as in every engine run.
 func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.Vertex, cfg PPRConfig) ([]PPRScore, error) {
 	cfg.normalize()
 	g := eng.Graph()
 	if int(source) >= g.NumVertices() {
 		return nil, fmt.Errorf("apps: ppr source %d outside graph with %d vertices", source, g.NumVertices())
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A disk sampler's failed read looks like a dead end to the walk; its
-	// sticky error tells them apart and stops the run.
-	sampler, _ := eng.Sampler().(interface{ Err() error })
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		failMu sync.Mutex
-		runErr error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		failMu.Unlock()
-		cancel()
-	}
-
-	// Each walk draws from root.Split(walk), so the scores do not depend on
-	// which chunk, or how many, ran it. The chunks add into one shared count
-	// array, so a request holds V counters at any thread count.
-	root := xrand.New(cfg.Seed)
+	// Each walk draws from its own split of the seed, so the scores do not
+	// depend on which worker, or how many, ran it. The workers add into one
+	// shared count array, so a request holds V counters at any thread count.
 	counts := make([]atomic.Int64, g.NumVertices())
-	par.For(cfg.Walks, cfg.Threads, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if runCtx.Err() != nil {
-				return
-			}
-			err := pprWalkSafe(eng, source, cfg, i, root, counts)
-			if err == nil && sampler != nil {
-				err = sampler.Err()
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-		}
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := ctx.Err(); err != nil {
+	res, err := eng.RunRestart(ctx, core.WalkConfig{
+		StartVertices:  []temporal.Vertex{source},
+		WalksPerVertex: cfg.Walks,
+		Length:         cfg.MaxLength,
+		StartTime:      cfg.StartTime,
+		HasStartTime:   true,
+		Seed:           cfg.Seed,
+		Threads:        cfg.Threads,
+		Visitor: func(_, _ int, _, to temporal.Vertex, _ temporal.Time) {
+			counts[to].Add(1)
+		},
+	}, cfg.Alpha)
+	if err != nil {
 		return nil, err
 	}
-	// Every walk starts at the source: counted here, not by every chunk
-	// on the same counter.
+	// Every walk starts at the source: counted here, not by every walk on
+	// the same counter. Each step counts one vertex, so the counts sum to
+	// Walks + Steps.
 	counts[source].Add(int64(cfg.Walks))
-	total := int64(0)
-	for v := range counts {
-		total += counts[v].Load()
-	}
+	total := float64(int64(cfg.Walks) + res.Cost.Steps)
 	var out []PPRScore
 	for v := range counts {
 		if c := counts[v].Load(); c > 0 {
-			out = append(out, PPRScore{Vertex: temporal.Vertex(v), Score: float64(c) / float64(total)})
+			out = append(out, PPRScore{Vertex: temporal.Vertex(v), Score: float64(c) / total})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -148,40 +113,4 @@ func TemporalPPRContext(ctx context.Context, eng *core.Engine, source temporal.V
 		return out[i].Vertex < out[j].Vertex
 	})
 	return out, nil
-}
-
-// pprWalkSafe runs one walk-with-restart, converting a panic in user code
-// (custom samplers, weight or parameter callbacks) into an error naming the
-// walk. Each step is the engine's own (Engine.Step), so a second-order
-// app's β applies exactly as in engine walks. It adds the vertices the walk
-// steps to into the shared counts; the start at source is the caller's.
-func pprWalkSafe(eng *core.Engine, source temporal.Vertex, cfg PPRConfig, walk int, root *xrand.Rand, counts []atomic.Int64) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("apps: ppr walk %d panicked: %v", walk, rec)
-		}
-	}()
-	g := eng.Graph()
-	r := root.Split(uint64(walk))
-	u, t := source, cfg.StartTime
-	var prev temporal.Vertex
-	hasPrev := false
-	var cost stats.Cost
-	for step := 0; step < cfg.MaxLength; step++ {
-		if r.Float64() < cfg.Alpha {
-			break // restart: this walk's endpoint is recorded
-		}
-		k := g.CandidateCount(u, t)
-		if k == 0 {
-			break
-		}
-		_, dst, at, ok := eng.Step(u, k, prev, hasPrev, r, &cost)
-		if !ok {
-			break
-		}
-		prev, hasPrev = u, true
-		u, t = dst, at
-		counts[u].Add(1)
-	}
-	return nil
 }

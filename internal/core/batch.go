@@ -61,10 +61,11 @@ type waveState struct {
 	nfree    int
 }
 
-// endWalk classifies walker i at its current step count, hands its path to
-// the run's sink and returns its slot to the free list.
-func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerState, i int32) error {
-	st.finishWalk(ctx, int(ws.steps[i]), cfg.Length)
+// endWalk classifies walker i at its current step count (complete: it
+// reached the run's length or restarted), hands its path to the run's sink
+// and returns its slot to the free list.
+func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerState, i int32, complete bool) error {
+	st.finishWalk(ctx, int(ws.steps[i]), complete)
 	ws.free[ws.nfree] = i
 	ws.nfree++
 	if cfg.Sink == nil {
@@ -137,7 +138,7 @@ run:
 			if ws.kcand[i] != 0 {
 				ws.frontier[ws.nlive] = i
 				ws.nlive++
-			} else if err := ws.endWalk(r.ctx, cfg, st, i); err != nil {
+			} else if err := ws.endWalk(r.ctx, cfg, st, i, false); err != nil {
 				r.failed.fail(err)
 				break run
 			}
@@ -172,7 +173,7 @@ run:
 	// Walkers still resident were cut short by cancellation or a failure.
 	for _, i := range ws.frontier[:ws.nlive] {
 		if i >= 0 {
-			if err := ws.endWalk(r.ctx, cfg, st, i); err != nil {
+			if err := ws.endWalk(r.ctx, cfg, st, i, false); err != nil {
 				r.failed.fail(err)
 			}
 		}
@@ -180,10 +181,11 @@ run:
 }
 
 // sweepChunk advances every walker in chunk (the worker's frontier) by
-// exactly one walk step, replaying the scalar trial loop batch-wise: each
-// trial round gathers the still-pending walkers, draws their proposals in one
-// SampleBatch call, and applies the Dynamic_parameter accept/reject test per
-// walker in the scalar rand-consumption order. A panic in user code (Visitor, App.Parameter) is
+// exactly one walk step, or ends it when a run with restart draws one,
+// replaying the scalar trial loop batch-wise: each trial round gathers the
+// still-pending walkers, draws their proposals in one SampleBatch call, and
+// applies the Dynamic_parameter accept/reject test per walker in the scalar
+// rand-consumption order. A panic in user code (Visitor, App.Parameter) is
 // recovered here, accounted to the offending walk, and returned as an error
 // naming it, mirroring walkOneSafe.
 func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex) (err error) {
@@ -201,8 +203,17 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 		}
 	}()
 
+	// A run with restart (RunRestart) draws each walker's restart before
+	// the sweep's first sample, the order walkOne draws in.
 	pend := sc.pend[:0]
-	for pos := range chunk {
+	for pos, i := range chunk {
+		if cfg.restart > 0 && ws.rng[i].Float64() < cfg.restart {
+			chunk[pos] = -1
+			if err := ws.endWalk(runCtx, cfg, st, i, true); err != nil {
+				return err
+			}
+			continue
+		}
 		pend = append(pend, int32(pos))
 	}
 	for trial := 0; trial < betaTrialCap && len(pend) > 0; trial++ {
@@ -236,7 +247,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				// Zero-weight candidate prefix — or the sampler observed
 				// the cancelled context; finishWalk tells them apart.
 				chunk[pos] = -1
-				if err := ws.endWalk(runCtx, cfg, st, i); err != nil {
+				if err := ws.endWalk(runCtx, cfg, st, i, false); err != nil {
 					return err
 				}
 				continue
@@ -295,7 +306,7 @@ func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveStat
 	ws.steps[i] = int32(stepNo + 1)
 	if stepNo+1 == cfg.Length || k == 0 {
 		chunk[pos] = -1
-		return ws.endWalk(runCtx, cfg, st, i)
+		return ws.endWalk(runCtx, cfg, st, i, stepNo+1 == cfg.Length)
 	}
 	return nil
 }

@@ -37,8 +37,8 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 	}
 }
 
-// Cancelling mid-run must return within about one walk length per worker,
-// with the partial cost accounting of the walks that did run intact.
+// Cancelling mid-run must return within one sweep per worker, with the
+// partial cost accounting of the walks that did run intact.
 func TestRunContextCancelMidRun(t *testing.T) {
 	g := testutil.RandomGraph(t, 500, 20000, 100000, 13)
 	eng, err := NewEngine(g, LinearTime(), Options{})
@@ -57,11 +57,18 @@ func TestRunContextCancelMidRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var hops atomic.Int64
+	var (
+		hops, after atomic.Int64
+		cancelled   atomic.Bool
+	)
 	const threshold = 1000
 	cfg.Visitor = func(walkID, step int, from, to temporal.Vertex, at temporal.Time) {
+		if cancelled.Load() {
+			after.Add(1)
+		}
 		if hops.Add(1) == threshold {
 			cancel()
+			cancelled.Store(true)
 		}
 	}
 	res, err := eng.RunContext(ctx, cfg)
@@ -74,11 +81,13 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	if res.Cost.Steps < threshold {
 		t.Fatalf("partial accounting lost steps: %d < %d", res.Cost.Steps, threshold)
 	}
-	// Each of the 4 workers can finish at most its in-flight walk after the
-	// cancel, so the overrun is bounded by threads * length.
-	bound := int64(threshold + 4*cfg.Length + 4*cfg.Length)
-	if res.Cost.Steps > bound {
-		t.Fatalf("cancel did not take effect within one walk length: %d steps > %d", res.Cost.Steps, bound)
+	// This 15,000-walk run takes the batched kernel. Once cancel has
+	// returned, each of the 4 workers stops at its next look at the run
+	// context, after its current sweep, which steps each of its batchChunk
+	// walkers at most once. Steps taken while cancel runs are not counted:
+	// a preempted cancel would otherwise leave the other workers stepping.
+	if n := after.Load(); n > int64(cfg.Threads*batchChunk) {
+		t.Fatalf("cancel did not take effect within one sweep: %d steps after it, want at most %d", n, cfg.Threads*batchChunk)
 	}
 	if res.Cost.Steps >= ref.Cost.Steps {
 		t.Fatalf("cancelled run did all the work: %d vs %d steps", res.Cost.Steps, ref.Cost.Steps)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/tea-graph/tea/internal/metrics"
+	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/stats"
 )
 
@@ -39,10 +40,12 @@ var (
 	mLastEdgesPerSec = metrics.Default.Gauge("tea_engine_last_run_edges_per_second")
 )
 
-// publishRun records one finished (or aborted) run's aggregates. err
+// publishRun records one finished (or aborted) run's aggregates and bills
+// its cost to the request's ledger when ctx carries one (reqcost). err
 // classifies the outcome: nil is a completed run, a context error a
 // cancelled one, anything else (a recovered walk panic) a panicked one.
-func publishRun(cost stats.Cost, dur time.Duration, err error) {
+func publishRun(ctx context.Context, cost stats.Cost, dur time.Duration, err error) {
+	reqcost.From(ctx).AddEngine(cost)
 	switch {
 	case err == nil:
 		mRunsCompleted.Inc()

@@ -92,6 +92,43 @@ func TestBatchKernelMatchesScalarOOC(t *testing.T) {
 	}
 }
 
+// Walks with restart over DiskPAT, the grouped batch path PPR takes on an
+// out-of-core server: both kernels replay the same walks.
+func TestBatchKernelMatchesScalarRestartOOC(t *testing.T) {
+	g := testutil.RandomGraph(t, 150, 5000, 20000, 37)
+	w := testutil.Weights(t, g, sampling.WeightSpec{Kind: sampling.WeightLinearTime})
+	store, err := ooc.NewTempStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	dpat, err := ooc.BuildDiskPAT(w, store, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(g, core.LinearTime(), core.Options{ExternalSampler: dpat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := temporal.Vertex(0)
+	for v := range g.NumVertices() {
+		if g.Degree(temporal.Vertex(v)) > g.Degree(hub) {
+			hub = temporal.Vertex(v)
+		}
+	}
+	for _, alpha := range []float64{0.15, 0.5} {
+		for _, threads := range []int{1, 3} {
+			core.RunBothKernelsRestart(t, fmt.Sprintf("diskpat/a%v/t%d", alpha, threads), eng, core.WalkConfig{
+				WalksPerVertex: 200,
+				Length:         15,
+				Seed:           557,
+				Threads:        threads,
+				StartVertices:  []temporal.Vertex{hub},
+			}, alpha)
+		}
+	}
+}
+
 // A dead device is not a dead end: over a store whose every read fails
 // permanently, both kernels stop with the sampler's sticky error instead of
 // reporting a successful run of zero-step walks.

@@ -114,6 +114,10 @@ type WalkConfig struct {
 	// parallel, so the callback MUST be safe for concurrent use; walkID
 	// identifies the walk (source-major order), step counts from 0.
 	Visitor func(walkID, step int, from, to temporal.Vertex, at temporal.Time)
+
+	// restart is the per-step restart probability of a RunRestart run; 0
+	// (every other run) draws nothing for it.
+	restart float64
 }
 
 func (c *WalkConfig) normalize() {
@@ -189,14 +193,15 @@ func (e *Engine) Run(cfg WalkConfig) (*Result, error) {
 // aborts the run promptly even when a single walk is billions of steps long;
 // the partial Result accumulated so far is returned together with ctx.Err().
 // Every started walk is classified exactly once in Result.Cost:
-// WalksCompleted (reached Length), WalksDeadEnded (ran out of temporal
-// candidates), WalksCancelled (cut short by ctx), or WalksPanicked (aborted
-// by a recovered panic in user code), so WalksStarted ==
-// Cost.WalksFinished() always holds. A panic in a user callback (Visitor,
-// App.Parameter, a custom weight) is recovered, aborts the run, and is
-// reported as an error naming the offending walk — the process and any
-// concurrent runs on the same engine survive. It is safe to call RunContext
-// concurrently on one engine.
+// WalksCompleted (reached Length, or restarted under RunRestart),
+// WalksDeadEnded (ran out of temporal candidates), WalksCancelled (cut short
+// by ctx), or WalksPanicked (aborted by a recovered panic in user code), so
+// WalksStarted == Cost.WalksFinished() always holds. A panic in a user
+// callback (Visitor, App.Parameter, a custom weight) is recovered, aborts the
+// run, and is reported as an error naming the offending walk — the process
+// and any concurrent runs on the same engine survive. Result.Cost is billed
+// once, on every return, to the request cost ledger ctx carries (reqcost).
+// It is safe to call RunContext concurrently on one engine.
 func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error) {
 	cfg.normalize()
 	mRunsStarted.Inc()
@@ -239,7 +244,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	root := xrand.New(cfg.Seed)
 	result := &Result{Lengths: stats.NewHistogram(cfg.Length + 1)}
 	if err := ctx.Err(); err != nil {
-		publishRun(result.Cost, 0, err)
+		publishRun(ctx, result.Cost, 0, err)
 		runSpan.SetError(err)
 		runSpan.End()
 		return result, err
@@ -285,7 +290,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	if err == nil {
 		err = ctx.Err()
 	}
-	publishRun(result.Cost, result.Duration, err)
+	publishRun(ctx, result.Cost, result.Duration, err)
 	if runSpan != nil {
 		runSpan.SetInt("steps", result.Cost.Steps)
 		runSpan.SetInt("edges_evaluated", result.Cost.EdgesEvaluated)
@@ -305,6 +310,15 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 		return result, err
 	}
 	return result, nil
+}
+
+// RunRestart is RunContext for walks with restart, personalized PageRank's
+// Monte Carlo walks (§5.2): before each step, a walker not at a dead end
+// draws from its own stream and ends, counted in Cost.WalksCompleted, with
+// probability alpha. alpha <= 0 draws nothing: the run is RunContext's.
+func (e *Engine) RunRestart(ctx context.Context, cfg WalkConfig, alpha float64) (*Result, error) {
+	cfg.restart = alpha
+	return e.RunContext(ctx, cfg)
 }
 
 // resolveKernel maps the configured kernel to the one that will actually
@@ -521,14 +535,15 @@ type walkerState struct {
 }
 
 // finishWalk classifies one terminated walk: completion when it reached the
-// configured length, cancellation when it ended early while the run's
-// context was being torn down (a cancelled sampler returning ok=false is
-// indistinguishable from a temporal dead end at the sampler contract, so the
-// context is the tiebreaker), and a genuine temporal dead end otherwise.
-func (st *walkerState) finishWalk(ctx context.Context, steps, length int) {
+// configured length or restarted (complete), cancellation when it ended
+// early while the run's context was being torn down (a cancelled sampler
+// returning ok=false is indistinguishable from a temporal dead end at the
+// sampler contract, so the context is the tiebreaker), and a genuine
+// temporal dead end otherwise.
+func (st *walkerState) finishWalk(ctx context.Context, steps int, complete bool) {
 	st.lengths.Observe(steps)
 	switch {
-	case steps == length:
+	case complete:
 		st.cost.WalksCompleted++
 	case ctx.Err() != nil:
 		st.cost.WalksCancelled++
@@ -608,8 +623,13 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 	var prev temporal.Vertex
 	hasPrev := false
 	steps := 0
+	restarted := false
 	for steps < cfg.Length {
 		if k == 0 {
+			break
+		}
+		if cfg.restart > 0 && r.Float64() < cfg.restart {
+			restarted = true
 			break
 		}
 		if steps&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
@@ -634,6 +654,6 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 		u = dst
 		steps++
 	}
-	st.finishWalk(ctx, steps, cfg.Length)
+	st.finishWalk(ctx, steps, restarted || steps == cfg.Length)
 	return p
 }

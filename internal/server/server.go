@@ -297,9 +297,7 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, runStatus(err), err)
 		return
 	}
-	rc := reqcost.From(r.Context())
-	rc.AddEngine(res.Cost)
-	rep := walkReply{from: wq.from, paths: res.Paths, detail: costDetail(q, rc, res.Duration)}
+	rep := walkReply{from: wq.from, paths: res.Paths, detail: costDetail(q, reqcost.From(r.Context()), res.Duration)}
 	writeWalkReply(w, &rep,
 		costNum("steps", res.Cost.Steps),
 		costRatio("edges_per_step", res.Cost.EdgesPerStep()),

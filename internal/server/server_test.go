@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/reqcost"
 	"github.com/tea-graph/tea/internal/temporal"
 )
 
@@ -163,4 +164,24 @@ func TestMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
+}
+
+// An engine run bills the request's cost ledger itself, so /ppr, which
+// replies without a cost block, shows its steps in /debug/tea/top.
+func TestPPRRecordsCost(t *testing.T) {
+	ts := newTestServer(t)
+	getJSON(t, ts.URL+"/ppr?from=9&walks=100&seed=3", http.StatusOK, nil)
+	var top struct {
+		Top []reqcost.Record `json:"top"`
+	}
+	getJSON(t, ts.URL+"/debug/tea/top", http.StatusOK, &top)
+	for _, rec := range top.Top {
+		if rec.Endpoint == "ppr" {
+			if rec.Cost.Steps == 0 || rec.Cost.Walks != 100 {
+				t.Fatalf("ppr top record steps %d walks %d, want steps > 0 and 100 walks", rec.Cost.Steps, rec.Cost.Walks)
+			}
+			return
+		}
+	}
+	t.Fatalf("no ppr record in the top ring: %+v", top.Top)
 }

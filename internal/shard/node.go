@@ -243,12 +243,12 @@ const hopBudget = 1 << 20
 
 // advance runs each walker on the local partition until its new vertex is
 // owned by another shard, it dead-ends, or its Steps reaches maxSteps (0:
-// after one step). Every step is CandidateCount(Cur, Arrival) then
-// core.Engine.Step, with the walker's state updated in place. The
-// single-process engine carries the candidate count across steps via
-// CandidateCountAfterEdge, which is by construction CandidateCount(dst, at)
-// on the destination's adjacency — adjacency this shard owns in full — so
-// the walker's stream is consumed exactly as in-process.
+// after one step). Every step is core.Engine.Step, with the walker's state
+// updated in place, so its stream is consumed exactly as in-process. The
+// candidate count is searched for once per walker, then carried by
+// CandidateCountAfterEdge, the §4.2 table core's walk loop reads: right here,
+// because this shard holds every out-edge of each vertex it owns and a walker
+// steps on only from an owned vertex.
 //
 // results[i] gets walker i's hop count, status and cost; its hops are
 // appended to hops in walker order and the extended slice is returned.
@@ -268,12 +268,9 @@ func (n *Node) advance(ctx context.Context, walkers []wire.Walker, results []wir
 		}
 		r := wire.StepResult{Status: wire.StatusDeadEnd}
 		var c stats.Cost
-		for {
-			k := g.CandidateCount(w.Cur, w.Arrival)
-			if k == 0 {
-				break
-			}
-			_, dst, at, ok := n.eng.Step(w.Cur, k, w.Prev, w.Steps > 0, &w.RNG, &c)
+		k := g.CandidateCount(w.Cur, w.Arrival)
+		for k != 0 {
+			edge, dst, at, ok := n.eng.Step(w.Cur, k, w.Prev, w.Steps > 0, &w.RNG, &c)
 			if !ok {
 				break
 			}
@@ -288,6 +285,7 @@ func (n *Node) advance(ctx context.Context, walkers []wire.Walker, results []wir
 				r.Status = wire.StatusStepped
 				break
 			}
+			k = g.CandidateCountAfterEdge(w.Prev, edge)
 		}
 		r.Evaluated, r.Trials, r.Rejected = c.EdgesEvaluated, uint32(c.Trials), uint32(c.Rejected)
 		r.RNG = w.RNG

@@ -19,7 +19,7 @@ type Cost struct {
 	ReadOps        int64 // out-of-core read operations
 	ReadRetries    int64 // out-of-core reads retried after transient faults
 	WalksStarted   int64
-	WalksCompleted int64 // walks that reached the target length
+	WalksCompleted int64 // walks that reached the target length or restarted (RunRestart)
 	WalksDeadEnded int64 // walks that ran out of temporal candidates
 	WalksCancelled int64 // walks cut short by context cancellation, not by the graph
 	WalksPanicked  int64 // walks aborted by a recovered panic in user code
