@@ -64,8 +64,8 @@ type waveState struct {
 // endWalk classifies walker i at its current step count (complete: it
 // reached the run's length or restarted), hands its path to the run's sink
 // and returns its slot to the free list.
-func (ws *waveState) endWalk(ctx context.Context, cfg *WalkConfig, st *walkerState, i int32, complete bool) error {
-	st.finishWalk(ctx, int(ws.steps[i]), complete)
+func (ws *waveState) endWalk(done <-chan struct{}, cfg *WalkConfig, st *walkerState, i int32, complete bool) error {
+	st.finishWalk(done, int(ws.steps[i]), complete)
 	ws.free[ws.nfree] = i
 	ws.nfree++
 	if cfg.Sink == nil {
@@ -95,6 +95,20 @@ type batchScratch struct {
 	lastK [batchChunk]int32
 }
 
+// batchWorker is one batch worker's state, about 11 KB, which the sampler
+// call makes escape. runBatch keeps up to 16 idle ones on batchWorkers
+// rather than allocating and zeroing one per run: a buffered channel
+// (Effective Go's leaky buffer), not a sync.Pool, so whether a run
+// allocates does not depend on the GC or on the race detector's pool
+// drops. Each field a worker reads is written first, by the load or the
+// sweep, except the free list, which runBatch resets.
+type batchWorker struct {
+	ws waveState
+	sc batchScratch
+}
+
+var batchWorkers = make(chan *batchWorker, 16)
+
 // runBatch is one worker of the batched kernel. It repeats three steps until
 // the run's cursor is spent and no walker is resident: load claimed walk ids
 // into the free slots (a source with no candidates at the start time
@@ -109,18 +123,21 @@ func (r *walkRun) runBatch(bctx context.Context, st *walkerState) {
 	if fg, ok := r.bs.(FrontierGrouper); ok {
 		grouped = fg.WantsGroupedFrontier()
 	}
-	var (
-		ws waveState
-		sc batchScratch
-		cl claim
-	)
+	var bw *batchWorker
+	select {
+	case bw = <-batchWorkers:
+	default:
+		bw = new(batchWorker)
+	}
+	ws, sc := &bw.ws, &bw.sc
+	var cl claim
 	for i := range ws.free {
 		ws.free[i] = int32(i)
 	}
-	ws.nfree = batchChunk
+	ws.nfree, ws.nlive = batchChunk, 0
 run:
-	for r.ctx.Err() == nil {
-		for ws.nfree > 0 && r.ctx.Err() == nil {
+	for !isDone(r.done) {
+		for ws.nfree > 0 && !isDone(r.done) {
 			wi, ok := r.next(&cl)
 			if !ok {
 				break
@@ -138,7 +155,7 @@ run:
 			if ws.kcand[i] != 0 {
 				ws.frontier[ws.nlive] = i
 				ws.nlive++
-			} else if err := ws.endWalk(r.ctx, cfg, st, i, false); err != nil {
+			} else if err := ws.endWalk(r.done, cfg, st, i, false); err != nil {
 				r.failed.fail(err)
 				break run
 			}
@@ -155,7 +172,7 @@ run:
 				return cmp.Compare(ws.walk[a], ws.walk[b])
 			})
 		}
-		if err := e.sweepChunk(bctx, r.ctx, r.bs, cfg, &ws, &sc, st, front, r.sources); err != nil {
+		if err := e.sweepChunk(bctx, r.done, r.bs, cfg, ws, sc, st, front, r.sources); err != nil {
 			r.failed.fail(err)
 			break
 		}
@@ -173,10 +190,17 @@ run:
 	// Walkers still resident were cut short by cancellation or a failure.
 	for _, i := range ws.frontier[:ws.nlive] {
 		if i >= 0 {
-			if err := ws.endWalk(r.ctx, cfg, st, i, false); err != nil {
+			if err := ws.endWalk(r.done, cfg, st, i, false); err != nil {
 				r.failed.fail(err)
 			}
 		}
+	}
+	if cfg.Sink != nil {
+		clear(ws.paths[:]) // the sink owns them now
+	}
+	select {
+	case batchWorkers <- bw:
+	default: // the list is full
 	}
 }
 
@@ -188,7 +212,7 @@ run:
 // rand-consumption order. A panic in user code (Visitor, App.Parameter) is
 // recovered here, accounted to the offending walk, and returned as an error
 // naming it, mirroring walkOneSafe.
-func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex) (err error) {
+func (e *Engine) sweepChunk(bctx context.Context, done <-chan struct{}, bs BatchSampler, cfg *WalkConfig, ws *waveState, sc *batchScratch, st *walkerState, chunk []int32, sources []temporal.Vertex) (err error) {
 	curWalk, curPos := -1, -1
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -209,7 +233,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	for pos, i := range chunk {
 		if cfg.restart > 0 && ws.rng[i].Float64() < cfg.restart {
 			chunk[pos] = -1
-			if err := ws.endWalk(runCtx, cfg, st, i, true); err != nil {
+			if err := ws.endWalk(done, cfg, st, i, true); err != nil {
 				return err
 			}
 			continue
@@ -247,7 +271,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				// Zero-weight candidate prefix — or the sampler observed
 				// the cancelled context; finishWalk tells them apart.
 				chunk[pos] = -1
-				if err := ws.endWalk(runCtx, cfg, st, i, false); err != nil {
+				if err := ws.endWalk(done, cfg, st, i, false); err != nil {
 					return err
 				}
 				continue
@@ -261,7 +285,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 				curWalk, curPos = -1, -1
 				continue
 			}
-			if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, sc.dst[j], sc.at[j], sc.next[j]); err != nil {
+			if err := e.applyStep(done, cfg, ws, st, chunk, pos, sc.dst[j], sc.at[j], sc.next[j]); err != nil {
 				return err
 			}
 			curWalk, curPos = -1, -1
@@ -273,7 +297,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 	for _, pos := range pend {
 		i := chunk[pos]
 		curWalk, curPos = ws.walk[i], int(pos)
-		if err := e.applyStep(runCtx, cfg, ws, st, chunk, pos, sc.lastD[pos], sc.lastT[pos], sc.lastK[pos]); err != nil {
+		if err := e.applyStep(done, cfg, ws, st, chunk, pos, sc.lastD[pos], sc.lastT[pos], sc.lastK[pos]); err != nil {
 			return err
 		}
 		curWalk, curPos = -1, -1
@@ -286,7 +310,7 @@ func (e *Engine) sweepChunk(bctx, runCtx context.Context, bs BatchSampler, cfg *
 // candidate count after the taken edge, and terminal classification when the
 // walker reaches the configured length or the new vertex has no temporal
 // candidates.
-func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, dst temporal.Vertex, at temporal.Time, k int32) error {
+func (e *Engine) applyStep(done <-chan struct{}, cfg *WalkConfig, ws *waveState, st *walkerState, chunk []int32, pos int32, dst temporal.Vertex, at temporal.Time, k int32) error {
 	i := chunk[pos]
 	wi := ws.walk[i]
 	u := ws.cur[i]
@@ -306,7 +330,7 @@ func (e *Engine) applyStep(runCtx context.Context, cfg *WalkConfig, ws *waveStat
 	ws.steps[i] = int32(stepNo + 1)
 	if stepNo+1 == cfg.Length || k == 0 {
 		chunk[pos] = -1
-		return ws.endWalk(runCtx, cfg, st, i, stepNo+1 == cfg.Length)
+		return ws.endWalk(done, cfg, st, i, stepNo+1 == cfg.Length)
 	}
 	return nil
 }

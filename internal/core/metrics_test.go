@@ -72,3 +72,23 @@ func TestCancelledRunPublishesCancelled(t *testing.T) {
 		t.Fatalf("runs cancelled delta = %d", d)
 	}
 }
+
+// A run refused for an out-of-range start vertex is never started, so the
+// run counters keep started == completed + cancelled + panicked.
+func TestRefusedRunIsNotStarted(t *testing.T) {
+	eng, err := NewEngine(temporal.CommuteGraph(), Unbiased(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := func() int64 { return mRunsCompleted.Value() + mRunsCancelled.Value() + mRunsPanicked.Value() }
+	started0, outcomes0 := mRunsStarted.Value(), outcomes()
+	if _, err := eng.Run(WalkConfig{Length: 5, StartVertices: []temporal.Vertex{999}}); err == nil {
+		t.Fatal("run from vertex 999 of a 10-vertex graph accepted")
+	}
+	if _, err := eng.Run(WalkConfig{Length: 5, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if started, done := mRunsStarted.Value()-started0, outcomes()-outcomes0; started != done || started != 1 {
+		t.Fatalf("runs started delta %d, completed+cancelled+panicked delta %d; want 1 and 1", started, done)
+	}
+}

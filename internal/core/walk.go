@@ -24,10 +24,10 @@ import (
 const betaTrialCap = 4096
 
 // ctxCheckMask amortizes the in-walk cancellation poll: the scalar step loop
-// checks ctx.Err() whenever steps&ctxCheckMask == ctxCheckMask, so a single
-// walk of config-overridable length (up to 2×10⁹ steps) honors cancellation
-// within at most ctxCheckMask+1 steps while the default 80-step walk pays no
-// extra check at all.
+// polls the run context's Done channel whenever steps&ctxCheckMask ==
+// ctxCheckMask, so a single walk of config-overridable length (up to 2×10⁹
+// steps) honors cancellation within at most ctxCheckMask+1 steps while the
+// default 80-step walk pays no extra check at all.
 const ctxCheckMask = 1023
 
 // claimGrain is the number of walk ids a worker of either kernel claims per
@@ -204,7 +204,6 @@ func (e *Engine) Run(cfg WalkConfig) (*Result, error) {
 // It is safe to call RunContext concurrently on one engine.
 func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error) {
 	cfg.normalize()
-	mRunsStarted.Inc()
 	threads := par.Threads(cfg.Threads)
 	sources := cfg.StartVertices
 	if sources == nil {
@@ -219,6 +218,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 			}
 		}
 	}
+	mRunsStarted.Inc() // after the refusal, which publishes no outcome
 	totalWalks := len(sources) * cfg.WalksPerVertex
 	kern, bs := e.resolveKernel(cfg.Kernel, totalWalks, threads)
 
@@ -262,7 +262,7 @@ func (e *Engine) RunContext(ctx context.Context, cfg WalkConfig) (*Result, error
 	// promptly without cancelling the caller's context.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &walkRun{e: e, ctx: runCtx, cfg: cfg, sources: sources, total: totalWalks, root: root, cs: ctxSampler, bs: bs}
+	r := &walkRun{e: e, ctx: runCtx, done: runCtx.Done(), cfg: cfg, sources: sources, total: totalWalks, root: root, cs: ctxSampler, bs: bs}
 	r.failed.cancel = cancel
 	r.failed.sampler, _ = e.sampler.(stickyErrSampler)
 
@@ -394,6 +394,7 @@ func (f *runFailure) fail(err error) {
 type walkRun struct {
 	e       *Engine
 	ctx     context.Context // the run's context, cancelled by the first failure
+	done    <-chan struct{} // ctx.Done(), which workers poll with isDone
 	cfg     WalkConfig
 	sources []temporal.Vertex
 	total   int
@@ -402,6 +403,18 @@ type walkRun struct {
 	bs      BatchSampler
 	cursor  atomic.Int64
 	failed  runFailure
+}
+
+// isDone reports whether done, a context's Done channel, is closed. Workers
+// poll it in place of the context's Err, which takes the context's mutex on
+// every call; a receive that finds the channel open takes none.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // claim is one worker's unspent share of the cursor: walk ids [lo, hi).
@@ -480,14 +493,14 @@ func (r *walkRun) work(runSpan *trace.Span, worker int, st *walkerState) {
 func (r *walkRun) runScalar(bctx context.Context, st *walkerState) {
 	cfg := &r.cfg
 	var cl claim
-	for r.ctx.Err() == nil {
+	for !isDone(r.done) {
 		wi, ok := r.next(&cl)
 		if !ok {
 			break
 		}
 		src := r.sources[wi/cfg.WalksPerVertex]
 		r.root.SplitTo(uint64(wi), &st.rng)
-		p, err := r.e.walkOneSafe(bctx, r.cs, wi, src, *cfg, &st.rng, st)
+		p, err := r.e.walkOneSafe(bctx, r.done, r.cs, wi, src, *cfg, &st.rng, st)
 		if err == nil && r.failed.samplerFailed() {
 			break
 		}
@@ -507,14 +520,14 @@ func (r *walkRun) runScalar(bctx context.Context, st *walkerState) {
 // completed + dead-ended + cancelled + panicked invariant survives the
 // abort; its length is not observed in the histogram because the walk has no
 // graph-determined end.
-func (e *Engine) walkOneSafe(ctx context.Context, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) (p Path, err error) {
+func (e *Engine) walkOneSafe(ctx context.Context, done <-chan struct{}, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) (p Path, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			st.cost.WalksPanicked++
 			err = fmt.Errorf("core: walk %d from vertex %d panicked: %v", walkID, src, rec)
 		}
 	}()
-	return e.walkOne(ctx, cs, walkID, src, cfg, r, st), nil
+	return e.walkOne(ctx, done, cs, walkID, src, cfg, r, st), nil
 }
 
 // walkerState is one worker's private accumulator. Workers update their
@@ -536,16 +549,16 @@ type walkerState struct {
 
 // finishWalk classifies one terminated walk: completion when it reached the
 // configured length or restarted (complete), cancellation when it ended
-// early while the run's context was being torn down (a cancelled sampler
-// returning ok=false is indistinguishable from a temporal dead end at the
-// sampler contract, so the context is the tiebreaker), and a genuine
-// temporal dead end otherwise.
-func (st *walkerState) finishWalk(ctx context.Context, steps int, complete bool) {
+// early while the run's context was being torn down (done, its Done channel,
+// is closed: a cancelled sampler returning ok=false is indistinguishable
+// from a temporal dead end at the sampler contract, so the context is the
+// tiebreaker), and a genuine temporal dead end otherwise.
+func (st *walkerState) finishWalk(done <-chan struct{}, steps int, complete bool) {
 	st.lengths.Observe(steps)
 	switch {
 	case complete:
 		st.cost.WalksCompleted++
-	case ctx.Err() != nil:
+	case isDone(done):
 		st.cost.WalksCancelled++
 	default:
 		st.cost.WalksDeadEnded++
@@ -610,8 +623,8 @@ func (e *Engine) accept(prev, dst temporal.Vertex, r *xrand.Rand, c *stats.Cost)
 // Algorithm 2: one step at a time until the walk reaches its length or a
 // dead end. cs is non-nil only when the run is traced and the sampler
 // supports context threading; on the untraced path the sampler is called
-// exactly as before.
-func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) Path {
+// exactly as before. done is ctx's Done channel.
+func (e *Engine) walkOne(ctx context.Context, done <-chan struct{}, cs ContextSampler, walkID int, src temporal.Vertex, cfg WalkConfig, r *xrand.Rand, st *walkerState) Path {
 	var p Path
 	if cfg.Sink != nil {
 		p = NewPath(src, cfg.Length)
@@ -632,7 +645,7 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 			restarted = true
 			break
 		}
-		if steps&ctxCheckMask == ctxCheckMask && ctx.Err() != nil {
+		if steps&ctxCheckMask == ctxCheckMask && isDone(done) {
 			break // long walk: honor cancellation mid-walk, keep the partial walk
 		}
 		edgeIdx, dst, at, ok := e.step(ctx, cs, u, k, prev, hasPrev, r, &st.cost)
@@ -654,6 +667,6 @@ func (e *Engine) walkOne(ctx context.Context, cs ContextSampler, walkID int, src
 		u = dst
 		steps++
 	}
-	st.finishWalk(ctx, steps, restarted || steps == cfg.Length)
+	st.finishWalk(done, steps, restarted || steps == cfg.Length)
 	return p
 }

@@ -115,35 +115,16 @@ func NewNode(g *temporal.Graph, spec sampling.WeightSpec, cfg Config) (*Node, er
 			func(_ *temporal.Graph, prev, cand temporal.Vertex) bool { return bloom.has(prev, cand) })
 	}
 
-	// The owned edges are copied from their CSR rows, never the whole graph;
-	// the Bloom filter reads every row in place.
-	size := 0
-	for v := range temporal.Vertex(n.numV) {
-		if part.Owner(v) == cfg.ShardID {
-			size += g.Degree(v)
-		}
-	}
-	owned := make([]temporal.Edge, 0, size)
-	for v := range temporal.Vertex(n.numV) {
-		dsts, ts := g.OutDst(v), g.OutTimes(v)
-		if n.bloom != nil {
-			for _, d := range dsts {
+	// The owned rows are copied out of the CSR arrays, never rebuilt; the
+	// Bloom filter reads every row in place.
+	if n.bloom != nil {
+		for v := range temporal.Vertex(n.numV) {
+			for _, d := range g.OutDst(v) {
 				n.bloom.add(v, d)
 			}
 		}
-		if part.Owner(v) == cfg.ShardID {
-			for i, d := range dsts {
-				owned = append(owned, temporal.Edge{Src: v, Dst: d, Time: ts[i]})
-			}
-		}
 	}
-	sub, err := temporal.FromEdges(owned, temporal.WithNumVertices(n.numV))
-	if err != nil && len(owned) != 0 {
-		return nil, fmt.Errorf("shard: building partition %d subgraph: %w", cfg.ShardID, err)
-	}
-	if sub == nil {
-		sub, _ = temporal.FromEdges(nil, temporal.WithNumVertices(n.numV))
-	}
+	sub := g.Restrict(func(v temporal.Vertex) bool { return part.Owner(v) == cfg.ShardID })
 	n.eng, err = core.NewEngine(sub, app, core.Options{Threads: cfg.Threads})
 	if err != nil {
 		return nil, fmt.Errorf("shard: partition %d: %w", cfg.ShardID, err)

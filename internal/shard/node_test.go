@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tea-graph/tea/internal/core"
+	"github.com/tea-graph/tea/internal/gen"
 	"github.com/tea-graph/tea/internal/metrics"
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/shard/wire"
@@ -280,4 +282,41 @@ func TestSinglePartitionLongWalksCancel(t *testing.T) {
 	if most := int64(ctxCheckMask + 1 + walks - 1); res.Cost.Steps > most {
 		t.Fatalf("%d steps after cancellation, want at most %d", res.Cost.Steps, most)
 	}
+}
+
+// BenchmarkNewNode times one shard start per partition of a 3-way split,
+// NewNode's three phases apart: the owner table, the partition subgraph
+// copied out of the full graph's rows, and the engine built on it. The
+// graph is gen's twitter profile (1.5 M edges), generated in memory.
+func BenchmarkNewNode(b *testing.B) {
+	const parts = 3
+	p := gen.Twitter()
+	g, err := p.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := core.App{Name: "shard", Weight: sampling.Exponential(1 / float64(p.TimeSpan()))}
+	var partition, subgraph, engine time.Duration
+	b.ResetTimer()
+	for range b.N {
+		for id := range parts {
+			t0 := time.Now()
+			part, err := NewPartitioner(g, parts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			t1 := time.Now()
+			sub := g.Restrict(func(v temporal.Vertex) bool { return part.Owner(v) == id })
+			t2 := time.Now()
+			if _, err := core.NewEngine(sub, app, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+			t3 := time.Now()
+			partition, subgraph, engine = partition+t1.Sub(t0), subgraph+t2.Sub(t1), engine+t3.Sub(t2)
+		}
+	}
+	perNode := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N*parts) }
+	b.ReportMetric(perNode(partition), "partitioner_ms")
+	b.ReportMetric(perNode(subgraph), "subgraph_ms")
+	b.ReportMetric(perNode(engine), "engine_ms")
 }

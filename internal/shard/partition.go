@@ -18,7 +18,6 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -48,10 +47,6 @@ func NewPartitioner(g *temporal.Graph, partitions int) (*Partitioner, error) {
 	if partitions < 1 || partitions > math.MaxUint16+1 {
 		return nil, fmt.Errorf("shard: partition count %d outside [1, %d]", partitions, math.MaxUint16+1)
 	}
-	type keyed struct {
-		key temporal.Time
-		v   temporal.Vertex
-	}
 	order := make([]keyed, g.NumVertices())
 	sinks := false
 	for i := range order {
@@ -73,7 +68,7 @@ func NewPartitioner(g *temporal.Graph, partitions int) (*Partitioner, error) {
 			}
 		}
 	}
-	slices.SortFunc(order, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.v, b.v)) })
+	order = sortByKey(order)
 
 	// Vertex v goes to the partition holding the midpoint of its edge range
 	// [cum, cum+deg) on the sorted order's edge axis.
@@ -88,6 +83,44 @@ func NewPartitioner(g *temporal.Graph, partitions int) (*Partitioner, error) {
 		cum += deg
 	}
 	return p, nil
+}
+
+// keyed is one vertex and its activity-time key.
+type keyed struct {
+	key temporal.Time
+	v   temporal.Vertex
+}
+
+// sortByKey orders recs by key with a stable LSD radix sort on the
+// sign-flipped key, the §4.2 build's sort: one pass histograms all eight
+// bytes, then one scatter pass runs per byte that varies across recs. recs
+// arrive in id order, so the result is their (key, id) order.
+func sortByKey(recs []keyed) []keyed {
+	ukey := func(r keyed) uint64 { return uint64(r.key) ^ 1<<63 }
+	var count [8][256]int
+	for _, r := range recs {
+		k := ukey(r)
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	buf := make([]keyed, len(recs))
+	for b := range count {
+		next := &count[b]
+		if slices.Contains(next[:], len(recs)) {
+			continue // every key has the same byte b
+		}
+		for i, sum := 0, 0; i < len(next); i++ {
+			next[i], sum = sum, sum+next[i]
+		}
+		for _, r := range recs {
+			d := byte(ukey(r) >> (8 * b))
+			buf[next[d]] = r
+			next[d]++
+		}
+		recs, buf = buf, recs
+	}
+	return recs
 }
 
 // Partitions returns the partition count the table was built for.

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tea-graph/tea/internal/sampling"
@@ -190,6 +192,82 @@ func TestPartitionerKeepsWalksLocal(t *testing.T) {
 	}
 	if share := float64(hashChanges) / float64(steps); share < 0.5 {
 		t.Fatalf("hashed ids change owner on only %.3f of the steps; the walks are not a locality test", share)
+	}
+}
+
+// sortedOwners is the owner table as a comparison sort computes it: the
+// same keys, sink fix-up and cut as NewPartitioner, with the vertices put
+// in (key, id) order by slices.SortFunc. It is the radix order's oracle.
+func sortedOwners(g *temporal.Graph, partitions int) []uint16 {
+	order := make([]keyed, g.NumVertices())
+	for i := range order {
+		v := temporal.Vertex(i)
+		order[i] = keyed{key: temporal.MinTime, v: v}
+		if ts := g.OutTimes(v); len(ts) > 0 {
+			order[i].key = ts[len(ts)/2]
+		}
+	}
+	for u := range order {
+		ts := g.OutTimes(temporal.Vertex(u))
+		for i, d := range g.OutDst(temporal.Vertex(u)) {
+			if g.Degree(d) == 0 {
+				order[d].key = max(order[d].key, ts[i])
+			}
+		}
+	}
+	slices.SortFunc(order, func(a, b keyed) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.v, b.v)) })
+	owner := make([]uint16, len(order))
+	twoE, parts := 2*uint64(g.NumEdges()), uint64(partitions)
+	var cum uint64
+	for _, k := range order {
+		deg := uint64(g.Degree(k.v))
+		if twoE > 0 {
+			owner[k.v] = uint16(min(parts-1, (2*cum+deg)*parts/twoE))
+		}
+		cum += deg
+	}
+	return owner
+}
+
+// The radix-ordered table equals the comparison-sorted one on graphs with
+// sinks (keyed by their latest in-edge), isolated vertices (keyed
+// MinTime), negative keys, keys that differ only in a high byte, edges at
+// the ends of the Time domain, and ties.
+func TestPartitionerMatchesComparisonSort(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	wide := func(n, v int) *temporal.Graph {
+		edges := make([]temporal.Edge, n)
+		for i := range edges {
+			at := temporal.Time(r.Int63() - r.Int63())
+			switch r.Intn(8) {
+			case 0:
+				at = temporal.MinTime + temporal.Time(r.Intn(3))
+			case 1:
+				at = temporal.MaxTime - temporal.Time(r.Intn(3))
+			case 2:
+				at = temporal.Time(r.Intn(4)) << 40
+			}
+			// Sources are the lower two thirds of the ids, so the rest are
+			// sinks or isolated.
+			edges[i] = temporal.Edge{Src: temporal.Vertex(r.Intn(2 * v / 3)), Dst: temporal.Vertex(r.Intn(v)), Time: at}
+		}
+		return temporal.MustFromEdges(edges, temporal.WithNumVertices(v+v/4))
+	}
+	graphs := map[string]*temporal.Graph{
+		"ties":            testutil.RandomGraph(t, 300, 6000, 50, 2),
+		"activity-window": activityWindowGraph(t, 2000, 10, 6000, 6),
+		"hub":             testutil.SkewedGraph(t, 1000, 3000),
+		"wide-keys":       wide(5000, 900),
+		"sinks-only-in":   wide(40, 200),
+		"one-vertex":      temporal.MustFromEdges([]temporal.Edge{{Src: 0, Dst: 0, Time: -1}}),
+		"edgeless":        temporal.MustFromEdges(nil, temporal.WithNumVertices(7)),
+	}
+	for name, g := range graphs {
+		for _, parts := range []int{1, 2, 3, 8, 17} {
+			if got, want := mustPartitioner(t, g, parts).owner, sortedOwners(g, parts); !slices.Equal(got, want) {
+				t.Fatalf("%s parts=%d: radix-ordered table differs from the comparison sort's", name, parts)
+			}
+		}
 	}
 }
 

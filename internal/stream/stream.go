@@ -463,11 +463,18 @@ func candidates(segs []segment, i, lastK int) int {
 	return segs[i].len()
 }
 
+// walkReserve caps the steps Walk reserves room for up front, as core's
+// pathReserve does for a kept path: a huge length on a graph whose walks
+// end early would otherwise allocate for steps that are never taken.
+const walkReserve = 80
+
 // Walk runs one temporal walk of at most length steps from src starting with
 // arrival time start (use temporal.MinTime for "all out-edges eligible").
 func (g *Graph) Walk(src temporal.Vertex, start temporal.Time, length int, r *xrand.Rand) ([]temporal.Vertex, []temporal.Time) {
-	verts := []temporal.Vertex{src}
-	var times []temporal.Time
+	n := max(0, min(length, walkReserve))
+	verts := make([]temporal.Vertex, 1, n+1)
+	verts[0] = src
+	times := make([]temporal.Time, 0, n)
 	u, t := src, start
 	for step := 0; step < length; step++ {
 		dst, at, _, ok := g.SampleStep(u, t, r)

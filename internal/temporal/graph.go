@@ -145,23 +145,56 @@ func (g *Graph) Edges(buf []Edge) []Edge {
 
 // EdgesInterval extracts the temporal subgraph containing the edges with
 // start <= t <= end, preserving the vertex id space. It implements the
-// Edges_interval primitive of Table 2 / Algorithm 1.
+// Edges_interval primitive of Table 2 / Algorithm 1. A row is newest first,
+// so its in-window edges are one run, found by two binary searches.
 func (g *Graph) EdgesInterval(start, end Time) *Graph {
-	var edges []Edge
-	for u := 0; u < g.NumVertices(); u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		for e := lo; e < hi; e++ {
-			if t := g.ts[e]; t >= start && t <= end {
-				edges = append(edges, Edge{Src: Vertex(u), Dst: g.dst[e], Time: t})
-			}
+	return g.copyRows(func(u Vertex) (lo, hi int64) {
+		times := g.OutTimes(u)
+		i := sort.Search(len(times), func(i int) bool { return times[i] <= end })
+		j := sort.Search(len(times), func(j int) bool { return times[j] < start })
+		return g.offsets[u] + int64(i), g.offsets[u] + int64(max(i, j))
+	})
+}
+
+// Restrict returns the subgraph of the rows keep accepts, over the same
+// vertex id space: a kept vertex has all its out-edges, any other none.
+func (g *Graph) Restrict(keep func(Vertex) bool) *Graph {
+	return g.copyRows(func(u Vertex) (lo, hi int64) {
+		if keep(u) {
+			return g.offsets[u], g.offsets[u+1]
 		}
+		return g.offsets[u], g.offsets[u]
+	})
+}
+
+// copyRows builds the graph over g's vertex id space whose row u is the
+// edge range [lo, hi) of g's flat arrays that run(u) returns, a sub-range
+// of u's own row, copied in place of a rebuild. A sub-range of a newest
+// first row is newest first, so the result equals FromEdges of the same
+// edges with WithNumVertices(g.NumVertices()), an edgeless one included.
+func (g *Graph) copyRows(run func(u Vertex) (lo, hi int64)) *Graph {
+	n := g.NumVertices()
+	sub := &Graph{offsets: make([]int64, n+1)}
+	from := make([]int64, n)
+	for u := range n {
+		lo, hi := run(Vertex(u))
+		from[u] = lo
+		sub.offsets[u+1] = sub.offsets[u] + hi - lo
+		sub.maxDegree = max(sub.maxDegree, int(hi-lo))
 	}
-	sub, err := FromEdges(edges, WithNumVertices(g.NumVertices()))
-	if err != nil {
-		// Only possible failure is an empty interval; represent it as an
-		// edgeless graph over the same vertex set.
-		empty, _ := FromEdges(nil, WithNumVertices(g.NumVertices()))
-		return empty
+	m := sub.offsets[n]
+	sub.dst, sub.ts = make([]Vertex, m), make([]Time, m)
+	if m > 0 {
+		sub.minTime, sub.maxTime = MaxTime, MinTime
+	}
+	for u := range n {
+		lo, hi := sub.offsets[u], sub.offsets[u+1]
+		if lo == hi {
+			continue
+		}
+		copy(sub.dst[lo:hi], g.dst[from[u]:])
+		copy(sub.ts[lo:hi], g.ts[from[u]:])
+		sub.minTime, sub.maxTime = min(sub.minTime, sub.ts[hi-1]), max(sub.maxTime, sub.ts[lo])
 	}
 	return sub
 }

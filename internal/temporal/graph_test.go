@@ -180,6 +180,90 @@ func TestEdgesIntervalEmpty(t *testing.T) {
 	}
 }
 
+// subgraphCases are the graphs Restrict and EdgesInterval are checked on:
+// random ones, one whose upper half of the id space is isolated, and one
+// with negative and duplicate timestamps and duplicate edges.
+func subgraphCases(t *testing.T) map[string]*Graph {
+	r := rand.New(rand.NewSource(53))
+	var negDup []Edge
+	for i := 0; i < 800; i++ {
+		e := Edge{Src: Vertex(r.Intn(30)), Dst: Vertex(r.Intn(30)), Time: Time(r.Intn(21) - 10)}
+		if i > 0 && r.Intn(6) == 0 {
+			e = negDup[r.Intn(i)]
+		}
+		negDup = append(negDup, e)
+	}
+	return map[string]*Graph{
+		"random":   randomGraph(t, 300, 5000, 1),
+		"sparse":   randomGraph(t, 500, 300, 2),
+		"isolated": MustFromEdges(randomGraph(t, 40, 600, 3).Edges(nil), WithNumVertices(80)),
+		"neg-dup":  MustFromEdges(negDup),
+		"one-edge": MustFromEdges([]Edge{{Src: 1, Dst: 0, Time: -7}}),
+		"no-edges": MustFromEdges(nil, WithNumVertices(5)),
+	}
+}
+
+// fromEdgesWhere is the reference subgraph: FromEdges of g's edges that
+// keep accepts, over g's vertex id space.
+func fromEdgesWhere(t *testing.T, g *Graph, keep func(Edge) bool) *Graph {
+	t.Helper()
+	var edges []Edge
+	for _, e := range g.Edges(nil) {
+		if keep(e) {
+			edges = append(edges, e)
+		}
+	}
+	want, err := FromEdges(edges, WithNumVertices(g.NumVertices()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// Restrict copies the kept rows in place of a rebuild; it must equal
+// FromEdges of those rows, array for array, for every part of a P-way
+// split of the vertices and for a part holding no vertex at all.
+func TestRestrictMatchesFromEdges(t *testing.T) {
+	for name, g := range subgraphCases(t) {
+		for _, parts := range []int{1, 2, 3, 8} {
+			// Part `parts` is the empty partition.
+			for part := 0; part <= parts; part++ {
+				owned := func(u Vertex) bool { return int(uint32(u)*2654435761>>7)%parts == part }
+				got := g.Restrict(owned)
+				want := fromEdgesWhere(t, g, func(e Edge) bool { return owned(e.Src) })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s P=%d part %d: Restrict = %+v, FromEdges = %+v", name, parts, part, got, want)
+				}
+				if got.MemoryBytes() != want.MemoryBytes() {
+					t.Fatalf("%s P=%d part %d: MemoryBytes %d, want %d", name, parts, part, got.MemoryBytes(), want.MemoryBytes())
+				}
+			}
+		}
+	}
+}
+
+// EdgesInterval copies each row's in-window run; it must equal FromEdges
+// of the in-window edges on random windows, on windows that hold no edge
+// and on inverted ones.
+func TestEdgesIntervalMatchesFromEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	for name, g := range subgraphCases(t) {
+		lo, hi := g.TimeRange()
+		windows := [][2]Time{{lo, hi}, {hi + 1, hi + 5}, {lo - 5, lo - 1}, {hi, lo - 1}, {MinTime, MaxTime}, {lo, lo}, {hi, hi}}
+		for range 40 {
+			a, b := lo-2+Time(r.Int63n(int64(hi-lo)+5)), lo-2+Time(r.Int63n(int64(hi-lo)+5))
+			windows = append(windows, [2]Time{min(a, b), max(a, b)})
+		}
+		for _, w := range windows {
+			got := g.EdgesInterval(w[0], w[1])
+			want := fromEdgesWhere(t, g, func(e Edge) bool { return e.Time >= w[0] && e.Time <= w[1] })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s window [%d, %d]: EdgesInterval = %+v, FromEdges = %+v", name, w[0], w[1], got, want)
+			}
+		}
+	}
+}
+
 func TestHasNeighbor(t *testing.T) {
 	g := CommuteGraph()
 	for _, withIndex := range []bool{false, true} {
