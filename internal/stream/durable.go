@@ -36,14 +36,13 @@ import (
 //
 // Recovery is snapshot + log-suffix replay: OpenDurable loads the newest
 // *verifiable* snapshot generation (exact segment-level image, CRC-verified),
-// then replays every WAL record with a later LSN through the same code paths
-// the live writes took, consecutive edge batches in windows that the append
-// planner stages in one parallel pass (applyWindow). Operations that failed
-// live (a stale batch, a delete
-// of a missing edge) fail identically during replay — the log records intent,
-// and application is deterministic — so the recovered graph is structurally
-// identical to the pre-crash one. A torn WAL tail is truncated; mid-log
-// corruption refuses with wal.ErrCorrupt.
+// then replays every WAL record with a later LSN through the one path the
+// live writes took (txn.applyLog), in windows of records that the append
+// planner stages in one parallel pass. Operations that failed live (a stale
+// batch, a delete of a missing edge) fail identically during replay — the
+// log records intent, and application is deterministic — so the recovered
+// graph is structurally identical to the pre-crash one. A torn WAL tail is
+// truncated; mid-log corruption refuses with wal.ErrCorrupt.
 //
 // Snapshots are generational: each checkpoint writes snapshot.<lsn> and the
 // last SnapshotKeep generations are retained, with the WAL trimmed only past
@@ -250,8 +249,10 @@ type DurableGraph struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 
-	closed   atomic.Bool
-	quitOnce sync.Once
+	closed atomic.Bool
+	// closing is held for reading by a writer from its closed check until
+	// its request is queued (enqueue), and taken by stop.
+	closing sync.RWMutex
 
 	errMu sync.Mutex
 	err   error
@@ -384,27 +385,40 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 	}
 	segsDone, segsTotal := 0, log.Recovery().Segments
 	report(RecoveryProgress{SnapshotLSN: d.snapLSN, SegmentsTotal: segsTotal})
-	// Consecutive edge batches gather into a window (applyWindow); any
-	// other record closes it and applies alone.
+	// Records gather into windows of up to replayWindowEdges edges, each
+	// applied in one txn on every thread. A record that failed live fails
+	// identically here; one that does not decode — impossible past the
+	// frame CRC short of a version skew — refuses the log.
 	replayed := uint64(0)
-	var window []wal.Record
-	windowEdges := 0
-	applied := func(n int) {
-		before := replayed
-		replayed += uint64(n)
-		if replayed/65536 != before/65536 {
-			report(RecoveryProgress{SnapshotLSN: d.snapLSN,
-				SegmentsDone: segsDone, SegmentsTotal: segsTotal, RecordsApplied: replayed})
-		}
-	}
+	var window []wal.Entry
+	windowLSN, windowEdges := uint64(0), 0
 	flush := func() error {
 		if len(window) == 0 {
 			return nil
 		}
-		if err := d.applyWindow(window); err != nil {
-			return err
+		var corrupt error
+		t := d.g.begin()
+		t.applyLog(window, par.Threads(0), func(i, _ int, err error) {
+			lsn := windowLSN + uint64(i)
+			if errors.Is(err, wal.ErrCorrupt) && corrupt == nil {
+				corrupt = fmt.Errorf("record %d: %w", lsn, err)
+			} else if errors.Is(err, ErrVertexRange) {
+				// Logged before vertex ids were bounded; a live append
+				// would refuse it too.
+				logger.Warn("replay refused a logged batch naming a vertex id out of range",
+					"lsn", lsn, "err", err)
+			}
+		})
+		if corrupt != nil {
+			return corrupt
 		}
-		applied(len(window))
+		t.commit()
+		before := replayed
+		replayed += uint64(len(window))
+		if replayed/65536 != before/65536 {
+			report(RecoveryProgress{SnapshotLSN: d.snapLSN,
+				SegmentsDone: segsDone, SegmentsTotal: segsTotal, RecordsApplied: replayed})
+		}
 		clear(window)
 		window, windowEdges = window[:0], 0
 		return nil
@@ -413,20 +427,13 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 		if rec.LSN <= d.snapLSN {
 			return nil
 		}
-		if rec.Type == wal.RecEdgeBatch {
-			window = append(window, rec)
-			if windowEdges += len(rec.Payload) / edgeio.RecordSize; windowEdges >= replayWindowEdges {
-				return flush()
-			}
-			return nil
+		if len(window) == 0 {
+			windowLSN = rec.LSN
 		}
-		if err := flush(); err != nil {
-			return err
+		window = append(window, wal.Entry{Type: rec.Type, Payload: rec.Payload})
+		if windowEdges += len(rec.Payload) / edgeio.RecordSize; windowEdges >= replayWindowEdges {
+			return flush()
 		}
-		if err := d.applyRecord(rec); err != nil {
-			return err
-		}
-		applied(1)
 		return nil
 	}, func(done, total int) {
 		segsDone, segsTotal = done, total
@@ -469,45 +476,55 @@ func OpenDurable(dir string, cfg DurableConfig) (*DurableGraph, error) {
 	return d, nil
 }
 
-// applyRecord replays one WAL record during recovery, one txn per record.
-// Application errors are deliberately ignored: a record that failed
-// validation live fails identically here (application is deterministic), so
-// the replayed state matches the pre-crash state. Decode failures mean the
-// payload itself is damaged — impossible past the frame CRC short of a
-// version skew — and refuse the log.
-func (d *DurableGraph) applyRecord(rec wal.Record) error {
-	t := d.g.begin()
-	_, err := t.apply(rec.Type, rec.Payload)
-	if errors.Is(err, wal.ErrCorrupt) {
-		return fmt.Errorf("record %d: %w", rec.LSN, err)
+// replayWindowEdges bounds the edges one replay window holds, so a huge
+// log replays in bounded memory.
+const replayWindowEdges = 1 << 20
+
+// applyLog stages logged records in log order; it is the one way a logged
+// record reaches the graph, live or replayed. Each edge batch is decoded
+// and admitted as it comes (admit), and the admitted batches are appended
+// in one planned pass on threads threads (appendAdmitted) before any other
+// record applies and at the end, leaving the graph the records' one-by-one
+// application leaves (appendRuns). done(i, dropped, err) reports record i:
+// the edges an expiry dropped, and the mutation's own error (a refused
+// append stages nothing, a failed deletion keeps its prefix) or one
+// wrapping wal.ErrCorrupt for a payload that does not decode or a type
+// that is no record.
+func (t *txn) applyLog(recs []wal.Entry, threads int, done func(i, dropped int, err error)) {
+	g := t.g
+	for i, rec := range recs {
+		if rec.Type != wal.RecEdgeBatch {
+			t.appendAdmitted(threads)
+			dropped, err := t.apply(rec.Type, rec.Payload)
+			done(i, dropped, err)
+			continue
+		}
+		if i == 0 || recs[i-1].Type != wal.RecEdgeBatch {
+			n := 0 // the edges of the run of batches this one starts
+			for j := i; j < len(recs) && recs[j].Type == wal.RecEdgeBatch; j++ {
+				n += len(recs[j].Payload) / edgeio.RecordSize
+			}
+			g.sorted = slices.Grow(g.sorted, n)
+		}
+		from := len(g.sorted)
+		edges, err := edgeio.DecodeList(g.sorted, rec.Payload)
+		if err != nil {
+			done(i, 0, fmt.Errorf("%w: %v", wal.ErrCorrupt, err))
+			continue
+		}
+		if g.sorted = edges; len(edges) > from {
+			err = t.admit(from)
+		}
+		done(i, 0, err)
 	}
-	t.commit()
-	d.warnRefused(rec.LSN, err)
-	return nil
+	t.appendAdmitted(threads)
 }
 
-// warnRefused says when replay refused a batch for a vertex id out of
-// range: one logged before vertex ids were bounded, which a live append
-// would refuse too.
-func (d *DurableGraph) warnRefused(lsn uint64, err error) {
-	if errors.Is(err, ErrVertexRange) {
-		d.logger.Warn("replay refused a logged batch naming a vertex id out of range",
-			"lsn", lsn, "err", err)
-	}
-}
-
-// apply stages one logged mutation, given as its WAL record type and
-// payload; the live commit and replay both apply records through it. It
-// returns how many edges an expiry dropped. A payload that does not decode,
-// or a type that is no record, is an error wrapping wal.ErrCorrupt; any
-// other error is the mutation's own, with the Graph method's staging: a
-// refused append stages nothing, a failed deletion keeps its prefix.
+// apply stages one logged mutation other than an edge batch, given as its
+// WAL record type and payload, and returns how many edges an expiry
+// dropped; applyLog reports what it returns.
 func (t *txn) apply(typ wal.RecordType, payload []byte) (dropped int, err error) {
 	switch typ {
-	case wal.RecEdgeBatch:
-		err := t.admitLogged(payload)
-		t.appendAdmitted(1)
-		return 0, err
 	case wal.RecDeleteBatch:
 		edges, err := edgeio.DecodeList(nil, payload)
 		if err != nil {
@@ -525,51 +542,6 @@ func (t *txn) apply(typ wal.RecordType, payload []byte) (dropped int, err error)
 		return 0, nil
 	}
 	return 0, fmt.Errorf("%w: unknown type %d", wal.ErrCorrupt, typ)
-}
-
-// admitLogged decodes a logged edge batch onto the txn's admitted batches
-// and admits it (txn.admit): a refused batch stages nothing, and a payload
-// that does not decode is an error wrapping wal.ErrCorrupt.
-func (t *txn) admitLogged(payload []byte) error {
-	g := t.g
-	from := len(g.sorted)
-	edges, err := edgeio.DecodeList(g.sorted, payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-	}
-	if g.sorted = edges; len(edges) == from {
-		return nil
-	}
-	return t.admit(from)
-}
-
-// replayWindowEdges bounds the edges one replay window gathers, so a huge
-// log replays in bounded memory.
-const replayWindowEdges = 1 << 20
-
-// applyWindow replays a window of consecutive edge-batch records in one
-// txn. Each record is decoded and checked in log order, exactly as a live
-// commit checks it, and then every admitted batch is appended in one
-// planned pass on all threads: each vertex's final segments are built
-// once, not once per batch that touched it. The result is the graph the
-// records' one-by-one application leaves (appendRuns).
-func (d *DurableGraph) applyWindow(window []wal.Record) error {
-	t := d.g.begin()
-	total := 0
-	for _, rec := range window {
-		total += len(rec.Payload) / edgeio.RecordSize
-	}
-	t.g.sorted = slices.Grow(t.g.sorted[:0], total)
-	for _, rec := range window {
-		err := t.admitLogged(rec.Payload)
-		if errors.Is(err, wal.ErrCorrupt) {
-			return fmt.Errorf("record %d: %w", rec.LSN, err)
-		}
-		d.warnRefused(rec.LSN, err)
-	}
-	t.appendAdmitted(par.Threads(0))
-	t.commit()
-	return nil
 }
 
 // AppendBatch logs and applies a batch of strictly newer edges. The batch
@@ -606,20 +578,30 @@ func (d *DurableGraph) ExpireBefore(horizon temporal.Time) (int, error) {
 // submit queues one mutation and waits for its group to commit and apply;
 // it returns how many edges the mutation dropped.
 func (d *DurableGraph) submit(typ wal.RecordType, payload []byte) (int, error) {
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
 	req := &ingestReq{typ: typ, payload: payload, done: make(chan struct{})}
-	select {
-	case d.reqCh <- req:
-	case <-d.quit:
-		return 0, ErrClosed
+	if err := d.enqueue(req); err != nil {
+		return 0, err
 	}
 	<-req.done
 	return req.dropped, req.err
+}
+
+// enqueue hands req to the committer, or says why it cannot. It holds
+// closing for reading from the closed check until req is queued, so a
+// writer that passed the check before Close began has queued its request
+// by the time stop takes closing. The send cannot block for good: the
+// committer takes requests until quit closes, after stop holds closing.
+func (d *DurableGraph) enqueue(req *ingestReq) error {
+	d.closing.RLock()
+	defer d.closing.RUnlock()
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	d.reqCh <- req
+	return nil
 }
 
 // commitLoop is the single committer: it drains queued mutations into
@@ -645,20 +627,13 @@ func (d *DurableGraph) commitLoop() {
 			d.tryHeal()
 			continue
 		case <-d.quit:
-			d.drainOnExit()
+			// Graceful shutdown still commits accepted writes, in groups.
+			for len(d.reqCh) > 0 {
+				d.commitGroup(d.gather(<-d.reqCh))
+			}
 			return
 		}
-		batch := []*ingestReq{first}
-	drain:
-		for len(batch) < maxGroup {
-			select {
-			case r := <-d.reqCh:
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		d.commitGroup(batch)
+		d.commitGroup(d.gather(first))
 		if d.cfg.SnapshotEvery > 0 && d.sinceSnap >= d.cfg.SnapshotEvery {
 			d.checkpoint()
 		}
@@ -691,17 +666,15 @@ func (d *DurableGraph) tryHeal() {
 	d.logger.Info("durable graph healed; writes restored")
 }
 
-// drainOnExit completes whatever was queued when Close was called: graceful
-// shutdown still commits accepted writes.
-func (d *DurableGraph) drainOnExit() {
-	for {
-		select {
-		case r := <-d.reqCh:
-			d.commitGroup([]*ingestReq{r})
-		default:
-			return
-		}
+// gather returns a group of first and the requests queued behind it, at
+// most maxGroup in all. Only the committer receives from the queue, so a
+// request it sees queued is there to take.
+func (d *DurableGraph) gather(first *ingestReq) []*ingestReq {
+	batch := []*ingestReq{first}
+	for len(batch) < maxGroup && len(d.reqCh) > 0 {
+		batch = append(batch, <-d.reqCh)
 	}
+	return batch
 }
 
 // commitGroup writes one group through the WAL (log order = slice order),
@@ -725,9 +698,9 @@ func (d *DurableGraph) commitGroup(batch []*ingestReq) {
 	// published graph meanwhile — and take the write lock only to install
 	// them.
 	tx := d.g.begin()
-	for _, r := range batch {
-		r.dropped, r.err = tx.apply(r.typ, r.payload)
-	}
+	tx.applyLog(entries, 1, func(i, dropped int, err error) {
+		batch[i].dropped, batch[i].err = dropped, err
+	})
 	tx.settle()
 	d.mu.Lock()
 	tx.commit()
@@ -923,9 +896,7 @@ func (d *DurableGraph) Close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	d.quitOnce.Do(func() { close(d.quit) })
-	d.wg.Wait()
-	d.failPending(ErrClosed)
+	d.stop()
 	return d.log.Close()
 }
 
@@ -937,20 +908,15 @@ func (d *DurableGraph) Crash() {
 		return
 	}
 	d.log.Crash()
-	d.quitOnce.Do(func() { close(d.quit) })
-	d.wg.Wait()
-	d.failPending(ErrClosed)
+	d.stop()
 }
 
-// failPending releases any requests still queued after the committer exited.
-func (d *DurableGraph) failPending(err error) {
-	for {
-		select {
-		case r := <-d.reqCh:
-			r.err = err
-			close(r.done)
-		default:
-			return
-		}
-	}
+// stop ends the committer once closed is set. Taking closing first waits
+// out every writer between its closed check and its enqueue, so each
+// request is queued before quit closes and the committer commits it.
+func (d *DurableGraph) stop() {
+	d.closing.Lock()
+	d.closing.Unlock()
+	close(d.quit)
+	d.wg.Wait()
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/tea-graph/tea/internal/sampling"
 	"github.com/tea-graph/tea/internal/temporal"
@@ -305,6 +306,48 @@ func TestDurableClosedRejectsMutations(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// A write that passed the closed check when Close began is either
+// committed or answered ErrClosed, and one answered ErrClosed is not in the
+// log. Holding errMu parks the writer between its closed check and its
+// enqueue while Close runs; were it queued after Close's last look at the
+// queue, it would wait forever.
+func TestDurableWriteRacingClose(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		dir := t.TempDir()
+		cfg := DurableConfig{WAL: wal.Options{Policy: wal.SyncNever}, HealInterval: -1}
+		d := openDurable(t, dir, cfg)
+		d.errMu.Lock()
+		wrote := make(chan error, 1)
+		go func() { wrote <- d.AppendBatch([]temporal.Edge{{Src: 0, Dst: 1, Time: 1}}) }()
+		time.Sleep(5 * time.Millisecond) // the writer passes the closed check
+		closed := make(chan error, 1)
+		go func() { closed <- d.Close() }()
+		time.Sleep(20 * time.Millisecond) // Close runs as far as it can
+		d.errMu.Unlock()
+		var err error
+		select {
+		case err = <-wrote:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d: a write racing Close never returned", run)
+		}
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Fatalf("run %d: write racing Close: %v", run, err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if err == nil {
+			want = 1
+		}
+		d = openDurable(t, dir, cfg)
+		if got := d.NumEdges(); got != want {
+			t.Fatalf("run %d: write answered %v, %d edges logged", run, err, got)
+		}
+		d.Close()
 	}
 }
 

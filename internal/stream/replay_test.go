@@ -148,13 +148,16 @@ func replayLog(seed uint64, n int) []wal.Entry {
 	return log
 }
 
-// Replay gathers consecutive edge batches into windows and appends each
-// window in one planned pass. The graph it recovers — from the log alone,
-// or from a snapshot and the log's suffix, so windows start on vertices
-// that already have segments, some with tombstones — equals the records
-// applied one at a time by the batch-at-a-time oracle: every arena word,
-// mass, rank and tombstone, the largest segment, the auxiliary index, the
-// seeded walks and the snapshot bytes.
+// Replay gathers records of every type into windows, each staged in one
+// txn by applyLog, which appends the batches admitted before each other
+// record in one planned pass; a live commit stages its group through
+// applyLog too. The graph replay recovers — from the log alone, or from a
+// snapshot and the log's suffix, so windows start on vertices that already
+// have segments, some with tombstones — and the graph live commits of the
+// log in groups of 7 and of maxGroup leave both equal the records applied
+// one at a time by the batch-at-a-time oracle: every arena word, mass,
+// rank and tombstone, the largest segment, the auxiliary index, the seeded
+// walks and the snapshot bytes.
 func TestReplayMatchesOneByOne(t *testing.T) {
 	specs := []sampling.WeightSpec{
 		{Kind: sampling.WeightUniform},
@@ -165,18 +168,38 @@ func TestReplayMatchesOneByOne(t *testing.T) {
 	for _, spec := range specs {
 		for seed := uint64(1); seed <= 6; seed++ {
 			log := replayLog(seed, 400)
-			for _, snapAt := range []int{0, len(log) / 3, len(log) - 1} {
-				t.Run(fmt.Sprintf("%v/seed%d/snapshot%d", spec.Kind, seed, snapAt), func(t *testing.T) {
+			type mode struct{ snapAt, group int } // group > 0: live commits of that size
+			modes := []mode{{0, 0}, {len(log) / 3, 0}, {len(log) - 1, 0}, {0, 7}, {0, maxGroup}}
+			for _, m := range modes {
+				snapAt := m.snapAt
+				name := fmt.Sprintf("%v/seed%d/snapshot%d", spec.Kind, seed, snapAt)
+				if m.group > 0 {
+					name = fmt.Sprintf("%v/seed%d/live%d", spec.Kind, seed, m.group)
+				}
+				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()
-					l, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := l.Append(log...); err != nil {
-						t.Fatal(err)
-					}
-					if err := l.Close(); err != nil {
-						t.Fatal(err)
+					cfg := DurableConfig{Graph: Config{Weight: spec}, WAL: wal.Options{Policy: wal.SyncNever}}
+					var d *DurableGraph
+					if m.group > 0 {
+						d = openDurable(t, dir, cfg)
+						for lo := 0; lo < len(log); lo += m.group {
+							var group []*ingestReq
+							for _, e := range log[lo:min(lo+m.group, len(log))] {
+								group = append(group, &ingestReq{typ: e.Type, payload: e.Payload, done: make(chan struct{})})
+							}
+							d.commitGroup(group)
+						}
+					} else {
+						l, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := l.Append(log...); err != nil {
+							t.Fatal(err)
+						}
+						if err := l.Close(); err != nil {
+							t.Fatal(err)
+						}
 					}
 					want := mustNew(t, Config{Weight: spec})
 					for i, e := range log {
@@ -188,7 +211,9 @@ func TestReplayMatchesOneByOne(t *testing.T) {
 						}
 						applyOneByOne(t, want, e)
 					}
-					d := openDurable(t, dir, DurableConfig{Graph: Config{Weight: spec}, WAL: wal.Options{Policy: wal.SyncNever}})
+					if d == nil {
+						d = openDurable(t, dir, cfg)
+					}
 					defer d.Close()
 					if got := d.Recovery().SnapshotLSN; got != uint64(snapAt) {
 						t.Fatalf("recovered from snapshot %d, want %d", got, snapAt)
@@ -215,8 +240,22 @@ func TestReplayMatchesOneByOne(t *testing.T) {
 // BenchmarkDurableRecovery times OpenDurable replaying a log of 1,000
 // batches of 1,000 edges over 200,000 vertices, sources skewed towards low
 // ids so some vertices gather deep segment directories: replay's windows,
-// grouping, planning and segment builds.
+// grouping, planning and segment builds. The mixed log also deletes one
+// edge every 50 batches, so each window applies deletions between its
+// planned appends.
 func BenchmarkDurableRecovery(b *testing.B) {
+	for _, deleteEvery := range []int{0, 50} {
+		name := "edges"
+		if deleteEvery > 0 {
+			name = "mixed"
+		}
+		b.Run(name, func(b *testing.B) { benchmarkRecovery(b, deleteEvery) })
+	}
+}
+
+// benchmarkRecovery times recovery of BenchmarkDurableRecovery's log, with
+// a one-edge deletion record after every deleteEvery batches unless it is 0.
+func benchmarkRecovery(b *testing.B, deleteEvery int) {
 	const vertices, batches, size = 200_000, 1000, 1000
 	dir := b.TempDir()
 	l, err := wal.Open(dir, wal.Options{Policy: wal.SyncNever})
@@ -226,12 +265,18 @@ func BenchmarkDurableRecovery(b *testing.B) {
 	r := xrand.New(1)
 	edges := make([]temporal.Edge, size)
 	now := temporal.Time(0)
-	for range batches {
+	deleted := 0
+	for i := range batches {
 		for i := range edges {
 			now++
 			edges[i] = temporal.Edge{Src: temporal.Vertex(r.IntN(1 + r.IntN(vertices))), Dst: temporal.Vertex(r.IntN(vertices)), Time: now}
 		}
-		if _, err := l.Append(wal.Entry{Type: wal.RecEdgeBatch, Payload: edgeio.AppendList(nil, edges)}); err != nil {
+		recs := []wal.Entry{{Type: wal.RecEdgeBatch, Payload: edgeio.AppendList(nil, edges)}}
+		if deleteEvery > 0 && (i+1)%deleteEvery == 0 {
+			recs = append(recs, wal.Entry{Type: wal.RecDeleteBatch, Payload: edgeio.AppendList(nil, edges[:1])})
+			deleted++
+		}
+		if _, err := l.Append(recs...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,8 +294,8 @@ func BenchmarkDurableRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if got := d.NumEdges(); got != batches*size {
-			b.Fatalf("recovered %d edges, want %d", got, batches*size)
+		if got := d.NumEdges(); got != batches*size-deleted {
+			b.Fatalf("recovered %d edges, want %d", got, batches*size-deleted)
 		}
 		if err := d.Close(); err != nil {
 			b.Fatal(err)

@@ -251,50 +251,51 @@ func (t *txn) admit(from int) error {
 func (t *txn) appendAdmitted(threads int) {
 	g := t.g
 	edges := g.sorted
-	if len(edges) > 0 {
-		if int(t.maxV) >= len(t.verts) {
-			t.grow(int(t.maxV) + 1)
+	if len(edges) == 0 {
+		return
+	}
+	if int(t.maxV) >= len(t.verts) {
+		t.grow(int(t.maxV) + 1)
+	}
+	for i := range edges {
+		edges[i].Src = temporal.Vertex(t.stageIndex(edges[i].Src))
+	}
+	g.offsets = slices.Grow(g.offsets[:0], len(t.staged)+1)[:len(t.staged)+1]
+	clear(g.offsets)
+	for _, e := range edges {
+		g.offsets[e.Src+1]++
+	}
+	g.grouped = slices.Grow(g.grouped[:0], len(edges))[:len(edges)]
+	offsets, grouped := g.offsets, g.grouped
+	temporal.GroupBySource(edges, offsets, grouped)
+	// Sources staged by an earlier operation of the txn have no edges.
+	touched := func(d int) bool { return offsets[d+1] > offsets[d] }
+	for d := range t.staged {
+		if touched(d) {
+			t.sizes.add(t.staged[d].segs, -1)
 		}
-		for i := range edges {
-			edges[i].Src = temporal.Vertex(t.stageIndex(edges[i].Src))
-		}
-		g.offsets = slices.Grow(g.offsets[:0], len(t.staged)+1)[:len(t.staged)+1]
-		clear(g.offsets)
-		for _, e := range edges {
-			g.offsets[e.Src+1]++
-		}
-		g.grouped = slices.Grow(g.grouped[:0], len(edges))[:len(edges)]
-		offsets, grouped := g.offsets, g.grouped
-		temporal.GroupBySource(edges, offsets, grouped)
-		// Sources staged by an earlier operation of the txn have no edges.
-		touched := func(d int) bool { return offsets[d+1] > offsets[d] }
-		for d := range t.staged {
+	}
+	// Chunk 0 builds with the writer's own scratch, the others with their
+	// own.
+	builders := make([]builder, par.Threads(threads))
+	builders[0] = g.builder
+	par.ForEdges(offsets, threads, func(c, lo, hi int) {
+		for d := lo; d < hi; d++ {
 			if touched(d) {
-				t.sizes.add(t.staged[d].segs, -1)
+				run := grouped[offsets[d]:offsets[d+1]]
+				temporal.NewestFirst(run)
+				t.staged[d].segs = t.appendRuns(&builders[c], t.staged[d].segs, run)
 			}
 		}
-		// Chunk 0 builds with the writer's own scratch, the others with
-		// their own.
-		builders := make([]builder, par.Threads(threads))
-		builders[0] = g.builder
-		par.ForEdges(offsets, threads, func(c, lo, hi int) {
-			for d := lo; d < hi; d++ {
-				if touched(d) {
-					run := grouped[offsets[d]:offsets[d+1]]
-					temporal.NewestFirst(run)
-					t.staged[d].segs = t.appendRuns(&builders[c], t.staged[d].segs, run)
-				}
-			}
-		})
-		g.builder = builders[0]
-		for _, b := range builders[1:] {
-			g.largest = max(g.largest, b.largest)
-		}
-		for d := range t.staged {
-			if touched(d) {
-				g.rescale(t.staged[d].segs)
-				t.sizes.add(t.staged[d].segs, 1)
-			}
+	})
+	g.builder = builders[0]
+	for _, b := range builders[1:] {
+		g.largest = max(g.largest, b.largest)
+	}
+	for d := range t.staged {
+		if touched(d) {
+			g.rescale(t.staged[d].segs)
+			t.sizes.add(t.staged[d].segs, 1)
 		}
 	}
 	g.sorted = reuse(edges, len(edges))
